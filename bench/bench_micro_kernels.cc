@@ -110,7 +110,8 @@ topic::DocSet SyntheticDocs(size_t docs, size_t len, uint32_t vocab) {
   for (size_t d = 0; d < docs; ++d) {
     std::vector<std::string> words;
     for (size_t i = 0; i < len; ++i) {
-      words.push_back("w" + std::to_string(rng.UniformU32(vocab)));
+      words.push_back("w");
+      words.back() += std::to_string(rng.UniformU32(vocab));
     }
     out.AddDocument(words);
   }

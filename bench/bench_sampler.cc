@@ -61,7 +61,8 @@ SynthCorpus MakeCorpus(size_t num_docs, size_t tokens_per_doc, size_t vocab,
       } else {
         w = gen.UniformU32(static_cast<uint32_t>(vocab));
       }
-      tokens->push_back("w" + std::to_string(w));
+      tokens->push_back("w");
+      tokens->back() += std::to_string(w);
     }
   };
   for (size_t d = 0; d < num_docs; ++d) {

@@ -7,9 +7,14 @@
 //           the QPS floor and p99 ceiling gate on;
 //   run B  4 client threads, closed loop — must serve byte-identical
 //           rankings (rankings_hash == run A's: every recommend op's tie
-//           permutation is a pure function of (seed, rid));
+//           permutation is a pure function of (seed, rid)), and on a
+//           machine with >= 4 hardware threads at least run A's QPS: the
+//           request path takes no shared lock, so added clients must not
+//           slow serving down;
 //   run C  repeat of run B               — must reproduce the schedule
 //           hash, the rung mix and the rankings hash exactly.
+// Latency quantiles are within 1% of the exact order statistics at any
+// schedule length (obs::Histogram).
 //
 // Gates (env-tunable so slow CI runners can widen them):
 //   MICROREC_LOAD_QPS_FLOOR       minimum run-A QPS        (default 100)
@@ -25,6 +30,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -198,8 +204,13 @@ int main(int argc, char** argv) {
         bench::F3(a->qps) + " qps >= " + bench::F3(qps_floor));
   Check(&gates, "p99_ceiling", p99_ms <= p99_ceiling_ms,
         bench::F3(p99_ms) + " ms <= " + bench::F3(p99_ceiling_ms) + " ms");
-  Check(&gates, "sketch_exact", a->latency.exact,
-        "latency quantiles are exact order statistics");
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  const bool can_scale = hardware_threads >= 4;
+  Check(&gates, "qps_scales_with_threads", !can_scale || b->qps >= a->qps,
+        can_scale ? bench::F3(b->qps) + " qps (4 threads) >= " +
+                        bench::F3(a->qps) + " qps (1 thread)"
+                  : "skipped: " + std::to_string(hardware_threads) +
+                        " hardware threads < 4");
   Check(&gates, "rankings_thread_invariant",
         a->rankings_hash == b->rankings_hash,
         Hex(a->rankings_hash) + " (1 thread) vs " + Hex(b->rankings_hash) +

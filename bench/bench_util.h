@@ -260,14 +260,14 @@ inline int FinishBench(const BenchIo& io, const char* bench_name) {
     if (const obs::HistogramSnapshot* h =
             snapshot.FindHistogram("eval.run.ttime_seconds")) {
       report.AddScalar("ttime_seconds_total", h->sum);
-      report.AddScalar("ttime_seconds_p50", h->Percentile(0.50));
-      report.AddScalar("ttime_seconds_p99", h->Percentile(0.99));
+      report.AddScalar("ttime_seconds_p50", h->p50);
+      report.AddScalar("ttime_seconds_p99", h->p99);
     }
     if (const obs::HistogramSnapshot* h =
             snapshot.FindHistogram("eval.run.etime_seconds")) {
       report.AddScalar("etime_seconds_total", h->sum);
-      report.AddScalar("etime_seconds_p50", h->Percentile(0.50));
-      report.AddScalar("etime_seconds_p99", h->Percentile(0.99));
+      report.AddScalar("etime_seconds_p50", h->p50);
+      report.AddScalar("etime_seconds_p99", h->p99);
     }
     if (const obs::CounterSnapshot* c = snapshot.FindCounter("eval.runs")) {
       report.AddScalar("configs_run", static_cast<double>(c->value));

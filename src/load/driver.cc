@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -22,28 +23,25 @@ double SecondsBetween(Clock::time_point a, Clock::time_point b) {
 }
 
 /// One client thread's private accumulators: no sharing, no locks on the
-/// request path; the reducer merges after join.
-struct ThreadStats {
+/// request path; the reducer merges after join. Cache-line aligned, so
+/// neighbouring threads' slots never share a line.
+struct alignas(64) ThreadStats {
   std::array<uint64_t, kNumOpClasses> per_op{};
   std::array<uint64_t, 3> per_rung{};
   uint64_t errors = 0;
   uint64_t warm_failures = 0;
-  std::array<obs::QuantileSketch, kNumOpClasses> op_latency;
-  obs::QuantileSketch latency;
 
   /// Per-shard slice, grown on demand when the backend attributes a
-  /// recommend op to a shard.
+  /// recommend op to a shard. A deque, because a histogram cannot move.
   struct ShardLocal {
     uint64_t served = 0;
     std::array<uint64_t, 3> per_rung{};
-    obs::QuantileSketch latency;
+    obs::Histogram latency;
   };
-  std::vector<ShardLocal> shards;
+  std::deque<ShardLocal> shards;
 
   ShardLocal& ShardSlot(int shard) {
-    if (shards.size() <= static_cast<size_t>(shard)) {
-      shards.resize(static_cast<size_t>(shard) + 1);
-    }
+    while (shards.size() <= static_cast<size_t>(shard)) shards.emplace_back();
     return shards[static_cast<size_t>(shard)];
   }
 };
@@ -60,7 +58,7 @@ void AppendHexU64(uint64_t value, std::string* out) {
   out->append(buffer);
 }
 
-void AppendSketchJson(const obs::SketchSnapshot& s, std::string* out) {
+void AppendLatencyJson(const obs::HistogramSnapshot& s, std::string* out) {
   out->append("{\"count\":").append(std::to_string(s.count));
   out->append(",\"p50\":");
   AppendDouble(s.p50, out);
@@ -74,7 +72,6 @@ void AppendSketchJson(const obs::SketchSnapshot& s, std::string* out) {
   AppendDouble(s.max, out);
   out->append(",\"mean\":");
   AppendDouble(s.Mean(), out);
-  out->append(",\"exact\":").append(s.exact ? "true" : "false");
   out->push_back('}');
 }
 
@@ -103,7 +100,7 @@ std::string LoadReport::ToJson() const {
     out.append(OpClassName(static_cast<OpClass>(op)));
     out.append("\":{\"issued\":").append(std::to_string(per_op[op]));
     out.append(",\"latency_seconds\":");
-    AppendSketchJson(op_latency[op], &out);
+    AppendLatencyJson(op_latency[op], &out);
     out.push_back('}');
   }
   out.append("},\"per_rung\":{\"primary\":")
@@ -111,7 +108,7 @@ std::string LoadReport::ToJson() const {
   out.append(",\"bag_fallback\":").append(std::to_string(per_rung[1]));
   out.append(",\"popularity\":").append(std::to_string(per_rung[2]));
   out.append("},\"latency_seconds\":");
-  AppendSketchJson(latency, &out);
+  AppendLatencyJson(latency, &out);
   if (!per_shard.empty()) {
     out.append(",\"per_shard\":[");
     for (size_t s = 0; s < per_shard.size(); ++s) {
@@ -128,7 +125,7 @@ std::string LoadReport::ToJson() const {
       out.append(",\"popularity\":")
           .append(std::to_string(shard.per_rung[2]));
       out.append("},\"latency_seconds\":");
-      AppendSketchJson(shard.latency, &out);
+      AppendLatencyJson(shard.latency, &out);
       out.append(",\"breaker_state\":")
           .append(std::to_string(shard.breaker_state));
       out.append(",\"breaker_transitions\":")
@@ -169,6 +166,9 @@ Result<LoadReport> RunLoad(const Workload& workload,
   // and reads happen after join — disjoint access, no synchronisation.
   std::vector<uint64_t> ranking_hashes(requests.size(), 0);
   std::vector<ThreadStats> stats(threads);
+  // Shared by every client thread: each records into its own stripe.
+  std::array<obs::Histogram, kNumOpClasses> op_latency;
+  obs::Histogram latency;
 
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> clients;
@@ -183,23 +183,23 @@ Result<LoadReport> RunLoad(const Workload& workload,
           break;
         }
         const Request& request = requests[i];
-        if (options.target_qps > 0.0) {
-          // Open loop: arrivals are scheduled on the global request
-          // index, not per thread, so the offered rate is target_qps
-          // regardless of thread count.
-          const double offset =
-              static_cast<double>(i) / options.target_qps;
-          std::this_thread::sleep_until(
-              start + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(offset)));
-        }
+        // Open loop: arrivals are scheduled on the global request index,
+        // not per thread, so the offered rate is target_qps regardless of
+        // thread count. The op is timed from its due time: a request
+        // queued behind a stall carries the wait.
+        const bool open_loop = options.target_qps > 0.0;
+        const Clock::time_point op_start =
+            open_loop ? start + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(
+                                        static_cast<double>(i) /
+                                        options.target_qps))
+                      : Clock::now();
+        if (open_loop) std::this_thread::sleep_until(op_start);
         obs::RequestTrace trace(request.rid, OpClassName(request.op));
         const int op = static_cast<int>(request.op);
         ++local.per_op[op];
-        const Clock::time_point op_start = Clock::now();
         switch (request.op) {
           case OpClass::kRecommend: {
-            const Clock::time_point rec_start = Clock::now();
             Result<RecommendOutcome> outcome =
                 backend->Recommend(request.rid, request.user_rank, &trace);
             if (outcome.ok()) {
@@ -215,7 +215,7 @@ Result<LoadReport> RunLoad(const Workload& workload,
                   ++slot.per_rung[outcome->rung];
                 }
                 slot.latency.Record(
-                    SecondsBetween(rec_start, Clock::now()));
+                    SecondsBetween(op_start, Clock::now()));
               }
             } else {
               ++local.errors;
@@ -238,8 +238,8 @@ Result<LoadReport> RunLoad(const Workload& workload,
           }
         }
         const double seconds = SecondsBetween(op_start, Clock::now());
-        local.op_latency[op].Record(seconds);
-        local.latency.Record(seconds);
+        op_latency[op].Record(seconds);
+        latency.Record(seconds);
       }
     });
   }
@@ -252,19 +252,15 @@ Result<LoadReport> RunLoad(const Workload& workload,
   report.wall_seconds = wall;
   report.schedule_hash = workload.ScheduleHash();
 
-  obs::QuantileSketch merged_op[kNumOpClasses];
-  obs::QuantileSketch merged_all;
   for (const ThreadStats& local : stats) {
     report.errors += local.errors;
     report.warm_failures += local.warm_failures;
     for (int op = 0; op < kNumOpClasses; ++op) {
       report.per_op[op] += local.per_op[op];
-      merged_op[op].Merge(local.op_latency[op]);
     }
     for (int rung = 0; rung < 3; ++rung) {
       report.per_rung[rung] += local.per_rung[rung];
     }
-    merged_all.Merge(local.latency);
   }
   // Issued requests, not schedule length: a cooperative stop leaves the
   // tail of the schedule unissued, and the report must describe the run
@@ -285,7 +281,7 @@ Result<LoadReport> RunLoad(const Workload& workload,
   std::vector<ShardHealthStats> health = backends[0]->ShardHealth();
   num_shards = std::max(num_shards, health.size());
   if (num_shards > 0) {
-    std::vector<obs::QuantileSketch> shard_latency(num_shards);
+    std::vector<obs::Histogram> shard_latency(num_shards);
     report.per_shard.resize(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       report.per_shard[s].shard = static_cast<int>(s);
@@ -329,11 +325,11 @@ Result<LoadReport> RunLoad(const Workload& workload,
   for (int op = 0; op < kNumOpClasses; ++op) {
     const std::string name =
         "load.latency." + std::string(OpClassName(static_cast<OpClass>(op)));
-    registry.GetSketch(name)->Merge(merged_op[op]);
-    report.op_latency[op] = merged_op[op].Snapshot(name);
+    registry.GetHistogram(name)->Merge(op_latency[op]);
+    report.op_latency[op] = op_latency[op].Snapshot(name);
   }
-  registry.GetSketch("load.latency.all")->Merge(merged_all);
-  report.latency = merged_all.Snapshot("load.latency.all");
+  registry.GetHistogram("load.latency.all")->Merge(latency);
+  report.latency = latency.Snapshot("load.latency.all");
 
   return report;
 }

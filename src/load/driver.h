@@ -1,7 +1,12 @@
 // The serving load driver (DESIGN.md §12): replays a Workload against one
 // Backend per client thread and reduces the run to a LoadReport — QPS,
-// per-op-class latency sketches, rung mix, and the two fingerprints the
+// per-op-class latency quantiles, rung mix, and the two fingerprints the
 // determinism gate compares across thread counts and repeat runs.
+//
+// Latency is recorded into obs::Histograms that every client thread shares:
+// each thread writes its own stripe without locks, and the report's
+// quantiles are within 1% of the exact order statistics at any request
+// count.
 //
 // Request rid runs on thread (rid - 1) % threads: the *assignment* of
 // requests to threads changes with the thread count, but the set of
@@ -18,8 +23,12 @@
 //   open loop   (target_qps > 0)   request rid's arrival time is
 //                                  (rid - 1) / target_qps after the run
 //                                  start, independent of completions — the
-//                                  latency-under-offered-load mode
-//                                  (coordinated omission stays visible).
+//                                  latency-under-offered-load mode. An
+//                                  op's latency runs from that arrival
+//                                  time, not from when a client got to it,
+//                                  so a stall shows in every request queued
+//                                  behind it (coordinated omission stays
+//                                  visible).
 #ifndef MICROREC_LOAD_DRIVER_H_
 #define MICROREC_LOAD_DRIVER_H_
 
@@ -31,7 +40,7 @@
 
 #include "load/backend.h"
 #include "load/workload.h"
-#include "obs/sketch.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace microrec::load {
@@ -73,10 +82,10 @@ struct LoadReport {
   /// Recommend ops served per rung (rec::ServingRung numeric values).
   std::array<uint64_t, 3> per_rung{};
 
-  /// Merged across threads; named load.latency.<op>.
-  std::array<obs::SketchSnapshot, kNumOpClasses> op_latency{};
+  /// Per op class; named load.latency.<op>.
+  std::array<obs::HistogramSnapshot, kNumOpClasses> op_latency{};
   /// All op classes together; named load.latency.all.
-  obs::SketchSnapshot latency;
+  obs::HistogramSnapshot latency;
 
   /// Per-shard slice of the run, populated only when the backend reports
   /// shard attribution (RecommendOutcome::shard >= 0). Serve counts, rung
@@ -89,7 +98,7 @@ struct LoadReport {
     uint64_t served = 0;
     double qps = 0.0;
     std::array<uint64_t, 3> per_rung{};
-    obs::SketchSnapshot latency;
+    obs::HistogramSnapshot latency;
     int breaker_state = 0;
     uint64_t breaker_transitions = 0;
     uint64_t failed_attempts = 0;
@@ -105,7 +114,7 @@ struct LoadReport {
 
 /// Replays `workload` and blocks until every request completed. The
 /// factory is invoked once per thread, sequentially, before clients
-/// start. Also merges the per-thread latency sketches into the global
+/// start. Also merges the run's latency histograms into the global
 /// registry (load.latency.*), so a concurrently running FlightRecorder
 /// sees them.
 Result<LoadReport> RunLoad(const Workload& workload,

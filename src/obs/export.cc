@@ -57,27 +57,13 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
   }
   for (const HistogramSnapshot& h : snapshot.histograms) {
     const std::string name = PromName(h.name);
-    AppendTypeHeader(&out, name, "histogram");
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < h.buckets.size(); ++b) {
-      cumulative += h.buckets[b];
-      std::string le = b < h.bounds.size()
-                           ? "{le=\"" + JsonNumber(h.bounds[b]) + "\"}"
-                           : std::string("{le=\"+Inf\"}");
-      AppendLine(&out, name + "_bucket", le, static_cast<double>(cumulative));
-    }
+    AppendTypeHeader(&out, name, "summary");
+    AppendLine(&out, name, "{quantile=\"0.5\"}", h.p50);
+    AppendLine(&out, name, "{quantile=\"0.9\"}", h.p90);
+    AppendLine(&out, name, "{quantile=\"0.99\"}", h.p99);
+    AppendLine(&out, name, "{quantile=\"0.999\"}", h.p999);
     AppendLine(&out, name + "_sum", "", h.sum);
     AppendLine(&out, name + "_count", "", static_cast<double>(h.count));
-  }
-  for (const SketchSnapshot& s : snapshot.sketches) {
-    const std::string name = PromName(s.name);
-    AppendTypeHeader(&out, name, "summary");
-    AppendLine(&out, name, "{quantile=\"0.5\"}", s.p50);
-    AppendLine(&out, name, "{quantile=\"0.9\"}", s.p90);
-    AppendLine(&out, name, "{quantile=\"0.99\"}", s.p99);
-    AppendLine(&out, name, "{quantile=\"0.999\"}", s.p999);
-    AppendLine(&out, name + "_sum", "", s.sum);
-    AppendLine(&out, name + "_count", "", static_cast<double>(s.count));
   }
   return out;
 }

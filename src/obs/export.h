@@ -6,10 +6,9 @@
 // Mapping (exposition format 0.0.4):
 //   counter    microrec_<name> ... "# TYPE counter"
 //   gauge      microrec_<name> ... "# TYPE gauge"
-//   histogram  microrec_<name>_bucket{le="..."} cumulative counts,
-//              plus _sum and _count — the native Prometheus histogram
-//   sketch     microrec_<name>{quantile="0.5|0.9|0.99|0.999"} plus _sum
-//              and _count — the native Prometheus summary
+//   histogram  microrec_<name>{quantile="0.5|0.9|0.99|0.999"} plus _sum
+//              and _count — the native Prometheus summary (quantiles
+//              within 1%, obs::Histogram)
 // Metric names are sanitized ('.' and every other non-[a-zA-Z0-9_] byte
 // become '_'), which can collide ("a.b" / "a_b"); dot-separated registry
 // names keep the mapping unambiguous in practice.

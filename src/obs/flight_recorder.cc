@@ -62,7 +62,7 @@ void FlightRecorder::Stop() {
   if (sampler_.joinable()) sampler_.join();
   std::unique_lock<std::mutex> lock(mu_);
   if (file_ != nullptr) {
-    WriteSample();  // the closing sample: final counter/sketch state
+    WriteSample();  // the closing sample: final counter/histogram state
     std::fclose(file_);
     file_ = nullptr;
   }

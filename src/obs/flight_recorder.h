@@ -4,10 +4,9 @@
 // self-contained JSON object:
 //
 //   {"schema":"microrec.flight/1","sample":3,"elapsed_seconds":0.75,
-//    "metrics":{"counters":{...},"gauges":{...},"histograms":{...},
-//               "sketches":{...}}}
+//    "metrics":{"counters":{...},"gauges":{...},"histograms":{...}}}
 //
-// so QPS ramps, degradation-rung flips and latency-sketch drift during a
+// so QPS ramps, degradation-rung flips and latency drift during a
 // load run can be replayed after the fact (`jq` straight over the file).
 // The final sample is always written by Stop()/the destructor, so even a
 // run shorter than one interval leaves a record. Lines are appended with a

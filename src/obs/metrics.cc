@@ -2,16 +2,42 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace microrec::obs {
 
 namespace {
 
-void AtomicAddDouble(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The index mapping. Bucket b >= 1 holds the values v with
+// ceil(log_g(v)) == b - 1 + kMinIndex; bucket 0 holds everything below
+// bucket 1 (zero and negatives too), the top bucket everything above.
+constexpr double kAlpha = Histogram::kRelativeAccuracy;
+constexpr double kGamma = (1.0 + kAlpha) / (1.0 - kAlpha);
+// ln(g) = 2 atanh(a), from its series; the terms left out are below 1e-20.
+constexpr double kAlpha2 = kAlpha * kAlpha;
+constexpr double kLogGamma =
+    2.0 * kAlpha *
+    (1.0 + kAlpha2 / 3.0 + kAlpha2 * kAlpha2 / 5.0 +
+     kAlpha2 * kAlpha2 * kAlpha2 / 7.0);
+constexpr int kMinIndex = -1036;  // g^-1036 ~ 1.0e-9
+constexpr int kMaxIndex = 1036;   // g^1036 ~ 1.0e9
+constexpr size_t kNumBuckets = kMaxIndex - kMinIndex + 2;
+
+size_t BucketOf(double value) {
+  if (!(value > 0.0)) return 0;
+  const double index = std::ceil(std::log(value) / kLogGamma);
+  if (index < kMinIndex) return 0;
+  if (index > kMaxIndex) return kNumBuckets - 1;
+  return static_cast<size_t>(index - kMinIndex) + 1;
+}
+
+// The point of (g^(i-1), g^i] within relative distance a of both ends.
+double BucketValue(size_t bucket) {
+  if (bucket == 0) return 0.0;
+  const int index = static_cast<int>(bucket) - 1 + kMinIndex;
+  return 2.0 * std::exp(index * kLogGamma) / (kGamma + 1.0);
 }
 
 void AtomicMinDouble(std::atomic<double>* target, double value) {
@@ -30,101 +56,163 @@ void AtomicMaxDouble(std::atomic<double>* target, double value) {
 
 }  // namespace
 
-double HistogramSnapshot::Percentile(double q) const {
-  if (count == 0) return 0.0;
-  // The edges are definitional, not interpolated: q=0 is the smallest
-  // observation, q=1 the largest, regardless of which bucket holds them.
-  if (q <= 0.0) return min;
-  if (q >= 1.0) return max;
-  // Rank of the target observation (1-based), then walk the buckets.
-  const double rank = q * static_cast<double>(count);
-  uint64_t seen = 0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    if (buckets[b] == 0) continue;
-    const uint64_t next = seen + buckets[b];
-    if (static_cast<double>(next) >= rank) {
-      // The overflow bucket has no finite upper edge; its observations are
-      // bracketed by [last finite edge, observed max] instead — a quantile
-      // landing there interpolates inside that bracket and can never
-      // exceed max. The lower edge is additionally raised to min for the
-      // all-data-in-overflow case (min itself is past the last edge).
-      double lower = b == 0 ? 0.0 : bounds[b - 1];
-      double upper = b < bounds.size() ? bounds[b] : max;
-      if (b >= bounds.size()) lower = std::max(lower, min);
-      const double fraction =
-          (rank - static_cast<double>(seen)) / static_cast<double>(buckets[b]);
-      double value = lower + (upper - lower) * std::clamp(fraction, 0.0, 1.0);
-      return std::clamp(value, min, max);
-    }
-    seen = next;
-  }
-  return max;
+namespace internal {
+
+size_t NextStripe() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  Reset();
+}  // namespace internal
+
+uint64_t Counter::value() const {
+  uint64_t total = 0;
+  for (const Cell& cell : cells_) {
+    total += cell.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void Counter::Reset() {
+  for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+}
+
+struct alignas(internal::kCacheLine) Histogram::Stripe {
+  std::array<std::atomic<uint64_t>, kNumBuckets> counts{};
+  std::atomic<double> sum{0.0};
+  std::atomic<double> min{kInf};
+  std::atomic<double> max{-kInf};
+};
+
+struct Histogram::Totals {
+  std::vector<uint64_t> counts = std::vector<uint64_t>(kNumBuckets, 0);
+  uint64_t count = 0;
+  double sum = 0.0;
+  double min = kInf;
+  double max = -kInf;
+
+  double Quantile(double q) const {
+    if (count == 0) return 0.0;
+    if (q <= 0.0) return min;
+    if (q >= 1.0) return max;
+    const double rank =
+        std::max(1.0, std::ceil(q * static_cast<double>(count)));
+    uint64_t seen = 0;
+    for (size_t b = 0; b < kNumBuckets; ++b) {
+      seen += counts[b];
+      if (static_cast<double>(seen) >= rank) {
+        // Not std::clamp: a snapshot racing a first Record() can see the
+        // count before the min/max.
+        return std::min(std::max(BucketValue(b), min), max);
+      }
+    }
+    return max;
+  }
+};
+
+Histogram::~Histogram() {
+  for (std::atomic<Stripe*>& slot : stripes_) {
+    delete slot.load(std::memory_order_acquire);
+  }
+}
+
+Histogram::Stripe* Histogram::LocalStripe() {
+  std::atomic<Stripe*>& slot = stripes_[internal::ThisThreadStripe()];
+  Stripe* stripe = slot.load(std::memory_order_acquire);
+  if (stripe == nullptr) {
+    auto fresh = std::make_unique<Stripe>();
+    // A thread sharing the slot may have installed one first; then
+    // `stripe` receives it and `fresh` is freed.
+    if (slot.compare_exchange_strong(stripe, fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      stripe = fresh.release();
+    }
+  }
+  return stripe;
 }
 
 void Histogram::Record(double value) {
   if (!std::isfinite(value)) return;
-  const size_t bucket =
-      std::upper_bound(bounds_.begin(), bounds_.end(), value) -
-      bounds_.begin();
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&sum_, value);
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    // First observation seeds min/max; racing recorders converge via the
-    // min/max loops below.
-    min_.store(value, std::memory_order_relaxed);
-    max_.store(value, std::memory_order_relaxed);
+  Stripe* stripe = LocalStripe();
+  stripe->counts[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+  stripe->sum.fetch_add(value, std::memory_order_relaxed);
+  AtomicMinDouble(&stripe->min, value);
+  AtomicMaxDouble(&stripe->max, value);
+}
+
+void Histogram::Merge(const Histogram& other) {
+  const Totals totals = other.Merged();
+  if (totals.count == 0) return;
+  Stripe* stripe = LocalStripe();
+  for (size_t b = 0; b < kNumBuckets; ++b) {
+    if (totals.counts[b] != 0) {
+      stripe->counts[b].fetch_add(totals.counts[b],
+                                  std::memory_order_relaxed);
+    }
   }
-  AtomicMinDouble(&min_, value);
-  AtomicMaxDouble(&max_, value);
+  stripe->sum.fetch_add(totals.sum, std::memory_order_relaxed);
+  AtomicMinDouble(&stripe->min, totals.min);
+  AtomicMaxDouble(&stripe->max, totals.max);
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
+  for (std::atomic<Stripe*>& slot : stripes_) {
+    Stripe* stripe = slot.load(std::memory_order_acquire);
+    if (stripe == nullptr) continue;
+    for (std::atomic<uint64_t>& c : stripe->counts) {
+      c.store(0, std::memory_order_relaxed);
+    }
+    stripe->sum.store(0.0, std::memory_order_relaxed);
+    stripe->min.store(kInf, std::memory_order_relaxed);
+    stripe->max.store(-kInf, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
 }
 
-HistogramSnapshot Histogram::Snapshot(const std::string& name) const {
-  HistogramSnapshot snap;
-  snap.name = name;
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.min = min_.load(std::memory_order_relaxed);
-  snap.max = max_.load(std::memory_order_relaxed);
-  snap.bounds = bounds_;
-  snap.buckets.resize(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+Histogram::Totals Histogram::Merged() const {
+  Totals totals;
+  for (const std::atomic<Stripe*>& slot : stripes_) {
+    const Stripe* stripe = slot.load(std::memory_order_acquire);
+    if (stripe == nullptr) continue;
+    for (size_t b = 0; b < kNumBuckets; ++b) {
+      const uint64_t n = stripe->counts[b].load(std::memory_order_relaxed);
+      totals.counts[b] += n;
+      totals.count += n;
+    }
+    totals.sum += stripe->sum.load(std::memory_order_relaxed);
+    totals.min =
+        std::min(totals.min, stripe->min.load(std::memory_order_relaxed));
+    totals.max =
+        std::max(totals.max, stripe->max.load(std::memory_order_relaxed));
   }
+  return totals;
+}
+
+uint64_t Histogram::count() const { return Merged().count; }
+
+double Histogram::sum() const { return Merged().sum; }
+
+double Histogram::Quantile(double q) const { return Merged().Quantile(q); }
+
+HistogramSnapshot Histogram::Snapshot(std::string name) const {
+  const Totals totals = Merged();
+  HistogramSnapshot snap;
+  snap.name = std::move(name);
+  snap.count = totals.count;
+  snap.sum = totals.sum;
+  if (totals.count > 0) {
+    snap.min = totals.min;
+    snap.max = totals.max;
+  }
+  snap.p50 = totals.Quantile(0.50);
+  snap.p90 = totals.Quantile(0.90);
+  snap.p99 = totals.Quantile(0.99);
+  snap.p999 = totals.Quantile(0.999);
   return snap;
 }
 
-std::vector<double> ExponentialBuckets(double start, double factor,
-                                       size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double edge = start;
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(edge);
-    edge *= factor;
-  }
-  return bounds;
-}
-
-const std::vector<double>& DefaultLatencyBuckets() {
-  // 1us .. ~67s in powers of two: 27 buckets plus overflow.
-  static const std::vector<double>* kBuckets =
-      new std::vector<double>(ExponentialBuckets(1e-6, 2.0, 27));
-  return *kBuckets;
+std::vector<uint64_t> Histogram::BucketCounts() const {
+  return Merged().counts;
 }
 
 const CounterSnapshot* MetricsSnapshot::FindCounter(
@@ -146,13 +234,6 @@ const HistogramSnapshot* MetricsSnapshot::FindHistogram(
     std::string_view name) const {
   for (const HistogramSnapshot& h : histograms) {
     if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
-const SketchSnapshot* MetricsSnapshot::FindSketch(std::string_view name) const {
-  for (const SketchSnapshot& s : sketches) {
-    if (s.name == name) return &s;
   }
   return nullptr;
 }
@@ -220,37 +301,10 @@ std::string MetricsSnapshot::ToJson() const {
     out += ",\"min\":" + JsonNumber(h.min);
     out += ",\"max\":" + JsonNumber(h.max);
     out += ",\"mean\":" + JsonNumber(h.Mean());
-    out += ",\"p50\":" + JsonNumber(h.Percentile(0.50));
-    out += ",\"p90\":" + JsonNumber(h.Percentile(0.90));
-    out += ",\"p99\":" + JsonNumber(h.Percentile(0.99));
-    out += ",\"buckets\":[";
-    for (size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b > 0) out += ',';
-      out += '[';
-      out += b < h.bounds.size() ? JsonNumber(h.bounds[b]) : "\"inf\"";
-      out += ',';
-      out += std::to_string(h.buckets[b]);
-      out += ']';
-    }
-    out += "]}";
-  }
-  out += "},\"sketches\":{";
-  for (size_t i = 0; i < sketches.size(); ++i) {
-    const SketchSnapshot& s = sketches[i];
-    if (i > 0) out += ',';
-    out += '"';
-    AppendJsonEscaped(s.name, &out);
-    out += "\":{\"count\":" + std::to_string(s.count);
-    out += ",\"sum\":" + JsonNumber(s.sum);
-    out += ",\"min\":" + JsonNumber(s.min);
-    out += ",\"max\":" + JsonNumber(s.max);
-    out += ",\"mean\":" + JsonNumber(s.Mean());
-    out += ",\"p50\":" + JsonNumber(s.p50);
-    out += ",\"p90\":" + JsonNumber(s.p90);
-    out += ",\"p99\":" + JsonNumber(s.p99);
-    out += ",\"p999\":" + JsonNumber(s.p999);
-    out += ",\"exact\":";
-    out += s.exact ? "true" : "false";
+    out += ",\"p50\":" + JsonNumber(h.p50);
+    out += ",\"p90\":" + JsonNumber(h.p90);
+    out += ",\"p99\":" + JsonNumber(h.p99);
+    out += ",\"p999\":" + JsonNumber(h.p999);
     out += '}';
   }
   out += "}}";
@@ -267,7 +321,7 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::unique_ptr<Counter>(new Counter()))
+    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
   }
   return it->second.get();
@@ -277,34 +331,16 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge()))
-             .first;
+    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
   }
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<double> bounds) {
+Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    if (bounds.empty()) bounds = DefaultLatencyBuckets();
-    std::sort(bounds.begin(), bounds.end());
-    it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(new Histogram(std::move(bounds))))
-             .first;
-  }
-  return it->second.get();
-}
-
-Sketch* MetricsRegistry::GetSketch(std::string_view name, size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sketches_.find(name);
-  if (it == sketches_.end()) {
-    it = sketches_
-             .emplace(std::string(name),
-                      std::unique_ptr<Sketch>(new Sketch(capacity)))
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
              .first;
   }
   return it->second.get();
@@ -325,10 +361,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     snap.histograms.push_back(histogram->Snapshot(name));
   }
-  snap.sketches.reserve(sketches_.size());
-  for (const auto& [name, sketch] : sketches_) {
-    snap.sketches.push_back(sketch->Snapshot(name));
-  }
   return snap;
 }
 
@@ -337,7 +369,6 @@ void MetricsRegistry::ResetValues() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-  for (auto& [name, sketch] : sketches_) sketch->Reset();
 }
 
 }  // namespace microrec::obs

@@ -1,22 +1,31 @@
-// Process-wide metrics: named counters, gauges and fixed-bucket histograms
-// with a lock-free atomic hot path. The registry backs the structured run
-// reports every bench emits (--report=<path>) and the CLI's --metrics flag,
-// giving the repo a machine-readable perf trajectory (TTime/ETime and
-// per-phase cost attribution, mirroring the paper's Figure 7 discipline).
+// Process-wide metrics: named counters, gauges and relative-error
+// histograms, all updated without locks. The registry backs the structured
+// run reports every bench emits (--report=<path>), the CLI's --metrics flag
+// and the flight recorder, giving the repo a machine-readable perf
+// trajectory (TTime/ETime and per-phase cost attribution, mirroring the
+// paper's Figure 7 discipline).
 //
 // Layering: obs sits *below* util (so util/thread_pool.cc can publish
 // gauges) and therefore depends on nothing but the standard library. Table
 // rendering is a template over any TableWriter-shaped type to keep it so.
 //
-// Usage (hot path caches the pointer; lookups lock, updates do not):
+// Resolve a metric once and keep the pointer: a lookup by name takes the
+// registry lock, an update never does.
 //   static obs::Counter* tokens =
 //       obs::MetricsRegistry::Global().GetCounter("text.tokenizer.tokens");
 //   tokens->Add(n);
+//
+// Counters and histograms are striped: threads are dealt stripes
+// round-robin on first use, each stripe sits on its own cache lines, and
+// readers sum the stripes. Client threads recording the same metric
+// therefore write different cache lines.
 #ifndef MICROREC_OBS_METRICS_H_
 #define MICROREC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -26,21 +35,37 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/sketch.h"
-
 namespace microrec::obs {
+
+namespace internal {
+inline constexpr size_t kCacheLine = 64;
+inline constexpr size_t kStripes = 8;
+/// The next stripe in round-robin order.
+size_t NextStripe();
+/// The calling thread's stripe, dealt on its first call.
+inline size_t ThisThreadStripe() {
+  thread_local const size_t stripe = NextStripe();
+  return stripe;
+}
+}  // namespace internal
 
 /// Monotonically increasing event count.
 class Counter {
  public:
   void Increment() { Add(1); }
-  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Add(uint64_t n) {
+    cells_[internal::ThisThreadStripe()].value.fetch_add(
+        n, std::memory_order_relaxed);
+  }
+  uint64_t value() const;
 
  private:
   friend class MetricsRegistry;
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-  std::atomic<uint64_t> value_{0};
+  void Reset();
+  struct alignas(internal::kCacheLine) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Cell, internal::kStripes> cells_;
 };
 
 /// Last-written instantaneous value (queue depth, vocabulary size, ...).
@@ -61,98 +86,74 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Point-in-time state of one histogram, with percentile estimation by
-/// linear interpolation inside the owning bucket. Values are assumed
-/// non-negative (latencies, sizes); the first bucket's lower edge is 0.
+/// Point-in-time summary of one histogram.
 struct HistogramSnapshot {
   std::string name;
   uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  std::vector<double> bounds;     // ascending upper edges
-  std::vector<uint64_t> buckets;  // bounds.size() + 1 (last = overflow)
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+  double p999 = 0.0;
 
-  double Mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
-  /// Estimated value at quantile `q` in [0, 1]. Well-defined at the edges:
-  /// an empty histogram returns 0, q <= 0 returns the observed min, q >= 1
-  /// the observed max, and a quantile landing in the final (unbounded)
-  /// overflow bucket interpolates between the last finite edge and the
-  /// observed max — never past it. For exact tail quantiles use a
-  /// QuantileSketch instead (obs/sketch.h).
-  double Percentile(double q) const;
+  double Mean() const {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
 };
 
-/// Registry-owned, internally synchronized quantile sketch. Record() takes
-/// a short critical section (amortized O(1) insert) — fine for per-request
-/// latency recording; for per-item hot loops prefer a thread-local
-/// QuantileSketch merged at a barrier.
-class Sketch {
- public:
-  void Record(double value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    sketch_.Record(value);
-  }
-  /// Folds a locally accumulated sketch into this one.
-  void Merge(const QuantileSketch& local) {
-    std::lock_guard<std::mutex> lock(mu_);
-    sketch_.Merge(local);
-  }
-  uint64_t count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sketch_.count();
-  }
-  double Quantile(double q) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sketch_.Quantile(q);
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Sketch(size_t capacity) : sketch_(capacity) {}
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    sketch_.Reset();
-  }
-  SketchSnapshot Snapshot(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sketch_.Snapshot(name);
-  }
-
-  mutable std::mutex mu_;
-  QuantileSketch sketch_;
-};
-
-/// Fixed-bucket histogram. Record() is wait-free apart from the min/max
-/// compare-exchange loops; bucket bounds are immutable after construction.
+/// Relative-error quantile histogram: DDSketch (Masson et al., VLDB 2019)
+/// with a fixed index mapping. A value v > 0 lands in bucket
+/// ceil(log_g(v)), g = (1 + a) / (1 - a) with a = kRelativeAccuracy, and a
+/// bucket reads back as the one point within relative distance a of every
+/// value it can hold. Every quantile is therefore within 1% of the exact
+/// order statistic of the same rank, at any sample count, for values
+/// between about 1e-9 and 1e9. Smaller values (zero and negatives
+/// included) read back as 0, larger ones as the top bucket; either way a
+/// quantile is clamped to the observed [min, max].
+///
+/// The mapping is fixed, so the bucket counts depend only on the values
+/// recorded, not on their order or on which thread recorded them, and a
+/// merge is bucket addition: it equals recording the union. Only `sum`
+/// depends on order, in its last bits.
+///
+/// Record() is lock-free: relaxed atomic adds into the calling thread's
+/// stripe. A stripe (about 16.6 KB) is allocated on the first Record() a
+/// thread makes into a histogram.
 class Histogram {
  public:
-  void Record(double value);
+  static constexpr double kRelativeAccuracy = 0.01;
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  Histogram() = default;
+  ~Histogram();
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+
+  /// Adds one observation; non-finite values are ignored.
+  void Record(double value);
+  /// Adds every observation of `other` (not `this`) into this histogram.
+  void Merge(const Histogram& other);
+  /// Zeroes every stripe in place; pointers stay valid.
+  void Reset();
+
+  uint64_t count() const;
+  double sum() const;
+  /// The value of rank ceil(q * count): q <= 0 gives the minimum, q >= 1
+  /// the maximum, an empty histogram 0.
+  double Quantile(double q) const;
+  HistogramSnapshot Snapshot(std::string name) const;
+  /// Counts per bucket, summed over stripes, in value order.
+  std::vector<uint64_t> BucketCounts() const;
 
  private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::vector<double> bounds);
-  void Reset();
-  HistogramSnapshot Snapshot(const std::string& name) const;
+  struct Stripe;
+  struct Totals;
+  Stripe* LocalStripe();
+  Totals Merged() const;
 
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::array<std::atomic<Stripe*>, internal::kStripes> stripes_{};
 };
-
-/// `count` upper edges starting at `start`, each `factor` times the last:
-/// the default latency layout spans 1us .. ~1 minute.
-std::vector<double> ExponentialBuckets(double start, double factor,
-                                       size_t count);
-
-/// Default bucket layout for seconds-valued latency histograms.
-const std::vector<double>& DefaultLatencyBuckets();
 
 struct CounterSnapshot {
   std::string name;
@@ -169,16 +170,13 @@ struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
-  std::vector<SketchSnapshot> sketches;
 
   const CounterSnapshot* FindCounter(std::string_view name) const;
   const GaugeSnapshot* FindGauge(std::string_view name) const;
   const HistogramSnapshot* FindHistogram(std::string_view name) const;
-  const SketchSnapshot* FindSketch(std::string_view name) const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-  /// "sketches":{...}} with per-histogram count/sum/min/max/mean/p50/p90/p99
-  /// and buckets, and per-sketch count/sum/min/max/mean/p50/p90/p99/p999.
+  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}
+  /// with count/sum/min/max/mean/p50/p90/p99/p999 per histogram.
   std::string ToJson() const;
 
   /// Renders one row per metric into a util::TableWriter-shaped sink
@@ -201,13 +199,8 @@ struct MetricsSnapshot {
     }
     for (const HistogramSnapshot& h : histograms) {
       table->AddRow({h.name, "histogram", std::to_string(h.count),
-                     fmt(h.sum), fmt(h.Percentile(0.50)),
-                     fmt(h.Percentile(0.90)), fmt(h.Percentile(0.99)),
+                     fmt(h.sum), fmt(h.p50), fmt(h.p90), fmt(h.p99),
                      fmt(h.max)});
-    }
-    for (const SketchSnapshot& s : sketches) {
-      table->AddRow({s.name, "sketch", std::to_string(s.count), fmt(s.sum),
-                     fmt(s.p50), fmt(s.p90), fmt(s.p99), fmt(s.max)});
     }
   }
 };
@@ -221,14 +214,7 @@ class MetricsRegistry {
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  /// `bounds` (ascending upper edges) is honoured on first creation only;
-  /// empty means DefaultLatencyBuckets().
-  Histogram* GetHistogram(std::string_view name,
-                          std::vector<double> bounds = {});
-  /// `capacity` (the exact-regime size, obs/sketch.h) is honoured on first
-  /// creation only.
-  Sketch* GetSketch(std::string_view name,
-                    size_t capacity = QuantileSketch::kDefaultCapacity);
+  Histogram* GetHistogram(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
   void ResetValues();
@@ -242,7 +228,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<Sketch>, std::less<>> sketches_;
 };
 
 /// Records the enclosing scope's wall-clock duration (in seconds) into a

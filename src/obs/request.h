@@ -11,10 +11,12 @@
 //
 // A RequestTrace is plumbed down as an optional pointer: every layer
 // accepts nullptr and skips attribution, so offline evaluation pays
-// nothing. When Chrome tracing is active, each ScopedStage additionally
-// emits a trace span tagged with the request id (args.rid), so one query's
-// spans — across the client thread and the scoring pool's shards — can be
-// filtered into a single causal tree in Perfetto.
+// nothing. Stage seconds live in a fixed array indexed by Stage, so a
+// trace allocates nothing and attributing a stage is one add. When Chrome
+// tracing is active, each ScopedStage additionally emits a trace span
+// tagged with the request id (args.rid), so one query's spans — across
+// the client thread and the scoring pool's shards — can be filtered into
+// a single causal tree in Perfetto.
 //
 // RequestTrace is not thread-safe; it belongs to the one thread driving
 // the query. The sharded kernel phase is attributed as one "score" stage
@@ -22,70 +24,81 @@
 #ifndef MICROREC_OBS_REQUEST_H_
 #define MICROREC_OBS_REQUEST_H_
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/trace.h"
 
 namespace microrec::obs {
 
-/// Canonical stage names, shared by serving, the ranker, and the
-/// per-stage latency sketches (`rec.stage.<name>`).
-inline constexpr std::string_view kStageCandidateGen = "candidate_gen";
-inline constexpr std::string_view kStageScore = "score";
-inline constexpr std::string_view kStageRank = "rank";
-inline constexpr std::string_view kStageDegrade = "degrade";
+enum class Stage : uint8_t { kCandidateGen, kScore, kRank, kDegrade };
+inline constexpr size_t kNumStages = 4;
+
+/// Stable stage names, shared by trace spans and the per-stage latency
+/// histograms (`rec.stage.<name>`).
+constexpr std::string_view StageName(Stage stage) {
+  constexpr std::array<std::string_view, kNumStages> kNames = {
+      "candidate_gen", "score", "rank", "degrade"};
+  return kNames[static_cast<size_t>(stage)];
+}
 
 class RequestTrace {
  public:
+  /// `op_class` must outlive the trace (the load driver passes the static
+  /// OpClassName strings).
   RequestTrace(uint64_t request_id, std::string_view op_class)
-      : request_id_(request_id),
-        op_(op_class),
-        start_(std::chrono::steady_clock::now()) {}
+      : request_id_(request_id), op_(op_class) {}
 
   uint64_t id() const { return request_id_; }
   std::string_view op() const { return op_; }
 
   /// Accumulates `seconds` into `stage` (stages may be visited repeatedly:
   /// one query can score on several ladder rungs).
-  void AddStage(std::string_view stage, double seconds);
-
-  /// Total accumulated seconds of `stage`; 0 for a stage never entered.
-  double StageSeconds(std::string_view stage) const;
-
-  /// Wall-clock seconds since construction.
-  double ElapsedSeconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
+  void AddStage(Stage stage, double seconds) {
+    const size_t i = static_cast<size_t>(stage);
+    seconds_[i] += seconds;
+    entered_ |= static_cast<uint8_t>(1u << i);
   }
 
-  /// Stages in first-entry order.
-  const std::vector<std::pair<std::string, double>>& stages() const {
-    return stages_;
+  /// Adds every stage `other` entered: folds a ladder attempt's scratch
+  /// trace into its query's trace.
+  void AddStages(const RequestTrace& other) {
+    for (size_t i = 0; i < kNumStages; ++i) {
+      const auto stage = static_cast<Stage>(i);
+      if (other.Entered(stage)) AddStage(stage, other.StageSeconds(stage));
+    }
+  }
+
+  /// True once `stage` has been attributed any time.
+  bool Entered(Stage stage) const {
+    return (entered_ >> static_cast<size_t>(stage)) & 1u;
+  }
+
+  /// Total accumulated seconds of `stage`; 0 for a stage never entered.
+  double StageSeconds(Stage stage) const {
+    return seconds_[static_cast<size_t>(stage)];
   }
 
  private:
   uint64_t request_id_;
-  std::string op_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<std::pair<std::string, double>> stages_;
+  std::string_view op_;
+  std::array<double, kNumStages> seconds_{};
+  uint8_t entered_ = 0;  // bit i set once stage i is attributed
 };
 
 /// RAII stage attribution: on destruction adds the elapsed seconds to the
 /// trace (nullptr-safe) and closes the rid-tagged Chrome span it opened.
-/// `stage` must outlive the scope (use the kStage* constants or literals).
 class ScopedStage {
  public:
-  ScopedStage(RequestTrace* trace, std::string_view stage)
+  ScopedStage(RequestTrace* trace, Stage stage)
       : trace_(trace),
         stage_(stage),
-        span_(stage, trace != nullptr ? trace->id() : 0),
-        start_(std::chrono::steady_clock::now()) {}
+        span_(StageName(stage), trace != nullptr ? trace->id() : 0),
+        start_(trace != nullptr ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{}) {}
   ~ScopedStage() {
     if (trace_ != nullptr) {
       trace_->AddStage(
@@ -101,7 +114,7 @@ class ScopedStage {
 
  private:
   RequestTrace* trace_;
-  std::string_view stage_;
+  Stage stage_;
   TraceSpan span_;
   std::chrono::steady_clock::time_point start_;
 };

@@ -107,7 +107,7 @@ Result<std::vector<RankedItem>> BatchRanker::Rank(
   std::vector<double> scores(n, 0.0);
   std::vector<uint8_t> cached(n, 0);
   if (options_.score_cache_capacity > 0) {
-    obs::ScopedStage stage(trace, obs::kStageCandidateGen);
+    obs::ScopedStage stage(trace, obs::Stage::kCandidateGen);
     auto it = cache_.find(u);
     if (it != cache_.end()) {
       for (size_t i = 0; i < n; ++i) {
@@ -131,7 +131,7 @@ Result<std::vector<RankedItem>> BatchRanker::Rank(
         ScoreGeneric(u, candidates, cached, deadline, trace, &scores));
   }
 
-  obs::ScopedStage rank_stage(trace, obs::kStageRank);
+  obs::ScopedStage rank_stage(trace, obs::Stage::kRank);
   // A non-finite score would be UB inside the sort comparators below, and a
   // NaN-ranked item is a model bug worth surfacing, not propagating.
   SanitizeScores(&scores);
@@ -169,7 +169,7 @@ Status BatchRanker::ScoreSparse(SparseProfileScorer* scorer, corpus::UserId u,
   if (profile->empty()) {
     size_t uncached = 0;
     for (size_t i = 0; i < n; ++i) uncached += cached[i] == 0 ? 1 : 0;
-    PrunedCounter()->Add(uncached);
+    if (uncached > 0) PrunedCounter()->Add(uncached);
     return Status::OK();
   }
 
@@ -182,7 +182,7 @@ Status BatchRanker::ScoreSparse(SparseProfileScorer* scorer, corpus::UserId u,
   size_t uncached = 0;
   std::vector<uint32_t> overlap;
   {
-    obs::ScopedStage stage(trace, obs::kStageCandidateGen);
+    obs::ScopedStage stage(trace, obs::Stage::kCandidateGen);
     for (size_t i = 0; i < n; ++i) {
       if (cached[i] != 0) continue;
       if (deadline != nullptr && i % options_.shard_size == 0 &&
@@ -197,13 +197,16 @@ Status BatchRanker::ScoreSparse(SparseProfileScorer* scorer, corpus::UserId u,
     }
 
     // Prune: only candidates sharing a term with the profile can score
-    // non-zero; the rest keep their exact-0 slot.
+    // non-zero; the rest keep their exact-0 slot. A full cache hit adds
+    // nothing to either counter, so it skips both.
     overlap = index.Overlapping(*profile);
-    PrunedCounter()->Add(uncached - overlap.size());
-    EngineScoresCounter()->Add(overlap.size());
+    if (uncached > overlap.size()) {
+      PrunedCounter()->Add(uncached - overlap.size());
+    }
+    if (!overlap.empty()) EngineScoresCounter()->Add(overlap.size());
   }
 
-  obs::ScopedStage score_stage(trace, obs::kStageScore);
+  obs::ScopedStage score_stage(trace, obs::Stage::kScore);
   // Kernel phase: each shard writes disjoint slots, and shard boundaries
   // depend only on (overlap.size(), shard_size), so any pool size yields
   // the same bits.
@@ -249,7 +252,7 @@ Status BatchRanker::ScoreGeneric(
   // draws per previously unseen tweet, so scoring order is part of the
   // deterministic contract. Engine::Score fuses candidate embedding with
   // the kernel, so the whole phase is attributed to the score stage.
-  obs::ScopedStage stage(trace, obs::kStageScore);
+  obs::ScopedStage stage(trace, obs::Stage::kScore);
   const size_t n = candidates.size();
   for (size_t i = 0; i < n; ++i) {
     if (cached[i] != 0) continue;

@@ -93,11 +93,6 @@ void ShardBreaker::RecordFailure() {
 
 namespace {
 
-obs::Gauge* HealthGauge(size_t s) {
-  return obs::MetricsRegistry::Global().GetGauge(
-      "rec.shard." + std::to_string(s) + ".health");
-}
-
 obs::Counter* BreakerTransitionCounter() {
   static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
       "rec.router.breaker_transitions");
@@ -113,12 +108,14 @@ ShardRouter::ShardRouter(size_t num_shards, BreakerOptions breaker)
   for (size_t s = 0; s < num_shards_; ++s) {
     breakers_.emplace_back(breaker);
     health_[s].shard = static_cast<int>(s);
-    HealthGauge(s)->Set(0.0);
+    health_gauges_.push_back(obs::MetricsRegistry::Global().GetGauge(
+        "rec.shard." + std::to_string(s) + ".health"));
+    health_gauges_.back()->Set(0.0);
   }
 }
 
 void ShardRouter::PublishState(size_t s) const {
-  HealthGauge(s)->Set(static_cast<double>(breakers_[s].state()));
+  health_gauges_[s]->Set(static_cast<double>(breakers_[s].state()));
 }
 
 bool ShardRouter::AdmitAttempt(size_t s) {

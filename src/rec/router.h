@@ -23,6 +23,10 @@
 
 #include "corpus/corpus.h"
 
+namespace microrec::obs {
+class Gauge;
+}  // namespace microrec::obs
+
 namespace microrec::rec {
 
 /// Owning shard of user `u` among `num_shards`: FNV-1a over the id, mod S.
@@ -118,6 +122,8 @@ class ShardRouter {
   mutable std::mutex mu_;
   std::vector<ShardBreaker> breakers_;
   std::vector<ShardHealth> health_;
+  // rec.shard.<s>.health, resolved once: transitions happen mid-query.
+  std::vector<obs::Gauge*> health_gauges_;
 };
 
 }  // namespace microrec::rec

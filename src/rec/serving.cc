@@ -1,7 +1,9 @@
 #include "rec/serving.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <string>
 
 #include "corpus/corpus.h"
 #include "obs/metrics.h"
@@ -11,62 +13,51 @@
 namespace microrec::rec {
 namespace {
 
-obs::Counter* QueryCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("rec.queries");
-  return c;
+// Every metric a served query touches, resolved once: the request path
+// never builds a metric name or takes the registry lock.
+struct ServingMetrics {
+  obs::Counter* queries = nullptr;
+  obs::Counter* degraded = nullptr;
+  obs::Gauge* fallback_rung = nullptr;
+  // Per-rung query counters, indexed by ServingRung: unlike the
+  // rec.fallback_rung gauge (last rung only) these accumulate, so a load
+  // run's rung mix is auditable afterwards — and they must sum to
+  // rec.queries, which the serving tests pin.
+  std::array<obs::Counter*, 3> rung{};
+  // Per-rung end-to-end query latency (seconds), rec.latency.<rung>.
+  std::array<obs::Histogram*, 3> latency{};
+  // Per-stage latency (seconds), rec.stage.<stage>, indexed by obs::Stage.
+  std::array<obs::Histogram*, obs::kNumStages> stage{};
+};
+
+const ServingMetrics& Metrics() {
+  static const ServingMetrics metrics = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    ServingMetrics m;
+    m.queries = registry.GetCounter("rec.queries");
+    m.degraded = registry.GetCounter("rec.degraded");
+    m.fallback_rung = registry.GetGauge("rec.fallback_rung");
+    const std::array<std::string, 3> rungs = {"primary", "bag_fallback",
+                                              "popularity"};
+    for (size_t r = 0; r < rungs.size(); ++r) {
+      m.rung[r] = registry.GetCounter("rec.rung." + rungs[r]);
+      m.latency[r] = registry.GetHistogram("rec.latency." + rungs[r]);
+    }
+    for (size_t s = 0; s < obs::kNumStages; ++s) {
+      m.stage[s] = registry.GetHistogram(
+          "rec.stage." +
+          std::string(obs::StageName(static_cast<obs::Stage>(s))));
+    }
+    return m;
+  }();
+  return metrics;
 }
 
-obs::Counter* DegradedCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("rec.degraded");
-  return c;
-}
-
-obs::Gauge* RungGauge() {
-  static obs::Gauge* g =
-      obs::MetricsRegistry::Global().GetGauge("rec.fallback_rung");
-  return g;
-}
-
-// Per-rung query counters: unlike the rec.fallback_rung gauge (last rung
-// only) these accumulate, so a load run's rung mix is auditable afterwards
-// — and they must sum to rec.queries, which the serving tests pin.
-obs::Counter* RungCounter(ServingRung rung) {
-  static obs::Counter* primary =
-      obs::MetricsRegistry::Global().GetCounter("rec.rung.primary");
-  static obs::Counter* bag =
-      obs::MetricsRegistry::Global().GetCounter("rec.rung.bag_fallback");
-  static obs::Counter* popularity =
-      obs::MetricsRegistry::Global().GetCounter("rec.rung.popularity");
-  switch (rung) {
-    case ServingRung::kPrimary:
-      return primary;
-    case ServingRung::kBagFallback:
-      return bag;
-    case ServingRung::kPopularity:
-      return popularity;
-  }
-  return primary;
-}
-
-// Per-rung end-to-end query latency sketches (seconds).
-obs::Sketch* RungLatencySketch(ServingRung rung) {
-  static obs::Sketch* primary =
-      obs::MetricsRegistry::Global().GetSketch("rec.latency.primary");
-  static obs::Sketch* bag =
-      obs::MetricsRegistry::Global().GetSketch("rec.latency.bag_fallback");
-  static obs::Sketch* popularity =
-      obs::MetricsRegistry::Global().GetSketch("rec.latency.popularity");
-  switch (rung) {
-    case ServingRung::kPrimary:
-      return primary;
-    case ServingRung::kBagFallback:
-      return bag;
-    case ServingRung::kPopularity:
-      return popularity;
-  }
-  return primary;
+// Stores only on change: while the rung holds steady, client threads read
+// the gauge's cache line instead of each writing it on every query.
+void SetFallbackRung(double rung) {
+  obs::Gauge* gauge = Metrics().fallback_rung;
+  if (gauge->value() != rung) gauge->Set(rung);
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -76,30 +67,20 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // Rung-mix accounting for one answered query: rung counter, rung latency
-// sketch, and — when the query carried a trace — one sample per stage into
-// the global `rec.stage.<name>` sketches.
+// histogram, and — when the query carried a trace — one sample per stage
+// it entered into that stage's histogram.
 void RecordServed(ServingRung rung, double seconds,
                   const obs::RequestTrace* trace) {
-  RungCounter(rung)->Increment();
-  RungLatencySketch(rung)->Record(seconds);
-  if (trace != nullptr) {
-    for (const auto& [stage, stage_seconds] : trace->stages()) {
-      obs::MetricsRegistry::Global()
-          .GetSketch("rec.stage." + stage)
-          ->Record(stage_seconds);
-    }
-  }
-}
-
-// Folds a finished attempt's stage attribution into the query's trace: a
-// served attempt contributes its stages as-is; a failed attempt's whole
-// duration becomes `degrade` time instead, so candidate_gen/score/rank
-// reflect only the work that produced the served ranking and the ladder's
-// wasted walk is visible as its own stage.
-void MergeStages(const obs::RequestTrace& attempt, obs::RequestTrace* trace) {
+  const ServingMetrics& metrics = Metrics();
+  const size_t r = static_cast<size_t>(rung);
+  metrics.rung[r]->Increment();
+  metrics.latency[r]->Record(seconds);
   if (trace == nullptr) return;
-  for (const auto& [stage, seconds] : attempt.stages()) {
-    trace->AddStage(stage, seconds);
+  for (size_t s = 0; s < obs::kNumStages; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    if (trace->Entered(stage)) {
+      metrics.stage[s]->Record(trace->StageSeconds(stage));
+    }
   }
 }
 
@@ -275,7 +256,7 @@ RecommendResult DegradingRecommender::Recommend(
 RecommendResult DegradingRecommender::Recommend(
     corpus::UserId u, const std::vector<corpus::TweetId>& candidates,
     const QueryOptions& query) {
-  QueryCounter()->Increment();
+  Metrics().queries->Increment();
   const auto query_start = std::chrono::steady_clock::now();
   obs::RequestTrace* trace = query.trace;
 
@@ -300,8 +281,10 @@ RecommendResult DegradingRecommender::Recommend(
 
   RecommendResult result;
   // Each rung attempt attributes its stages into a scratch trace, folded
-  // into the query's trace only if the attempt serves; a failed attempt is
-  // folded in as `degrade` time instead (see MergeStages).
+  // into the query's trace only if the attempt serves; a failed attempt's
+  // whole duration becomes `degrade` time instead, so candidate_gen/score/
+  // rank reflect only the work that produced the served ranking and the
+  // ladder's wasted walk is visible as its own stage.
   const uint64_t rid = trace != nullptr ? trace->id() : 0;
   const std::string_view op = trace != nullptr ? trace->op() : "";
 
@@ -324,8 +307,8 @@ RecommendResult DegradingRecommender::Recommend(
       }
       if (primary.ok()) {
         result.rung = ServingRung::kPrimary;
-        RungGauge()->Set(0.0);
-        MergeStages(attempt, trace);
+        SetFallbackRung(0.0);
+        if (trace != nullptr) trace->AddStages(attempt);
         RecordServed(result.rung, SecondsSince(query_start), trace);
         return result;
       }
@@ -338,7 +321,7 @@ RecommendResult DegradingRecommender::Recommend(
     }
     result.degraded_reason = primary.ToString();
     if (trace != nullptr) {
-      trace->AddStage(obs::kStageDegrade, SecondsSince(attempt_start));
+      trace->AddStage(obs::Stage::kDegrade, SecondsSince(attempt_start));
     }
   } else {
     result.degraded_reason = "rung 0 skipped (min_rung=" +
@@ -357,9 +340,9 @@ RecommendResult DegradingRecommender::Recommend(
     }
     if (fallback.ok()) {
       result.rung = ServingRung::kBagFallback;
-      DegradedCounter()->Increment();
-      RungGauge()->Set(1.0);
-      MergeStages(attempt, trace);
+      Metrics().degraded->Increment();
+      SetFallbackRung(1.0);
+      if (trace != nullptr) trace->AddStages(attempt);
       RecordServed(result.rung, SecondsSince(query_start), trace);
       return result;
     }
@@ -368,21 +351,21 @@ RecommendResult DegradingRecommender::Recommend(
     }
     result.degraded_reason += "; " + fallback.ToString();
     if (trace != nullptr) {
-      trace->AddStage(obs::kStageDegrade, SecondsSince(attempt_start));
+      trace->AddStage(obs::Stage::kDegrade, SecondsSince(attempt_start));
     }
   }
 
   // Rung 2: popularity — no model state, no deadline checks, always ranks.
   {
-    obs::ScopedStage stage(trace, obs::kStageRank);
+    obs::ScopedStage stage(trace, obs::Stage::kRank);
     result.rung = ServingRung::kPopularity;
     result.ranking = PopularityRanking(candidates);
     if (options_.top_k > 0 && result.ranking.size() > options_.top_k) {
       result.ranking.resize(options_.top_k);
     }
   }
-  DegradedCounter()->Increment();
-  RungGauge()->Set(2.0);
+  Metrics().degraded->Increment();
+  SetFallbackRung(2.0);
   RecordServed(result.rung, SecondsSince(query_start), trace);
   return result;
 }

@@ -102,7 +102,7 @@ struct ShardedRecommender::Shard {
   bool snapshot_failed = false;
   // Hot-path metric handles, resolved once (the registry lookup takes a
   // lock and a map probe).
-  obs::Sketch* latency = nullptr;
+  obs::Histogram* latency = nullptr;
   obs::Counter* rung[3] = {nullptr, nullptr, nullptr};
 };
 
@@ -129,7 +129,7 @@ ShardedRecommender::ShardedRecommender(const EngineContext& ctx,
     serving.query_deadline_seconds = 0.0;
     shard->rec = std::make_unique<DegradingRecommender>(ctx_, serving);
     const std::string prefix = "rec.shard." + std::to_string(s);
-    shard->latency = registry.GetSketch(prefix + ".latency");
+    shard->latency = registry.GetHistogram(prefix + ".latency");
     shard->rung[0] = registry.GetCounter(prefix + ".rung.primary");
     shard->rung[1] = registry.GetCounter(prefix + ".rung.bag_fallback");
     shard->rung[2] = registry.GetCounter(prefix + ".rung.popularity");

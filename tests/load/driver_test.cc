@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "load/backend.h"
 #include "load/workload.h"
@@ -24,6 +26,8 @@ class FakeBackend : public Backend {
     /// > 0: attribute each recommend to shard user_rank % num_shards and
     /// report that many shards from ShardHealth().
     int num_shards = 0;
+    /// > 0: the first recommend blocks this long before answering.
+    double stall_first_recommend_seconds = 0.0;
   };
 
   explicit FakeBackend(Script script) : script_(script) {}
@@ -43,7 +47,12 @@ class FakeBackend : public Backend {
 
   Result<RecommendOutcome> Recommend(uint64_t rid, uint64_t user_rank,
                                      obs::RequestTrace* trace) override {
-    if (trace != nullptr) trace->AddStage("score", 1e-6);
+    if (trace != nullptr) trace->AddStage(obs::Stage::kScore, 1e-6);
+    if (script_.stall_first_recommend_seconds > 0.0 && !stalled_) {
+      stalled_ = true;
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          script_.stall_first_recommend_seconds));
+    }
     RecommendOutcome outcome;
     outcome.rung = static_cast<int>(rid % 3);
     outcome.ranked = user_rank + 1;
@@ -71,6 +80,7 @@ class FakeBackend : public Backend {
 
  private:
   Script script_;
+  bool stalled_ = false;
 };
 
 BackendFactory FakeFactory(FakeBackend::Script script = {}) {
@@ -166,6 +176,26 @@ TEST(DriverTest, OpenLoopPacesOfferedRate) {
   EXPECT_GE(report->wall_seconds, 0.049);
   EXPECT_LE(report->qps, options.target_qps * 1.1);
   EXPECT_DOUBLE_EQ(report->target_qps, 1000.0);
+}
+
+TEST(DriverTest, OpenLoopLatencyCountsFromTheDueTime) {
+  // One client, a request due every millisecond, and an 80 ms stall on the
+  // first recommend: the ~80 requests due during the stall start late, and
+  // each one's latency must include its wait (request k ms after the stall
+  // began waits ~80 - k ms), not just its microseconds of service.
+  FakeBackend::Script script;
+  script.stall_first_recommend_seconds = 0.08;
+  Workload workload = BuildWorkload(100);
+  DriverOptions options;
+  options.threads = 1;
+  options.target_qps = 1000.0;
+  Result<LoadReport> report = RunLoad(workload, options, FakeFactory(script));
+  ASSERT_TRUE(report.ok());
+  EXPECT_GE(report->latency.max, 0.08);
+  // Timed from when the client got to them, the queued requests would
+  // read microseconds and the median with them.
+  EXPECT_GE(report->latency.p50, 0.01);
+  EXPECT_GE(report->latency.p90, 0.04);
 }
 
 TEST(DriverTest, PerShardBreakdownAccountsEveryRecommend) {

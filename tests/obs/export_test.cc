@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <string>
 
 #include "obs/metrics.h"
 
 namespace microrec::obs {
 namespace {
+
+/// The value on the line `series <value>`, or NaN when there is none.
+double SeriesValue(const std::string& text, const std::string& series) {
+  const size_t at = text.find(series + " ");
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(text.c_str() + at + series.size() + 1, nullptr);
+}
 
 TEST(ParseMetricsFormatTest, AcceptsJsonPromAndEmpty) {
   MetricsFormat format = MetricsFormat::kProm;
@@ -34,37 +43,30 @@ TEST(PrometheusTextTest, CounterAndGaugeLines) {
   EXPECT_NE(text.find("microrec_serving_rung 1.5"), std::string::npos);
 }
 
-TEST(PrometheusTextTest, HistogramBucketsAreCumulativeWithInf) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("lat", {1.0, 2.0});
-  h->Record(0.5);
-  h->Record(1.5);
-  h->Record(10.0);  // overflow bucket
-  std::string text = ToPrometheusText(registry.Snapshot());
-  EXPECT_NE(text.find("# TYPE microrec_lat histogram"), std::string::npos);
-  EXPECT_NE(text.find("microrec_lat_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("microrec_lat_bucket{le=\"2\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("microrec_lat_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("microrec_lat_count 3"), std::string::npos);
-  EXPECT_NE(text.find("microrec_lat_sum 12"), std::string::npos);
-}
-
 TEST(PrometheusTextTest, SketchRendersAsSummary) {
   MetricsRegistry registry;
-  Sketch* sketch = registry.GetSketch("load.latency.all");
-  QuantileSketch local;
-  for (int i = 1; i <= 100; ++i) local.Record(static_cast<double>(i));
-  sketch->Merge(local);
+  Histogram* histogram = registry.GetHistogram("load.latency.all");
+  for (int i = 1; i <= 100; ++i) histogram->Record(static_cast<double>(i));
   std::string text = ToPrometheusText(registry.Snapshot());
   EXPECT_NE(text.find("# TYPE microrec_load_latency_all summary"),
             std::string::npos);
-  EXPECT_NE(text.find("microrec_load_latency_all{quantile=\"0.5\"} 50"),
+  // Quantile lines carry the histogram's estimates: within 1% of the
+  // order statistics 50 and 99.
+  EXPECT_NEAR(SeriesValue(text, "microrec_load_latency_all{quantile=\"0.5\"}"),
+              50.0, 0.5);
+  EXPECT_NEAR(
+      SeriesValue(text, "microrec_load_latency_all{quantile=\"0.99\"}"),
+      99.0, 0.99);
+  EXPECT_NE(text.find("microrec_load_latency_all{quantile=\"0.9\"} "),
             std::string::npos);
-  EXPECT_NE(text.find("microrec_load_latency_all{quantile=\"0.99\"} 99"),
+  EXPECT_NE(text.find("microrec_load_latency_all{quantile=\"0.999\"} "),
             std::string::npos);
-  EXPECT_NE(text.find("microrec_load_latency_all_count 100"),
+  EXPECT_NE(text.find("microrec_load_latency_all_sum 5050\n"),
             std::string::npos);
+  EXPECT_NE(text.find("microrec_load_latency_all_count 100\n"),
+            std::string::npos);
+  // One exposition form for the one histogram type.
+  EXPECT_EQ(text.find("_bucket"), std::string::npos);
 }
 
 TEST(RenderMetricsTest, SwitchesOnFormat) {

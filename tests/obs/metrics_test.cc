@@ -36,54 +36,37 @@ TEST(GaugeTest, SetAndAdd) {
 
 TEST(HistogramTest, CountSumMinMax) {
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 4.0});
+  Histogram* h = registry.GetHistogram("test.hist");
   h->Record(0.5);
   h->Record(1.5);
   h->Record(3.0);
-  h->Record(10.0);  // overflow bucket
-  HistogramSnapshot snap =
-      registry.Snapshot().histograms.at(0);
+  h->Record(10.0);
+  HistogramSnapshot snap = registry.Snapshot().histograms.at(0);
+  EXPECT_EQ(snap.name, "test.hist");
   EXPECT_EQ(snap.count, 4u);
   EXPECT_DOUBLE_EQ(snap.sum, 15.0);
   EXPECT_DOUBLE_EQ(snap.min, 0.5);
   EXPECT_DOUBLE_EQ(snap.max, 10.0);
-  ASSERT_EQ(snap.buckets.size(), 4u);
-  EXPECT_EQ(snap.buckets[0], 1u);
-  EXPECT_EQ(snap.buckets[1], 1u);
-  EXPECT_EQ(snap.buckets[2], 1u);
-  EXPECT_EQ(snap.buckets[3], 1u);
-}
-
-TEST(HistogramTest, PercentileInterpolatesWithinBucket) {
-  MetricsRegistry registry;
-  // 100 samples spread uniformly over (0, 10] with bucket edges every 1.0:
-  // percentiles should land close to the uniform quantiles.
-  std::vector<double> bounds;
-  for (int i = 1; i <= 10; ++i) bounds.push_back(static_cast<double>(i));
-  Histogram* h = registry.GetHistogram("test.uniform", bounds);
-  for (int i = 1; i <= 100; ++i) h->Record(i / 10.0);
-  HistogramSnapshot snap = registry.Snapshot().histograms.at(0);
-  EXPECT_NEAR(snap.Percentile(0.50), 5.0, 0.2);
-  EXPECT_NEAR(snap.Percentile(0.90), 9.0, 0.2);
-  EXPECT_NEAR(snap.Percentile(0.99), 9.9, 0.2);
-  // Percentiles never escape the observed range.
-  EXPECT_GE(snap.Percentile(0.0), snap.min);
-  EXPECT_LE(snap.Percentile(1.0), snap.max);
+  EXPECT_DOUBLE_EQ(snap.Mean(), 3.75);
 }
 
 TEST(HistogramTest, PercentileOfEmptyIsZero) {
-  HistogramSnapshot snap;
-  EXPECT_DOUBLE_EQ(snap.Percentile(0.5), 0.0);
+  Histogram h;
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
+  HistogramSnapshot snap = h.Snapshot("empty");
+  EXPECT_EQ(snap.count, 0u);
+  EXPECT_DOUBLE_EQ(snap.p50, 0.0);
+  EXPECT_DOUBLE_EQ(snap.p999, 0.0);
   EXPECT_DOUBLE_EQ(snap.Mean(), 0.0);
 }
 
 TEST(HistogramTest, SingleValuePercentileClampsToIt) {
   MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("test.single", {1.0, 2.0});
+  Histogram* h = registry.GetHistogram("test.single");
   h->Record(1.5);
   HistogramSnapshot snap = registry.Snapshot().histograms.at(0);
-  EXPECT_DOUBLE_EQ(snap.Percentile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(snap.Percentile(0.99), 1.5);
+  EXPECT_DOUBLE_EQ(snap.p50, 1.5);
+  EXPECT_DOUBLE_EQ(snap.p99, 1.5);
 }
 
 TEST(RegistryTest, ConcurrentIncrementsFromThreadPool) {
@@ -120,7 +103,7 @@ TEST(SnapshotTest, FindAndJson) {
   MetricsRegistry registry;
   registry.GetCounter("c.one")->Add(5);
   registry.GetGauge("g.one")->Set(1.25);
-  registry.GetHistogram("h.one", {1.0})->Record(0.5);
+  registry.GetHistogram("h.one")->Record(0.5);
   MetricsSnapshot snap = registry.Snapshot();
   ASSERT_NE(snap.FindCounter("c.one"), nullptr);
   EXPECT_EQ(snap.FindCounter("c.one")->value, 5u);
@@ -134,6 +117,7 @@ TEST(SnapshotTest, FindAndJson) {
   EXPECT_NE(json.find("\"c.one\":5"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  EXPECT_NE(json.find("\"p999\""), std::string::npos);
 }
 
 TEST(SnapshotTest, RenderTableEmitsOneRowPerMetric) {
@@ -159,14 +143,6 @@ TEST(JsonHelpersTest, EscapesAndNumbers) {
   EXPECT_EQ(out, "a\\\"b\\\\c\\n");
   EXPECT_EQ(JsonNumber(1.0 / 0.0), "0");
   EXPECT_NE(JsonNumber(2.5).find("2.5"), std::string::npos);
-}
-
-TEST(BucketsTest, ExponentialLayout) {
-  std::vector<double> b = ExponentialBuckets(1.0, 2.0, 4);
-  ASSERT_EQ(b.size(), 4u);
-  EXPECT_DOUBLE_EQ(b[0], 1.0);
-  EXPECT_DOUBLE_EQ(b[3], 8.0);
-  EXPECT_FALSE(DefaultLatencyBuckets().empty());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "snapshot/snapshot.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "temp_dir.h"
 
 namespace microrec::rec {
 namespace {
@@ -87,11 +88,7 @@ class EngineMmapFixture : public ::testing::Test {
     ctx_.llda_min_hashtag_count = 1;
     ctx_.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_engine_mmap_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_engine_mmap");
     std::filesystem::create_directories(dir_);
   }
 

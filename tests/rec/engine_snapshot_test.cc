@@ -14,6 +14,7 @@
 
 #include "rec/engine.h"
 #include "snapshot/snapshot.h"
+#include "temp_dir.h"
 
 namespace microrec::rec {
 namespace {
@@ -84,11 +85,7 @@ class EngineSnapshotFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_engine_snap_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_engine_snap");
     std::filesystem::create_directories(dir_);
   }
 

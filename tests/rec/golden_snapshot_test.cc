@@ -19,6 +19,7 @@
 
 #include "rec/engine.h"
 #include "snapshot/snapshot.h"
+#include "temp_dir.h"
 
 #ifndef MICROREC_TEST_SOURCE_DIR
 #define MICROREC_TEST_SOURCE_DIR "."
@@ -170,11 +171,7 @@ TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
   const double stock = restored->Score(ego_, test_stock_, ctx_);
 
   const std::string v2_path =
-      (std::filesystem::temp_directory_path() /
-       ("microrec_golden_v2_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-        ".snap"))
-          .string();
+      testutil::UniqueTempDir("microrec_golden_v2") + ".snap";
   EngineContext v2_ctx = ctx_;
   v2_ctx.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
   ASSERT_TRUE(restored->SaveSnapshot(v2_path, v2_ctx).ok());

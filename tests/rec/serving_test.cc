@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/request.h"
 #include "resilience/fault.h"
+#include "temp_dir.h"
 
 namespace microrec::rec {
 namespace {
@@ -80,11 +81,7 @@ class ServingFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_serving_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_serving");
     std::filesystem::create_directories(dir_);
 
     // Train-once: persist the primary engine the recommender will load.
@@ -321,9 +318,9 @@ TEST_F(ServingFixture, RungCountersSumToQueriesUnderFaultSchedule) {
 TEST_F(ServingFixture, RungLatencySketchesMatchRungCounters) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const uint64_t primary0 =
-      registry.GetSketch("rec.latency.primary")->count();
+      registry.GetHistogram("rec.latency.primary")->count();
   const uint64_t bag0 =
-      registry.GetSketch("rec.latency.bag_fallback")->count();
+      registry.GetHistogram("rec.latency.bag_fallback")->count();
   {
     DegradingRecommender rec(ctx_, Options());
     for (int i = 0; i < 4; ++i) {
@@ -337,11 +334,11 @@ TEST_F(ServingFixture, RungLatencySketchesMatchRungCounters) {
     (void)rec.Recommend(ego_, {test_stock_, test_cat_});
     resilience::ClearFaults();
   }
-  EXPECT_EQ(registry.GetSketch("rec.latency.primary")->count() -
+  EXPECT_EQ(registry.GetHistogram("rec.latency.primary")->count() -
                 primary0,
             4u);
   EXPECT_EQ(
-      registry.GetSketch("rec.latency.bag_fallback")->count() -
+      registry.GetHistogram("rec.latency.bag_fallback")->count() -
           bag0,
       1u);
 }
@@ -390,9 +387,9 @@ TEST_F(ServingFixture, RequestTraceAttributesStagesPerRung) {
     EXPECT_EQ(result.rung, ServingRung::kPrimary);
     // A healthy primary query attributes scoring and ranking time and
     // spends nothing degrading.
-    EXPECT_GT(trace.StageSeconds(obs::kStageScore), 0.0);
-    EXPECT_GT(trace.StageSeconds(obs::kStageRank), 0.0);
-    EXPECT_EQ(trace.StageSeconds(obs::kStageDegrade), 0.0);
+    EXPECT_GT(trace.StageSeconds(obs::Stage::kScore), 0.0);
+    EXPECT_GT(trace.StageSeconds(obs::Stage::kRank), 0.0);
+    EXPECT_EQ(trace.StageSeconds(obs::Stage::kDegrade), 0.0);
   }
   {
     resilience::ArmFault(resilience::kSiteSnapshotLoad,
@@ -407,8 +404,8 @@ TEST_F(ServingFixture, RequestTraceAttributesStagesPerRung) {
     EXPECT_EQ(result.rung, ServingRung::kBagFallback);
     // The failed primary attempt's whole elapsed time shows up as degrade
     // (never as primary-stage time), then the fallback scores and ranks.
-    EXPECT_GT(trace.StageSeconds(obs::kStageDegrade), 0.0);
-    EXPECT_GT(trace.StageSeconds(obs::kStageRank), 0.0);
+    EXPECT_GT(trace.StageSeconds(obs::Stage::kDegrade), 0.0);
+    EXPECT_GT(trace.StageSeconds(obs::Stage::kRank), 0.0);
   }
 }
 

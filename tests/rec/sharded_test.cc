@@ -18,6 +18,7 @@
 #include "rec/router.h"
 #include "rec/serving.h"
 #include "resilience/fault.h"
+#include "temp_dir.h"
 
 namespace microrec::rec {
 namespace {
@@ -224,11 +225,7 @@ class ShardedFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
 
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_sharded_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_sharded");
     std::filesystem::create_directories(dir_);
 
     config_.kind = ModelKind::kTN;

@@ -14,6 +14,7 @@
 #include "snapshot/codec.h"
 #include "snapshot/mapped.h"
 #include "snapshot/snapshot.h"
+#include "temp_dir.h"
 
 namespace microrec::snapshot {
 namespace {
@@ -21,11 +22,7 @@ namespace {
 class MappedSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("microrec_mapped_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_mapped");
     std::filesystem::create_directories(dir_);
   }
 

@@ -27,6 +27,7 @@
 #include "snapshot/snapshot.h"
 #include "corpus/corpus.h"
 #include "corpus/io.h"
+#include "temp_dir.h"
 
 namespace microrec::snapshot {
 namespace {
@@ -229,11 +230,7 @@ TEST(SnapshotFuzzTest, MutatedV2MappedReadsErrorNeverCrash) {
   Result<File> reference = File::Parse(pristine, "<fuzz>");
   ASSERT_TRUE(reference.ok());
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("microrec_fuzz_mapped_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
-          .string();
+  const std::string dir = testutil::UniqueTempDir("microrec_fuzz_mapped");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/mutant.snap";
 

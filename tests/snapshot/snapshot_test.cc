@@ -15,7 +15,7 @@ namespace {
 Header TestHeader() {
   Header header;
   header.model = "LDA";
-  header.source = "R";
+  header.source = std::string(1, 'R');
   header.seed = 11;
   header.iteration_scale = 0.1;
   header.config_fingerprint = "abc123";

@@ -19,6 +19,7 @@
 #include "rec/preprocessed.h"
 #include "resilience/fault.h"
 #include "stream/session.h"
+#include "temp_dir.h"
 
 namespace microrec::stream {
 
@@ -90,15 +91,7 @@ class StreamFixture : public ::testing::Test {
     ctx_.iteration_scale = 0.05;
     ctx_.llda_min_hashtag_count = 1;
 
-    root_ = (std::filesystem::temp_directory_path() /
-             ("microrec_stream_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name()) +
-              "_" +
-              std::to_string(
-                  ::testing::UnitTest::GetInstance()->random_seed())))
-                .string();
+    root_ = testutil::UniqueTempDir("microrec_stream");
     std::filesystem::create_directories(root_);
   }
 

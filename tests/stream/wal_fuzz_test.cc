@@ -18,6 +18,7 @@
 #include "snapshot/fuzz.h"
 #include "stream/record.h"
 #include "stream/wal.h"
+#include "temp_dir.h"
 
 namespace microrec::stream {
 namespace {
@@ -54,11 +55,7 @@ std::string DumpArtifact(const std::string& format, uint64_t seed,
 /// and one checkpoint record, written through the real writer so framing
 /// is exactly what production produces.
 std::string PristineSegment(std::vector<std::string>* payloads) {
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("microrec_walfuzz_pristine_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
-          .string();
+  const std::string dir = testutil::UniqueTempDir("microrec_walfuzz_pristine");
   fs::create_directories(dir);
   const char* texts[] = {
       "fluffy cat naps on warm windowsill",
@@ -113,15 +110,7 @@ Result<WalReplayStats> ReplayAndDecode(const std::string& dir,
 class WalFuzzFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("microrec_walfuzz_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()) +
-             "_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_walfuzz");
   }
 
   void TearDown() override {

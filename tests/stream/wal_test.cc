@@ -15,6 +15,7 @@
 #include "resilience/fault.h"
 #include "snapshot/format.h"
 #include "stream/record.h"
+#include "temp_dir.h"
 
 namespace microrec::stream {
 namespace {
@@ -24,15 +25,7 @@ namespace fs = std::filesystem;
 class WalFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("microrec_wal_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()) +
-             "_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
-               .string();
+    dir_ = testutil::UniqueTempDir("microrec_wal");
     fs::create_directories(dir_);
   }
 

@@ -278,7 +278,8 @@ DocSet MakeKernelDocs(uint64_t seed) {
     std::vector<std::string> tokens;
     const uint32_t band = gen.UniformU32(4);
     for (int i = 0; i < 12; ++i) {
-      tokens.push_back("w" + std::to_string(band * 15 + gen.UniformU32(15)));
+      tokens.push_back("w");
+      tokens.back() += std::to_string(band * 15 + gen.UniformU32(15));
     }
     docs.AddDocument(tokens);
   }

@@ -49,7 +49,8 @@ EquivCorpus MakeEquivCorpus(size_t num_docs, size_t len, size_t vocab,
                        ? static_cast<uint32_t>(t * band) +
                              gen.UniformU32(static_cast<uint32_t>(band))
                        : gen.UniformU32(static_cast<uint32_t>(vocab));
-      tokens->push_back("w" + std::to_string(w));
+      tokens->push_back("w");
+      tokens->back() += std::to_string(w);
     }
   };
   for (size_t d = 0; d < num_docs; ++d) {

@@ -814,12 +814,11 @@ int Load(const std::string& dir, const std::string& model_name,
               static_cast<unsigned long long>(report->threads),
               report->wall_seconds, report->qps,
               driver.target_qps > 0.0 ? " (open loop)" : "");
-  std::printf("latency: p50 %.2fms  p99 %.2fms  p999 %.2fms  max %.2fms%s\n",
+  std::printf("latency: p50 %.2fms  p99 %.2fms  p999 %.2fms  max %.2fms\n",
               report->latency.p50 * 1e3, report->latency.p99 * 1e3,
-              report->latency.p999 * 1e3, report->latency.max * 1e3,
-              report->latency.exact ? "" : " (sketched)");
+              report->latency.p999 * 1e3, report->latency.max * 1e3);
   for (int op = 0; op < load::kNumOpClasses; ++op) {
-    const obs::SketchSnapshot& s = report->op_latency[op];
+    const obs::HistogramSnapshot& s = report->op_latency[op];
     if (s.count == 0) continue;
     std::printf("  %-15s %6llu ops  p50 %.2fms  p99 %.2fms\n",
                 std::string(load::OpClassName(static_cast<load::OpClass>(op)))
