@@ -22,9 +22,6 @@
 //                        with MH correction) — DESIGN.md §15
 //   MICROREC_ALIAS_STALE_BUDGET  stale-draw budget per word alias table
 //                        (alias kernel only, default 32)
-//   MICROREC_SNAPSHOT_CODEC  "raw" (default; microrec.snap/1) or
-//                        "compressed" (microrec.snap/2: varint/delta rows in
-//                        block-compressed sections — DESIGN.md §16)
 //   MICROREC_SERVE_MODE  "resident" (default) or "mmap" — how warm starts
 //                        hold the snapshot; rankings are identical, only
 //                        residency differs
@@ -136,16 +133,6 @@ inline Workbench MakeWorkbench() {
   }
   options.alias_stale_budget =
       static_cast<int>(EnvSize("MICROREC_ALIAS_STALE_BUDGET", 32));
-  if (const char* codec = std::getenv("MICROREC_SNAPSHOT_CODEC");
-      codec != nullptr && codec[0] != '\0') {
-    if (Status st = snapshot::ParseSnapshotCodec(codec,
-                                                 &options.snapshot_codec);
-        !st.ok()) {
-      std::fprintf(stderr, "bad MICROREC_SNAPSHOT_CODEC: %s\n",
-                   st.ToString().c_str());
-      std::exit(1);
-    }
-  }
   if (const char* mode = std::getenv("MICROREC_SERVE_MODE");
       mode != nullptr && mode[0] != '\0') {
     if (Status st = rec::ParseServeMode(mode, &options.serve_mode);

@@ -105,7 +105,6 @@ rec::EngineContext ExperimentRunner::MakeContext(
   ctx.train_threads = options_.train_threads;
   ctx.sampler_kernel = options_.sampler_kernel;
   ctx.alias_stale_budget = options_.alias_stale_budget;
-  ctx.snapshot_codec = options_.snapshot_codec;
   ctx.serve_mode = options_.serve_mode;
   ctx.cancel = cancel;
   if (options_.snapshot_load) {

@@ -57,13 +57,9 @@ struct RunOptions {
   topic::SamplerKernel sampler_kernel = topic::SamplerKernel::kDense;
   /// Stale-draw budget per word-topic alias table (kAlias only).
   int alias_stale_budget = 32;
-  /// Section codec for saved snapshots: kRaw writes microrec.snap/1
-  /// byte-for-byte; kCompressed writes the smaller, mmap-servable
-  /// microrec.snap/2 (DESIGN.md §16). Loading accepts either.
-  snapshot::SnapshotCodec snapshot_codec = snapshot::SnapshotCodec::kRaw;
   /// How warm starts hold persisted state: kResident decodes the snapshot
-  /// into memory; kMmap serves straight from the mapped file (v2 only; a v1
-  /// file degrades to a resident load). Rankings are identical either way.
+  /// into memory; kMmap serves straight from the mapped file (a v1 file
+  /// opens resident). Rankings are identical either way.
   rec::ServeMode serve_mode = rec::ServeMode::kResident;
 };
 

@@ -1,11 +1,11 @@
 #include "rec/engine.h"
 
 #include <algorithm>
-#include <cstring>
+#include <functional>
 #include <list>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "bag/bag_model.h"
 #include "corpus/sources.h"
@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rec/llda_labels.h"
+#include "resilience/fault.h"
 #include "snapshot/codec.h"
 #include "snapshot/mapped.h"
 #include "snapshot/snapshot.h"
@@ -45,8 +46,9 @@ obs::Histogram* ScoreHistogram() {
 }
 
 obs::Histogram* BuildUserHistogram() {
-  static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
-      "rec.engine.build_user_seconds");
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "rec.engine.build_user_seconds");
   return histogram;
 }
 
@@ -56,16 +58,10 @@ obs::Counter* ScoreCounter() {
   return counter;
 }
 
-obs::Counter* WarmStartCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("snapshot.warm_starts");
-  return counter;
-}
-
-obs::Counter* WarmMissCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("snapshot.warm_miss");
-  return counter;
+// Snapshot traffic counters (warm starts, opens, misses, row errors): off
+// the scoring path, so looked up by name.
+void IncrementCounter(const char* name) {
+  obs::MetricsRegistry::Global().GetCounter(name)->Increment();
 }
 
 // ---- Shared snapshot plumbing. ----
@@ -77,28 +73,6 @@ std::vector<std::string> VocabTerms(const text::Vocabulary& vocab) {
     terms.push_back(vocab.TermOf(static_cast<text::TermId>(i)));
   }
   return terms;
-}
-
-snapshot::Header MakeSnapshotHeader(const ModelConfig& config,
-                                    const EngineContext& ctx,
-                                    uint64_t vocab_fingerprint) {
-  snapshot::Header header;
-  header.model = std::string(ModelKindName(config.kind));
-  header.source = std::string(corpus::SourceName(ctx.source));
-  header.seed = ctx.seed;
-  header.iteration_scale = ctx.iteration_scale;
-  header.config_fingerprint = config.Fingerprint();
-  header.vocab_fingerprint = vocab_fingerprint;
-  return header;
-}
-
-Status VerifySnapshotIdentity(const snapshot::File& file,
-                              const ModelConfig& config,
-                              const EngineContext& ctx) {
-  return file.VerifyIdentity(std::string(ModelKindName(config.kind)),
-                             std::string(corpus::SourceName(ctx.source)),
-                             ctx.seed, ctx.iteration_scale,
-                             config.Fingerprint());
 }
 
 // FNV-1a mixing of one 64-bit value into a running hash; the bag/graph
@@ -113,6 +87,81 @@ uint64_t MixFingerprint(uint64_t h, uint64_t value) {
 }
 
 constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// The one writer: every family saves a microrec.snap/2 container.
+snapshot::Writer MakeWriter(const ModelConfig& config, const EngineContext& ctx,
+                            uint64_t vocab_fingerprint) {
+  snapshot::Writer writer(
+      {.model = std::string(ModelKindName(config.kind)),
+       .source = std::string(corpus::SourceName(ctx.source)),
+       .seed = ctx.seed,
+       .iteration_scale = ctx.iteration_scale,
+       .config_fingerprint = config.Fingerprint(),
+       .vocab_fingerprint = vocab_fingerprint});
+  writer.set_codec(snapshot::SnapshotCodec::kCompressed);
+  return writer;
+}
+
+Status ReadOnly(const std::string& path) {
+  return Status::FailedPrecondition(
+      "mapped engines are read-only; cannot save snapshot to " + path);
+}
+
+Status CheckVocabFingerprint(const snapshot::MappedFile& file,
+                             uint64_t computed) {
+  if (computed == file.header().vocab_fingerprint) return Status::OK();
+  return Status::FailedPrecondition(
+      file.origin() + ": vocabulary fingerprint mismatch (snapshot " +
+      std::to_string(file.header().vocab_fingerprint) + ", computed " +
+      std::to_string(computed) + ")");
+}
+
+// The one open path of every family. It hits the `snapshot.load` fault site
+// once per open in either residency, maps the file and verifies its
+// identity against `ctx`. A resident open first verifies every section's
+// frame CRC, as the whole-file reader does, so a corrupt byte fails the
+// open before any state is adopted.
+Result<std::shared_ptr<const snapshot::MappedFile>> OpenSnapshotFile(
+    const std::string& path, const ModelConfig& config,
+    const EngineContext& ctx, ServeMode residency) {
+  MICROREC_FAULT_POINT(resilience::kSiteSnapshotLoad);
+  Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
+  if (!file.ok()) return file.status();
+  if (residency == ServeMode::kResident) {
+    MICROREC_RETURN_IF_ERROR(file->VerifyChecksums());
+  }
+  MICROREC_RETURN_IF_ERROR(file->VerifyIdentity(
+      std::string(ModelKindName(config.kind)),
+      std::string(corpus::SourceName(ctx.source)), ctx.seed,
+      ctx.iteration_scale, config.Fingerprint()));
+  IncrementCounter(residency == ServeMode::kMmap ? "snapshot.mapped_opens"
+                                                  : "snapshot.loads");
+  return std::make_shared<const snapshot::MappedFile>(std::move(*file));
+}
+
+// A whole section's logical bytes, kept in `*bytes`, behind a decoder whose
+// offsets point into the file.
+Result<snapshot::Decoder> ReadSection(const snapshot::MappedFile& file,
+                                      const char* name, std::string* bytes) {
+  Result<const snapshot::MappedFile::MappedSection*> section = file.Find(name);
+  if (!section.ok()) return section.status();
+  MICROREC_RETURN_IF_ERROR(file.ReadSection(name, bytes));
+  return snapshot::Decoder(*bytes, (*section)->payload_offset);
+}
+
+// Prepare()'s warm start. A missing snapshot is a counted miss that falls
+// back to cold training; any other failure propagates.
+Status TryWarmStart(Engine* engine, const EngineContext& ctx, bool* warmed) {
+  *warmed = false;
+  if (ctx.warm_start_snapshot.empty()) return Status::OK();
+  Status loaded = engine->WarmStart(ctx.warm_start_snapshot, ctx);
+  if (loaded.code() == StatusCode::kNotFound) {
+    IncrementCounter("snapshot.warm_miss");
+    return Status::OK();
+  }
+  *warmed = loaded.ok();
+  return loaded;
+}
 
 void SaveRngState(const Rng& rng, snapshot::Encoder* enc) {
   Rng::State state = rng.SaveState();
@@ -135,75 +184,18 @@ Status LoadRngState(snapshot::Decoder* dec, Rng* rng) {
   return Status::OK();
 }
 
-void SaveDistribution(uint64_t key, const std::vector<double>& dist,
-                      snapshot::Encoder* enc) {
-  enc->PutU64(key);
-  enc->PutVecF64(dist);
-}
-
-Status VerifyMappedIdentity(const snapshot::MappedFile& file,
-                            const ModelConfig& config,
-                            const EngineContext& ctx) {
-  return file.VerifyIdentity(std::string(ModelKindName(config.kind)),
-                             std::string(corpus::SourceName(ctx.source)),
-                             ctx.seed, ctx.iteration_scale,
-                             config.Fingerprint());
-}
-
-// Row-decode failures hit in paths that cannot return a Status (Score,
-// Profile); the engine degrades the user to "absent" and counts it here so
-// the condition is observable, never silent.
-obs::Counter* MappedRowErrorCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("snapshot.mapped_row_errors");
-  return counter;
-}
-
-// ---- v2 row primitives (field codecs inside one table row). ----
+// ---- Row field codecs. ----
 //
 // Rows are self-contained byte strings built from snapshot/codec.h
 // primitives: varint lengths/counts, zigzag-delta id sequences, and raw
 // little-endian f64s for weights (weights are incompressible entropy; ids
-// and counts are where the size lives). Offsets in decode errors are
-// row-relative; the origin string names the file, section and row.
+// and counts are where the size lives).
 
 void PutRowF64s(std::string* out, const std::vector<double>& values) {
   snapshot::PutVarint(out, values.size());
-  for (double v : values) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      out->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-    }
-  }
-}
-
-Status GetRowF64s(std::string_view row, size_t* pos,
-                  std::vector<double>* values, const std::string& origin,
-                  const char* what) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(
-      snapshot::GetVarint(row, pos, &count, 0, origin, what));
-  if (count > (row.size() - *pos) / 8) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                            ": " + what + " count " + std::to_string(count) +
-                            " overruns the row");
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t bits = 0;
-    for (int b = 0; b < 8; ++b) {
-      bits |= static_cast<uint64_t>(
-                  static_cast<uint8_t>(row[*pos + static_cast<size_t>(b)]))
-              << (8 * b);
-    }
-    *pos += 8;
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    values->push_back(v);
-  }
-  return Status::OK();
+  snapshot::Encoder enc;
+  for (double v : values) enc.PutF64(v);
+  out->append(enc.bytes());
 }
 
 void PutRowStrings(std::string* out, const std::vector<std::string>& values) {
@@ -214,868 +206,695 @@ void PutRowStrings(std::string* out, const std::vector<std::string>& values) {
   }
 }
 
-Status GetRowStrings(std::string_view row, size_t* pos,
-                     std::vector<std::string>* values,
-                     const std::string& origin, const char* what) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(
-      snapshot::GetVarint(row, pos, &count, 0, origin, what));
-  if (count > row.size() - *pos) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                            ": " + what + " count " + std::to_string(count) +
-                            " overruns the row");
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    MICROREC_RETURN_IF_ERROR(
-        snapshot::GetVarint(row, pos, &len, 0, origin, what));
-    if (len > row.size() - *pos) {
-      return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                              ": " + what + " string of " +
-                              std::to_string(len) + " bytes overruns the row");
-    }
-    values->emplace_back(row.substr(*pos, static_cast<size_t>(len)));
-    *pos += static_cast<size_t>(len);
-  }
-  return Status::OK();
-}
-
 void PutRowVarints(std::string* out, const std::vector<uint32_t>& values) {
   snapshot::PutVarint(out, values.size());
   for (uint32_t v : values) snapshot::PutVarint(out, v);
 }
 
-Status GetRowVarints(std::string_view row, size_t* pos,
-                     std::vector<uint32_t>* values, const std::string& origin,
-                     const char* what) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(
-      snapshot::GetVarint(row, pos, &count, 0, origin, what));
-  if (count > row.size() - *pos) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                            ": " + what + " count " + std::to_string(count) +
-                            " overruns the row");
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    MICROREC_RETURN_IF_ERROR(
-        snapshot::GetVarint(row, pos, &v, 0, origin, what));
-    if (v > UINT32_MAX) {
-      return Status::DataLoss(origin + ":offset " + std::to_string(*pos) +
-                              ": " + what + " value " + std::to_string(v) +
-                              " exceeds 32 bits");
-    }
-    values->push_back(static_cast<uint32_t>(v));
-  }
-  return Status::OK();
-}
-
-Status ExpectRowEnd(std::string_view row, size_t pos,
-                    const std::string& origin) {
-  if (pos != row.size()) {
-    return Status::DataLoss(origin + ":offset " + std::to_string(pos) + ": " +
-                            std::to_string(row.size() - pos) +
-                            " trailing bytes in row");
-  }
-  return Status::OK();
-}
-
-// ---- Mapped-mode LRU bookkeeping. ----
-//
-// Tracks which keys of a resident map were materialized *from the mapped
-// snapshot* (and are therefore safe to drop and re-materialize later) in
-// recency order. Cold-built keys are pinned by never being registered.
-// Eviction bounds memory only; a hit or miss never changes a score, because
-// re-materialization decodes the same bytes.
-template <typename K>
-class MappedLruTracker {
+// Reads one row's fields in order. Every error is kDataLoss naming the row
+// (`origin` names the file, table and row id) and the row-relative offset.
+class RowReader {
  public:
-  void set_capacity(size_t capacity) { capacity_ = std::max<size_t>(1, capacity); }
+  RowReader(std::string_view row, const std::string& origin)
+      : row_(row), origin_(origin) {}
 
-  /// Registers or refreshes `key`; returns the key to drop when the
-  /// tracked set now exceeds capacity.
-  std::optional<K> Touch(const K& key) {
-    auto it = pos_.find(key);
-    if (it != pos_.end()) {
-      order_.splice(order_.end(), order_, it->second);
-      return std::nullopt;
+  Status Varint(uint64_t* value, const char* what) {
+    return snapshot::GetVarint(row_, &pos_, value, 0, origin_, what);
+  }
+
+  Status DeltaIds(std::vector<uint64_t>* ids, const char* what) {
+    return snapshot::GetDeltaIds(row_, &pos_, ids, row_.size(), 0, origin_,
+                                 what);
+  }
+
+  Status F64s(std::vector<double>* values, const char* what) {
+    uint64_t count = 0;
+    MICROREC_RETURN_IF_ERROR(ReadCount(&count, 8, what));
+    values->resize(static_cast<size_t>(count));
+    snapshot::Decoder dec(row_.substr(pos_));  // ReadCount() bounded it
+    for (double& v : *values) MICROREC_RETURN_IF_ERROR(dec.ReadF64(&v));
+    pos_ += 8 * values->size();
+    return Status::OK();
+  }
+
+  Status Strings(std::vector<std::string>* values, const char* what) {
+    uint64_t count = 0;
+    MICROREC_RETURN_IF_ERROR(ReadCount(&count, 1, what));
+    values->clear();
+    values->reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t len = 0;
+      MICROREC_RETURN_IF_ERROR(Varint(&len, what));
+      if (len > row_.size() - pos_) {
+        return Loss(std::string(what) + " string of " + std::to_string(len) +
+                    " bytes overruns the row");
+      }
+      values->emplace_back(row_.substr(pos_, static_cast<size_t>(len)));
+      pos_ += static_cast<size_t>(len);
     }
-    order_.push_back(key);
-    pos_[key] = std::prev(order_.end());
-    if (pos_.size() <= capacity_) return std::nullopt;
-    K victim = order_.front();
-    order_.pop_front();
-    pos_.erase(victim);
-    return victim;
+    return Status::OK();
   }
 
-  void Erase(const K& key) {
-    auto it = pos_.find(key);
-    if (it == pos_.end()) return;
-    order_.erase(it->second);
-    pos_.erase(it);
+  Status U32s(std::vector<uint32_t>* values, const char* what) {
+    uint64_t count = 0;
+    MICROREC_RETURN_IF_ERROR(ReadCount(&count, 1, what));
+    values->clear();
+    values->reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t v = 0;
+      MICROREC_RETURN_IF_ERROR(Varint(&v, what));
+      if (v > UINT32_MAX) {
+        return Loss(std::string(what) + " value " + std::to_string(v) +
+                    " exceeds 32 bits");
+      }
+      values->push_back(static_cast<uint32_t>(v));
+    }
+    return Status::OK();
   }
 
-  bool Contains(const K& key) const { return pos_.count(key) > 0; }
+  Status End() const {
+    if (pos_ == row_.size()) return Status::OK();
+    return Loss(std::to_string(row_.size() - pos_) + " trailing bytes in row");
+  }
 
  private:
-  size_t capacity_ = 1024;
-  std::list<K> order_;  // front = least recent
-  std::unordered_map<K, typename std::list<K>::iterator> pos_;
+  // An element count, bounded by what the rest of the row can hold at
+  // `min_bytes` per element, so a flipped count cannot drive an allocation.
+  Status ReadCount(uint64_t* count, size_t min_bytes, const char* what) {
+    MICROREC_RETURN_IF_ERROR(Varint(count, what));
+    if (*count <= (row_.size() - pos_) / min_bytes) return Status::OK();
+    return Loss(std::string(what) + " count " + std::to_string(*count) +
+                " overruns the row");
+  }
+
+  Status Loss(const std::string& message) const {
+    return Status::DataLoss(origin_ + ":offset " + std::to_string(pos_) +
+                            ": " + message);
+  }
+
+  std::string_view row_;
+  const std::string& origin_;
+  size_t pos_ = 0;
 };
 
-// Resident v2 load of a distribution table section ("users" /
-// "infer_cache" of the topic engine): each row is one PutRowF64s vector
-// keyed by the table row id.
-template <typename Map>
-Status LoadDistTableV2(const snapshot::File& file, const char* name,
-                       Map* out) {
-  Result<const snapshot::Section*> section = file.Find(name);
-  if (!section.ok()) return section.status();
-  const std::string& payload = (*section)->payload;
-  const std::string origin = file.origin() + ":section \"" + name + "\"";
-  snapshot::TableIndex index;
-  MICROREC_RETURN_IF_ERROR(snapshot::ParseTableIndex(
-      payload, payload.size(), &index, (*section)->payload_offset, origin));
-  for (size_t i = 0; i < index.ids.size(); ++i) {
-    std::string_view row =
-        std::string_view(payload).substr(
-            static_cast<size_t>(index.row_offset(i)),
-            static_cast<size_t>(index.row_length(i)));
-    const std::string row_origin =
-        origin + " row " + std::to_string(index.ids[i]);
-    std::vector<double> dist;
-    size_t pos = 0;
-    MICROREC_RETURN_IF_ERROR(
-        GetRowF64s(row, &pos, &dist, row_origin, "distribution"));
-    MICROREC_RETURN_IF_ERROR(ExpectRowEnd(row, pos, row_origin));
-    (*out)[static_cast<typename Map::key_type>(index.ids[i])] =
-        std::move(dist);
+// Emits (row id, v2 row bytes) pairs: how a family's v1 adapter hands a v1
+// section to the row decoder.
+using RowSink = std::function<Status(uint64_t id, std::string_view row)>;
+
+// ---- The row store: the decoded rows of one persisted table. ----
+//
+// An eager open decodes every row up front, and the mapping can then be
+// dropped. A lazy (mmap) open keeps the MappedTable and decodes a row the
+// first time it is asked for, behind an LRU of `capacity` rows. Rows the
+// engine puts itself (cold builds, fresh inferences) are pinned: the map
+// cannot re-materialize them. Eviction bounds memory only; a hit or a miss
+// never changes a score, because re-materialization decodes the same
+// bytes. Caller thread only.
+template <typename Key, typename Row>
+class RowStore {
+ public:
+  using Decode =
+      std::function<Result<Row>(std::string_view row, const std::string&)>;
+  using V1Adapter =
+      std::function<Status(snapshot::Decoder* section, const RowSink& sink)>;
+
+  /// Opens table `table` of `file`. A mapped open keeps the mapped table
+  /// and decodes rows on demand (lazy()); otherwise every row is decoded
+  /// now. A v1 section has no row index, so it always opens eagerly,
+  /// through `v1`: the family's adapter, which turns the section into the
+  /// same rows.
+  Status Open(const std::shared_ptr<const snapshot::MappedFile>& file,
+              const char* table, const char* row_label, bool mapped,
+              size_t capacity, Decode decode, const V1Adapter& v1) {
+    prefix_ = file->origin() + ": " + row_label + " ";
+    decode_ = std::move(decode);
+    const RowSink add = [this](uint64_t id, std::string_view bytes) {
+      Result<Row> row = decode_(bytes, prefix_ + std::to_string(id));
+      if (!row.ok()) return row.status();
+      rows_.insert_or_assign(static_cast<Key>(id), std::move(*row));
+      return Status::OK();
+    };
+    if (file->version() == 1) {
+      std::string bytes;
+      Result<snapshot::Decoder> section = ReadSection(*file, table, &bytes);
+      if (!section.ok()) return section.status();
+      MICROREC_RETURN_IF_ERROR(v1(&*section, add));
+      return section->ExpectEnd();
+    }
+    Result<snapshot::MappedTable> rows =
+        snapshot::MappedTable::Open(*file, table);
+    if (!rows.ok()) return rows.status();
+    if (mapped) {
+      file_ = file;
+      table_ = std::make_unique<snapshot::MappedTable>(std::move(*rows));
+      capacity_ = std::max<size_t>(1, capacity);
+      return Status::OK();
+    }
+    std::string bytes;
+    for (size_t i = 0; i < rows->row_count(); ++i) {
+      MICROREC_RETURN_IF_ERROR(rows->RowAt(i, &bytes));
+      MICROREC_RETURN_IF_ERROR(add(rows->id_at(i), bytes));
+    }
+    return Status::OK();
   }
-  return Status::OK();
-}
+
+  /// The row for `key`; nullptr when absent, invalidated, or corrupt (the
+  /// last two only under a lazy open; corruption is counted and kept in
+  /// error()). An eagerly opened store answers with one hash lookup.
+  Row* Find(Key key) {
+    auto it = rows_.find(key);
+    if (it != rows_.end()) {
+      if (table_ != nullptr) {
+        auto pos = lru_pos_.find(key);
+        if (pos != lru_pos_.end()) lru_.splice(lru_.end(), lru_, pos->second);
+      }
+      return &it->second;
+    }
+    return table_ != nullptr ? Materialize(key) : nullptr;
+  }
+
+  /// The outcome of the last materialization: OK when the row was absent
+  /// or decoded.
+  const Status& error() const { return error_; }
+
+  /// Adds a pinned row (a cold build or a fresh inference).
+  Row* Put(Key key, Row row) {
+    Unlist(key);
+    return &rows_.insert_or_assign(key, std::move(row)).first->second;
+  }
+
+  /// Drops `key`. Under a lazy open it also blocks re-materialization: the
+  /// mapped row predates the invalidation.
+  void Erase(Key key) {
+    rows_.erase(key);
+    Unlist(key);
+    if (table_ != nullptr) blocked_.insert(key);
+  }
+
+  bool lazy() const { return table_ != nullptr; }
+  const Row& at(Key key) const { return rows_.at(key); }
+
+  std::vector<Key> SortedKeys() const {
+    std::vector<Key> keys;
+    keys.reserve(rows_.size());
+    for (const auto& [key, row] : rows_) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// Every row, in id order, as a v2 table payload.
+  template <typename Encode>
+  Result<std::string> Table(Encode encode) const {
+    snapshot::TableBuilder table;
+    for (Key key : SortedKeys()) {
+      MICROREC_RETURN_IF_ERROR(table.AddRow(key, encode(key, rows_.at(key))));
+    }
+    return std::move(table).Finish();
+  }
+
+ private:
+  Row* Materialize(Key key) {
+    error_ = Status::OK();
+    if (blocked_.count(key) > 0) return nullptr;
+    bool found = false;
+    std::string bytes;
+    error_ = table_->Row(key, &found, &bytes);
+    if (error_.ok() && !found) return nullptr;
+    if (error_.ok()) {
+      Result<Row> row = decode_(bytes, prefix_ + std::to_string(key));
+      if (row.ok()) {
+        Row* out = &rows_.emplace(key, std::move(*row)).first->second;
+        lru_.push_back(key);
+        lru_pos_[key] = std::prev(lru_.end());
+        if (lru_.size() > capacity_) {
+          rows_.erase(lru_.front());
+          lru_pos_.erase(lru_.front());
+          lru_.pop_front();
+        }
+        return out;
+      }
+      error_ = row.status();
+    }
+    // Materialization runs in paths that cannot return a Status (Score,
+    // Profile): the row degrades to absent, counted so it is never silent.
+    IncrementCounter("snapshot.mapped_row_errors");
+    return nullptr;
+  }
+
+  void Unlist(Key key) {
+    auto pos = lru_pos_.find(key);
+    if (pos == lru_pos_.end()) return;
+    lru_.erase(pos->second);
+    lru_pos_.erase(pos);
+  }
+
+  std::unordered_map<Key, Row> rows_;
+  std::string prefix_;  // "<file>: <row label> ", for decode errors
+  Decode decode_;
+  Status error_;
+  // Lazy opens only.
+  std::shared_ptr<const snapshot::MappedFile> file_;
+  std::unique_ptr<snapshot::MappedTable> table_;
+  size_t capacity_ = 1;
+  std::list<Key> lru_;  // materialized rows, front = least recent
+  std::unordered_map<Key, typename std::list<Key>::iterator> lru_pos_;
+  std::unordered_set<Key> blocked_;
+};
+
+// The three families share this shape: LoadSnapshot and OpenMapped are
+// one open function at the two residencies.
+class SnapshotEngine : public Engine {
+ public:
+  Status LoadSnapshot(const std::string& path,
+                      const EngineContext& ctx) final {
+    return Open(path, ctx, ServeMode::kResident);
+  }
+
+  Status OpenMapped(const std::string& path,
+                    const EngineContext& ctx) final {
+    return Open(path, ctx, ServeMode::kMmap);
+  }
+
+ protected:
+  virtual Status Open(const std::string& path, const EngineContext& ctx,
+                      ServeMode residency) = 0;
+};
+
+// ---- Bag and graph engines: per-user state in one "users" table. ----
+
+// Each family's user row carries the fingerprint of the vocabulary it was
+// persisted with; an eager open binds the header's fingerprint to the
+// sorted (user id, term fingerprint) sequence, as SaveSnapshot computed it.
+template <typename User>
+class UserTableEngine : public SnapshotEngine {
+ public:
+  Status Prepare(const EngineContext& ctx) override {
+    bool warmed = false;
+    return TryWarmStart(this, ctx, &warmed);
+  }
+
+  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
+                   const EngineContext& ctx) override {
+    if (loaded_from_snapshot_) {
+      // A persisted user is a no-op (under mmap: a row decode, whose
+      // corruption surfaces here instead of in a path without a Status).
+      if (users_.Find(u) != nullptr) return Status::OK();
+      MICROREC_RETURN_IF_ERROR(users_.error());
+    }
+    obs::ScopedHistogramTimer timer(BuildUserHistogram());
+    users_.Put(u, Build(train, ctx));
+    return Status::OK();
+  }
+
+  void InvalidateUser(UserId u) override { users_.Erase(u); }
+
+  Status SaveSnapshot(const std::string& path,
+                      const EngineContext& ctx) const override {
+    if (users_.lazy()) return ReadOnly(path);
+    uint64_t fingerprint = kFnvBasis;
+    Result<std::string> table =
+        users_.Table([&](UserId u, const User& user) {
+          uint64_t term_fingerprint = 0;
+          std::string row = EncodeRow(user, &term_fingerprint);
+          fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
+                                       term_fingerprint);
+          return row;
+        });
+    if (!table.ok()) return table.status();
+    snapshot::Writer writer = MakeWriter(config_, ctx, fingerprint);
+    writer.AddSection("users", std::move(*table));
+    return writer.Commit(path);
+  }
+
+ protected:
+  UserTableEngine(const ModelConfig& config, const char* row_label)
+      : config_(config), row_label_(row_label) {}
+
+  /// The user model built from a labelled train set (a cold build).
+  virtual User Build(const corpus::LabeledTrainSet& train,
+                     const EngineContext& ctx) const = 0;
+  /// The row encoder; also reports the row's vocabulary fingerprint.
+  virtual std::string EncodeRow(const User& user,
+                                uint64_t* term_fingerprint) const = 0;
+  /// The row decoder, with the semantic validation of every field.
+  virtual Result<User> DecodeRow(std::string_view row,
+                                 const std::string& origin) const = 0;
+  /// The v1 adapter: turns a v1 "users" section into v2 rows.
+  virtual Status ReadV1Rows(snapshot::Decoder* section,
+                            const RowSink& sink) const = 0;
+
+  ModelConfig config_;
+  mutable RowStore<UserId, User> users_;
+
+ private:
+  Status Open(const std::string& path, const EngineContext& ctx,
+              ServeMode residency) override {
+    Result<std::shared_ptr<const snapshot::MappedFile>> file =
+        OpenSnapshotFile(path, config_, ctx, residency);
+    if (!file.ok()) return file.status();
+    RowStore<UserId, User> users;
+    MICROREC_RETURN_IF_ERROR(users.Open(
+        *file, "users", row_label_, residency == ServeMode::kMmap,
+        ctx.mapped_user_cache,
+        std::bind_front(&UserTableEngine::DecodeRow, this),
+        std::bind_front(&UserTableEngine::ReadV1Rows, this)));
+    if (!users.lazy()) {
+      // A lazy open decodes rows only on demand, so only an eager one can
+      // check the fingerprint over every user.
+      uint64_t fingerprint = kFnvBasis;
+      for (UserId u : users.SortedKeys()) {
+        fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
+                                     users.at(u).term_fingerprint);
+      }
+      MICROREC_RETURN_IF_ERROR(CheckVocabFingerprint(**file, fingerprint));
+    }
+    users_ = std::move(users);
+    loaded_from_snapshot_ = true;
+    IncrementCounter("snapshot.warm_starts");
+    return Status::OK();
+  }
+
+  const char* row_label_;
+  bool loaded_from_snapshot_ = false;
+};
 
 // ---- Bag engine (TN / CN). ----
 
-class BagEngine : public Engine, public SparseProfileScorer {
+struct BagUser {
+  bag::BagModeler modeler;
+  bag::SparseVector vector;
+  uint64_t term_fingerprint = 0;  // of the persisted vocabulary
+};
+
+// A bag user row: vocabulary terms, document frequencies and the train doc
+// count, then the profile as delta-coded term ids plus f64 weights.
+std::string EncodeBagRow(const std::vector<std::string>& terms,
+                         const std::vector<uint32_t>& df,
+                         uint64_t num_train_docs,
+                         const std::vector<uint64_t>& term_ids,
+                         const std::vector<double>& weights) {
+  std::string row;
+  PutRowStrings(&row, terms);
+  PutRowVarints(&row, df);
+  snapshot::PutVarint(&row, num_train_docs);
+  snapshot::PutDeltaIds(&row, term_ids);
+  PutRowF64s(&row, weights);
+  return row;
+}
+
+class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
  public:
-  explicit BagEngine(const ModelConfig& config) : config_(config) {}
+  explicit BagEngine(const ModelConfig& config)
+      : UserTableEngine(config, "bag user"), kernel_(config.bag) {}
 
   SparseProfileScorer* sparse_scorer() override { return this; }
 
   const bag::SparseVector* Profile(UserId u) const override {
-    const UserState* state = EnsureUser(u);
-    return state == nullptr ? nullptr : &state->vector;
+    const BagUser* user = users_.Find(u);
+    return user == nullptr ? nullptr : &user->vector;
   }
 
   bag::SparseVector Embed(UserId u, TweetId d,
                           const EngineContext& ctx) override {
-    EnsureUser(u);
-    return users_.at(u)->modeler.EmbedDocument(ctx.pre->Filtered(d));
+    return users_.Find(u)->modeler.EmbedDocument(ctx.pre->Filtered(d));
   }
 
-  double Kernel(UserId u, const bag::SparseVector& profile,
+  double Kernel(UserId /*u*/, const bag::SparseVector& profile,
                 const bag::SparseVector& doc) const override {
-    // Runs on shard threads; never materializes (the profile was ensured on
-    // the caller thread and eviction cannot intervene mid-query).
-    return users_.at(u)->modeler.Score(profile, doc);
-  }
-
-  Status Prepare(const EngineContext& ctx) override {
-    if (!ctx.warm_start_snapshot.empty()) {
-      Status loaded = ctx.serve_mode == ServeMode::kMmap
-                          ? OpenMapped(ctx.warm_start_snapshot, ctx)
-                          : LoadSnapshot(ctx.warm_start_snapshot, ctx);
-      if (loaded.ok()) return Status::OK();
-      if (loaded.code() != StatusCode::kNotFound) return loaded;
-      WarmMissCounter()->Increment();
-    }
-    return Status::OK();
-  }
-
-  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
-                   const EngineContext& ctx) override {
-    if (mapped_ && invalidated_.count(u) == 0) {
-      // A persisted user materializes straight from the map; decode
-      // corruption surfaces here as a Status instead of being deferred to
-      // a scoring path that cannot return one.
-      mapped_error_ = Status::OK();
-      if (EnsureUser(u) != nullptr) return Status::OK();
-      MICROREC_RETURN_IF_ERROR(mapped_error_);
-      // Absent from the snapshot: cold-build below (pinned — never evicted,
-      // since the map cannot re-materialize it).
-    }
-    if (loaded_from_snapshot_ && users_.count(u) > 0) return Status::OK();
-    obs::ScopedHistogramTimer timer(BuildUserHistogram());
-    auto state = std::make_unique<UserState>(config_.bag);
-    std::vector<bag::TokenDoc> docs;
-    docs.reserve(train.docs.size());
-    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
-    state->modeler.Fit(docs);
-    state->vector = state->modeler.BuildUserVector(docs, train.positive);
-    users_[u] = std::move(state);
-    return Status::OK();
+    // Runs on shard threads. The similarity depends on the configuration
+    // alone, so it never touches the user store.
+    return kernel_.Score(profile, doc);
   }
 
   double Score(UserId u, TweetId d, const EngineContext& ctx) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
-    UserState* state = EnsureUser(u);
-    if (state == nullptr) {
-      if (mapped_) return 0.0;  // absent or corrupt row, counted by EnsureUser
-      state = users_.at(u).get();
-    }
-    bag::SparseVector doc = state->modeler.EmbedDocument(ctx.pre->Filtered(d));
-    return state->modeler.Score(state->vector, doc);
-  }
-
-  void InvalidateUser(UserId u) override {
-    users_.erase(u);
-    lru_.Erase(u);
-    // Block re-materialization: the mapped row predates the invalidation
-    // and the next BuildUser must rebuild from the (extended) train set.
-    if (mapped_) invalidated_.insert(u);
-  }
-
-  Status SaveSnapshot(const std::string& path,
-                      const EngineContext& ctx) const override {
-    if (mapped_) {
-      return Status::FailedPrecondition(
-          "mapped engines are read-only; cannot save snapshot to " + path);
-    }
-    std::vector<UserId> ids;
-    ids.reserve(users_.size());
-    for (const auto& [u, state] : users_) ids.push_back(u);
-    std::sort(ids.begin(), ids.end());
-
-    if (ctx.snapshot_codec == snapshot::SnapshotCodec::kCompressed) {
-      snapshot::TableBuilder table;
-      uint64_t fingerprint = kFnvBasis;
-      for (UserId u : ids) {
-        const UserState& state = *users_.at(u);
-        std::vector<std::string> terms =
-            VocabTerms(state.modeler.vocabulary());
-        std::string row;
-        PutRowStrings(&row, terms);
-        PutRowVarints(&row, state.modeler.doc_frequencies());
-        snapshot::PutVarint(&row, state.modeler.num_train_docs());
-        std::vector<uint64_t> vec_terms;
-        std::vector<double> vec_weights;
-        vec_terms.reserve(state.vector.size());
-        vec_weights.reserve(state.vector.size());
-        for (const auto& [term, weight] : state.vector.entries()) {
-          vec_terms.push_back(term);
-          vec_weights.push_back(weight);
-        }
-        snapshot::PutDeltaIds(&row, vec_terms);
-        PutRowF64s(&row, vec_weights);
-        MICROREC_RETURN_IF_ERROR(table.AddRow(u, row));
-        fingerprint = MixFingerprint(fingerprint, u);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-      writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-      writer.AddSection("users", std::move(table).Finish());
-      return writer.Commit(path);
-    }
-
-    snapshot::Encoder enc;
-    enc.PutU64(ids.size());
-    uint64_t fingerprint = kFnvBasis;
-    for (UserId u : ids) {
-      const UserState& state = *users_.at(u);
-      std::vector<std::string> terms = VocabTerms(state.modeler.vocabulary());
-      enc.PutU64(u);
-      enc.PutVecString(terms);
-      enc.PutVecU32(state.modeler.doc_frequencies());
-      enc.PutU64(state.modeler.num_train_docs());
-      std::vector<uint32_t> vec_terms;
-      std::vector<double> vec_weights;
-      vec_terms.reserve(state.vector.size());
-      vec_weights.reserve(state.vector.size());
-      for (const auto& [term, weight] : state.vector.entries()) {
-        vec_terms.push_back(term);
-        vec_weights.push_back(weight);
-      }
-      enc.PutVecU32(vec_terms);
-      enc.PutVecF64(vec_weights);
-      fingerprint = MixFingerprint(fingerprint, u);
-      fingerprint =
-          MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-    }
-    snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-    writer.AddSection("users", enc.Release());
-    return writer.Commit(path);
-  }
-
-  Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) override {
-    Result<snapshot::File> file = snapshot::File::Load(path);
-    if (!file.ok()) return file.status();
-    MICROREC_RETURN_IF_ERROR(VerifySnapshotIdentity(*file, config_, ctx));
-    std::unordered_map<UserId, std::unique_ptr<UserState>> users;
-    uint64_t fingerprint = kFnvBasis;
-
-    if (file->version() == 2) {
-      Result<const snapshot::Section*> section = file->Find("users");
-      if (!section.ok()) return section.status();
-      const std::string& payload = (*section)->payload;
-      const std::string origin = file->origin() + ":section \"users\"";
-      snapshot::TableIndex index;
-      MICROREC_RETURN_IF_ERROR(snapshot::ParseTableIndex(
-          payload, payload.size(), &index, (*section)->payload_offset,
-          origin));
-      for (size_t i = 0; i < index.ids.size(); ++i) {
-        const uint64_t user = index.ids[i];
-        std::string_view row = std::string_view(payload).substr(
-            static_cast<size_t>(index.row_offset(i)),
-            static_cast<size_t>(index.row_length(i)));
-        std::unique_ptr<UserState> state;
-        uint64_t term_fingerprint = 0;
-        MICROREC_RETURN_IF_ERROR(DecodeUserRow(
-            row, file->origin() + ": bag user " + std::to_string(user),
-            &state, &term_fingerprint));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint = MixFingerprint(fingerprint, term_fingerprint);
-      }
-    } else {
-      Result<snapshot::Decoder> dec = file->OpenSection("users");
-      if (!dec.ok()) return dec.status();
-      uint64_t count = 0;
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t user = 0;
-        std::vector<std::string> terms;
-        std::vector<uint32_t> df;
-        uint64_t num_train_docs = 0;
-        std::vector<uint32_t> vec_terms;
-        std::vector<double> vec_weights;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&df));
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&num_train_docs));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&vec_terms));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&vec_weights));
-        std::unique_ptr<UserState> state;
-        MICROREC_RETURN_IF_ERROR(BuildUserState(
-            file->origin() + ": bag user " + std::to_string(user), terms,
-            std::move(df), num_train_docs, vec_terms, vec_weights, &state));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-    }
-
-    if (fingerprint != file->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(file->header().vocab_fingerprint) + ", computed " +
-          std::to_string(fingerprint) + ")");
-    }
-    users_ = std::move(users);
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
-  }
-
-  Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) override {
-    Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
-    if (!file.ok()) return file.status();
-    if (file->version() == 1) {
-      // v1 sections have no random-access row index; serve the file
-      // resident with identical rankings (the memory win needs v2).
-      return LoadSnapshot(path, ctx);
-    }
-    MICROREC_RETURN_IF_ERROR(VerifyMappedIdentity(*file, config_, ctx));
-    auto owned = std::make_unique<snapshot::MappedFile>(std::move(*file));
-    Result<snapshot::MappedTable> table =
-        snapshot::MappedTable::Open(*owned, "users");
-    if (!table.ok()) return table.status();
-    mapped_file_ = std::move(owned);
-    mapped_users_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*table));
-    lru_.set_capacity(ctx.mapped_user_cache);
-    users_.clear();
-    invalidated_.clear();
-    mapped_ = true;
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
+    BagUser* user = users_.Find(u);
+    if (user == nullptr) return 0.0;  // absent, or a counted corrupt row
+    bag::SparseVector doc = user->modeler.EmbedDocument(ctx.pre->Filtered(d));
+    return user->modeler.Score(user->vector, doc);
   }
 
  private:
-  struct UserState {
-    explicit UserState(const bag::BagConfig& config) : modeler(config) {}
-    bag::BagModeler modeler;
-    bag::SparseVector vector;
-  };
-
-  /// Shared semantic validation + state construction for both container
-  /// versions (the v1 decoder and the v2 row codec land here). `who` names
-  /// the file and user for error messages.
-  Status BuildUserState(const std::string& who,
-                        const std::vector<std::string>& terms,
-                        std::vector<uint32_t> df, uint64_t num_train_docs,
-                        const std::vector<uint32_t>& vec_terms,
-                        const std::vector<double>& vec_weights,
-                        std::unique_ptr<UserState>* out) const {
-    if (df.size() > terms.size()) {
-      return Status::InvalidArgument(
-          who + " has " + std::to_string(df.size()) +
-          " document frequencies for " + std::to_string(terms.size()) +
-          " terms");
-    }
-    if (vec_terms.size() != vec_weights.size()) {
-      return Status::InvalidArgument(
-          who + " vector has mismatched term/weight counts");
-    }
-    std::vector<bag::SparseVector::Entry> entries;
-    entries.reserve(vec_terms.size());
-    for (size_t e = 0; e < vec_terms.size(); ++e) {
-      if (vec_terms[e] >= terms.size()) {
-        return Status::InvalidArgument(
-            who + " vector references term " + std::to_string(vec_terms[e]) +
-            " outside vocabulary of " + std::to_string(terms.size()));
-      }
-      entries.emplace_back(vec_terms[e], vec_weights[e]);
-    }
-    auto state = std::make_unique<UserState>(config_.bag);
-    state->modeler.RestoreFitted(terms, std::move(df), num_train_docs);
-    state->vector = bag::SparseVector::FromUnsorted(std::move(entries));
-    *out = std::move(state);
-    return Status::OK();
+  BagUser Build(const corpus::LabeledTrainSet& train,
+                const EngineContext& ctx) const override {
+    BagUser user{bag::BagModeler(config_.bag), {}, 0};
+    std::vector<bag::TokenDoc> docs;
+    docs.reserve(train.docs.size());
+    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
+    user.modeler.Fit(docs);
+    user.vector = user.modeler.BuildUserVector(docs, train.positive);
+    return user;
   }
 
-  /// Decodes one v2 row (see SaveSnapshot's compressed branch for the
-  /// layout). `origin` already names the file and user.
-  Status DecodeUserRow(std::string_view row, const std::string& origin,
-                       std::unique_ptr<UserState>* out,
-                       uint64_t* term_fingerprint) const {
-    size_t pos = 0;
+  std::string EncodeRow(const BagUser& user,
+                        uint64_t* term_fingerprint) const override {
+    std::vector<std::string> terms = VocabTerms(user.modeler.vocabulary());
+    std::vector<uint64_t> term_ids;
+    std::vector<double> weights;
+    term_ids.reserve(user.vector.size());
+    weights.reserve(user.vector.size());
+    for (const auto& [term, weight] : user.vector.entries()) {
+      term_ids.push_back(term);
+      weights.push_back(weight);
+    }
+    *term_fingerprint = snapshot::FingerprintTerms(terms);
+    return EncodeBagRow(terms, user.modeler.doc_frequencies(),
+                        user.modeler.num_train_docs(), term_ids, weights);
+  }
+
+  Result<BagUser> DecodeRow(std::string_view bytes,
+                            const std::string& origin) const override {
+    RowReader row(bytes, origin);
     std::vector<std::string> terms;
     std::vector<uint32_t> df;
     uint64_t num_train_docs = 0;
-    std::vector<uint64_t> wide_terms;
-    std::vector<double> vec_weights;
-    MICROREC_RETURN_IF_ERROR(
-        GetRowStrings(row, &pos, &terms, origin, "terms"));
-    MICROREC_RETURN_IF_ERROR(
-        GetRowVarints(row, &pos, &df, origin, "document frequencies"));
-    MICROREC_RETURN_IF_ERROR(snapshot::GetVarint(row, &pos, &num_train_docs,
-                                                 0, origin,
-                                                 "train doc count"));
-    MICROREC_RETURN_IF_ERROR(snapshot::GetDeltaIds(
-        row, &pos, &wide_terms, row.size(), 0, origin, "vector term ids"));
-    MICROREC_RETURN_IF_ERROR(
-        GetRowF64s(row, &pos, &vec_weights, origin, "vector weights"));
-    MICROREC_RETURN_IF_ERROR(ExpectRowEnd(row, pos, origin));
-    std::vector<uint32_t> vec_terms;
-    vec_terms.reserve(wide_terms.size());
-    for (uint64_t t : wide_terms) {
-      if (t > UINT32_MAX) {
-        return Status::DataLoss(origin + ": vector term id " +
-                                std::to_string(t) + " exceeds 32 bits");
-      }
-      vec_terms.push_back(static_cast<uint32_t>(t));
+    std::vector<uint64_t> term_ids;
+    std::vector<double> weights;
+    MICROREC_RETURN_IF_ERROR(row.Strings(&terms, "terms"));
+    MICROREC_RETURN_IF_ERROR(row.U32s(&df, "document frequencies"));
+    MICROREC_RETURN_IF_ERROR(row.Varint(&num_train_docs, "train doc count"));
+    MICROREC_RETURN_IF_ERROR(row.DeltaIds(&term_ids, "vector term ids"));
+    MICROREC_RETURN_IF_ERROR(row.F64s(&weights, "vector weights"));
+    MICROREC_RETURN_IF_ERROR(row.End());
+    if (df.size() > terms.size()) {
+      return Status::InvalidArgument(
+          origin + " has " + std::to_string(df.size()) +
+          " document frequencies for " + std::to_string(terms.size()) +
+          " terms");
     }
-    MICROREC_RETURN_IF_ERROR(BuildUserState(origin, terms, std::move(df),
-                                            num_train_docs, vec_terms,
-                                            vec_weights, out));
-    *term_fingerprint = snapshot::FingerprintTerms(terms);
+    if (term_ids.size() != weights.size()) {
+      return Status::InvalidArgument(
+          origin + " vector has mismatched term/weight counts");
+    }
+    std::vector<bag::SparseVector::Entry> entries;
+    entries.reserve(term_ids.size());
+    for (size_t e = 0; e < term_ids.size(); ++e) {
+      if (term_ids[e] >= terms.size()) {
+        return Status::InvalidArgument(
+            origin + " vector references term " +
+            std::to_string(term_ids[e]) + " outside vocabulary of " +
+            std::to_string(terms.size()));
+      }
+      entries.emplace_back(static_cast<text::TermId>(term_ids[e]),
+                           weights[e]);
+    }
+    BagUser user{bag::BagModeler(config_.bag), {},
+                 snapshot::FingerprintTerms(terms)};
+    user.modeler.RestoreFitted(terms, std::move(df), num_train_docs);
+    user.vector = bag::SparseVector::FromUnsorted(std::move(entries));
+    return user;
+  }
+
+  // A v1 "users" section: a u64 count, then per user the same fields with
+  // fixed-width framing.
+  Status ReadV1Rows(snapshot::Decoder* dec,
+                    const RowSink& sink) const override {
+    uint64_t count = 0;
+    MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t user = 0;
+      uint64_t num_train_docs = 0;
+      std::vector<std::string> terms;
+      std::vector<uint32_t> df;
+      std::vector<uint32_t> term_ids;
+      std::vector<double> weights;
+      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&df));
+      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&num_train_docs));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&term_ids));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
+      MICROREC_RETURN_IF_ERROR(sink(
+          user, EncodeBagRow(terms, df, num_train_docs,
+                             {term_ids.begin(), term_ids.end()}, weights)));
+    }
     return Status::OK();
   }
 
-  /// Resident lookup, materializing from the map on miss (mapped mode
-  /// only). Caller thread only. nullptr = absent or (counted) corrupt.
-  /// Non-const result: embedding interns vocabulary into the modeler.
-  UserState* EnsureUser(UserId u) const {
-    auto it = users_.find(u);
-    if (it != users_.end()) {
-      if (lru_.Contains(u)) lru_.Touch(u);
-      return it->second.get();
-    }
-    if (!mapped_ || invalidated_.count(u) > 0) return nullptr;
-    bool found = false;
-    std::string row;
-    Status status = mapped_users_->Row(u, &found, &row);
-    if (status.ok() && !found) return nullptr;
-    std::unique_ptr<UserState> state;
-    uint64_t term_fingerprint = 0;
-    if (status.ok()) {
-      status = DecodeUserRow(
-          row, mapped_file_->origin() + ": bag user " + std::to_string(u),
-          &state, &term_fingerprint);
-    }
-    if (!status.ok()) {
-      MappedRowErrorCounter()->Increment();
-      mapped_error_ = status;
-      return nullptr;
-    }
-    UserState* raw = state.get();
-    users_[u] = std::move(state);
-    if (std::optional<UserId> victim = lru_.Touch(u)) users_.erase(*victim);
-    return raw;
-  }
-
-  ModelConfig config_;
-  mutable std::unordered_map<UserId, std::unique_ptr<UserState>> users_;
-  bool loaded_from_snapshot_ = false;
-
-  // mmap serving state.
-  bool mapped_ = false;
-  std::unique_ptr<snapshot::MappedFile> mapped_file_;
-  std::unique_ptr<snapshot::MappedTable> mapped_users_;
-  mutable MappedLruTracker<UserId> lru_;
-  std::unordered_set<UserId> invalidated_;
-  mutable Status mapped_error_;
+  bag::BagModeler kernel_;  // scores only; holds no vocabulary
 };
 
 // ---- Graph engine (TNG / CNG). ----
 
-class GraphEngine : public Engine {
+struct GraphUser {
+  graph::GraphModeler modeler;
+  graph::NgramGraph graph;
+  uint64_t term_fingerprint = 0;  // of the persisted vocabulary
+};
+
+// A graph user row: vocabulary terms, then the edges as sorted,
+// delta-coded keys (the two packed term ids of adjacent edges share their
+// high halves, so each costs a few bytes) plus f64 weights.
+std::string EncodeGraphRow(const std::vector<std::string>& terms,
+                           const std::vector<uint64_t>& keys,
+                           const std::vector<double>& weights) {
+  std::string row;
+  PutRowStrings(&row, terms);
+  snapshot::PutDeltaIds(&row, keys);
+  PutRowF64s(&row, weights);
+  return row;
+}
+
+class GraphEngine : public UserTableEngine<GraphUser> {
  public:
-  explicit GraphEngine(const ModelConfig& config) : config_(config) {}
-
-  Status Prepare(const EngineContext& ctx) override {
-    if (!ctx.warm_start_snapshot.empty()) {
-      Status loaded = ctx.serve_mode == ServeMode::kMmap
-                          ? OpenMapped(ctx.warm_start_snapshot, ctx)
-                          : LoadSnapshot(ctx.warm_start_snapshot, ctx);
-      if (loaded.ok()) return Status::OK();
-      if (loaded.code() != StatusCode::kNotFound) return loaded;
-      WarmMissCounter()->Increment();
-    }
-    return Status::OK();
-  }
-
-  Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
-                   const EngineContext& ctx) override {
-    if (mapped_ && invalidated_.count(u) == 0) {
-      mapped_error_ = Status::OK();
-      if (EnsureUser(u) != nullptr) return Status::OK();
-      MICROREC_RETURN_IF_ERROR(mapped_error_);
-    }
-    if (loaded_from_snapshot_ && users_.count(u) > 0) return Status::OK();
-    obs::ScopedHistogramTimer timer(BuildUserHistogram());
-    auto state = std::make_unique<UserState>(config_.graph);
-    std::vector<std::vector<std::string>> docs;
-    docs.reserve(train.docs.size());
-    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
-    state->graph = state->modeler.BuildUserGraph(docs);
-    users_[u] = std::move(state);
-    return Status::OK();
-  }
+  explicit GraphEngine(const ModelConfig& config)
+      : UserTableEngine(config, "graph user") {}
 
   double Score(UserId u, TweetId d, const EngineContext& ctx) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
-    UserState* state = EnsureUser(u);
-    if (state == nullptr) {
-      if (mapped_) return 0.0;  // absent or corrupt row, counted by EnsureUser
-      state = users_.at(u).get();
-    }
-    graph::NgramGraph doc =
-        state->modeler.BuildDocGraph(ctx.pre->Filtered(d));
-    return state->modeler.Score(state->graph, doc);
-  }
-
-  void InvalidateUser(UserId u) override {
-    users_.erase(u);
-    lru_.Erase(u);
-    if (mapped_) invalidated_.insert(u);
-  }
-
-  Status SaveSnapshot(const std::string& path,
-                      const EngineContext& ctx) const override {
-    if (mapped_) {
-      return Status::FailedPrecondition(
-          "mapped engines are read-only; cannot save snapshot to " + path);
-    }
-    std::vector<UserId> ids;
-    ids.reserve(users_.size());
-    for (const auto& [u, state] : users_) ids.push_back(u);
-    std::sort(ids.begin(), ids.end());
-
-    if (ctx.snapshot_codec == snapshot::SnapshotCodec::kCompressed) {
-      snapshot::TableBuilder table;
-      uint64_t fingerprint = kFnvBasis;
-      for (UserId u : ids) {
-        const UserState& state = *users_.at(u);
-        std::vector<std::string> terms =
-            VocabTerms(state.modeler.vocabulary());
-        std::vector<uint64_t> keys;
-        keys.reserve(state.graph.size());
-        for (const auto& [key, weight] : state.graph.edges()) {
-          keys.push_back(key);
-        }
-        std::sort(keys.begin(), keys.end());
-        std::vector<double> weights;
-        weights.reserve(keys.size());
-        for (uint64_t key : keys) {
-          weights.push_back(state.graph.edges().at(key));
-        }
-        std::string row;
-        PutRowStrings(&row, terms);
-        // Sorted edge keys delta-encode down to a few bytes each (the two
-        // packed term ids of adjacent edges share their high halves).
-        snapshot::PutDeltaIds(&row, keys);
-        PutRowF64s(&row, weights);
-        MICROREC_RETURN_IF_ERROR(table.AddRow(u, row));
-        fingerprint = MixFingerprint(fingerprint, u);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-      writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-      writer.AddSection("users", std::move(table).Finish());
-      return writer.Commit(path);
-    }
-
-    snapshot::Encoder enc;
-    enc.PutU64(ids.size());
-    uint64_t fingerprint = kFnvBasis;
-    for (UserId u : ids) {
-      const UserState& state = *users_.at(u);
-      std::vector<std::string> terms = VocabTerms(state.modeler.vocabulary());
-      enc.PutU64(u);
-      enc.PutVecString(terms);
-      // Edges sorted by canonical key so the same graph always serializes
-      // to the same bytes (unordered_map order is process-dependent).
-      std::vector<uint64_t> keys;
-      keys.reserve(state.graph.size());
-      for (const auto& [key, weight] : state.graph.edges()) {
-        keys.push_back(key);
-      }
-      std::sort(keys.begin(), keys.end());
-      std::vector<double> weights;
-      weights.reserve(keys.size());
-      for (uint64_t key : keys) {
-        weights.push_back(state.graph.edges().at(key));
-      }
-      enc.PutVecU64(keys);
-      enc.PutVecF64(weights);
-      fingerprint = MixFingerprint(fingerprint, u);
-      fingerprint =
-          MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-    }
-    snapshot::Writer writer(MakeSnapshotHeader(config_, ctx, fingerprint));
-    writer.AddSection("users", enc.Release());
-    return writer.Commit(path);
-  }
-
-  Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) override {
-    Result<snapshot::File> file = snapshot::File::Load(path);
-    if (!file.ok()) return file.status();
-    MICROREC_RETURN_IF_ERROR(VerifySnapshotIdentity(*file, config_, ctx));
-    std::unordered_map<UserId, std::unique_ptr<UserState>> users;
-    uint64_t fingerprint = kFnvBasis;
-
-    if (file->version() == 2) {
-      Result<const snapshot::Section*> section = file->Find("users");
-      if (!section.ok()) return section.status();
-      const std::string& payload = (*section)->payload;
-      const std::string origin = file->origin() + ":section \"users\"";
-      snapshot::TableIndex index;
-      MICROREC_RETURN_IF_ERROR(snapshot::ParseTableIndex(
-          payload, payload.size(), &index, (*section)->payload_offset,
-          origin));
-      for (size_t i = 0; i < index.ids.size(); ++i) {
-        const uint64_t user = index.ids[i];
-        std::string_view row = std::string_view(payload).substr(
-            static_cast<size_t>(index.row_offset(i)),
-            static_cast<size_t>(index.row_length(i)));
-        std::unique_ptr<UserState> state;
-        uint64_t term_fingerprint = 0;
-        MICROREC_RETURN_IF_ERROR(DecodeUserRow(
-            row, file->origin() + ": graph user " + std::to_string(user),
-            &state, &term_fingerprint));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint = MixFingerprint(fingerprint, term_fingerprint);
-      }
-    } else {
-      Result<snapshot::Decoder> dec = file->OpenSection("users");
-      if (!dec.ok()) return dec.status();
-      uint64_t count = 0;
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t user = 0;
-        std::vector<std::string> terms;
-        std::vector<uint64_t> keys;
-        std::vector<double> weights;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecU64(&keys));
-        MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
-        std::unique_ptr<UserState> state;
-        MICROREC_RETURN_IF_ERROR(BuildUserState(
-            file->origin() + ": graph user " + std::to_string(user), terms,
-            keys, weights, &state));
-        users[static_cast<UserId>(user)] = std::move(state);
-        fingerprint = MixFingerprint(fingerprint, user);
-        fingerprint =
-            MixFingerprint(fingerprint, snapshot::FingerprintTerms(terms));
-      }
-      MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-    }
-
-    if (fingerprint != file->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(file->header().vocab_fingerprint) + ", computed " +
-          std::to_string(fingerprint) + ")");
-    }
-    users_ = std::move(users);
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
-  }
-
-  Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) override {
-    Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
-    if (!file.ok()) return file.status();
-    if (file->version() == 1) {
-      return LoadSnapshot(path, ctx);
-    }
-    MICROREC_RETURN_IF_ERROR(VerifyMappedIdentity(*file, config_, ctx));
-    auto owned = std::make_unique<snapshot::MappedFile>(std::move(*file));
-    Result<snapshot::MappedTable> table =
-        snapshot::MappedTable::Open(*owned, "users");
-    if (!table.ok()) return table.status();
-    mapped_file_ = std::move(owned);
-    mapped_users_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*table));
-    lru_.set_capacity(ctx.mapped_user_cache);
-    users_.clear();
-    invalidated_.clear();
-    mapped_ = true;
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
+    GraphUser* user = users_.Find(u);
+    if (user == nullptr) return 0.0;  // absent, or a counted corrupt row
+    graph::NgramGraph doc = user->modeler.BuildDocGraph(ctx.pre->Filtered(d));
+    return user->modeler.Score(user->graph, doc);
   }
 
  private:
-  struct UserState {
-    explicit UserState(const graph::GraphConfig& config) : modeler(config) {}
-    graph::GraphModeler modeler;
-    graph::NgramGraph graph;
-  };
-
-  Status BuildUserState(const std::string& who,
-                        const std::vector<std::string>& terms,
-                        const std::vector<uint64_t>& keys,
-                        const std::vector<double>& weights,
-                        std::unique_ptr<UserState>* out) const {
-    if (keys.size() != weights.size()) {
-      return Status::InvalidArgument(
-          who + " has mismatched edge key/weight counts");
-    }
-    auto state = std::make_unique<UserState>(config_.graph);
-    state->modeler.RestoreVocabulary(terms);
-    for (size_t e = 0; e < keys.size(); ++e) {
-      uint32_t a = static_cast<uint32_t>(keys[e] >> 32);
-      uint32_t b = static_cast<uint32_t>(keys[e] & 0xFFFFFFFFu);
-      if (a >= terms.size() || b >= terms.size()) {
-        return Status::InvalidArgument(
-            who + " edge references term outside vocabulary of " +
-            std::to_string(terms.size()));
-      }
-      state->graph.AddEdgeByKey(keys[e], weights[e]);
-    }
-    *out = std::move(state);
-    return Status::OK();
+  GraphUser Build(const corpus::LabeledTrainSet& train,
+                  const EngineContext& ctx) const override {
+    GraphUser user{graph::GraphModeler(config_.graph), {}, 0};
+    std::vector<std::vector<std::string>> docs;
+    docs.reserve(train.docs.size());
+    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
+    user.graph = user.modeler.BuildUserGraph(docs);
+    return user;
   }
 
-  Status DecodeUserRow(std::string_view row, const std::string& origin,
-                       std::unique_ptr<UserState>* out,
-                       uint64_t* term_fingerprint) const {
-    size_t pos = 0;
+  std::string EncodeRow(const GraphUser& user,
+                        uint64_t* term_fingerprint) const override {
+    std::vector<std::string> terms = VocabTerms(user.modeler.vocabulary());
+    // Edges sorted by canonical key so the same graph always serializes to
+    // the same bytes (unordered_map order is process-dependent).
+    std::vector<uint64_t> keys;
+    keys.reserve(user.graph.size());
+    for (const auto& [key, weight] : user.graph.edges()) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    std::vector<double> weights;
+    weights.reserve(keys.size());
+    for (uint64_t key : keys) weights.push_back(user.graph.edges().at(key));
+    *term_fingerprint = snapshot::FingerprintTerms(terms);
+    return EncodeGraphRow(terms, keys, weights);
+  }
+
+  Result<GraphUser> DecodeRow(std::string_view bytes,
+                              const std::string& origin) const override {
+    RowReader row(bytes, origin);
     std::vector<std::string> terms;
     std::vector<uint64_t> keys;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(
-        GetRowStrings(row, &pos, &terms, origin, "terms"));
-    MICROREC_RETURN_IF_ERROR(snapshot::GetDeltaIds(
-        row, &pos, &keys, row.size(), 0, origin, "edge keys"));
-    MICROREC_RETURN_IF_ERROR(
-        GetRowF64s(row, &pos, &weights, origin, "edge weights"));
-    MICROREC_RETURN_IF_ERROR(ExpectRowEnd(row, pos, origin));
-    MICROREC_RETURN_IF_ERROR(
-        BuildUserState(origin, terms, keys, weights, out));
-    *term_fingerprint = snapshot::FingerprintTerms(terms);
+    MICROREC_RETURN_IF_ERROR(row.Strings(&terms, "terms"));
+    MICROREC_RETURN_IF_ERROR(row.DeltaIds(&keys, "edge keys"));
+    MICROREC_RETURN_IF_ERROR(row.F64s(&weights, "edge weights"));
+    MICROREC_RETURN_IF_ERROR(row.End());
+    if (keys.size() != weights.size()) {
+      return Status::InvalidArgument(
+          origin + " has mismatched edge key/weight counts");
+    }
+    GraphUser user{graph::GraphModeler(config_.graph), {},
+                   snapshot::FingerprintTerms(terms)};
+    user.modeler.RestoreVocabulary(terms);
+    for (size_t e = 0; e < keys.size(); ++e) {
+      if ((keys[e] >> 32) >= terms.size() ||
+          (keys[e] & 0xFFFFFFFFu) >= terms.size()) {
+        return Status::InvalidArgument(
+            origin + " edge references term outside vocabulary of " +
+            std::to_string(terms.size()));
+      }
+      user.graph.AddEdgeByKey(keys[e], weights[e]);
+    }
+    return user;
+  }
+
+  // A v1 "users" section: a u64 count, then per user its terms, edge keys
+  // and edge weights with fixed-width framing.
+  Status ReadV1Rows(snapshot::Decoder* dec,
+                    const RowSink& sink) const override {
+    uint64_t count = 0;
+    MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t user = 0;
+      std::vector<std::string> terms;
+      std::vector<uint64_t> keys;
+      std::vector<double> weights;
+      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecU64(&keys));
+      MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
+      MICROREC_RETURN_IF_ERROR(
+          sink(user, EncodeGraphRow(terms, keys, weights)));
+    }
     return Status::OK();
   }
-
-  UserState* EnsureUser(UserId u) const {
-    auto it = users_.find(u);
-    if (it != users_.end()) {
-      if (lru_.Contains(u)) lru_.Touch(u);
-      return it->second.get();
-    }
-    if (!mapped_ || invalidated_.count(u) > 0) return nullptr;
-    bool found = false;
-    std::string row;
-    Status status = mapped_users_->Row(u, &found, &row);
-    if (status.ok() && !found) return nullptr;
-    std::unique_ptr<UserState> state;
-    uint64_t term_fingerprint = 0;
-    if (status.ok()) {
-      status = DecodeUserRow(
-          row, mapped_file_->origin() + ": graph user " + std::to_string(u),
-          &state, &term_fingerprint);
-    }
-    if (!status.ok()) {
-      MappedRowErrorCounter()->Increment();
-      mapped_error_ = status;
-      return nullptr;
-    }
-    UserState* raw = state.get();
-    users_[u] = std::move(state);
-    if (std::optional<UserId> victim = lru_.Touch(u)) users_.erase(*victim);
-    return raw;
-  }
-
-  ModelConfig config_;
-  mutable std::unordered_map<UserId, std::unique_ptr<UserState>> users_;
-  bool loaded_from_snapshot_ = false;
-
-  // mmap serving state.
-  bool mapped_ = false;
-  std::unique_ptr<snapshot::MappedFile> mapped_file_;
-  std::unique_ptr<snapshot::MappedTable> mapped_users_;
-  mutable MappedLruTracker<UserId> lru_;
-  std::unordered_set<UserId> invalidated_;
-  mutable Status mapped_error_;
 };
 
 // ---- Topic engine (LDA, LLDA, HDP, HLDA, BTM, PLSA). ----
 
-class TopicEngine : public Engine {
+// Both topic tables ("users" and "infer_cache") hold one distribution per
+// row: its f64s.
+std::string EncodeDist(const std::vector<double>& dist) {
+  std::string row;
+  PutRowF64s(&row, dist);
+  return row;
+}
+
+Result<std::vector<double>> DecodeDist(std::string_view bytes,
+                                       const std::string& origin) {
+  RowReader row(bytes, origin);
+  std::vector<double> dist;
+  MICROREC_RETURN_IF_ERROR(row.F64s(&dist, "distribution"));
+  MICROREC_RETURN_IF_ERROR(row.End());
+  return dist;
+}
+
+// The topic family's v1 adapter: both v1 tables are a u64 count, then
+// (u64 key, f64 vector) records.
+Status ReadV1Dists(snapshot::Decoder* dec, const RowSink& sink) {
+  uint64_t count = 0;
+  MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t key = 0;
+    std::vector<double> dist;
+    MICROREC_RETURN_IF_ERROR(dec->ReadU64(&key));
+    MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&dist));
+    MICROREC_RETURN_IF_ERROR(sink(key, EncodeDist(dist)));
+  }
+  return Status::OK();
+}
+
+template <typename Key>
+using DistStore = RowStore<Key, std::vector<double>>;
+
+class TopicEngine : public SnapshotEngine {
  public:
   explicit TopicEngine(const ModelConfig& config)
       : config_(config), rng_(0xABCD) {}
 
   Status Prepare(const EngineContext& ctx) override {
     MICROREC_SPAN("topic_prepare");
-    if (!ctx.warm_start_snapshot.empty()) {
-      Status loaded = ctx.serve_mode == ServeMode::kMmap
-                          ? OpenMapped(ctx.warm_start_snapshot, ctx)
-                          : LoadSnapshot(ctx.warm_start_snapshot, ctx);
-      if (loaded.ok()) return Status::OK();
-      if (loaded.code() != StatusCode::kNotFound) return loaded;
-      WarmMissCounter()->Increment();
-    }
+    bool warmed = false;
+    MICROREC_RETURN_IF_ERROR(TryWarmStart(this, ctx, &warmed));
+    if (warmed) return Status::OK();
     rng_ = Rng(ctx.seed, streams::kTopicEngine);
     const auto& pre = *ctx.pre;
     const TopicRunConfig& tc = config_.topic;
@@ -1130,8 +949,8 @@ class TopicEngine : public Engine {
     registry.GetGauge("topic.docset.tokens")
         ->Set(static_cast<double>(docs_.total_tokens()));
 
-    MICROREC_RETURN_IF_ERROR(
-        MakeModel(ctx, labels != nullptr ? labels->num_labels() : 0));
+    MICROREC_RETURN_IF_ERROR(MakeModel(
+        ctx, labels != nullptr ? labels->num_labels() : 0, &model_));
     return model_->Train(docs_, &rng_);
   }
 
@@ -1139,7 +958,8 @@ class TopicEngine : public Engine {
   /// Instantiates (but does not train) the configured model. LLDA's label
   /// count is corpus-derived: Prepare() passes it from the label scheme; a
   /// warm start passes 0 and LoadState adopts the persisted count.
-  Status MakeModel(const EngineContext& ctx, size_t llda_num_labels) {
+  Status MakeModel(const EngineContext& ctx, size_t llda_num_labels,
+                   std::unique_ptr<topic::TopicModel>* model) const {
     const TopicRunConfig& tc = config_.topic;
     const int iters = ScaledIterations(tc.iterations, ctx.iteration_scale);
     // Sharded-training options for the models that support them (LDA, LLDA,
@@ -1158,7 +978,7 @@ class TopicEngine : public Engine {
         lc.train_iterations = iters;
         lc.train = train;
         lc.cancel = ctx.cancel;
-        model_ = std::make_unique<topic::Lda>(lc);
+        *model = std::make_unique<topic::Lda>(lc);
         break;
       }
       case ModelKind::kLLDA: {
@@ -1170,7 +990,7 @@ class TopicEngine : public Engine {
         lc.train_iterations = iters;
         lc.train = train;
         lc.cancel = ctx.cancel;
-        model_ = std::make_unique<topic::Llda>(lc);
+        *model = std::make_unique<topic::Llda>(lc);
         break;
       }
       case ModelKind::kBTM: {
@@ -1182,7 +1002,7 @@ class TopicEngine : public Engine {
         bc.window = tc.pooling == corpus::Pooling::kNone ? 0 : tc.window;
         bc.train = train;
         bc.cancel = ctx.cancel;
-        model_ = std::make_unique<topic::Btm>(bc);
+        *model = std::make_unique<topic::Btm>(bc);
         break;
       }
       case ModelKind::kHDP: {
@@ -1192,7 +1012,7 @@ class TopicEngine : public Engine {
         hc.beta = tc.beta;
         hc.train_iterations = iters;
         hc.cancel = ctx.cancel;
-        model_ = std::make_unique<topic::Hdp>(hc);
+        *model = std::make_unique<topic::Hdp>(hc);
         break;
       }
       case ModelKind::kHLDA: {
@@ -1206,7 +1026,7 @@ class TopicEngine : public Engine {
         // HLDA's budget (Section 4).
         hc.train_iterations = std::max(3, iters / 5);
         hc.cancel = ctx.cancel;
-        model_ = std::make_unique<topic::Hlda>(hc);
+        *model = std::make_unique<topic::Hlda>(hc);
         break;
       }
       case ModelKind::kPLSA: {
@@ -1215,7 +1035,7 @@ class TopicEngine : public Engine {
         pc.train_iterations = std::max(5, iters / 10);  // EM steps
         pc.train = train;
         pc.cancel = ctx.cancel;
-        model_ = std::make_unique<topic::Plsa>(pc);
+        *model = std::make_unique<topic::Plsa>(pc);
         break;
       }
       default:
@@ -1227,19 +1047,12 @@ class TopicEngine : public Engine {
  public:
   Status BuildUser(UserId u, const corpus::LabeledTrainSet& train,
                    const EngineContext& ctx) override {
-    if (mapped_ && invalidated_.count(u) == 0) {
-      mapped_error_ = Status::OK();
-      if (EnsureUserDist(u) != nullptr) return Status::OK();
-      MICROREC_RETURN_IF_ERROR(mapped_error_);
-      // Absent from the snapshot: fold-in inference below needs the model.
+    if (loaded_from_snapshot_) {
+      if (users_.Find(u) != nullptr) return Status::OK();
+      MICROREC_RETURN_IF_ERROR(users_.error());
     }
-    if (mapped_) MICROREC_RETURN_IF_ERROR(EnsureModel(ctx));
-    if (model_ == nullptr) {
-      return Status::FailedPrecondition("Prepare() not called");
-    }
-    if (loaded_from_snapshot_ && user_models_.count(u) > 0) {
-      return Status::OK();
-    }
+    // Cold, or absent from the snapshot: fold-in inference needs the model.
+    MICROREC_RETURN_IF_ERROR(EnsureModel(ctx));
     obs::ScopedHistogramTimer timer(BuildUserHistogram());
     // Documents with no vocabulary evidence (all words unseen in training)
     // carry no topical information and are excluded from the aggregate.
@@ -1252,28 +1065,21 @@ class TopicEngine : public Engine {
       dists.push_back(dist);
       labels.push_back(train.positive[i]);
     }
-    user_models_[u] = topic::AggregateDistributions(
-        dists, labels,
-        config_.topic.aggregation == TopicAggregation::kRocchio);
-    MICROREC_RETURN_IF_ERROR(mapped_error_);
-    return Status::OK();
+    users_.Put(u, topic::AggregateDistributions(
+                      dists, labels,
+                      config_.topic.aggregation == TopicAggregation::kRocchio));
+    return std::exchange(deferred_error_, Status::OK());
   }
 
-  void InvalidateUser(UserId u) override {
-    user_models_.erase(u);
-    user_lru_.Erase(u);
-    if (mapped_) invalidated_.insert(u);
-  }
+  void InvalidateUser(UserId u) override { users_.Erase(u); }
 
   double Score(UserId u, TweetId d, const EngineContext& ctx) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
-    const std::vector<double>* user = EnsureUserDist(u);
-    if (user == nullptr) {
-      if (mapped_) return 0.0;  // absent or corrupt row, counted on the miss
-      user = &user_models_.at(u);
-    }
-    if (user->empty()) return 0.0;
+    // Absent users and counted corrupt rows score 0, like users without
+    // evidence.
+    const std::vector<double>* user = users_.Find(u);
+    if (user == nullptr || user->empty()) return 0.0;
     const std::vector<double>& doc = Infer(d, ctx);
     // No known words -> no evidence of relevance.
     if (doc.empty()) return 0.0;
@@ -1282,294 +1088,119 @@ class TopicEngine : public Engine {
 
   Status SaveSnapshot(const std::string& path,
                       const EngineContext& ctx) const override {
-    if (mapped_) {
-      return Status::FailedPrecondition(
-          "mapped engines are read-only; cannot save snapshot to " + path);
-    }
+    if (users_.lazy()) return ReadOnly(path);
     if (model_ == nullptr) {
       return Status::FailedPrecondition("SaveSnapshot() before Prepare()");
     }
-    const bool compressed =
-        ctx.snapshot_codec == snapshot::SnapshotCodec::kCompressed;
     std::vector<std::string> terms = docs_.Terms();
-    snapshot::Writer writer(MakeSnapshotHeader(
-        config_, ctx, snapshot::FingerprintTerms(terms)));
-    if (compressed) writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-    {
-      snapshot::Encoder enc;
-      enc.PutVecString(terms);
-      writer.AddSection("vocab", enc.Release());
-    }
-    {
-      // The model section keeps its v1 inner encoding in both codecs: a
-      // trained phi is topic-major with long runs of the identical
-      // smoothing value for zero-count words, which the v2 block
-      // compression collapses without a bespoke encoding.
-      snapshot::Encoder enc;
-      model_->SaveState(&enc);
-      writer.AddSection("model", enc.Release());
-    }
-    {
-      // Generator state as of now: a warm-started engine resumes the draw
-      // sequence exactly where this one left off, so inference it performs
-      // after loading is bit-identical to inference this one would perform.
-      snapshot::Encoder enc;
-      SaveRngState(rng_, &enc);
-      writer.AddSection("rng", enc.Release());
-    }
-    std::vector<UserId> user_ids;
-    user_ids.reserve(user_models_.size());
-    for (const auto& [u, dist] : user_models_) user_ids.push_back(u);
-    std::sort(user_ids.begin(), user_ids.end());
-    std::vector<TweetId> tweet_ids;
-    tweet_ids.reserve(infer_cache_.size());
-    for (const auto& [id, dist] : infer_cache_) tweet_ids.push_back(id);
-    std::sort(tweet_ids.begin(), tweet_ids.end());
-    if (compressed) {
-      snapshot::TableBuilder users;
-      for (UserId u : user_ids) {
-        std::string row;
-        PutRowF64s(&row, user_models_.at(u));
-        MICROREC_RETURN_IF_ERROR(users.AddRow(u, row));
-      }
-      writer.AddSection("users", std::move(users).Finish());
-      snapshot::TableBuilder cache;
-      for (TweetId id : tweet_ids) {
-        std::string row;
-        PutRowF64s(&row, infer_cache_.at(id));
-        MICROREC_RETURN_IF_ERROR(cache.AddRow(id, row));
-      }
-      writer.AddSection("infer_cache", std::move(cache).Finish());
-      return writer.Commit(path);
-    }
-    {
-      snapshot::Encoder enc;
-      enc.PutU64(user_ids.size());
-      for (UserId u : user_ids) SaveDistribution(u, user_models_.at(u), &enc);
-      writer.AddSection("users", enc.Release());
-    }
-    {
-      // The inference cache makes warm scoring of already-seen tweets a
-      // lookup instead of a Gibbs fold-in — this is what turns
-      // train-once/recommend-many into milliseconds per query.
-      snapshot::Encoder enc;
-      enc.PutU64(tweet_ids.size());
-      for (TweetId id : tweet_ids) {
-        SaveDistribution(id, infer_cache_.at(id), &enc);
-      }
-      writer.AddSection("infer_cache", enc.Release());
-    }
+    snapshot::Writer writer =
+        MakeWriter(config_, ctx, snapshot::FingerprintTerms(terms));
+    snapshot::Encoder vocab;
+    vocab.PutVecString(terms);
+    writer.AddSection("vocab", vocab.Release());
+    // The model section keeps its fixed-width encoding: a trained phi is
+    // topic-major with long runs of the identical smoothing value for
+    // zero-count words, which the block compression collapses without a
+    // bespoke encoding.
+    snapshot::Encoder model;
+    model_->SaveState(&model);
+    writer.AddSection("model", model.Release());
+    // Generator state as of now: a warm-started engine resumes the draw
+    // sequence exactly where this one left off, so inference it performs
+    // after loading is bit-identical to inference this one would perform.
+    snapshot::Encoder rng;
+    SaveRngState(rng_, &rng);
+    writer.AddSection("rng", rng.Release());
+    auto encode = [](uint64_t, const std::vector<double>& dist) {
+      return EncodeDist(dist);
+    };
+    Result<std::string> users = users_.Table(encode);
+    if (!users.ok()) return users.status();
+    writer.AddSection("users", std::move(*users));
+    // The inference cache makes warm scoring of already-seen tweets a
+    // lookup instead of a Gibbs fold-in — this is what turns
+    // train-once/recommend-many into milliseconds per query.
+    Result<std::string> cache = infer_.Table(encode);
+    if (!cache.ok()) return cache.status();
+    writer.AddSection("infer_cache", std::move(*cache));
     return writer.Commit(path);
   }
 
-  Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) override {
-    Result<snapshot::File> file = snapshot::File::Load(path);
+ private:
+  Status Open(const std::string& path, const EngineContext& ctx,
+              ServeMode residency) override {
+    Result<std::shared_ptr<const snapshot::MappedFile>> file =
+        OpenSnapshotFile(path, config_, ctx, residency);
     if (!file.ok()) return file.status();
-    MICROREC_RETURN_IF_ERROR(VerifySnapshotIdentity(*file, config_, ctx));
-
-    Result<snapshot::Decoder> vocab_dec = file->OpenSection("vocab");
-    if (!vocab_dec.ok()) return vocab_dec.status();
-    std::vector<std::string> terms;
-    MICROREC_RETURN_IF_ERROR(vocab_dec->ReadVecString(&terms));
-    MICROREC_RETURN_IF_ERROR(vocab_dec->ExpectEnd());
-    const uint64_t fingerprint = snapshot::FingerprintTerms(terms);
-    if (fingerprint != file->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(file->header().vocab_fingerprint) + ", computed " +
-          std::to_string(fingerprint) + ")");
-    }
-    docs_ = topic::DocSet();
-    docs_.RestoreVocabulary(terms);
-
-    MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0));
-    Result<snapshot::Decoder> model_dec = file->OpenSection("model");
-    if (!model_dec.ok()) return model_dec.status();
-    MICROREC_RETURN_IF_ERROR(model_->LoadState(&*model_dec));
-
-    Result<snapshot::Decoder> rng_dec = file->OpenSection("rng");
-    if (!rng_dec.ok()) return rng_dec.status();
-    MICROREC_RETURN_IF_ERROR(LoadRngState(&*rng_dec, &rng_));
-
-    std::unordered_map<UserId, std::vector<double>> user_models;
-    std::unordered_map<TweetId, std::vector<double>> infer_cache;
-    if (file->version() == 2) {
-      MICROREC_RETURN_IF_ERROR(
-          LoadDistTableV2(*file, "users", &user_models));
-      MICROREC_RETURN_IF_ERROR(
-          LoadDistTableV2(*file, "infer_cache", &infer_cache));
-    } else {
-      {
-        Result<snapshot::Decoder> dec = file->OpenSection("users");
-        if (!dec.ok()) return dec.status();
-        uint64_t count = 0;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t user = 0;
-          std::vector<double> dist;
-          MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-          MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&dist));
-          user_models[static_cast<UserId>(user)] = std::move(dist);
-        }
-        MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-      }
-      {
-        Result<snapshot::Decoder> dec = file->OpenSection("infer_cache");
-        if (!dec.ok()) return dec.status();
-        uint64_t count = 0;
-        MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t tweet = 0;
-          std::vector<double> dist;
-          MICROREC_RETURN_IF_ERROR(dec->ReadU64(&tweet));
-          MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&dist));
-          infer_cache[tweet] = std::move(dist);
-        }
-        MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-      }
-    }
-    user_models_ = std::move(user_models);
-    infer_cache_ = std::move(infer_cache);
-    loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
-    return Status::OK();
-  }
-
-  Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) override {
-    Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
-    if (!file.ok()) return file.status();
-    if (file->version() == 1) {
-      // v1 sections have no random-access row index; serve the file
-      // resident with identical rankings (the memory win needs v2).
-      return LoadSnapshot(path, ctx);
-    }
-    MICROREC_RETURN_IF_ERROR(VerifyMappedIdentity(*file, config_, ctx));
-    auto owned = std::make_unique<snapshot::MappedFile>(std::move(*file));
-    Result<snapshot::MappedTable> users =
-        snapshot::MappedTable::Open(*owned, "users");
-    if (!users.ok()) return users.status();
-    Result<snapshot::MappedTable> cache =
-        snapshot::MappedTable::Open(*owned, "infer_cache");
-    if (!cache.ok()) return cache.status();
-    // The generator state is tiny and order-sensitive: restore it eagerly
-    // so the first fresh fold-in draws exactly what the saving engine would
-    // have drawn next. The O(model) vocab/model sections stay on disk until
-    // EnsureModel() — cache-hit serving never pays for them.
+    const bool mapped = residency == ServeMode::kMmap;
+    // The generator state is tiny and order-sensitive: restore it in both
+    // residencies, so the first fresh fold-in draws exactly what the saving
+    // engine would have drawn next.
+    Rng rng = rng_;
     {
-      Result<const snapshot::MappedFile::MappedSection*> sec =
-          owned->Find("rng");
-      if (!sec.ok()) return sec.status();
       std::string bytes;
-      MICROREC_RETURN_IF_ERROR(owned->ReadSection("rng", &bytes));
-      snapshot::Decoder dec(bytes, (*sec)->payload_offset);
-      MICROREC_RETURN_IF_ERROR(LoadRngState(&dec, &rng_));
-      MICROREC_RETURN_IF_ERROR(dec.ExpectEnd());
+      Result<snapshot::Decoder> dec = ReadSection(**file, "rng", &bytes);
+      if (!dec.ok()) return dec.status();
+      MICROREC_RETURN_IF_ERROR(LoadRngState(&*dec, &rng));
     }
-    mapped_file_ = std::move(owned);
-    mapped_users_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*users));
-    mapped_infer_ =
-        std::make_unique<snapshot::MappedTable>(std::move(*cache));
-    user_lru_.set_capacity(ctx.mapped_user_cache);
+    DistStore<UserId> users;
+    MICROREC_RETURN_IF_ERROR(users.Open(*file, "users", "topic user",
+                                        mapped, ctx.mapped_user_cache,
+                                        DecodeDist, ReadV1Dists));
     // Cached inferences are smaller than user models but hotter (every
     // candidate in every query); give them the same bound scaled up.
-    infer_lru_.set_capacity(ctx.mapped_user_cache * 4);
-    user_models_.clear();
-    infer_cache_.clear();
-    invalidated_.clear();
-    model_.reset();
-    mapped_ = true;
+    DistStore<TweetId> infer;
+    MICROREC_RETURN_IF_ERROR(infer.Open(*file, "infer_cache",
+                                        "cached inference", mapped,
+                                        ctx.mapped_user_cache * 4, DecodeDist,
+                                        ReadV1Dists));
+    const bool lazy = users.lazy();
+    if (lazy) {
+      model_.reset();
+    } else {
+      MICROREC_RETURN_IF_ERROR(LoadModel(**file, ctx));
+    }
+    rng_ = rng;
+    users_ = std::move(users);
+    infer_ = std::move(infer);
+    file_ = lazy ? *file : nullptr;
+    deferred_error_ = Status::OK();
     loaded_from_snapshot_ = true;
-    WarmStartCounter()->Increment();
+    IncrementCounter("snapshot.warm_starts");
     return Status::OK();
   }
 
- private:
-  /// Mapped mode defers the O(model) sections (vocabulary + trained
-  /// counts/phi) until something actually needs the model: a fold-in for a
-  /// tweet absent from the persisted inference cache, or a cold user build.
-  /// Verifies the vocabulary fingerprint exactly like the resident load.
-  Status EnsureModel(const EngineContext& ctx) {
-    if (model_ != nullptr) return Status::OK();
-    if (!mapped_) return Status::FailedPrecondition("Prepare() not called");
-    Result<const snapshot::MappedFile::MappedSection*> vocab_sec =
-        mapped_file_->Find("vocab");
-    if (!vocab_sec.ok()) return vocab_sec.status();
-    std::string vocab_bytes;
-    MICROREC_RETURN_IF_ERROR(
-        mapped_file_->ReadSection("vocab", &vocab_bytes));
-    snapshot::Decoder vocab_dec(vocab_bytes, (*vocab_sec)->payload_offset);
+  /// Decodes the vocabulary and the trained model, adopting both only when
+  /// both decode. A resident open calls this eagerly; a mapped one defers
+  /// it (EnsureModel) until a fold-in or a cold user build needs the model,
+  /// so cache-hit serving never pays for the O(model) sections.
+  Status LoadModel(const snapshot::MappedFile& file,
+                   const EngineContext& ctx) {
+    std::string bytes;
+    Result<snapshot::Decoder> vocab = ReadSection(file, "vocab", &bytes);
+    if (!vocab.ok()) return vocab.status();
     std::vector<std::string> terms;
-    MICROREC_RETURN_IF_ERROR(vocab_dec.ReadVecString(&terms));
-    MICROREC_RETURN_IF_ERROR(vocab_dec.ExpectEnd());
-    const uint64_t fingerprint = snapshot::FingerprintTerms(terms);
-    if (fingerprint != mapped_file_->header().vocab_fingerprint) {
-      return Status::FailedPrecondition(
-          mapped_file_->origin() +
-          ": vocabulary fingerprint mismatch (snapshot " +
-          std::to_string(mapped_file_->header().vocab_fingerprint) +
-          ", computed " + std::to_string(fingerprint) + ")");
-    }
+    MICROREC_RETURN_IF_ERROR(vocab->ReadVecString(&terms));
+    MICROREC_RETURN_IF_ERROR(vocab->ExpectEnd());
+    MICROREC_RETURN_IF_ERROR(
+        CheckVocabFingerprint(file, snapshot::FingerprintTerms(terms)));
+    std::unique_ptr<topic::TopicModel> model;
+    MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0, &model));
+    Result<snapshot::Decoder> state = ReadSection(file, "model", &bytes);
+    if (!state.ok()) return state.status();
+    MICROREC_RETURN_IF_ERROR(model->LoadState(&*state));
     docs_ = topic::DocSet();
     docs_.RestoreVocabulary(terms);
-    MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0));
-    Result<const snapshot::MappedFile::MappedSection*> model_sec =
-        mapped_file_->Find("model");
-    if (!model_sec.ok()) {
-      model_.reset();
-      return model_sec.status();
-    }
-    std::string model_bytes;
-    Status read = mapped_file_->ReadSection("model", &model_bytes);
-    if (!read.ok()) {
-      model_.reset();
-      return read;
-    }
-    snapshot::Decoder model_dec(model_bytes, (*model_sec)->payload_offset);
-    Status loaded = model_->LoadState(&model_dec);
-    if (!loaded.ok()) {
-      model_.reset();
-      return loaded;
-    }
+    model_ = std::move(model);
     return Status::OK();
   }
 
-  /// Resident lookup of a user distribution, materializing from the map on
-  /// miss (mapped mode only). Caller thread only. nullptr = absent or
-  /// (counted) corrupt. Materialized rows live behind user_lru_; cold-built
-  /// users are inserted directly by BuildUser and stay pinned.
-  const std::vector<double>* EnsureUserDist(UserId u) {
-    auto it = user_models_.find(u);
-    if (it != user_models_.end()) {
-      if (user_lru_.Contains(u)) user_lru_.Touch(u);
-      return &it->second;
+  Status EnsureModel(const EngineContext& ctx) {
+    if (model_ != nullptr) return Status::OK();
+    if (file_ == nullptr) {
+      return Status::FailedPrecondition("Prepare() not called");
     }
-    if (!mapped_ || invalidated_.count(u) > 0) return nullptr;
-    bool found = false;
-    std::string row;
-    Status status = mapped_users_->Row(u, &found, &row);
-    if (status.ok() && !found) return nullptr;
-    std::vector<double> dist;
-    if (status.ok()) {
-      const std::string origin =
-          mapped_file_->origin() + ": topic user " + std::to_string(u);
-      size_t pos = 0;
-      status = GetRowF64s(row, &pos, &dist, origin, "distribution");
-      if (status.ok()) status = ExpectRowEnd(row, pos, origin);
-    }
-    if (!status.ok()) {
-      MappedRowErrorCounter()->Increment();
-      mapped_error_ = status;
-      return nullptr;
-    }
-    auto [fresh, inserted] = user_models_.emplace(u, std::move(dist));
-    (void)inserted;
-    if (std::optional<UserId> victim = user_lru_.Touch(u)) {
-      user_models_.erase(*victim);
-    }
-    return &fresh->second;
+    return LoadModel(*file_, ctx);
   }
 
   // Per-tweet topic distributions are shared across users (the same test or
@@ -1577,83 +1208,44 @@ class TopicEngine : public Engine {
   // Returns the cached topic distribution of a tweet, or an *empty* vector
   // when none of its words appear in the training vocabulary.
   const std::vector<double>& Infer(TweetId id, const EngineContext& ctx) {
-    // Decode/model errors in this non-Status path degrade the tweet to
-    // no-evidence (empty distribution), are counted, and surface through
-    // mapped_error_ at the next BuildUser.
     static const std::vector<double> kNoEvidence;
-    auto it = infer_cache_.find(id);
-    if (it != infer_cache_.end()) {
-      if (infer_lru_.Contains(id)) infer_lru_.Touch(id);
-      return it->second;
+    // A persisted inference is a lookup (under mmap, a row decode) and
+    // consumes no generator draws.
+    if (const std::vector<double>* cached = infer_.Find(id)) return *cached;
+    // A corrupt cached row or a model that fails to load degrades the tweet
+    // to no evidence; both are counted and surface from the next BuildUser
+    // that folds in.
+    Status ready = infer_.error();
+    if (ready.ok()) {
+      ready = EnsureModel(ctx);
+      if (!ready.ok()) IncrementCounter("snapshot.mapped_row_errors");
     }
-    if (mapped_) {
-      // Persisted inference first: a hit is a row decode, not a Gibbs
-      // fold-in, and consumes no generator draws (matching the resident
-      // engine, whose cache was loaded wholesale).
-      bool found = false;
-      std::string row;
-      Status status = mapped_infer_->Row(id, &found, &row);
-      if (status.ok() && found) {
-        const std::string origin = mapped_file_->origin() +
-                                   ": cached inference " +
-                                   std::to_string(id);
-        std::vector<double> dist;
-        size_t pos = 0;
-        status = GetRowF64s(row, &pos, &dist, origin, "distribution");
-        if (status.ok()) status = ExpectRowEnd(row, pos, origin);
-        if (status.ok()) {
-          auto [fresh, inserted] = infer_cache_.emplace(id, std::move(dist));
-          (void)inserted;
-          if (std::optional<TweetId> victim = infer_lru_.Touch(id)) {
-            infer_cache_.erase(*victim);
-          }
-          return fresh->second;
-        }
-      }
-      if (!status.ok()) {
-        MappedRowErrorCounter()->Increment();
-        mapped_error_ = status;
-        return kNoEvidence;
-      }
-      // Absent from the snapshot: fold in fresh, in the same call order
-      // (and hence the same rng draw sequence) as the resident engine.
-      // Fresh inferences are pinned — they cannot be re-materialized.
-      Status model_ready = EnsureModel(ctx);
-      if (!model_ready.ok()) {
-        MappedRowErrorCounter()->Increment();
-        mapped_error_ = model_ready;
-        return kNoEvidence;
-      }
+    if (!ready.ok()) {
+      deferred_error_ = ready;
+      return kNoEvidence;
     }
+    // Absent from the snapshot: fold in fresh, in the same call order (and
+    // hence the same rng draw sequence) in both residencies. Fresh
+    // inferences are pinned: the map cannot re-materialize them.
     static obs::Histogram* infer_hist =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "topic.infer_seconds");
+        obs::MetricsRegistry::Global().GetHistogram("topic.infer_seconds");
     obs::ScopedHistogramTimer timer(infer_hist);
     std::vector<topic::TermId> words = docs_.Lookup(ctx.pre->Filtered(id));
     std::vector<double> dist;
     if (!words.empty()) dist = model_->InferDocument(words, &rng_);
-    auto [fresh, inserted] = infer_cache_.emplace(id, std::move(dist));
-    (void)inserted;
-    return fresh->second;
+    return *infer_.Put(id, std::move(dist));
   }
 
   ModelConfig config_;
   Rng rng_;
   topic::DocSet docs_;
   std::unique_ptr<topic::TopicModel> model_;
-  std::unordered_map<TweetId, std::vector<double>> infer_cache_;
-  std::unordered_map<UserId, std::vector<double>> user_models_;
+  DistStore<TweetId> infer_;
+  DistStore<UserId> users_;
   bool loaded_from_snapshot_ = false;
-
-  // mmap serving state.
-  bool mapped_ = false;
-  std::unique_ptr<snapshot::MappedFile> mapped_file_;
-  std::unique_ptr<snapshot::MappedTable> mapped_users_;
-  std::unique_ptr<snapshot::MappedTable> mapped_infer_;
-  MappedLruTracker<UserId> user_lru_;
-  MappedLruTracker<TweetId> infer_lru_;
-  std::unordered_set<UserId> invalidated_;
-  Status mapped_error_;
+  // Under mmap: the snapshot the model is loaded from on first need.
+  std::shared_ptr<const snapshot::MappedFile> file_;
+  Status deferred_error_;
 };
 
 }  // namespace

@@ -31,10 +31,11 @@
 namespace microrec::rec {
 
 /// How a warm-started engine holds its persisted state (DESIGN.md §16).
-/// kResident decodes the whole snapshot into in-memory tables (the v1
-/// behavior); kMmap maps the file read-only and materializes per-user rows
-/// on demand behind a small LRU, so steady-state RSS scales with the
-/// working set, not the model. Rankings are byte-identical across modes.
+/// Both map the file and decode rows through the same decoders: kResident
+/// decodes every row at open and drops the mapping; kMmap keeps the map
+/// and decodes a row on first use behind a small LRU, so steady-state RSS
+/// scales with the working set, not the model. Rankings are byte-identical
+/// across modes.
 enum class ServeMode {
   kResident,
   kMmap,
@@ -86,19 +87,15 @@ struct EngineContext {
   /// topic engines. Not owned; may be nullptr.
   const resilience::CancelContext* cancel = nullptr;
   /// Snapshot to warm-start from. When non-empty, Prepare() first attempts
-  /// LoadSnapshot(warm_start_snapshot) — or OpenMapped() under
-  /// serve_mode == kMmap — on success the training phase is skipped
-  /// entirely; a missing file falls back to cold training; any other load
-  /// failure (corruption, identity mismatch) propagates.
+  /// Engine::WarmStart(warm_start_snapshot); on success the training phase
+  /// is skipped entirely; a missing file falls back to cold training; any
+  /// other load failure (corruption, identity mismatch) propagates.
   std::string warm_start_snapshot;
-  /// Section codec used by SaveSnapshot: kRaw writes the v1 container
-  /// byte-for-byte; kCompressed writes microrec.snap/2 (varint/delta rows
-  /// inside block-compressed sections — several times smaller, mmap-able).
-  /// Loaders accept either regardless of this setting.
+  /// Unread: every engine writes microrec.snap/2. perfbench/main.cc still
+  /// sets it; delete the field and that line together.
   snapshot::SnapshotCodec snapshot_codec = snapshot::SnapshotCodec::kRaw;
-  /// How warm starts hold persisted state (see ServeMode). kMmap requires a
-  /// v2 snapshot to realize its memory win; a v1 file degrades gracefully
-  /// to a resident load with identical rankings.
+  /// How warm starts hold persisted state (see ServeMode). A v1 file has no
+  /// row index, so under kMmap it opens resident, with identical rankings.
   ServeMode serve_mode = ServeMode::kResident;
   /// Per-engine LRU capacity (user models materialized from the map) in
   /// mmap mode. The cache only bounds memory; hit-or-miss never changes a
@@ -160,32 +157,37 @@ class Engine {
   /// Persists everything needed to serve without retraining — the trained
   /// global model (topic families), every built user model, and for topic
   /// engines the inference cache and generator state — atomically to
-  /// `path` in microrec.snap/1 format. Valid after Prepare().
+  /// `path` as a microrec.snap/2 container (DESIGN.md §8, §16). Valid
+  /// after Prepare().
   virtual Status SaveSnapshot(const std::string& path,
                               const EngineContext& ctx) const = 0;
 
-  /// Restores a SaveSnapshot() file into a freshly constructed engine of
-  /// the same configuration. Verifies the header identity (model, source,
-  /// seed, iteration_scale, config fingerprint) and vocabulary fingerprint
-  /// against `ctx` before adopting anything; afterwards BuildUser() is a
-  /// no-op for persisted users and Score() is bit-identical to the engine
-  /// that saved.
+  /// Restores a SaveSnapshot() file (or a microrec.snap/1 file) into a
+  /// freshly constructed engine of the same configuration: the resident
+  /// open. Verifies the header identity (model, source, seed,
+  /// iteration_scale, config fingerprint), decodes every row and checks the
+  /// vocabulary fingerprint before adopting anything, then drops the
+  /// mapping; afterwards BuildUser() is a no-op for persisted users and
+  /// Score() is bit-identical to the engine that saved.
   virtual Status LoadSnapshot(const std::string& path,
                               const EngineContext& ctx) = 0;
 
-  /// mmap warm start: serves directly from the mapped snapshot, decoding a
-  /// user's row the first time a query needs it (bounded by
-  /// ctx.mapped_user_cache). Identity checks, the BuildUser-is-a-no-op
-  /// contract and the exact scores all match LoadSnapshot; only residency
-  /// differs. A v1 file falls back to LoadSnapshot. The engine keeps the
-  /// mapping open for its lifetime and is read-only with respect to the
-  /// persisted users: SaveSnapshot of a mapped engine is FailedPrecondition.
+  /// The mmap open: the same identity checks and decoders as LoadSnapshot,
+  /// but rows are decoded the first time a query needs them (bounded by
+  /// ctx.mapped_user_cache) and the mapping stays open for the engine's
+  /// lifetime. Scores match LoadSnapshot exactly; only residency differs.
+  /// A v1 file opens resident. A mapped engine is read-only with respect to
+  /// the persisted users: SaveSnapshot is FailedPrecondition. An engine
+  /// without a mapped mode opens resident.
   virtual Status OpenMapped(const std::string& path,
                             const EngineContext& ctx) {
-    (void)ctx;
-    return Status::FailedPrecondition(
-        "mmap serving is not implemented for this engine (snapshot: " + path +
-        ")");
+    return LoadSnapshot(path, ctx);
+  }
+
+  /// The warm-start entry: LoadSnapshot or OpenMapped, per ctx.serve_mode.
+  Status WarmStart(const std::string& path, const EngineContext& ctx) {
+    return ctx.serve_mode == ServeMode::kMmap ? OpenMapped(path, ctx)
+                                              : LoadSnapshot(path, ctx);
   }
 
   /// Sparse-profile capability for BatchRanker's pruned fast path; nullptr

@@ -147,10 +147,7 @@ Status DegradingRecommender::EnsurePrimary() {
         options_.primary.ToString());
     return primary_status_;
   }
-  primary_status_ =
-      ctx_.serve_mode == ServeMode::kMmap
-          ? primary_->OpenMapped(options_.snapshot_path, ctx_)
-          : primary_->LoadSnapshot(options_.snapshot_path, ctx_);
+  primary_status_ = primary_->WarmStart(options_.snapshot_path, ctx_);
   if (!primary_status_.ok()) {
     primary_.reset();
     return primary_status_;

@@ -127,10 +127,11 @@ struct RecommendResult {
 };
 
 /// Serves rankings for one (configuration, source) pair. The primary
-/// engine is loaded lazily on the first query and cached across queries;
-/// a load failure (missing file, corruption, identity mismatch — or an
-/// injected `snapshot.load` fault) is remembered so later queries go
-/// straight to the fallback instead of re-reading a bad file.
+/// engine is warm-started lazily on the first query (Engine::WarmStart, so
+/// `ctx.serve_mode` picks resident or mmap) and cached across queries; a
+/// load failure (missing file, corruption, identity mismatch — or an
+/// injected `snapshot.load` fault, in either mode) is remembered so later
+/// queries go straight to the fallback instead of re-reading a bad file.
 ///
 /// Not thread-safe; `ctx.pre`, `ctx.train_set` and the cohort data they
 /// reference must outlive the recommender.

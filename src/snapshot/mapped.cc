@@ -9,7 +9,6 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "snapshot/format.h"
 
 namespace microrec::snapshot {
@@ -21,6 +20,17 @@ constexpr uint64_t kMaxHeaderPayload = 1 << 20;
 
 std::string At(const std::string& origin, uint64_t offset) {
   return origin + ":offset " + std::to_string(offset);
+}
+
+Status CheckCrc(const std::string& origin,
+                const MappedFile::MappedSection& section) {
+  uint32_t crc = Crc32(section.name);
+  crc = Crc32(section.payload.data(), section.payload.size(), crc);
+  if (crc == section.crc) return Status::OK();
+  return Status::DataLoss(
+      At(origin, section.payload_offset) + ": CRC mismatch in section \"" +
+      section.name + "\" (stored " + std::to_string(section.crc) +
+      ", computed " + std::to_string(crc) + ")");
 }
 
 }  // namespace
@@ -175,23 +185,13 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   }
   // The header is small and load-bearing (identity checks): verify its
   // frame CRC eagerly, exactly like the resident reader would.
-  uint32_t crc = Crc32(header.name);
-  crc = Crc32(header.payload.data(), header.payload.size(), crc);
-  if (crc != header.crc) {
-    return Status::DataLoss(
-        At(path, header.payload_offset) + ": CRC mismatch in section \"" +
-        header.name + "\" (stored " + std::to_string(header.crc) +
-        ", computed " + std::to_string(crc) + ")");
-  }
+  MICROREC_RETURN_IF_ERROR(CheckCrc(path, header));
   Decoder header_cursor(header.payload, header.payload_offset);
   Status decoded = DecodeHeader(&header_cursor, &file.header_);
   if (!decoded.ok()) {
     return Status::FromCode(
         decoded.code(), path + ": bad snapshot header: " + decoded.message());
   }
-  obs::MetricsRegistry::Global()
-      .GetCounter("snapshot.mapped_opens")
-      ->Increment();
   return file;
 }
 
@@ -217,15 +217,15 @@ Status MappedFile::ReadSection(std::string_view name, std::string* out) const {
     return DecompressStream(section.payload, out, section.payload_offset,
                             origin_ + ":section \"" + section.name + "\"");
   }
-  uint32_t crc = Crc32(section.name);
-  crc = Crc32(section.payload.data(), section.payload.size(), crc);
-  if (crc != section.crc) {
-    return Status::DataLoss(
-        At(origin_, section.payload_offset) + ": CRC mismatch in section \"" +
-        section.name + "\" (stored " + std::to_string(section.crc) +
-        ", computed " + std::to_string(crc) + ")");
-  }
+  MICROREC_RETURN_IF_ERROR(CheckCrc(origin_, section));
   out->assign(section.payload.data(), section.payload.size());
+  return Status::OK();
+}
+
+Status MappedFile::VerifyChecksums() const {
+  for (const MappedSection& section : sections_) {
+    MICROREC_RETURN_IF_ERROR(CheckCrc(origin_, section));
+  }
   return Status::OK();
 }
 

@@ -36,7 +36,7 @@ namespace microrec::snapshot {
 /// open: magic, section framing, header CRC + identity decode. Section
 /// payloads are NOT CRC-verified at open (that would fault in every page);
 /// v2 payloads are verified block-by-block as they are read, v1 payloads
-/// when ReadSection copies them out.
+/// when ReadSection copies them out, and all of them by VerifyChecksums.
 class MappedFile {
  public:
   /// One directory entry; `payload` views straight into the map.
@@ -70,6 +70,11 @@ class MappedFile {
   /// and copied. The result is byte-identical to what File::Parse presents
   /// for the same section.
   Status ReadSection(std::string_view name, std::string* out) const;
+
+  /// Verifies every section's frame CRC, faulting in every page: the
+  /// whole-file integrity File::Load checks, for an open that is about to
+  /// decode everything anyway.
+  Status VerifyChecksums() const;
 
   /// Same identity verification as File::VerifyIdentity.
   Status VerifyIdentity(const std::string& model, const std::string& source,

@@ -25,30 +25,6 @@ std::string At(const std::string& origin, uint64_t offset) {
 
 }  // namespace
 
-const char* SnapshotCodecName(SnapshotCodec codec) {
-  switch (codec) {
-    case SnapshotCodec::kRaw:
-      return "raw";
-    case SnapshotCodec::kCompressed:
-      return "compressed";
-  }
-  return "raw";
-}
-
-Status ParseSnapshotCodec(std::string_view name, SnapshotCodec* codec) {
-  if (name == "raw") {
-    *codec = SnapshotCodec::kRaw;
-    return Status::OK();
-  }
-  if (name == "compressed") {
-    *codec = SnapshotCodec::kCompressed;
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unknown snapshot codec \"" +
-                                 std::string(name) +
-                                 "\" (expected raw or compressed)");
-}
-
 std::string EncodeHeader(const Header& header) {
   Encoder enc;
   enc.PutString(header.model);

@@ -47,19 +47,14 @@ inline constexpr size_t kMagicSize = 16;
 /// prefix but a different version suffix is *skew*, not garbage.
 inline constexpr char kMagicPrefix[] = "microrec.snap/";
 
-/// How a Writer encodes section payloads. kRaw emits exactly the v1 file an
-/// older reader understands; kCompressed emits a v2 file whose non-header
-/// sections are MCS1 streams (and whose engine tables use the varint/delta
-/// row codec) — typically several times smaller, and mmap-servable.
+/// How a Writer encodes section payloads. kRaw emits the v1 container, which
+/// the container tests and fixtures use; kCompressed emits a v2 file whose
+/// non-header sections are MCS1 streams — typically several times smaller,
+/// and mmap-servable. The engines always write kCompressed.
 enum class SnapshotCodec {
   kRaw,
   kCompressed,
 };
-
-/// "raw" / "compressed" (CLI flag values and bench labels).
-const char* SnapshotCodecName(SnapshotCodec codec);
-/// Parses a codec name; InvalidArgument listing the legal values otherwise.
-Status ParseSnapshotCodec(std::string_view name, SnapshotCodec* codec);
 
 /// Section names cap (flipped length bits must not drive allocations).
 inline constexpr uint32_t kMaxSectionName = 256;
@@ -93,9 +88,8 @@ class Writer {
 
   /// Selects the container version: kRaw writes `microrec.snap/1`,
   /// kCompressed writes `microrec.snap/2` with each non-header payload
-  /// wrapped in an MCS1 stream at Serialize time. Callers that switch the
-  /// codec must also switch any codec-dependent section encodings (the
-  /// engines key both off EngineContext::snapshot_codec).
+  /// wrapped in an MCS1 stream at Serialize time. The section payloads are
+  /// the caller's: the engines' v2 tables use the varint/delta row codec.
   void set_codec(SnapshotCodec codec) { codec_ = codec; }
 
   /// Serializes to `<path>.tmp` and renames over `path`, creating the

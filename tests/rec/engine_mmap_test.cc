@@ -2,9 +2,9 @@
 // microrec.snap/2 file) must rank byte-identically to the resident mode
 // (LoadSnapshot) for every model family, at one scoring thread and at
 // eight — EXPECT_EQ on doubles, no tolerance. Also pins the mapped-mode
-// contracts around it: v1 files fall back to resident inside OpenMapped,
-// mapped engines refuse SaveSnapshot, and InvalidateUser + BuildUser
-// rebuilds a user in place.
+// contracts around it: mapped engines refuse SaveSnapshot, and
+// InvalidateUser + BuildUser rebuilds a user in place. v1 files opening
+// resident inside OpenMapped is pinned by golden_snapshot_test.cc.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -279,26 +279,6 @@ TEST_F(EngineMmapFixture, TinyMappedUserCacheStaysBitIdentical) {
     auto got = RankAll(mapped.get(), mmap_ctx, 1);
     ExpectSameRankings(expected, got, "pass" + std::to_string(pass));
   }
-}
-
-TEST_F(EngineMmapFixture, V1SnapshotFallsBackToResidentLoad) {
-  EngineContext raw_ctx = ctx_;
-  raw_ctx.snapshot_codec = snapshot::SnapshotCodec::kRaw;
-  const ModelConfig config = SmallConfig(ModelKind::kTN);
-  const std::string path = TrainAndSave(config, raw_ctx, "v1_fallback");
-
-  auto resident = MakeEngine(config);
-  ASSERT_TRUE(resident->LoadSnapshot(path, raw_ctx).ok());
-
-  EngineContext mmap_ctx = raw_ctx;
-  mmap_ctx.serve_mode = ServeMode::kMmap;
-  auto mapped = MakeEngine(config);
-  Status open = mapped->OpenMapped(path, mmap_ctx);
-  ASSERT_TRUE(open.ok()) << open.ToString();
-  ExpectSameRankings(RankAll(resident.get(), raw_ctx, 1),
-                     RankAll(mapped.get(), mmap_ctx, 1), "v1_fallback");
-  // A v1 warm start is resident state: saving from it stays legal.
-  EXPECT_TRUE(mapped->SaveSnapshot(Path("v1_resave"), mmap_ctx).ok());
 }
 
 TEST_F(EngineMmapFixture, MappedEnginesRefuseSaveSnapshot) {

@@ -186,37 +186,6 @@ TEST_F(EngineSnapshotFixture, AllNineModelsRoundTripBitIdentically) {
   }
 }
 
-TEST_F(EngineSnapshotFixture, AllNineModelsRoundTripCompressedBitIdentically) {
-  // Same contract through the v2 codec: kCompressed saves a
-  // microrec.snap/2 container (varint/delta tables inside MCS1 streams) and
-  // the restore must still be bit-exact for every family.
-  EngineContext ctx = ctx_;
-  ctx.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
-  for (ModelKind kind : kEvaluatedModels) {
-    ExpectBitIdenticalRoundTrip(SmallConfig(kind), ctx,
-                                "v2-" + std::string(ModelKindName(kind)));
-  }
-}
-
-TEST_F(EngineSnapshotFixture, CompressedSnapshotLoadsIntoRawSaveContext) {
-  // The codec is a *save-time* choice, not part of snapshot identity: a v2
-  // file must load under a context whose save codec is raw, and vice versa.
-  EngineContext save_ctx = ctx_;
-  save_ctx.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
-  ModelConfig config = SmallConfig(ModelKind::kLDA);
-  auto trained = MakeEngine(config);
-  ASSERT_TRUE(trained->Prepare(save_ctx).ok());
-  ASSERT_TRUE(trained->BuildUser(ego_, train_, save_ctx).ok());
-  const double cat = trained->Score(ego_, test_cat_, save_ctx);
-  const std::string path = Path("cross_codec");
-  ASSERT_TRUE(trained->SaveSnapshot(path, save_ctx).ok());
-
-  auto restored = MakeEngine(config);
-  Status load = restored->LoadSnapshot(path, ctx_);  // raw-save context
-  ASSERT_TRUE(load.ok()) << load.ToString();
-  EXPECT_EQ(restored->Score(ego_, test_cat_, ctx_), cat);
-}
-
 TEST_F(EngineSnapshotFixture, PlsaRoundTripsBitIdentically) {
   ExpectBitIdenticalRoundTrip(SmallConfig(ModelKind::kPLSA), ctx_, "PLSA");
 }
@@ -373,6 +342,8 @@ TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
   snapshot::Header header = file->header();
   header.vocab_fingerprint ^= 1;
   snapshot::Writer writer(header);
+  writer.set_codec(file->version() == 2 ? snapshot::SnapshotCodec::kCompressed
+                                        : snapshot::SnapshotCodec::kRaw);
   for (const snapshot::Section& section : file->sections()) {
     if (section.name != "header") {
       writer.AddSection(section.name, section.payload);

@@ -1,20 +1,24 @@
-// Backward compatibility against a *committed* v1 fixture: a tiny
-// microrec.snap/1 file checked into tests/rec/testdata/, written by the
-// code that introduced the format. The v2-capable reader must warm-start
-// it bit-identically to a cold-trained engine — both through LoadSnapshot
-// and through OpenMapped (which falls back to resident for v1) — so no
-// future codec change can silently orphan already-trained snapshots.
+// Backward compatibility against *committed* v1 fixtures: tiny
+// microrec.snap/1 files checked into tests/rec/testdata/, one per engine
+// family, written by the last code revision that wrote the v1 layout. The
+// reader must keep warm-starting them bit-identically — through
+// LoadSnapshot, through OpenMapped (which opens a v1 file resident), and
+// after a re-save, which writes microrec.snap/2 — so no format change can
+// silently orphan already-trained snapshots.
 //
-// Regenerate the fixture (only when the *training* pipeline changes
-// behavior on purpose; never for a codec change, that's the point):
-//   MICROREC_REGEN_GOLDEN=1 ./rec_test --gtest_filter='GoldenSnapshot*'
+// No code writes v1 any more, so the fixtures cannot be regenerated. The TN
+// fixture is checked against a cold-trained engine; the graph and topic
+// fixtures against score bit patterns pinned when they were written, since
+// their cold-trained weights may change in the last bits.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rec/engine.h"
@@ -32,14 +36,34 @@ using corpus::Source;
 using corpus::TweetId;
 using corpus::UserId;
 
-std::string GoldenPath() {
-  return std::string(MICROREC_TEST_SOURCE_DIR) +
-         "/rec/testdata/golden_tn_v1.snap";
+std::string FixturePath(const std::string& name) {
+  return std::string(MICROREC_TEST_SOURCE_DIR) + "/rec/testdata/" + name;
 }
 
-/// The frozen world behind the fixture. Everything here is deterministic —
-/// corpus construction, tokenization, TF-IDF training — so the fixture can
-/// be regenerated byte-identically by the code revision that wrote it.
+std::string GoldenPath() { return FixturePath("golden_tn_v1.snap"); }
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::string Magic(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string magic(snapshot::kMagicSize, '\0');
+  in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
+  return magic;
+}
+
+/// The frozen world behind the fixtures. Everything here is deterministic —
+/// corpus construction, tokenization, training — so the code revision that
+/// wrote the fixtures produced them byte-identically.
 class GoldenSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -82,9 +106,6 @@ class GoldenSnapshotTest : public ::testing::Test {
     };
     ctx_.seed = 11;
     ctx_.iteration_scale = 0.1;
-    // The fixture is v1 by construction; keep the context's save codec raw
-    // so a regeneration cannot accidentally write a v2 file.
-    ctx_.snapshot_codec = snapshot::SnapshotCodec::kRaw;
 
     config_.kind = ModelKind::kTN;
     config_.bag.kind = bag::NgramKind::kToken;
@@ -92,6 +113,51 @@ class GoldenSnapshotTest : public ::testing::Test {
     config_.bag.weighting = bag::Weighting::kTFIDF;
     config_.bag.aggregation = bag::Aggregation::kCentroid;
     config_.bag.similarity = bag::BagSimilarity::kCosine;
+  }
+
+  /// The configuration behind golden_tng_v1.snap.
+  static ModelConfig TngConfig() {
+    ModelConfig config;
+    config.kind = ModelKind::kTNG;
+    config.graph.kind = bag::NgramKind::kToken;
+    config.graph.n = 1;
+    config.graph.similarity = graph::GraphSimilarity::kValue;
+    return config;
+  }
+
+  /// The configuration behind golden_lda_v1.snap. Both test tweets were
+  /// scored before it was saved, so its inference cache holds them.
+  static ModelConfig LdaConfig() {
+    ModelConfig config;
+    config.kind = ModelKind::kLDA;
+    config.topic.num_topics = 4;
+    config.topic.iterations = 500;
+    config.topic.pooling = corpus::Pooling::kNone;
+    config.topic.beta = 0.01;
+    return config;
+  }
+
+  /// Warm-starts `path` through LoadSnapshot and through OpenMapped and
+  /// expects both to score the test tweets as `cat` and `stock`, bit for
+  /// bit.
+  void ExpectWarmStartsScore(const ModelConfig& config,
+                             const std::string& path, double cat,
+                             double stock) {
+    auto restored = MakeEngine(config);
+    Status load = restored->LoadSnapshot(path, ctx_);
+    ASSERT_TRUE(load.ok()) << load.ToString();
+    ASSERT_TRUE(restored->BuildUser(ego_, train_, ctx_).ok());  // no-op
+    EXPECT_EQ(Bits(restored->Score(ego_, test_cat_, ctx_)), Bits(cat));
+    EXPECT_EQ(Bits(restored->Score(ego_, test_stock_, ctx_)), Bits(stock));
+
+    EngineContext mmap_ctx = ctx_;
+    mmap_ctx.serve_mode = ServeMode::kMmap;
+    auto mapped = MakeEngine(config);
+    Status open = mapped->OpenMapped(path, mmap_ctx);
+    ASSERT_TRUE(open.ok()) << open.ToString();
+    ASSERT_TRUE(mapped->BuildUser(ego_, train_, mmap_ctx).ok());  // no-op
+    EXPECT_EQ(Bits(mapped->Score(ego_, test_cat_, mmap_ctx)), Bits(cat));
+    EXPECT_EQ(Bits(mapped->Score(ego_, test_stock_, mmap_ctx)), Bits(stock));
   }
 
   /// Cold-trains the reference engine the fixture must match.
@@ -115,15 +181,7 @@ class GoldenSnapshotTest : public ::testing::Test {
 
 TEST_F(GoldenSnapshotTest, CommittedV1FixtureWarmStartsBitIdentically) {
   const std::string path = GoldenPath();
-  if (std::getenv("MICROREC_REGEN_GOLDEN") != nullptr) {
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path());
-    auto engine = ColdTrain();
-    ASSERT_TRUE(engine->SaveSnapshot(path, ctx_).ok());
-    fprintf(stderr, "regenerated golden fixture: %s\n", path.c_str());
-  }
-  ASSERT_TRUE(std::filesystem::exists(path))
-      << path << " missing; run with MICROREC_REGEN_GOLDEN=1 to create it";
+  ASSERT_TRUE(std::filesystem::exists(path)) << path << " missing";
 
   // The committed bytes must really be version 1 — the whole point is that
   // a reader from the v2 era keeps loading them.
@@ -158,33 +216,62 @@ TEST_F(GoldenSnapshotTest, CommittedV1FixtureWarmStartsBitIdentically) {
   EXPECT_EQ(mapped->Score(ego_, test_stock_, mmap_ctx), stock);
 }
 
-TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
-  // Migration path: load the committed v1 fixture, re-save compressed, and
-  // serve the v2 copy mapped — end to end, still bit-identical.
-  const std::string path = GoldenPath();
-  if (!std::filesystem::exists(path)) {
-    GTEST_SKIP() << path << " missing";
+TEST_F(GoldenSnapshotTest, GraphAndTopicV1FixturesWarmStartToPinnedScores) {
+  // Bit patterns the writing revision's engines scored; the stock tweet
+  // shares no term with ego's cat retweets, so both families score it 0.
+  struct Pinned {
+    const char* file;
+    ModelConfig config;
+    uint64_t cat;
+    uint64_t stock;
+  };
+  const Pinned pinned[] = {
+      {"golden_tng_v1.snap", TngConfig(), 0x3f94141414141415ULL, 0},
+      {"golden_lda_v1.snap", LdaConfig(), 0x3fefefdf1c812f1bULL, 0},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.file);
+    const std::string path = FixturePath(p.file);
+    ASSERT_TRUE(std::filesystem::exists(path)) << path << " missing";
+    ASSERT_EQ(Magic(path), std::string(snapshot::kMagic, snapshot::kMagicSize));
+    ExpectWarmStartsScore(p.config, path, FromBits(p.cat), FromBits(p.stock));
   }
-  auto restored = MakeEngine(config_);
-  ASSERT_TRUE(restored->LoadSnapshot(path, ctx_).ok());
-  const double cat = restored->Score(ego_, test_cat_, ctx_);
-  const double stock = restored->Score(ego_, test_stock_, ctx_);
+}
 
-  const std::string v2_path =
-      testutil::UniqueTempDir("microrec_golden_v2") + ".snap";
-  EngineContext v2_ctx = ctx_;
-  v2_ctx.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
-  ASSERT_TRUE(restored->SaveSnapshot(v2_path, v2_ctx).ok());
-
-  EngineContext mmap_ctx = v2_ctx;
+TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
+  // Migration path, for every family: warm-start the committed v1 fixture
+  // through OpenMapped (which opens it resident, so saving from it stays
+  // legal), re-save — which writes microrec.snap/2 — and serve the copy
+  // mapped: end to end, still bit-identical.
+  const std::pair<const char*, ModelConfig> fixtures[] = {
+      {"golden_tn_v1.snap", config_},
+      {"golden_tng_v1.snap", TngConfig()},
+      {"golden_lda_v1.snap", LdaConfig()},
+  };
+  EngineContext mmap_ctx = ctx_;
   mmap_ctx.serve_mode = ServeMode::kMmap;
-  auto mapped = MakeEngine(config_);
-  Status open = mapped->OpenMapped(v2_path, mmap_ctx);
-  ASSERT_TRUE(open.ok()) << open.ToString();
-  EXPECT_EQ(mapped->Score(ego_, test_cat_, mmap_ctx), cat);
-  EXPECT_EQ(mapped->Score(ego_, test_stock_, mmap_ctx), stock);
-  std::error_code ec;
-  std::filesystem::remove(v2_path, ec);
+  for (const auto& [file, config] : fixtures) {
+    SCOPED_TRACE(file);
+    const std::string path = FixturePath(file);
+    if (!std::filesystem::exists(path)) {
+      GTEST_SKIP() << path << " missing";
+    }
+    auto v1 = MakeEngine(config);
+    Status open = v1->OpenMapped(path, mmap_ctx);
+    ASSERT_TRUE(open.ok()) << open.ToString();
+    const double cat = v1->Score(ego_, test_cat_, mmap_ctx);
+    const double stock = v1->Score(ego_, test_stock_, mmap_ctx);
+
+    const std::string v2_path =
+        testutil::UniqueTempDir("microrec_golden_v2") + ".snap";
+    Status save = v1->SaveSnapshot(v2_path, mmap_ctx);
+    ASSERT_TRUE(save.ok()) << save.ToString();
+    EXPECT_EQ(Magic(v2_path),
+              std::string(snapshot::kMagicV2, snapshot::kMagicSize));
+    ExpectWarmStartsScore(config, v2_path, cat, stock);
+    std::error_code ec;
+    std::filesystem::remove(v2_path, ec);
+  }
 }
 
 }  // namespace

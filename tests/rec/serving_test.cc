@@ -169,6 +169,62 @@ TEST_F(ServingFixture, PrimaryLoadFailureIsRememberedAcrossQueries) {
   EXPECT_FALSE(rec.primary_status().ok());
 }
 
+TEST_F(ServingFixture, InjectedLoadFaultDegradesToBagFallbackUnderMmap) {
+  // The mmap open runs the same open path, so the fault site covers it too.
+  ctx_.serve_mode = ServeMode::kMmap;
+  resilience::ArmFault(resilience::kSiteSnapshotLoad,
+                       resilience::FaultSpec{.every_nth = 1});
+  DegradingRecommender rec(ctx_, Options());
+  const uint64_t degraded_before = DegradedCount();
+  RecommendResult result = rec.Recommend(ego_, {test_stock_, test_cat_});
+  resilience::ClearFaults();
+
+  EXPECT_EQ(result.rung, ServingRung::kBagFallback);
+  EXPECT_FALSE(result.degraded_reason.empty());
+  ASSERT_EQ(result.ranking.size(), 2u);
+  EXPECT_EQ(result.ranking[0].tweet, test_cat_);
+  EXPECT_FALSE(rec.primary_status().ok());
+  EXPECT_EQ(DegradedCount(), degraded_before + 1);
+}
+
+TEST_F(ServingFixture, PrimaryLoadFailureIsRememberedAcrossQueriesUnderMmap) {
+  ctx_.serve_mode = ServeMode::kMmap;
+  resilience::ArmFault(resilience::kSiteSnapshotLoad,
+                       resilience::FaultSpec{.every_nth = 1});
+  DegradingRecommender rec(ctx_, Options());
+  (void)rec.Recommend(ego_, {test_cat_});
+  resilience::ClearFaults();
+  RecommendResult result = rec.Recommend(ego_, {test_stock_, test_cat_});
+  EXPECT_EQ(result.rung, ServingRung::kBagFallback);
+  EXPECT_FALSE(rec.primary_status().ok());
+}
+
+TEST_F(ServingFixture, EachWarmStartHitsTheLoadFaultSiteOnce) {
+  // Every second hit fires: with one hit per open, the first warm start of
+  // each pair succeeds and the second fails, in either residency. Each
+  // success counts one warm start and one open of its residency.
+  auto counter = [](const char* name) {
+    return obs::MetricsRegistry::Global().GetCounter(name)->value();
+  };
+  for (ServeMode mode : {ServeMode::kResident, ServeMode::kMmap}) {
+    SCOPED_TRACE(ServeModeName(mode));
+    ctx_.serve_mode = mode;
+    const char* opens = mode == ServeMode::kMmap ? "snapshot.mapped_opens"
+                                                 : "snapshot.loads";
+    const uint64_t warm_before = counter("snapshot.warm_starts");
+    const uint64_t opens_before = counter(opens);
+    resilience::ArmFault(resilience::kSiteSnapshotLoad,
+                         resilience::FaultSpec{.every_nth = 2});
+    DegradingRecommender first(ctx_, Options());
+    EXPECT_TRUE(first.Warm().ok());
+    DegradingRecommender second(ctx_, Options());
+    EXPECT_FALSE(second.Warm().ok());
+    resilience::ClearFaults();
+    EXPECT_EQ(counter("snapshot.warm_starts"), warm_before + 1);
+    EXPECT_EQ(counter(opens), opens_before + 1);
+  }
+}
+
 TEST_F(ServingFixture, MissingSnapshotDegradesButStillRanks) {
   ServingOptions options = Options();
   options.snapshot_path = dir_ + "/absent.snap";

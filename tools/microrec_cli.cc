@@ -83,15 +83,11 @@
 //
 // Serving flags (train / recommend):
 //   --snapshot-dir=<dir>  snapshot store (default "snapshots")
-//   --snapshot-codec=<c>  train: raw (default; microrec.snap/1) or
-//                         compressed (microrec.snap/2 — varint/delta rows in
-//                         block-compressed sections, several times smaller
-//                         and mmap-servable; DESIGN.md §16)
 //   --serve-mode=<m>      recommend/load: resident (default; decode the
 //                         snapshot into memory) or mmap (serve from the
-//                         mapped v2 file, materializing user rows on
-//                         demand — identical rankings, steady-state memory
-//                         independent of model size)
+//                         mapped file, materializing user rows on demand —
+//                         identical rankings, steady-state memory
+//                         independent of model size; DESIGN.md §16)
 //   --deadline=<seconds>  per-query budget for recommend (0 = none)
 //   --user=<handle>       recommend for one user instead of the cohort
 //   --top-k=<n>           print the top n recommendations (default 5;
@@ -160,7 +156,6 @@
 #include "rec/serving.h"
 #include "rec/sharded.h"
 #include "resilience/fault.h"
-#include "snapshot/snapshot.h"
 #include "stream/live.h"
 #include "stream/session.h"
 #include "synth/generator.h"
@@ -215,9 +210,8 @@ int Usage() {
       " [--max-configs=<n>] [--timeout=<s>] [--train-threads=<n>]\n"
       "                 <dir> <model> <source> [iter_scale]\n"
       "  microrec suggest <dir> <user_handle> [top_k]\n"
-      "  microrec train [--snapshot-dir=<dir>] [--snapshot-codec=<c>]"
-      " [--train-threads=<n>] <dir> <model> <source>"
-      " [iter_scale]\n"
+      "  microrec train [--snapshot-dir=<dir>] [--train-threads=<n>]"
+      " <dir> <model> <source> [iter_scale]\n"
       "  microrec recommend [--snapshot-dir=<dir>] [--serve-mode=<m>]"
       " [--deadline=<s>] [--user=<handle>] [--top-k=<n>] [--threads=<n>]"
       " [--train-threads=<n>]\n"
@@ -396,17 +390,8 @@ struct ServingFlags {
   size_t alias_stale_budget = 32;
   size_t shards = 1;
   double hedge_after_ms = 0.0;
-  std::string snapshot_codec = "raw";
   std::string serve_mode = "resident";
 };
-
-/// Resolves --snapshot-codec / --serve-mode into run options.
-Status ApplySnapshotFlags(const ServingFlags& flags,
-                          eval::RunOptions* options) {
-  MICROREC_RETURN_IF_ERROR(snapshot::ParseSnapshotCodec(
-      flags.snapshot_codec, &options->snapshot_codec));
-  return rec::ParseServeMode(flags.serve_mode, &options->serve_mode);
-}
 
 /// Resolves --sampler-kernel / --alias-stale-budget into run options.
 Status ApplyKernelFlags(const ServingFlags& flags,
@@ -477,12 +462,8 @@ int Train(const std::string& dir, const std::string& model_name,
   // Loading too: re-running train refreshes the snapshot without retraining
   // (the warm-started run re-persists its caches).
   options.snapshot_load = true;
-  if (Status st = ApplySnapshotFlags(flags, &options); !st.ok()) {
-    return Fail(st);
-  }
-  // Training must re-save, and mapped engines are read-only — the save
-  // codec is the flag that matters here.
-  options.serve_mode = rec::ServeMode::kResident;
+  // Training must re-save, and mapped engines are read-only, so train warm
+  // starts resident (the default) whatever --serve-mode says.
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
   if (Status st = runner.Init(); !st.ok()) return Fail(st);
 
@@ -517,7 +498,8 @@ int Recommend(const std::string& dir, const std::string& model_name,
     return Fail(st);
   }
   options.snapshot_dir = flags.snapshot_dir;
-  if (Status st = ApplySnapshotFlags(flags, &options); !st.ok()) {
+  if (Status st = rec::ParseServeMode(flags.serve_mode, &options.serve_mode);
+      !st.ok()) {
     return Fail(st);
   }
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
@@ -687,7 +669,9 @@ int Load(const std::string& dir, const std::string& model_name,
     return Fail(st);
   }
   options.snapshot_dir = serving_flags.snapshot_dir;
-  if (Status st = ApplySnapshotFlags(serving_flags, &options); !st.ok()) {
+  if (Status st =
+          rec::ParseServeMode(serving_flags.serve_mode, &options.serve_mode);
+      !st.ok()) {
     return Fail(st);
   }
   eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
@@ -1189,11 +1173,6 @@ int main(int argc, char** argv) {
   parser.AddSize("alias-stale-budget", &serving.alias_stale_budget,
                  "draws served by a stale word alias table before rebuild "
                  "(--sampler-kernel=alias only, default 32)");
-  parser.AddString("snapshot-codec", &serving.snapshot_codec,
-                   "train: section codec for saved snapshots — raw "
-                   "(default, microrec.snap/1) or compressed "
-                   "(microrec.snap/2: varint/delta rows in block-compressed "
-                   "sections, several times smaller and mmap-servable)");
   parser.AddString("serve-mode", &serving.serve_mode,
                    "recommend/load: how a warm start holds the snapshot — "
                    "resident (default, decoded into memory) or mmap (served "
