@@ -285,7 +285,7 @@ inline int FinishBench(const BenchIo& io, const char* bench_name) {
             snapshot.FindCounter("snapshot.writes")) {
       report.AddScalar("snapshot_writes", static_cast<double>(c->value));
     }
-    // Ranking hot path: how much work the inverted-index pruning skipped,
+    // Ranking hot path: how many candidates the bag kernel pruned,
     // and whether any score came out non-finite (a model bug indicator).
     if (const obs::CounterSnapshot* c =
             snapshot.FindCounter("rec.ranker.candidates")) {

@@ -1,32 +1,56 @@
 #include "bag/bag_model.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string_view>
 
 #include "text/ngram.h"
 #include "util/string_util.h"
 
 namespace microrec::bag {
 
-std::vector<TermId> BagModeler::ExtractTerms(const TokenDoc& doc) {
-  std::vector<std::string> grams;
-  if (config_.kind == NgramKind::kToken) {
-    grams = text::TokenNgrams(doc, config_.n);
-  } else {
-    grams = text::CharNgrams(Join(doc, " "), config_.n);
-  }
+namespace {
+
+std::vector<std::string> Grams(const TokenDoc& doc, NgramKind kind, int n) {
+  if (kind == NgramKind::kToken) return text::TokenNgrams(doc, n);
+  return text::CharNgrams(Join(doc, " "), n);
+}
+
+}  // namespace
+
+std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
+                            text::Vocabulary* vocab) {
+  return vocab->InternAll(Grams(doc, kind, n));
+}
+
+std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
+                            const text::Vocabulary& vocab) {
+  const std::vector<std::string> grams = Grams(doc, kind, n);
   std::vector<TermId> ids;
   ids.reserve(grams.size());
-  for (const std::string& gram : grams) ids.push_back(vocab_.Intern(gram));
+  // In order of first appearance. A tweet has few unseen grams, so a scan
+  // beats hashing; even 280 characters of unseen character 4-grams cost
+  // only about twice the hashed lookup.
+  std::vector<std::string_view> unseen;
+  for (const std::string& gram : grams) {
+    TermId id = vocab.Find(gram);
+    if (id == text::kInvalidTerm) {
+      auto it = std::find(unseen.begin(), unseen.end(), gram);
+      id = static_cast<TermId>(vocab.size() + (it - unseen.begin()));
+      if (it == unseen.end()) unseen.push_back(gram);
+    }
+    ids.push_back(id);
+  }
   return ids;
 }
 
 void BagModeler::Fit(const std::vector<TokenDoc>& docs) {
   num_train_docs_ = docs.size();
   for (const TokenDoc& doc : docs) {
-    std::vector<TermId> terms = ExtractTerms(doc);
-    SparseVector counts = SparseVector::FromCounts(terms);
-    if (df_.size() < vocab_.size()) df_.resize(vocab_.size(), 0);
+    SparseVector counts = SparseVector::FromCounts(
+        GramIds(doc, config_.kind, config_.n, &vocab_));
+    df_.resize(vocab_.size(), 0);
     for (const auto& [term, count] : counts.entries()) {
       (void)count;
       ++df_[term];
@@ -34,9 +58,11 @@ void BagModeler::Fit(const std::vector<TokenDoc>& docs) {
   }
 }
 
-SparseVector BagModeler::EmbedDocument(const TokenDoc& doc) {
-  std::vector<TermId> terms = ExtractTerms(doc);
-  if (df_.size() < vocab_.size()) df_.resize(vocab_.size(), 0);
+SparseVector BagModeler::EmbedDocument(const TokenDoc& doc) const {
+  return Weigh(GramIds(doc, config_.kind, config_.n, vocab_));
+}
+
+SparseVector BagModeler::Weigh(const std::vector<TermId>& terms) const {
   SparseVector counts = SparseVector::FromCounts(terms);
   if (counts.empty()) return counts;
 
@@ -52,8 +78,8 @@ SparseVector BagModeler::EmbedDocument(const TokenDoc& doc) {
     case Weighting::kTFIDF: {
       const double num_docs = static_cast<double>(num_train_docs_);
       counts.Transform([this, doc_len, num_docs](TermId term, double freq) {
-        double idf =
-            std::log(num_docs / (static_cast<double>(df_[term]) + 1.0));
+        const uint32_t df = term < df_.size() ? df_[term] : 0;
+        double idf = std::log(num_docs / (static_cast<double>(df) + 1.0));
         // Terms present in (almost) every document get idf <= 0; clamping at
         // zero keeps GJS's non-negativity requirement intact.
         if (idf < 0.0) idf = 0.0;
@@ -69,18 +95,21 @@ SparseVector BagModeler::EmbedDocument(const TokenDoc& doc) {
 SparseVector BagModeler::BuildUserVector(const std::vector<TokenDoc>& docs,
                                          const std::vector<bool>& positive) {
   assert(docs.size() == positive.size());
+  auto embed = [this](const TokenDoc& doc) {
+    return Weigh(GramIds(doc, config_.kind, config_.n, &vocab_));
+  };
   SparseVector user;
   switch (config_.aggregation) {
     case Aggregation::kSum: {
       for (const TokenDoc& doc : docs) {
-        user.AddScaled(EmbedDocument(doc), 1.0);
+        user.AddScaled(embed(doc), 1.0);
       }
       break;
     }
     case Aggregation::kCentroid: {
       size_t used = 0;
       for (const TokenDoc& doc : docs) {
-        SparseVector vec = EmbedDocument(doc);
+        SparseVector vec = embed(doc);
         double mag = vec.Magnitude();
         if (mag == 0.0) continue;
         user.AddScaled(vec, 1.0 / mag);
@@ -93,7 +122,7 @@ SparseVector BagModeler::BuildUserVector(const std::vector<TokenDoc>& docs,
       SparseVector pos_sum, neg_sum;
       size_t num_pos = 0, num_neg = 0;
       for (size_t i = 0; i < docs.size(); ++i) {
-        SparseVector vec = EmbedDocument(docs[i]);
+        SparseVector vec = embed(docs[i]);
         double mag = vec.Magnitude();
         if (mag == 0.0) continue;
         if (positive[i]) {
@@ -119,17 +148,35 @@ SparseVector BagModeler::BuildUserVector(const std::vector<TokenDoc>& docs,
   return user;
 }
 
-double BagModeler::Score(const SparseVector& user,
-                         const SparseVector& doc) const {
+std::optional<double> BagModeler::Kernel(const SparseVector& profile,
+                                         double profile_magnitude,
+                                         const SparseVector& doc) const {
+  const auto& entries = profile.entries();
+  auto it = entries.begin();
+  double dot = 0.0;
+  double doc_squares = 0.0;
+  size_t shared = 0;
+  for (const auto& [term, weight] : doc.entries()) {
+    doc_squares += weight * weight;
+    it = std::lower_bound(
+        it, entries.end(), term,
+        [](const SparseVector::Entry& e, TermId t) { return e.first < t; });
+    if (it != entries.end() && it->first == term) {
+      dot += it->second * weight;
+      ++shared;
+    }
+  }
+  if (shared == 0) return std::nullopt;
   switch (config_.similarity) {
     case BagSimilarity::kCosine: {
-      double denom = user.Magnitude() * doc.Magnitude();
-      return denom == 0.0 ? 0.0 : SparseVector::Dot(user, doc) / denom;
+      const double denom = profile_magnitude * std::sqrt(doc_squares);
+      return denom == 0.0 ? 0.0 : dot / denom;
     }
     case BagSimilarity::kJaccard:
-      return SparseVector::JaccardSupport(user, doc);
+      return static_cast<double>(shared) /
+             static_cast<double>(profile.size() + doc.size() - shared);
     case BagSimilarity::kGeneralizedJaccard:
-      return SparseVector::GeneralizedJaccard(user, doc);
+      return SparseVector::GeneralizedJaccard(profile, doc);
   }
   return 0.0;
 }

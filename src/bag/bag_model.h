@@ -8,12 +8,15 @@
 //   3. EmbedDocument() + Score() — embed each test tweet and rank by
 //                          similarity to the user model.
 //
-// A modeler instance serves one user and is not thread-safe: test-time
-// embedding interns previously unseen n-grams so that the set-based
-// similarities (JS, GJS) see the correct union size.
+// Fit() and BuildUserVector() intern n-grams and are not thread-safe.
+// Scoring only reads the modeler: EmbedDocument() numbers a candidate's
+// unseen n-grams above the vocabulary instead of interning them, so the
+// set-based similarities (JS, GJS) still see the correct union size and
+// concurrent scoring is safe.
 #ifndef MICROREC_BAG_BAG_MODEL_H_
 #define MICROREC_BAG_BAG_MODEL_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,19 @@ namespace microrec::bag {
 /// the same pre-processing (Section 4).
 using TokenDoc = std::vector<std::string>;
 
+/// The n-gram term ids of `doc`: the one gram -> id step of the bag and
+/// graph modelers. Fit-time overload: unseen grams are interned into
+/// `*vocab`.
+std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
+                            text::Vocabulary* vocab);
+
+/// Scoring overload: `vocab` is only read. A gram in it keeps its id; an
+/// unseen gram gets an id above the vocabulary, numbered by first
+/// appearance in `doc` — the id interning would assign it on this
+/// vocabulary, so scores match a freshly built or loaded model's.
+std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
+                            const text::Vocabulary& vocab);
+
 /// TN / CN modeler for a single user.
 class BagModeler {
  public:
@@ -39,16 +55,29 @@ class BagModeler {
 
   /// Embeds one document with the configured weighting scheme. IDF uses the
   /// fitted document frequencies; unseen terms receive df = 0 (max IDF).
-  SparseVector EmbedDocument(const TokenDoc& doc);
+  SparseVector EmbedDocument(const TokenDoc& doc) const;
 
   /// Aggregates the training documents into the user model. `positive`
-  /// must parallel `docs` and is consulted only by Rocchio.
+  /// must parallel `docs` and is consulted only by Rocchio. Interns grams
+  /// the vocabulary has not seen (the hashtag and followee recommenders
+  /// aggregate documents they never fitted).
   SparseVector BuildUserVector(const std::vector<TokenDoc>& docs,
                                const std::vector<bool>& positive);
 
   /// Similarity of a user model and a document model under the configured
   /// measure. Symmetric.
-  double Score(const SparseVector& user, const SparseVector& doc) const;
+  double Score(const SparseVector& user, const SparseVector& doc) const {
+    return Kernel(user, user.Magnitude(), doc).value_or(0.0);
+  }
+
+  /// The similarity kernel behind Score(), given the profile's magnitude:
+  /// it walks `doc` and looks each term up in `profile`, adding the same
+  /// terms in the same ascending-id order as the SparseVector merges, so
+  /// the bits match them. std::nullopt when the supports are disjoint,
+  /// where every measure is exactly 0; GJS then skips its merge.
+  std::optional<double> Kernel(const SparseVector& profile,
+                               double profile_magnitude,
+                               const SparseVector& doc) const;
 
   const BagConfig& config() const { return config_; }
   size_t vocabulary_size() const { return vocab_.size(); }
@@ -56,7 +85,7 @@ class BagModeler {
 
   /// Fitted state, exposed for snapshot persistence (the serialization
   /// itself lives in the rec layer). `doc_frequencies` may be shorter than
-  /// the vocabulary: terms interned at test time have df 0.
+  /// the vocabulary: terms past its end have df 0.
   const text::Vocabulary& vocabulary() const { return vocab_; }
   const std::vector<uint32_t>& doc_frequencies() const { return df_; }
 
@@ -66,12 +95,12 @@ class BagModeler {
                      std::vector<uint32_t> df, size_t num_train_docs);
 
  private:
-  /// N-gram term ids of a document (interning new terms).
-  std::vector<TermId> ExtractTerms(const TokenDoc& doc);
+  /// The weighted vector of a document's gram ids.
+  SparseVector Weigh(const std::vector<TermId>& terms) const;
 
   BagConfig config_;
   text::Vocabulary vocab_;
-  std::vector<uint32_t> df_;  // document frequency per term id
+  std::vector<uint32_t> df_;  // document frequency per fitted term id
   size_t num_train_docs_ = 0;
 };
 

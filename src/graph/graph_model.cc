@@ -1,7 +1,6 @@
 #include "graph/graph_model.h"
 
-#include "text/ngram.h"
-#include "util/string_util.h"
+#include "bag/bag_model.h"
 
 namespace microrec::graph {
 
@@ -33,23 +32,11 @@ std::vector<GraphConfig> EnumerateGraphConfigs(NgramKind kind) {
   return out;
 }
 
-std::vector<TermId> GraphModeler::ExtractTerms(
-    const std::vector<std::string>& doc) {
-  std::vector<std::string> grams;
-  if (config_.kind == NgramKind::kToken) {
-    grams = text::TokenNgrams(doc, config_.n);
-  } else {
-    grams = text::CharNgrams(Join(doc, " "), config_.n);
-  }
-  std::vector<TermId> ids;
-  ids.reserve(grams.size());
-  for (const std::string& gram : grams) ids.push_back(vocab_.Intern(gram));
-  return ids;
-}
-
-NgramGraph GraphModeler::BuildDocGraph(const std::vector<std::string>& doc) {
+NgramGraph GraphModeler::BuildDocGraph(
+    const std::vector<std::string>& doc) const {
   // The co-occurrence window equals the n-gram size (Section 3.1).
-  return NgramGraph::FromSequence(ExtractTerms(doc), config_.n);
+  return NgramGraph::FromSequence(
+      bag::GramIds(doc, config_.kind, config_.n, vocab_), config_.n);
 }
 
 NgramGraph GraphModeler::BuildUserGraph(
@@ -57,7 +44,8 @@ NgramGraph GraphModeler::BuildUserGraph(
   NgramGraph user;
   size_t merged = 0;
   for (const auto& doc : docs) {
-    NgramGraph doc_graph = BuildDocGraph(doc);
+    NgramGraph doc_graph = NgramGraph::FromSequence(
+        bag::GramIds(doc, config_.kind, config_.n, &vocab_), config_.n);
     if (doc_graph.empty()) continue;
     if (config_.merge == GraphMerge::kUpdate) {
       user.Update(doc_graph, merged);

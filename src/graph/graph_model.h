@@ -37,17 +37,21 @@ struct GraphConfig {
 /// Enumerates the 9 valid configurations for a kind.
 std::vector<GraphConfig> EnumerateGraphConfigs(NgramKind kind);
 
-/// TNG / CNG modeler for a single user. Not thread-safe (interns n-grams).
+/// TNG / CNG modeler for a single user. BuildUserGraph() interns n-grams
+/// and is not thread-safe; scoring (BuildDocGraph() + Score()) only reads
+/// the modeler and may run concurrently.
 class GraphModeler {
  public:
   explicit GraphModeler(const GraphConfig& config) : config_(config) {}
 
   /// Document graph of one pre-processed token document. For CNG the
   /// tokens are joined with single spaces and codepoint n-grams are used.
-  NgramGraph BuildDocGraph(const std::vector<std::string>& doc);
+  /// Unseen n-grams are numbered above the vocabulary, not interned
+  /// (bag::GramIds), so their edges can never match a user-graph edge.
+  NgramGraph BuildDocGraph(const std::vector<std::string>& doc) const;
 
   /// User graph: document graphs folded in chronological order with the
-  /// update operator (running average of edge weights).
+  /// update operator (running average of edge weights). Interns n-grams.
   NgramGraph BuildUserGraph(const std::vector<std::vector<std::string>>& docs);
 
   /// Similarity under the configured measure.
@@ -67,8 +71,6 @@ class GraphModeler {
   void RestoreVocabulary(const std::vector<std::string>& terms);
 
  private:
-  std::vector<TermId> ExtractTerms(const std::vector<std::string>& doc);
-
   GraphConfig config_;
   text::Vocabulary vocab_;
 };

@@ -3,8 +3,8 @@
 // batch ranker and the scoring kernels attribute their wall-clock to the
 // same causal tree. Stages are coarse phases of one query's life:
 //
-//   candidate_gen  embedding + inverted-index pruning (or cache probe)
-//   score          similarity-kernel / Engine::Score work
+//   candidate_gen  the score-cache probe
+//   score          Engine::Score work (embedding + similarity kernel)
 //   rank           NaN sanitation + canonical ordering + top-K selection
 //   degrade        time burned on ladder rungs that failed before the
 //                  rung that actually served

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <list>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -309,7 +310,8 @@ using RowSink = std::function<Status(uint64_t id, std::string_view row)>;
 // engine puts itself (cold builds, fresh inferences) are pinned: the map
 // cannot re-materialize them. Eviction bounds memory only; a hit or a miss
 // never changes a score, because re-materialization decodes the same
-// bytes. Caller thread only.
+// bytes. A lazy store is for one thread at a time; an eager store's Find()
+// only reads, so concurrent lookups are safe while nothing puts or erases.
 template <typename Key, typename Row>
 class RowStore {
  public:
@@ -461,32 +463,13 @@ class RowStore {
   std::unordered_set<Key> blocked_;
 };
 
-// The three families share this shape: LoadSnapshot and OpenMapped are
-// one open function at the two residencies.
-class SnapshotEngine : public Engine {
- public:
-  Status LoadSnapshot(const std::string& path,
-                      const EngineContext& ctx) final {
-    return Open(path, ctx, ServeMode::kResident);
-  }
-
-  Status OpenMapped(const std::string& path,
-                    const EngineContext& ctx) final {
-    return Open(path, ctx, ServeMode::kMmap);
-  }
-
- protected:
-  virtual Status Open(const std::string& path, const EngineContext& ctx,
-                      ServeMode residency) = 0;
-};
-
 // ---- Bag and graph engines: per-user state in one "users" table. ----
 
 // Each family's user row carries the fingerprint of the vocabulary it was
 // persisted with; an eager open binds the header's fingerprint to the
 // sorted (user id, term fingerprint) sequence, as SaveSnapshot computed it.
 template <typename User>
-class UserTableEngine : public SnapshotEngine {
+class UserTableEngine : public Engine {
  public:
   Status Prepare(const EngineContext& ctx) override {
     bool warmed = false;
@@ -507,6 +490,10 @@ class UserTableEngine : public SnapshotEngine {
   }
 
   void InvalidateUser(UserId u) override { users_.Erase(u); }
+
+  // Scoring reads the user store and the modeler only. A mapped store
+  // decodes rows and moves its LRU on lookup, so it scores in order.
+  bool ScoresConcurrently() const override { return !users_.lazy(); }
 
   Status SaveSnapshot(const std::string& path,
                       const EngineContext& ctx) const override {
@@ -583,6 +570,7 @@ class UserTableEngine : public SnapshotEngine {
 struct BagUser {
   bag::BagModeler modeler;
   bag::SparseVector vector;
+  double magnitude = 0.0;         // of `vector`, for the cosine kernel
   uint64_t term_fingerprint = 0;  // of the persisted vocabulary
 };
 
@@ -602,10 +590,19 @@ std::string EncodeBagRow(const std::vector<std::string>& terms,
   return row;
 }
 
+// Candidates whose support is disjoint from the profile (so every candidate
+// of an empty profile) score exactly 0 without a similarity; run reports
+// read this count as the ranker's pruning rate.
+obs::Counter* PrunedCounter() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Global().GetCounter("rec.ranker.pruned");
+  return counter;
+}
+
 class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
  public:
   explicit BagEngine(const ModelConfig& config)
-      : UserTableEngine(config, "bag user"), kernel_(config.bag) {}
+      : UserTableEngine(config, "bag user") {}
 
   SparseProfileScorer* sparse_scorer() override { return this; }
 
@@ -619,31 +616,39 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     return users_.Find(u)->modeler.EmbedDocument(ctx.pre->Filtered(d));
   }
 
-  double Kernel(UserId /*u*/, const bag::SparseVector& profile,
+  double Kernel(UserId u, const bag::SparseVector& profile,
                 const bag::SparseVector& doc) const override {
-    // Runs on shard threads. The similarity depends on the configuration
-    // alone, so it never touches the user store.
-    return kernel_.Score(profile, doc);
+    const BagUser* user = users_.Find(u);
+    if (user == nullptr) return 0.0;
+    return user->modeler.Kernel(profile, user->magnitude, doc).value_or(0.0);
   }
 
   double Score(UserId u, TweetId d, const EngineContext& ctx) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
-    BagUser* user = users_.Find(u);
+    const BagUser* user = users_.Find(u);
     if (user == nullptr) return 0.0;  // absent, or a counted corrupt row
-    bag::SparseVector doc = user->modeler.EmbedDocument(ctx.pre->Filtered(d));
-    return user->modeler.Score(user->vector, doc);
+    // An evidence-free profile is disjoint from everything: skip embedding.
+    std::optional<double> score;
+    if (!user->vector.empty()) {
+      score = user->modeler.Kernel(
+          user->vector, user->magnitude,
+          user->modeler.EmbedDocument(ctx.pre->Filtered(d)));
+    }
+    if (!score.has_value()) PrunedCounter()->Increment();
+    return score.value_or(0.0);
   }
 
  private:
   BagUser Build(const corpus::LabeledTrainSet& train,
                 const EngineContext& ctx) const override {
-    BagUser user{bag::BagModeler(config_.bag), {}, 0};
+    BagUser user{bag::BagModeler(config_.bag), {}, 0.0, 0};
     std::vector<bag::TokenDoc> docs;
     docs.reserve(train.docs.size());
     for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
     user.modeler.Fit(docs);
     user.vector = user.modeler.BuildUserVector(docs, train.positive);
+    user.magnitude = user.vector.Magnitude();
     return user;
   }
 
@@ -699,10 +704,11 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       entries.emplace_back(static_cast<text::TermId>(term_ids[e]),
                            weights[e]);
     }
-    BagUser user{bag::BagModeler(config_.bag), {},
+    BagUser user{bag::BagModeler(config_.bag), {}, 0.0,
                  snapshot::FingerprintTerms(terms)};
     user.modeler.RestoreFitted(terms, std::move(df), num_train_docs);
     user.vector = bag::SparseVector::FromUnsorted(std::move(entries));
+    user.magnitude = user.vector.Magnitude();
     return user;
   }
 
@@ -731,8 +737,6 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     }
     return Status::OK();
   }
-
-  bag::BagModeler kernel_;  // scores only; holds no vocabulary
 };
 
 // ---- Graph engine (TNG / CNG). ----
@@ -764,7 +768,7 @@ class GraphEngine : public UserTableEngine<GraphUser> {
   double Score(UserId u, TweetId d, const EngineContext& ctx) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
-    GraphUser* user = users_.Find(u);
+    const GraphUser* user = users_.Find(u);
     if (user == nullptr) return 0.0;  // absent, or a counted corrupt row
     graph::NgramGraph doc = user->modeler.BuildDocGraph(ctx.pre->Filtered(d));
     return user->modeler.Score(user->graph, doc);
@@ -885,7 +889,7 @@ Status ReadV1Dists(snapshot::Decoder* dec, const RowSink& sink) {
 template <typename Key>
 using DistStore = RowStore<Key, std::vector<double>>;
 
-class TopicEngine : public SnapshotEngine {
+class TopicEngine : public Engine {
  public:
   explicit TopicEngine(const ModelConfig& config)
       : config_(config), rng_(0xABCD) {}

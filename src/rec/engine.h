@@ -104,12 +104,8 @@ struct EngineContext {
 };
 
 /// Optional capability for engines whose user models are sparse term
-/// vectors (the bag family, TN / CN). BatchRanker uses it to run the
-/// pruned, sharded scoring fast path: candidates are embedded once (on the
-/// caller thread — embedding interns vocabulary and is not thread-safe),
-/// indexed by term, and only candidates whose support overlaps the profile
-/// reach the similarity kernel; the rest score exactly 0, which is what
-/// every zero-guarded bag similarity returns for disjoint supports.
+/// vectors (the bag family, TN / CN): the profile itself, and Score()'s two
+/// halves, for callers that inspect profiles or time the halves apart.
 class SparseProfileScorer {
  public:
   virtual ~SparseProfileScorer() = default;
@@ -117,19 +113,19 @@ class SparseProfileScorer {
   /// The user's profile vector; nullptr before BuildUser().
   virtual const bag::SparseVector* Profile(corpus::UserId u) const = 0;
 
-  /// Embeds candidate `d` exactly as Score() would (interning previously
-  /// unseen terms). Must be called from one thread at a time.
+  /// Embeds candidate `d` exactly as Score() does. Interns nothing.
   virtual bag::SparseVector Embed(corpus::UserId u, corpus::TweetId d,
                                   const EngineContext& ctx) = 0;
 
-  /// The configured similarity kernel on pre-embedded vectors. Pure and
-  /// thread-safe: safe to fan out across shards.
+  /// The similarity kernel Score() runs, on `profile` (user `u`'s
+  /// Profile()) and a pre-embedded candidate.
   virtual double Kernel(corpus::UserId u, const bag::SparseVector& profile,
                         const bag::SparseVector& doc) const = 0;
 };
 
 /// Abstract engine; instances are single-use (one configuration, one
-/// source, one run) and not thread-safe.
+/// source, one run) and not thread-safe, except that Score() may run
+/// concurrently where ScoresConcurrently() says so.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -143,6 +139,9 @@ class Engine {
                            const EngineContext& ctx) = 0;
 
   /// Ranking score of test tweet `d` for user `u` (higher = more relevant).
+  /// Bag and graph engines only read their state here; topic engines fold
+  /// unseen tweets in with draws from a shared generator, so their scores
+  /// depend on call order.
   virtual double Score(corpus::UserId u, corpus::TweetId d,
                        const EngineContext& ctx) = 0;
 
@@ -162,36 +161,44 @@ class Engine {
   virtual Status SaveSnapshot(const std::string& path,
                               const EngineContext& ctx) const = 0;
 
-  /// Restores a SaveSnapshot() file (or a microrec.snap/1 file) into a
-  /// freshly constructed engine of the same configuration: the resident
-  /// open. Verifies the header identity (model, source, seed,
-  /// iteration_scale, config fingerprint), decodes every row and checks the
-  /// vocabulary fingerprint before adopting anything, then drops the
-  /// mapping; afterwards BuildUser() is a no-op for persisted users and
-  /// Score() is bit-identical to the engine that saved.
-  virtual Status LoadSnapshot(const std::string& path,
-                              const EngineContext& ctx) = 0;
+  /// The one open: restores a SaveSnapshot() file (or a microrec.snap/1
+  /// file) into a freshly constructed engine of the same configuration.
+  /// Verifies the header identity (model, source, seed, iteration_scale,
+  /// config fingerprint) before adopting anything; afterwards BuildUser()
+  /// is a no-op for persisted users and Score() is bit-identical to the
+  /// engine that saved. `residency` only decides how rows are held:
+  ///   * kResident decodes every row and checks the vocabulary fingerprint
+  ///     at open, then drops the mapping;
+  ///   * kMmap decodes a row the first time a query needs it (bounded by
+  ///     ctx.mapped_user_cache) and keeps the mapping for the engine's
+  ///     lifetime. A mapped engine is read-only with respect to the
+  ///     persisted users: SaveSnapshot is FailedPrecondition. A v1 file has
+  ///     no row index and opens resident.
+  virtual Status Open(const std::string& path, const EngineContext& ctx,
+                      ServeMode residency) = 0;
 
-  /// The mmap open: the same identity checks and decoders as LoadSnapshot,
-  /// but rows are decoded the first time a query needs them (bounded by
-  /// ctx.mapped_user_cache) and the mapping stays open for the engine's
-  /// lifetime. Scores match LoadSnapshot exactly; only residency differs.
-  /// A v1 file opens resident. A mapped engine is read-only with respect to
-  /// the persisted users: SaveSnapshot is FailedPrecondition. An engine
-  /// without a mapped mode opens resident.
-  virtual Status OpenMapped(const std::string& path,
-                            const EngineContext& ctx) {
-    return LoadSnapshot(path, ctx);
+  /// The resident open.
+  Status LoadSnapshot(const std::string& path, const EngineContext& ctx) {
+    return Open(path, ctx, ServeMode::kResident);
   }
 
-  /// The warm-start entry: LoadSnapshot or OpenMapped, per ctx.serve_mode.
+  /// The mmap open.
+  Status OpenMapped(const std::string& path, const EngineContext& ctx) {
+    return Open(path, ctx, ServeMode::kMmap);
+  }
+
+  /// The warm-start entry: Open() at ctx.serve_mode.
   Status WarmStart(const std::string& path, const EngineContext& ctx) {
-    return ctx.serve_mode == ServeMode::kMmap ? OpenMapped(path, ctx)
-                                              : LoadSnapshot(path, ctx);
+    return Open(path, ctx, ctx.serve_mode);
   }
 
-  /// Sparse-profile capability for BatchRanker's pruned fast path; nullptr
-  /// for families without sparse user-term profiles (graph, topic).
+  /// Whether Score() may run on several threads at once (BatchRanker then
+  /// shards candidates over its pool). A property of the engine's state,
+  /// not an option: true only where scoring reads nothing it writes.
+  virtual bool ScoresConcurrently() const { return false; }
+
+  /// Sparse-profile capability; nullptr for families without sparse
+  /// user-term profiles (graph, topic).
   virtual SparseProfileScorer* sparse_scorer() { return nullptr; }
 };
 

@@ -10,20 +10,17 @@
 //     -infinity before any comparator sees them — a single NaN otherwise
 //     violates std::sort's strict-weak-ordering precondition, which is UB —
 //     and counted in `rec.nonfinite_scores`;
-//   * a pruned fast path for sparse-profile engines (bag TN / CN): the
-//     candidates are embedded once, indexed term -> candidate, and only
-//     candidates whose support overlaps the user profile reach the
-//     similarity kernel, sharded over a ThreadPool. Pruned candidates
-//     score exactly 0.0 — bit-identical to what every zero-guarded bag
-//     similarity returns for disjoint supports — so the fast path's
-//     ranking is byte-for-byte the brute-force ranking at any thread
-//     count (`rec.ranker.candidates` / `rec.ranker.pruned` make the
-//     pruning win visible in run reports);
+//   * one scoring loop for every family: Engine::Score per uncached
+//     candidate, in shards whose bounds depend only on the candidate
+//     count. Engines that score concurrently (resident bag and graph) run
+//     the shards on a ThreadPool; the rest score in candidate order on the
+//     caller thread. Either way the ranking is byte-for-byte the
+//     brute-force ranking at any thread count;
 //   * a bounded top-K heap selection when only the head of the ranking is
 //     needed (serving), instead of materialising and sorting the full
 //     candidate set;
 //   * an optional per-user score cache so repeated candidates across
-//     queries skip embedding and the kernel entirely.
+//     queries skip Engine::Score entirely.
 #ifndef MICROREC_REC_RANKER_H_
 #define MICROREC_REC_RANKER_H_
 
@@ -61,12 +58,13 @@ struct RankerOptions {
   /// selected with a bounded heap (identical to the first top_k entries of
   /// the full canonical ranking).
   size_t top_k = 0;
-  /// Candidates per scoring shard: the unit of parallel kernel work and of
-  /// deadline re-checks (a deadline is consulted at every shard boundary,
-  /// not just once per query).
+  /// Candidates per scoring shard: the unit of parallel scoring work and
+  /// of deadline re-checks (a deadline is consulted at every shard
+  /// boundary, not just once per query).
   size_t shard_size = 64;
-  /// Pool for the sharded kernel phase; nullptr scores on the caller
-  /// thread. Rankings are bit-identical either way.
+  /// Pool for sharded scoring, used when the engine ScoresConcurrently();
+  /// nullptr scores on the caller thread. Rankings are bit-identical
+  /// either way.
   ThreadPool* pool = nullptr;
   /// Per-user score-cache entries (0 disables). Cached scores are exact,
   /// so caching never changes a ranking, only skips recomputation.
@@ -113,19 +111,6 @@ class BatchRanker {
   const RankerOptions& options() const { return options_; }
 
  private:
-  /// Pruned sparse-profile scoring into `scores` (pre-sized, zero-filled).
-  Status ScoreSparse(SparseProfileScorer* scorer, corpus::UserId u,
-                     const std::vector<corpus::TweetId>& candidates,
-                     const std::vector<uint8_t>& cached,
-                     const resilience::Deadline* deadline,
-                     obs::RequestTrace* trace, std::vector<double>* scores);
-  /// Engine::Score fallback for families without sparse profiles.
-  Status ScoreGeneric(corpus::UserId u,
-                      const std::vector<corpus::TweetId>& candidates,
-                      const std::vector<uint8_t>& cached,
-                      const resilience::Deadline* deadline,
-                      obs::RequestTrace* trace, std::vector<double>* scores);
-
   Engine* engine_;
   const EngineContext* ctx_;
   RankerOptions options_;

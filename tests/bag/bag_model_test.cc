@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+
+#include "util/rng.h"
 
 namespace microrec::bag {
 namespace {
@@ -175,17 +178,63 @@ TEST(BagModelTest, TokenBigramsDistinguishWordOrder) {
   EXPECT_GT(modeler.Score(user, same_order), modeler.Score(user, reversed));
 }
 
-TEST(BagModelTest, VocabularyGrowsAtTestTimeForSetSimilarities) {
+TEST(BagModelTest, VocabularyStaysFixedAtTestTimeForSetSimilarities) {
   BagModeler modeler(TokenConfig(1, Weighting::kBF, Aggregation::kSum,
                                  BagSimilarity::kJaccard));
   std::vector<TokenDoc> docs = {{"a", "b"}};
   modeler.Fit(docs);
   size_t before = modeler.vocabulary_size();
   SparseVector doc = modeler.EmbedDocument({"a", "new1", "new2"});
-  EXPECT_EQ(modeler.vocabulary_size(), before + 2);
+  EXPECT_EQ(modeler.vocabulary_size(), before);
+  EXPECT_EQ(modeler.doc_frequencies().size(), before);
   SparseVector user = modeler.BuildUserVector(docs, {true});
-  // JS must see the unseen terms in the union: |{a}| / |{a,b,new1,new2}|.
+  // JS still sees the unseen terms in the union: |{a}| / |{a,b,new1,new2}|.
   EXPECT_DOUBLE_EQ(modeler.Score(user, doc), 0.25);
+}
+
+TEST(BagModelTest, KernelMatchesTheMergeReferencesBitForBit) {
+  // Random vectors over overlapping id ranges: the kernel's lookup walk must
+  // add the same terms in the same order as the SparseVector merges.
+  Rng rng(17);
+  auto random_vector = [&rng](uint32_t ids) {
+    std::vector<SparseVector::Entry> entries;
+    for (uint32_t id = 0; id < ids; ++id) {
+      if (rng.Bernoulli(0.3)) {
+        entries.emplace_back(id, rng.UniformDouble(0.01, 3.0));
+      }
+    }
+    return SparseVector::FromUnsorted(std::move(entries));
+  };
+  for (BagSimilarity similarity :
+       {BagSimilarity::kCosine, BagSimilarity::kJaccard,
+        BagSimilarity::kGeneralizedJaccard}) {
+    BagModeler modeler(
+        TokenConfig(1, Weighting::kTF, Aggregation::kSum, similarity));
+    for (int trial = 0; trial < 200; ++trial) {
+      SparseVector profile = random_vector(60);
+      SparseVector doc = random_vector(80);
+      double expected = 0.0;
+      switch (similarity) {
+        case BagSimilarity::kCosine: {
+          double denom = profile.Magnitude() * doc.Magnitude();
+          expected =
+              denom == 0.0 ? 0.0 : SparseVector::Dot(profile, doc) / denom;
+          break;
+        }
+        case BagSimilarity::kJaccard:
+          expected = SparseVector::JaccardSupport(profile, doc);
+          break;
+        case BagSimilarity::kGeneralizedJaccard:
+          expected = SparseVector::GeneralizedJaccard(profile, doc);
+          break;
+      }
+      std::optional<double> got =
+          modeler.Kernel(profile, profile.Magnitude(), doc);
+      EXPECT_EQ(got.value_or(0.0), expected) << "trial " << trial;
+      const bool overlaps = SparseVector::JaccardSupport(profile, doc) > 0.0;
+      EXPECT_EQ(got.has_value(), overlaps) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

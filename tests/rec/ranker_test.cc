@@ -121,7 +121,7 @@ class FakeEngine : public Engine {
                       const EngineContext&) const override {
     return Status::OK();
   }
-  Status LoadSnapshot(const std::string&, const EngineContext&) override {
+  Status Open(const std::string&, const EngineContext&, ServeMode) override {
     return Status::OK();
   }
 };
