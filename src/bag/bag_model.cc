@@ -3,53 +3,94 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string_view>
 
 #include "text/ngram.h"
 #include "util/string_util.h"
 
 namespace microrec::bag {
 
-namespace {
-
-std::vector<std::string> Grams(const TokenDoc& doc, NgramKind kind, int n) {
-  if (kind == NgramKind::kToken) return text::TokenNgrams(doc, n);
-  return text::CharNgrams(Join(doc, " "), n);
-}
-
-}  // namespace
-
 std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
-                            text::Vocabulary* vocab) {
-  return vocab->InternAll(Grams(doc, kind, n));
-}
-
-std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
-                            const text::Vocabulary& vocab) {
-  const std::vector<std::string> grams = Grams(doc, kind, n);
-  std::vector<TermId> ids;
-  ids.reserve(grams.size());
-  // In order of first appearance. A tweet has few unseen grams, so a scan
-  // beats hashing; even 280 characters of unseen character 4-grams cost
-  // only about twice the hashed lookup.
-  std::vector<std::string_view> unseen;
-  for (const std::string& gram : grams) {
-    TermId id = vocab.Find(gram);
-    if (id == text::kInvalidTerm) {
-      auto it = std::find(unseen.begin(), unseen.end(), gram);
-      id = static_cast<TermId>(vocab.size() + (it - unseen.begin()));
-      if (it == unseen.end()) unseen.push_back(gram);
-    }
-    ids.push_back(id);
+                            text::Vocabulary* dictionary) {
+  if (kind == NgramKind::kToken) {
+    return dictionary->InternAll(text::TokenNgrams(doc, n));
   }
-  return ids;
+  return dictionary->InternAll(text::CharNgrams(Join(doc, " "), n));
 }
 
-void BagModeler::Fit(const std::vector<TokenDoc>& docs) {
+size_t IdVocabulary::SlotOf(TermId gram) const {
+  const size_t mask = slots_.size() - 1;
+  // Fibonacci hashing spreads dictionary ids, which are dense, over the
+  // table's high bits.
+  size_t i = static_cast<size_t>((gram * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  while (slots_[i].gram != gram && slots_[i].gram != text::kInvalidTerm) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void IdVocabulary::Rehash(size_t capacity) {
+  slots_.assign(capacity, Slot{});
+  for (TermId local = 0; local < grams_.size(); ++local) {
+    if (grams_[local] == text::kInvalidTerm) continue;  // foreign
+    slots_[SlotOf(grams_[local])] = {grams_[local], local};
+  }
+}
+
+TermId IdVocabulary::Intern(TermId gram) {
+  if (2 * (grams_.size() + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
+  }
+  Slot& slot = slots_[SlotOf(gram)];
+  if (slot.gram == text::kInvalidTerm) {
+    slot = {gram, static_cast<TermId>(grams_.size())};
+    grams_.push_back(gram);
+  }
+  return slot.local;
+}
+
+void IdVocabulary::InternAll(GramDoc doc, std::vector<TermId>* ids) {
+  ids->clear();
+  for (TermId gram : doc) ids->push_back(Intern(gram));
+}
+
+TermId IdVocabulary::AddForeign() {
+  grams_.push_back(text::kInvalidTerm);
+  return static_cast<TermId>(grams_.size() - 1);
+}
+
+TermId IdVocabulary::Find(TermId gram) const {
+  return slots_.empty() ? text::kInvalidTerm : slots_[SlotOf(gram)].local;
+}
+
+bool IdVocabulary::ContainsAny(GramDoc doc) const {
+  return std::any_of(doc.begin(), doc.end(), [this](TermId gram) {
+    return Find(gram) != text::kInvalidTerm;
+  });
+}
+
+void IdVocabulary::Translate(GramDoc doc, std::vector<TermId>* ids) const {
+  ids->clear();
+  ids->reserve(doc.size());
+  // In order of first appearance. A tweet has few unseen grams, so a scan
+  // beats hashing.
+  std::vector<TermId> unseen;
+  for (TermId gram : doc) {
+    TermId local = Find(gram);
+    if (local == text::kInvalidTerm) {
+      auto pos = std::find(unseen.begin(), unseen.end(), gram);
+      local = static_cast<TermId>(size() + (pos - unseen.begin()));
+      if (pos == unseen.end()) unseen.push_back(gram);
+    }
+    ids->push_back(local);
+  }
+}
+
+void BagModeler::Fit(const std::vector<GramDoc>& docs) {
   num_train_docs_ = docs.size();
-  for (const TokenDoc& doc : docs) {
-    SparseVector counts = SparseVector::FromCounts(
-        GramIds(doc, config_.kind, config_.n, &vocab_));
+  std::vector<TermId> terms;
+  for (GramDoc doc : docs) {
+    vocab_.InternAll(doc, &terms);
+    SparseVector counts = SparseVector::FromCounts(terms);
     df_.resize(vocab_.size(), 0);
     for (const auto& [term, count] : counts.entries()) {
       (void)count;
@@ -58,8 +99,23 @@ void BagModeler::Fit(const std::vector<TokenDoc>& docs) {
   }
 }
 
-SparseVector BagModeler::EmbedDocument(const TokenDoc& doc) const {
-  return Weigh(GramIds(doc, config_.kind, config_.n, vocab_));
+SparseVector BagModeler::EmbedDocument(GramDoc doc) const {
+  std::vector<TermId> terms;
+  vocab_.Translate(doc, &terms);
+  return Weigh(terms);
+}
+
+std::optional<double> BagModeler::ScoreDocument(const SparseVector& profile,
+                                                double profile_magnitude,
+                                                GramDoc doc) const {
+  if (!vocab_.ContainsAny(doc)) return std::nullopt;
+  return Kernel(profile, profile_magnitude, EmbedDocument(doc));
+}
+
+SparseVector BagModeler::InternAndWeigh(GramDoc doc) {
+  std::vector<TermId> terms;
+  vocab_.InternAll(doc, &terms);
+  return Weigh(terms);
 }
 
 SparseVector BagModeler::Weigh(const std::vector<TermId>& terms) const {
@@ -92,24 +148,21 @@ SparseVector BagModeler::Weigh(const std::vector<TermId>& terms) const {
   return counts;
 }
 
-SparseVector BagModeler::BuildUserVector(const std::vector<TokenDoc>& docs,
+SparseVector BagModeler::BuildUserVector(const std::vector<GramDoc>& docs,
                                          const std::vector<bool>& positive) {
   assert(docs.size() == positive.size());
-  auto embed = [this](const TokenDoc& doc) {
-    return Weigh(GramIds(doc, config_.kind, config_.n, &vocab_));
-  };
   SparseVector user;
   switch (config_.aggregation) {
     case Aggregation::kSum: {
-      for (const TokenDoc& doc : docs) {
-        user.AddScaled(embed(doc), 1.0);
+      for (GramDoc doc : docs) {
+        user.AddScaled(InternAndWeigh(doc), 1.0);
       }
       break;
     }
     case Aggregation::kCentroid: {
       size_t used = 0;
-      for (const TokenDoc& doc : docs) {
-        SparseVector vec = embed(doc);
+      for (GramDoc doc : docs) {
+        SparseVector vec = InternAndWeigh(doc);
         double mag = vec.Magnitude();
         if (mag == 0.0) continue;
         user.AddScaled(vec, 1.0 / mag);
@@ -122,7 +175,7 @@ SparseVector BagModeler::BuildUserVector(const std::vector<TokenDoc>& docs,
       SparseVector pos_sum, neg_sum;
       size_t num_pos = 0, num_neg = 0;
       for (size_t i = 0; i < docs.size(); ++i) {
-        SparseVector vec = embed(docs[i]);
+        SparseVector vec = InternAndWeigh(docs[i]);
         double mag = vec.Magnitude();
         if (mag == 0.0) continue;
         if (positive[i]) {
@@ -181,10 +234,9 @@ std::optional<double> BagModeler::Kernel(const SparseVector& profile,
   return 0.0;
 }
 
-void BagModeler::RestoreFitted(const std::vector<std::string>& terms,
-                               std::vector<uint32_t> df,
+void BagModeler::RestoreFitted(IdVocabulary vocab, std::vector<uint32_t> df,
                                size_t num_train_docs) {
-  for (const std::string& term : terms) vocab_.Intern(term);
+  vocab_ = std::move(vocab);
   df_ = std::move(df);
   num_train_docs_ = num_train_docs;
 }

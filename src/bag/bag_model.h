@@ -8,15 +8,23 @@
 //   3. EmbedDocument() + Score() — embed each test tweet and rank by
 //                          similarity to the user model.
 //
-// Fit() and BuildUserVector() intern n-grams and are not thread-safe.
-// Scoring only reads the modeler: EmbedDocument() numbers a candidate's
-// unseen n-grams above the vocabulary instead of interning them, so the
-// set-based similarities (JS, GJS) still see the correct union size and
-// concurrent scoring is safe.
+// The modeler sees documents only as gram-id sequences (GramDoc) in a
+// dictionary someone else owns: for corpus tweets the one built per corpus
+// by rec::PreprocessedCorpus::Grams, for other documents one the caller
+// featurizes into with GramIds(). Its vocabulary (IdVocabulary) maps those
+// dictionary ids to local ids in order of first appearance, so vectors,
+// document frequencies and scores are the ones string interning gave.
+//
+// Fit() and BuildUserVector() intern and are not thread-safe. Scoring only
+// reads the modeler: EmbedDocument() numbers a candidate's unseen n-grams
+// above the vocabulary instead of interning them, so the set-based
+// similarities (JS, GJS) still see the correct union size and concurrent
+// scoring is safe.
 #ifndef MICROREC_BAG_BAG_MODEL_H_
 #define MICROREC_BAG_BAG_MODEL_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,18 +40,59 @@ namespace microrec::bag {
 /// the same pre-processing (Section 4).
 using TokenDoc = std::vector<std::string>;
 
-/// The n-gram term ids of `doc`: the one gram -> id step of the bag and
-/// graph modelers. Fit-time overload: unseen grams are interned into
-/// `*vocab`.
-std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
-                            text::Vocabulary* vocab);
+/// A document as its n-gram ids in a dictionary, in document order.
+using GramDoc = std::span<const TermId>;
 
-/// Scoring overload: `vocab` is only read. A gram in it keeps its id; an
-/// unseen gram gets an id above the vocabulary, numbered by first
-/// appearance in `doc` — the id interning would assign it on this
-/// vocabulary, so scores match a freshly built or loaded model's.
+/// The n-gram ids of `doc` in `*dictionary`, interning grams it has not
+/// seen: the one place the bag and graph models turn strings into ids.
 std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
-                            const text::Vocabulary& vocab);
+                            text::Vocabulary* dictionary);
+
+/// The vocabulary of one modeler over dictionary gram ids: each gram it
+/// has seen has a dense local id, assigned in order of first appearance.
+/// A local id may also stand for a foreign term, one no dictionary gram
+/// maps to (a persisted term the serving corpus never produces); no
+/// document matches it. Holds no strings.
+class IdVocabulary {
+ public:
+  /// The local id of dictionary gram `gram`, assigned on first sight.
+  TermId Intern(TermId gram);
+
+  /// Interns every gram of `doc`, writing their local ids to `*ids`.
+  void InternAll(GramDoc doc, std::vector<TermId>* ids);
+
+  /// Appends a foreign term's local id.
+  TermId AddForeign();
+
+  /// The dictionary gram of `local`; kInvalidTerm for a foreign term.
+  TermId GramOf(TermId local) const { return grams_[local]; }
+
+  size_t size() const { return grams_.size(); }
+
+  /// Whether any of `doc`'s grams has a local id.
+  bool ContainsAny(GramDoc doc) const;
+
+  /// Writes the local ids of `doc`'s grams to `*ids` without interning. An
+  /// unseen gram gets an id above the vocabulary, numbered by first
+  /// appearance in `doc`: the id Intern() would assign it, so scores match
+  /// a freshly built or loaded model's.
+  void Translate(GramDoc doc, std::vector<TermId>* ids) const;
+
+ private:
+  // An open-addressing table (linear probing, at most half full) from gram
+  // to local id: one probe per lookup on average, no node per entry.
+  struct Slot {
+    TermId gram = text::kInvalidTerm;  // kInvalidTerm: empty
+    TermId local = text::kInvalidTerm;
+  };
+
+  TermId Find(TermId gram) const;    // kInvalidTerm when unseen
+  size_t SlotOf(TermId gram) const;  // gram's slot, or the empty one
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;   // capacity: zero or a power of two
+  std::vector<TermId> grams_;  // local id -> dictionary gram
+};
 
 /// TN / CN modeler for a single user.
 class BagModeler {
@@ -51,17 +100,17 @@ class BagModeler {
   explicit BagModeler(const BagConfig& config) : config_(config) {}
 
   /// Learns vocabulary + document frequencies from the train documents.
-  void Fit(const std::vector<TokenDoc>& docs);
+  void Fit(const std::vector<GramDoc>& docs);
 
   /// Embeds one document with the configured weighting scheme. IDF uses the
   /// fitted document frequencies; unseen terms receive df = 0 (max IDF).
-  SparseVector EmbedDocument(const TokenDoc& doc) const;
+  SparseVector EmbedDocument(GramDoc doc) const;
 
   /// Aggregates the training documents into the user model. `positive`
   /// must parallel `docs` and is consulted only by Rocchio. Interns grams
   /// the vocabulary has not seen (the hashtag and followee recommenders
   /// aggregate documents they never fitted).
-  SparseVector BuildUserVector(const std::vector<TokenDoc>& docs,
+  SparseVector BuildUserVector(const std::vector<GramDoc>& docs,
                                const std::vector<bool>& positive);
 
   /// Similarity of a user model and a document model under the configured
@@ -79,6 +128,13 @@ class BagModeler {
                                double profile_magnitude,
                                const SparseVector& doc) const;
 
+  /// EmbedDocument() then Kernel(), except that a document none of whose
+  /// grams the vocabulary has seen is disjoint from the profile by
+  /// construction: std::nullopt without weighing it.
+  std::optional<double> ScoreDocument(const SparseVector& profile,
+                                      double profile_magnitude,
+                                      GramDoc doc) const;
+
   const BagConfig& config() const { return config_; }
   size_t vocabulary_size() const { return vocab_.size(); }
   size_t num_train_docs() const { return num_train_docs_; }
@@ -86,20 +142,22 @@ class BagModeler {
   /// Fitted state, exposed for snapshot persistence (the serialization
   /// itself lives in the rec layer). `doc_frequencies` may be shorter than
   /// the vocabulary: terms past its end have df 0.
-  const text::Vocabulary& vocabulary() const { return vocab_; }
+  const IdVocabulary& vocabulary() const { return vocab_; }
   const std::vector<uint32_t>& doc_frequencies() const { return df_; }
 
   /// Restores the fitted state captured by the accessors above into a
   /// freshly constructed modeler, replacing Fit().
-  void RestoreFitted(const std::vector<std::string>& terms,
-                     std::vector<uint32_t> df, size_t num_train_docs);
+  void RestoreFitted(IdVocabulary vocab, std::vector<uint32_t> df,
+                     size_t num_train_docs);
 
  private:
-  /// The weighted vector of a document's gram ids.
+  /// The weighted vector of a document's local term ids.
   SparseVector Weigh(const std::vector<TermId>& terms) const;
+  /// Interns `doc` and weighs it.
+  SparseVector InternAndWeigh(GramDoc doc);
 
   BagConfig config_;
-  text::Vocabulary vocab_;
+  IdVocabulary vocab_;
   std::vector<uint32_t> df_;  // document frequency per fitted term id
   size_t num_train_docs_ = 0;
 };

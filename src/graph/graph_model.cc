@@ -1,7 +1,5 @@
 #include "graph/graph_model.h"
 
-#include "bag/bag_model.h"
-
 namespace microrec::graph {
 
 bool GraphConfig::IsValid() const {
@@ -32,20 +30,27 @@ std::vector<GraphConfig> EnumerateGraphConfigs(NgramKind kind) {
   return out;
 }
 
-NgramGraph GraphModeler::BuildDocGraph(
-    const std::vector<std::string>& doc) const {
+NgramGraph GraphModeler::BuildDocGraph(bag::GramDoc doc) const {
+  std::vector<TermId> terms;
+  vocab_.Translate(doc, &terms);
   // The co-occurrence window equals the n-gram size (Section 3.1).
-  return NgramGraph::FromSequence(
-      bag::GramIds(doc, config_.kind, config_.n, vocab_), config_.n);
+  return NgramGraph::FromSequence(terms, config_.n);
+}
+
+std::optional<double> GraphModeler::ScoreDocument(const NgramGraph& user,
+                                                  bag::GramDoc doc) const {
+  if (!vocab_.ContainsAny(doc)) return std::nullopt;
+  return Score(user, BuildDocGraph(doc));
 }
 
 NgramGraph GraphModeler::BuildUserGraph(
-    const std::vector<std::vector<std::string>>& docs) {
+    const std::vector<bag::GramDoc>& docs) {
   NgramGraph user;
   size_t merged = 0;
-  for (const auto& doc : docs) {
-    NgramGraph doc_graph = NgramGraph::FromSequence(
-        bag::GramIds(doc, config_.kind, config_.n, &vocab_), config_.n);
+  std::vector<TermId> terms;
+  for (bag::GramDoc doc : docs) {
+    vocab_.InternAll(doc, &terms);
+    NgramGraph doc_graph = NgramGraph::FromSequence(terms, config_.n);
     if (doc_graph.empty()) continue;
     if (config_.merge == GraphMerge::kUpdate) {
       user.Update(doc_graph, merged);
@@ -57,10 +62,6 @@ NgramGraph GraphModeler::BuildUserGraph(
     ++merged;
   }
   return user;
-}
-
-void GraphModeler::RestoreVocabulary(const std::vector<std::string>& terms) {
-  for (const std::string& term : terms) vocab_.Intern(term);
 }
 
 }  // namespace microrec::graph

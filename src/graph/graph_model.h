@@ -3,12 +3,13 @@
 #ifndef MICROREC_GRAPH_GRAPH_MODEL_H_
 #define MICROREC_GRAPH_GRAPH_MODEL_H_
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bag/bag_config.h"  // NgramKind
+#include "bag/bag_model.h"  // GramDoc, IdVocabulary, NgramKind
 #include "graph/ngram_graph.h"
-#include "text/vocabulary.h"
 
 namespace microrec::graph {
 
@@ -37,42 +38,50 @@ struct GraphConfig {
 /// Enumerates the 9 valid configurations for a kind.
 std::vector<GraphConfig> EnumerateGraphConfigs(NgramKind kind);
 
-/// TNG / CNG modeler for a single user. BuildUserGraph() interns n-grams
-/// and is not thread-safe; scoring (BuildDocGraph() + Score()) only reads
-/// the modeler and may run concurrently.
+/// TNG / CNG modeler for a single user. Like bag::BagModeler it sees
+/// documents only as gram-id sequences and keeps a bag::IdVocabulary.
+/// BuildUserGraph() interns and is not thread-safe; scoring
+/// (BuildDocGraph() + Score()) only reads the modeler and may run
+/// concurrently.
 class GraphModeler {
  public:
   explicit GraphModeler(const GraphConfig& config) : config_(config) {}
 
-  /// Document graph of one pre-processed token document. For CNG the
-  /// tokens are joined with single spaces and codepoint n-grams are used.
-  /// Unseen n-grams are numbered above the vocabulary, not interned
-  /// (bag::GramIds), so their edges can never match a user-graph edge.
-  NgramGraph BuildDocGraph(const std::vector<std::string>& doc) const;
+  /// Document graph of one document's gram ids. Unseen grams are numbered
+  /// above the vocabulary, not interned (bag::IdVocabulary::Translate), so
+  /// their edges can never match a user-graph edge.
+  NgramGraph BuildDocGraph(bag::GramDoc doc) const;
 
   /// User graph: document graphs folded in chronological order with the
-  /// update operator (running average of edge weights). Interns n-grams.
-  NgramGraph BuildUserGraph(const std::vector<std::vector<std::string>>& docs);
+  /// update operator (running average of edge weights). Interns grams.
+  NgramGraph BuildUserGraph(const std::vector<bag::GramDoc>& docs);
 
   /// Similarity under the configured measure.
   double Score(const NgramGraph& user, const NgramGraph& doc) const {
     return GraphScore(config_.similarity, user, doc);
   }
 
+  /// BuildDocGraph() then Score(), except that a document none of whose
+  /// grams the vocabulary has seen shares no edge with the user graph by
+  /// construction: std::nullopt without building its graph.
+  std::optional<double> ScoreDocument(const NgramGraph& user,
+                                      bag::GramDoc doc) const;
+
   const GraphConfig& config() const { return config_; }
   size_t vocabulary_size() const { return vocab_.size(); }
 
-  /// Interned n-gram terms, exposed for snapshot persistence (the
-  /// serialization itself lives in the rec layer).
-  const text::Vocabulary& vocabulary() const { return vocab_; }
+  /// Interned grams, exposed for snapshot persistence (the serialization
+  /// lives in the rec layer); graph edge keys reference their local ids.
+  const bag::IdVocabulary& vocabulary() const { return vocab_; }
 
-  /// Rebuilds the vocabulary from a persisted term list on a freshly
-  /// constructed modeler (graph edge keys reference these term ids).
-  void RestoreVocabulary(const std::vector<std::string>& terms);
+  /// Restores a persisted vocabulary into a freshly constructed modeler.
+  void RestoreVocabulary(bag::IdVocabulary vocab) {
+    vocab_ = std::move(vocab);
+  }
 
  private:
   GraphConfig config_;
-  text::Vocabulary vocab_;
+  bag::IdVocabulary vocab_;
 };
 
 }  // namespace microrec::graph

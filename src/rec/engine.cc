@@ -59,6 +59,17 @@ obs::Counter* ScoreCounter() {
   return counter;
 }
 
+// Bag and graph candidates that share nothing with the user model, by
+// construction (none of their grams in the user's vocabulary, or an empty
+// bag profile) or by the bag kernel's support check, score exactly 0
+// without a similarity; run reports read this count as the ranker's
+// pruning rate.
+obs::Counter* PrunedCounter() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Global().GetCounter("rec.ranker.pruned");
+  return counter;
+}
+
 // Snapshot traffic counters (warm starts, opens, misses, row errors): off
 // the scoring path, so looked up by name.
 void IncrementCounter(const char* name) {
@@ -66,15 +77,6 @@ void IncrementCounter(const char* name) {
 }
 
 // ---- Shared snapshot plumbing. ----
-
-std::vector<std::string> VocabTerms(const text::Vocabulary& vocab) {
-  std::vector<std::string> terms;
-  terms.reserve(vocab.size());
-  for (size_t i = 0; i < vocab.size(); ++i) {
-    terms.push_back(vocab.TermOf(static_cast<text::TermId>(i)));
-  }
-  return terms;
-}
 
 // FNV-1a mixing of one 64-bit value into a running hash; the bag/graph
 // engines bind their header's vocabulary fingerprint to the full sorted
@@ -199,9 +201,10 @@ void PutRowF64s(std::string* out, const std::vector<double>& values) {
   out->append(enc.bytes());
 }
 
-void PutRowStrings(std::string* out, const std::vector<std::string>& values) {
+void PutRowStrings(std::string* out,
+                   const std::vector<std::string_view>& values) {
   snapshot::PutVarint(out, values.size());
-  for (const std::string& s : values) {
+  for (std::string_view s : values) {
     snapshot::PutVarint(out, s.size());
     out->append(s);
   }
@@ -238,7 +241,8 @@ class RowReader {
     return Status::OK();
   }
 
-  Status Strings(std::vector<std::string>* values, const char* what) {
+  /// Views into the row: valid while its bytes are.
+  Status Strings(std::vector<std::string_view>* values, const char* what) {
     uint64_t count = 0;
     MICROREC_RETURN_IF_ERROR(ReadCount(&count, 1, what));
     values->clear();
@@ -465,6 +469,53 @@ class RowStore {
 
 // ---- Bag and graph engines: per-user state in one "users" table. ----
 
+// Persisted terms the serving corpus never produces, with their local ids:
+// the snapshot was saved over a corpus preprocessed differently (another
+// stop list, other tokenizer options). Each keeps its local id, document
+// frequency and weight, never matches a candidate, and is saved back
+// unchanged.
+using ForeignTerms = std::vector<std::pair<text::TermId, std::string>>;
+
+// The persisted term list of a user vocabulary: each gram's string from the
+// corpus dictionary, each foreign term's own.
+std::vector<std::string_view> RowTerms(const bag::IdVocabulary& vocab,
+                                       const text::Vocabulary& dictionary,
+                                       const ForeignTerms& foreign) {
+  std::vector<std::string_view> terms;
+  terms.reserve(vocab.size());
+  auto next_foreign = foreign.begin();
+  for (text::TermId local = 0; local < vocab.size(); ++local) {
+    const text::TermId gram = vocab.GramOf(local);
+    if (gram != text::kInvalidTerm) {
+      terms.push_back(dictionary.TermOf(gram));
+    } else {
+      terms.push_back((next_foreign++)->second);
+    }
+  }
+  return terms;
+}
+
+// The user vocabulary of a persisted term list: each term is looked up in
+// the corpus dictionary once and keeps its position as its local id.
+Status InternRowTerms(const std::vector<std::string_view>& terms,
+                      const text::Vocabulary& dictionary,
+                      const std::string& origin, bag::IdVocabulary* vocab,
+                      ForeignTerms* foreign) {
+  for (std::string_view term : terms) {
+    const text::TermId gram = dictionary.Find(term);
+    if (gram == text::kInvalidTerm) {
+      foreign->emplace_back(vocab->AddForeign(), term);
+      continue;
+    }
+    const size_t local = vocab->size();
+    if (vocab->Intern(gram) != local) {
+      return Status::InvalidArgument(origin + " repeats term " +
+                                     std::to_string(local));
+    }
+  }
+  return Status::OK();
+}
+
 // Each family's user row carries the fingerprint of the vocabulary it was
 // persisted with; an eager open binds the header's fingerprint to the
 // sorted (user id, term fingerprint) sequence, as SaveSnapshot computed it.
@@ -484,15 +535,17 @@ class UserTableEngine : public Engine {
       if (users_.Find(u) != nullptr) return Status::OK();
       MICROREC_RETURN_IF_ERROR(users_.error());
     }
+    if (grams_ == nullptr) BindGrams(ctx);
     obs::ScopedHistogramTimer timer(BuildUserHistogram());
-    users_.Put(u, Build(train, ctx));
+    users_.Put(u, Build(train));
     return Status::OK();
   }
 
   void InvalidateUser(UserId u) override { users_.Erase(u); }
 
-  // Scoring reads the user store and the modeler only. A mapped store
-  // decodes rows and moves its LRU on lookup, so it scores in order.
+  // Scoring reads the user store, the modeler and the gram table only. A
+  // mapped store decodes rows and moves its LRU on lookup, so it scores in
+  // order.
   bool ScoresConcurrently() const override { return !users_.lazy(); }
 
   Status SaveSnapshot(const std::string& path,
@@ -501,11 +554,11 @@ class UserTableEngine : public Engine {
     uint64_t fingerprint = kFnvBasis;
     Result<std::string> table =
         users_.Table([&](UserId u, const User& user) {
-          uint64_t term_fingerprint = 0;
-          std::string row = EncodeRow(user, &term_fingerprint);
+          const std::vector<std::string_view> terms = RowTerms(
+              user.modeler.vocabulary(), grams_->dictionary(), user.foreign);
           fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
-                                       term_fingerprint);
-          return row;
+                                       snapshot::FingerprintTerms(terms));
+          return EncodeRow(user, terms);
         });
     if (!table.ok()) return table.status();
     snapshot::Writer writer = MakeWriter(config_, ctx, fingerprint);
@@ -514,15 +567,15 @@ class UserTableEngine : public Engine {
   }
 
  protected:
-  UserTableEngine(const ModelConfig& config, const char* row_label)
-      : config_(config), row_label_(row_label) {}
+  UserTableEngine(const ModelConfig& config, const char* row_label,
+                  bag::NgramKind kind, int n)
+      : config_(config), row_label_(row_label), kind_(kind), n_(n) {}
 
   /// The user model built from a labelled train set (a cold build).
-  virtual User Build(const corpus::LabeledTrainSet& train,
-                     const EngineContext& ctx) const = 0;
-  /// The row encoder; also reports the row's vocabulary fingerprint.
-  virtual std::string EncodeRow(const User& user,
-                                uint64_t* term_fingerprint) const = 0;
+  virtual User Build(const corpus::LabeledTrainSet& train) const = 0;
+  /// The row encoder, given the user's persisted term list.
+  virtual std::string EncodeRow(
+      const User& user, const std::vector<std::string_view>& terms) const = 0;
   /// The row decoder, with the semantic validation of every field.
   virtual Result<User> DecodeRow(std::string_view row,
                                  const std::string& origin) const = 0;
@@ -530,15 +583,34 @@ class UserTableEngine : public Engine {
   virtual Status ReadV1Rows(snapshot::Decoder* section,
                             const RowSink& sink) const = 0;
 
+  /// Reads a row's term list into `*user`'s vocabulary and foreign terms,
+  /// and records its fingerprint.
+  Status DecodeTerms(const std::vector<std::string_view>& terms,
+                     const std::string& origin, bag::IdVocabulary* vocab,
+                     User* user) const {
+    user->term_fingerprint = snapshot::FingerprintTerms(terms);
+    return InternRowTerms(terms, grams_->dictionary(), origin, vocab,
+                          &user->foreign);
+  }
+
   ModelConfig config_;
   mutable RowStore<UserId, User> users_;
+  // The corpus gram table users are built and candidates scored on: looked
+  // up once, by Open() or the first BuildUser(), and only read while
+  // scoring.
+  const GramTable* grams_ = nullptr;
 
  private:
+  void BindGrams(const EngineContext& ctx) {
+    grams_ = &ctx.pre->Grams(kind_, n_);
+  }
+
   Status Open(const std::string& path, const EngineContext& ctx,
               ServeMode residency) override {
     Result<std::shared_ptr<const snapshot::MappedFile>> file =
         OpenSnapshotFile(path, config_, ctx, residency);
     if (!file.ok()) return file.status();
+    BindGrams(ctx);  // rows map their terms to the corpus's grams
     RowStore<UserId, User> users;
     MICROREC_RETURN_IF_ERROR(users.Open(
         *file, "users", row_label_, residency == ServeMode::kMmap,
@@ -562,6 +634,8 @@ class UserTableEngine : public Engine {
   }
 
   const char* row_label_;
+  bag::NgramKind kind_;
+  int n_;
   bool loaded_from_snapshot_ = false;
 };
 
@@ -572,11 +646,12 @@ struct BagUser {
   bag::SparseVector vector;
   double magnitude = 0.0;         // of `vector`, for the cosine kernel
   uint64_t term_fingerprint = 0;  // of the persisted vocabulary
+  ForeignTerms foreign;
 };
 
 // A bag user row: vocabulary terms, document frequencies and the train doc
 // count, then the profile as delta-coded term ids plus f64 weights.
-std::string EncodeBagRow(const std::vector<std::string>& terms,
+std::string EncodeBagRow(const std::vector<std::string_view>& terms,
                          const std::vector<uint32_t>& df,
                          uint64_t num_train_docs,
                          const std::vector<uint64_t>& term_ids,
@@ -590,19 +665,10 @@ std::string EncodeBagRow(const std::vector<std::string>& terms,
   return row;
 }
 
-// Candidates whose support is disjoint from the profile (so every candidate
-// of an empty profile) score exactly 0 without a similarity; run reports
-// read this count as the ranker's pruning rate.
-obs::Counter* PrunedCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("rec.ranker.pruned");
-  return counter;
-}
-
 class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
  public:
   explicit BagEngine(const ModelConfig& config)
-      : UserTableEngine(config, "bag user") {}
+      : UserTableEngine(config, "bag user", config.bag.kind, config.bag.n) {}
 
   SparseProfileScorer* sparse_scorer() override { return this; }
 
@@ -612,8 +678,8 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
   }
 
   bag::SparseVector Embed(UserId u, TweetId d,
-                          const EngineContext& ctx) override {
-    return users_.Find(u)->modeler.EmbedDocument(ctx.pre->Filtered(d));
+                          const EngineContext&) override {
+    return users_.Find(u)->modeler.EmbedDocument(grams_->Of(d));
   }
 
   double Kernel(UserId u, const bag::SparseVector& profile,
@@ -623,7 +689,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     return user->modeler.Kernel(profile, user->magnitude, doc).value_or(0.0);
   }
 
-  double Score(UserId u, TweetId d, const EngineContext& ctx) override {
+  double Score(UserId u, TweetId d, const EngineContext&) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
     const BagUser* user = users_.Find(u);
@@ -631,30 +697,28 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     // An evidence-free profile is disjoint from everything: skip embedding.
     std::optional<double> score;
     if (!user->vector.empty()) {
-      score = user->modeler.Kernel(
-          user->vector, user->magnitude,
-          user->modeler.EmbedDocument(ctx.pre->Filtered(d)));
+      score = user->modeler.ScoreDocument(user->vector, user->magnitude,
+                                          grams_->Of(d));
     }
     if (!score.has_value()) PrunedCounter()->Increment();
     return score.value_or(0.0);
   }
 
  private:
-  BagUser Build(const corpus::LabeledTrainSet& train,
-                const EngineContext& ctx) const override {
-    BagUser user{bag::BagModeler(config_.bag), {}, 0.0, 0};
-    std::vector<bag::TokenDoc> docs;
+  BagUser Build(const corpus::LabeledTrainSet& train) const override {
+    BagUser user{bag::BagModeler(config_.bag), {}, 0.0, 0, {}};
+    std::vector<bag::GramDoc> docs;
     docs.reserve(train.docs.size());
-    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
+    for (TweetId id : train.docs) docs.push_back(grams_->Of(id));
     user.modeler.Fit(docs);
     user.vector = user.modeler.BuildUserVector(docs, train.positive);
     user.magnitude = user.vector.Magnitude();
     return user;
   }
 
-  std::string EncodeRow(const BagUser& user,
-                        uint64_t* term_fingerprint) const override {
-    std::vector<std::string> terms = VocabTerms(user.modeler.vocabulary());
+  std::string EncodeRow(
+      const BagUser& user,
+      const std::vector<std::string_view>& terms) const override {
     std::vector<uint64_t> term_ids;
     std::vector<double> weights;
     term_ids.reserve(user.vector.size());
@@ -663,7 +727,6 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       term_ids.push_back(term);
       weights.push_back(weight);
     }
-    *term_fingerprint = snapshot::FingerprintTerms(terms);
     return EncodeBagRow(terms, user.modeler.doc_frequencies(),
                         user.modeler.num_train_docs(), term_ids, weights);
   }
@@ -671,7 +734,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
   Result<BagUser> DecodeRow(std::string_view bytes,
                             const std::string& origin) const override {
     RowReader row(bytes, origin);
-    std::vector<std::string> terms;
+    std::vector<std::string_view> terms;
     std::vector<uint32_t> df;
     uint64_t num_train_docs = 0;
     std::vector<uint64_t> term_ids;
@@ -704,9 +767,11 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       entries.emplace_back(static_cast<text::TermId>(term_ids[e]),
                            weights[e]);
     }
-    BagUser user{bag::BagModeler(config_.bag), {}, 0.0,
-                 snapshot::FingerprintTerms(terms)};
-    user.modeler.RestoreFitted(terms, std::move(df), num_train_docs);
+    BagUser user{bag::BagModeler(config_.bag), {}, 0.0, 0, {}};
+    bag::IdVocabulary vocab;
+    MICROREC_RETURN_IF_ERROR(DecodeTerms(terms, origin, &vocab, &user));
+    user.modeler.RestoreFitted(std::move(vocab), std::move(df),
+                               num_train_docs);
     user.vector = bag::SparseVector::FromUnsorted(std::move(entries));
     user.magnitude = user.vector.Magnitude();
     return user;
@@ -732,7 +797,8 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&term_ids));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
       MICROREC_RETURN_IF_ERROR(sink(
-          user, EncodeBagRow(terms, df, num_train_docs,
+          user, EncodeBagRow({terms.begin(), terms.end()}, df,
+                             num_train_docs,
                              {term_ids.begin(), term_ids.end()}, weights)));
     }
     return Status::OK();
@@ -745,12 +811,13 @@ struct GraphUser {
   graph::GraphModeler modeler;
   graph::NgramGraph graph;
   uint64_t term_fingerprint = 0;  // of the persisted vocabulary
+  ForeignTerms foreign;
 };
 
 // A graph user row: vocabulary terms, then the edges as sorted,
 // delta-coded keys (the two packed term ids of adjacent edges share their
 // high halves, so each costs a few bytes) plus f64 weights.
-std::string EncodeGraphRow(const std::vector<std::string>& terms,
+std::string EncodeGraphRow(const std::vector<std::string_view>& terms,
                            const std::vector<uint64_t>& keys,
                            const std::vector<double>& weights) {
   std::string row;
@@ -763,31 +830,33 @@ std::string EncodeGraphRow(const std::vector<std::string>& terms,
 class GraphEngine : public UserTableEngine<GraphUser> {
  public:
   explicit GraphEngine(const ModelConfig& config)
-      : UserTableEngine(config, "graph user") {}
+      : UserTableEngine(config, "graph user", config.graph.kind,
+                        config.graph.n) {}
 
-  double Score(UserId u, TweetId d, const EngineContext& ctx) override {
+  double Score(UserId u, TweetId d, const EngineContext&) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
     ScoreCounter()->Increment();
     const GraphUser* user = users_.Find(u);
     if (user == nullptr) return 0.0;  // absent, or a counted corrupt row
-    graph::NgramGraph doc = user->modeler.BuildDocGraph(ctx.pre->Filtered(d));
-    return user->modeler.Score(user->graph, doc);
+    std::optional<double> score =
+        user->modeler.ScoreDocument(user->graph, grams_->Of(d));
+    if (!score.has_value()) PrunedCounter()->Increment();
+    return score.value_or(0.0);
   }
 
  private:
-  GraphUser Build(const corpus::LabeledTrainSet& train,
-                  const EngineContext& ctx) const override {
-    GraphUser user{graph::GraphModeler(config_.graph), {}, 0};
-    std::vector<std::vector<std::string>> docs;
+  GraphUser Build(const corpus::LabeledTrainSet& train) const override {
+    GraphUser user{graph::GraphModeler(config_.graph), {}, 0, {}};
+    std::vector<bag::GramDoc> docs;
     docs.reserve(train.docs.size());
-    for (TweetId id : train.docs) docs.push_back(ctx.pre->Filtered(id));
+    for (TweetId id : train.docs) docs.push_back(grams_->Of(id));
     user.graph = user.modeler.BuildUserGraph(docs);
     return user;
   }
 
-  std::string EncodeRow(const GraphUser& user,
-                        uint64_t* term_fingerprint) const override {
-    std::vector<std::string> terms = VocabTerms(user.modeler.vocabulary());
+  std::string EncodeRow(
+      const GraphUser& user,
+      const std::vector<std::string_view>& terms) const override {
     // Edges sorted by canonical key so the same graph always serializes to
     // the same bytes (unordered_map order is process-dependent).
     std::vector<uint64_t> keys;
@@ -797,14 +866,13 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     std::vector<double> weights;
     weights.reserve(keys.size());
     for (uint64_t key : keys) weights.push_back(user.graph.edges().at(key));
-    *term_fingerprint = snapshot::FingerprintTerms(terms);
     return EncodeGraphRow(terms, keys, weights);
   }
 
   Result<GraphUser> DecodeRow(std::string_view bytes,
                               const std::string& origin) const override {
     RowReader row(bytes, origin);
-    std::vector<std::string> terms;
+    std::vector<std::string_view> terms;
     std::vector<uint64_t> keys;
     std::vector<double> weights;
     MICROREC_RETURN_IF_ERROR(row.Strings(&terms, "terms"));
@@ -815,9 +883,10 @@ class GraphEngine : public UserTableEngine<GraphUser> {
       return Status::InvalidArgument(
           origin + " has mismatched edge key/weight counts");
     }
-    GraphUser user{graph::GraphModeler(config_.graph), {},
-                   snapshot::FingerprintTerms(terms)};
-    user.modeler.RestoreVocabulary(terms);
+    GraphUser user{graph::GraphModeler(config_.graph), {}, 0, {}};
+    bag::IdVocabulary vocab;
+    MICROREC_RETURN_IF_ERROR(DecodeTerms(terms, origin, &vocab, &user));
+    user.modeler.RestoreVocabulary(std::move(vocab));
     for (size_t e = 0; e < keys.size(); ++e) {
       if ((keys[e] >> 32) >= terms.size() ||
           (keys[e] & 0xFFFFFFFFu) >= terms.size()) {
@@ -845,8 +914,8 @@ class GraphEngine : public UserTableEngine<GraphUser> {
       MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecU64(&keys));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
-      MICROREC_RETURN_IF_ERROR(
-          sink(user, EncodeGraphRow(terms, keys, weights)));
+      MICROREC_RETURN_IF_ERROR(sink(
+          user, EncodeGraphRow({terms.begin(), terms.end()}, keys, weights)));
     }
     return Status::OK();
   }
@@ -1098,7 +1167,8 @@ class TopicEngine : public Engine {
     }
     std::vector<std::string> terms = docs_.Terms();
     snapshot::Writer writer =
-        MakeWriter(config_, ctx, snapshot::FingerprintTerms(terms));
+        MakeWriter(config_, ctx,
+                   snapshot::FingerprintTerms({terms.begin(), terms.end()}));
     snapshot::Encoder vocab;
     vocab.PutVecString(terms);
     writer.AddSection("vocab", vocab.Release());
@@ -1187,7 +1257,8 @@ class TopicEngine : public Engine {
     MICROREC_RETURN_IF_ERROR(vocab->ReadVecString(&terms));
     MICROREC_RETURN_IF_ERROR(vocab->ExpectEnd());
     MICROREC_RETURN_IF_ERROR(
-        CheckVocabFingerprint(file, snapshot::FingerprintTerms(terms)));
+        CheckVocabFingerprint(
+            file, snapshot::FingerprintTerms({terms.begin(), terms.end()})));
     std::unique_ptr<topic::TopicModel> model;
     MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0, &model));
     Result<snapshot::Decoder> state = ReadSection(file, "model", &bytes);

@@ -5,13 +5,19 @@
 
 namespace microrec::rec {
 
+std::vector<text::TermId> FolloweeRecommender::Featurize(
+    const bag::TokenDoc& doc) {
+  return bag::GramIds(doc, config_.bag.kind, config_.bag.n, &dictionary_);
+}
+
 Status FolloweeRecommender::BuildProfiles(size_t min_posts) {
   if (config_.kind != ModelKind::kTN && config_.kind != ModelKind::kCN) {
     return Status::InvalidArgument(
         "followee recommendation uses bag-model configurations (TN/CN)");
   }
   const corpus::Corpus& corpus = pre_->corpus();
-  std::vector<bag::TokenDoc> docs;
+  dictionary_ = text::Vocabulary();
+  std::vector<std::vector<text::TermId>> featurized;
   std::vector<corpus::UserId> owners;
   for (corpus::UserId u = 0; u < corpus.num_users(); ++u) {
     const auto& posts = corpus.PostsOf(u);
@@ -21,12 +27,13 @@ Status FolloweeRecommender::BuildProfiles(size_t min_posts) {
       const auto& tokens = pre_->Filtered(id);
       doc.insert(doc.end(), tokens.begin(), tokens.end());
     }
-    docs.push_back(std::move(doc));
+    featurized.push_back(Featurize(doc));
     owners.push_back(u);
   }
-  if (docs.empty()) {
+  if (featurized.empty()) {
     return Status::FailedPrecondition("no user reaches the post threshold");
   }
+  const std::vector<bag::GramDoc> docs(featurized.begin(), featurized.end());
   modeler_ = std::make_unique<bag::BagModeler>(config_.bag);
   modeler_->Fit(docs);
   profiles_.clear();
@@ -46,10 +53,13 @@ Result<std::vector<FolloweeSuggestion>> FolloweeRecommender::Recommend(
   if (modeler_ == nullptr) {
     return Status::FailedPrecondition("BuildProfiles() not called");
   }
-  std::vector<bag::TokenDoc> docs;
-  docs.reserve(train.docs.size());
-  for (corpus::TweetId id : train.docs) docs.push_back(pre_->Filtered(id));
-  bag::SparseVector user = modeler_->BuildUserVector(docs, train.positive);
+  std::vector<std::vector<text::TermId>> featurized;
+  featurized.reserve(train.docs.size());
+  for (corpus::TweetId id : train.docs) {
+    featurized.push_back(Featurize(pre_->Filtered(id)));
+  }
+  bag::SparseVector user = modeler_->BuildUserVector(
+      {featurized.begin(), featurized.end()}, train.positive);
   if (user.empty()) {
     return Status::FailedPrecondition("ego model is empty");
   }

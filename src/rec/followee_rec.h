@@ -46,6 +46,10 @@ class FolloweeRecommender {
   size_t num_profiles() const { return profiles_.size(); }
 
  private:
+  /// The gram ids of a document in dictionary_. Concatenated posts are not
+  /// corpus tweets, and the ego's posts must share their id space.
+  std::vector<text::TermId> Featurize(const bag::TokenDoc& doc);
+
   const PreprocessedCorpus* pre_;
   ModelConfig config_;
   struct Profile {
@@ -53,6 +57,7 @@ class FolloweeRecommender {
     bag::SparseVector vector;
     size_t posts = 0;
   };
+  text::Vocabulary dictionary_;  // of the documents modeler_ sees
   std::unique_ptr<bag::BagModeler> modeler_;
   std::vector<Profile> profiles_;
 };

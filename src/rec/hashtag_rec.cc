@@ -17,6 +17,11 @@ std::vector<std::string> HashtagRecommender::ContentTokens(
   return out;
 }
 
+std::vector<text::TermId> HashtagRecommender::Featurize(
+    const bag::TokenDoc& doc) {
+  return bag::GramIds(doc, config_.bag.kind, config_.bag.n, &dictionary_);
+}
+
 Status HashtagRecommender::BuildProfiles(
     const std::vector<corpus::TweetId>& tweets, size_t min_support) {
   if (config_.kind != ModelKind::kTN && config_.kind != ModelKind::kCN) {
@@ -37,7 +42,8 @@ Status HashtagRecommender::BuildProfiles(
   }
 
   // Fit the modeler on the pooled documents, then embed each pool.
-  std::vector<bag::TokenDoc> docs;
+  dictionary_ = text::Vocabulary();
+  std::vector<std::vector<text::TermId>> pooled;
   std::vector<const std::string*> tags;
   for (const auto& [tag, members] : pools) {
     if (members.size() < min_support) continue;
@@ -46,14 +52,15 @@ Status HashtagRecommender::BuildProfiles(
       std::vector<std::string> tokens = ContentTokens(id);
       doc.insert(doc.end(), tokens.begin(), tokens.end());
     }
-    docs.push_back(std::move(doc));
+    pooled.push_back(Featurize(doc));
     tags.push_back(&tag);
   }
-  if (docs.empty()) {
+  if (pooled.empty()) {
     return Status::FailedPrecondition(
         "no hashtag reaches the support threshold");
   }
 
+  const std::vector<bag::GramDoc> docs(pooled.begin(), pooled.end());
   modeler_ = std::make_unique<bag::BagModeler>(config_.bag);
   modeler_->Fit(docs);
   profiles_.clear();
@@ -74,19 +81,19 @@ Result<std::vector<HashtagSuggestion>> HashtagRecommender::Recommend(
     return Status::FailedPrecondition("BuildProfiles() not called");
   }
   // The user model: her training documents, hashtags stripped.
-  std::vector<bag::TokenDoc> docs;
+  std::vector<std::vector<text::TermId>> featurized;
   std::unordered_set<std::string> already_used;
-  docs.reserve(user_train.docs.size());
+  featurized.reserve(user_train.docs.size());
   for (corpus::TweetId id : user_train.docs) {
-    docs.push_back(ContentTokens(id));
+    featurized.push_back(Featurize(ContentTokens(id)));
     for (const auto& token : pre_->Tokens(id)) {
       if (token.type == text::TokenType::kHashtag) {
         already_used.insert(token.text);
       }
     }
   }
-  bag::SparseVector user =
-      modeler_->BuildUserVector(docs, user_train.positive);
+  bag::SparseVector user = modeler_->BuildUserVector(
+      {featurized.begin(), featurized.end()}, user_train.positive);
   if (user.empty()) {
     return Status::FailedPrecondition("user model is empty");
   }

@@ -56,6 +56,10 @@ class HashtagRecommender {
   /// Stop-filtered tokens of a tweet minus its hashtag tokens.
   std::vector<std::string> ContentTokens(corpus::TweetId id) const;
 
+  /// The gram ids of a pooled or hashtag-stripped document: these are not
+  /// corpus tweets, so they are featurized into dictionary_.
+  std::vector<text::TermId> Featurize(const bag::TokenDoc& doc);
+
   const PreprocessedCorpus* pre_;
   ModelConfig config_;
   struct Profile {
@@ -63,6 +67,7 @@ class HashtagRecommender {
     bag::SparseVector vector;
     size_t support = 0;
   };
+  text::Vocabulary dictionary_;  // of the documents modeler_ sees
   std::unique_ptr<bag::BagModeler> modeler_;
   std::vector<Profile> profiles_;
 };

@@ -1,5 +1,6 @@
 #include "rec/preprocessed.h"
 
+#include "bag/bag_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/fault.h"
@@ -40,6 +41,37 @@ PreprocessedCorpus::PreprocessedCorpus(
   registry.GetGauge("rec.preprocessed.tweets")
       ->Set(static_cast<double>(corpus.num_tweets()));
   registry.GetCounter("rec.preprocessed.kept_tokens")->Add(kept_tokens);
+}
+
+const GramTable& PreprocessedCorpus::Grams(bag::NgramKind kind, int n) const {
+  GramSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(grams_mu_);
+    std::unique_ptr<GramSlot>& entry = grams_[{kind, n}];
+    if (entry == nullptr) entry = std::make_unique<GramSlot>();
+    slot = entry.get();
+  }
+  std::call_once(slot->built, [&] { BuildGrams(kind, n, &slot->table); });
+  return slot->table;
+}
+
+void PreprocessedCorpus::BuildGrams(bag::NgramKind kind, int n,
+                                    GramTable* table) const {
+  MICROREC_SPAN("featurize");
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "rec.preprocessed.featurize_seconds");
+  obs::ScopedHistogramTimer timer(histogram);
+  // Sequential, so dictionary ids follow tweet order at any thread count.
+  table->offsets_.reserve(filtered_.size() + 1);
+  table->offsets_.push_back(0);
+  for (const std::vector<std::string>& tokens : filtered_) {
+    std::vector<text::TermId> ids =
+        bag::GramIds(tokens, kind, n, &table->dictionary_);
+    table->ids_.insert(table->ids_.end(), ids.begin(), ids.end());
+    table->offsets_.push_back(table->ids_.size());
+  }
+  table->ids_.shrink_to_fit();
 }
 
 }  // namespace microrec::rec

@@ -1,20 +1,51 @@
 // One-time pre-processing shared by every model and configuration:
 // tokenization, stop-token computation (the 100 most frequent tokens across
-// all training tweets, Section 4) and the stop-filtered token strings each
-// model consumes. Building this once keeps the 223-configuration sweep from
-// re-tokenizing 13 sources x 60 users worth of tweets per configuration.
+// all training tweets, Section 4), the stop-filtered token strings each
+// model consumes, and, per (gram kind, n) in use, the featurized tweets the
+// bag and graph models fit and score on. Building this once keeps the
+// 223-configuration sweep from re-tokenizing 13 sources x 60 users worth of
+// tweets per configuration, and every user from re-extracting the n-grams
+// of every candidate.
 #ifndef MICROREC_REC_PREPROCESSED_H_
 #define MICROREC_REC_PREPROCESSED_H_
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bag/bag_config.h"
 #include "corpus/corpus.h"
 #include "corpus/stop_tokens.h"
 #include "corpus/tokenized.h"
+#include "text/vocabulary.h"
 #include "util/thread_pool.h"
 
 namespace microrec::rec {
+
+/// One (gram kind, n)'s featurization of a corpus: a dictionary of every
+/// gram in every tweet's Filtered() tokens, built with bag::GramIds, and
+/// each tweet's gram ids in document order, in one flat array.
+class GramTable {
+ public:
+  /// Every gram of the corpus; ids in order of first appearance.
+  const text::Vocabulary& dictionary() const { return dictionary_; }
+
+  /// Tweet `id`'s gram ids, in document order.
+  std::span<const text::TermId> Of(corpus::TweetId id) const {
+    return {ids_.data() + offsets_[id], ids_.data() + offsets_[id + 1]};
+  }
+
+ private:
+  friend class PreprocessedCorpus;
+
+  text::Vocabulary dictionary_;
+  std::vector<text::TermId> ids_;
+  std::vector<size_t> offsets_;  // tweet t's ids: [offsets_[t], offsets_[t+1])
+};
 
 /// Immutable pre-processed view over a corpus.
 class PreprocessedCorpus {
@@ -43,11 +74,25 @@ class PreprocessedCorpus {
     return tokenized_.TokensOf(id);
   }
 
+  /// The (kind, n) gram table, built on the first request and shared by
+  /// every later one. Thread-safe: concurrent first requests build it once.
+  const GramTable& Grams(bag::NgramKind kind, int n) const;
+
  private:
+  struct GramSlot {
+    std::once_flag built;
+    GramTable table;
+  };
+
+  void BuildGrams(bag::NgramKind kind, int n, GramTable* table) const;
+
   const corpus::Corpus& corpus_;
   corpus::TokenizedCorpus tokenized_;
   corpus::StopTokenFilter stop_filter_;
   std::vector<std::vector<std::string>> filtered_;
+  mutable std::mutex grams_mu_;  // guards the map, not the tables
+  mutable std::map<std::pair<bag::NgramKind, int>, std::unique_ptr<GramSlot>>
+      grams_;
 };
 
 }  // namespace microrec::rec

@@ -36,7 +36,7 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-uint64_t FingerprintTerms(const std::vector<std::string>& terms) {
+uint64_t FingerprintTerms(const std::vector<std::string_view>& terms) {
   uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
   auto mix = [&h](const void* data, size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -47,7 +47,7 @@ uint64_t FingerprintTerms(const std::vector<std::string>& terms) {
   };
   uint64_t count = terms.size();
   mix(&count, sizeof(count));
-  for (const std::string& term : terms) {
+  for (std::string_view term : terms) {
     uint64_t len = term.size();
     mix(&len, sizeof(len));
     mix(term.data(), term.size());

@@ -29,7 +29,7 @@ inline uint32_t Crc32(std::string_view bytes, uint32_t seed = 0) {
 /// FNV-1a over a term list, with per-term length framing so {"ab","c"} and
 /// {"a","bc"} hash differently. Binds a snapshot to the exact vocabulary it
 /// was trained over.
-uint64_t FingerprintTerms(const std::vector<std::string>& terms);
+uint64_t FingerprintTerms(const std::vector<std::string_view>& terms);
 
 /// Appends primitives to a byte buffer. All integers are little-endian;
 /// doubles are stored as their IEEE-754 bit pattern for exact round-trips

@@ -3,7 +3,7 @@
 namespace microrec::text {
 
 TermId Vocabulary::Intern(std::string_view term) {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   if (it != index_.end()) return it->second;
   TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
@@ -12,7 +12,7 @@ TermId Vocabulary::Intern(std::string_view term) {
 }
 
 TermId Vocabulary::Find(std::string_view term) const {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   return it == index_.end() ? kInvalidTerm : it->second;
 }
 

@@ -5,7 +5,7 @@
 #define MICROREC_TEXT_VOCABULARY_H_
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -20,6 +20,7 @@ inline constexpr TermId kInvalidTerm = UINT32_MAX;
 
 /// Append-only bidirectional term <-> id map.
 ///
+/// Lookups hash the caller's string_view as is: no temporary std::string.
 /// Not thread-safe for interning; concurrent read-only lookup is safe once
 /// construction is complete.
 class Vocabulary {
@@ -40,7 +41,15 @@ class Vocabulary {
   std::vector<TermId> InternAll(const std::vector<std::string>& terms);
 
  private:
-  std::unordered_map<std::string, TermId> index_;
+  // Transparent, so find() takes a string_view (C++20 heterogeneous lookup).
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
+  std::unordered_map<std::string, TermId, Hash, std::equal_to<>> index_;
   std::vector<std::string> terms_;
 };
 

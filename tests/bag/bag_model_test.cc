@@ -5,10 +5,13 @@
 #include <cmath>
 #include <optional>
 
+#include "gram_docs.h"
 #include "util/rng.h"
 
 namespace microrec::bag {
 namespace {
+
+using testutil::GramDocs;
 
 BagConfig TokenConfig(int n, Weighting w, Aggregation a, BagSimilarity s) {
   BagConfig config;
@@ -23,8 +26,9 @@ BagConfig TokenConfig(int n, Weighting w, Aggregation a, BagSimilarity s) {
 TEST(BagModelTest, TfWeightsAreNormalizedFrequencies) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kSum,
                                  BagSimilarity::kCosine));
-  modeler.Fit({{"a", "a", "b"}});
-  SparseVector vec = modeler.EmbedDocument({"a", "a", "b"});
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs({{"a", "a", "b"}}));
+  SparseVector vec = modeler.EmbedDocument(grams.Doc({"a", "a", "b"}));
   ASSERT_EQ(vec.size(), 2u);
   EXPECT_DOUBLE_EQ(vec.entries()[0].second, 2.0 / 3.0);  // a
   EXPECT_DOUBLE_EQ(vec.entries()[1].second, 1.0 / 3.0);  // b
@@ -33,8 +37,9 @@ TEST(BagModelTest, TfWeightsAreNormalizedFrequencies) {
 TEST(BagModelTest, BfWeightsAreBinary) {
   BagModeler modeler(TokenConfig(1, Weighting::kBF, Aggregation::kSum,
                                  BagSimilarity::kJaccard));
-  modeler.Fit({{"a", "a", "b"}});
-  SparseVector vec = modeler.EmbedDocument({"a", "a", "a", "b"});
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs({{"a", "a", "b"}}));
+  SparseVector vec = modeler.EmbedDocument(grams.Doc({"a", "a", "a", "b"}));
   for (const auto& [term, weight] : vec.entries()) {
     EXPECT_DOUBLE_EQ(weight, 1.0);
   }
@@ -43,9 +48,11 @@ TEST(BagModelTest, BfWeightsAreBinary) {
 TEST(BagModelTest, TfIdfDownweightsUbiquitousTerms) {
   BagModeler modeler(TokenConfig(1, Weighting::kTFIDF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   // "common" appears in every doc; "rare" in one of three.
-  modeler.Fit({{"common", "rare"}, {"common", "x"}, {"common", "y"}});
-  SparseVector vec = modeler.EmbedDocument({"common", "rare"});
+  modeler.Fit(
+      grams.Docs({{"common", "rare"}, {"common", "x"}, {"common", "y"}}));
+  SparseVector vec = modeler.EmbedDocument(grams.Doc({"common", "rare"}));
   // IDF(common) = log(3/4) < 0 -> clamped to 0 -> pruned.
   // IDF(rare) = log(3/2) > 0 -> kept.
   ASSERT_EQ(vec.size(), 1u);
@@ -55,8 +62,9 @@ TEST(BagModelTest, TfIdfDownweightsUbiquitousTerms) {
 TEST(BagModelTest, UnseenTermsGetMaxIdf) {
   BagModeler modeler(TokenConfig(1, Weighting::kTFIDF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
-  modeler.Fit({{"a"}, {"b"}});
-  SparseVector vec = modeler.EmbedDocument({"novel"});
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs({{"a"}, {"b"}}));
+  SparseVector vec = modeler.EmbedDocument(grams.Doc({"novel"}));
   ASSERT_EQ(vec.size(), 1u);
   // TF = 1, IDF = log(2/1).
   EXPECT_NEAR(vec.entries()[0].second, std::log(2.0), 1e-12);
@@ -70,18 +78,21 @@ TEST(BagModelTest, CharModeUsesCharacterNgrams) {
   config.aggregation = Aggregation::kSum;
   config.similarity = BagSimilarity::kCosine;
   BagModeler modeler(config);
-  modeler.Fit({{"ab"}});
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs({{"ab"}}));
   // "ab cd" has bigrams: ab, "b ", " c", cd.
-  SparseVector vec = modeler.EmbedDocument({"ab", "cd"});
+  SparseVector vec = modeler.EmbedDocument(grams.Doc({"ab", "cd"}));
   EXPECT_EQ(vec.size(), 4u);
 }
 
 TEST(BagModelTest, SumAggregationAddsDocumentVectors) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kSum,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"a"}, {"a"}, {"b"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true, true, true});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user =
+      modeler.BuildUserVector(grams.Docs(docs), {true, true, true});
   ASSERT_EQ(user.size(), 2u);
   EXPECT_DOUBLE_EQ(user.entries()[0].second, 2.0);  // a: 1+1
   EXPECT_DOUBLE_EQ(user.entries()[1].second, 1.0);  // b
@@ -90,9 +101,10 @@ TEST(BagModelTest, SumAggregationAddsDocumentVectors) {
 TEST(BagModelTest, CentroidAggregationAveragesUnitVectors) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"a"}, {"b"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true, true});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true, true});
   ASSERT_EQ(user.size(), 2u);
   EXPECT_DOUBLE_EQ(user.entries()[0].second, 0.5);
   EXPECT_DOUBLE_EQ(user.entries()[1].second, 0.5);
@@ -101,10 +113,11 @@ TEST(BagModelTest, CentroidAggregationAveragesUnitVectors) {
 TEST(BagModelTest, CentroidSkipsEmptyDocuments) {
   BagModeler modeler(TokenConfig(2, Weighting::kTF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   // Single-token docs produce no bigrams -> skipped, not averaged as zero.
   std::vector<TokenDoc> docs = {{"a", "b"}, {"solo"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true, true});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true, true});
   EXPECT_NEAR(user.Magnitude(), 1.0, 1e-12);
 }
 
@@ -112,9 +125,10 @@ TEST(BagModelTest, RocchioSubtractsNegativeCentroid) {
   BagConfig config = TokenConfig(1, Weighting::kTF, Aggregation::kRocchio,
                                  BagSimilarity::kCosine);
   BagModeler modeler(config);
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"good"}, {"bad"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true, false});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true, false});
   // good: +alpha, bad: -beta.
   ASSERT_EQ(user.size(), 2u);
   double bad_weight = 0.0, good_weight = 0.0;
@@ -129,20 +143,23 @@ TEST(BagModelTest, RocchioSubtractsNegativeCentroid) {
 TEST(BagModelTest, RocchioWithoutNegativesUsesOnlyPositives) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kRocchio,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"a"}, {"b"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true, true});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true, true});
   for (const auto& [term, weight] : user.entries()) EXPECT_GT(weight, 0.0);
 }
 
 TEST(BagModelTest, CosineScoreRanksTopicalMatchHigher) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"cats", "pets"}, {"cats", "cute"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true, true});
-  SparseVector on_topic = modeler.EmbedDocument({"cats", "pets"});
-  SparseVector off_topic = modeler.EmbedDocument({"stocks", "market"});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true, true});
+  SparseVector on_topic = modeler.EmbedDocument(grams.Doc({"cats", "pets"}));
+  SparseVector off_topic =
+      modeler.EmbedDocument(grams.Doc({"stocks", "market"}));
   EXPECT_GT(modeler.Score(user, on_topic), modeler.Score(user, off_topic));
   EXPECT_DOUBLE_EQ(modeler.Score(user, off_topic), 0.0);
 }
@@ -150,44 +167,51 @@ TEST(BagModelTest, CosineScoreRanksTopicalMatchHigher) {
 TEST(BagModelTest, ScoreBoundedByOne) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"x", "y"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true});
-  SparseVector same = modeler.EmbedDocument({"x", "y"});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true});
+  SparseVector same = modeler.EmbedDocument(grams.Doc({"x", "y"}));
   EXPECT_NEAR(modeler.Score(user, same), 1.0, 1e-9);
 }
 
 TEST(BagModelTest, EmptyDocumentScoresZero) {
   BagModeler modeler(TokenConfig(1, Weighting::kTF, Aggregation::kCentroid,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"x"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true});
-  SparseVector empty = modeler.EmbedDocument({});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true});
+  SparseVector empty = modeler.EmbedDocument(grams.Doc({}));
   EXPECT_DOUBLE_EQ(modeler.Score(user, empty), 0.0);
 }
 
 TEST(BagModelTest, TokenBigramsDistinguishWordOrder) {
   BagModeler modeler(TokenConfig(2, Weighting::kTF, Aggregation::kSum,
                                  BagSimilarity::kCosine));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"bob", "sues", "jim"}};
-  modeler.Fit(docs);
-  SparseVector user = modeler.BuildUserVector(docs, {true});
-  SparseVector same_order = modeler.EmbedDocument({"bob", "sues", "jim"});
-  SparseVector reversed = modeler.EmbedDocument({"jim", "sues", "bob"});
+  modeler.Fit(grams.Docs(docs));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true});
+  SparseVector same_order =
+      modeler.EmbedDocument(grams.Doc({"bob", "sues", "jim"}));
+  SparseVector reversed =
+      modeler.EmbedDocument(grams.Doc({"jim", "sues", "bob"}));
   EXPECT_GT(modeler.Score(user, same_order), modeler.Score(user, reversed));
 }
 
 TEST(BagModelTest, VocabularyStaysFixedAtTestTimeForSetSimilarities) {
   BagModeler modeler(TokenConfig(1, Weighting::kBF, Aggregation::kSum,
                                  BagSimilarity::kJaccard));
+  GramDocs grams(modeler.config());
   std::vector<TokenDoc> docs = {{"a", "b"}};
-  modeler.Fit(docs);
+  modeler.Fit(grams.Docs(docs));
   size_t before = modeler.vocabulary_size();
-  SparseVector doc = modeler.EmbedDocument({"a", "new1", "new2"});
+  SparseVector doc =
+      modeler.EmbedDocument(grams.Doc({"a", "new1", "new2"}));
   EXPECT_EQ(modeler.vocabulary_size(), before);
   EXPECT_EQ(modeler.doc_frequencies().size(), before);
-  SparseVector user = modeler.BuildUserVector(docs, {true});
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs), {true});
   // JS still sees the unseen terms in the union: |{a}| / |{a,b,new1,new2}|.
   EXPECT_DOUBLE_EQ(modeler.Score(user, doc), 0.25);
 }

@@ -7,9 +7,12 @@
 #include <cmath>
 
 #include "bag/bag_model.h"
+#include "gram_docs.h"
 
 namespace microrec::bag {
 namespace {
+
+using testutil::GramDocs;
 
 std::vector<BagConfig> AllConfigs() {
   std::vector<BagConfig> configs = EnumerateBagConfigs(NgramKind::kToken);
@@ -32,20 +35,24 @@ class BagConfigPropertyTest : public ::testing::TestWithParam<BagConfig> {
 
 TEST_P(BagConfigPropertyTest, OnTopicBeatsOffTopic) {
   BagModeler modeler(GetParam());
-  modeler.Fit(docs_);
-  SparseVector user = modeler.BuildUserVector(docs_, labels_);
-  SparseVector on_topic = modeler.EmbedDocument({"alpha", "beta", "gamma"});
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs(docs_));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs_), labels_);
+  SparseVector on_topic =
+      modeler.EmbedDocument(grams.Doc({"alpha", "beta", "gamma"}));
   SparseVector off_topic =
-      modeler.EmbedDocument({"zq1", "zq2", "zq3"});  // all unseen
+      modeler.EmbedDocument(grams.Doc({"zq1", "zq2", "zq3"}));  // all unseen
   EXPECT_GE(modeler.Score(user, on_topic), modeler.Score(user, off_topic))
       << GetParam().ToString();
 }
 
 TEST_P(BagConfigPropertyTest, ScoresAreFiniteAndDeterministic) {
   BagModeler modeler(GetParam());
-  modeler.Fit(docs_);
-  SparseVector user = modeler.BuildUserVector(docs_, labels_);
-  SparseVector doc = modeler.EmbedDocument({"alpha", "delta", "new"});
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs(docs_));
+  SparseVector user = modeler.BuildUserVector(grams.Docs(docs_), labels_);
+  SparseVector doc =
+      modeler.EmbedDocument(grams.Doc({"alpha", "delta", "new"}));
   double first = modeler.Score(user, doc);
   double second = modeler.Score(user, doc);
   EXPECT_TRUE(std::isfinite(first)) << GetParam().ToString();
@@ -58,13 +65,14 @@ TEST_P(BagConfigPropertyTest, NonRocchioScoresWithinUnitInterval) {
     GTEST_SKIP() << "Rocchio models can score negative";
   }
   BagModeler modeler(config);
-  modeler.Fit(docs_);
-  SparseVector user =
-      modeler.BuildUserVector(docs_, std::vector<bool>(docs_.size(), true));
+  GramDocs grams(modeler.config());
+  modeler.Fit(grams.Docs(docs_));
+  SparseVector user = modeler.BuildUserVector(
+      grams.Docs(docs_), std::vector<bool>(docs_.size(), true));
   for (const TokenDoc& doc :
        {TokenDoc{"alpha", "beta"}, TokenDoc{"unseen", "tokens"},
         TokenDoc{"alpha", "alpha", "alpha"}}) {
-    double score = modeler.Score(user, modeler.EmbedDocument(doc));
+    double score = modeler.Score(user, modeler.EmbedDocument(grams.Doc(doc)));
     EXPECT_GE(score, 0.0) << config.ToString();
     EXPECT_LE(score, 1.0 + 1e-9) << config.ToString();
   }
@@ -72,9 +80,10 @@ TEST_P(BagConfigPropertyTest, NonRocchioScoresWithinUnitInterval) {
 
 TEST_P(BagConfigPropertyTest, EmptyTrainingSetYieldsZeroScores) {
   BagModeler modeler(GetParam());
+  GramDocs grams(modeler.config());
   modeler.Fit({});
   SparseVector user = modeler.BuildUserVector({}, {});
-  SparseVector doc = modeler.EmbedDocument({"anything"});
+  SparseVector doc = modeler.EmbedDocument(grams.Doc({"anything"}));
   EXPECT_DOUBLE_EQ(modeler.Score(user, doc), 0.0);
 }
 

@@ -132,6 +132,12 @@ struct MalformedCase {
   const char* expect_in_message;  // substring, typically "file:line"
 };
 
+// Test names show the parameter as gtest prints it: its name, not the
+// struct's bytes (string-literal addresses that change from run to run).
+void PrintTo(const MalformedCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class MalformedTsvTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(MalformedTsvTest, RejectedWithFileAndLine) {

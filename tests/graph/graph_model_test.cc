@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "gram_docs.h"
+
 namespace microrec::graph {
 namespace {
+
+using testutil::GramDocs;
 
 TEST(GraphConfigTest, NineConfigurationsPerKind) {
   // Table 5: 9 TNG and 9 CNG configurations.
@@ -40,21 +44,24 @@ TEST(GraphConfigTest, ToString) {
 
 TEST(GraphModelTest, DocGraphUsesWindowEqualToN) {
   GraphModeler modeler({NgramKind::kToken, 1, GraphSimilarity::kValue});
-  NgramGraph graph = modeler.BuildDocGraph({"a", "b", "c"});
+  GramDocs grams(modeler.config());
+  NgramGraph graph = modeler.BuildDocGraph(grams.Doc({"a", "b", "c"}));
   // Unigrams with window 1: (a,b), (b,c).
   EXPECT_EQ(graph.size(), 2u);
 }
 
 TEST(GraphModelTest, TokenBigramGraph) {
   GraphModeler modeler({NgramKind::kToken, 2, GraphSimilarity::kValue});
-  NgramGraph graph = modeler.BuildDocGraph({"a", "b", "c", "d"});
+  GramDocs grams(modeler.config());
+  NgramGraph graph = modeler.BuildDocGraph(grams.Doc({"a", "b", "c", "d"}));
   // Bigrams: ab, bc, cd. Window 2: (ab,bc), (ab,cd), (bc,cd).
   EXPECT_EQ(graph.size(), 3u);
 }
 
 TEST(GraphModelTest, CharGraphsOperateOnCodepoints) {
   GraphModeler modeler({NgramKind::kChar, 2, GraphSimilarity::kValue});
-  NgramGraph graph = modeler.BuildDocGraph({"日本語"});
+  GramDocs grams(modeler.config());
+  NgramGraph graph = modeler.BuildDocGraph(grams.Doc({"日本語"}));
   // Char bigrams: 日本, 本語 -> one co-occurrence edge (window 2 but only
   // 2 grams).
   EXPECT_EQ(graph.size(), 1u);
@@ -62,31 +69,37 @@ TEST(GraphModelTest, CharGraphsOperateOnCodepoints) {
 
 TEST(GraphModelTest, UserGraphMergesChronologically) {
   GraphModeler modeler({NgramKind::kToken, 1, GraphSimilarity::kValue});
-  NgramGraph user =
-      modeler.BuildUserGraph({{"a", "b"}, {"a", "b"}, {"c", "d"}});
+  GramDocs grams(modeler.config());
+  NgramGraph user = modeler.BuildUserGraph(
+      grams.Docs({{"a", "b"}, {"a", "b"}, {"c", "d"}}));
   // (a,b) in 2/3 docs, (c,d) in 1/3.
-  EXPECT_NEAR(user.WeightOf(modeler.BuildDocGraph({"a", "b"}).edges().begin()->first >> 32,
-                            static_cast<TermId>(
-                                modeler.BuildDocGraph({"a", "b"}).edges().begin()->first)),
+  const uint64_t ab =
+      modeler.BuildDocGraph(grams.Doc({"a", "b"})).edges().begin()->first;
+  EXPECT_NEAR(user.WeightOf(static_cast<TermId>(ab >> 32),
+                            static_cast<TermId>(ab)),
               2.0 / 3.0, 1e-9);
 }
 
 TEST(GraphModelTest, UserGraphSkipsEmptyDocs) {
   GraphModeler modeler({NgramKind::kToken, 2, GraphSimilarity::kValue});
+  GramDocs grams(modeler.config());
   // Single-token docs yield no bigrams and must not dilute the average.
   NgramGraph with_empties =
-      modeler.BuildUserGraph({{"a", "b", "c"}, {"solo"}, {"x"}});
+      modeler.BuildUserGraph(grams.Docs({{"a", "b", "c"}, {"solo"}, {"x"}}));
   GraphModeler modeler2({NgramKind::kToken, 2, GraphSimilarity::kValue});
-  NgramGraph without = modeler2.BuildUserGraph({{"a", "b", "c"}});
+  NgramGraph without = modeler2.BuildUserGraph(grams.Docs({{"a", "b", "c"}}));
   EXPECT_EQ(with_empties.size(), without.size());
 }
 
 TEST(GraphModelTest, ScoreRanksSharedContextHigher) {
   GraphModeler modeler({NgramKind::kToken, 1, GraphSimilarity::kValue});
+  GramDocs grams(modeler.config());
   NgramGraph user = modeler.BuildUserGraph(
-      {{"cats", "love", "naps"}, {"cats", "love", "fish"}});
-  NgramGraph on_topic = modeler.BuildDocGraph({"cats", "love", "naps"});
-  NgramGraph off_topic = modeler.BuildDocGraph({"markets", "crash", "hard"});
+      grams.Docs({{"cats", "love", "naps"}, {"cats", "love", "fish"}}));
+  NgramGraph on_topic =
+      modeler.BuildDocGraph(grams.Doc({"cats", "love", "naps"}));
+  NgramGraph off_topic =
+      modeler.BuildDocGraph(grams.Doc({"markets", "crash", "hard"}));
   EXPECT_GT(modeler.Score(user, on_topic), modeler.Score(user, off_topic));
   EXPECT_DOUBLE_EQ(modeler.Score(user, off_topic), 0.0);
 }
@@ -95,9 +108,13 @@ TEST(GraphModelTest, GlobalContextDistinguishesNgramOrder) {
   // "a b" followed by "c d" vs "c d" followed by "a b": same bigrams, but
   // different bigram adjacencies captured by the graph (Section 3.1).
   GraphModeler modeler({NgramKind::kToken, 2, GraphSimilarity::kContainment});
-  NgramGraph user = modeler.BuildUserGraph({{"a", "b", "c", "d", "e"}});
-  NgramGraph same = modeler.BuildDocGraph({"a", "b", "c", "d", "e"});
-  NgramGraph scrambled = modeler.BuildDocGraph({"d", "e", "a", "b", "c"});
+  GramDocs grams(modeler.config());
+  NgramGraph user =
+      modeler.BuildUserGraph(grams.Docs({{"a", "b", "c", "d", "e"}}));
+  NgramGraph same =
+      modeler.BuildDocGraph(grams.Doc({"a", "b", "c", "d", "e"}));
+  NgramGraph scrambled =
+      modeler.BuildDocGraph(grams.Doc({"d", "e", "a", "b", "c"}));
   EXPECT_GT(modeler.Score(user, same), modeler.Score(user, scrambled));
 }
 

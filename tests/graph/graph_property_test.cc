@@ -4,9 +4,12 @@
 #include <cmath>
 
 #include "graph/graph_model.h"
+#include "gram_docs.h"
 
 namespace microrec::graph {
 namespace {
+
+using testutil::GramDocs;
 
 std::vector<GraphConfig> AllConfigs() {
   std::vector<GraphConfig> configs = EnumerateGraphConfigs(NgramKind::kToken);
@@ -26,22 +29,24 @@ class GraphConfigPropertyTest : public ::testing::TestWithParam<GraphConfig> {
 
 TEST_P(GraphConfigPropertyTest, SelfSimilarityIsMaximal) {
   GraphModeler modeler(GetParam());
-  NgramGraph doc = modeler.BuildDocGraph(docs_[0]);
+  GramDocs grams(modeler.config());
+  NgramGraph doc = modeler.BuildDocGraph(grams.Doc(docs_[0]));
   if (doc.empty()) GTEST_SKIP() << "document shorter than n-gram size";
   double self = modeler.Score(doc, doc);
-  NgramGraph other = modeler.BuildDocGraph({"unrelated", "words", "apart",
-                                            "entirely"});
+  NgramGraph other = modeler.BuildDocGraph(
+      grams.Doc({"unrelated", "words", "apart", "entirely"}));
   EXPECT_GE(self, modeler.Score(doc, other)) << GetParam().ToString();
   EXPECT_NEAR(self, 1.0, 1e-9) << GetParam().ToString();
 }
 
 TEST_P(GraphConfigPropertyTest, ScoresWithinUnitInterval) {
   GraphModeler modeler(GetParam());
-  NgramGraph user = modeler.BuildUserGraph(docs_);
+  GramDocs grams(modeler.config());
+  NgramGraph user = modeler.BuildUserGraph(grams.Docs(docs_));
   for (const auto& doc_tokens :
        {std::vector<std::string>{"alpha", "beta", "gamma"},
         std::vector<std::string>{"zzz", "qqq", "www", "eee"}}) {
-    NgramGraph doc = modeler.BuildDocGraph(doc_tokens);
+    NgramGraph doc = modeler.BuildDocGraph(grams.Doc(doc_tokens));
     double score = modeler.Score(user, doc);
     EXPECT_GE(score, 0.0) << GetParam().ToString();
     EXPECT_LE(score, 1.0 + 1e-9) << GetParam().ToString();
@@ -51,11 +56,12 @@ TEST_P(GraphConfigPropertyTest, ScoresWithinUnitInterval) {
 
 TEST_P(GraphConfigPropertyTest, OnTopicBeatsOffTopic) {
   GraphModeler modeler(GetParam());
-  NgramGraph user = modeler.BuildUserGraph(docs_);
+  GramDocs grams(modeler.config());
+  NgramGraph user = modeler.BuildUserGraph(grams.Docs(docs_));
   if (user.empty()) GTEST_SKIP();
-  NgramGraph on_topic = modeler.BuildDocGraph(docs_[1]);
+  NgramGraph on_topic = modeler.BuildDocGraph(grams.Doc(docs_[1]));
   NgramGraph off_topic =
-      modeler.BuildDocGraph({"foo", "bar", "baz", "qux", "maybe"});
+      modeler.BuildDocGraph(grams.Doc({"foo", "bar", "baz", "qux", "maybe"}));
   EXPECT_GE(modeler.Score(user, on_topic), modeler.Score(user, off_topic))
       << GetParam().ToString();
 }
@@ -65,14 +71,15 @@ TEST_P(GraphConfigPropertyTest, MergeOrderInvariantForSum) {
   config.merge = GraphMerge::kSum;
   GraphModeler forward(config);
   GraphModeler backward(config);
-  NgramGraph a = forward.BuildUserGraph(docs_);
+  GramDocs grams(config);
+  NgramGraph a = forward.BuildUserGraph(grams.Docs(docs_));
   std::vector<std::vector<std::string>> reversed(docs_.rbegin(),
                                                  docs_.rend());
-  NgramGraph b_raw = backward.BuildUserGraph(reversed);
+  NgramGraph b_raw = backward.BuildUserGraph(grams.Docs(reversed));
   // Vocabulary ids may differ between modelers; compare via a probe score
   // against the same document built by each modeler.
-  NgramGraph probe_a = forward.BuildDocGraph(docs_[0]);
-  NgramGraph probe_b = backward.BuildDocGraph(docs_[0]);
+  NgramGraph probe_a = forward.BuildDocGraph(grams.Doc(docs_[0]));
+  NgramGraph probe_b = backward.BuildDocGraph(grams.Doc(docs_[0]));
   EXPECT_NEAR(forward.Score(a, probe_a), backward.Score(b_raw, probe_b),
               1e-9)
       << GetParam().ToString();

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "text/ngram.h"
+#include "util/string_util.h"
+
 namespace microrec::rec {
 namespace {
 
@@ -63,6 +70,54 @@ TEST_F(PreprocessedFixture, ParallelAndSerialAgree) {
     EXPECT_EQ(serial.Filtered(id), parallel.Filtered(id));
   }
   EXPECT_EQ(serial.stop_filter().size(), parallel.stop_filter().size());
+}
+
+// The gram table loses nothing: every tweet's ids map back to exactly the
+// strings today's extraction gives, in order, for every (kind, n) the grid
+// uses, on tweets that are empty, one token, CJK or emoji.
+TEST(GramTableTest, IdsMapBackToTheExtractedGramsInOrder) {
+  corpus::Corpus corpus;
+  corpus::UserId u = corpus.AddUser("u");
+  const std::vector<std::string> texts = {
+      "",
+      "solo",
+      "...",
+      "日本語のテキスト 東京タワー",
+      "party 🎉🎉 time 😀 ok",
+      "the cat sat on the mat with the cat",
+      "東京 cat 🎉",
+  };
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_TRUE(corpus.AddTweet(u, static_cast<corpus::Timestamp>(i + 1),
+                                texts[i])
+                    .ok());
+  }
+  corpus.Finalize();
+  PreprocessedCorpus pre(corpus, {}, 0);
+  ASSERT_TRUE(pre.Filtered(0).empty());
+  ASSERT_EQ(pre.Filtered(1).size(), 1u);
+
+  const std::pair<bag::NgramKind, int> tables[] = {
+      {bag::NgramKind::kToken, 1}, {bag::NgramKind::kToken, 2},
+      {bag::NgramKind::kToken, 3}, {bag::NgramKind::kChar, 2},
+      {bag::NgramKind::kChar, 3},  {bag::NgramKind::kChar, 4}};
+  for (const auto& [kind, n] : tables) {
+    SCOPED_TRACE((kind == bag::NgramKind::kToken ? "token n=" : "char n=") +
+                 std::to_string(n));
+    const GramTable& table = pre.Grams(kind, n);
+    for (corpus::TweetId id = 0; id < corpus.num_tweets(); ++id) {
+      const std::vector<std::string> expected =
+          kind == bag::NgramKind::kToken
+              ? text::TokenNgrams(pre.Filtered(id), n)
+              : text::CharNgrams(Join(pre.Filtered(id), " "), n);
+      std::vector<std::string> got;
+      for (text::TermId gram : table.Of(id)) {
+        got.push_back(table.dictionary().TermOf(gram));
+      }
+      EXPECT_EQ(got, expected) << "tweet " << id;
+    }
+    EXPECT_EQ(&pre.Grams(kind, n), &table);  // built once, then shared
+  }
 }
 
 }  // namespace

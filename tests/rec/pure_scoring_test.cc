@@ -5,6 +5,8 @@
 // (DESIGN.md §9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,9 +15,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "eval/experiment.h"
+#include "load/workload.h"
+#include "obs/metrics.h"
 #include "rec/engine.h"
 #include "rec/ranker.h"
 #include "synth/generator.h"
@@ -241,6 +247,227 @@ TEST_F(PureScoringFixture, ScoresIgnoreQueryOrderAndThreadCount) {
         << "in reverse order";
     EXPECT_EQ(fresh_rank(candidates, 4), fresh) << "at 4 threads";
     EXPECT_EQ(fresh_rank(candidates, 8), fresh) << "at 8 threads";
+  }
+}
+
+// A snapshot saved over the corpus without a stop list, opened over it with
+// the 100 stop words filtered: the stop words are user terms the serving
+// corpus never produces. Both residencies open it and score alike; the
+// stop words keep their local ids and profile weights but never match a
+// candidate; a resident open saves back the bytes it opened.
+TEST_F(PureScoringFixture, ForeignSnapshotTermsNeverMatchAndSaveBackUnchanged) {
+  const PreprocessedCorpus unfiltered(dataset_->corpus, {}, 0);
+  ASSERT_GT(pre_->stop_filter().size(), 0u);
+  for (const ModelConfig& config :
+       {BagModel(ModelKind::kTN, 1, bag::Weighting::kTF,
+                 bag::BagSimilarity::kCosine),
+        GraphModel(ModelKind::kTNG, 1)}) {
+    SCOPED_TRACE(config.ToString());
+    EngineContext saving_ctx = runner_->MakeContext(config, Source::kR);
+    saving_ctx.pre = &unfiltered;
+    const std::string path = dir_ + "/unfiltered.snap";
+    ASSERT_TRUE(Trained(config, saving_ctx, Users())
+                    ->SaveSnapshot(path, saving_ctx)
+                    .ok());
+
+    const EngineContext ctx = runner_->MakeContext(config, Source::kR);
+    std::unique_ptr<Engine> resident = MakeEngine(config);
+    std::unique_ptr<Engine> mapped = MakeEngine(config);
+    ASSERT_TRUE(resident->LoadSnapshot(path, ctx).ok());
+    ASSERT_TRUE(mapped->OpenMapped(path, ctx).ok());
+    for (UserId u : Users()) {
+      for (TweetId d : Candidates(u)) {
+        EXPECT_EQ(Bits(resident->Score(u, d, ctx)),
+                  Bits(mapped->Score(u, d, ctx)));
+      }
+    }
+
+    if (SparseProfileScorer* scorer = resident->sparse_scorer()) {
+      // TN n=1: a user's local ids number her train tokens by first
+      // appearance, stop words included.
+      size_t foreign_weights = 0;
+      for (UserId u : Users()) {
+        std::vector<std::string> terms;
+        std::unordered_set<std::string> seen;
+        for (TweetId id : ctx.train_set(u).docs) {
+          for (const std::string& token : unfiltered.Filtered(id)) {
+            if (seen.insert(token).second) terms.push_back(token);
+          }
+        }
+        for (const auto& [term, weight] : scorer->Profile(u)->entries()) {
+          ASSERT_LT(term, terms.size());
+          foreign_weights += pre_->stop_filter().IsStop(terms[term]);
+        }
+        for (TweetId d : Candidates(u)) {
+          const std::vector<std::string>& tokens = pre_->Filtered(d);
+          const bag::SparseVector doc = scorer->Embed(u, d, ctx);
+          for (const auto& [term, weight] : doc.entries()) {
+            if (term >= terms.size()) continue;  // unseen by the user
+            EXPECT_FALSE(pre_->stop_filter().IsStop(terms[term]));
+            EXPECT_NE(std::find(tokens.begin(), tokens.end(), terms[term]),
+                      tokens.end());
+          }
+        }
+      }
+      EXPECT_GT(foreign_weights, 0u);
+    }
+
+    const std::string resaved = dir_ + "/resaved.snap";
+    ASSERT_TRUE(resident->SaveSnapshot(resaved, ctx).ok());
+    EXPECT_TRUE(ReadFile(path) == ReadFile(resaved));
+  }
+}
+
+// Serving clients share one corpus and may first ask for a gram table at
+// the same time: eight threads, each preparing and scoring through its own
+// engine, get the same table, built once, and score alike.
+TEST_F(PureScoringFixture, ConcurrentFirstUseBuildsOneGramTable) {
+  const PreprocessedCorpus fresh(dataset_->corpus, {}, 0);
+  const ModelConfig config = BagModel(
+      ModelKind::kTN, 1, bag::Weighting::kTFIDF, bag::BagSimilarity::kCosine);
+  EngineContext ctx = runner_->MakeContext(config, Source::kR);
+  ctx.pre = &fresh;
+  for (UserId u : Users()) (void)ctx.train_set(u);  // cached: read-only now
+  obs::Histogram* builds = obs::MetricsRegistry::Global().GetHistogram(
+      "rec.preprocessed.featurize_seconds");
+  const uint64_t builds_before = builds->count();
+
+  constexpr size_t kThreads = 8;
+  std::vector<const GramTable*> tables(kThreads);
+  std::vector<std::vector<uint64_t>> bits(kThreads);
+  std::atomic<size_t> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();  // start together
+      std::unique_ptr<Engine> engine = Trained(config, ctx, Users());
+      tables[t] = &fresh.Grams(bag::NgramKind::kToken, 1);
+      for (UserId u : Users()) {
+        for (TweetId d : Candidates(u)) {
+          bits[t].push_back(Bits(engine->Score(u, d, ctx)));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(builds->count() - builds_before, 1u);
+  ASSERT_FALSE(bits[0].empty());
+  for (size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(tables[t], tables[0]);
+    EXPECT_EQ(bits[t], bits[0]);
+  }
+}
+
+// One FNV-1a hash of the bits of every (user, candidate) score for each bag
+// and graph configuration EnumerateConfigs yields, recorded before the
+// models moved from per-user string vocabularies to corpus gram ids. Rocchio
+// configurations need negatives, so they train on source RE; the rest on R.
+struct PinnedScores {
+  const char* config;
+  uint64_t hash;
+};
+constexpr PinnedScores kPinnedScores[] = {
+    {"TN n=1 BF Sum CS", 0x5ec36c8780940170ULL},
+    {"TN n=1 BF Sum JS", 0x3a23182a9e465d3dULL},
+    {"TN n=1 TF Sum CS", 0xf652606d0de9f42dULL},
+    {"TN n=1 TF Sum GJS", 0x27c9a5aa8f70dee2ULL},
+    {"TN n=1 TF Cen. CS", 0xcb3ecaaa180426ecULL},
+    {"TN n=1 TF Cen. GJS", 0x754df40b5dad4079ULL},
+    {"TN n=1 TF Ro. CS", 0x90b61ae41d17eb8eULL},
+    {"TN n=1 TF-IDF Sum CS", 0x4076e86d4214ca2dULL},
+    {"TN n=1 TF-IDF Sum GJS", 0x63e4b88d90166d08ULL},
+    {"TN n=1 TF-IDF Cen. CS", 0x0899556dd4da2f5aULL},
+    {"TN n=1 TF-IDF Cen. GJS", 0x04b01dff1f87ccafULL},
+    {"TN n=1 TF-IDF Ro. CS", 0x4e30ffcaa8d112b7ULL},
+    {"TN n=2 BF Sum CS", 0x766880b5119ffba6ULL},
+    {"TN n=2 BF Sum JS", 0x7e0f3f515494a30fULL},
+    {"TN n=2 TF Sum CS", 0x54b18d7acd274ec4ULL},
+    {"TN n=2 TF Sum GJS", 0x7eb1baeb334e3826ULL},
+    {"TN n=2 TF Cen. CS", 0xed37367998775458ULL},
+    {"TN n=2 TF Cen. GJS", 0x4cf3ba8a64f1b1bbULL},
+    {"TN n=2 TF Ro. CS", 0xc3999ed4851b4b0cULL},
+    {"TN n=2 TF-IDF Sum CS", 0xcb1415feef16c8a6ULL},
+    {"TN n=2 TF-IDF Sum GJS", 0x741cacfeedc58a64ULL},
+    {"TN n=2 TF-IDF Cen. CS", 0x374afc6f1ad47df5ULL},
+    {"TN n=2 TF-IDF Cen. GJS", 0x4807a4ff2f3273a7ULL},
+    {"TN n=2 TF-IDF Ro. CS", 0x7f12b543aaa130c5ULL},
+    {"TN n=3 BF Sum CS", 0x755d03cb73275b42ULL},
+    {"TN n=3 BF Sum JS", 0xb3bad72841f53230ULL},
+    {"TN n=3 TF Sum CS", 0x84b45e32f602eda5ULL},
+    {"TN n=3 TF Sum GJS", 0x0fd6355a66148d38ULL},
+    {"TN n=3 TF Cen. CS", 0xc438ff3452f8009eULL},
+    {"TN n=3 TF Cen. GJS", 0x6dc4ee70aa48c835ULL},
+    {"TN n=3 TF Ro. CS", 0x85021607ad4ce274ULL},
+    {"TN n=3 TF-IDF Sum CS", 0x67861e108e62fb2dULL},
+    {"TN n=3 TF-IDF Sum GJS", 0xc6469dc46403c7d3ULL},
+    {"TN n=3 TF-IDF Cen. CS", 0x57104a5b78080630ULL},
+    {"TN n=3 TF-IDF Cen. GJS", 0xb32b8e3dfd83ad3aULL},
+    {"TN n=3 TF-IDF Ro. CS", 0x97a205797153f952ULL},
+    {"CN n=2 BF Sum CS", 0x6727485605e4ac20ULL},
+    {"CN n=2 BF Sum JS", 0x215ef867e7d6cf40ULL},
+    {"CN n=2 TF Sum CS", 0xb97719e4416835b1ULL},
+    {"CN n=2 TF Sum GJS", 0x1120dd96f81a7256ULL},
+    {"CN n=2 TF Cen. CS", 0x84e3b08df7e80f8aULL},
+    {"CN n=2 TF Cen. GJS", 0x59089a24ac438bb3ULL},
+    {"CN n=2 TF Ro. CS", 0x26385e60cac8fbfeULL},
+    {"CN n=3 BF Sum CS", 0x30011a83004d3b17ULL},
+    {"CN n=3 BF Sum JS", 0xb25119eb2cc1c938ULL},
+    {"CN n=3 TF Sum CS", 0xfc8f6ef1e9c9e978ULL},
+    {"CN n=3 TF Sum GJS", 0x204ff5dd9a68005bULL},
+    {"CN n=3 TF Cen. CS", 0x1b09c0acdddc61ffULL},
+    {"CN n=3 TF Cen. GJS", 0x6731c7447a1e73e3ULL},
+    {"CN n=3 TF Ro. CS", 0xf997a8e49f275060ULL},
+    {"CN n=4 BF Sum CS", 0xa07124a3bf13bec4ULL},
+    {"CN n=4 BF Sum JS", 0x5792d7a7433d5da6ULL},
+    {"CN n=4 TF Sum CS", 0xeebe9f772ed5d11fULL},
+    {"CN n=4 TF Sum GJS", 0x6ae93b8d4092ad56ULL},
+    {"CN n=4 TF Cen. CS", 0xe36c8328f39d1086ULL},
+    {"CN n=4 TF Cen. GJS", 0x0720ecb9ec439275ULL},
+    {"CN n=4 TF Ro. CS", 0x746c6f9e043ba0a0ULL},
+    {"TNG n=1 CoS", 0x9550f6cde2cd8302ULL},
+    {"TNG n=1 VS", 0x526ffd77acb8ebbbULL},
+    {"TNG n=1 NS", 0x57f8f4b774e48b6bULL},
+    {"TNG n=2 CoS", 0x34ecbe665583b6aeULL},
+    {"TNG n=2 VS", 0x85896d96063500d8ULL},
+    {"TNG n=2 NS", 0xf4be453cf9aeb687ULL},
+    {"TNG n=3 CoS", 0x301f49fb7c825c98ULL},
+    {"TNG n=3 VS", 0x09c2d3f2eeff55b8ULL},
+    {"TNG n=3 NS", 0x4e37a33ecf9e792dULL},
+    {"CNG n=2 CoS", 0x89ce2f05c741a712ULL},
+    {"CNG n=2 VS", 0x61c70b6763a27f06ULL},
+    {"CNG n=2 NS", 0xe8e334bfb5d85093ULL},
+    {"CNG n=3 CoS", 0x51b20748416e3fd8ULL},
+    {"CNG n=3 VS", 0xcb8ad4cea6928341ULL},
+    {"CNG n=3 NS", 0x8551530f9b6cde81ULL},
+    {"CNG n=4 CoS", 0x6c4fb1af66cc7ba4ULL},
+    {"CNG n=4 VS", 0xd35932c3aa1ced2cULL},
+    {"CNG n=4 NS", 0xc1f7adef3601652fULL},
+};
+
+TEST_F(PureScoringFixture, EveryBagAndGraphConfigurationScoresAsPinned) {
+  std::vector<ModelConfig> configs;
+  for (ModelKind kind :
+       {ModelKind::kTN, ModelKind::kCN, ModelKind::kTNG, ModelKind::kCNG}) {
+    std::vector<ModelConfig> more = EnumerateConfigs(kind);
+    configs.insert(configs.end(), more.begin(), more.end());
+  }
+  ASSERT_EQ(configs.size(), std::size(kPinnedScores));  // 36 + 21 + 9 + 9
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const ModelConfig& config = configs[i];
+    ASSERT_EQ(config.ToString(), kPinnedScores[i].config);
+    const Source source =
+        config.IsValidForSource(false) ? Source::kR : Source::kRE;
+    const EngineContext ctx = runner_->MakeContext(config, source);
+    std::unique_ptr<Engine> engine = Trained(config, ctx, Users());
+    uint64_t hash = load::kFnvOffsetBasis;
+    for (UserId u : Users()) {
+      for (TweetId d : Candidates(u)) {
+        hash = load::FnvMixU64(hash, Bits(engine->Score(u, d, ctx)));
+      }
+    }
+    EXPECT_EQ(hash, kPinnedScores[i].hash) << config.ToString();
   }
 }
 

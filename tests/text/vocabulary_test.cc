@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace microrec::text {
 namespace {
 
@@ -46,6 +49,21 @@ TEST(VocabularyTest, EmptyStringIsValidTerm) {
   TermId id = vocab.Intern("");
   EXPECT_EQ(vocab.TermOf(id), "");
   EXPECT_EQ(vocab.Find(""), id);
+}
+
+TEST(VocabularyTest, ViewIntoLongerBufferFindsItsTerm) {
+  Vocabulary vocab;
+  const TermId cat = vocab.Intern("cat");
+  const std::string buffer = "concatenate";
+  const std::string_view view = std::string_view(buffer).substr(3, 3);
+  ASSERT_EQ(view, "cat");
+  EXPECT_EQ(vocab.Find(view), cat);
+  EXPECT_EQ(vocab.Intern(view), cat);  // no duplicate
+  EXPECT_EQ(vocab.size(), 1u);
+  EXPECT_EQ(vocab.Find(std::string_view(buffer).substr(3, 2)), kInvalidTerm);
+  const TermId nate = vocab.Intern(std::string_view(buffer).substr(7));
+  EXPECT_EQ(vocab.TermOf(nate), "nate");
+  EXPECT_EQ(vocab.Find("nate"), nate);
 }
 
 TEST(VocabularyTest, HandlesManyTerms) {
