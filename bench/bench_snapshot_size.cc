@@ -189,15 +189,15 @@ long SpawnRssChild(const std::string& mode, const std::string& model,
 }
 
 // Byte ceilings on the default workbench at MICROREC_SCALE=small: each is
-// the family's size there (TN 770,914, TNG 838,906, LDA 607,924 bytes)
+// the family's size there (TN 161,728, TNG 224,124, LDA 607,924 bytes)
 // plus 1%, for libm differences between machines.
 struct ByteCeiling {
   const char* model;
   uint64_t bytes;
 };
 constexpr ByteCeiling kByteCeilings[] = {
-    {"TN", 778623},
-    {"TNG", 847295},
+    {"TN", 163345},
+    {"TNG", 226365},
     {"LDA", 614003},
 };
 

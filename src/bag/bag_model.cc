@@ -31,7 +31,6 @@ size_t IdVocabulary::SlotOf(TermId gram) const {
 void IdVocabulary::Rehash(size_t capacity) {
   slots_.assign(capacity, Slot{});
   for (TermId local = 0; local < grams_.size(); ++local) {
-    if (grams_[local] == text::kInvalidTerm) continue;  // foreign
     slots_[SlotOf(grams_[local])] = {grams_[local], local};
   }
 }
@@ -51,11 +50,6 @@ TermId IdVocabulary::Intern(TermId gram) {
 void IdVocabulary::InternAll(GramDoc doc, std::vector<TermId>* ids) {
   ids->clear();
   for (TermId gram : doc) ids->push_back(Intern(gram));
-}
-
-TermId IdVocabulary::AddForeign() {
-  grams_.push_back(text::kInvalidTerm);
-  return static_cast<TermId>(grams_.size() - 1);
 }
 
 TermId IdVocabulary::Find(TermId gram) const {

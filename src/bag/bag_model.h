@@ -50,9 +50,7 @@ std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
 
 /// The vocabulary of one modeler over dictionary gram ids: each gram it
 /// has seen has a dense local id, assigned in order of first appearance.
-/// A local id may also stand for a foreign term, one no dictionary gram
-/// maps to (a persisted term the serving corpus never produces); no
-/// document matches it. Holds no strings.
+/// Holds no strings.
 class IdVocabulary {
  public:
   /// The local id of dictionary gram `gram`, assigned on first sight.
@@ -61,11 +59,8 @@ class IdVocabulary {
   /// Interns every gram of `doc`, writing their local ids to `*ids`.
   void InternAll(GramDoc doc, std::vector<TermId>* ids);
 
-  /// Appends a foreign term's local id.
-  TermId AddForeign();
-
-  /// The dictionary gram of `local`; kInvalidTerm for a foreign term.
-  TermId GramOf(TermId local) const { return grams_[local]; }
+  /// The dictionary gram of every local id, in local-id order.
+  const std::vector<TermId>& grams() const { return grams_; }
 
   size_t size() const { return grams_.size(); }
 

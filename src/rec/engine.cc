@@ -78,9 +78,9 @@ void IncrementCounter(const char* name) {
 
 // ---- Shared snapshot plumbing. ----
 
-// FNV-1a mixing of one 64-bit value into a running hash; the bag/graph
-// engines bind their header's vocabulary fingerprint to the full sorted
-// (user id, per-user vocabulary fingerprint) sequence.
+// FNV-1a mixing of one 64-bit value into a running hash; a v1 bag or graph
+// snapshot binds its header's vocabulary fingerprint to the full sorted
+// (user id, per-user term fingerprint) sequence.
 uint64_t MixFingerprint(uint64_t h, uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     h ^= (value >> (8 * i)) & 0xFFu;
@@ -201,15 +201,6 @@ void PutRowF64s(std::string* out, const std::vector<double>& values) {
   out->append(enc.bytes());
 }
 
-void PutRowStrings(std::string* out,
-                   const std::vector<std::string_view>& values) {
-  snapshot::PutVarint(out, values.size());
-  for (std::string_view s : values) {
-    snapshot::PutVarint(out, s.size());
-    out->append(s);
-  }
-}
-
 void PutRowVarints(std::string* out, const std::vector<uint32_t>& values) {
   snapshot::PutVarint(out, values.size());
   for (uint32_t v : values) snapshot::PutVarint(out, v);
@@ -238,25 +229,6 @@ class RowReader {
     snapshot::Decoder dec(row_.substr(pos_));  // ReadCount() bounded it
     for (double& v : *values) MICROREC_RETURN_IF_ERROR(dec.ReadF64(&v));
     pos_ += 8 * values->size();
-    return Status::OK();
-  }
-
-  /// Views into the row: valid while its bytes are.
-  Status Strings(std::vector<std::string_view>* values, const char* what) {
-    uint64_t count = 0;
-    MICROREC_RETURN_IF_ERROR(ReadCount(&count, 1, what));
-    values->clear();
-    values->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t len = 0;
-      MICROREC_RETURN_IF_ERROR(Varint(&len, what));
-      if (len > row_.size() - pos_) {
-        return Loss(std::string(what) + " string of " + std::to_string(len) +
-                    " bytes overruns the row");
-      }
-      values->emplace_back(row_.substr(pos_, static_cast<size_t>(len)));
-      pos_ += static_cast<size_t>(len);
-    }
     return Status::OK();
   }
 
@@ -468,57 +440,16 @@ class RowStore {
 };
 
 // ---- Bag and graph engines: per-user state in one "users" table. ----
+//
+// A user row starts with the user's vocabulary: the corpus gram ids of the
+// engine's (kind, n) GramTable, in local-id order. The ids mean something
+// only over that table's dictionary, so the header's vocabulary fingerprint
+// is the dictionary's, checked at every open before any row decodes.
 
-// Persisted terms the serving corpus never produces, with their local ids:
-// the snapshot was saved over a corpus preprocessed differently (another
-// stop list, other tokenizer options). Each keeps its local id, document
-// frequency and weight, never matches a candidate, and is saved back
-// unchanged.
-using ForeignTerms = std::vector<std::pair<text::TermId, std::string>>;
-
-// The persisted term list of a user vocabulary: each gram's string from the
-// corpus dictionary, each foreign term's own.
-std::vector<std::string_view> RowTerms(const bag::IdVocabulary& vocab,
-                                       const text::Vocabulary& dictionary,
-                                       const ForeignTerms& foreign) {
-  std::vector<std::string_view> terms;
-  terms.reserve(vocab.size());
-  auto next_foreign = foreign.begin();
-  for (text::TermId local = 0; local < vocab.size(); ++local) {
-    const text::TermId gram = vocab.GramOf(local);
-    if (gram != text::kInvalidTerm) {
-      terms.push_back(dictionary.TermOf(gram));
-    } else {
-      terms.push_back((next_foreign++)->second);
-    }
-  }
-  return terms;
+std::vector<uint64_t> RowGrams(const bag::IdVocabulary& vocab) {
+  return {vocab.grams().begin(), vocab.grams().end()};
 }
 
-// The user vocabulary of a persisted term list: each term is looked up in
-// the corpus dictionary once and keeps its position as its local id.
-Status InternRowTerms(const std::vector<std::string_view>& terms,
-                      const text::Vocabulary& dictionary,
-                      const std::string& origin, bag::IdVocabulary* vocab,
-                      ForeignTerms* foreign) {
-  for (std::string_view term : terms) {
-    const text::TermId gram = dictionary.Find(term);
-    if (gram == text::kInvalidTerm) {
-      foreign->emplace_back(vocab->AddForeign(), term);
-      continue;
-    }
-    const size_t local = vocab->size();
-    if (vocab->Intern(gram) != local) {
-      return Status::InvalidArgument(origin + " repeats term " +
-                                     std::to_string(local));
-    }
-  }
-  return Status::OK();
-}
-
-// Each family's user row carries the fingerprint of the vocabulary it was
-// persisted with; an eager open binds the header's fingerprint to the
-// sorted (user id, term fingerprint) sequence, as SaveSnapshot computed it.
 template <typename User>
 class UserTableEngine : public Engine {
  public:
@@ -551,17 +482,14 @@ class UserTableEngine : public Engine {
   Status SaveSnapshot(const std::string& path,
                       const EngineContext& ctx) const override {
     if (users_.lazy()) return ReadOnly(path);
-    uint64_t fingerprint = kFnvBasis;
-    Result<std::string> table =
-        users_.Table([&](UserId u, const User& user) {
-          const std::vector<std::string_view> terms = RowTerms(
-              user.modeler.vocabulary(), grams_->dictionary(), user.foreign);
-          fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
-                                       snapshot::FingerprintTerms(terms));
-          return EncodeRow(user, terms);
-        });
+    Result<std::string> table = users_.Table(
+        [this](UserId, const User& user) { return EncodeRow(user); });
     if (!table.ok()) return table.status();
-    snapshot::Writer writer = MakeWriter(config_, ctx, fingerprint);
+    // An engine without users has bound no table yet: its rows would index
+    // the one `ctx` featurizes.
+    const GramTable& grams =
+        grams_ != nullptr ? *grams_ : ctx.pre->Grams(kind_, n_);
+    snapshot::Writer writer = MakeWriter(config_, ctx, grams.fingerprint());
     writer.AddSection("users", std::move(*table));
     return writer.Commit(path);
   }
@@ -573,24 +501,59 @@ class UserTableEngine : public Engine {
 
   /// The user model built from a labelled train set (a cold build).
   virtual User Build(const corpus::LabeledTrainSet& train) const = 0;
-  /// The row encoder, given the user's persisted term list.
-  virtual std::string EncodeRow(
-      const User& user, const std::vector<std::string_view>& terms) const = 0;
+  /// The row encoder.
+  virtual std::string EncodeRow(const User& user) const = 0;
   /// The row decoder, with the semantic validation of every field.
   virtual Result<User> DecodeRow(std::string_view row,
                                  const std::string& origin) const = 0;
-  /// The v1 adapter: turns a v1 "users" section into v2 rows.
+  /// The v1 adapter: turns a v1 "users" section into v2 rows. `origin`
+  /// names the file.
   virtual Status ReadV1Rows(snapshot::Decoder* section,
+                            const std::string& origin,
                             const RowSink& sink) const = 0;
 
-  /// Reads a row's term list into `*user`'s vocabulary and foreign terms,
-  /// and records its fingerprint.
-  Status DecodeTerms(const std::vector<std::string_view>& terms,
-                     const std::string& origin, bag::IdVocabulary* vocab,
-                     User* user) const {
-    user->term_fingerprint = snapshot::FingerprintTerms(terms);
-    return InternRowTerms(terms, grams_->dictionary(), origin, vocab,
-                          &user->foreign);
+  /// Reads a row's leading gram ids into `*vocab`: each must index the
+  /// dictionary, once.
+  Status DecodeGrams(RowReader* row, const std::string& origin,
+                     bag::IdVocabulary* vocab) const {
+    std::vector<uint64_t> grams;
+    MICROREC_RETURN_IF_ERROR(row->DeltaIds(&grams, "grams"));
+    const size_t dictionary_size = grams_->dictionary().size();
+    for (uint64_t gram : grams) {
+      if (gram >= dictionary_size) {
+        return Status::InvalidArgument(
+            origin + " gram " + std::to_string(gram) +
+            " is outside the dictionary of " +
+            std::to_string(dictionary_size));
+      }
+      const size_t local = vocab->size();
+      if (vocab->Intern(static_cast<text::TermId>(gram)) != local) {
+        return Status::InvalidArgument(origin + " repeats gram " +
+                                       std::to_string(gram));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// A v1 row's term strings as dictionary grams. A term the dictionary
+  /// lacks fails the open: the snapshot was saved over a corpus featurized
+  /// differently.
+  Result<std::vector<uint64_t>> V1Grams(const std::string& origin,
+                                        uint64_t user,
+                                        const std::vector<std::string>& terms)
+      const {
+    std::vector<uint64_t> grams;
+    grams.reserve(terms.size());
+    for (const std::string& term : terms) {
+      const text::TermId gram = grams_->dictionary().Find(term);
+      if (gram == text::kInvalidTerm) {
+        return Status::FailedPrecondition(
+            origin + ": v1 " + row_label_ + " " + std::to_string(user) +
+            " has term \"" + term + "\", which the corpus never produces");
+      }
+      grams.push_back(gram);
+    }
+    return grams;
   }
 
   ModelConfig config_;
@@ -605,27 +568,46 @@ class UserTableEngine : public Engine {
     grams_ = &ctx.pre->Grams(kind_, n_);
   }
 
+  // A v1 header's fingerprint: the mix over sorted users of each user's
+  // term list, here recomputed through the dictionary.
+  uint64_t V1Fingerprint(const RowStore<UserId, User>& users) const {
+    uint64_t fingerprint = kFnvBasis;
+    std::vector<std::string_view> terms;
+    for (UserId u : users.SortedKeys()) {
+      terms.clear();
+      for (text::TermId gram : users.at(u).modeler.vocabulary().grams()) {
+        terms.push_back(grams_->dictionary().TermOf(gram));
+      }
+      fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
+                                   snapshot::FingerprintTerms(terms));
+    }
+    return fingerprint;
+  }
+
   Status Open(const std::string& path, const EngineContext& ctx,
               ServeMode residency) override {
     Result<std::shared_ptr<const snapshot::MappedFile>> file =
         OpenSnapshotFile(path, config_, ctx, residency);
     if (!file.ok()) return file.status();
-    BindGrams(ctx);  // rows map their terms to the corpus's grams
+    const snapshot::MappedFile& mapped = **file;
+    BindGrams(ctx);  // rows index the corpus's gram dictionary
+    const bool v1 = mapped.version() == 1;
+    if (!v1) {
+      MICROREC_RETURN_IF_ERROR(
+          CheckVocabFingerprint(mapped, grams_->fingerprint()));
+    }
     RowStore<UserId, User> users;
     MICROREC_RETURN_IF_ERROR(users.Open(
         *file, "users", row_label_, residency == ServeMode::kMmap,
         ctx.mapped_user_cache,
         std::bind_front(&UserTableEngine::DecodeRow, this),
-        std::bind_front(&UserTableEngine::ReadV1Rows, this)));
-    if (!users.lazy()) {
-      // A lazy open decodes rows only on demand, so only an eager one can
-      // check the fingerprint over every user.
-      uint64_t fingerprint = kFnvBasis;
-      for (UserId u : users.SortedKeys()) {
-        fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
-                                     users.at(u).term_fingerprint);
-      }
-      MICROREC_RETURN_IF_ERROR(CheckVocabFingerprint(**file, fingerprint));
+        [&](snapshot::Decoder* section, const RowSink& sink) {
+          return ReadV1Rows(section, mapped.origin(), sink);
+        }));
+    if (v1) {
+      // v1 rows persisted strings; a v1 file always opens eagerly.
+      MICROREC_RETURN_IF_ERROR(
+          CheckVocabFingerprint(mapped, V1Fingerprint(users)));
     }
     users_ = std::move(users);
     loaded_from_snapshot_ = true;
@@ -644,20 +626,18 @@ class UserTableEngine : public Engine {
 struct BagUser {
   bag::BagModeler modeler;
   bag::SparseVector vector;
-  double magnitude = 0.0;         // of `vector`, for the cosine kernel
-  uint64_t term_fingerprint = 0;  // of the persisted vocabulary
-  ForeignTerms foreign;
+  double magnitude = 0.0;  // of `vector`, for the cosine kernel
 };
 
-// A bag user row: vocabulary terms, document frequencies and the train doc
+// A bag user row: vocabulary grams, document frequencies and the train doc
 // count, then the profile as delta-coded term ids plus f64 weights.
-std::string EncodeBagRow(const std::vector<std::string_view>& terms,
+std::string EncodeBagRow(const std::vector<uint64_t>& grams,
                          const std::vector<uint32_t>& df,
                          uint64_t num_train_docs,
                          const std::vector<uint64_t>& term_ids,
                          const std::vector<double>& weights) {
   std::string row;
-  PutRowStrings(&row, terms);
+  snapshot::PutDeltaIds(&row, grams);
   PutRowVarints(&row, df);
   snapshot::PutVarint(&row, num_train_docs);
   snapshot::PutDeltaIds(&row, term_ids);
@@ -706,7 +686,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
 
  private:
   BagUser Build(const corpus::LabeledTrainSet& train) const override {
-    BagUser user{bag::BagModeler(config_.bag), {}, 0.0, 0, {}};
+    BagUser user{bag::BagModeler(config_.bag), {}, 0.0};
     std::vector<bag::GramDoc> docs;
     docs.reserve(train.docs.size());
     for (TweetId id : train.docs) docs.push_back(grams_->Of(id));
@@ -716,9 +696,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     return user;
   }
 
-  std::string EncodeRow(
-      const BagUser& user,
-      const std::vector<std::string_view>& terms) const override {
+  std::string EncodeRow(const BagUser& user) const override {
     std::vector<uint64_t> term_ids;
     std::vector<double> weights;
     term_ids.reserve(user.vector.size());
@@ -727,29 +705,30 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       term_ids.push_back(term);
       weights.push_back(weight);
     }
-    return EncodeBagRow(terms, user.modeler.doc_frequencies(),
+    return EncodeBagRow(RowGrams(user.modeler.vocabulary()),
+                        user.modeler.doc_frequencies(),
                         user.modeler.num_train_docs(), term_ids, weights);
   }
 
   Result<BagUser> DecodeRow(std::string_view bytes,
                             const std::string& origin) const override {
     RowReader row(bytes, origin);
-    std::vector<std::string_view> terms;
+    bag::IdVocabulary vocab;
     std::vector<uint32_t> df;
     uint64_t num_train_docs = 0;
     std::vector<uint64_t> term_ids;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(row.Strings(&terms, "terms"));
+    MICROREC_RETURN_IF_ERROR(DecodeGrams(&row, origin, &vocab));
     MICROREC_RETURN_IF_ERROR(row.U32s(&df, "document frequencies"));
     MICROREC_RETURN_IF_ERROR(row.Varint(&num_train_docs, "train doc count"));
     MICROREC_RETURN_IF_ERROR(row.DeltaIds(&term_ids, "vector term ids"));
     MICROREC_RETURN_IF_ERROR(row.F64s(&weights, "vector weights"));
     MICROREC_RETURN_IF_ERROR(row.End());
-    if (df.size() > terms.size()) {
+    if (df.size() > vocab.size()) {
       return Status::InvalidArgument(
           origin + " has " + std::to_string(df.size()) +
-          " document frequencies for " + std::to_string(terms.size()) +
-          " terms");
+          " document frequencies for " + std::to_string(vocab.size()) +
+          " grams");
     }
     if (term_ids.size() != weights.size()) {
       return Status::InvalidArgument(
@@ -758,18 +737,16 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     std::vector<bag::SparseVector::Entry> entries;
     entries.reserve(term_ids.size());
     for (size_t e = 0; e < term_ids.size(); ++e) {
-      if (term_ids[e] >= terms.size()) {
+      if (term_ids[e] >= vocab.size()) {
         return Status::InvalidArgument(
             origin + " vector references term " +
             std::to_string(term_ids[e]) + " outside vocabulary of " +
-            std::to_string(terms.size()));
+            std::to_string(vocab.size()));
       }
       entries.emplace_back(static_cast<text::TermId>(term_ids[e]),
                            weights[e]);
     }
-    BagUser user{bag::BagModeler(config_.bag), {}, 0.0, 0, {}};
-    bag::IdVocabulary vocab;
-    MICROREC_RETURN_IF_ERROR(DecodeTerms(terms, origin, &vocab, &user));
+    BagUser user{bag::BagModeler(config_.bag), {}, 0.0};
     user.modeler.RestoreFitted(std::move(vocab), std::move(df),
                                num_train_docs);
     user.vector = bag::SparseVector::FromUnsorted(std::move(entries));
@@ -778,8 +755,8 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
   }
 
   // A v1 "users" section: a u64 count, then per user the same fields with
-  // fixed-width framing.
-  Status ReadV1Rows(snapshot::Decoder* dec,
+  // fixed-width framing, the vocabulary as term strings.
+  Status ReadV1Rows(snapshot::Decoder* dec, const std::string& origin,
                     const RowSink& sink) const override {
     uint64_t count = 0;
     MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
@@ -796,9 +773,10 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       MICROREC_RETURN_IF_ERROR(dec->ReadU64(&num_train_docs));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&term_ids));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
+      Result<std::vector<uint64_t>> grams = V1Grams(origin, user, terms);
+      if (!grams.ok()) return grams.status();
       MICROREC_RETURN_IF_ERROR(sink(
-          user, EncodeBagRow({terms.begin(), terms.end()}, df,
-                             num_train_docs,
+          user, EncodeBagRow(*grams, df, num_train_docs,
                              {term_ids.begin(), term_ids.end()}, weights)));
     }
     return Status::OK();
@@ -810,18 +788,16 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
 struct GraphUser {
   graph::GraphModeler modeler;
   graph::NgramGraph graph;
-  uint64_t term_fingerprint = 0;  // of the persisted vocabulary
-  ForeignTerms foreign;
 };
 
-// A graph user row: vocabulary terms, then the edges as sorted,
+// A graph user row: vocabulary grams, then the edges as sorted,
 // delta-coded keys (the two packed term ids of adjacent edges share their
 // high halves, so each costs a few bytes) plus f64 weights.
-std::string EncodeGraphRow(const std::vector<std::string_view>& terms,
+std::string EncodeGraphRow(const std::vector<uint64_t>& grams,
                            const std::vector<uint64_t>& keys,
                            const std::vector<double>& weights) {
   std::string row;
-  PutRowStrings(&row, terms);
+  snapshot::PutDeltaIds(&row, grams);
   snapshot::PutDeltaIds(&row, keys);
   PutRowF64s(&row, weights);
   return row;
@@ -846,7 +822,7 @@ class GraphEngine : public UserTableEngine<GraphUser> {
 
  private:
   GraphUser Build(const corpus::LabeledTrainSet& train) const override {
-    GraphUser user{graph::GraphModeler(config_.graph), {}, 0, {}};
+    GraphUser user{graph::GraphModeler(config_.graph), {}};
     std::vector<bag::GramDoc> docs;
     docs.reserve(train.docs.size());
     for (TweetId id : train.docs) docs.push_back(grams_->Of(id));
@@ -854,9 +830,7 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     return user;
   }
 
-  std::string EncodeRow(
-      const GraphUser& user,
-      const std::vector<std::string_view>& terms) const override {
+  std::string EncodeRow(const GraphUser& user) const override {
     // Edges sorted by canonical key so the same graph always serializes to
     // the same bytes (unordered_map order is process-dependent).
     std::vector<uint64_t> keys;
@@ -866,16 +840,16 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     std::vector<double> weights;
     weights.reserve(keys.size());
     for (uint64_t key : keys) weights.push_back(user.graph.edges().at(key));
-    return EncodeGraphRow(terms, keys, weights);
+    return EncodeGraphRow(RowGrams(user.modeler.vocabulary()), keys, weights);
   }
 
   Result<GraphUser> DecodeRow(std::string_view bytes,
                               const std::string& origin) const override {
     RowReader row(bytes, origin);
-    std::vector<std::string_view> terms;
+    bag::IdVocabulary vocab;
     std::vector<uint64_t> keys;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(row.Strings(&terms, "terms"));
+    MICROREC_RETURN_IF_ERROR(DecodeGrams(&row, origin, &vocab));
     MICROREC_RETURN_IF_ERROR(row.DeltaIds(&keys, "edge keys"));
     MICROREC_RETURN_IF_ERROR(row.F64s(&weights, "edge weights"));
     MICROREC_RETURN_IF_ERROR(row.End());
@@ -883,16 +857,15 @@ class GraphEngine : public UserTableEngine<GraphUser> {
       return Status::InvalidArgument(
           origin + " has mismatched edge key/weight counts");
     }
-    GraphUser user{graph::GraphModeler(config_.graph), {}, 0, {}};
-    bag::IdVocabulary vocab;
-    MICROREC_RETURN_IF_ERROR(DecodeTerms(terms, origin, &vocab, &user));
+    const size_t vocab_size = vocab.size();
+    GraphUser user{graph::GraphModeler(config_.graph), {}};
     user.modeler.RestoreVocabulary(std::move(vocab));
     for (size_t e = 0; e < keys.size(); ++e) {
-      if ((keys[e] >> 32) >= terms.size() ||
-          (keys[e] & 0xFFFFFFFFu) >= terms.size()) {
+      if ((keys[e] >> 32) >= vocab_size ||
+          (keys[e] & 0xFFFFFFFFu) >= vocab_size) {
         return Status::InvalidArgument(
             origin + " edge references term outside vocabulary of " +
-            std::to_string(terms.size()));
+            std::to_string(vocab_size));
       }
       user.graph.AddEdgeByKey(keys[e], weights[e]);
     }
@@ -901,7 +874,7 @@ class GraphEngine : public UserTableEngine<GraphUser> {
 
   // A v1 "users" section: a u64 count, then per user its terms, edge keys
   // and edge weights with fixed-width framing.
-  Status ReadV1Rows(snapshot::Decoder* dec,
+  Status ReadV1Rows(snapshot::Decoder* dec, const std::string& origin,
                     const RowSink& sink) const override {
     uint64_t count = 0;
     MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
@@ -914,8 +887,10 @@ class GraphEngine : public UserTableEngine<GraphUser> {
       MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecU64(&keys));
       MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
-      MICROREC_RETURN_IF_ERROR(sink(
-          user, EncodeGraphRow({terms.begin(), terms.end()}, keys, weights)));
+      Result<std::vector<uint64_t>> grams = V1Grams(origin, user, terms);
+      if (!grams.ok()) return grams.status();
+      MICROREC_RETURN_IF_ERROR(
+          sink(user, EncodeGraphRow(*grams, keys, weights)));
     }
     return Status::OK();
   }
@@ -1039,7 +1014,6 @@ class TopicEngine : public Engine {
     // BTM, PLSA). HDP and HLDA are sequential by design — see their headers.
     topic::TrainOptions train;
     train.train_threads = ctx.train_threads;
-    train.merge_every = ctx.train_merge_every;
     train.sampler_kernel = ctx.sampler_kernel;
     train.alias_stale_budget = ctx.alias_stale_budget;
     switch (config_.kind) {

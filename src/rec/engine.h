@@ -71,10 +71,6 @@ struct EngineContext {
   /// Not part of snapshot identity: a snapshot trained at any thread count
   /// loads under any other.
   size_t train_threads = 1;
-  /// Iterations between count-table merges when train_threads > 1 (1 = the
-  /// classic AD-LDA barrier every sweep; higher trades staleness for fewer
-  /// merges).
-  int train_merge_every = 1;
   /// Gibbs draw kernel for LDA / LLDA / BTM (topic/sparse_kernel.h):
   /// kDense keeps the original O(K) scan bit-for-bit; kSparse uses the
   /// SparseLDA bucket decomposition; kAlias uses stale alias tables with

@@ -4,6 +4,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resilience/fault.h"
+#include "snapshot/format.h"
 
 namespace microrec::rec {
 
@@ -72,6 +73,12 @@ void PreprocessedCorpus::BuildGrams(bag::NgramKind kind, int n,
     table->offsets_.push_back(table->ids_.size());
   }
   table->ids_.shrink_to_fit();
+  std::vector<std::string_view> terms;
+  terms.reserve(table->dictionary_.size());
+  for (text::TermId id = 0; id < table->dictionary_.size(); ++id) {
+    terms.push_back(table->dictionary_.TermOf(id));
+  }
+  table->fingerprint_ = snapshot::FingerprintTerms(terms);
 }
 
 }  // namespace microrec::rec

@@ -9,6 +9,7 @@
 #ifndef MICROREC_REC_PREPROCESSED_H_
 #define MICROREC_REC_PREPROCESSED_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,6 +35,10 @@ class GramTable {
   /// Every gram of the corpus; ids in order of first appearance.
   const text::Vocabulary& dictionary() const { return dictionary_; }
 
+  /// snapshot::FingerprintTerms over the dictionary in id order: the
+  /// binding a bag or graph snapshot, whose rows hold these ids, records.
+  uint64_t fingerprint() const { return fingerprint_; }
+
   /// Tweet `id`'s gram ids, in document order.
   std::span<const text::TermId> Of(corpus::TweetId id) const {
     return {ids_.data() + offsets_[id], ids_.data() + offsets_[id + 1]};
@@ -43,6 +48,7 @@ class GramTable {
   friend class PreprocessedCorpus;
 
   text::Vocabulary dictionary_;
+  uint64_t fingerprint_ = 0;
   std::vector<text::TermId> ids_;
   std::vector<size_t> offsets_;  // tweet t's ids: [offsets_[t], offsets_[t+1])
 };

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "resilience/fault.h"
+#include "resilience/retry.h"
 
 namespace microrec::rec {
 namespace {
@@ -28,6 +29,11 @@ obs::Counter* FailOpenCounter() {
       obs::MetricsRegistry::Global().GetCounter("rec.router.fail_open");
   return c;
 }
+
+// Shard warm-up (snapshot load) retries transient `shard.warm` faults; a
+// corrupt snapshot is not revived.
+const resilience::RetryPolicy kWarmRetry =
+    resilience::RetryPolicy::WithAttempts(3);
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -117,9 +123,7 @@ ShardedRecommender::ShardedRecommender(const EngineContext& ctx,
   for (size_t s = 0; s < router_.num_shards(); ++s) {
     auto shard = std::make_unique<Shard>();
     ServingOptions serving = options_.serving;
-    if (s < options_.shard_snapshots.size()) {
-      serving.snapshot_path = options_.shard_snapshots[s];
-    } else if (router_.num_shards() > 1) {
+    if (router_.num_shards() > 1) {
       serving.snapshot_path = ShardSnapshotPath(options_.serving.snapshot_path,
                                                 s, router_.num_shards());
     }
@@ -150,7 +154,7 @@ Status ShardedRecommender::WarmShardLocked(size_t s, Shard* shard) {
   }
   shard->warm_attempted = true;
   shard->warm_status = resilience::RunWithRetry(
-      options_.warm_retry, [this, s, shard]() -> Status {
+      kWarmRetry, [this, s, shard]() -> Status {
         MICROREC_RETURN_IF_ERROR(
             ShardFault(resilience::kSiteShardWarm, s));
         if (Status fault =

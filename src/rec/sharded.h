@@ -38,7 +38,6 @@
 #include "rec/engine.h"
 #include "rec/router.h"
 #include "rec/serving.h"
-#include "resilience/retry.h"
 
 namespace microrec::rec {
 
@@ -60,9 +59,9 @@ Status BuildShardSnapshots(const ModelConfig& config, const EngineContext& ctx,
 
 struct ShardedServingOptions {
   /// Per-shard serving template. `serving.snapshot_path` is the UNSHARDED
-  /// base path; each shard loads ShardSnapshotPath(base, s, S) (or the
-  /// explicit override below). `query_deadline_seconds` is the whole-query
-  /// budget the router carves per-shard attempt deadlines from.
+  /// base path; each shard loads ShardSnapshotPath(base, s, S).
+  /// `query_deadline_seconds` is the whole-query budget the router carves
+  /// per-shard attempt deadlines from.
   ServingOptions serving;
   size_t num_shards = 1;
   BreakerOptions breaker;
@@ -71,12 +70,6 @@ struct ShardedServingOptions {
   /// rung. Off by default — hedging trades determinism of the served rung
   /// for tail latency, so the byte-identity gates run without it.
   double hedge_after_seconds = 0.0;
-  /// Retry policy for shard warm-up (snapshot load); transient
-  /// `shard.warm` faults are retried, a corrupt snapshot is not revived.
-  resilience::RetryPolicy warm_retry = resilience::RetryPolicy::WithAttempts(3);
-  /// Explicit per-shard snapshot paths (size num_shards); empty derives
-  /// them from serving.snapshot_path via ShardSnapshotPath.
-  std::vector<std::string> shard_snapshots;
 };
 
 struct ShardedRecommendResult {
@@ -103,7 +96,7 @@ class ShardedRecommender {
 
   size_t num_shards() const { return router_.num_shards(); }
 
-  /// Warms every shard (retrying transient faults per warm_retry). Returns
+  /// Warms every shard (up to 3 attempts for transient faults). Returns
   /// the first shard's failure if any, but always attempts all shards —
   /// a shard that cannot warm serves degraded, which is the ladder's job.
   Status Warm();

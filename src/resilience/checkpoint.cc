@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -381,36 +380,18 @@ Status SweepCheckpoint::Append(CheckpointRecord record) {
 }
 
 Status SweepCheckpoint::WriteAll() const {
-  // Benches tag checkpoint paths per sweep ("sweeps/ck.jsonl.LDA-R"); the
-  // directory may not exist yet and ofstream would fail with a message that
-  // doesn't say why.
-  MICROREC_RETURN_IF_ERROR(util::EnsureParentDirectory(path_));
-  const std::string tmp_path = path_ + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open checkpoint tmp file: " + tmp_path);
-    }
-    std::string header = "{\"schema\":\"";
-    header += kSweepCheckpointSchema;
-    header += "\",\"key\":\"";
-    obs::AppendJsonEscaped(key_, &header);
-    header += "\"}";
-    out << header << '\n';
-    for (const CheckpointRecord& record : records_) {
-      out << CheckpointRecordToJson(record) << '\n';
-    }
-    out.flush();
-    if (!out) {
-      return Status::Internal("checkpoint write failed: " + tmp_path);
-    }
+  // Benches tag checkpoint paths per sweep ("sweeps/ck.jsonl.LDA-R"), whose
+  // directory may not exist yet: the atomic write creates it.
+  std::string text = "{\"schema\":\"";
+  text += kSweepCheckpointSchema;
+  text += "\",\"key\":\"";
+  obs::AppendJsonEscaped(key_, &text);
+  text += "\"}\n";
+  for (const CheckpointRecord& record : records_) {
+    text += CheckpointRecordToJson(record);
+    text += '\n';
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path_, ec);
-  if (ec) {
-    return Status::Internal("checkpoint rename failed: " + ec.message());
-  }
-  return Status::OK();
+  return util::WriteFileAtomically(path_, text);
 }
 
 }  // namespace microrec::resilience

@@ -1,7 +1,6 @@
 #include "snapshot/snapshot.h"
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -79,26 +78,8 @@ std::string Writer::Serialize() const {
 
 Status Writer::Commit(const std::string& path) const {
   MICROREC_FAULT_POINT(resilience::kSiteSnapshotWrite);
-  MICROREC_RETURN_IF_ERROR(util::EnsureParentDirectory(path));
-  const std::string tmp_path = path + ".tmp";
   const std::string bytes = Serialize();
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open snapshot tmp file: " + tmp_path);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      return Status::Internal("snapshot write failed: " + tmp_path);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    return Status::Internal("snapshot rename failed for " + path + ": " +
-                            ec.message());
-  }
+  MICROREC_RETURN_IF_ERROR(util::WriteFileAtomically(path, bytes));
   obs::MetricsRegistry::Global()
       .GetCounter("snapshot.writes")
       ->Increment();

@@ -21,8 +21,9 @@
 // crash, never allocate unbounded memory, and never silently mis-score.
 //
 // Writes are atomic: the full container is staged to `<path>.tmp` and
-// renamed over `<path>`, reusing the resilience idiom of the sweep
-// checkpoints, so a crash mid-save leaves the previous snapshot intact.
+// renamed over `<path>` (util::WriteFileAtomically, which the sweep
+// checkpoints share), so a crash mid-save leaves the previous snapshot
+// intact.
 #ifndef MICROREC_SNAPSHOT_SNAPSHOT_H_
 #define MICROREC_SNAPSHOT_SNAPSHOT_H_
 
@@ -68,7 +69,12 @@ struct Header {
   uint64_t seed = 0;               // EngineContext::seed the model trained under
   double iteration_scale = 1.0;    // Gibbs budget multiplier at train time
   std::string config_fingerprint;  // rec::ModelConfig::Fingerprint()
-  uint64_t vocab_fingerprint = 0;  // FingerprintTerms over the model vocabulary
+  // FingerprintTerms over the vocabulary the sections index. Topic: the
+  // "vocab" section's terms. Bag and graph: the corpus gram dictionary
+  // (rec::GramTable) whose ids the rows hold, checked at every open before
+  // a row decodes. A v1 bag or graph file, whose rows hold strings, mixes
+  // each user's term fingerprint over the sorted user ids instead.
+  uint64_t vocab_fingerprint = 0;
 };
 
 /// One named section, decoded and CRC-verified.

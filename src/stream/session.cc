@@ -370,23 +370,10 @@ Status StreamSession::Checkpoint() {
 
 Status StreamSession::WriteCurrentFile(uint64_t batch_id,
                                        uint64_t epoch) const {
-  const std::string path = options_.dir + "/" + kCurrentName;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::Internal("stream: cannot write " + tmp);
-    out << SnapshotFileName(batch_id) << ' ' << batch_id << ' ' << epoch
-        << '\n';
-    out.flush();
-    if (!out) return Status::Internal("stream: write failed for " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("stream: cannot publish " + path + ": " +
-                            ec.message());
-  }
-  return Status::OK();
+  return util::WriteFileAtomically(
+      options_.dir + "/" + kCurrentName,
+      SnapshotFileName(batch_id) + ' ' + std::to_string(batch_id) + ' ' +
+          std::to_string(epoch) + '\n');
 }
 
 std::string StreamSession::checkpoint_snapshot_path() const {

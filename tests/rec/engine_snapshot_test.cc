@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rec/engine.h"
+#include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "temp_dir.h"
 
@@ -271,6 +272,46 @@ TEST_F(EngineSnapshotFixture, PrepareFallsBackToColdTrainOnMissingSnapshot) {
             engine->Score(ego_, test_stock_, warm));
 }
 
+TEST_F(EngineSnapshotFixture, UserlessBagAndGraphSnapshotsOpenAndBuildCold) {
+  // An engine without users has looked up no gram table; its snapshot
+  // still records the dictionary of the corpus it was saved over.
+  for (ModelKind kind : {ModelKind::kTN, ModelKind::kTNG}) {
+    const std::string name(ModelKindName(kind));
+    SCOPED_TRACE(name);
+    const ModelConfig config = SmallConfig(kind);
+    auto userless = MakeEngine(config);
+    ASSERT_TRUE(userless->Prepare(ctx_).ok());
+    const std::string path = Path("userless-" + name);
+    ASSERT_TRUE(userless->SaveSnapshot(path, ctx_).ok());
+
+    auto cold = MakeEngine(config);
+    ASSERT_TRUE(cold->Prepare(ctx_).ok());
+    ASSERT_TRUE(cold->BuildUser(ego_, train_, ctx_).ok());
+    for (bool mapped : {false, true}) {
+      SCOPED_TRACE(mapped ? "mmap" : "resident");
+      auto restored = MakeEngine(config);
+      Status open = mapped ? restored->OpenMapped(path, ctx_)
+                           : restored->LoadSnapshot(path, ctx_);
+      ASSERT_TRUE(open.ok()) << open.ToString();
+      ASSERT_TRUE(restored->BuildUser(ego_, train_, ctx_).ok());  // cold
+      EXPECT_EQ(restored->Score(ego_, test_cat_, ctx_),
+                cold->Score(ego_, test_cat_, ctx_));
+    }
+  }
+}
+
+// A TN user row: `grams`, then no document frequencies and an empty
+// profile.
+std::string BagRow(const std::vector<uint64_t>& grams) {
+  std::string row;
+  snapshot::PutDeltaIds(&row, grams);
+  snapshot::PutVarint(&row, 0);  // document frequencies
+  snapshot::PutVarint(&row, 0);  // train doc count
+  snapshot::PutDeltaIds(&row, {});
+  snapshot::PutVarint(&row, 0);  // weights
+  return row;
+}
+
 // ---- Engine-level corruption matrix (TN keeps it fast; the container
 // layer is shared by every family). ----
 
@@ -297,6 +338,38 @@ class EngineSnapshotCorruptionTest : public EngineSnapshotFixture {
     out.close();
     auto engine = MakeEngine(config_);
     return engine->LoadSnapshot(path, ctx_);
+  }
+
+  /// Writes `row` as ego's only row under the good file's header, and
+  /// expects both residencies to reject it with InvalidArgument naming the
+  /// row and `detail`: a resident open at once, a mapped one when the row
+  /// is first decoded.
+  void ExpectRowRejected(const std::string& row, const std::string& detail) {
+    Result<snapshot::File> good = snapshot::File::Load(good_path_);
+    ASSERT_TRUE(good.ok());
+    snapshot::TableBuilder table;
+    ASSERT_TRUE(table.AddRow(ego_, row).ok());
+    snapshot::Writer writer(good->header());
+    writer.set_codec(snapshot::SnapshotCodec::kCompressed);
+    writer.AddSection("users", std::move(table).Finish());
+    const std::string path = Path("bad_grams");
+    ASSERT_TRUE(writer.Commit(path).ok());
+    const std::string row_name = "bag user " + std::to_string(ego_);
+
+    auto resident = MakeEngine(config_);
+    Status st = resident->LoadSnapshot(path, ctx_);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(row_name), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
+
+    auto mapped = MakeEngine(config_);
+    ASSERT_TRUE(mapped->OpenMapped(path, ctx_).ok());
+    st = mapped->BuildUser(ego_, train_, ctx_);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(row_name), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
   }
 
   ModelConfig config_;
@@ -352,11 +425,29 @@ TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
   const std::string path = Path("vocab_mismatch");
   ASSERT_TRUE(writer.Commit(path).ok());
 
-  auto engine = MakeEngine(config_);
-  Status st = engine->LoadSnapshot(path, ctx_);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
-  EXPECT_NE(st.message().find("fingerprint"), std::string::npos)
-      << st.ToString();
+  // Both residencies check it, before any row decodes.
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mmap" : "resident");
+    auto engine = MakeEngine(config_);
+    Status st = mapped ? engine->OpenMapped(path, ctx_)
+                       : engine->LoadSnapshot(path, ctx_);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.message().find("fingerprint"), std::string::npos)
+        << st.ToString();
+  }
+}
+
+TEST_F(EngineSnapshotCorruptionTest, GramIdOutsideTheDictionaryRejected) {
+  const uint64_t size =
+      pre_->Grams(bag::NgramKind::kToken, 1).dictionary().size();
+  ExpectRowRejected(BagRow({0, size}),
+                    "gram " + std::to_string(size) +
+                        " is outside the dictionary of " +
+                        std::to_string(size));
+}
+
+TEST_F(EngineSnapshotCorruptionTest, RepeatedGramIdRejected) {
+  ExpectRowRejected(BagRow({3, 1, 3}), "repeats gram 3");
 }
 
 }  // namespace

@@ -238,6 +238,28 @@ TEST_F(GoldenSnapshotTest, GraphAndTopicV1FixturesWarmStartToPinnedScores) {
   }
 }
 
+TEST_F(GoldenSnapshotTest, V1TermTheCorpusNeverProducesFailsTheOpen) {
+  // The fixture world's most frequent token, "cat", filtered as a stop
+  // word: ego's persisted vocabulary has it, the corpus dictionary does
+  // not, so the v1 adapter cannot map it to a gram in either residency.
+  std::vector<TweetId> all(world_.num_tweets());
+  for (TweetId id = 0; id < all.size(); ++id) all[id] = id;
+  const PreprocessedCorpus stopped(world_, all, /*stop_top_k=*/1);
+  ASSERT_TRUE(stopped.stop_filter().IsStop("cat"));
+  EngineContext ctx = ctx_;
+  ctx.pre = &stopped;
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mmap" : "resident");
+    auto engine = MakeEngine(config_);
+    Status open = mapped ? engine->OpenMapped(GoldenPath(), ctx)
+                         : engine->LoadSnapshot(GoldenPath(), ctx);
+    EXPECT_EQ(open.code(), StatusCode::kFailedPrecondition)
+        << open.ToString();
+    EXPECT_NE(open.message().find("\"cat\""), std::string::npos)
+        << open.ToString();
+  }
+}
+
 TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
   // Migration path, for every family: warm-start the committed v1 fixture
   // through OpenMapped (which opens it resident, so saving from it stays
