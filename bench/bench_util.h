@@ -19,9 +19,8 @@
 //   MICROREC_SAMPLER_KERNEL  Gibbs draw kernel for LDA/LLDA/BTM: "dense"
 //                        (default, bit-identical to the paper), "sparse"
 //                        (SparseLDA buckets) or "alias" (stale alias tables
-//                        with MH correction) — DESIGN.md §15
-//   MICROREC_ALIAS_STALE_BUDGET  stale-draw budget per word alias table
-//                        (alias kernel only, default 32)
+//                        with MH correction; its tables rebuild every 32
+//                        draws) — DESIGN.md §15
 //   MICROREC_SERVE_MODE  "resident" (default) or "mmap" — how warm starts
 //                        hold the snapshot; rankings are identical, only
 //                        residency differs
@@ -131,8 +130,6 @@ inline Workbench MakeWorkbench() {
                  kernel);
     std::exit(1);
   }
-  options.alias_stale_budget =
-      static_cast<int>(EnvSize("MICROREC_ALIAS_STALE_BUDGET", 32));
   if (const char* mode = std::getenv("MICROREC_SERVE_MODE");
       mode != nullptr && mode[0] != '\0') {
     if (Status st = rec::ParseServeMode(mode, &options.serve_mode);

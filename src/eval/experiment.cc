@@ -104,7 +104,6 @@ rec::EngineContext ExperimentRunner::MakeContext(
   ctx.llda_min_hashtag_count = options_.llda_min_hashtag_count;
   ctx.train_threads = options_.train_threads;
   ctx.sampler_kernel = options_.sampler_kernel;
-  ctx.alias_stale_budget = options_.alias_stale_budget;
   ctx.serve_mode = options_.serve_mode;
   ctx.cancel = cancel;
   if (options_.snapshot_load) {

@@ -55,8 +55,6 @@ struct RunOptions {
   /// topic/sparse_kernel.h — statistically equivalent, not bit-identical,
   /// to kDense; same equivalence band as train_threads > 1).
   topic::SamplerKernel sampler_kernel = topic::SamplerKernel::kDense;
-  /// Stale-draw budget per word-topic alias table (kAlias only).
-  int alias_stale_budget = 32;
   /// How warm starts hold persisted state: kResident decodes the snapshot
   /// into memory; kMmap serves straight from the mapped file (a v1 file
   /// opens resident). Rankings are identical either way.

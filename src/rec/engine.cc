@@ -1015,7 +1015,6 @@ class TopicEngine : public Engine {
     topic::TrainOptions train;
     train.train_threads = ctx.train_threads;
     train.sampler_kernel = ctx.sampler_kernel;
-    train.alias_stale_budget = ctx.alias_stale_budget;
     switch (config_.kind) {
       case ModelKind::kLDA: {
         topic::LdaConfig lc;

@@ -76,9 +76,6 @@ struct EngineContext {
   /// SparseLDA bucket decomposition; kAlias uses stale alias tables with
   /// Metropolis-Hastings correction. HDP / HLDA / PLSA ignore this.
   topic::SamplerKernel sampler_kernel = topic::SamplerKernel::kDense;
-  /// Draws served by a stale word-topic alias table before it is rebuilt
-  /// (sampler_kernel == kAlias only).
-  int alias_stale_budget = 32;
   /// Optional deadline / cancellation, honored between Gibbs sweeps by the
   /// topic engines. Not owned; may be nullptr.
   const resilience::CancelContext* cancel = nullptr;

@@ -1,7 +1,6 @@
 #include "topic/btm.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -69,47 +68,24 @@ Status Btm::Train(const DocSet& docs, Rng* rng) {
     ++n_kw[static_cast<size_t>(topic) * V + biterms[i].second];
   }
 
-  if (config_.train.train_threads > 1) {
-    MICROREC_RETURN_IF_ERROR(ParallelSweeps(rng, biterms, &z, &n_z, &n_kw));
-  } else if (config_.train.sampler_kernel != SamplerKernel::kDense) {
-    MICROREC_RETURN_IF_ERROR(KernelSweeps(rng, biterms, &z, &n_z, &n_kw));
-  } else {
-    std::vector<double> weights(K);
-    obs::Histogram* sweep_hist = obs::MetricsRegistry::Global().GetHistogram(
-        "topic.btm.sweep_seconds");
-    for (int iter = 0; iter < config_.train_iterations; ++iter) {
-      MICROREC_RETURN_IF_ERROR(GuardSweep(
-          "BTM", iter, config_.cancel,
-          iter == 0 ? nullptr : weights.data(), K));
-      obs::ScopedHistogramTimer sweep_timer(sweep_hist);
-      const uint64_t degenerate_before = rng->degenerate_draws();
-      bool counts_ok = true;
-      for (size_t i = 0; i < B; ++i) {
-        const auto [w1, w2] = biterms[i];
-        const uint32_t old = z[i];
-        counts_ok &= GuardedDecrement(&n_z[old]);
-        counts_ok &= GuardedDecrement(&n_kw[static_cast<size_t>(old) * V + w1]);
-        counts_ok &= GuardedDecrement(&n_kw[static_cast<size_t>(old) * V + w2]);
-        for (size_t k = 0; k < K; ++k) {
-          const double denom = 2.0 * n_z[k] + v_beta;
-          weights[k] = (n_z[k] + alpha) *
-                       (n_kw[k * V + w1] + beta) / denom *
-                       (n_kw[k * V + w2] + beta) / (denom + 1.0);
-        }
-        uint32_t fresh =
-            static_cast<uint32_t>(rng->Categorical(weights.data(), K));
-        z[i] = fresh;
-        ++n_z[fresh];
-        ++n_kw[static_cast<size_t>(fresh) * V + w1];
-        ++n_kw[static_cast<size_t>(fresh) * V + w2];
-      }
-      if (!counts_ok) return CountUnderflowError("BTM", iter);
-      MICROREC_RETURN_IF_ERROR(GuardDegenerateDraws(
-          "BTM", iter, rng->degenerate_draws() - degenerate_before));
-    }
-    MICROREC_RETURN_IF_ERROR(CheckPosteriorMass(
-        "BTM", config_.train_iterations, weights.data(), K));
-  }
+  // Biterms are exchangeable, so the flat list itself is sharded; both
+  // count tables are replicated.
+  MICROREC_RETURN_IF_ERROR(WithBitermSweeper(
+      config_.train.sampler_kernel, K, V, alpha, beta,
+      [&](const auto& make_sweeper) {
+        return RunGibbs(
+            "BTM", config_.train, config_.train_iterations, config_.cancel,
+            obs::MetricsRegistry::Global().GetHistogram(
+                "topic.btm.sweep_seconds"),
+            rng, B, {&n_z, &n_kw}, make_sweeper,
+            [](auto& sweeper, uint32_t* z_counts, uint32_t* kw) {
+              sweeper.Bind(z_counts, kw);
+            },
+            [&](auto& sweeper, size_t begin, size_t end, Rng* sweep_rng) {
+              SweepBitermRange(sweeper, begin, end, biterms, z.data(),
+                               sweep_rng);
+            });
+      }));
 
   theta_.assign(K, 0.0);
   phi_.assign(K * V, 0.0);
@@ -124,141 +100,6 @@ Status Btm::Train(const DocSet& docs, Rng* rng) {
   }
   trained_ = true;
   return Status::OK();
-}
-
-Status Btm::ParallelSweeps(
-    Rng* rng, const std::vector<std::pair<TermId, TermId>>& biterms,
-    std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
-    std::vector<uint32_t>* n_kw) {
-  const size_t K = config_.num_topics;
-  const size_t V = vocab_size_;
-  const double alpha = config_.ResolvedAlpha();
-  const double beta = config_.beta;
-  const double v_beta = static_cast<double>(V) * beta;
-  const size_t B = biterms.size();
-
-  // Biterms are exchangeable, so the flat list itself is sharded; both
-  // count tables are replicated per shard and delta-merged.
-  ParallelGibbs driver(B, config_.train, rng->NextU64());
-  const size_t h_z = driver.AddCounts(n_z);
-  const size_t h_kw = driver.AddCounts(n_kw);
-  obs::Histogram* sweep_hist =
-      obs::MetricsRegistry::Global().GetHistogram("topic.btm.sweep_seconds");
-  std::vector<uint8_t> shard_ok(driver.num_shards(), 1);
-  std::vector<uint64_t> shard_degenerate(driver.num_shards(), 0);
-
-  if (config_.train.sampler_kernel != SamplerKernel::kDense) {
-    const int merge_every = std::max(1, config_.train.merge_every);
-    std::vector<double> shard_mass(driver.num_shards(), 0.0);
-    const auto run = [&](auto& sweepers) {
-      return RunParallelKernel(
-          "BTM", config_.train_iterations, config_.cancel, driver, sweep_hist,
-          &shard_mass, &shard_ok, &shard_degenerate,
-          [&](const ParallelGibbs::Shard& shard, int iter) {
-            auto& sweeper = *sweepers[shard.index];
-            if (iter % merge_every == 0) {
-              sweeper.Bind(shard.Counts(h_z), shard.Counts(h_kw));
-            }
-            SweepBitermRange(sweeper, shard.begin, shard.end, biterms,
-                             z->data(), shard.rng);
-            shard_mass[shard.index] = sweeper.last_mass();
-            shard_ok[shard.index] &= sweeper.counts_ok() ? 1 : 0;
-            shard_degenerate[shard.index] += shard.rng->degenerate_draws();
-          });
-    };
-    if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-      std::vector<std::unique_ptr<BtmSparseSweeper>> sweepers;
-      for (size_t s = 0; s < driver.num_shards(); ++s) {
-        sweepers.push_back(
-            std::make_unique<BtmSparseSweeper>(K, V, alpha, beta));
-      }
-      return run(sweepers);
-    }
-    std::vector<std::unique_ptr<BtmAliasSweeper>> sweepers;
-    for (size_t s = 0; s < driver.num_shards(); ++s) {
-      sweepers.push_back(std::make_unique<BtmAliasSweeper>(
-          K, V, alpha, beta, config_.train.alias_stale_budget));
-    }
-    return run(sweepers);
-  }
-
-  std::vector<std::vector<double>> scratch(driver.num_shards(),
-                                           std::vector<double>(K));
-  for (int iter = 0; iter < config_.train_iterations; ++iter) {
-    MICROREC_RETURN_IF_ERROR(GuardSweep(
-        "BTM", iter, config_.cancel,
-        iter == 0 ? nullptr : scratch[0].data(), K));
-    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
-    driver.RunIteration(iter, [&](const ParallelGibbs::Shard& shard) {
-      double* weights = scratch[shard.index].data();
-      uint32_t* local_z = shard.Counts(h_z);
-      uint32_t* local_kw = shard.Counts(h_kw);
-      uint32_t* zs = z->data();
-      bool counts_ok = true;
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        const auto [w1, w2] = biterms[i];
-        const uint32_t old = zs[i];
-        counts_ok &= GuardedDecrement(&local_z[old]);
-        counts_ok &=
-            GuardedDecrement(&local_kw[static_cast<size_t>(old) * V + w1]);
-        counts_ok &=
-            GuardedDecrement(&local_kw[static_cast<size_t>(old) * V + w2]);
-        for (size_t k = 0; k < K; ++k) {
-          const double denom = 2.0 * local_z[k] + v_beta;
-          weights[k] = (local_z[k] + alpha) *
-                       (local_kw[k * V + w1] + beta) / denom *
-                       (local_kw[k * V + w2] + beta) / (denom + 1.0);
-        }
-        uint32_t fresh =
-            static_cast<uint32_t>(shard.rng->Categorical(weights, K));
-        zs[i] = fresh;
-        ++local_z[fresh];
-        ++local_kw[static_cast<size_t>(fresh) * V + w1];
-        ++local_kw[static_cast<size_t>(fresh) * V + w2];
-      }
-      shard_ok[shard.index] &= counts_ok ? 1 : 0;
-      shard_degenerate[shard.index] += shard.rng->degenerate_draws();
-    });
-    for (uint8_t ok : shard_ok) {
-      if (!ok) return CountUnderflowError("BTM", iter);
-    }
-    uint64_t degenerate = 0;
-    for (uint64_t& d : shard_degenerate) {
-      degenerate += d;
-      d = 0;
-    }
-    MICROREC_RETURN_IF_ERROR(GuardDegenerateDraws("BTM", iter, degenerate));
-  }
-  driver.FlushMerge();
-  return CheckPosteriorMass("BTM", config_.train_iterations,
-                            scratch[0].data(), K);
-}
-
-Status Btm::KernelSweeps(
-    Rng* rng, const std::vector<std::pair<TermId, TermId>>& biterms,
-    std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
-    std::vector<uint32_t>* n_kw) {
-  const size_t K = config_.num_topics;
-  const size_t V = vocab_size_;
-  const size_t B = biterms.size();
-
-  obs::Histogram* sweep_hist =
-      obs::MetricsRegistry::Global().GetHistogram("topic.btm.sweep_seconds");
-  const auto run = [&](auto& sweeper) {
-    sweeper.Bind(n_z->data(), n_kw->data());
-    return RunSequentialKernel(
-        "BTM", sweeper, config_.train_iterations, config_.cancel, sweep_hist,
-        rng, [&] {
-          SweepBitermRange(sweeper, 0, B, biterms, z->data(), rng);
-        });
-  };
-  if (config_.train.sampler_kernel == SamplerKernel::kSparse) {
-    BtmSparseSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta);
-    return run(sweeper);
-  }
-  BtmAliasSweeper sweeper(K, V, config_.ResolvedAlpha(), config_.beta,
-                          config_.train.alias_stale_budget);
-  return run(sweeper);
 }
 
 std::vector<double> Btm::InferDocument(const std::vector<TermId>& words,

@@ -66,21 +66,6 @@ class Btm : public TopicModel {
   Status LoadState(snapshot::Decoder* dec) override;
 
  private:
-  /// AD-LDA sweep phase over the flat biterm list (see Lda::ParallelSweeps);
-  /// n_z and n_kw are both replicated per shard and delta-merged. Honors
-  /// train.sampler_kernel.
-  Status ParallelSweeps(
-      Rng* rng, const std::vector<std::pair<TermId, TermId>>& biterms,
-      std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
-      std::vector<uint32_t>* n_kw);
-
-  /// Sequential sparse/alias-kernel sweeps (topic/sparse_kernel.h) when
-  /// train.sampler_kernel != kDense and train_threads <= 1.
-  Status KernelSweeps(Rng* rng,
-                      const std::vector<std::pair<TermId, TermId>>& biterms,
-                      std::vector<uint32_t>* z, std::vector<uint32_t>* n_z,
-                      std::vector<uint32_t>* n_kw);
-
   BtmConfig config_;
   size_t vocab_size_ = 0;
   std::vector<double> phi_;    // [topic * vocab + word]

@@ -59,29 +59,6 @@ class Lda : public TopicModel {
   Status LoadState(snapshot::Decoder* dec) override;
 
  private:
-  /// AD-LDA sweep phase for train.train_threads > 1: documents are sharded
-  /// across a ParallelGibbs driver seeded from one draw of `rng`; n_dk rows
-  /// and z slots are shard-owned and written in place, n_kw / n_k are
-  /// replicated and delta-merged. Counts arrive exact; the sample path is
-  /// statistically (not bit-) equivalent to the sequential loop. Honors
-  /// train.sampler_kernel: each shard runs its own kernel instance.
-  Status ParallelSweeps(const DocSet& docs, Rng* rng,
-                        const std::vector<TermId>& words,
-                        const std::vector<uint32_t>& doc_of,
-                        std::vector<uint32_t>* z, std::vector<uint32_t>* n_dk,
-                        std::vector<uint32_t>* n_kw,
-                        std::vector<uint32_t>* n_k);
-
-  /// Sequential sweeps through a sparse or alias kernel
-  /// (topic/sparse_kernel.h) when train.sampler_kernel != kDense and
-  /// train_threads <= 1. Statistically equivalent to the dense loop but a
-  /// different draw sequence.
-  Status KernelSweeps(const DocSet& docs, Rng* rng,
-                      const std::vector<TermId>& words,
-                      const std::vector<uint32_t>& doc_of,
-                      std::vector<uint32_t>* z, std::vector<uint32_t>* n_dk,
-                      std::vector<uint32_t>* n_kw, std::vector<uint32_t>* n_k);
-
   LdaConfig config_;
   size_t vocab_size_ = 0;
   // φ flattened as [topic * vocab + word], estimated from the final sample.

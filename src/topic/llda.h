@@ -67,26 +67,6 @@ class Llda : public TopicModel {
   Status LoadState(snapshot::Decoder* dec) override;
 
  private:
-  /// AD-LDA sweep phase (see Lda::ParallelSweeps); LLDA additionally
-  /// carries each document's allowed-topic menu into the shards. Honors
-  /// train.sampler_kernel.
-  Status ParallelSweeps(const DocSet& docs, Rng* rng,
-                        const std::vector<TermId>& words,
-                        const std::vector<uint32_t>& doc_of,
-                        const std::vector<std::vector<uint32_t>>& allowed,
-                        std::vector<uint32_t>* z, std::vector<uint32_t>* n_dk,
-                        std::vector<uint32_t>* n_kw,
-                        std::vector<uint32_t>* n_k);
-
-  /// Sequential sparse/alias-kernel sweeps (topic/sparse_kernel.h) when
-  /// train.sampler_kernel != kDense and train_threads <= 1.
-  Status KernelSweeps(const DocSet& docs, Rng* rng,
-                      const std::vector<TermId>& words,
-                      const std::vector<uint32_t>& doc_of,
-                      const std::vector<std::vector<uint32_t>>& allowed,
-                      std::vector<uint32_t>* z, std::vector<uint32_t>* n_dk,
-                      std::vector<uint32_t>* n_kw, std::vector<uint32_t>* n_k);
-
   LldaConfig config_;
   size_t vocab_size_ = 0;
   std::vector<double> phi_;  // [topic * vocab + word]

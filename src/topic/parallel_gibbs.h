@@ -19,10 +19,11 @@
 //     within ±0.01) is enforced by tests/topic/stat_equiv_test.cc and
 //     documented in DESIGN.md §10.
 //
-// train_threads = 1 never constructs this driver: the samplers keep their
-// original sequential loop, with the caller's Rng and the exact historical
-// draw sequence, so snapshots / warm starts / the CI determinism job are
-// unaffected by default.
+// LDA, LLDA and BTM train through one loop, RunGibbs (topic/sparse_kernel.h),
+// and PLSA through one EM loop; each constructs this driver only when
+// train_threads > 1. At train_threads = 1 they run sequentially on the
+// caller's Rng with the exact historical draw sequence, so snapshots / warm
+// starts / the CI determinism job are unaffected by default.
 #ifndef MICROREC_TOPIC_PARALLEL_GIBBS_H_
 #define MICROREC_TOPIC_PARALLEL_GIBBS_H_
 
@@ -58,8 +59,8 @@ enum class SamplerKernel {
 /// structure (CRP dish tables, the nCRP tree) that document sharding would
 /// race on — see the notes in hdp.h / hlda.h.
 struct TrainOptions {
-  /// Worker threads for the sharded sweeps. <= 1 keeps the sequential
-  /// sampler — same RNG draw sequence, bit-identical output.
+  /// Worker threads for the sharded sweeps. <= 1 runs the training loop's
+  /// sequential branch — same RNG draw sequence, bit-identical output.
   size_t train_threads = 1;
   /// Iterations between count-delta merges when train_threads > 1. Larger
   /// values amortise the barrier at the cost of staler cross-shard counts;
@@ -69,20 +70,12 @@ struct TrainOptions {
   /// Per-token draw kernel. kDense preserves the historical draw sequence;
   /// kSparse and kAlias are statistically equivalent (same stat-equiv
   /// contract as train_threads, DESIGN.md §15) but not bit-identical.
-  /// Composes with train_threads: each shard runs its own kernel instance.
+  /// Composes with train_threads: each shard runs its own sweeper. The
+  /// alias kernel's table staleness is the constant kAliasStaleBudget.
   SamplerKernel sampler_kernel = SamplerKernel::kDense;
-  /// kAlias only: draws served from a word's stale alias table before it is
-  /// rebuilt from live counts. Smaller is fresher but rebuilds more often;
-  /// values < 1 are treated as 1. The default keeps a typical word's table
-  /// roughly one-to-two sweeps stale — larger budgets measurably slow
-  /// mixing (the MH correction keeps the stationary distribution exact but
-  /// rejects more as the proposal drifts), which shows up as worse
-  /// perplexity at a fixed iteration count well before the stat-equiv
-  /// bands catch it.
-  int alias_stale_budget = 32;
 };
 
-/// The shard/merge engine behind the parallel Train() paths. Single-use:
+/// The shard/merge engine behind the sharded training branches. Single-use:
 /// register the shared arrays, run the training iterations, FlushMerge().
 class ParallelGibbs {
  public:

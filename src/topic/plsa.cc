@@ -1,6 +1,7 @@
 #include "topic/plsa.h"
 
 #include <cmath>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,44 +49,71 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
     std::copy(draw.begin(), draw.end(), phi_.begin() + k * V);
   }
 
-  if (config_.train.train_threads > 1) {
-    MICROREC_RETURN_IF_ERROR(ParallelSteps(docs, rng, &theta));
-    trained_ = true;
-    return Status::OK();
-  }
-
   std::vector<double> theta_acc(D * K);
   std::vector<double> phi_acc(K * V);
-  std::vector<double> post(K);
+
+  // train_threads > 1 shards the E-step over documents: θ accumulator rows
+  // are document-owned (written directly by the owning shard); the φ
+  // accumulator receives contributions from every shard, so it is
+  // registered with the driver and reduced in shard order at the barrier.
+  // EM is deterministic given the initialisation, so the sharded E-step
+  // differs from the sequential one only in that reduction order
+  // (shard-ordered, hence deterministic). The driver's RNG substreams go
+  // unused — EM draws nothing after initialisation — but the seed draw
+  // keeps the caller-rng state consistent with the Gibbs models' sharded
+  // paths.
+  std::optional<ParallelGibbs> driver;
+  size_t h_phi = 0;
+  if (config_.train.train_threads > 1) {
+    driver.emplace(D, config_.train, rng->NextU64());
+    h_phi = driver->AddAccumulator(&phi_acc);
+  }
+  // One E-step posterior scratch per shard; post[0] is the one checked
+  // between steps (a NaN in θ or φ propagates into it within one step).
+  std::vector<std::vector<double>> post(driver ? driver->num_shards() : 1,
+                                        std::vector<double>(K));
+
+  // E-step over documents [begin, end): P(z|d,w) ∝ θ_dz φ_zw, accumulated
+  // into theta_acc rows and `phi_sums`.
+  const auto e_step = [&](size_t begin, size_t end, double* posterior,
+                          double* phi_sums) {
+    for (size_t d = begin; d < end; ++d) {
+      for (TermId w : docs.docs()[d].words) {
+        double total = 0.0;
+        for (size_t k = 0; k < K; ++k) {
+          posterior[k] = theta[d * K + k] * phi_[k * V + w];
+          total += posterior[k];
+        }
+        if (total <= 0.0) continue;
+        for (size_t k = 0; k < K; ++k) {
+          double r = posterior[k] / total;
+          theta_acc[d * K + k] += r;
+          phi_sums[k * V + w] += r;
+        }
+      }
+    }
+  };
 
   obs::Histogram* sweep_hist =
       obs::MetricsRegistry::Global().GetHistogram("topic.plsa.step_seconds");
   for (int iter = 0; iter < config_.train_iterations; ++iter) {
-    // `post` holds the previous step's last E-step posterior; a NaN in θ or
-    // φ propagates into it within one step.
     MICROREC_RETURN_IF_ERROR(GuardSweep(
         "PLSA", iter, config_.cancel,
-        iter == 0 ? nullptr : post.data(), K));
+        iter == 0 ? nullptr : post[0].data(), K));
     obs::ScopedHistogramTimer sweep_timer(sweep_hist);
     std::fill(theta_acc.begin(), theta_acc.end(), 0.0);
-    std::fill(phi_acc.begin(), phi_acc.end(), 0.0);
-    for (size_t d = 0; d < D; ++d) {
-      for (TermId w : docs.docs()[d].words) {
-        // E-step: P(z|d,w) ∝ θ_dz φ_zw.
-        double total = 0.0;
-        for (size_t k = 0; k < K; ++k) {
-          post[k] = theta[d * K + k] * phi_[k * V + w];
-          total += post[k];
-        }
-        if (total <= 0.0) continue;
-        for (size_t k = 0; k < K; ++k) {
-          double r = post[k] / total;
-          theta_acc[d * K + k] += r;
-          phi_acc[k * V + w] += r;
-        }
-      }
+    if (!driver) {
+      std::fill(phi_acc.begin(), phi_acc.end(), 0.0);
+      e_step(0, D, post[0].data(), phi_acc.data());
+    } else {
+      driver->RunIteration(iter, [&](const ParallelGibbs::Shard& shard) {
+        e_step(shard.begin, shard.end, post[shard.index].data(),
+               shard.Accumulator(h_phi));
+      });
     }
-    // M-step: renormalise.
+    // M-step: renormalise. It stays sequential: it is O(|D|·|Z| + |Z|·|V|)
+    // against the E-step's O(tokens·|Z|), and it mutates θ and φ that the
+    // next iteration's shards all read.
     for (size_t d = 0; d < D; ++d) {
       double total = 0.0;
       for (size_t k = 0; k < K; ++k) total += theta_acc[d * K + k];
@@ -98,81 +126,12 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
       double total = 0.0;
       for (size_t w = 0; w < V; ++w) total += phi_acc[k * V + w];
       if (total <= 0.0) continue;
-      for (size_t w = 0; w < V; ++w) phi_[k * V + w] = phi_acc[k * V + w] / total;
-    }
-  }
-  trained_ = true;
-  return Status::OK();
-}
-
-Status Plsa::ParallelSteps(const DocSet& docs, Rng* rng,
-                           std::vector<double>* theta) {
-  const size_t K = config_.num_topics;
-  const size_t V = vocab_size_;
-  const size_t D = docs.num_docs();
-
-  // θ accumulator rows are document-owned (written directly by the owning
-  // shard); the φ accumulator receives contributions from every shard, so
-  // it is registered with the driver and reduced in shard order at the
-  // barrier. The driver's RNG substreams go unused — EM draws nothing
-  // after initialisation — but the seed draw keeps the caller-rng state
-  // consistent with the Gibbs models' parallel paths.
-  std::vector<double> theta_acc(D * K);
-  std::vector<double> phi_acc(K * V);
-
-  ParallelGibbs driver(D, config_.train, rng->NextU64());
-  const size_t h_phi = driver.AddAccumulator(&phi_acc);
-  std::vector<std::vector<double>> scratch(driver.num_shards(),
-                                           std::vector<double>(K));
-  obs::Histogram* sweep_hist =
-      obs::MetricsRegistry::Global().GetHistogram("topic.plsa.step_seconds");
-  for (int iter = 0; iter < config_.train_iterations; ++iter) {
-    MICROREC_RETURN_IF_ERROR(GuardSweep(
-        "PLSA", iter, config_.cancel,
-        iter == 0 ? nullptr : scratch[0].data(), K));
-    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
-    std::fill(theta_acc.begin(), theta_acc.end(), 0.0);
-    driver.RunIteration(iter, [&](const ParallelGibbs::Shard& shard) {
-      double* post = scratch[shard.index].data();
-      double* local_phi = shard.Accumulator(h_phi);
-      double* th = theta->data();
-      for (size_t d = shard.begin; d < shard.end; ++d) {
-        for (TermId w : docs.docs()[d].words) {
-          double total = 0.0;
-          for (size_t k = 0; k < K; ++k) {
-            post[k] = th[d * K + k] * phi_[k * V + w];
-            total += post[k];
-          }
-          if (total <= 0.0) continue;
-          for (size_t k = 0; k < K; ++k) {
-            double r = post[k] / total;
-            theta_acc[d * K + k] += r;
-            local_phi[k * V + w] += r;
-          }
-        }
-      }
-    });
-    // M-step stays sequential: it is O(|D|·|Z| + |Z|·|V|) against the
-    // E-step's O(tokens·|Z|), and it mutates θ and φ that the next
-    // iteration's shards all read.
-    double* th = theta->data();
-    for (size_t d = 0; d < D; ++d) {
-      double total = 0.0;
-      for (size_t k = 0; k < K; ++k) total += theta_acc[d * K + k];
-      if (total <= 0.0) continue;
-      for (size_t k = 0; k < K; ++k) {
-        th[d * K + k] = theta_acc[d * K + k] / total;
-      }
-    }
-    for (size_t k = 0; k < K; ++k) {
-      double total = 0.0;
-      for (size_t w = 0; w < V; ++w) total += phi_acc[k * V + w];
-      if (total <= 0.0) continue;
       for (size_t w = 0; w < V; ++w) {
         phi_[k * V + w] = phi_acc[k * V + w] / total;
       }
     }
   }
+  trained_ = true;
   return Status::OK();
 }
 

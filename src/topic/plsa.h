@@ -63,15 +63,6 @@ class Plsa : public TopicModel {
   Status LoadState(snapshot::Decoder* dec) override;
 
  private:
-  /// Parallel EM loop: E-step sharded over documents (θ accumulator rows
-  /// are document-owned; the φ accumulator is reduced across shards);
-  /// M-step runs sequentially after each iteration barrier. EM is
-  /// deterministic given the initialisation, so unlike the Gibbs samplers
-  /// this path is bit-identical to sequential at any thread count up to
-  /// floating-point reduction order (shard-ordered, hence deterministic).
-  Status ParallelSteps(const DocSet& docs, Rng* rng,
-                       std::vector<double>* theta);
-
   PlsaConfig config_;
   size_t vocab_size_ = 0;
   std::vector<double> phi_;  // [topic * vocab + word]

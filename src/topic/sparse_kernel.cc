@@ -30,6 +30,18 @@ bool ParseSamplerKernel(std::string_view text, SamplerKernel* out) {
   return true;
 }
 
+std::vector<size_t> FlattenDocs(const DocSet& docs,
+                                std::vector<TermId>* words) {
+  std::vector<size_t> doc_begin = {0};
+  doc_begin.reserve(docs.num_docs() + 1);
+  words->reserve(docs.total_tokens());
+  for (const TopicDoc& doc : docs.docs()) {
+    words->insert(words->end(), doc.words.begin(), doc.words.end());
+    doc_begin.push_back(words->size());
+  }
+  return doc_begin;
+}
+
 // ---------------------------------------------------------------------------
 // TopicCountList
 
@@ -283,7 +295,7 @@ void GibbsSparseSweeper::BucketMasses(TermId w, double* s, double* r,
 
 GibbsAliasSweeper::GibbsAliasSweeper(size_t num_topics, size_t vocab,
                                      double alpha, double beta,
-                                     size_t latent_begin, int stale_budget)
+                                     size_t latent_begin)
     : num_topics_(num_topics),
       vocab_(vocab),
       alpha_(alpha),
@@ -291,7 +303,7 @@ GibbsAliasSweeper::GibbsAliasSweeper(size_t num_topics, size_t vocab,
       v_beta_(static_cast<double>(vocab) * beta),
       latent_begin_(latent_begin),
       c_(num_topics, 0.0),
-      tables_(vocab, stale_budget) {}
+      tables_(vocab) {}
 
 void GibbsAliasSweeper::Bind(uint32_t* n_dk, uint32_t* n_kw, uint32_t* n_k) {
   n_dk_ = n_dk;
@@ -601,14 +613,14 @@ void BtmSparseSweeper::BucketMasses(TermId w1, TermId w2, double* s,
 // BtmAliasSweeper
 
 BtmAliasSweeper::BtmAliasSweeper(size_t num_topics, size_t vocab,
-                                 double alpha, double beta, int stale_budget)
+                                 double alpha, double beta)
     : num_topics_(num_topics),
       vocab_(vocab),
       alpha_(alpha),
       beta_(beta),
       v_beta_(static_cast<double>(vocab) * beta),
       coef_(num_topics, 0.0),
-      tables_(vocab, stale_budget) {}
+      tables_(vocab) {}
 
 void BtmAliasSweeper::RefreshCoef(uint32_t k) {
   const double denom = 2.0 * static_cast<double>(n_z_[k]) + v_beta_;

@@ -8,18 +8,23 @@
 //     thread count and merge cadence;
 //   - fixed (seed, threads, merge_every) is deterministic;
 //   - an exception in one shard propagates, discards the in-flight merge
-//     block, and leaves the driver usable.
+//     block, and leaves the driver usable;
+//   - every trainer's posterior and caller-RNG end state is pinned, per
+//     kernel, thread count and merge cadence.
 #include "topic/parallel_gibbs.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "topic/btm.h"
 #include "topic/lda.h"
 #include "topic/llda.h"
 #include "topic/plsa.h"
+#include "topic/sparse_kernel.h"
 #include "topic_test_util.h"
 
 namespace microrec::topic {
@@ -343,6 +348,132 @@ TEST(SequentialBitIdentityTest, LdaMatchesReferenceReimplementation) {
     ASSERT_TRUE(lda.Train(docs, &rng).ok());
     EXPECT_EQ(PhiCells(lda, docs.vocab_size()),
               ReferenceLdaPhi(docs, config, seed));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned posteriors: every trainer through every kernel, thread count and
+// merge cadence. Each case pins one hash, so a change to any draw, merge,
+// bind or guard of any training path shows up here.
+
+/// FNV-1a (64-bit) over the bit pattern of every φ cell, then of the
+/// caller Rng's next draw (which pins how many draws training consumed).
+uint64_t PosteriorHash(const TopicModel& model, size_t vocab, Rng* rng) {
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](uint64_t bits) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (double cell : PhiCells(model, vocab)) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &cell, sizeof(bits));
+    mix(bits);
+  }
+  mix(rng->NextU64());
+  return hash;
+}
+
+struct PinCase {
+  std::string model;
+  SamplerKernel kernel;
+  size_t threads;
+  int merge_every;
+  uint64_t hash;
+};
+
+template <typename Model, typename Config>
+uint64_t TrainAndHash(const DocSet& docs, Config config, const PinCase& c) {
+  config.train.sampler_kernel = c.kernel;
+  config.train.train_threads = c.threads;
+  config.train.merge_every = c.merge_every;
+  Model model(config);
+  Rng rng(7);
+  const Status status = model.Train(docs, &rng);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return PosteriorHash(model, docs.vocab_size(), &rng);
+}
+
+TEST(PosteriorPinTest, EveryTrainerKernelAndThreadCountAsPinned) {
+  // Label menus for LLDA: most documents carry their theme's label, every
+  // fourth also a shared third label, every third none (latent-only menu).
+  // The other models ignore labels.
+  DocSet docs = MakeTwoTopicCorpus();
+  for (size_t d = 0; d < docs.num_docs(); ++d) {
+    std::vector<uint32_t> labels;
+    if (d % 3 != 2) labels.push_back(static_cast<uint32_t>(d % 2));
+    if (d % 4 == 0) labels.push_back(2);
+    docs.SetLabels(d, labels);
+  }
+  LdaConfig lda;
+  lda.num_topics = 4;
+  lda.train_iterations = 20;
+  LldaConfig llda;
+  llda.num_labels = 3;
+  llda.num_latent_topics = 3;
+  llda.train_iterations = 20;
+  BtmConfig btm;
+  btm.num_topics = 4;
+  btm.train_iterations = 10;
+  btm.window = 5;
+  PlsaConfig plsa;
+  plsa.num_topics = 4;
+  plsa.train_iterations = 10;
+
+  constexpr SamplerKernel kDense = SamplerKernel::kDense;
+  constexpr SamplerKernel kSparse = SamplerKernel::kSparse;
+  constexpr SamplerKernel kAlias = SamplerKernel::kAlias;
+  // A mismatch means a training path changed its draws, merges or guards:
+  // update a hash only for an intended change of the draw sequence.
+  const std::vector<PinCase> cases = {
+      {"LDA", kDense, 1, 1, 0x2ab23d33f11ae22bull},
+      {"LDA", kDense, 4, 1, 0xdb7aa6cbf942c537ull},
+      {"LDA", kDense, 4, 2, 0x42b0e3c06806bf81ull},
+      {"LDA", kSparse, 1, 1, 0xb0e58bf1f55d7a3aull},
+      {"LDA", kSparse, 4, 1, 0xbda024963097a32aull},
+      {"LDA", kSparse, 4, 2, 0x85105cf3582f50c2ull},
+      {"LDA", kAlias, 1, 1, 0xe0a7cbc8e0e56a98ull},
+      {"LDA", kAlias, 4, 1, 0x7262a8fc256894f2ull},
+      {"LDA", kAlias, 4, 2, 0xff35a6cc9dbf50d1ull},
+      {"LLDA", kDense, 1, 1, 0xf8076466f684029eull},
+      {"LLDA", kDense, 4, 1, 0xb44cbcf8587cb41eull},
+      {"LLDA", kDense, 4, 2, 0xaf24a3d65088b87bull},
+      {"LLDA", kSparse, 1, 1, 0x9515e1a90108c908ull},
+      {"LLDA", kSparse, 4, 1, 0xed64cfdc3ca8414cull},
+      {"LLDA", kSparse, 4, 2, 0x3a31d3e4e60bbb63ull},
+      {"LLDA", kAlias, 1, 1, 0xcde61b10157d1bbcull},
+      {"LLDA", kAlias, 4, 1, 0x3d7fe6c07ee0323bull},
+      {"LLDA", kAlias, 4, 2, 0x4996df0a728e4c51ull},
+      {"BTM", kDense, 1, 1, 0x93e879be7fc64eb7ull},
+      {"BTM", kDense, 4, 1, 0x145091c0f91fb4d1ull},
+      {"BTM", kDense, 4, 2, 0xb8d567fbeb755f68ull},
+      {"BTM", kSparse, 1, 1, 0xbf7e121ff74adcc7ull},
+      {"BTM", kSparse, 4, 1, 0xf4efea8a3d394f21ull},
+      {"BTM", kSparse, 4, 2, 0xc2ca73a0bc893ec0ull},
+      {"BTM", kAlias, 1, 1, 0x8cd4e94710932ea8ull},
+      {"BTM", kAlias, 4, 1, 0x995386a3a1cf283dull},
+      {"BTM", kAlias, 4, 2, 0x9698f72b9d54737ull},
+      // PLSA has no draw kernel; its rows pin the EM loop.
+      {"PLSA", kDense, 1, 1, 0xa67a491f7f2aae5eull},
+      {"PLSA", kDense, 4, 1, 0x4cbeafc6401294c2ull},
+  };
+  for (const PinCase& c : cases) {
+    uint64_t hash = 0;
+    if (c.model == "LDA") {
+      hash = TrainAndHash<Lda>(docs, lda, c);
+    } else if (c.model == "LLDA") {
+      hash = TrainAndHash<Llda>(docs, llda, c);
+    } else if (c.model == "BTM") {
+      hash = TrainAndHash<Btm>(docs, btm, c);
+    } else {
+      hash = TrainAndHash<Plsa>(docs, plsa, c);
+    }
+    EXPECT_EQ(hash, c.hash)
+        << c.model << " kernel " << SamplerKernelName(c.kernel)
+        << " at train_threads=" << c.threads
+        << " merge_every=" << c.merge_every << " hashed 0x" << std::hex
+        << hash;
   }
 }
 

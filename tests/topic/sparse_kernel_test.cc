@@ -349,26 +349,54 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, KernelDeterminismTest,
 // ---------------------------------------------------------------------------
 // Degenerate-mass regression: a zero posterior row must surface as
 // kInternal, not as a silently biased draw. alpha = 0 plus a one-token
-// document makes every topic's weight exactly zero once the token is
-// removed. This must hold in NDEBUG builds — the default RelWithDebInfo
-// config compiles the old assert away, which is precisely the bug the
-// hardened Rng::Categorical fixes.
+// document (for BTM, a single biterm) makes every topic's weight exactly
+// zero once the token is removed. This must hold in NDEBUG builds — the
+// default RelWithDebInfo config compiles the old assert away, which is
+// precisely the bug the hardened Rng::Categorical fixes — and on the
+// sequential and the sharded branch alike.
 
-class DegenerateMassTest : public ::testing::TestWithParam<SamplerKernel> {};
+class DegenerateMassTest : public ::testing::TestWithParam<SamplerKernel> {
+ protected:
+  template <typename Model, typename Config>
+  void ExpectInternalAtEveryThreadCount(const DocSet& docs, Config config) {
+    config.alpha = 0.0;  // no smoothing: the removed token's row is all zero
+    config.train_iterations = 3;
+    config.train.sampler_kernel = GetParam();
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      config.train.train_threads = threads;
+      Model model(config);
+      Rng rng(11);
+      Status status = model.Train(docs, &rng);
+      ASSERT_FALSE(status.ok()) << "train_threads=" << threads;
+      EXPECT_EQ(status.code(), StatusCode::kInternal)
+          << "train_threads=" << threads << ": " << status.ToString();
+    }
+  }
+};
 
 TEST_P(DegenerateMassTest, LdaZeroMassRowSurfacesAsInternal) {
   DocSet docs;
   docs.AddDocument({"lonely"});
   LdaConfig config;
   config.num_topics = 4;
-  config.alpha = 0.0;  // no smoothing: the removed token's row is all zero
-  config.train_iterations = 3;
-  config.train.sampler_kernel = GetParam();
-  Lda model(config);
-  Rng rng(11);
-  Status status = model.Train(docs, &rng);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  ExpectInternalAtEveryThreadCount<Lda>(docs, config);
+}
+
+TEST_P(DegenerateMassTest, LldaZeroMassRowSurfacesAsInternal) {
+  DocSet docs;
+  docs.SetLabels(docs.AddDocument({"lonely"}), {0});
+  LldaConfig config;
+  config.num_labels = 1;
+  config.num_latent_topics = 3;
+  ExpectInternalAtEveryThreadCount<Llda>(docs, config);
+}
+
+TEST_P(DegenerateMassTest, BtmZeroMassRowSurfacesAsInternal) {
+  DocSet docs;
+  docs.AddDocument({"left", "right"});  // exactly one biterm
+  BtmConfig config;
+  config.num_topics = 4;
+  ExpectInternalAtEveryThreadCount<Btm>(docs, config);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, DegenerateMassTest,

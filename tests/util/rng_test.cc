@@ -171,9 +171,11 @@ TEST(RngTest, CategoricalSkipsZeroWeights) {
 TEST(RngTest, CategoricalDegenerateMassReturnsZeroAndCounts) {
   Rng rng(53);
   EXPECT_EQ(rng.degenerate_draws(), 0u);
-  const obs::CounterSnapshot* before = obs::MetricsRegistry::Global()
-                                           .Snapshot()
-                                           .FindCounter("rng.degenerate_draws");
+  // Each snapshot is held in a local: FindCounter points into it.
+  const obs::MetricsSnapshot snapshot_before =
+      obs::MetricsRegistry::Global().Snapshot();
+  const obs::CounterSnapshot* before =
+      snapshot_before.FindCounter("rng.degenerate_draws");
   const uint64_t global_before = before == nullptr ? 0 : before->value;
 
   std::vector<double> zeros = {0.0, 0.0, 0.0};
@@ -189,9 +191,10 @@ TEST(RngTest, CategoricalDegenerateMassReturnsZeroAndCounts) {
   EXPECT_EQ(rng.Categorical(inf_total), 0u);
   EXPECT_EQ(rng.degenerate_draws(), 4u);
 
-  const obs::CounterSnapshot* after = obs::MetricsRegistry::Global()
-                                          .Snapshot()
-                                          .FindCounter("rng.degenerate_draws");
+  const obs::MetricsSnapshot snapshot_after =
+      obs::MetricsRegistry::Global().Snapshot();
+  const obs::CounterSnapshot* after =
+      snapshot_after.FindCounter("rng.degenerate_draws");
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->value, global_before + 4);
 }

@@ -121,9 +121,7 @@
 //                         (stale alias tables + Metropolis-Hastings
 //                         correction). sparse/alias are statistically
 //                         equivalent, not bit-identical (DESIGN.md §15).
-//   --alias-stale-budget=<n>  draws served by a stale word alias table
-//                         before it is rebuilt (alias kernel only,
-//                         default 32).
+//                         The alias tables rebuild every 32 draws.
 //
 // Unknown flags and malformed `--key=value` pairs are rejected with the
 // offending token and a usage hint (util/cli_flags.h). Fault injection is
@@ -377,8 +375,8 @@ Result<rec::ModelConfig> DefaultConfig(rec::ModelKind kind,
 }
 
 /// Serving flags shared by the train and recommend commands (`threads`
-/// also applies to evaluate; `train_threads` and the sampler-kernel pair
-/// to evaluate and sweep too).
+/// also applies to evaluate; `train_threads` and `sampler_kernel` to
+/// evaluate and sweep too).
 struct ServingFlags {
   std::string snapshot_dir = "snapshots";
   double deadline_seconds = 0.0;
@@ -387,13 +385,12 @@ struct ServingFlags {
   size_t threads = 1;
   size_t train_threads = 1;
   std::string sampler_kernel = "dense";
-  size_t alias_stale_budget = 32;
   size_t shards = 1;
   double hedge_after_ms = 0.0;
   std::string serve_mode = "resident";
 };
 
-/// Resolves --sampler-kernel / --alias-stale-budget into run options.
+/// Resolves --sampler-kernel into run options.
 Status ApplyKernelFlags(const ServingFlags& flags,
                         eval::RunOptions* options) {
   if (!topic::ParseSamplerKernel(flags.sampler_kernel,
@@ -402,7 +399,6 @@ Status ApplyKernelFlags(const ServingFlags& flags,
                                    flags.sampler_kernel +
                                    "' (dense|sparse|alias)");
   }
-  options->alias_stale_budget = static_cast<int>(flags.alias_stale_budget);
   return Status::OK();
 }
 
@@ -1170,9 +1166,6 @@ int main(int argc, char** argv) {
                    "LDA/LLDA/BTM: dense (default, bit-identical to the "
                    "paper), sparse (SparseLDA buckets), or alias (stale "
                    "alias tables with MH correction)");
-  parser.AddSize("alias-stale-budget", &serving.alias_stale_budget,
-                 "draws served by a stale word alias table before rebuild "
-                 "(--sampler-kernel=alias only, default 32)");
   parser.AddString("serve-mode", &serving.serve_mode,
                    "recommend/load: how a warm start holds the snapshot — "
                    "resident (default, decoded into memory) or mmap (served "
