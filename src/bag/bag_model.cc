@@ -17,34 +17,12 @@ std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
   return dictionary->InternAll(text::CharNgrams(Join(doc, " "), n));
 }
 
-size_t IdVocabulary::SlotOf(TermId gram) const {
-  const size_t mask = slots_.size() - 1;
-  // Fibonacci hashing spreads dictionary ids, which are dense, over the
-  // table's high bits.
-  size_t i = static_cast<size_t>((gram * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
-  while (slots_[i].gram != gram && slots_[i].gram != text::kInvalidTerm) {
-    i = (i + 1) & mask;
-  }
-  return i;
-}
-
-void IdVocabulary::Rehash(size_t capacity) {
-  slots_.assign(capacity, Slot{});
-  for (TermId local = 0; local < grams_.size(); ++local) {
-    slots_[SlotOf(grams_[local])] = {grams_[local], local};
-  }
-}
-
 TermId IdVocabulary::Intern(TermId gram) {
-  if (2 * (grams_.size() + 1) > slots_.size()) {
-    Rehash(std::max<size_t>(16, 2 * slots_.size()));
-  }
-  Slot& slot = slots_[SlotOf(gram)];
-  if (slot.gram == text::kInvalidTerm) {
-    slot = {gram, static_cast<TermId>(grams_.size())};
-    grams_.push_back(gram);
-  }
-  return slot.local;
+  const auto [local, inserted] =
+      locals_.Insert(gram, static_cast<TermId>(grams_.size()));
+  if (local == nullptr) return text::kInvalidTerm;
+  if (inserted) grams_.push_back(gram);
+  return *local;
 }
 
 void IdVocabulary::InternAll(GramDoc doc, std::vector<TermId>* ids) {
@@ -52,13 +30,9 @@ void IdVocabulary::InternAll(GramDoc doc, std::vector<TermId>* ids) {
   for (TermId gram : doc) ids->push_back(Intern(gram));
 }
 
-TermId IdVocabulary::Find(TermId gram) const {
-  return slots_.empty() ? text::kInvalidTerm : slots_[SlotOf(gram)].local;
-}
-
 bool IdVocabulary::ContainsAny(GramDoc doc) const {
   return std::any_of(doc.begin(), doc.end(), [this](TermId gram) {
-    return Find(gram) != text::kInvalidTerm;
+    return locals_.Find(gram) != nullptr;
   });
 }
 
@@ -69,13 +43,13 @@ void IdVocabulary::Translate(GramDoc doc, std::vector<TermId>* ids) const {
   // beats hashing.
   std::vector<TermId> unseen;
   for (TermId gram : doc) {
-    TermId local = Find(gram);
-    if (local == text::kInvalidTerm) {
-      auto pos = std::find(unseen.begin(), unseen.end(), gram);
-      local = static_cast<TermId>(size() + (pos - unseen.begin()));
-      if (pos == unseen.end()) unseen.push_back(gram);
+    if (const TermId* local = locals_.Find(gram)) {
+      ids->push_back(*local);
+      continue;
     }
-    ids->push_back(local);
+    auto pos = std::find(unseen.begin(), unseen.end(), gram);
+    ids->push_back(static_cast<TermId>(size() + (pos - unseen.begin())));
+    if (pos == unseen.end()) unseen.push_back(gram);
   }
 }
 

@@ -31,6 +31,7 @@
 #include "bag/bag_config.h"
 #include "bag/sparse_vector.h"
 #include "text/vocabulary.h"
+#include "util/flat_map.h"
 
 namespace microrec::bag {
 
@@ -53,7 +54,8 @@ std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
 /// Holds no strings.
 class IdVocabulary {
  public:
-  /// The local id of dictionary gram `gram`, assigned on first sight.
+  /// The local id of dictionary gram `gram`, assigned on first sight. No
+  /// dictionary holds kInvalidTerm: it is not stored, and returned as is.
   TermId Intern(TermId gram);
 
   /// Interns every gram of `doc`, writing their local ids to `*ids`.
@@ -74,19 +76,8 @@ class IdVocabulary {
   void Translate(GramDoc doc, std::vector<TermId>* ids) const;
 
  private:
-  // An open-addressing table (linear probing, at most half full) from gram
-  // to local id: one probe per lookup on average, no node per entry.
-  struct Slot {
-    TermId gram = text::kInvalidTerm;  // kInvalidTerm: empty
-    TermId local = text::kInvalidTerm;
-  };
-
-  TermId Find(TermId gram) const;    // kInvalidTerm when unseen
-  size_t SlotOf(TermId gram) const;  // gram's slot, or the empty one
-  void Rehash(size_t capacity);
-
-  std::vector<Slot> slots_;   // capacity: zero or a power of two
-  std::vector<TermId> grams_;  // local id -> dictionary gram
+  FlatMap<TermId, TermId> locals_;  // dictionary gram -> local id
+  std::vector<TermId> grams_;       // local id -> dictionary gram
 };
 
 /// TN / CN modeler for a single user.

@@ -26,18 +26,24 @@ obs::Counter* NonfiniteCounter() {
   return counter;
 }
 
+// Maps a non-finite *score to -infinity; returns whether it did.
+bool MapNonfinite(double* score) {
+  if (std::isfinite(*score)) return false;
+  *score = -std::numeric_limits<double>::infinity();
+  return true;
+}
+
+size_t CountNonfinite(size_t mapped) {
+  if (mapped > 0) NonfiniteCounter()->Add(mapped);
+  return mapped;
+}
+
 }  // namespace
 
 size_t SanitizeScores(std::vector<double>* scores) {
   size_t mapped = 0;
-  for (double& s : *scores) {
-    if (!std::isfinite(s)) {
-      s = -std::numeric_limits<double>::infinity();
-      ++mapped;
-    }
-  }
-  if (mapped > 0) NonfiniteCounter()->Add(mapped);
-  return mapped;
+  for (double& s : *scores) mapped += MapNonfinite(&s);
+  return CountNonfinite(mapped);
 }
 
 std::vector<uint32_t> CanonicalOrder(const std::vector<double>& scores,
@@ -52,29 +58,24 @@ std::vector<uint32_t> CanonicalOrder(const std::vector<double>& scores,
                      });
     return perm;
   }
-  // Bounded selection. (score desc, permuted position asc) is the total
-  // order the stable sort above realises, so keeping the top_k least
-  // elements under it reproduces the head of the full ranking exactly.
-  std::vector<uint32_t> pos(perm.size());
-  for (uint32_t k = 0; k < perm.size(); ++k) pos[perm[k]] = k;
-  auto better = [&scores, &pos](uint32_t a, uint32_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return pos[a] < pos[b];
-  };
-  // Heap with `better` as the ordering: the front is the worst kept item.
+  // One pass keeps the best top_k, sorted. Permuted positions arrive in
+  // ascending order, so placing each item after every kept item of equal
+  // score realises (score desc, permuted position asc): the total order the
+  // stable sort above gives, so this is the head of the full ranking.
   std::vector<uint32_t> kept;
-  kept.reserve(top_k + 1);
-  for (uint32_t i = 0; i < perm.size(); ++i) {
-    if (kept.size() < top_k) {
-      kept.push_back(i);
-      std::push_heap(kept.begin(), kept.end(), better);
-    } else if (better(i, kept.front())) {
-      std::pop_heap(kept.begin(), kept.end(), better);
-      kept.back() = i;
-      std::push_heap(kept.begin(), kept.end(), better);
+  kept.reserve(top_k);
+  for (uint32_t i : perm) {
+    const double score = scores[i];
+    if (kept.size() == top_k) {
+      if (!(score > scores[kept.back()])) continue;
+      kept.pop_back();
     }
+    kept.insert(std::upper_bound(kept.begin(), kept.end(), score,
+                                 [&scores](double s, uint32_t k) {
+                                   return s > scores[k];
+                                 }),
+                i);
   }
-  std::sort(kept.begin(), kept.end(), better);
   return kept;
 }
 
@@ -93,17 +94,18 @@ Result<std::vector<RankedItem>> BatchRanker::Rank(
   std::vector<double> scores(n, 0.0);
   std::vector<uint32_t> uncached(n);  // slots Engine::Score fills, in order
   std::iota(uncached.begin(), uncached.end(), 0u);
+  FlatMap<corpus::TweetId, double>* user_cache = nullptr;
   if (options_.score_cache_capacity > 0) {
     obs::ScopedStage stage(trace, obs::Stage::kCandidateGen);
     auto it = cache_.find(u);
     if (it != cache_.end()) {
+      user_cache = &it->second;
       uncached.clear();
       for (uint32_t i = 0; i < n; ++i) {
-        auto hit = it->second.find(candidates[i]);
-        if (hit == it->second.end()) {
-          uncached.push_back(i);
+        if (const double* hit = user_cache->Find(candidates[i])) {
+          scores[i] = *hit;
         } else {
-          scores[i] = hit->second;
+          uncached.push_back(i);
         }
       }
     }
@@ -147,14 +149,17 @@ Result<std::vector<RankedItem>> BatchRanker::Rank(
 
   obs::ScopedStage rank_stage(trace, obs::Stage::kRank);
   // A non-finite score would be UB inside the sort comparators below, and a
-  // NaN-ranked item is a model bug worth surfacing, not propagating.
-  SanitizeScores(&scores);
+  // NaN-ranked item is a model bug worth surfacing, not propagating. Cache
+  // hits were sanitized when they were scored.
+  size_t mapped = 0;
+  for (uint32_t i : uncached) mapped += MapNonfinite(&scores[i]);
+  CountNonfinite(mapped);
 
-  if (options_.score_cache_capacity > 0) {
-    auto& user_cache = cache_[u];
+  if (options_.score_cache_capacity > 0 && !uncached.empty()) {
+    if (user_cache == nullptr) user_cache = &cache_[u];
     for (uint32_t i : uncached) {
-      if (user_cache.size() >= options_.score_cache_capacity) break;
-      user_cache.emplace(candidates[i], scores[i]);
+      if (user_cache->size() >= options_.score_cache_capacity) break;
+      user_cache->Insert(candidates[i], scores[i]);
     }
   }
 

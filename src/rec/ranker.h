@@ -9,18 +9,20 @@
 //   * non-finite scores (e.g. a corrupted snapshot weight) are mapped to
 //     -infinity before any comparator sees them — a single NaN otherwise
 //     violates std::sort's strict-weak-ordering precondition, which is UB —
-//     and counted in `rec.nonfinite_scores`;
+//     and counted in `rec.nonfinite_scores` once per score the engine
+//     returned (a cache hit is not counted again);
 //   * one scoring loop for every family: Engine::Score per uncached
 //     candidate, in shards whose bounds depend only on the candidate
 //     count. Engines that score concurrently (resident bag and graph) run
 //     the shards on a ThreadPool; the rest score in candidate order on the
 //     caller thread. Either way the ranking is byte-for-byte the
 //     brute-force ranking at any thread count;
-//   * a bounded top-K heap selection when only the head of the ranking is
-//     needed (serving), instead of materialising and sorting the full
+//   * a one-pass top-K selection over the permutation when only the head
+//     of the ranking is needed (serving), instead of sorting the full
 //     candidate set;
-//   * an optional per-user score cache so repeated candidates across
-//     queries skip Engine::Score entirely.
+//   * an optional per-user score cache, a flat open-addressing map
+//     (util/flat_map.h), so repeated candidates across queries skip
+//     Engine::Score entirely.
 #ifndef MICROREC_REC_RANKER_H_
 #define MICROREC_REC_RANKER_H_
 
@@ -31,6 +33,7 @@
 #include "obs/request.h"
 #include "rec/engine.h"
 #include "resilience/deadline.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -55,8 +58,8 @@ struct RankedItem {
 
 struct RankerOptions {
   /// 0 = full ranking; otherwise only the best `top_k` items are returned,
-  /// selected with a bounded heap (identical to the first top_k entries of
-  /// the full canonical ranking).
+  /// selected in one pass over the tie-break permutation (identical to the
+  /// first top_k entries of the full canonical ranking).
   size_t top_k = 0;
   /// Candidates per scoring shard: the unit of parallel scoring work and
   /// of deadline re-checks (a deadline is consulted at every shard
@@ -66,8 +69,9 @@ struct RankerOptions {
   /// nullptr scores on the caller thread. Rankings are bit-identical
   /// either way.
   ThreadPool* pool = nullptr;
-  /// Per-user score-cache entries (0 disables). Cached scores are exact,
-  /// so caching never changes a ranking, only skips recomputation.
+  /// Per-user score-cache entries (0 disables), filled in candidate order
+  /// until full. Cached scores are exact, so caching never changes a
+  /// ranking, only skips recomputation.
   size_t score_cache_capacity = 0;
 };
 
@@ -81,9 +85,9 @@ size_t SanitizeScores(std::vector<double>* scores);
 /// drawn from `tie_rng` (consuming exactly one Shuffle of size n, whether
 /// or not top_k truncates), then a stable sort on descending score.
 /// Returns candidate indices in rank order — all of them for top_k == 0,
-/// otherwise the best top_k via bounded-heap selection. `tie_rng` may be
-/// nullptr (no permutation: ties break by input position). Scores must be
-/// NaN-free; call SanitizeScores first.
+/// otherwise the best top_k, kept sorted in one pass over the permutation.
+/// `tie_rng` may be nullptr (no permutation: ties break by input
+/// position). Scores must be NaN-free; call SanitizeScores first.
 std::vector<uint32_t> CanonicalOrder(const std::vector<double>& scores,
                                      Rng* tie_rng, size_t top_k = 0);
 
@@ -114,8 +118,7 @@ class BatchRanker {
   Engine* engine_;
   const EngineContext* ctx_;
   RankerOptions options_;
-  std::unordered_map<corpus::UserId,
-                     std::unordered_map<corpus::TweetId, double>>
+  std::unordered_map<corpus::UserId, FlatMap<corpus::TweetId, double>>
       cache_;
 };
 

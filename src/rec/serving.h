@@ -63,8 +63,8 @@ struct ServingOptions {
   double query_deadline_seconds = 0.0;
   ModelConfig fallback = DefaultFallback();
   /// Return only the best `top_k` recommendations (0 = rank everything).
-  /// Selection uses the ranker's bounded heap: the result is exactly the
-  /// head of the full canonical ranking.
+  /// The ranker selects them in one pass: the result is exactly the head
+  /// of the full canonical ranking.
   size_t top_k = 0;
   /// Threads for the sharded scoring phase; 1 scores on the query thread.
   /// Rankings are bit-identical at any value.

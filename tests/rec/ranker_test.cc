@@ -73,16 +73,36 @@ TEST(CanonicalOrderTest, ScoresStayNonIncreasing) {
 }
 
 TEST(CanonicalOrderTest, TopKIsExactPrefixOfFullRanking) {
-  std::vector<double> scores = {0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.0, 0.5};
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    Rng full_rng(seed, kTieBreakStream);
-    std::vector<uint32_t> full = CanonicalOrder(scores, &full_rng);
-    for (size_t k = 1; k <= scores.size(); ++k) {
-      Rng topk_rng(seed, kTieBreakStream);
-      std::vector<uint32_t> head = CanonicalOrder(scores, &topk_rng, k);
-      ASSERT_EQ(head.size(), k);
-      for (size_t i = 0; i < k; ++i) {
-        EXPECT_EQ(head[i], full[i]) << "seed " << seed << " k " << k;
+  const double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> inputs = {
+      {0.5, 0.9, 0.5, 0.1, 0.5, 0.9, 0.0, 0.5}};
+  // Heavy ties: four values, one of them -inf, at sizes up to and past the
+  // ~64 candidates a serving query ranks.
+  const double values[] = {0.25, 0.75, kNegInf, 0.5};
+  for (size_t n : {1, 2, 63, 64, 65, 257}) {
+    std::vector<double> scores(n);
+    for (size_t i = 0; i < n; ++i) scores[i] = values[(i * 7 + n) % 4];
+    inputs.push_back(scores);
+  }
+  for (const std::vector<double>& scores : inputs) {
+    const size_t n = scores.size();
+    std::vector<size_t> ks;
+    if (n <= 65) {
+      for (size_t k = 1; k <= n; ++k) ks.push_back(k);
+    } else {
+      ks = {1, 2, 3, 10, 63, 64, 65, 128, 255, n - 1, n};
+    }
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      Rng full_rng(seed, kTieBreakStream);
+      std::vector<uint32_t> full = CanonicalOrder(scores, &full_rng);
+      const uint32_t next_draw = full_rng.NextU32();
+      for (size_t k : ks) {
+        Rng topk_rng(seed, kTieBreakStream);
+        std::vector<uint32_t> head = CanonicalOrder(scores, &topk_rng, k);
+        EXPECT_EQ(head, std::vector<uint32_t>(full.begin(), full.begin() + k))
+            << "n " << n << " seed " << seed << " k " << k;
+        EXPECT_EQ(topk_rng.NextU32(), next_draw)
+            << "n " << n << " seed " << seed << " k " << k;
       }
     }
   }
@@ -166,6 +186,25 @@ TEST_F(FakeEngineTest, NonfiniteScoresMapToNegativeInfinityAndAreCounted) {
   EXPECT_EQ(CounterValue("rec.nonfinite_scores"), before + 2);
 }
 
+TEST_F(FakeEngineTest, CachedNonfiniteScoreIsCountedOnce) {
+  engine_.scores = {{10, std::numeric_limits<double>::quiet_NaN()},
+                    {11, 0.5}};
+  RankerOptions options;
+  options.score_cache_capacity = 16;
+  BatchRanker ranker(&engine_, &ctx_, options);
+  const uint64_t before = CounterValue("rec.nonfinite_scores");
+  for (int query = 0; query < 3; ++query) {
+    Result<std::vector<RankedItem>> ranked = ranker.Rank(0, {10, 11}, nullptr);
+    ASSERT_TRUE(ranked.ok());
+    EXPECT_EQ((*ranked)[1].tweet, 10u);
+    EXPECT_EQ((*ranked)[1].score, -std::numeric_limits<double>::infinity());
+  }
+  EXPECT_EQ(engine_.score_calls, 2);
+  // The engine returned one NaN; the two cache hits on its -inf are not
+  // further non-finite scores.
+  EXPECT_EQ(CounterValue("rec.nonfinite_scores"), before + 1);
+}
+
 TEST_F(FakeEngineTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   engine_.scores = {{10, 1.0}};
   BatchRanker ranker(&engine_, &ctx_, RankerOptions{});
@@ -204,6 +243,40 @@ TEST_F(FakeEngineTest, ScoreCacheSkipsRepeatEngineCalls) {
   for (size_t i = 0; i < first->size(); ++i) {
     EXPECT_EQ((*first)[i].tweet, (*second)[i].tweet);
     EXPECT_EQ((*first)[i].score, (*second)[i].score);
+  }
+}
+
+TEST_F(FakeEngineTest, ScoreCacheFillsInCandidateOrderUpToCapacity) {
+  std::vector<TweetId> candidates;
+  for (TweetId d = 100; d < 140; ++d) {
+    candidates.push_back(d);
+    engine_.scores[d] = static_cast<double>(d % 5) / 4.0;  // ties
+  }
+  candidates.push_back(100);  // the first candidate again
+  RankerOptions options;
+  options.score_cache_capacity = 16;
+  BatchRanker ranker(&engine_, &ctx_, options);
+
+  Rng first_rng(3, kTieBreakStream);
+  Result<std::vector<RankedItem>> first =
+      ranker.Rank(0, candidates, &first_rng);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(engine_.score_calls, 41);  // nothing cached before this call
+
+  // The cache holds the first 16 candidates, 100..115: hits for them and
+  // for the repeated 100, the engine for the other 24.
+  Rng second_rng(3, kTieBreakStream);
+  Result<std::vector<RankedItem>> second =
+      ranker.Rank(0, candidates, &second_rng);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(engine_.score_calls, 41 + 24);
+
+  ASSERT_EQ(first->size(), candidates.size());
+  ASSERT_EQ(second->size(), candidates.size());
+  for (size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ((*first)[i].tweet, (*second)[i].tweet) << i;
+    EXPECT_EQ((*first)[i].score, (*second)[i].score) << i;
+    EXPECT_EQ((*first)[i].index, (*second)[i].index) << i;
   }
 }
 
