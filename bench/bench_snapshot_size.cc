@@ -15,8 +15,8 @@
 //   4. gate: at MICROREC_SCALE=small, each family with a ceiling in
 //      kByteCeilings must save at most that many bytes.
 //
-// Reading microrec.snap/1 files is pinned by the committed fixtures of
-// tests/rec/golden_snapshot_test.cc, not here: no engine writes v1.
+// The exact bytes each family writes are pinned by the committed fixtures
+// of tests/rec/golden_snapshot_test.cc, not here; this bench gates sizes.
 //
 // Peak-RSS probe (topic only, needs procfs): the bench re-execs itself
 // with MICROREC_SNAPSHOT_RSS_CHILD="<mode>;<model>;<path>" set; the child

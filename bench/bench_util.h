@@ -9,7 +9,7 @@
 //                        varies per bench; 0 = full grid)
 //   MICROREC_FULL_GRID   "1" forces the complete 223-configuration grid
 //   MICROREC_SNAPSHOT_DIR  persist every run's trained engine to this
-//                        directory (microrec.snap/1 files, DESIGN.md §8)
+//                        directory (microrec.snap/2 files, DESIGN.md §8)
 //   MICROREC_WARM_START  "1" warm-starts each run from its snapshot when
 //                        one exists — TTime collapses to load time
 //                        (--snapshot-dir= / --warm-start flags work too)

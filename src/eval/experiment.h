@@ -56,8 +56,8 @@ struct RunOptions {
   /// to kDense; same equivalence band as train_threads > 1).
   topic::SamplerKernel sampler_kernel = topic::SamplerKernel::kDense;
   /// How warm starts hold persisted state: kResident decodes the snapshot
-  /// into memory; kMmap serves straight from the mapped file (a v1 file
-  /// opens resident). Rankings are identical either way.
+  /// into memory; kMmap serves straight from the mapped file. Rankings are
+  /// identical either way.
   rec::ServeMode serve_mode = rec::ServeMode::kResident;
 };
 

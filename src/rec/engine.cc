@@ -78,31 +78,16 @@ void IncrementCounter(const char* name) {
 
 // ---- Shared snapshot plumbing. ----
 
-// FNV-1a mixing of one 64-bit value into a running hash; a v1 bag or graph
-// snapshot binds its header's vocabulary fingerprint to the full sorted
-// (user id, per-user term fingerprint) sequence.
-uint64_t MixFingerprint(uint64_t h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xFFu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
 // The one writer: every family saves a microrec.snap/2 container.
 snapshot::Writer MakeWriter(const ModelConfig& config, const EngineContext& ctx,
                             uint64_t vocab_fingerprint) {
-  snapshot::Writer writer(
+  return snapshot::Writer(
       {.model = std::string(ModelKindName(config.kind)),
        .source = std::string(corpus::SourceName(ctx.source)),
        .seed = ctx.seed,
        .iteration_scale = ctx.iteration_scale,
        .config_fingerprint = config.Fingerprint(),
        .vocab_fingerprint = vocab_fingerprint});
-  writer.set_codec(snapshot::SnapshotCodec::kCompressed);
-  return writer;
 }
 
 Status ReadOnly(const std::string& path) {
@@ -133,8 +118,8 @@ Result<std::shared_ptr<const snapshot::MappedFile>> OpenSnapshotFile(
   if (residency == ServeMode::kResident) {
     MICROREC_RETURN_IF_ERROR(file->VerifyChecksums());
   }
-  MICROREC_RETURN_IF_ERROR(file->VerifyIdentity(
-      std::string(ModelKindName(config.kind)),
+  MICROREC_RETURN_IF_ERROR(snapshot::VerifyIdentity(
+      file->header(), file->origin(), std::string(ModelKindName(config.kind)),
       std::string(corpus::SourceName(ctx.source)), ctx.seed,
       ctx.iteration_scale, config.Fingerprint()));
   IncrementCounter(residency == ServeMode::kMmap ? "snapshot.mapped_opens"
@@ -274,10 +259,6 @@ class RowReader {
   size_t pos_ = 0;
 };
 
-// Emits (row id, v2 row bytes) pairs: how a family's v1 adapter hands a v1
-// section to the row decoder.
-using RowSink = std::function<Status(uint64_t id, std::string_view row)>;
-
 // ---- The row store: the decoded rows of one persisted table. ----
 //
 // An eager open decodes every row up front, and the mapping can then be
@@ -293,32 +274,15 @@ class RowStore {
  public:
   using Decode =
       std::function<Result<Row>(std::string_view row, const std::string&)>;
-  using V1Adapter =
-      std::function<Status(snapshot::Decoder* section, const RowSink& sink)>;
 
   /// Opens table `table` of `file`. A mapped open keeps the mapped table
   /// and decodes rows on demand (lazy()); otherwise every row is decoded
-  /// now. A v1 section has no row index, so it always opens eagerly,
-  /// through `v1`: the family's adapter, which turns the section into the
-  /// same rows.
+  /// now.
   Status Open(const std::shared_ptr<const snapshot::MappedFile>& file,
               const char* table, const char* row_label, bool mapped,
-              size_t capacity, Decode decode, const V1Adapter& v1) {
+              size_t capacity, Decode decode) {
     prefix_ = file->origin() + ": " + row_label + " ";
     decode_ = std::move(decode);
-    const RowSink add = [this](uint64_t id, std::string_view bytes) {
-      Result<Row> row = decode_(bytes, prefix_ + std::to_string(id));
-      if (!row.ok()) return row.status();
-      rows_.insert_or_assign(static_cast<Key>(id), std::move(*row));
-      return Status::OK();
-    };
-    if (file->version() == 1) {
-      std::string bytes;
-      Result<snapshot::Decoder> section = ReadSection(*file, table, &bytes);
-      if (!section.ok()) return section.status();
-      MICROREC_RETURN_IF_ERROR(v1(&*section, add));
-      return section->ExpectEnd();
-    }
     Result<snapshot::MappedTable> rows =
         snapshot::MappedTable::Open(*file, table);
     if (!rows.ok()) return rows.status();
@@ -331,7 +295,10 @@ class RowStore {
     std::string bytes;
     for (size_t i = 0; i < rows->row_count(); ++i) {
       MICROREC_RETURN_IF_ERROR(rows->RowAt(i, &bytes));
-      MICROREC_RETURN_IF_ERROR(add(rows->id_at(i), bytes));
+      const uint64_t id = rows->id_at(i);
+      Result<Row> row = decode_(bytes, prefix_ + std::to_string(id));
+      if (!row.ok()) return row.status();
+      rows_.insert_or_assign(static_cast<Key>(id), std::move(*row));
     }
     return Status::OK();
   }
@@ -506,12 +473,6 @@ class UserTableEngine : public Engine {
   /// The row decoder, with the semantic validation of every field.
   virtual Result<User> DecodeRow(std::string_view row,
                                  const std::string& origin) const = 0;
-  /// The v1 adapter: turns a v1 "users" section into v2 rows. `origin`
-  /// names the file.
-  virtual Status ReadV1Rows(snapshot::Decoder* section,
-                            const std::string& origin,
-                            const RowSink& sink) const = 0;
-
   /// Reads a row's leading gram ids into `*vocab`: each must index the
   /// dictionary, once.
   Status DecodeGrams(RowReader* row, const std::string& origin,
@@ -535,27 +496,6 @@ class UserTableEngine : public Engine {
     return Status::OK();
   }
 
-  /// A v1 row's term strings as dictionary grams. A term the dictionary
-  /// lacks fails the open: the snapshot was saved over a corpus featurized
-  /// differently.
-  Result<std::vector<uint64_t>> V1Grams(const std::string& origin,
-                                        uint64_t user,
-                                        const std::vector<std::string>& terms)
-      const {
-    std::vector<uint64_t> grams;
-    grams.reserve(terms.size());
-    for (const std::string& term : terms) {
-      const text::TermId gram = grams_->dictionary().Find(term);
-      if (gram == text::kInvalidTerm) {
-        return Status::FailedPrecondition(
-            origin + ": v1 " + row_label_ + " " + std::to_string(user) +
-            " has term \"" + term + "\", which the corpus never produces");
-      }
-      grams.push_back(gram);
-    }
-    return grams;
-  }
-
   ModelConfig config_;
   mutable RowStore<UserId, User> users_;
   // The corpus gram table users are built and candidates scored on: looked
@@ -568,47 +508,19 @@ class UserTableEngine : public Engine {
     grams_ = &ctx.pre->Grams(kind_, n_);
   }
 
-  // A v1 header's fingerprint: the mix over sorted users of each user's
-  // term list, here recomputed through the dictionary.
-  uint64_t V1Fingerprint(const RowStore<UserId, User>& users) const {
-    uint64_t fingerprint = kFnvBasis;
-    std::vector<std::string_view> terms;
-    for (UserId u : users.SortedKeys()) {
-      terms.clear();
-      for (text::TermId gram : users.at(u).modeler.vocabulary().grams()) {
-        terms.push_back(grams_->dictionary().TermOf(gram));
-      }
-      fingerprint = MixFingerprint(MixFingerprint(fingerprint, u),
-                                   snapshot::FingerprintTerms(terms));
-    }
-    return fingerprint;
-  }
-
   Status Open(const std::string& path, const EngineContext& ctx,
               ServeMode residency) override {
     Result<std::shared_ptr<const snapshot::MappedFile>> file =
         OpenSnapshotFile(path, config_, ctx, residency);
     if (!file.ok()) return file.status();
-    const snapshot::MappedFile& mapped = **file;
     BindGrams(ctx);  // rows index the corpus's gram dictionary
-    const bool v1 = mapped.version() == 1;
-    if (!v1) {
-      MICROREC_RETURN_IF_ERROR(
-          CheckVocabFingerprint(mapped, grams_->fingerprint()));
-    }
+    MICROREC_RETURN_IF_ERROR(
+        CheckVocabFingerprint(**file, grams_->fingerprint()));
     RowStore<UserId, User> users;
     MICROREC_RETURN_IF_ERROR(users.Open(
         *file, "users", row_label_, residency == ServeMode::kMmap,
         ctx.mapped_user_cache,
-        std::bind_front(&UserTableEngine::DecodeRow, this),
-        [&](snapshot::Decoder* section, const RowSink& sink) {
-          return ReadV1Rows(section, mapped.origin(), sink);
-        }));
-    if (v1) {
-      // v1 rows persisted strings; a v1 file always opens eagerly.
-      MICROREC_RETURN_IF_ERROR(
-          CheckVocabFingerprint(mapped, V1Fingerprint(users)));
-    }
+        std::bind_front(&UserTableEngine::DecodeRow, this)));
     users_ = std::move(users);
     loaded_from_snapshot_ = true;
     IncrementCounter("snapshot.warm_starts");
@@ -628,22 +540,6 @@ struct BagUser {
   bag::SparseVector vector;
   double magnitude = 0.0;  // of `vector`, for the cosine kernel
 };
-
-// A bag user row: vocabulary grams, document frequencies and the train doc
-// count, then the profile as delta-coded term ids plus f64 weights.
-std::string EncodeBagRow(const std::vector<uint64_t>& grams,
-                         const std::vector<uint32_t>& df,
-                         uint64_t num_train_docs,
-                         const std::vector<uint64_t>& term_ids,
-                         const std::vector<double>& weights) {
-  std::string row;
-  snapshot::PutDeltaIds(&row, grams);
-  PutRowVarints(&row, df);
-  snapshot::PutVarint(&row, num_train_docs);
-  snapshot::PutDeltaIds(&row, term_ids);
-  PutRowF64s(&row, weights);
-  return row;
-}
 
 class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
  public:
@@ -696,6 +592,8 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     return user;
   }
 
+  // A bag user row: vocabulary grams, document frequencies and the train
+  // doc count, then the profile as delta-coded term ids plus f64 weights.
   std::string EncodeRow(const BagUser& user) const override {
     std::vector<uint64_t> term_ids;
     std::vector<double> weights;
@@ -705,9 +603,13 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       term_ids.push_back(term);
       weights.push_back(weight);
     }
-    return EncodeBagRow(RowGrams(user.modeler.vocabulary()),
-                        user.modeler.doc_frequencies(),
-                        user.modeler.num_train_docs(), term_ids, weights);
+    std::string row;
+    snapshot::PutDeltaIds(&row, RowGrams(user.modeler.vocabulary()));
+    PutRowVarints(&row, user.modeler.doc_frequencies());
+    snapshot::PutVarint(&row, user.modeler.num_train_docs());
+    snapshot::PutDeltaIds(&row, term_ids);
+    PutRowF64s(&row, weights);
+    return row;
   }
 
   Result<BagUser> DecodeRow(std::string_view bytes,
@@ -754,33 +656,6 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     return user;
   }
 
-  // A v1 "users" section: a u64 count, then per user the same fields with
-  // fixed-width framing, the vocabulary as term strings.
-  Status ReadV1Rows(snapshot::Decoder* dec, const std::string& origin,
-                    const RowSink& sink) const override {
-    uint64_t count = 0;
-    MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t user = 0;
-      uint64_t num_train_docs = 0;
-      std::vector<std::string> terms;
-      std::vector<uint32_t> df;
-      std::vector<uint32_t> term_ids;
-      std::vector<double> weights;
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&df));
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&num_train_docs));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&term_ids));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
-      Result<std::vector<uint64_t>> grams = V1Grams(origin, user, terms);
-      if (!grams.ok()) return grams.status();
-      MICROREC_RETURN_IF_ERROR(sink(
-          user, EncodeBagRow(*grams, df, num_train_docs,
-                             {term_ids.begin(), term_ids.end()}, weights)));
-    }
-    return Status::OK();
-  }
 };
 
 // ---- Graph engine (TNG / CNG). ----
@@ -789,19 +664,6 @@ struct GraphUser {
   graph::GraphModeler modeler;
   graph::NgramGraph graph;
 };
-
-// A graph user row: vocabulary grams, then the edges as sorted,
-// delta-coded keys (the two packed term ids of adjacent edges share their
-// high halves, so each costs a few bytes) plus f64 weights.
-std::string EncodeGraphRow(const std::vector<uint64_t>& grams,
-                           const std::vector<uint64_t>& keys,
-                           const std::vector<double>& weights) {
-  std::string row;
-  snapshot::PutDeltaIds(&row, grams);
-  snapshot::PutDeltaIds(&row, keys);
-  PutRowF64s(&row, weights);
-  return row;
-}
 
 class GraphEngine : public UserTableEngine<GraphUser> {
  public:
@@ -830,9 +692,12 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     return user;
   }
 
+  // A graph user row: vocabulary grams, then the edges as sorted,
+  // delta-coded keys (the two packed term ids of adjacent edges share their
+  // high halves, so each costs a few bytes) plus f64 weights. Sorting by
+  // canonical key makes the same graph always serialize to the same bytes
+  // (unordered_map order is process-dependent).
   std::string EncodeRow(const GraphUser& user) const override {
-    // Edges sorted by canonical key so the same graph always serializes to
-    // the same bytes (unordered_map order is process-dependent).
     std::vector<uint64_t> keys;
     keys.reserve(user.graph.size());
     for (const auto& [key, weight] : user.graph.edges()) keys.push_back(key);
@@ -840,7 +705,11 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     std::vector<double> weights;
     weights.reserve(keys.size());
     for (uint64_t key : keys) weights.push_back(user.graph.edges().at(key));
-    return EncodeGraphRow(RowGrams(user.modeler.vocabulary()), keys, weights);
+    std::string row;
+    snapshot::PutDeltaIds(&row, RowGrams(user.modeler.vocabulary()));
+    snapshot::PutDeltaIds(&row, keys);
+    PutRowF64s(&row, weights);
+    return row;
   }
 
   Result<GraphUser> DecodeRow(std::string_view bytes,
@@ -872,28 +741,6 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     return user;
   }
 
-  // A v1 "users" section: a u64 count, then per user its terms, edge keys
-  // and edge weights with fixed-width framing.
-  Status ReadV1Rows(snapshot::Decoder* dec, const std::string& origin,
-                    const RowSink& sink) const override {
-    uint64_t count = 0;
-    MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t user = 0;
-      std::vector<std::string> terms;
-      std::vector<uint64_t> keys;
-      std::vector<double> weights;
-      MICROREC_RETURN_IF_ERROR(dec->ReadU64(&user));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecString(&terms));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecU64(&keys));
-      MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&weights));
-      Result<std::vector<uint64_t>> grams = V1Grams(origin, user, terms);
-      if (!grams.ok()) return grams.status();
-      MICROREC_RETURN_IF_ERROR(
-          sink(user, EncodeGraphRow(*grams, keys, weights)));
-    }
-    return Status::OK();
-  }
 };
 
 // ---- Topic engine (LDA, LLDA, HDP, HLDA, BTM, PLSA). ----
@@ -913,21 +760,6 @@ Result<std::vector<double>> DecodeDist(std::string_view bytes,
   MICROREC_RETURN_IF_ERROR(row.F64s(&dist, "distribution"));
   MICROREC_RETURN_IF_ERROR(row.End());
   return dist;
-}
-
-// The topic family's v1 adapter: both v1 tables are a u64 count, then
-// (u64 key, f64 vector) records.
-Status ReadV1Dists(snapshot::Decoder* dec, const RowSink& sink) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(dec->ReadU64(&count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key = 0;
-    std::vector<double> dist;
-    MICROREC_RETURN_IF_ERROR(dec->ReadU64(&key));
-    MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&dist));
-    MICROREC_RETURN_IF_ERROR(sink(key, EncodeDist(dist)));
-  }
-  return Status::OK();
 }
 
 template <typename Key>
@@ -1193,14 +1025,14 @@ class TopicEngine : public Engine {
     DistStore<UserId> users;
     MICROREC_RETURN_IF_ERROR(users.Open(*file, "users", "topic user",
                                         mapped, ctx.mapped_user_cache,
-                                        DecodeDist, ReadV1Dists));
+                                        DecodeDist));
     // Cached inferences are smaller than user models but hotter (every
     // candidate in every query); give them the same bound scaled up.
     DistStore<TweetId> infer;
     MICROREC_RETURN_IF_ERROR(infer.Open(*file, "infer_cache",
                                         "cached inference", mapped,
-                                        ctx.mapped_user_cache * 4, DecodeDist,
-                                        ReadV1Dists));
+                                        ctx.mapped_user_cache * 4,
+                                        DecodeDist));
     const bool lazy = users.lazy();
     if (lazy) {
       model_.reset();

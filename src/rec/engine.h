@@ -86,9 +86,8 @@ struct EngineContext {
   std::string warm_start_snapshot;
   /// Unread: every engine writes microrec.snap/2. perfbench/main.cc still
   /// sets it; delete the field and that line together.
-  snapshot::SnapshotCodec snapshot_codec = snapshot::SnapshotCodec::kRaw;
-  /// How warm starts hold persisted state (see ServeMode). A v1 file has no
-  /// row index, so under kMmap it opens resident, with identical rankings.
+  snapshot::SnapshotCodec snapshot_codec = snapshot::SnapshotCodec::kCompressed;
+  /// How warm starts hold persisted state (see ServeMode).
   ServeMode serve_mode = ServeMode::kResident;
   /// Per-engine LRU capacity (user models materialized from the map) in
   /// mmap mode. The cache only bounds memory; hit-or-miss never changes a
@@ -154,19 +153,20 @@ class Engine {
   virtual Status SaveSnapshot(const std::string& path,
                               const EngineContext& ctx) const = 0;
 
-  /// The one open: restores a SaveSnapshot() file (or a microrec.snap/1
-  /// file) into a freshly constructed engine of the same configuration.
-  /// Verifies the header identity (model, source, seed, iteration_scale,
-  /// config fingerprint) before adopting anything; afterwards BuildUser()
-  /// is a no-op for persisted users and Score() is bit-identical to the
-  /// engine that saved. `residency` only decides how rows are held:
+  /// The one open: restores a SaveSnapshot() file into a freshly
+  /// constructed engine of the same configuration. Verifies the header
+  /// identity (model, source, seed, iteration_scale, config fingerprint)
+  /// before adopting anything; a file of another container version fails
+  /// as version skew (FailedPrecondition) and must be retrained. Afterwards
+  /// BuildUser() is a no-op for persisted users and Score() is
+  /// bit-identical to the engine that saved. `residency` only decides how
+  /// rows are held:
   ///   * kResident decodes every row and checks the vocabulary fingerprint
   ///     at open, then drops the mapping;
   ///   * kMmap decodes a row the first time a query needs it (bounded by
   ///     ctx.mapped_user_cache) and keeps the mapping for the engine's
   ///     lifetime. A mapped engine is read-only with respect to the
-  ///     persisted users: SaveSnapshot is FailedPrecondition. A v1 file has
-  ///     no row index and opens resident.
+  ///     persisted users: SaveSnapshot is FailedPrecondition.
   virtual Status Open(const std::string& path, const EngineContext& ctx,
                       ServeMode residency) = 0;
 

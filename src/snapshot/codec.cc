@@ -115,48 +115,6 @@ Status GetDeltaIds(std::string_view bytes, size_t* pos,
   return Status::OK();
 }
 
-// ---- Count rows. ----
-
-void PutCountRow(std::string* out, const std::vector<uint32_t>& ids,
-                 const std::vector<uint32_t>& counts) {
-  std::vector<uint64_t> wide(ids.begin(), ids.end());
-  PutDeltaIds(out, wide);
-  for (uint32_t c : counts) PutVarint(out, c);
-}
-
-Status GetCountRow(std::string_view bytes, size_t* pos,
-                   std::vector<uint32_t>* ids, std::vector<uint32_t>* counts,
-                   uint64_t base_offset, const std::string& origin,
-                   const char* what) {
-  std::vector<uint64_t> wide;
-  MICROREC_RETURN_IF_ERROR(GetDeltaIds(bytes, pos, &wide, bytes.size(),
-                                       base_offset, origin, what));
-  ids->clear();
-  ids->reserve(wide.size());
-  for (uint64_t id : wide) {
-    if (id > UINT32_MAX) {
-      return Loss(origin, base_offset + *pos,
-                  std::string(what) + " id " + std::to_string(id) +
-                      " exceeds 32 bits");
-    }
-    ids->push_back(static_cast<uint32_t>(id));
-  }
-  counts->clear();
-  counts->resize(wide.size());
-  for (size_t i = 0; i < wide.size(); ++i) {
-    uint64_t c = 0;
-    MICROREC_RETURN_IF_ERROR(
-        GetVarint(bytes, pos, &c, base_offset, origin, what));
-    if (c > UINT32_MAX) {
-      return Loss(origin, base_offset + *pos,
-                  std::string(what) + " count " + std::to_string(c) +
-                      " exceeds 32 bits");
-    }
-    (*counts)[i] = static_cast<uint32_t>(c);
-  }
-  return Status::OK();
-}
-
 // ---- LZ77. ----
 
 std::string LzCompress(std::string_view raw) {

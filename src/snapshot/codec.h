@@ -2,9 +2,9 @@
 // §16): LEB128 varints, zigzag delta encoding for id sequences, a
 // self-contained block-compressed stream ("MCS1") with per-block CRC32 and
 // an LZ77 byte compressor, and an id-indexed row table that supports random
-// access — the building blocks that let a snapshot hold millions of sparse
-// count rows and user profiles in a fraction of their resident size, and
-// let the mmap serving mode decode exactly one row per query.
+// access — the building blocks that let a snapshot hold millions of user
+// rows and cached inferences in a fraction of their resident size, and let
+// the mmap serving mode decode exactly one row per query.
 //
 // Every decode error is a kDataLoss Status carrying the *absolute file
 // offset* of the bad byte (threaded through `base_offset`), so a corrupted
@@ -60,18 +60,6 @@ void PutDeltaIds(std::string* out, const std::vector<uint64_t>& ids);
 /// enclosing buffer size: one id costs at least one byte).
 Status GetDeltaIds(std::string_view bytes, size_t* pos,
                    std::vector<uint64_t>* ids, size_t max_count,
-                   uint64_t base_offset, const std::string& origin,
-                   const char* what);
-
-// ---- Sparse count rows: (sorted-ish u32 ids, small u32 counts). ----
-
-/// Appends `n`, the zigzag-delta ids, then each count as a varint. Empty
-/// rows, single-entry rows, zero and u32::max counts, and non-monotone ids
-/// all round-trip exactly (codec_test.cc pins this property).
-void PutCountRow(std::string* out, const std::vector<uint32_t>& ids,
-                 const std::vector<uint32_t>& counts);
-Status GetCountRow(std::string_view bytes, size_t* pos,
-                   std::vector<uint32_t>* ids, std::vector<uint32_t>* counts,
                    uint64_t base_offset, const std::string& origin,
                    const char* what);
 

@@ -89,11 +89,6 @@ void Encoder::PutVecU32(const std::vector<uint32_t>& v) {
   for (uint32_t x : v) PutU32(x);
 }
 
-void Encoder::PutVecU64(const std::vector<uint64_t>& v) {
-  PutU64(v.size());
-  for (uint64_t x : v) PutU64(x);
-}
-
 void Encoder::PutVecString(const std::vector<std::string>& v) {
   PutU64(v.size());
   for (const std::string& s : v) PutString(s);
@@ -177,20 +172,6 @@ Status Decoder::ReadVecU32(std::vector<uint32_t>* out) {
   out->resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     MICROREC_RETURN_IF_ERROR(ReadU32(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status Decoder::ReadVecU64(std::vector<uint64_t>* out) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(ReadU64(&count));
-  if (count > remaining() / 8) {
-    return Status::InvalidArgument("u64 " + std::string(kCountOverflow) +
-                                   " at offset " + std::to_string(offset()));
-  }
-  out->resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    MICROREC_RETURN_IF_ERROR(ReadU64(&(*out)[i]));
   }
   return Status::OK();
 }

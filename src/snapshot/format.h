@@ -1,6 +1,7 @@
-// Byte-level codec of the `microrec.snap/1` container: little-endian
-// fixed-width integers, bit-exact doubles (IEEE-754 payload round-trips
-// through a uint64), length-prefixed strings and homogeneous vectors.
+// Fixed-width byte codec of the `microrec.snap/2` container (its varint
+// codec is snapshot/codec.h): little-endian integers, bit-exact doubles
+// (IEEE-754 payload round-trips through a uint64), length-prefixed strings
+// and homogeneous vectors.
 // The Encoder appends to a growable byte string; the Decoder is a
 // bounds-checked cursor over an in-memory buffer that reports every
 // malformation as a Status carrying the *absolute file offset* of the bad
@@ -46,7 +47,6 @@ class Encoder {
   void PutRaw(std::string_view s) { out_.append(s.data(), s.size()); }
   void PutVecF64(const std::vector<double>& v);
   void PutVecU32(const std::vector<uint32_t>& v);
-  void PutVecU64(const std::vector<uint64_t>& v);
   void PutVecString(const std::vector<std::string>& v);
 
   const std::string& bytes() const { return out_; }
@@ -70,7 +70,6 @@ class Decoder {
   Status ReadString(std::string* out);
   Status ReadVecF64(std::vector<double>* out);
   Status ReadVecU32(std::vector<uint32_t>* out);
-  Status ReadVecU64(std::vector<uint64_t>* out);
   Status ReadVecString(std::vector<std::string>* out);
 
   /// Error unless every byte has been consumed (catches spliced payloads

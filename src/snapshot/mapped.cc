@@ -50,8 +50,7 @@ MappedFile::MappedFile(MappedFile&& other) noexcept
       data_(other.data_),
       map_size_(other.map_size_),
       header_(std::move(other.header_)),
-      sections_(std::move(other.sections_)),
-      version_(other.version_) {
+      sections_(std::move(other.sections_)) {
   other.data_ = nullptr;
   other.map_size_ = 0;
 }
@@ -64,7 +63,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     map_size_ = other.map_size_;
     header_ = std::move(other.header_);
     sections_ = std::move(other.sections_);
-    version_ = other.version_;
     other.data_ = nullptr;
     other.map_size_ = 0;
   }
@@ -101,29 +99,12 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   file.map_size_ = size;
   const std::string_view data(file.data_, static_cast<size_t>(size));
 
-  const std::string_view magic = data.substr(0, kMagicSize);
-  if (magic == std::string_view(kMagicV2, kMagicSize)) {
-    file.version_ = 2;
-  } else if (magic != std::string_view(kMagic, kMagicSize)) {
-    if (magic.substr(0, sizeof(kMagicPrefix) - 1) == kMagicPrefix) {
-      std::string version(magic.substr(sizeof(kMagicPrefix) - 1));
-      while (!version.empty() &&
-             (version.back() == '\n' || version.back() == '\0')) {
-        version.pop_back();
-      }
-      return Status::FailedPrecondition(
-          At(path, sizeof(kMagicPrefix) - 1) +
-          ": snapshot version skew: file is microrec.snap/" + version +
-          ", reader understands microrec.snap/1 and /2");
-    }
-    return Status::InvalidArgument(At(path, 0) +
-                                   ": bad magic, not a microrec.snap file");
-  }
+  MICROREC_RETURN_IF_ERROR(CheckMagic(data.substr(0, kMagicSize), path));
 
   // Walk the section frames. Identical structure to File::Parse, but the
   // payload CRCs are deliberately NOT verified here — that would fault in
-  // every page of the model. v2 integrity comes from per-block CRCs at read
-  // time; v1 sections are verified when ReadSection copies them out.
+  // every page of the model. Payload integrity comes from per-block CRCs at
+  // read time.
   Decoder cursor(data.substr(kMagicSize), kMagicSize);
   while (cursor.remaining() > 0) {
     const uint64_t section_start = cursor.offset();
@@ -208,55 +189,23 @@ Status MappedFile::ReadSection(std::string_view name, std::string* out) const {
   Result<const MappedSection*> found = Find(name);
   if (!found.ok()) return found.status();
   const MappedSection& section = **found;
-  if (version_ == 2 && section.name != kHeaderSection) {
-    if (!LooksLikeStream(section.payload)) {
-      return Status::DataLoss(At(origin_, section.payload_offset) +
-                              ": v2 section \"" + section.name +
-                              "\" is not an MCS1 stream");
-    }
-    return DecompressStream(section.payload, out, section.payload_offset,
-                            origin_ + ":section \"" + section.name + "\"");
+  if (section.name == kHeaderSection) {
+    MICROREC_RETURN_IF_ERROR(CheckCrc(origin_, section));
+    out->assign(section.payload.data(), section.payload.size());
+    return Status::OK();
   }
-  MICROREC_RETURN_IF_ERROR(CheckCrc(origin_, section));
-  out->assign(section.payload.data(), section.payload.size());
-  return Status::OK();
+  if (!LooksLikeStream(section.payload)) {
+    return Status::DataLoss(At(origin_, section.payload_offset) +
+                            ": section \"" + section.name +
+                            "\" is not an MCS1 stream");
+  }
+  return DecompressStream(section.payload, out, section.payload_offset,
+                          origin_ + ":section \"" + section.name + "\"");
 }
 
 Status MappedFile::VerifyChecksums() const {
   for (const MappedSection& section : sections_) {
     MICROREC_RETURN_IF_ERROR(CheckCrc(origin_, section));
-  }
-  return Status::OK();
-}
-
-Status MappedFile::VerifyIdentity(const std::string& model,
-                                  const std::string& source, uint64_t seed,
-                                  double iteration_scale,
-                                  const std::string& config_fingerprint) const {
-  auto mismatch = [this](const char* field, const std::string& expected,
-                         const std::string& got) {
-    return Status::FailedPrecondition(
-        origin_ + ": snapshot " + field + " mismatch: expected " + expected +
-        ", file has " + got);
-  };
-  if (!model.empty() && header_.model != model) {
-    return mismatch("model", model, header_.model);
-  }
-  if (!source.empty() && header_.source != source) {
-    return mismatch("source", source, header_.source);
-  }
-  if (header_.seed != seed) {
-    return mismatch("seed", std::to_string(seed),
-                    std::to_string(header_.seed));
-  }
-  if (header_.iteration_scale != iteration_scale) {
-    return mismatch("iteration_scale", std::to_string(iteration_scale),
-                    std::to_string(header_.iteration_scale));
-  }
-  if (!config_fingerprint.empty() &&
-      header_.config_fingerprint != config_fingerprint) {
-    return mismatch("config fingerprint", config_fingerprint,
-                    header_.config_fingerprint);
   }
   return Status::OK();
 }
@@ -268,13 +217,9 @@ Result<MappedTable> MappedTable::Open(const MappedFile& file,
   const MappedFile::MappedSection& section = **found;
   const std::string origin =
       file.origin() + ":section \"" + std::string(section_name) + "\"";
-  if (file.version() != 2) {
-    return Status::FailedPrecondition(
-        origin + ": mapped tables require a microrec.snap/2 container");
-  }
   if (!LooksLikeStream(section.payload)) {
     return Status::DataLoss(At(file.origin(), section.payload_offset) +
-                            ": v2 section \"" + std::string(section_name) +
+                            ": section \"" + std::string(section_name) +
                             "\" is not an MCS1 stream");
   }
   Result<BlockStream> stream =

@@ -3,7 +3,7 @@
 // container and parses only its section *directory* — names, offsets,
 // lengths and the (small, raw) header section — so opening a multi-gigabyte
 // snapshot touches a handful of pages. A MappedTable then gives random
-// access to one row of a v2 varint/delta table at a time: the engines'
+// access to one row of a varint/delta table at a time: the engines'
 // mmap serving mode materializes exactly the users a query needs, and the
 // kernel reclaims cold pages under memory pressure instead of the process
 // OOMing (the wall that forced the paper to drop PLSA at 120 GB resident).
@@ -32,11 +32,11 @@
 
 namespace microrec::snapshot {
 
-/// A memory-mapped snapshot container (v1 or v2), validated structurally at
-/// open: magic, section framing, header CRC + identity decode. Section
-/// payloads are NOT CRC-verified at open (that would fault in every page);
-/// v2 payloads are verified block-by-block as they are read, v1 payloads
-/// when ReadSection copies them out, and all of them by VerifyChecksums.
+/// A memory-mapped snapshot container, validated structurally at open:
+/// magic, section framing, header CRC + identity decode. Section payloads
+/// are NOT CRC-verified at open (that would fault in every page); they are
+/// verified block-by-block as they are read, and all of them by
+/// VerifyChecksums.
 class MappedFile {
  public:
   /// One directory entry; `payload` views straight into the map.
@@ -56,7 +56,6 @@ class MappedFile {
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  uint32_t version() const { return version_; }
   const Header& header() const { return header_; }
   const std::string& origin() const { return origin_; }
   uint64_t file_size() const { return map_size_; }
@@ -65,21 +64,16 @@ class MappedFile {
   /// Directory lookup; NotFound (naming the file) when absent.
   Result<const MappedSection*> Find(std::string_view name) const;
 
-  /// Copies a section's *logical* bytes into `out`: v2 payloads are
-  /// decompressed (block CRCs verified), v1 payloads are frame-CRC-checked
-  /// and copied. The result is byte-identical to what File::Parse presents
-  /// for the same section.
+  /// Copies a section's *logical* bytes into `out`: the header's raw bytes
+  /// (frame CRC checked), any other section's stream decompressed (block
+  /// CRCs verified). The result is byte-identical to what File::Parse
+  /// presents for the same section.
   Status ReadSection(std::string_view name, std::string* out) const;
 
   /// Verifies every section's frame CRC, faulting in every page: the
   /// whole-file integrity File::Load checks, for an open that is about to
   /// decode everything anyway.
   Status VerifyChecksums() const;
-
-  /// Same identity verification as File::VerifyIdentity.
-  Status VerifyIdentity(const std::string& model, const std::string& source,
-                        uint64_t seed, double iteration_scale,
-                        const std::string& config_fingerprint) const;
 
  private:
   void Unmap();
@@ -89,10 +83,9 @@ class MappedFile {
   uint64_t map_size_ = 0;
   Header header_;
   std::vector<MappedSection> sections_;
-  uint32_t version_ = 1;
 };
 
-/// Random row access over a v2 table section (snapshot/codec.h row-table
+/// Random row access over a table section (snapshot/codec.h row-table
 /// layout inside an MCS1 stream). Open materializes only the table index —
 /// decoded from the stream's leading blocks — plus nothing else; Row then
 /// decompresses just the block(s) covering one row. Thread-safe: row reads

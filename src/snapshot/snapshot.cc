@@ -1,6 +1,7 @@
 #include "snapshot/snapshot.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -53,9 +54,8 @@ void Writer::AddSection(std::string name, std::string payload) {
 }
 
 std::string Writer::Serialize() const {
-  const bool compressed = codec_ == SnapshotCodec::kCompressed;
   Encoder enc;
-  enc.PutRaw(std::string_view(compressed ? kMagicV2 : kMagic, kMagicSize));
+  enc.PutRaw(std::string_view(kMagicV2, kMagicSize));
   auto emit = [&enc](const std::string& name, const std::string& payload) {
     enc.PutU32(static_cast<uint32_t>(name.size()));
     enc.PutRaw(name);
@@ -65,13 +65,12 @@ std::string Writer::Serialize() const {
     enc.PutU32(crc);
     enc.PutRaw(payload);
   };
-  // The header stays raw in both versions so identity checks never depend
-  // on the codec; every other v2 payload becomes an MCS1 stream, with the
-  // frame CRC computed over the stored (compressed) bytes.
+  // The header stays raw so identity checks never depend on the codec;
+  // every other payload becomes an MCS1 stream, with the frame CRC computed
+  // over the stored (compressed) bytes.
   emit(kHeaderSection, EncodeHeader(header_));
   for (const Section& section : sections_) {
-    emit(section.name,
-         compressed ? CompressStream(section.payload) : section.payload);
+    emit(section.name, CompressStream(section.payload));
   }
   return enc.Release();
 }
@@ -117,26 +116,8 @@ Result<File> File::Parse(std::string bytes, const std::string& origin) {
         At(origin, 0) + ": truncated magic (" + std::to_string(data.size()) +
         " of " + std::to_string(kMagicSize) + " bytes)");
   }
-  std::string_view magic(data.data(), kMagicSize);
-  if (magic == std::string_view(kMagicV2, kMagicSize)) {
-    file.version_ = 2;
-  } else if (magic != std::string_view(kMagic, kMagicSize)) {
-    if (magic.substr(0, sizeof(kMagicPrefix) - 1) == kMagicPrefix) {
-      // Same family, different version: report skew, not corruption, so the
-      // operator knows to retrain/re-save rather than chase a bad disk.
-      std::string version(magic.substr(sizeof(kMagicPrefix) - 1));
-      while (!version.empty() &&
-             (version.back() == '\n' || version.back() == '\0')) {
-        version.pop_back();
-      }
-      return Status::FailedPrecondition(
-          At(origin, sizeof(kMagicPrefix) - 1) +
-          ": snapshot version skew: file is microrec.snap/" + version +
-          ", reader understands microrec.snap/1 and /2");
-    }
-    return Status::InvalidArgument(At(origin, 0) +
-                                   ": bad magic, not a microrec.snap file");
-  }
+  MICROREC_RETURN_IF_ERROR(
+      CheckMagic(std::string_view(data.data(), kMagicSize), origin));
 
   Decoder cursor(std::string_view(data).substr(kMagicSize), kMagicSize);
   while (cursor.remaining() > 0) {
@@ -216,27 +197,25 @@ Result<File> File::Parse(std::string bytes, const std::string& origin) {
         decoded.code(), origin + ": bad snapshot header: " + decoded.message());
   }
 
-  // A v2 container stores every non-header payload as an MCS1 stream;
-  // decompress them in place (every block CRC is verified along the way) so
-  // section consumers see the same decompressed bytes the mapped reader
-  // serves. Offsets in downstream decode errors still name the compressed
-  // payload's position in the file — the nearest physical location a
-  // corrupted logical byte can be attributed to.
-  if (file.version_ == 2) {
-    for (size_t i = 1; i < file.sections_.size(); ++i) {
-      Section& section = file.sections_[i];
-      if (!LooksLikeStream(section.payload)) {
-        return Status::DataLoss(
-            At(origin, section.payload_offset) + ": v2 section \"" +
-            section.name + "\" is not an MCS1 stream");
-      }
-      std::string raw;
-      Status status = DecompressStream(
-          section.payload, &raw, section.payload_offset,
-          origin + ":section \"" + section.name + "\"");
-      if (!status.ok()) return status;
-      section.payload = std::move(raw);
+  // Every non-header payload is an MCS1 stream; decompress them in place
+  // (every block CRC is verified along the way) so section consumers see
+  // the same decompressed bytes the mapped reader serves. Offsets in
+  // downstream decode errors still name the compressed payload's position
+  // in the file — the nearest physical location a corrupted logical byte
+  // can be attributed to.
+  for (size_t i = 1; i < file.sections_.size(); ++i) {
+    Section& section = file.sections_[i];
+    if (!LooksLikeStream(section.payload)) {
+      return Status::DataLoss(
+          At(origin, section.payload_offset) + ": section \"" +
+          section.name + "\" is not an MCS1 stream");
     }
+    std::string raw;
+    Status status = DecompressStream(
+        section.payload, &raw, section.payload_offset,
+        origin + ":section \"" + section.name + "\"");
+    if (!status.ok()) return status;
+    section.payload = std::move(raw);
   }
   obs::MetricsRegistry::Global().GetCounter("snapshot.loads")->Increment();
   return file;
@@ -256,36 +235,60 @@ Result<Decoder> File::OpenSection(std::string_view name) const {
   return Decoder((*section)->payload, (*section)->payload_offset);
 }
 
-Status File::VerifyIdentity(const std::string& model,
-                            const std::string& source, uint64_t seed,
-                            double iteration_scale,
-                            const std::string& config_fingerprint) const {
-  auto mismatch = [this](const char* field, const std::string& expected,
-                         const std::string& got) {
+Status VerifyIdentity(const Header& header, const std::string& origin,
+                      const std::string& model, const std::string& source,
+                      uint64_t seed, double iteration_scale,
+                      const std::string& config_fingerprint) {
+  auto mismatch = [&origin](const char* field, const std::string& expected,
+                            const std::string& got) {
     return Status::FailedPrecondition(
-        origin_ + ": snapshot " + field + " mismatch: expected " + expected +
+        origin + ": snapshot " + field + " mismatch: expected " + expected +
         ", file has " + got);
   };
-  if (!model.empty() && header_.model != model) {
-    return mismatch("model", model, header_.model);
+  if (!model.empty() && header.model != model) {
+    return mismatch("model", model, header.model);
   }
-  if (!source.empty() && header_.source != source) {
-    return mismatch("source", source, header_.source);
+  if (!source.empty() && header.source != source) {
+    return mismatch("source", source, header.source);
   }
-  if (header_.seed != seed) {
-    return mismatch("seed", std::to_string(seed),
-                    std::to_string(header_.seed));
+  if (header.seed != seed) {
+    return mismatch("seed", std::to_string(seed), std::to_string(header.seed));
   }
-  if (header_.iteration_scale != iteration_scale) {
-    return mismatch("iteration_scale", std::to_string(iteration_scale),
-                    std::to_string(header_.iteration_scale));
+  if (header.iteration_scale != iteration_scale) {
+    // Round-trip precision: two scales that differ print differently.
+    auto precise = [](double value) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", value);
+      return std::string(buf);
+    };
+    return mismatch("iteration_scale", precise(iteration_scale),
+                    precise(header.iteration_scale));
   }
   if (!config_fingerprint.empty() &&
-      header_.config_fingerprint != config_fingerprint) {
+      header.config_fingerprint != config_fingerprint) {
     return mismatch("config fingerprint", config_fingerprint,
-                    header_.config_fingerprint);
+                    header.config_fingerprint);
   }
   return Status::OK();
+}
+
+Status CheckMagic(std::string_view magic, const std::string& origin) {
+  if (magic == std::string_view(kMagicV2, kMagicSize)) return Status::OK();
+  if (magic.substr(0, sizeof(kMagicPrefix) - 1) == kMagicPrefix) {
+    // Same family, different version: report skew, not corruption, so the
+    // operator knows to retrain rather than chase a bad disk.
+    std::string version(magic.substr(sizeof(kMagicPrefix) - 1));
+    while (!version.empty() &&
+           (version.back() == '\n' || version.back() == '\0')) {
+      version.pop_back();
+    }
+    return Status::FailedPrecondition(
+        At(origin, sizeof(kMagicPrefix) - 1) +
+        ": snapshot version skew: file is microrec.snap/" + version +
+        ", reader understands microrec.snap/2");
+  }
+  return Status::InvalidArgument(At(origin, 0) +
+                                 ": bad magic, not a microrec.snap file");
 }
 
 }  // namespace microrec::snapshot

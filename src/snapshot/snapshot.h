@@ -1,17 +1,18 @@
-// Crash-safe persistence of trained model state: the `microrec.snap/1`
+// Crash-safe persistence of trained model state: the `microrec.snap/2`
 // container. Training a topic model is the dominant cost of the pipeline
 // (TTime, Fig. 7) — a snapshot turns that minutes-to-hours investment into
 // a file that a later process loads in milliseconds and serves from.
 //
-// Wire format (all integers little-endian; see DESIGN.md §8):
+// Wire format (all integers little-endian; see DESIGN.md §8, §16):
 //
-//   magic     16 bytes  "microrec.snap/1\n"
+//   magic     16 bytes  "microrec.snap/2\n"
 //   section*  repeated to EOF:
 //     u32  name_len      (capped at kMaxSectionName)
 //     ...  name bytes
 //     u64  payload_len
 //     u32  crc32         over name bytes ++ payload bytes
-//     ...  payload bytes
+//     ...  payload bytes (an MCS1 stream, snapshot/codec.h, for every
+//                         section but the header)
 //
 // The first section must be "header" and binds the snapshot's identity:
 // model, source, seed, iteration_scale, the configuration fingerprint and
@@ -37,23 +38,17 @@
 
 namespace microrec::snapshot {
 
-/// The container magic; its trailing "/1\n" is the format version. Version 2
-/// (DESIGN.md §16) keeps the outer section framing byte-for-byte and wraps
-/// every non-header section payload in an MCS1 block-compressed stream
-/// (snapshot/codec.h); the reader accepts both, writers pick via codec.
-inline constexpr char kMagic[] = "microrec.snap/1\n";
+/// The container magic; its trailing "/2\n" is the format version, the only
+/// one any reader understands. A file of another version is skew: retrain.
 inline constexpr char kMagicV2[] = "microrec.snap/2\n";
 inline constexpr size_t kMagicSize = 16;
 /// Stable prefix shared by every version of the format; a file carrying the
 /// prefix but a different version suffix is *skew*, not garbage.
 inline constexpr char kMagicPrefix[] = "microrec.snap/";
 
-/// How a Writer encodes section payloads. kRaw emits the v1 container, which
-/// the container tests and fixtures use; kCompressed emits a v2 file whose
-/// non-header sections are MCS1 streams — typically several times smaller,
-/// and mmap-servable. The engines always write kCompressed.
+/// Unread: the Writer always compresses. perfbench/main.cc still assigns
+/// EngineContext::snapshot_codec; the enum goes with that line.
 enum class SnapshotCodec {
-  kRaw,
   kCompressed,
 };
 
@@ -72,8 +67,7 @@ struct Header {
   // FingerprintTerms over the vocabulary the sections index. Topic: the
   // "vocab" section's terms. Bag and graph: the corpus gram dictionary
   // (rec::GramTable) whose ids the rows hold, checked at every open before
-  // a row decodes. A v1 bag or graph file, whose rows hold strings, mixes
-  // each user's term fingerprint over the sorted user ids instead.
+  // a row decodes.
   uint64_t vocab_fingerprint = 0;
 };
 
@@ -92,26 +86,23 @@ class Writer {
   /// Adds a named section (order is preserved; names must be unique).
   void AddSection(std::string name, std::string payload);
 
-  /// Selects the container version: kRaw writes `microrec.snap/1`,
-  /// kCompressed writes `microrec.snap/2` with each non-header payload
-  /// wrapped in an MCS1 stream at Serialize time. The section payloads are
-  /// the caller's: the engines' v2 tables use the varint/delta row codec.
-  void set_codec(SnapshotCodec codec) { codec_ = codec; }
-
   /// Serializes to `<path>.tmp` and renames over `path`, creating the
   /// parent directory if missing. Fault site: `snapshot.write`.
   Status Commit(const std::string& path) const;
 
-  /// The serialized container (test hook; Commit writes exactly this).
+  /// The serialized container (test hook; Commit writes exactly this):
+  /// each payload but the header's wrapped in an MCS1 stream. The payloads
+  /// themselves are the caller's: the engines' tables use the varint/delta
+  /// row codec.
   std::string Serialize() const;
 
  private:
   Header header_;
   std::vector<Section> sections_;
-  SnapshotCodec codec_ = SnapshotCodec::kRaw;
 };
 
-/// A fully validated in-memory snapshot.
+/// A fully validated in-memory snapshot: the whole-file reference reader
+/// that the tests hold MappedFile, the engines' reader, against.
 class File {
  public:
   /// Reads and validates `path`: magic, header presence, per-section CRC,
@@ -123,13 +114,9 @@ class File {
   static Result<File> Parse(std::string bytes, const std::string& origin);
 
   const Header& header() const { return header_; }
+  /// Every section, the header's included; the others *decompressed*, so
+  /// consumers never see MCS1 framing.
   const std::vector<Section>& sections() const { return sections_; }
-
-  /// Container version the bytes carried (1 or 2). Version 2 sections are
-  /// presented *decompressed* — loaders never see MCS1 framing — but their
-  /// inner encoding differs (varint/delta tables), so engine loaders branch
-  /// on this.
-  uint32_t version() const { return version_; }
 
   /// Section lookup; NotFound (with the file name) when absent.
   Result<const Section*> Find(std::string_view name) const;
@@ -138,13 +125,6 @@ class File {
   /// offset so downstream decode errors point into the file.
   Result<Decoder> OpenSection(std::string_view name) const;
 
-  /// Verifies the header's identity fields against expectations; any
-  /// mismatch is a FailedPrecondition naming the field, the expected and
-  /// the persisted value. Empty expected strings skip that field.
-  Status VerifyIdentity(const std::string& model, const std::string& source,
-                        uint64_t seed, double iteration_scale,
-                        const std::string& config_fingerprint) const;
-
   const std::string& origin() const { return origin_; }
 
  private:
@@ -152,8 +132,20 @@ class File {
   std::string bytes_;  // owns section payload storage
   Header header_;
   std::vector<Section> sections_;
-  uint32_t version_ = 1;
 };
+
+/// Verifies a file's header identity fields against expectations; any
+/// mismatch is a FailedPrecondition naming `origin`, the field, the expected
+/// and the persisted value. Empty expected strings skip that field.
+Status VerifyIdentity(const Header& header, const std::string& origin,
+                      const std::string& model, const std::string& source,
+                      uint64_t seed, double iteration_scale,
+                      const std::string& config_fingerprint);
+
+/// Checks a file's first kMagicSize bytes, for both readers: OK for
+/// kMagicV2; FailedPrecondition (version skew, naming `origin`) for any
+/// other microrec.snap version; InvalidArgument for anything else.
+Status CheckMagic(std::string_view magic, const std::string& origin);
 
 /// Encodes / decodes the header-section payload (exposed for tests).
 std::string EncodeHeader(const Header& header);

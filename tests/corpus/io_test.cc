@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "synth/generator.h"
+#include "temp_dir.h"
 
 namespace microrec::corpus {
 namespace {
@@ -78,8 +79,7 @@ TEST(CorpusIoTest, FileRoundTripOfSyntheticCorpus) {
   auto dataset = synth::GenerateDataset(spec);
   ASSERT_TRUE(dataset.ok());
 
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "microrec_io_test").string();
+  std::string dir = testutil::UniqueTempDir("microrec_io_test");
   ASSERT_TRUE(SaveCorpus(dataset->corpus, dir).ok());
   Result<Corpus> loaded = LoadCorpus(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

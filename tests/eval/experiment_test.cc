@@ -7,6 +7,7 @@
 #include "eval/sweep.h"
 #include "resilience/fault.h"
 #include "synth/generator.h"
+#include "temp_dir.h"
 
 namespace microrec::eval {
 namespace {
@@ -301,8 +302,7 @@ TEST_F(RunnerFixture, SweepConfigDeadlineIsIsolated) {
 
 TEST_F(RunnerFixture, SweepCheckpointResumeSkipsCompletedConfigs) {
   std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "microrec_sweep_ckpt_test";
-  std::filesystem::remove_all(dir);
+      testutil::UniqueTempDir("microrec_sweep_ckpt_test");
   std::filesystem::create_directories(dir);
   SweepOptions options;
   options.checkpoint_path = (dir / "ckpt.jsonl").string();
@@ -326,8 +326,7 @@ TEST_F(RunnerFixture, SweepCheckpointResumeSkipsCompletedConfigs) {
 
 TEST_F(RunnerFixture, SweepCheckpointRefusesForeignSource) {
   std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "microrec_sweep_ckpt_key_test";
-  std::filesystem::remove_all(dir);
+      testutil::UniqueTempDir("microrec_sweep_ckpt_key_test");
   std::filesystem::create_directories(dir);
   SweepOptions options;
   options.checkpoint_path = (dir / "ckpt.jsonl").string();

@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "resilience/fault.h"
 #include "synth/generator.h"
+#include "temp_dir.h"
 
 namespace microrec {
 namespace {
@@ -159,9 +160,8 @@ TEST_F(ResilienceFixture, KilledSweepResumesToIdenticalOutcomes) {
   ASSERT_TRUE(uninterrupted.ok());
   ASSERT_EQ(uninterrupted->outcomes.size(), grid.size());
 
-  std::filesystem::path dir = std::filesystem::temp_directory_path() /
-                              "microrec_resilience_resume_test";
-  std::filesystem::remove_all(dir);
+  std::filesystem::path dir =
+      testutil::UniqueTempDir("microrec_resilience_resume_test");
   std::filesystem::create_directories(dir);
   eval::SweepOptions options;
   options.checkpoint_path = (dir / "ckpt.jsonl").string();
@@ -193,9 +193,8 @@ TEST_F(ResilienceFixture, KilledSweepResumesToIdenticalOutcomes) {
 // would fail identically on resume), and the resumed sweep reports them as
 // failures without re-running them.
 TEST_F(ResilienceFixture, FailedConfigsResumeAsFailures) {
-  std::filesystem::path dir = std::filesystem::temp_directory_path() /
-                              "microrec_resilience_refail_test";
-  std::filesystem::remove_all(dir);
+  std::filesystem::path dir =
+      testutil::UniqueTempDir("microrec_resilience_refail_test");
   std::filesystem::create_directories(dir);
   eval::SweepOptions options;
   options.checkpoint_path = (dir / "ckpt.jsonl").string();
@@ -225,9 +224,7 @@ TEST_F(ResilienceFixture, FailedConfigsResumeAsFailures) {
 // uses, end to end through a corpus read.
 TEST_F(ResilienceFixture, SpecArmedIoFaultFailsCorpusRead) {
   ASSERT_TRUE(resilience::ArmFaultsFromSpec("corpus.io.read:1").ok());
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     "microrec_resilience_io_test")
-                        .string();
+  std::string dir = testutil::UniqueTempDir("microrec_resilience_io_test");
   ASSERT_TRUE(corpus::SaveCorpus(dataset_->corpus, dir).ok());
   Result<corpus::Corpus> loaded = corpus::LoadCorpus(dir);
   resilience::ClearFaults();

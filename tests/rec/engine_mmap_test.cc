@@ -3,8 +3,8 @@
 // (LoadSnapshot) for every model family, at one scoring thread and at
 // eight — EXPECT_EQ on doubles, no tolerance. Also pins the mapped-mode
 // contracts around it: mapped engines refuse SaveSnapshot, and
-// InvalidateUser + BuildUser rebuilds a user in place. v1 files opening
-// resident inside OpenMapped is pinned by golden_snapshot_test.cc.
+// InvalidateUser + BuildUser rebuilds a user in place. The committed
+// fixtures of golden_snapshot_test.cc pin both opens against fixed bytes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,7 +14,6 @@
 
 #include "rec/engine.h"
 #include "rec/ranker.h"
-#include "snapshot/snapshot.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "temp_dir.h"
@@ -86,7 +85,6 @@ class EngineMmapFixture : public ::testing::Test {
     ctx_.seed = 11;
     ctx_.iteration_scale = 0.1;
     ctx_.llda_min_hashtag_count = 1;
-    ctx_.snapshot_codec = snapshot::SnapshotCodec::kCompressed;
 
     dir_ = testutil::UniqueTempDir("microrec_engine_mmap");
     std::filesystem::create_directories(dir_);

@@ -1,24 +1,24 @@
-// Backward compatibility against *committed* v1 fixtures: tiny
-// microrec.snap/1 files checked into tests/rec/testdata/, one per engine
-// family, written by the last code revision that wrote the v1 layout. The
-// reader must keep warm-starting them bit-identically — through
-// LoadSnapshot, through OpenMapped (which opens a v1 file resident), and
-// after a re-save, which writes microrec.snap/2 — so no format change can
-// silently orphan already-trained snapshots.
+// The writer's pinned output: tiny committed microrec.snap/2 files in
+// tests/rec/testdata/, one per engine family (TN, TNG, LDA), saved over the
+// frozen world below. Each must warm-start to its pinned scores through
+// LoadSnapshot and through OpenMapped, and a resident open followed at once
+// by SaveSnapshot must reproduce its bytes exactly, so any change to what
+// the engines write or to how they read it back fails here. Re-recording a
+// fixture is a format change, and CHANGES.md must justify it.
 //
-// No code writes v1 any more, so the fixtures cannot be regenerated. The TN
-// fixture is checked against a cold-trained engine; the graph and topic
-// fixtures against score bit patterns pinned when they were written, since
-// their cold-trained weights may change in the last bits.
+// The TN fixture is checked against a cold-trained engine; the graph and
+// topic fixtures against score bit patterns pinned when they were written,
+// since their cold-trained weights may change in the last bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "rec/engine.h"
@@ -40,8 +40,6 @@ std::string FixturePath(const std::string& name) {
   return std::string(MICROREC_TEST_SOURCE_DIR) + "/rec/testdata/" + name;
 }
 
-std::string GoldenPath() { return FixturePath("golden_tn_v1.snap"); }
-
 uint64_t Bits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -54,12 +52,20 @@ double FromBits(uint64_t bits) {
   return v;
 }
 
-std::string Magic(const std::string& path) {
+std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  std::string magic(snapshot::kMagicSize, '\0');
-  in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
-  return magic;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
+
+/// A committed fixture, its configuration, and the bit patterns it scores
+/// the two test tweets to.
+struct Pinned {
+  const char* file;
+  ModelConfig config;
+  uint64_t cat;
+  uint64_t stock;
+};
 
 /// The frozen world behind the fixtures. Everything here is deterministic —
 /// corpus construction, tokenization, training — so the code revision that
@@ -115,7 +121,7 @@ class GoldenSnapshotTest : public ::testing::Test {
     config_.bag.similarity = bag::BagSimilarity::kCosine;
   }
 
-  /// The configuration behind golden_tng_v1.snap.
+  /// The configuration behind golden_tng_v2.snap.
   static ModelConfig TngConfig() {
     ModelConfig config;
     config.kind = ModelKind::kTNG;
@@ -125,7 +131,7 @@ class GoldenSnapshotTest : public ::testing::Test {
     return config;
   }
 
-  /// The configuration behind golden_lda_v1.snap. Both test tweets were
+  /// The configuration behind golden_lda_v2.snap. Both test tweets were
   /// scored before it was saved, so its inference cache holds them.
   static ModelConfig LdaConfig() {
     ModelConfig config;
@@ -135,6 +141,14 @@ class GoldenSnapshotTest : public ::testing::Test {
     config.topic.pooling = corpus::Pooling::kNone;
     config.topic.beta = 0.01;
     return config;
+  }
+
+  /// The graph and topic fixtures' pins: the bit patterns the writing
+  /// revision's engines scored. The stock tweet shares no term with ego's
+  /// cat retweets, so both families score it 0.
+  static std::vector<Pinned> GraphAndTopicPins() {
+    return {{"golden_tng_v2.snap", TngConfig(), 0x3f94141414141415ULL, 0},
+            {"golden_lda_v2.snap", LdaConfig(), 0x3fefefdf1c812f1bULL, 0}};
   }
 
   /// Warm-starts `path` through LoadSnapshot and through OpenMapped and
@@ -179,120 +193,64 @@ class GoldenSnapshotTest : public ::testing::Test {
   TweetId test_cat_ = 0, test_stock_ = 0;
 };
 
-TEST_F(GoldenSnapshotTest, CommittedV1FixtureWarmStartsBitIdentically) {
-  const std::string path = GoldenPath();
+TEST_F(GoldenSnapshotTest, CommittedV2FixtureWarmStartsBitIdentically) {
+  const std::string path = FixturePath("golden_tn_v2.snap");
   ASSERT_TRUE(std::filesystem::exists(path)) << path << " missing";
-
-  // The committed bytes must really be version 1 — the whole point is that
-  // a reader from the v2 era keeps loading them.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string magic(snapshot::kMagicSize, '\0');
-    in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
-    ASSERT_EQ(magic, std::string(snapshot::kMagic, snapshot::kMagicSize));
-  }
+  ASSERT_EQ(ReadFile(path).substr(0, snapshot::kMagicSize),
+            std::string(snapshot::kMagicV2, snapshot::kMagicSize));
 
   auto cold = ColdTrain();
   const double cat = cold->Score(ego_, test_cat_, ctx_);
   const double stock = cold->Score(ego_, test_stock_, ctx_);
   // Sanity: the fixture world separates the themes.
   EXPECT_GT(cat, stock);
-
-  auto restored = MakeEngine(config_);
-  Status load = restored->LoadSnapshot(path, ctx_);
-  ASSERT_TRUE(load.ok()) << load.ToString();
-  ASSERT_TRUE(restored->BuildUser(ego_, train_, ctx_).ok());  // no-op
-  EXPECT_EQ(restored->Score(ego_, test_cat_, ctx_), cat);
-  EXPECT_EQ(restored->Score(ego_, test_stock_, ctx_), stock);
-
-  // The mmap path accepts the v1 file too (resident fallback inside
-  // OpenMapped) and scores identically.
-  EngineContext mmap_ctx = ctx_;
-  mmap_ctx.serve_mode = ServeMode::kMmap;
-  auto mapped = MakeEngine(config_);
-  Status open = mapped->OpenMapped(path, mmap_ctx);
-  ASSERT_TRUE(open.ok()) << open.ToString();
-  EXPECT_EQ(mapped->Score(ego_, test_cat_, mmap_ctx), cat);
-  EXPECT_EQ(mapped->Score(ego_, test_stock_, mmap_ctx), stock);
+  ExpectWarmStartsScore(config_, path, cat, stock);
 }
 
-TEST_F(GoldenSnapshotTest, GraphAndTopicV1FixturesWarmStartToPinnedScores) {
-  // Bit patterns the writing revision's engines scored; the stock tweet
-  // shares no term with ego's cat retweets, so both families score it 0.
-  struct Pinned {
-    const char* file;
-    ModelConfig config;
-    uint64_t cat;
-    uint64_t stock;
-  };
-  const Pinned pinned[] = {
-      {"golden_tng_v1.snap", TngConfig(), 0x3f94141414141415ULL, 0},
-      {"golden_lda_v1.snap", LdaConfig(), 0x3fefefdf1c812f1bULL, 0},
-  };
-  for (const Pinned& p : pinned) {
+TEST_F(GoldenSnapshotTest, GraphAndTopicV2FixturesWarmStartToPinnedScores) {
+  for (const Pinned& p : GraphAndTopicPins()) {
     SCOPED_TRACE(p.file);
     const std::string path = FixturePath(p.file);
     ASSERT_TRUE(std::filesystem::exists(path)) << path << " missing";
-    ASSERT_EQ(Magic(path), std::string(snapshot::kMagic, snapshot::kMagicSize));
+    ASSERT_EQ(ReadFile(path).substr(0, snapshot::kMagicSize),
+              std::string(snapshot::kMagicV2, snapshot::kMagicSize));
     ExpectWarmStartsScore(p.config, path, FromBits(p.cat), FromBits(p.stock));
   }
 }
 
-TEST_F(GoldenSnapshotTest, V1TermTheCorpusNeverProducesFailsTheOpen) {
-  // The fixture world's most frequent token, "cat", filtered as a stop
-  // word: ego's persisted vocabulary has it, the corpus dictionary does
-  // not, so the v1 adapter cannot map it to a gram in either residency.
-  std::vector<TweetId> all(world_.num_tweets());
-  for (TweetId id = 0; id < all.size(); ++id) all[id] = id;
-  const PreprocessedCorpus stopped(world_, all, /*stop_top_k=*/1);
-  ASSERT_TRUE(stopped.stop_filter().IsStop("cat"));
-  EngineContext ctx = ctx_;
-  ctx.pre = &stopped;
-  for (bool mapped : {false, true}) {
-    SCOPED_TRACE(mapped ? "mmap" : "resident");
-    auto engine = MakeEngine(config_);
-    Status open = mapped ? engine->OpenMapped(GoldenPath(), ctx)
-                         : engine->LoadSnapshot(GoldenPath(), ctx);
-    EXPECT_EQ(open.code(), StatusCode::kFailedPrecondition)
-        << open.ToString();
-    EXPECT_NE(open.message().find("\"cat\""), std::string::npos)
-        << open.ToString();
-  }
-}
-
-TEST_F(GoldenSnapshotTest, FixtureResavesAsV2AndStillScoresIdentically) {
-  // Migration path, for every family: warm-start the committed v1 fixture
-  // through OpenMapped (which opens it resident, so saving from it stays
-  // legal), re-save — which writes microrec.snap/2 — and serve the copy
-  // mapped: end to end, still bit-identical.
-  const std::pair<const char*, ModelConfig> fixtures[] = {
-      {"golden_tn_v1.snap", config_},
-      {"golden_tng_v1.snap", TngConfig()},
-      {"golden_lda_v1.snap", LdaConfig()},
-  };
-  EngineContext mmap_ctx = ctx_;
-  mmap_ctx.serve_mode = ServeMode::kMmap;
-  for (const auto& [file, config] : fixtures) {
-    SCOPED_TRACE(file);
-    const std::string path = FixturePath(file);
-    if (!std::filesystem::exists(path)) {
-      GTEST_SKIP() << path << " missing";
-    }
-    auto v1 = MakeEngine(config);
-    Status open = v1->OpenMapped(path, mmap_ctx);
+TEST_F(GoldenSnapshotTest, V2FixturesResaveByteIdentically) {
+  // What the engines write, pinned byte for byte: a resident open followed
+  // at once by SaveSnapshot reproduces each committed file, and the copy
+  // then serves the fixture's scores through both opens.
+  auto cold = ColdTrain();
+  std::vector<Pinned> fixtures = {
+      {"golden_tn_v2.snap", config_,
+       Bits(cold->Score(ego_, test_cat_, ctx_)),
+       Bits(cold->Score(ego_, test_stock_, ctx_))}};
+  for (const Pinned& p : GraphAndTopicPins()) fixtures.push_back(p);
+  for (const Pinned& p : fixtures) {
+    SCOPED_TRACE(p.file);
+    const std::string path = FixturePath(p.file);
+    const std::string committed = ReadFile(path);
+    ASSERT_FALSE(committed.empty()) << path << " missing";
+    auto engine = MakeEngine(p.config);
+    Status open = engine->LoadSnapshot(path, ctx_);
     ASSERT_TRUE(open.ok()) << open.ToString();
-    const double cat = v1->Score(ego_, test_cat_, mmap_ctx);
-    const double stock = v1->Score(ego_, test_stock_, mmap_ctx);
 
-    const std::string v2_path =
-        testutil::UniqueTempDir("microrec_golden_v2") + ".snap";
-    Status save = v1->SaveSnapshot(v2_path, mmap_ctx);
+    const std::string copy =
+        testutil::UniqueTempDir("microrec_golden_resave") + ".snap";
+    Status save = engine->SaveSnapshot(copy, ctx_);
     ASSERT_TRUE(save.ok()) << save.ToString();
-    EXPECT_EQ(Magic(v2_path),
-              std::string(snapshot::kMagicV2, snapshot::kMagicSize));
-    ExpectWarmStartsScore(config, v2_path, cat, stock);
+    const std::string resaved = ReadFile(copy);
+    const auto diff = std::mismatch(resaved.begin(), resaved.end(),
+                                    committed.begin(), committed.end());
+    EXPECT_TRUE(resaved == committed)
+        << "re-saved " << resaved.size() << " bytes against "
+        << committed.size() << " committed; first difference at offset "
+        << diff.first - resaved.begin();
+    ExpectWarmStartsScore(p.config, copy, FromBits(p.cat), FromBits(p.stock));
     std::error_code ec;
-    std::filesystem::remove(v2_path, ec);
+    std::filesystem::remove(copy, ec);
   }
 }
 

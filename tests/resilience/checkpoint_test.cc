@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_dir.h"
+
 namespace microrec::resilience {
 namespace {
 
@@ -23,8 +25,7 @@ CheckpointRecord MakeRecord(const std::string& fingerprint) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "microrec_ckpt_test";
-    std::filesystem::remove_all(dir_);
+    dir_ = testutil::UniqueTempDir("microrec_ckpt_test");
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "sweep.jsonl").string();
   }

@@ -1,17 +1,19 @@
 // MappedFile / MappedTable contract tests (snapshot/mapped.h): the mmap
-// reader must present exactly the logical bytes the resident reader
-// (File::Parse) presents — for v1 and v2 containers alike — and every
-// corruption a row read uncovers must be kDataLoss with file:offset
-// context, never a crash or a silently wrong row.
+// reader must present exactly the logical bytes the whole-file reference
+// reader (File::Parse) presents, and every corruption a row read uncovers
+// must be kDataLoss with file:offset context, never a crash or a silently
+// wrong row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "snapshot/codec.h"
+#include "snapshot/format.h"
 #include "snapshot/mapped.h"
 #include "snapshot/snapshot.h"
 #include "temp_dir.h"
@@ -46,7 +48,7 @@ class MappedSnapshotTest : public ::testing::Test {
     return header;
   }
 
-  /// Rows keyed by user id, as the engines write them in v2.
+  /// Rows keyed by user id, as the engines write them.
   static std::vector<std::pair<uint64_t, std::string>> TestRows() {
     std::vector<std::pair<uint64_t, std::string>> rows;
     for (uint64_t u = 0; u < 50; ++u) {
@@ -59,9 +61,8 @@ class MappedSnapshotTest : public ::testing::Test {
   }
 
   /// Writes a snapshot with a vocab section and a "users" row table.
-  std::string WriteSnapshot(const std::string& name, SnapshotCodec codec) {
+  std::string WriteSnapshot(const std::string& name) {
     Writer writer(TestHeader());
-    writer.set_codec(codec);
     Encoder vocab;
     vocab.PutVecString({"cat", "naps", "warm"});
     writer.AddSection("vocab", vocab.Release());
@@ -78,52 +79,43 @@ class MappedSnapshotTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(MappedSnapshotTest, OpenParsesBothVersions) {
-  for (auto [codec, version] :
-       {std::pair{SnapshotCodec::kRaw, 1u},
-        std::pair{SnapshotCodec::kCompressed, 2u}}) {
-    const std::string path =
-        WriteSnapshot("v" + std::to_string(version), codec);
-    Result<MappedFile> mapped = MappedFile::Open(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_EQ(mapped->version(), version);
-    EXPECT_EQ(mapped->header().model, "TN");
-    EXPECT_EQ(mapped->header().seed, 7u);
-    EXPECT_TRUE(mapped->Find("vocab").ok());
-    EXPECT_TRUE(mapped->Find("users").ok());
-    EXPECT_EQ(mapped->Find("nope").status().code(), StatusCode::kNotFound);
-    EXPECT_TRUE(mapped
-                    ->VerifyIdentity("TN", "R", 7, 0.05, "deadbeef01234567")
-                    .ok());
-    EXPECT_EQ(mapped->VerifyIdentity("LDA", "R", 7, 0.05,
-                                     "deadbeef01234567")
-                  .code(),
-              StatusCode::kFailedPrecondition);
-  }
+TEST_F(MappedSnapshotTest, OpenParsesTheContainer) {
+  const std::string path = WriteSnapshot("open");
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->header().model, "TN");
+  EXPECT_EQ(mapped->header().seed, 7u);
+  EXPECT_TRUE(mapped->Find("vocab").ok());
+  EXPECT_TRUE(mapped->Find("users").ok());
+  EXPECT_EQ(mapped->Find("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(VerifyIdentity(mapped->header(), mapped->origin(), "TN", "R", 7,
+                             0.05, "deadbeef01234567")
+                  .ok());
+  EXPECT_EQ(VerifyIdentity(mapped->header(), mapped->origin(), "LDA", "R", 7,
+                           0.05, "deadbeef01234567")
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
-TEST_F(MappedSnapshotTest, ReadSectionMatchesResidentParseForBothVersions) {
-  for (auto [codec, tag] : {std::pair{SnapshotCodec::kRaw, "rs_v1"},
-                            std::pair{SnapshotCodec::kCompressed, "rs_v2"}}) {
-    const std::string path = WriteSnapshot(tag, codec);
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    Result<File> resident = File::Parse(bytes, path);
-    ASSERT_TRUE(resident.ok()) << resident.status().ToString();
-    Result<MappedFile> mapped = MappedFile::Open(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    for (const Section& section : resident->sections()) {
-      std::string logical;
-      ASSERT_TRUE(mapped->ReadSection(section.name, &logical).ok())
-          << tag << "/" << section.name;
-      EXPECT_EQ(logical, section.payload) << tag << "/" << section.name;
-    }
+TEST_F(MappedSnapshotTest, ReadSectionMatchesResidentParse) {
+  const std::string path = WriteSnapshot("read_section");
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  Result<File> resident = File::Parse(bytes, path);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  for (const Section& section : resident->sections()) {
+    std::string logical;
+    ASSERT_TRUE(mapped->ReadSection(section.name, &logical).ok())
+        << section.name;
+    EXPECT_EQ(logical, section.payload) << section.name;
   }
 }
 
 TEST_F(MappedSnapshotTest, TableRowsReadBackExactly) {
-  const std::string path = WriteSnapshot("table", SnapshotCodec::kCompressed);
+  const std::string path = WriteSnapshot("table");
   Result<MappedFile> mapped = MappedFile::Open(path);
   ASSERT_TRUE(mapped.ok());
   Result<MappedTable> table = MappedTable::Open(*mapped, "users");
@@ -148,19 +140,39 @@ TEST_F(MappedSnapshotTest, TableRowsReadBackExactly) {
   EXPECT_TRUE(row.empty());
 }
 
-TEST_F(MappedSnapshotTest, TableOpenOnV1SectionIsAnError) {
-  // A v1 payload carries no MCS1 stream; MappedTable must refuse it with a
-  // Status, not misread it.
-  const std::string path = WriteSnapshot("tv1", SnapshotCodec::kRaw);
+TEST_F(MappedSnapshotTest, TableOpenOnNonStreamSectionIsDataLoss) {
+  // A hand-framed container whose "users" payload is plain bytes under a
+  // valid frame CRC: the directory walk accepts it, and MappedTable must
+  // refuse it as kDataLoss naming the section, not misread it.
+  Encoder enc;
+  enc.PutRaw(std::string_view(kMagicV2, kMagicSize));
+  auto frame = [&enc](const std::string& name, const std::string& payload) {
+    enc.PutU32(static_cast<uint32_t>(name.size()));
+    enc.PutRaw(name);
+    enc.PutU64(payload.size());
+    enc.PutU32(Crc32(payload, Crc32(name)));
+    enc.PutRaw(payload);
+  };
+  frame("header", EncodeHeader(TestHeader()));
+  frame("users", "plain bytes, no MCS1 stream");
+  const std::string path = Path("plain_users");
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(enc.bytes().data(),
+            static_cast<std::streamsize>(enc.bytes().size()));
+  out.close();
+
   Result<MappedFile> mapped = MappedFile::Open(path);
-  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   Result<MappedTable> table = MappedTable::Open(*mapped, "users");
-  EXPECT_FALSE(table.ok());
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(table.status().message().find("section \"users\""),
+            std::string::npos)
+      << table.status().ToString();
 }
 
 TEST_F(MappedSnapshotTest, CorruptRowBytesAreDataLossWithContext) {
-  const std::string path =
-      WriteSnapshot("corrupt", SnapshotCodec::kCompressed);
+  const std::string path = WriteSnapshot("corrupt");
   // Flip one byte near the end of the file: it lands in the users stream's
   // last data block, so the index parses but the covering block's CRC fails.
   std::ifstream in(path, std::ios::binary);
@@ -202,7 +214,7 @@ TEST_F(MappedSnapshotTest, CorruptRowBytesAreDataLossWithContext) {
 }
 
 TEST_F(MappedSnapshotTest, TruncatedFileFailsToOpen) {
-  const std::string path = WriteSnapshot("trunc", SnapshotCodec::kCompressed);
+  const std::string path = WriteSnapshot("trunc");
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());

@@ -1,5 +1,5 @@
 // Deterministic structure-aware fuzzing of the two binary/line parsers that
-// consume untrusted bytes: the microrec.snap/1 loader and the TSV corpus
+// consume untrusted bytes: the microrec.snap/2 loader and the TSV corpus
 // reader. Each case derives a mutant (truncate / bit-flip / splice) from a
 // pristine input via snapshot::Mutate(seed, index) — fully reproducible, no
 // corpus files to manage. The contract under test is "error, never crash or
@@ -60,8 +60,8 @@ std::string DumpArtifact(const std::string& format, uint64_t seed,
   return path;
 }
 
-/// A realistic pristine snapshot: identity header plus the section shapes
-/// the engines actually write (string vectors, doubles, raw ids).
+/// A pristine snapshot: identity header plus fixed-width section payloads
+/// (string vectors, doubles, raw ids), each an MCS1 stream on the wire.
 std::string PristineSnapshot() {
   Header header;
   header.model = "TN";
@@ -152,12 +152,11 @@ TEST(SnapshotFuzzTest, SectionDecodersSurviveMutants) {
   }
 }
 
-// ---- v2 (compressed) container fuzzing. ----
+// ---- Row-table containers and the mmap read path. ----
 
-/// Same identity and section shapes as PristineSnapshot(), serialized as a
-/// microrec.snap/2 container: every non-header payload is an MCS1 stream
-/// and the users section uses the v2 row-table encoding the mmap serving
-/// mode random-accesses.
+/// Same identity and section shapes as PristineSnapshot(), except that the
+/// users section uses the row-table encoding the mmap serving mode
+/// random-accesses.
 std::string PristineSnapshotV2() {
   Header header;
   header.model = "TN";
@@ -168,7 +167,6 @@ std::string PristineSnapshotV2() {
   header.vocab_fingerprint =
       FingerprintTerms({"cat", "naps", "warm", "windowsill", "yarn"});
   Writer writer(header);
-  writer.set_codec(SnapshotCodec::kCompressed);
 
   Encoder vocab;
   vocab.PutVecString({"cat", "naps", "warm", "windowsill", "yarn"});
@@ -205,7 +203,7 @@ TEST(SnapshotFuzzTest, MutatedV2ContainersErrorNeverCrash) {
       ++rejected;
       continue;
     }
-    // Same acceptance rule as v1: only exact prefixes cut at a section
+    // Same acceptance rule as above: only exact prefixes cut at a section
     // boundary may parse (each surviving section decompresses on its own).
     const bool is_prefix =
         mutant.size() <= pristine.size() &&
@@ -323,10 +321,10 @@ TEST(SnapshotFuzzTest, V2StreamMutantsUnderFrameCrcAreStillCaught) {
 
   // (a) Truncation inside the final compressed block. A bare cut is caught
   // by the outer framing (payload shorter than its length field — a
-  // structural InvalidArgument, as in v1); to reach the block layer the
-  // frame is made self-consistent: payload_len is reduced to match and the
-  // frame CRC re-derived, so only the MCS1 directory can notice the
-  // missing block bytes — and it must, as kDataLoss.
+  // structural InvalidArgument); to reach the block layer the frame is made
+  // self-consistent: payload_len is reduced to match and the frame CRC
+  // re-derived, so only the MCS1 directory can notice the missing block
+  // bytes — and it must, as kDataLoss.
   for (size_t cut : {size_t{1}, size_t{3}, stream_len / 2}) {
     Result<File> bare =
         File::Parse(pristine.substr(0, pristine.size() - cut), "<fuzz>");

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "resilience/fault.h"
+#include "temp_dir.h"
 #include "util/status.h"
 
 namespace microrec::snapshot {
@@ -28,12 +29,6 @@ Writer TestWriter() {
   writer.AddSection("vocab", "payload-one");
   writer.AddSection("users", std::string("\0binary\xFFpayload", 15));
   return writer;
-}
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("microrec_snap_test_") + name))
-      .string();
 }
 
 TEST(SnapshotTest, SerializeParseRoundTrip) {
@@ -58,8 +53,7 @@ TEST(SnapshotTest, SerializeParseRoundTrip) {
 }
 
 TEST(SnapshotTest, CommitThenLoadThroughMissingDirectory) {
-  std::string dir = TempPath("commitdir");
-  std::filesystem::remove_all(dir);
+  std::string dir = testutil::UniqueTempDir("microrec_snap_commitdir");
   std::string path = dir + "/nested/model.snap";
   ASSERT_TRUE(TestWriter().Commit(path).ok());
   // Atomic write: no stray tmp file survives a successful commit.
@@ -71,7 +65,8 @@ TEST(SnapshotTest, CommitThenLoadThroughMissingDirectory) {
 }
 
 TEST(SnapshotTest, LoadMissingFileIsNotFound) {
-  Result<File> file = File::Load(TempPath("does_not_exist.snap"));
+  Result<File> file =
+      File::Load(testutil::UniqueTempDir("microrec_snap_missing") + ".snap");
   EXPECT_EQ(file.status().code(), StatusCode::kNotFound);
 }
 
@@ -82,15 +77,22 @@ TEST(SnapshotTest, GarbageMagicIsInvalidArgument) {
 }
 
 TEST(SnapshotTest, VersionSkewIsFailedPrecondition) {
-  std::string bytes = TestWriter().Serialize();
-  // Same format family, future version: "microrec.snap/3\n". (Version 2 is
-  // understood since the compressed-section codec landed; see the v2 tests.)
-  bytes[14] = '3';
-  Result<File> file = File::Parse(bytes, "<memory>");
-  EXPECT_EQ(file.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(file.status().message().find("microrec.snap/3"),
-            std::string::npos)
-      << file.status().ToString();
+  // Same format family, another version: the retired "microrec.snap/1\n"
+  // or a future "/3\n". Only /2 is understood.
+  for (char version : {'1', '3'}) {
+    SCOPED_TRACE(version);
+    std::string bytes = TestWriter().Serialize();
+    bytes[14] = version;
+    Result<File> file = File::Parse(bytes, "<memory>");
+    EXPECT_EQ(file.status().code(), StatusCode::kFailedPrecondition);
+    const std::string& message = file.status().message();
+    EXPECT_NE(message.find(std::string("microrec.snap/") + version),
+              std::string::npos)
+        << file.status().ToString();
+    EXPECT_NE(message.find("reader understands microrec.snap/2"),
+              std::string::npos)
+        << file.status().ToString();
+  }
 }
 
 TEST(SnapshotTest, PayloadBitFlipIsDataLoss) {
@@ -135,17 +137,37 @@ TEST(SnapshotTest, VerifyIdentityChecksEveryField) {
   std::string bytes = TestWriter().Serialize();
   Result<File> file = File::Parse(bytes, "<memory>");
   ASSERT_TRUE(file.ok());
-  EXPECT_TRUE(file->VerifyIdentity("LDA", "R", 11, 0.1, "abc123").ok());
-  EXPECT_EQ(file->VerifyIdentity("BTM", "R", 11, 0.1, "abc123").code(),
+  auto verify = [&file](const std::string& model, const std::string& source,
+                        uint64_t seed, double iteration_scale,
+                        const std::string& config_fingerprint) {
+    return VerifyIdentity(file->header(), file->origin(), model, source, seed,
+                          iteration_scale, config_fingerprint);
+  };
+  EXPECT_TRUE(verify("LDA", "R", 11, 0.1, "abc123").ok());
+  EXPECT_EQ(verify("BTM", "R", 11, 0.1, "abc123").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(file->VerifyIdentity("LDA", "E", 11, 0.1, "abc123").code(),
+  EXPECT_EQ(verify("LDA", "E", 11, 0.1, "abc123").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(file->VerifyIdentity("LDA", "R", 12, 0.1, "abc123").code(),
+  EXPECT_EQ(verify("LDA", "R", 12, 0.1, "abc123").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(file->VerifyIdentity("LDA", "R", 11, 0.2, "abc123").code(),
+  EXPECT_EQ(verify("LDA", "R", 11, 0.2, "abc123").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(file->VerifyIdentity("LDA", "R", 11, 0.1, "other").code(),
+  EXPECT_EQ(verify("LDA", "R", 11, 0.1, "other").code(),
             StatusCode::kFailedPrecondition);
+
+  // Scales that first differ past the sixth decimal still print as two
+  // different numbers.
+  Status close = verify("LDA", "R", 11, 0.1000000001, "abc123");
+  ASSERT_EQ(close.code(), StatusCode::kFailedPrecondition);
+  const std::string& message = close.message();
+  const size_t expected = message.find("expected ");
+  const size_t got = message.find(", file has ");
+  ASSERT_NE(expected, std::string::npos) << message;
+  ASSERT_NE(got, std::string::npos) << message;
+  const size_t begin = expected + std::string("expected ").size();
+  EXPECT_NE(message.substr(begin, got - begin),
+            message.substr(got + std::string(", file has ").size()))
+      << message;
 }
 
 TEST(SnapshotTest, OpenSectionCarriesAbsoluteOffsets) {
@@ -167,7 +189,7 @@ TEST(SnapshotTest, OpenSectionCarriesAbsoluteOffsets) {
 TEST(SnapshotTest, InjectedWriteFaultSurfaces) {
   resilience::ArmFault(resilience::kSiteSnapshotWrite,
                        resilience::FaultSpec{.every_nth = 1});
-  std::string path = TempPath("faulted.snap");
+  std::string path = testutil::UniqueTempDir("microrec_snap_faulted") + ".snap";
   Status st = TestWriter().Commit(path);
   resilience::ClearFaults();
   EXPECT_FALSE(st.ok());
@@ -175,7 +197,8 @@ TEST(SnapshotTest, InjectedWriteFaultSurfaces) {
 }
 
 TEST(SnapshotTest, InjectedLoadFaultSurfaces) {
-  std::string path = TempPath("loadfault.snap");
+  std::string path =
+      testutil::UniqueTempDir("microrec_snap_loadfault") + ".snap";
   ASSERT_TRUE(TestWriter().Commit(path).ok());
   resilience::ArmFault(resilience::kSiteSnapshotLoad,
                        resilience::FaultSpec{.every_nth = 1});
