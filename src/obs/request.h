@@ -12,11 +12,14 @@
 // A RequestTrace is plumbed down as an optional pointer: every layer
 // accepts nullptr and skips attribution, so offline evaluation pays
 // nothing. Stage seconds live in a fixed array indexed by Stage, so a
-// trace allocates nothing and attributing a stage is one add. When Chrome
-// tracing is active, each ScopedStage additionally emits a trace span
-// tagged with the request id (args.rid), so one query's spans — across
-// the client thread and the scoring pool's shards — can be filtered into
-// a single causal tree in Perfetto.
+// trace allocates nothing and attributing a stage is one add. A
+// StageClock times a chain of consecutive stages from one running
+// timestamp: each stage boundary is one clock read, which closes one stage
+// and opens the next. When Chrome tracing is active, each stage a
+// StageClock enters additionally emits a trace span tagged with the
+// request id (args.rid), so one query's spans — across the client thread
+// and the scoring pool's shards — can be filtered into a single causal
+// tree in Perfetto.
 //
 // RequestTrace is not thread-safe; it belongs to the one thread driving
 // the query. The sharded kernel phase is attributed as one "score" stage
@@ -89,34 +92,60 @@ class RequestTrace {
   uint8_t entered_ = 0;  // bit i set once stage i is attributed
 };
 
-/// RAII stage attribution: on destruction adds the elapsed seconds to the
-/// trace (nullptr-safe) and closes the rid-tagged Chrome span it opened.
-class ScopedStage {
+/// Chained stage attribution. Enter(next) reads the clock once: that
+/// instant closes the open stage, adding its seconds to the trace, and
+/// opens `next`. The destructor closes the last stage with one more read,
+/// so a chain of k stages costs k + 1 clock reads. With a null trace no
+/// clock is read; the spans below are emitted either way.
+///
+/// While Chrome tracing is active, each entered stage is a begin/end span
+/// pair named StageName(stage) and tagged with the trace's request id.
+class StageClock {
  public:
-  ScopedStage(RequestTrace* trace, Stage stage)
-      : trace_(trace),
-        stage_(stage),
-        span_(StageName(stage), trace != nullptr ? trace->id() : 0),
-        start_(trace != nullptr ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{}) {}
-  ~ScopedStage() {
-    if (trace_ != nullptr) {
-      trace_->AddStage(
-          stage_,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count());
-    }
+  explicit StageClock(RequestTrace* trace) : trace_(trace) {}
+  ~StageClock() {
+    if (open_) Close(Now());
   }
 
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
+  StageClock(const StageClock&) = delete;
+  StageClock& operator=(const StageClock&) = delete;
+
+  /// Closes the open stage, if any, and opens `next` at the same instant.
+  void Enter(Stage next) {
+    const Clock::time_point now = Now();
+    if (open_) Close(now);
+    stage_ = next;
+    start_ = now;
+    open_ = true;
+    span_open_ = TracingEnabled();
+    if (span_open_) internal::RecordEvent(StageName(next), 'B', RequestId());
+  }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  Clock::time_point Now() const {
+    return trace_ != nullptr ? Clock::now() : Clock::time_point{};
+  }
+  uint64_t RequestId() const { return trace_ != nullptr ? trace_->id() : 0; }
+
+  void Close(Clock::time_point now) {
+    // As in TraceSpan: no end event once tracing has stopped mid-stage.
+    if (span_open_ && TracingEnabled()) {
+      internal::RecordEvent(StageName(stage_), 'E', RequestId());
+    }
+    if (trace_ != nullptr) {
+      trace_->AddStage(stage_,
+                       std::chrono::duration<double>(now - start_).count());
+    }
+    open_ = false;
+  }
+
   RequestTrace* trace_;
-  Stage stage_;
-  TraceSpan span_;
-  std::chrono::steady_clock::time_point start_;
+  Stage stage_ = Stage::kCandidateGen;
+  bool open_ = false;
+  bool span_open_ = false;
+  Clock::time_point start_{};
 };
 
 }  // namespace microrec::obs

@@ -19,10 +19,15 @@
 //     brute-force ranking at any thread count;
 //   * a one-pass top-K selection over the permutation when only the head
 //     of the ranking is needed (serving), instead of sorting the full
-//     candidate set;
+//     candidate set. Up to 64 kept items and their scores sit in fixed
+//     stack buffers, and each insert is a backward shift; a wider top-K
+//     sorts fully and truncates. Both give the head of the full ranking;
 //   * an optional per-user score cache, a flat open-addressing map
 //     (util/flat_map.h), so repeated candidates across queries skip
-//     Engine::Score entirely.
+//     Engine::Score entirely;
+//   * per-ranker scratch for the scores, the uncached slots and the
+//     permutation, reused across calls: once it has grown, a query whose
+//     scores all hit the cache allocates only the ranking it returns.
 #ifndef MICROREC_REC_RANKER_H_
 #define MICROREC_REC_RANKER_H_
 
@@ -92,7 +97,8 @@ std::vector<uint32_t> CanonicalOrder(const std::vector<double>& scores,
                                      Rng* tie_rng, size_t top_k = 0);
 
 /// Batched, sharded scoring + canonical ranking over one engine. Not
-/// thread-safe itself (internal parallelism only); the engine and context
+/// thread-safe itself (internal parallelism only): its score cache and
+/// per-call scratch belong to one caller at a time. The engine and context
 /// must outlive the ranker.
 class BatchRanker {
  public:
@@ -104,9 +110,9 @@ class BatchRanker {
   /// elements (nullptr = no permutation). The deadline, when given, is
   /// re-checked at every shard boundary; expiry aborts with
   /// DeadlineExceeded before any ranking is produced. `trace`, when given,
-  /// receives per-stage latency attribution (candidate_gen / score / rank)
-  /// and tags the Chrome spans of this call with its request id; tracing
-  /// never changes scores or ordering.
+  /// receives per-stage latency attribution (candidate_gen / score / rank,
+  /// one clock read per stage boundary) and tags the Chrome spans of this
+  /// call with its request id; tracing never changes scores or ordering.
   Result<std::vector<RankedItem>> Rank(
       corpus::UserId u, const std::vector<corpus::TweetId>& candidates,
       Rng* tie_rng, const resilience::Deadline* deadline = nullptr,
@@ -120,6 +126,10 @@ class BatchRanker {
   RankerOptions options_;
   std::unordered_map<corpus::UserId, FlatMap<corpus::TweetId, double>>
       cache_;
+  // Per-call scratch; Rank() resets each before use.
+  std::vector<double> scores_;      // by candidate position
+  std::vector<uint32_t> uncached_;  // positions Engine::Score fills
+  std::vector<uint32_t> order_;     // tie permutation, then rank order
 };
 
 }  // namespace microrec::rec

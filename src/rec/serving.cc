@@ -284,10 +284,19 @@ RecommendResult DegradingRecommender::Recommend(
   // ladder's wasted walk is visible as its own stage.
   const uint64_t rid = trace != nullptr ? trace->id() : 0;
   const std::string_view op = trace != nullptr ? trace->op() : "";
+  // Attempts chain like stages: the first starts with the query, and each
+  // later one at the clock read that charged its predecessor to `degrade`.
+  auto attempt_start = query_start;
+  auto charge_degrade = [&] {
+    if (trace == nullptr) return;
+    const auto now = std::chrono::steady_clock::now();
+    trace->AddStage(obs::Stage::kDegrade,
+                    std::chrono::duration<double>(now - attempt_start).count());
+    attempt_start = now;
+  };
 
   // Rung 0: the requested model, warm-started from its snapshot.
   if (min_rung <= 0) {
-    const auto attempt_start = std::chrono::steady_clock::now();
     obs::RequestTrace attempt(rid, op);
     obs::RequestTrace* attempt_trace = trace != nullptr ? &attempt : nullptr;
     Status primary = EnsurePrimary();
@@ -317,9 +326,7 @@ RecommendResult DegradingRecommender::Recommend(
       result.deadline_expired = true;
     }
     result.degraded_reason = primary.ToString();
-    if (trace != nullptr) {
-      trace->AddStage(obs::Stage::kDegrade, SecondsSince(attempt_start));
-    }
+    charge_degrade();
   } else {
     result.degraded_reason = "rung 0 skipped (min_rung=" +
                              std::to_string(min_rung) + ")";
@@ -327,7 +334,6 @@ RecommendResult DegradingRecommender::Recommend(
 
   // Rung 1: the cached bag-of-words fallback.
   if (min_rung <= 1) {
-    const auto attempt_start = std::chrono::steady_clock::now();
     obs::RequestTrace attempt(rid, op);
     obs::RequestTrace* attempt_trace = trace != nullptr ? &attempt : nullptr;
     Status fallback = EnsureFallbackUser(u);
@@ -347,14 +353,13 @@ RecommendResult DegradingRecommender::Recommend(
       result.deadline_expired = true;
     }
     result.degraded_reason += "; " + fallback.ToString();
-    if (trace != nullptr) {
-      trace->AddStage(obs::Stage::kDegrade, SecondsSince(attempt_start));
-    }
+    charge_degrade();
   }
 
   // Rung 2: popularity — no model state, no deadline checks, always ranks.
   {
-    obs::ScopedStage stage(trace, obs::Stage::kRank);
+    obs::StageClock stages(trace);
+    stages.Enter(obs::Stage::kRank);
     result.rung = ServingRung::kPopularity;
     result.ranking = PopularityRanking(candidates);
     if (options_.top_k > 0 && result.ranking.size() > options_.top_k) {

@@ -7,10 +7,6 @@
 
 namespace microrec {
 
-namespace {
-constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
-}  // namespace
-
 namespace streams {
 
 const std::vector<NamedStream>& ReservedStreams() {
@@ -44,31 +40,8 @@ Rng Rng::Split() {
   return Rng(child_seed, child_stream);
 }
 
-uint32_t Rng::NextU32() {
-  uint64_t old = state_;
-  state_ = old * kPcgMultiplier + inc_;
-  uint32_t xorshifted = static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
 uint64_t Rng::NextU64() {
   return (static_cast<uint64_t>(NextU32()) << 32) | NextU32();
-}
-
-uint32_t Rng::UniformU32(uint32_t bound) {
-  assert(bound > 0);
-  // Lemire's nearly-divisionless unbiased bounded sampling.
-  uint64_t m = static_cast<uint64_t>(NextU32()) * bound;
-  uint32_t l = static_cast<uint32_t>(m);
-  if (l < bound) {
-    uint32_t t = -bound % bound;
-    while (l < t) {
-      m = static_cast<uint64_t>(NextU32()) * bound;
-      l = static_cast<uint32_t>(m);
-    }
-  }
-  return static_cast<uint32_t>(m >> 32);
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

@@ -124,6 +124,9 @@ class Rng {
   static constexpr uint32_t min() { return 0; }
   static constexpr uint32_t max() { return 0xffffffffu; }
 
+  // NextU32 and UniformU32 are defined inline below: Shuffle draws one
+  // UniformU32 per element, and the ranker shuffles every query's
+  // candidates.
   uint32_t NextU32();
   uint64_t NextU64();
 
@@ -211,12 +214,38 @@ class Rng {
   }
 
  private:
+  static constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
+
   uint64_t state_;
   uint64_t inc_;
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
   uint64_t degenerate_draws_ = 0;
 };
+
+inline uint32_t Rng::NextU32() {
+  const uint64_t old = state_;
+  state_ = old * kPcgMultiplier + inc_;
+  const uint32_t xorshifted =
+      static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
+  const uint32_t rot = static_cast<uint32_t>(old >> 59u);
+  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+}
+
+inline uint32_t Rng::UniformU32(uint32_t bound) {
+  assert(bound > 0);
+  // Lemire's nearly-divisionless unbiased bounded sampling.
+  uint64_t m = static_cast<uint64_t>(NextU32()) * bound;
+  uint32_t l = static_cast<uint32_t>(m);
+  if (l < bound) {
+    const uint32_t t = -bound % bound;
+    while (l < t) {
+      m = static_cast<uint64_t>(NextU32()) * bound;
+      l = static_cast<uint32_t>(m);
+    }
+  }
+  return static_cast<uint32_t>(m >> 32);
+}
 
 }  // namespace microrec
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -79,9 +80,26 @@ TEST(CanonicalOrderTest, TopKIsExactPrefixOfFullRanking) {
   // Heavy ties: four values, one of them -inf, at sizes up to and past the
   // ~64 candidates a serving query ranks.
   const double values[] = {0.25, 0.75, kNegInf, 0.5};
-  for (size_t n : {1, 2, 63, 64, 65, 257}) {
+  for (size_t n : {1, 2, 63, 64, 65, 130, 257}) {
     std::vector<double> scores(n);
     for (size_t i = 0; i < n; ++i) scores[i] = values[(i * 7 + n) % 4];
+    inputs.push_back(scores);
+  }
+  // +0.0 and -0.0 compare equal under >, so only the tie permutation may
+  // order them; a few positives and negatives sit around them.
+  for (size_t n : {20, 64, 130}) {
+    std::vector<double> scores(n);
+    for (size_t i = 0; i < n; ++i) {
+      scores[i] = i % 9 == 0 ? 0.5 : i % 11 == 0 ? -0.5 : i % 2 ? -0.0 : 0.0;
+    }
+    inputs.push_back(scores);
+  }
+  // All distinct: every selection decision is a strict comparison.
+  for (size_t n : {64, 257}) {
+    std::vector<double> scores(n);
+    for (size_t i = 0; i < n; ++i) {
+      scores[i] = static_cast<double>((i * 37 + 11) % n) / 8.0 - 3.0;
+    }
     inputs.push_back(scores);
   }
   for (const std::vector<double>& scores : inputs) {
@@ -90,7 +108,12 @@ TEST(CanonicalOrderTest, TopKIsExactPrefixOfFullRanking) {
     if (n <= 65) {
       for (size_t k = 1; k <= n; ++k) ks.push_back(k);
     } else {
-      ks = {1, 2, 3, 10, 63, 64, 65, 128, 255, n - 1, n};
+      // Around and past the widest selection kept in fixed buffers (64).
+      for (size_t k : {1, 2, 3, 10, 63, 64, 65, 66, 100, 128, 255, 256}) {
+        if (k < n) ks.push_back(k);
+      }
+      ks.push_back(n);
+      ks.push_back(n + 1);
     }
     for (uint64_t seed = 0; seed < 20; ++seed) {
       Rng full_rng(seed, kTieBreakStream);
@@ -99,13 +122,24 @@ TEST(CanonicalOrderTest, TopKIsExactPrefixOfFullRanking) {
       for (size_t k : ks) {
         Rng topk_rng(seed, kTieBreakStream);
         std::vector<uint32_t> head = CanonicalOrder(scores, &topk_rng, k);
-        EXPECT_EQ(head, std::vector<uint32_t>(full.begin(), full.begin() + k))
+        EXPECT_EQ(head, std::vector<uint32_t>(
+                            full.begin(), full.begin() + std::min(k, n)))
             << "n " << n << " seed " << seed << " k " << k;
         EXPECT_EQ(topk_rng.NextU32(), next_draw)
             << "n " << n << " seed " << seed << " k " << k;
       }
     }
   }
+}
+
+TEST(CanonicalOrderTest, SignedZerosTieByInputPositionWithoutRng) {
+  // -0.0 is not below +0.0: without a permutation both the full sort and
+  // the top-K pass keep the zeros in input order.
+  const std::vector<double> scores = {-0.0, 0.0, -0.0, 0.0, 0.25};
+  EXPECT_EQ(CanonicalOrder(scores, nullptr),
+            (std::vector<uint32_t>{4, 0, 1, 2, 3}));
+  EXPECT_EQ(CanonicalOrder(scores, nullptr, 3),
+            (std::vector<uint32_t>{4, 0, 1}));
 }
 
 TEST(CanonicalOrderTest, TopKConsumesSameRngDrawsAsFullSort) {
@@ -309,6 +343,94 @@ TEST_F(FakeEngineTest, EmptyCandidateListRanksEmpty) {
   Result<std::vector<RankedItem>> ranked = ranker.Rank(0, {}, &tie_rng);
   ASSERT_TRUE(ranked.ok());
   EXPECT_TRUE(ranked->empty());
+}
+
+TEST_F(FakeEngineTest, ReusedRankerMatchesFreshRankerAcrossCalls) {
+  // Heavy ties, so the permutation decides most positions, and one NaN.
+  for (TweetId d = 100; d < 200; ++d) {
+    engine_.scores[d] = static_cast<double>(d % 4) / 4.0;
+  }
+  engine_.scores[150] = std::numeric_limits<double>::quiet_NaN();
+  auto ids = [](TweetId first, size_t count) {
+    std::vector<TweetId> out;
+    for (size_t i = 0; i < count; ++i) out.push_back(first + i);
+    return out;
+  };
+  struct Call {
+    UserId user;
+    std::vector<TweetId> candidates;
+    bool expired;
+  };
+  // 65 -> 3 -> 65 candidates over three users, and 65 -> 3 for a user
+  // with a cache. The expired call goes to a user with nothing cached, so
+  // it fails in the reused and the fresh ranker alike; the last call
+  // repeats the first, all hits when cached.
+  const std::vector<Call> calls = {
+      {1, ids(100, 65), false}, {2, {101, 150, 7}, false},
+      {3, ids(100, 65), true},  {1, ids(120, 65), false},
+      {1, {101, 150, 7}, false}, {2, ids(130, 65), false},
+      {1, ids(100, 65), false},
+  };
+  const resilience::Deadline expired = resilience::Deadline::After(0.0);
+  // A 32-entry cache leaves repeat calls part hit, part miss; 4096 makes
+  // the last call all hits.
+  for (size_t cache : {size_t{0}, size_t{32}, size_t{4096}}) {
+    for (size_t top_k : {size_t{0}, size_t{10}}) {
+      RankerOptions options;
+      options.score_cache_capacity = cache;
+      options.top_k = top_k;
+      BatchRanker reused(&engine_, &ctx_, options);
+      Rng reused_rng(5, kTieBreakStream);
+      Rng fresh_rng(5, kTieBreakStream);
+      // What the reused ranker's cache holds, per user: it must score
+      // exactly the candidates outside it.
+      std::unordered_map<UserId, std::vector<TweetId>> cached;
+      for (size_t c = 0; c < calls.size(); ++c) {
+        const Call& call = calls[c];
+        const resilience::Deadline* deadline =
+            call.expired ? &expired : nullptr;
+        std::vector<TweetId> misses;
+        for (TweetId d : call.candidates) {
+          const std::vector<TweetId>& held = cached[call.user];
+          if (std::find(held.begin(), held.end(), d) == held.end()) {
+            misses.push_back(d);
+          }
+        }
+        const int calls_before = engine_.score_calls;
+        Result<std::vector<RankedItem>> got =
+            reused.Rank(call.user, call.candidates, &reused_rng, deadline);
+        EXPECT_EQ(engine_.score_calls - calls_before,
+                  call.expired ? 0 : static_cast<int>(misses.size()))
+            << "call " << c;
+        for (TweetId d : misses) {
+          if (call.expired || cached[call.user].size() >= cache) break;
+          cached[call.user].push_back(d);
+        }
+        BatchRanker fresh(&engine_, &ctx_, options);
+        Result<std::vector<RankedItem>> want =
+            fresh.Rank(call.user, call.candidates, &fresh_rng, deadline);
+        const std::string where = "cache " + std::to_string(cache) +
+                                  " top_k " + std::to_string(top_k) +
+                                  " call " + std::to_string(c);
+        ASSERT_EQ(got.ok(), !call.expired) << where;
+        ASSERT_EQ(want.ok(), !call.expired) << where;
+        if (call.expired) {
+          EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+        } else {
+          ASSERT_EQ(got->size(), want->size()) << where;
+          for (size_t i = 0; i < got->size(); ++i) {
+            EXPECT_EQ((*got)[i].tweet, (*want)[i].tweet) << where;
+            EXPECT_EQ((*got)[i].score, (*want)[i].score) << where;
+            EXPECT_EQ((*got)[i].index, (*want)[i].index) << where;
+          }
+        }
+        // Both tie streams advanced by the same draws.
+        Rng reused_next = reused_rng;
+        Rng fresh_next = fresh_rng;
+        EXPECT_EQ(reused_next.NextU32(), fresh_next.NextU32()) << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/request.h"
+#include "obs/trace.h"
 #include "resilience/fault.h"
 #include "temp_dir.h"
 
@@ -462,6 +467,81 @@ TEST_F(ServingFixture, RequestTraceAttributesStagesPerRung) {
     // (never as primary-stage time), then the fallback scores and ranks.
     EXPECT_GT(trace.StageSeconds(obs::Stage::kDegrade), 0.0);
     EXPECT_GT(trace.StageSeconds(obs::Stage::kRank), 0.0);
+  }
+  {
+    // Score cache on: the first query scores both candidates and the repeat
+    // is all cache hits. Each still enters candidate_gen, score and rank,
+    // once each, inside its own wall time, with one rid-tagged span pair
+    // per stage.
+    const std::string trace_path =
+        testutil::UniqueTempDir("microrec_stage_trace") + ".json";
+    ASSERT_TRUE(obs::StartTracing(trace_path));
+    ServingOptions options = Options();
+    options.score_cache_capacity = 16;
+    DegradingRecommender rec(ctx_, options);
+    const obs::Stage kRungStages[] = {obs::Stage::kCandidateGen,
+                                      obs::Stage::kScore, obs::Stage::kRank};
+    auto stage_count = [](obs::Stage stage) {
+      return obs::MetricsRegistry::Global()
+          .GetHistogram("rec.stage." + std::string(obs::StageName(stage)))
+          ->count();
+    };
+    for (uint64_t rid : {31, 32}) {
+      std::vector<uint64_t> before;
+      for (obs::Stage stage : kRungStages) before.push_back(stage_count(stage));
+      obs::RequestTrace trace(rid, "recommend");
+      QueryOptions query;
+      query.request_id = rid;
+      query.trace = &trace;
+      const auto start = std::chrono::steady_clock::now();
+      RecommendResult result = rec.Recommend(ego_, candidates, query);
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      EXPECT_EQ(result.rung, ServingRung::kPrimary);
+      double staged = 0.0;
+      for (size_t s = 0; s < std::size(kRungStages); ++s) {
+        EXPECT_TRUE(trace.Entered(kRungStages[s])) << "rid " << rid;
+        EXPECT_EQ(stage_count(kRungStages[s]), before[s] + 1) << "rid " << rid;
+        staged += trace.StageSeconds(kRungStages[s]);
+      }
+      EXPECT_FALSE(trace.Entered(obs::Stage::kDegrade));
+      EXPECT_LE(staged, wall) << "rid " << rid;
+    }
+    obs::StopTracing();
+
+    std::ifstream in(trace_path);
+    ASSERT_TRUE(in.good());
+    std::map<std::string, int> spans;  // "<stage> <phase> <rid>" -> events
+    for (std::string line; std::getline(in, line);) {
+      for (obs::Stage stage : kRungStages) {
+        const std::string name(obs::StageName(stage));
+        if (line.find("\"name\":\"" + name + "\"") == std::string::npos) {
+          continue;
+        }
+        for (const char* phase : {"B", "E"}) {
+          for (uint64_t rid : {31, 32}) {
+            if (line.find(std::string("\"ph\":\"") + phase + "\"") !=
+                    std::string::npos &&
+                line.find("\"args\":{\"rid\":" + std::to_string(rid) +
+                          "}") != std::string::npos) {
+              ++spans[name + " " + phase + " " + std::to_string(rid)];
+            }
+          }
+        }
+      }
+    }
+    std::error_code ec;
+    std::filesystem::remove(trace_path, ec);
+    for (obs::Stage stage : kRungStages) {
+      for (const char* phase : {"B", "E"}) {
+        for (uint64_t rid : {31, 32}) {
+          const std::string key = std::string(obs::StageName(stage)) + " " +
+                                  phase + " " + std::to_string(rid);
+          EXPECT_EQ(spans[key], 1) << key;
+        }
+      }
+    }
   }
 }
 
