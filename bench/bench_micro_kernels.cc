@@ -108,11 +108,8 @@ topic::DocSet SyntheticDocs(size_t docs, size_t len, uint32_t vocab) {
   Rng rng(5);
   topic::DocSet out;
   for (size_t d = 0; d < docs; ++d) {
-    std::vector<std::string> words;
-    for (size_t i = 0; i < len; ++i) {
-      words.push_back("w");
-      words.back() += std::to_string(rng.UniformU32(vocab));
-    }
+    std::vector<topic::TermId> words;  // the dictionary's gram ids
+    for (size_t i = 0; i < len; ++i) words.push_back(rng.UniformU32(vocab));
     out.AddDocument(words);
   }
   return out;

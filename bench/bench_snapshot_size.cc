@@ -189,7 +189,7 @@ long SpawnRssChild(const std::string& mode, const std::string& model,
 }
 
 // Byte ceilings on the default workbench at MICROREC_SCALE=small: each is
-// the family's size there (TN 161,728, TNG 224,124, LDA 607,924 bytes)
+// the family's size there (TN 161,728, TNG 224,124, LDA 467,674 bytes)
 // plus 1%, for libm differences between machines.
 struct ByteCeiling {
   const char* model;
@@ -198,7 +198,7 @@ struct ByteCeiling {
 constexpr ByteCeiling kByteCeilings[] = {
     {"TN", 163345},
     {"TNG", 226365},
-    {"LDA", 614003},
+    {"LDA", 472350},
 };
 
 uint64_t CeilingFor(const std::string& model) {

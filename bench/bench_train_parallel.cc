@@ -47,7 +47,8 @@ SynthCorpus MakeCorpus(size_t num_docs, size_t tokens_per_doc, size_t vocab,
   SynthCorpus out;
   Rng gen(seed);
   const size_t band = vocab / k_true;
-  auto make_doc = [&](std::vector<std::string>* tokens) {
+  // Word ids go straight in as the dictionary's gram ids.
+  auto make_doc = [&](std::vector<topic::TermId>* words) {
     const uint32_t t = gen.UniformU32(static_cast<uint32_t>(k_true));
     for (size_t i = 0; i < tokens_per_doc; ++i) {
       uint32_t w;
@@ -57,20 +58,19 @@ SynthCorpus MakeCorpus(size_t num_docs, size_t tokens_per_doc, size_t vocab,
       } else {
         w = gen.UniformU32(static_cast<uint32_t>(vocab));
       }
-      tokens->push_back("w");
-      tokens->back() += std::to_string(w);
+      words->push_back(w);
     }
   };
   for (size_t d = 0; d < num_docs; ++d) {
-    std::vector<std::string> tokens;
-    make_doc(&tokens);
-    out.docs.AddDocument(tokens);
+    std::vector<topic::TermId> words;
+    make_doc(&words);
+    out.docs.AddDocument(words);
   }
   const size_t held = std::max<size_t>(50, num_docs / 10);
   for (size_t d = 0; d < held; ++d) {
-    std::vector<std::string> tokens;
-    make_doc(&tokens);
-    out.heldout.push_back(out.docs.Lookup(tokens));
+    std::vector<topic::TermId> words;
+    make_doc(&words);
+    out.heldout.push_back(out.docs.Lookup(words));
   }
   return out;
 }

@@ -66,6 +66,12 @@ class IdVocabulary {
 
   size_t size() const { return grams_.size(); }
 
+  /// The local id of dictionary gram `gram`; kInvalidTerm when unseen.
+  TermId Find(TermId gram) const {
+    const TermId* local = locals_.Find(gram);
+    return local != nullptr ? *local : text::kInvalidTerm;
+  }
+
   /// Whether any of `doc`'s grams has a local id.
   bool ContainsAny(GramDoc doc) const;
 

@@ -134,20 +134,11 @@ Result<RunResult> ExperimentRunner::Run(
   // makes their cost a one-off shared by all 223 configurations, so charging
   // it to a single configuration's TTime would distort Figure 7.
   for (corpus::UserId u : all_) (void)TrainSet(source, u);
-  // Featurizing is preprocessing, like tokenization: the gram table a bag
-  // or graph configuration fits and scores on is built (once per corpus)
-  // outside TTime too, so no configuration's TTime depends on which ran
-  // first.
-  switch (rec::CategoryOf(config.kind)) {
-    case rec::TaxonomyCategory::kLocalContextAware:
-      (void)pre_->Grams(config.bag.kind, config.bag.n);
-      break;
-    case rec::TaxonomyCategory::kGlobalContextAware:
-      (void)pre_->Grams(config.graph.kind, config.graph.n);
-      break;
-    case rec::TaxonomyCategory::kContextAgnostic:
-      break;
-  }
+  // Featurizing is preprocessing, like tokenization: the gram table a
+  // configuration fits and scores on is built (once per corpus) outside
+  // TTime too, so no configuration's TTime depends on which ran first.
+  const auto [gram_kind, n] = config.Featurization();
+  (void)pre_->Grams(gram_kind, n);
 
   RunResult result;
   TimeAccumulator ttime, etime;

@@ -95,23 +95,22 @@ Status ReadOnly(const std::string& path) {
       "mapped engines are read-only; cannot save snapshot to " + path);
 }
 
-Status CheckVocabFingerprint(const snapshot::MappedFile& file,
-                             uint64_t computed) {
-  if (computed == file.header().vocab_fingerprint) return Status::OK();
-  return Status::FailedPrecondition(
-      file.origin() + ": vocabulary fingerprint mismatch (snapshot " +
-      std::to_string(file.header().vocab_fingerprint) + ", computed " +
-      std::to_string(computed) + ")");
+// The corpus gram table `config` fits and scores on. Every family's
+// persisted ids index its dictionary.
+const GramTable& TableOf(const ModelConfig& config, const EngineContext& ctx) {
+  const auto [kind, n] = config.Featurization();
+  return ctx.pre->Grams(kind, n);
 }
 
 // The one open path of every family. It hits the `snapshot.load` fault site
-// once per open in either residency, maps the file and verifies its
-// identity against `ctx`. A resident open first verifies every section's
-// frame CRC, as the whole-file reader does, so a corrupt byte fails the
-// open before any state is adopted.
+// once per open in either residency, maps the file, and verifies its
+// identity against `ctx` and its vocabulary fingerprint against `grams`,
+// the dictionary its ids index. A resident open first verifies every
+// section's frame CRC, as the whole-file reader does, so a corrupt byte
+// fails the open before any state is adopted.
 Result<std::shared_ptr<const snapshot::MappedFile>> OpenSnapshotFile(
     const std::string& path, const ModelConfig& config,
-    const EngineContext& ctx, ServeMode residency) {
+    const EngineContext& ctx, const GramTable& grams, ServeMode residency) {
   MICROREC_FAULT_POINT(resilience::kSiteSnapshotLoad);
   Result<snapshot::MappedFile> file = snapshot::MappedFile::Open(path);
   if (!file.ok()) return file.status();
@@ -122,6 +121,12 @@ Result<std::shared_ptr<const snapshot::MappedFile>> OpenSnapshotFile(
       file->header(), file->origin(), std::string(ModelKindName(config.kind)),
       std::string(corpus::SourceName(ctx.source)), ctx.seed,
       ctx.iteration_scale, config.Fingerprint()));
+  if (file->header().vocab_fingerprint != grams.fingerprint()) {
+    return Status::FailedPrecondition(
+        file->origin() + ": vocabulary fingerprint mismatch (snapshot " +
+        std::to_string(file->header().vocab_fingerprint) + ", computed " +
+        std::to_string(grams.fingerprint()) + ")");
+  }
   IncrementCounter(residency == ServeMode::kMmap ? "snapshot.mapped_opens"
                                                   : "snapshot.loads");
   return std::make_shared<const snapshot::MappedFile>(std::move(*file));
@@ -258,6 +263,33 @@ class RowReader {
   const std::string& origin_;
   size_t pos_ = 0;
 };
+
+// Reads persisted gram ids (a bag or graph row's leading grams, or the
+// topic vocab section) into `*vocab` in local-id order, so the local ids
+// come back as saved: each must index `dictionary`, once.
+Status DecodeGrams(RowReader* reader, const text::Vocabulary& dictionary,
+                   const std::string& origin, bag::IdVocabulary* vocab) {
+  std::vector<uint64_t> grams;
+  MICROREC_RETURN_IF_ERROR(reader->DeltaIds(&grams, "grams"));
+  for (uint64_t gram : grams) {
+    if (gram >= dictionary.size()) {
+      return Status::InvalidArgument(
+          origin + " gram " + std::to_string(gram) +
+          " is outside the dictionary of " +
+          std::to_string(dictionary.size()));
+    }
+    const size_t local = vocab->size();
+    if (vocab->Intern(static_cast<text::TermId>(gram)) != local) {
+      return Status::InvalidArgument(origin + " repeats gram " +
+                                     std::to_string(gram));
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<uint64_t> PersistedGrams(const bag::IdVocabulary& vocab) {
+  return {vocab.grams().begin(), vocab.grams().end()};
+}
 
 // ---- The row store: the decoded rows of one persisted table. ----
 //
@@ -413,10 +445,6 @@ class RowStore {
 // only over that table's dictionary, so the header's vocabulary fingerprint
 // is the dictionary's, checked at every open before any row decodes.
 
-std::vector<uint64_t> RowGrams(const bag::IdVocabulary& vocab) {
-  return {vocab.grams().begin(), vocab.grams().end()};
-}
-
 template <typename User>
 class UserTableEngine : public Engine {
  public:
@@ -433,7 +461,7 @@ class UserTableEngine : public Engine {
       if (users_.Find(u) != nullptr) return Status::OK();
       MICROREC_RETURN_IF_ERROR(users_.error());
     }
-    if (grams_ == nullptr) BindGrams(ctx);
+    if (grams_ == nullptr) grams_ = &TableOf(config_, ctx);
     obs::ScopedHistogramTimer timer(BuildUserHistogram());
     users_.Put(u, Build(train));
     return Status::OK();
@@ -455,16 +483,15 @@ class UserTableEngine : public Engine {
     // An engine without users has bound no table yet: its rows would index
     // the one `ctx` featurizes.
     const GramTable& grams =
-        grams_ != nullptr ? *grams_ : ctx.pre->Grams(kind_, n_);
+        grams_ != nullptr ? *grams_ : TableOf(config_, ctx);
     snapshot::Writer writer = MakeWriter(config_, ctx, grams.fingerprint());
     writer.AddSection("users", std::move(*table));
     return writer.Commit(path);
   }
 
  protected:
-  UserTableEngine(const ModelConfig& config, const char* row_label,
-                  bag::NgramKind kind, int n)
-      : config_(config), row_label_(row_label), kind_(kind), n_(n) {}
+  UserTableEngine(const ModelConfig& config, const char* row_label)
+      : config_(config), row_label_(row_label) {}
 
   /// The user model built from a labelled train set (a cold build).
   virtual User Build(const corpus::LabeledTrainSet& train) const = 0;
@@ -473,28 +500,6 @@ class UserTableEngine : public Engine {
   /// The row decoder, with the semantic validation of every field.
   virtual Result<User> DecodeRow(std::string_view row,
                                  const std::string& origin) const = 0;
-  /// Reads a row's leading gram ids into `*vocab`: each must index the
-  /// dictionary, once.
-  Status DecodeGrams(RowReader* row, const std::string& origin,
-                     bag::IdVocabulary* vocab) const {
-    std::vector<uint64_t> grams;
-    MICROREC_RETURN_IF_ERROR(row->DeltaIds(&grams, "grams"));
-    const size_t dictionary_size = grams_->dictionary().size();
-    for (uint64_t gram : grams) {
-      if (gram >= dictionary_size) {
-        return Status::InvalidArgument(
-            origin + " gram " + std::to_string(gram) +
-            " is outside the dictionary of " +
-            std::to_string(dictionary_size));
-      }
-      const size_t local = vocab->size();
-      if (vocab->Intern(static_cast<text::TermId>(gram)) != local) {
-        return Status::InvalidArgument(origin + " repeats gram " +
-                                       std::to_string(gram));
-      }
-    }
-    return Status::OK();
-  }
 
   ModelConfig config_;
   mutable RowStore<UserId, User> users_;
@@ -504,18 +509,12 @@ class UserTableEngine : public Engine {
   const GramTable* grams_ = nullptr;
 
  private:
-  void BindGrams(const EngineContext& ctx) {
-    grams_ = &ctx.pre->Grams(kind_, n_);
-  }
-
   Status Open(const std::string& path, const EngineContext& ctx,
               ServeMode residency) override {
+    grams_ = &TableOf(config_, ctx);  // rows index its dictionary
     Result<std::shared_ptr<const snapshot::MappedFile>> file =
-        OpenSnapshotFile(path, config_, ctx, residency);
+        OpenSnapshotFile(path, config_, ctx, *grams_, residency);
     if (!file.ok()) return file.status();
-    BindGrams(ctx);  // rows index the corpus's gram dictionary
-    MICROREC_RETURN_IF_ERROR(
-        CheckVocabFingerprint(**file, grams_->fingerprint()));
     RowStore<UserId, User> users;
     MICROREC_RETURN_IF_ERROR(users.Open(
         *file, "users", row_label_, residency == ServeMode::kMmap,
@@ -528,8 +527,6 @@ class UserTableEngine : public Engine {
   }
 
   const char* row_label_;
-  bag::NgramKind kind_;
-  int n_;
   bool loaded_from_snapshot_ = false;
 };
 
@@ -544,7 +541,7 @@ struct BagUser {
 class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
  public:
   explicit BagEngine(const ModelConfig& config)
-      : UserTableEngine(config, "bag user", config.bag.kind, config.bag.n) {}
+      : UserTableEngine(config, "bag user") {}
 
   SparseProfileScorer* sparse_scorer() override { return this; }
 
@@ -604,7 +601,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
       weights.push_back(weight);
     }
     std::string row;
-    snapshot::PutDeltaIds(&row, RowGrams(user.modeler.vocabulary()));
+    snapshot::PutDeltaIds(&row, PersistedGrams(user.modeler.vocabulary()));
     PutRowVarints(&row, user.modeler.doc_frequencies());
     snapshot::PutVarint(&row, user.modeler.num_train_docs());
     snapshot::PutDeltaIds(&row, term_ids);
@@ -620,7 +617,8 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     uint64_t num_train_docs = 0;
     std::vector<uint64_t> term_ids;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(DecodeGrams(&row, origin, &vocab));
+    MICROREC_RETURN_IF_ERROR(
+        DecodeGrams(&row, grams_->dictionary(), origin, &vocab));
     MICROREC_RETURN_IF_ERROR(row.U32s(&df, "document frequencies"));
     MICROREC_RETURN_IF_ERROR(row.Varint(&num_train_docs, "train doc count"));
     MICROREC_RETURN_IF_ERROR(row.DeltaIds(&term_ids, "vector term ids"));
@@ -668,8 +666,7 @@ struct GraphUser {
 class GraphEngine : public UserTableEngine<GraphUser> {
  public:
   explicit GraphEngine(const ModelConfig& config)
-      : UserTableEngine(config, "graph user", config.graph.kind,
-                        config.graph.n) {}
+      : UserTableEngine(config, "graph user") {}
 
   double Score(UserId u, TweetId d, const EngineContext&) override {
     obs::ScopedHistogramTimer timer(ScoreHistogram());
@@ -706,7 +703,7 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     weights.reserve(keys.size());
     for (uint64_t key : keys) weights.push_back(user.graph.edges().at(key));
     std::string row;
-    snapshot::PutDeltaIds(&row, RowGrams(user.modeler.vocabulary()));
+    snapshot::PutDeltaIds(&row, PersistedGrams(user.modeler.vocabulary()));
     snapshot::PutDeltaIds(&row, keys);
     PutRowF64s(&row, weights);
     return row;
@@ -718,7 +715,8 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     bag::IdVocabulary vocab;
     std::vector<uint64_t> keys;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(DecodeGrams(&row, origin, &vocab));
+    MICROREC_RETURN_IF_ERROR(
+        DecodeGrams(&row, grams_->dictionary(), origin, &vocab));
     MICROREC_RETURN_IF_ERROR(row.DeltaIds(&keys, "edge keys"));
     MICROREC_RETURN_IF_ERROR(row.F64s(&weights, "edge weights"));
     MICROREC_RETURN_IF_ERROR(row.End());
@@ -794,8 +792,9 @@ class TopicEngine : public Engine {
       return Status::FailedPrecondition("no training tweets for source");
     }
 
-    // Pool into pseudo-documents and assemble the DocSet from the
-    // stop-filtered tokens.
+    // Pool into pseudo-documents and assemble the DocSet from the gram ids
+    // of their stop-filtered tokens.
+    grams_ = &TableOf(config_, ctx);
     std::vector<corpus::PooledDoc> pooled = corpus::PoolTweets(
         pre.corpus(), pre.tokenized(), train_ids, tc.pooling);
     std::unique_ptr<LldaLabelScheme> labels;
@@ -804,12 +803,12 @@ class TopicEngine : public Engine {
           pre.tokenized(), train_ids, ctx.llda_min_hashtag_count));
     }
     for (const corpus::PooledDoc& doc : pooled) {
-      std::vector<std::string> tokens;
+      std::vector<text::TermId> words;
       std::vector<uint32_t> doc_labels;
       std::unordered_set<uint32_t> label_set;
       for (TweetId id : doc.members) {
-        const auto& filtered = pre.Filtered(id);
-        tokens.insert(tokens.end(), filtered.begin(), filtered.end());
+        const bag::GramDoc tweet = grams_->Of(id);
+        words.insert(words.end(), tweet.begin(), tweet.end());
         if (labels != nullptr) {
           for (uint32_t label : labels->LabelsFor(
                    id, pre.Tokens(id), pre.corpus().tweet(id).text)) {
@@ -817,7 +816,7 @@ class TopicEngine : public Engine {
           }
         }
       }
-      size_t index = docs_.AddDocument(tokens);
+      size_t index = docs_.AddDocument(words);
       if (labels != nullptr) docs_.SetLabels(index, std::move(doc_labels));
     }
 
@@ -970,13 +969,12 @@ class TopicEngine : public Engine {
     if (model_ == nullptr) {
       return Status::FailedPrecondition("SaveSnapshot() before Prepare()");
     }
-    std::vector<std::string> terms = docs_.Terms();
-    snapshot::Writer writer =
-        MakeWriter(config_, ctx,
-                   snapshot::FingerprintTerms({terms.begin(), terms.end()}));
-    snapshot::Encoder vocab;
-    vocab.PutVecString(terms);
-    writer.AddSection("vocab", vocab.Release());
+    snapshot::Writer writer = MakeWriter(config_, ctx, grams_->fingerprint());
+    // The vocabulary's corpus gram ids in word-id order, coded as a bag or
+    // graph row's leading grams.
+    std::string vocab;
+    snapshot::PutDeltaIds(&vocab, PersistedGrams(docs_.vocabulary()));
+    writer.AddSection("vocab", std::move(vocab));
     // The model section keeps its fixed-width encoding: a trained phi is
     // topic-major with long runs of the identical smoothing value for
     // zero-count words, which the block compression collapses without a
@@ -1008,8 +1006,9 @@ class TopicEngine : public Engine {
  private:
   Status Open(const std::string& path, const EngineContext& ctx,
               ServeMode residency) override {
+    grams_ = &TableOf(config_, ctx);  // the vocab section indexes it
     Result<std::shared_ptr<const snapshot::MappedFile>> file =
-        OpenSnapshotFile(path, config_, ctx, residency);
+        OpenSnapshotFile(path, config_, ctx, *grams_, residency);
     if (!file.ok()) return file.status();
     const bool mapped = residency == ServeMode::kMmap;
     // The generator state is tiny and order-sensitive: restore it in both
@@ -1056,21 +1055,26 @@ class TopicEngine : public Engine {
   Status LoadModel(const snapshot::MappedFile& file,
                    const EngineContext& ctx) {
     std::string bytes;
-    Result<snapshot::Decoder> vocab = ReadSection(file, "vocab", &bytes);
-    if (!vocab.ok()) return vocab.status();
-    std::vector<std::string> terms;
-    MICROREC_RETURN_IF_ERROR(vocab->ReadVecString(&terms));
-    MICROREC_RETURN_IF_ERROR(vocab->ExpectEnd());
+    MICROREC_RETURN_IF_ERROR(file.ReadSection("vocab", &bytes));
+    const std::string origin = file.origin() + ": section \"vocab\"";
+    RowReader vocab_reader(bytes, origin);
+    bag::IdVocabulary vocab;
     MICROREC_RETURN_IF_ERROR(
-        CheckVocabFingerprint(
-            file, snapshot::FingerprintTerms({terms.begin(), terms.end()})));
+        DecodeGrams(&vocab_reader, grams_->dictionary(), origin, &vocab));
+    MICROREC_RETURN_IF_ERROR(vocab_reader.End());
     std::unique_ptr<topic::TopicModel> model;
     MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0, &model));
     Result<snapshot::Decoder> state = ReadSection(file, "model", &bytes);
     if (!state.ok()) return state.status();
     MICROREC_RETURN_IF_ERROR(model->LoadState(&*state));
-    docs_ = topic::DocSet();
-    docs_.RestoreVocabulary(terms);
+    // Every word id Lookup() hands out must index the model's phi.
+    if (vocab.size() != model->vocab_size()) {
+      return Status::InvalidArgument(
+          origin + " holds " + std::to_string(vocab.size()) +
+          " grams for a model of " + std::to_string(model->vocab_size()) +
+          " words");
+    }
+    docs_ = topic::DocSet(std::move(vocab));
     model_ = std::move(model);
     return Status::OK();
   }
@@ -1110,7 +1114,7 @@ class TopicEngine : public Engine {
     static obs::Histogram* infer_hist =
         obs::MetricsRegistry::Global().GetHistogram("topic.infer_seconds");
     obs::ScopedHistogramTimer timer(infer_hist);
-    std::vector<topic::TermId> words = docs_.Lookup(ctx.pre->Filtered(id));
+    std::vector<topic::TermId> words = docs_.Lookup(grams_->Of(id));
     std::vector<double> dist;
     if (!words.empty()) dist = model_->InferDocument(words, &rng_);
     return *infer_.Put(id, std::move(dist));
@@ -1118,6 +1122,9 @@ class TopicEngine : public Engine {
 
   ModelConfig config_;
   Rng rng_;
+  // The (token, 1) corpus gram table documents are read from: bound by a
+  // cold Prepare() or by Open().
+  const GramTable* grams_ = nullptr;
   topic::DocSet docs_;
   std::unique_ptr<topic::TopicModel> model_;
   DistStore<TweetId> infer_;

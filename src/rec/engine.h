@@ -156,13 +156,14 @@ class Engine {
   /// The one open: restores a SaveSnapshot() file into a freshly
   /// constructed engine of the same configuration. Verifies the header
   /// identity (model, source, seed, iteration_scale, config fingerprint)
-  /// before adopting anything; a file of another container version fails
-  /// as version skew (FailedPrecondition) and must be retrained. Afterwards
-  /// BuildUser() is a no-op for persisted users and Score() is
+  /// and its vocabulary fingerprint against the corpus gram table the
+  /// persisted ids index (ModelConfig::Featurization()) before adopting
+  /// anything, in either residency; a file of another container version
+  /// fails as version skew (FailedPrecondition) and must be retrained.
+  /// Afterwards BuildUser() is a no-op for persisted users and Score() is
   /// bit-identical to the engine that saved. `residency` only decides how
   /// rows are held:
-  ///   * kResident decodes every row and checks the vocabulary fingerprint
-  ///     at open, then drops the mapping;
+  ///   * kResident decodes every row at open, then drops the mapping;
   ///   * kMmap decodes a row the first time a query needs it (bounded by
   ///     ctx.mapped_user_cache) and keeps the mapping for the engine's
   ///     lifetime. A mapped engine is read-only with respect to the

@@ -145,6 +145,18 @@ bool ModelConfig::IsValidForSource(bool source_has_negatives) const {
   }
 }
 
+std::pair<bag::NgramKind, int> ModelConfig::Featurization() const {
+  switch (CategoryOf(kind)) {
+    case TaxonomyCategory::kLocalContextAware:
+      return {bag.kind, bag.n};
+    case TaxonomyCategory::kGlobalContextAware:
+      return {graph.kind, graph.n};
+    case TaxonomyCategory::kContextAgnostic:
+      break;
+  }
+  return {bag::NgramKind::kToken, 1};
+}
+
 namespace {
 
 std::vector<ModelConfig> TopicGrid(ModelKind kind) {

@@ -7,6 +7,7 @@
 #include <array>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bag/bag_config.h"
@@ -93,6 +94,11 @@ struct ModelConfig {
   std::string Fingerprint() const;
   /// Rocchio aggregations are valid only for sources with negatives.
   bool IsValidForSource(bool source_has_negatives) const;
+  /// The (gram kind, n) of the corpus gram table this configuration fits
+  /// and scores on: its bag or graph configuration's, and (token, 1) for
+  /// the topic models, which take the same pre-processed tokens as TN with
+  /// n = 1 (Section 4).
+  std::pair<bag::NgramKind, int> Featurization() const;
 };
 
 /// Enumerates the paper's configuration grid for one model (Tables 4-5):

@@ -1,11 +1,11 @@
 // One-time pre-processing shared by every model and configuration:
 // tokenization, stop-token computation (the 100 most frequent tokens across
-// all training tweets, Section 4), the stop-filtered token strings each
-// model consumes, and, per (gram kind, n) in use, the featurized tweets the
-// bag and graph models fit and score on. Building this once keeps the
-// 223-configuration sweep from re-tokenizing 13 sources x 60 users worth of
-// tweets per configuration, and every user from re-extracting the n-grams
-// of every candidate.
+// all training tweets, Section 4), the stop-filtered token strings, and,
+// per (gram kind, n) in use, the featurized tweets every model fits and
+// scores on (the topic models on the token unigrams). Building this once
+// keeps the 223-configuration sweep from re-tokenizing 13 sources x 60
+// users worth of tweets per configuration, and every user from
+// re-extracting the n-grams of every candidate.
 #ifndef MICROREC_REC_PREPROCESSED_H_
 #define MICROREC_REC_PREPROCESSED_H_
 
@@ -36,7 +36,8 @@ class GramTable {
   const text::Vocabulary& dictionary() const { return dictionary_; }
 
   /// snapshot::FingerprintTerms over the dictionary in id order: the
-  /// binding a bag or graph snapshot, whose rows hold these ids, records.
+  /// binding a snapshot, whose rows or vocab section hold these ids,
+  /// records.
   uint64_t fingerprint() const { return fingerprint_; }
 
   /// Tweet `id`'s gram ids, in document order.
@@ -70,7 +71,8 @@ class PreprocessedCorpus {
   const corpus::TokenizedCorpus& tokenized() const { return tokenized_; }
   const corpus::StopTokenFilter& stop_filter() const { return stop_filter_; }
 
-  /// Stop-filtered token strings of a tweet (what models consume).
+  /// Stop-filtered token strings of a tweet: what the gram tables
+  /// featurize, as the followee recommender does for its own documents.
   const std::vector<std::string>& Filtered(corpus::TweetId id) const {
     return filtered_[id];
   }

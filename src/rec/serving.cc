@@ -200,11 +200,7 @@ Status DegradingRecommender::RankWith(
   Result<std::vector<RankedItem>> ranked =
       ranker->Rank(u, candidates, tie_rng, &deadline, trace);
   if (!ranked.ok()) return ranked.status();
-  out->clear();
-  out->reserve(ranked->size());
-  for (const RankedItem& item : *ranked) {
-    out->push_back(Recommendation{item.tweet, item.score});
-  }
+  *out = std::move(*ranked);
   return Status::OK();
 }
 
@@ -214,7 +210,8 @@ std::vector<Recommendation> DegradingRecommender::PopularityRanking(
   ranking.reserve(candidates.size());
   const corpus::Corpus* corpus =
       ctx_.pre != nullptr ? &ctx_.pre->corpus() : nullptr;
-  for (corpus::TweetId id : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const corpus::TweetId id = candidates[i];
     double count = 0.0;
     if (corpus != nullptr && id < corpus->num_tweets()) {
       const corpus::Tweet& t = corpus->tweet(id);
@@ -226,7 +223,7 @@ std::vector<Recommendation> DegradingRecommender::PopularityRanking(
         count = static_cast<double>(it->second);
       }
     }
-    ranking.push_back(Recommendation{id, count});
+    ranking.push_back(Recommendation{id, count, static_cast<uint32_t>(i)});
   }
   // Recency breaks popularity ties: a fresher tweet ranks above an equally
   // retweeted stale one (then tweet id, for full determinism).

@@ -28,6 +28,7 @@
 #include "obs/request.h"
 #include "rec/engine.h"
 #include "rec/model_config.h"
+#include "rec/ranker.h"
 #include "resilience/deadline.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -37,8 +38,6 @@ class ThreadPool;
 }
 
 namespace microrec::rec {
-
-class BatchRanker;
 
 /// Which rung of the ladder produced a ranking. Numeric values are what
 /// the `rec.fallback_rung` gauge reports.
@@ -78,10 +77,9 @@ struct ServingOptions {
   static ModelConfig DefaultFallback();
 };
 
-struct Recommendation {
-  corpus::TweetId tweet = corpus::kInvalidTweet;
-  double score = 0.0;
-};
+/// A served item is a ranked one: the ranker's output moves into the
+/// result as is. `index` is the item's position in the candidate list.
+using Recommendation = RankedItem;
 
 /// Per-query request telemetry (DESIGN.md §12). Both fields are optional
 /// and never change which tweets are served — only *how* ties break and
@@ -179,9 +177,9 @@ class DegradingRecommender {
   /// (top-K, shard size, pool, score cache).
   std::unique_ptr<BatchRanker> MakeRanker(Engine* engine) const;
 
-  /// Ranks through `ranker` under the canonical tie-break protocol,
-  /// converting RankedItems to Recommendations. `tie_rng` is either the
-  /// lifetime stream (&tie_rng_) or a per-request stream.
+  /// Ranks through `ranker` under the canonical tie-break protocol into
+  /// `*out`. `tie_rng` is either the lifetime stream (&tie_rng_) or a
+  /// per-request stream.
   Status RankWith(BatchRanker* ranker, corpus::UserId u,
                   const std::vector<corpus::TweetId>& candidates,
                   const resilience::Deadline& deadline, Rng* tie_rng,

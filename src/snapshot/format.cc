@@ -89,11 +89,6 @@ void Encoder::PutVecU32(const std::vector<uint32_t>& v) {
   for (uint32_t x : v) PutU32(x);
 }
 
-void Encoder::PutVecString(const std::vector<std::string>& v) {
-  PutU64(v.size());
-  for (const std::string& s : v) PutString(s);
-}
-
 Status Decoder::Need(size_t n, const char* what) const {
   if (bytes_.size() - pos_ >= n) return Status::OK();
   return Status::InvalidArgument(
@@ -172,24 +167,6 @@ Status Decoder::ReadVecU32(std::vector<uint32_t>* out) {
   out->resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     MICROREC_RETURN_IF_ERROR(ReadU32(&(*out)[i]));
-  }
-  return Status::OK();
-}
-
-Status Decoder::ReadVecString(std::vector<std::string>* out) {
-  uint64_t count = 0;
-  MICROREC_RETURN_IF_ERROR(ReadU64(&count));
-  // Every string costs at least its 4-byte length prefix.
-  if (count > remaining() / 4) {
-    return Status::InvalidArgument("string " + std::string(kCountOverflow) +
-                                   " at offset " + std::to_string(offset()));
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string s;
-    MICROREC_RETURN_IF_ERROR(ReadString(&s));
-    out->push_back(std::move(s));
   }
   return Status::OK();
 }

@@ -47,7 +47,6 @@ class Encoder {
   void PutRaw(std::string_view s) { out_.append(s.data(), s.size()); }
   void PutVecF64(const std::vector<double>& v);
   void PutVecU32(const std::vector<uint32_t>& v);
-  void PutVecString(const std::vector<std::string>& v);
 
   const std::string& bytes() const { return out_; }
   std::string&& Release() { return std::move(out_); }
@@ -70,7 +69,6 @@ class Decoder {
   Status ReadString(std::string* out);
   Status ReadVecF64(std::vector<double>* out);
   Status ReadVecU32(std::vector<uint32_t>* out);
-  Status ReadVecString(std::vector<std::string>* out);
 
   /// Error unless every byte has been consumed (catches spliced payloads
   /// whose length prefix no longer matches their content).

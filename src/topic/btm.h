@@ -44,6 +44,7 @@ class Btm : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.num_topics; }
+  size_t vocab_size() const override { return vocab_size_; }
   /// Infers P(z|d) by iterating the document's biterms — no Gibbs sampling
   /// at test time, which is why BTM has the lowest ETime (Section 5).
   std::vector<double> InferDocument(const std::vector<TermId>& words,

@@ -2,12 +2,9 @@
 
 namespace microrec::topic {
 
-size_t DocSet::AddDocument(const std::vector<std::string>& tokens) {
+size_t DocSet::AddDocument(bag::GramDoc grams) {
   TopicDoc doc;
-  doc.words.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    doc.words.push_back(vocab_.Intern(token));
-  }
+  vocab_.InternAll(grams, &doc.words);
   total_tokens_ += doc.words.size();
   docs_.push_back(std::move(doc));
   return docs_.size() - 1;
@@ -17,28 +14,14 @@ void DocSet::SetLabels(size_t doc_index, std::vector<uint32_t> labels) {
   docs_[doc_index].labels = std::move(labels);
 }
 
-std::vector<TermId> DocSet::Lookup(
-    const std::vector<std::string>& tokens) const {
+std::vector<TermId> DocSet::Lookup(bag::GramDoc grams) const {
   std::vector<TermId> out;
-  out.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    TermId id = vocab_.Find(token);
+  out.reserve(grams.size());
+  for (TermId gram : grams) {
+    TermId id = vocab_.Find(gram);
     if (id != text::kInvalidTerm) out.push_back(id);
   }
   return out;
-}
-
-std::vector<std::string> DocSet::Terms() const {
-  std::vector<std::string> terms;
-  terms.reserve(vocab_.size());
-  for (size_t i = 0; i < vocab_.size(); ++i) {
-    terms.push_back(vocab_.TermOf(static_cast<TermId>(i)));
-  }
-  return terms;
-}
-
-void DocSet::RestoreVocabulary(const std::vector<std::string>& terms) {
-  for (const std::string& term : terms) vocab_.Intern(term);
 }
 
 }  // namespace microrec::topic

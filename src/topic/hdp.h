@@ -49,6 +49,7 @@ class Hdp : public TopicModel {
   Status Train(const DocSet& docs, Rng* rng) override;
   /// Topics instantiated by the posterior sample (known only post-training).
   size_t num_topics() const override { return num_topics_; }
+  size_t vocab_size() const override { return vocab_size_; }
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "HDP"; }

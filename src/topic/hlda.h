@@ -49,6 +49,7 @@ class Hlda : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return node_words_.size(); }
+  size_t vocab_size() const override { return vocab_size_; }
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "HLDA"; }

@@ -42,6 +42,7 @@ class Lda : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.num_topics; }
+  size_t vocab_size() const override { return vocab_size_; }
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "LDA"; }

@@ -49,6 +49,7 @@ class Llda : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.TotalTopics(); }
+  size_t vocab_size() const override { return vocab_size_; }
   /// Inference is unconstrained: an unseen document may use any topic.
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;

@@ -35,6 +35,7 @@ class Plsa : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.num_topics; }
+  size_t vocab_size() const override { return vocab_size_; }
   /// Folding-in: EM over θ_d with φ held fixed.
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;

@@ -36,8 +36,13 @@ class TopicModel {
   /// this is only known post-training.
   virtual size_t num_topics() const = 0;
 
+  /// Number of words the trained (or restored) model spans: the word ids
+  /// InferDocument() accepts are [0, vocab_size()).
+  virtual size_t vocab_size() const = 0;
+
   /// Infers the topic distribution θ_d of an unseen document given as
-  /// word ids over the training vocabulary (see DocSet::Lookup). Returns a
+  /// word ids over the training vocabulary (DocSet::Lookup maps a
+  /// document's gram ids to them, dropping unseen grams). Returns a
   /// probability vector of length num_topics(); an empty document yields a
   /// uniform distribution.
   virtual std::vector<double> InferDocument(const std::vector<TermId>& words,
@@ -130,7 +135,7 @@ Status CountUnderflowError(const char* model, int sweep);
 /// exp(-Σ_d Σ_w log Σ_z θ_d,z φ_z,w / N). Lower is better. Standard topic-
 /// model diagnostic (Blei et al. 2003); exposed for the ablation benches
 /// and tests. Words outside the training vocabulary must be filtered by
-/// the caller (DocSet::Lookup does).
+/// the caller (DocSet::Lookup drops the grams it has not seen).
 double Perplexity(const TopicModel& model,
                   const std::vector<std::vector<TermId>>& docs, Rng* rng);
 

@@ -9,7 +9,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rec/engine.h"
@@ -371,6 +373,57 @@ class EngineSnapshotCorruptionTest : public EngineSnapshotFixture {
     EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
   }
 
+  /// Trains and saves the small LDA configuration with ego built; returns
+  /// the snapshot's path.
+  std::string SaveLda() {
+    auto engine = MakeEngine(SmallConfig(ModelKind::kLDA));
+    EXPECT_TRUE(engine->Prepare(ctx_).ok());
+    EXPECT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
+    const std::string path = Path("lda");
+    EXPECT_TRUE(engine->SaveSnapshot(path, ctx_).ok());
+    return path;
+  }
+
+  /// Replaces an LDA snapshot's vocab section with `grams` and expects both
+  /// residencies to reject it with InvalidArgument naming the section and
+  /// `detail`: a resident open at once, a mapped one at its first fold-in,
+  /// which the build of a user absent from the snapshot (rival) runs.
+  void ExpectVocabRejected(const std::vector<uint64_t>& grams,
+                           const std::string& detail) {
+    Result<snapshot::File> good = snapshot::File::Load(SaveLda());
+    ASSERT_TRUE(good.ok());
+    snapshot::Writer writer(good->header());
+    for (const snapshot::Section& section : good->sections()) {
+      if (section.name == "header") continue;
+      std::string payload = section.payload;
+      if (section.name == "vocab") {
+        payload.clear();
+        snapshot::PutDeltaIds(&payload, grams);
+      }
+      writer.AddSection(section.name, std::move(payload));
+    }
+    const std::string path = Path("bad_vocab");
+    ASSERT_TRUE(writer.Commit(path).ok());
+    const ModelConfig lda = SmallConfig(ModelKind::kLDA);
+    const std::string section = "section \"vocab\"";
+
+    auto resident = MakeEngine(lda);
+    Status st = resident->LoadSnapshot(path, ctx_);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(section), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
+
+    auto mapped = MakeEngine(lda);
+    ASSERT_TRUE(mapped->OpenMapped(path, ctx_).ok());
+    ASSERT_TRUE(mapped->BuildUser(ego_, train_, ctx_).ok());  // persisted
+    st = mapped->BuildUser(rival_, rival_train_, ctx_);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(section), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
+  }
+
   ModelConfig config_;
   std::string good_path_;
   std::string good_bytes_;
@@ -413,44 +466,65 @@ TEST_F(EngineSnapshotCorruptionTest, SeedMismatchIsFailedPrecondition) {
 }
 
 TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
-  // Re-author the container with a perturbed vocabulary fingerprint but
-  // valid CRCs: only the identity check can catch this one.
-  Result<snapshot::File> file = snapshot::File::Load(good_path_);
-  ASSERT_TRUE(file.ok());
-  snapshot::Header header = file->header();
-  header.vocab_fingerprint ^= 1;
-  snapshot::Writer writer(header);
-  for (const snapshot::Section& section : file->sections()) {
-    if (section.name != "header") {
-      writer.AddSection(section.name, section.payload);
+  // Re-author a TN and an LDA container with a perturbed vocabulary
+  // fingerprint but valid CRCs: only the identity check can catch this one.
+  const std::string lda_path = SaveLda();
+  for (const auto& [config, good_path] :
+       {std::pair(config_, good_path_),
+        std::pair(SmallConfig(ModelKind::kLDA), lda_path)}) {
+    SCOPED_TRACE(ModelKindName(config.kind));
+    Result<snapshot::File> file = snapshot::File::Load(good_path);
+    ASSERT_TRUE(file.ok());
+    snapshot::Header header = file->header();
+    header.vocab_fingerprint ^= 1;
+    snapshot::Writer writer(header);
+    for (const snapshot::Section& section : file->sections()) {
+      if (section.name != "header") {
+        writer.AddSection(section.name, section.payload);
+      }
     }
-  }
-  const std::string path = Path("vocab_mismatch");
-  ASSERT_TRUE(writer.Commit(path).ok());
+    const std::string path = Path("vocab_mismatch");
+    ASSERT_TRUE(writer.Commit(path).ok());
 
-  // Both residencies check it, before any row decodes.
-  for (bool mapped : {false, true}) {
-    SCOPED_TRACE(mapped ? "mmap" : "resident");
-    auto engine = MakeEngine(config_);
-    Status st = mapped ? engine->OpenMapped(path, ctx_)
-                       : engine->LoadSnapshot(path, ctx_);
-    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
-    EXPECT_NE(st.message().find("fingerprint"), std::string::npos)
-        << st.ToString();
+    // Both residencies check it at open, before any row or section decodes.
+    for (bool mapped : {false, true}) {
+      SCOPED_TRACE(mapped ? "mmap" : "resident");
+      auto engine = MakeEngine(config);
+      Status st = mapped ? engine->OpenMapped(path, ctx_)
+                         : engine->LoadSnapshot(path, ctx_);
+      EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+      EXPECT_NE(st.message().find("fingerprint"), std::string::npos)
+          << st.ToString();
+    }
   }
 }
 
 TEST_F(EngineSnapshotCorruptionTest, GramIdOutsideTheDictionaryRejected) {
+  // TN rows and the LDA vocab section index the same (token, 1) table.
   const uint64_t size =
       pre_->Grams(bag::NgramKind::kToken, 1).dictionary().size();
-  ExpectRowRejected(BagRow({0, size}),
-                    "gram " + std::to_string(size) +
-                        " is outside the dictionary of " +
-                        std::to_string(size));
+  const std::string detail = "gram " + std::to_string(size) +
+                             " is outside the dictionary of " +
+                             std::to_string(size);
+  ExpectRowRejected(BagRow({0, size}), detail);
+  ExpectVocabRejected({0, size}, detail);
 }
 
 TEST_F(EngineSnapshotCorruptionTest, RepeatedGramIdRejected) {
   ExpectRowRejected(BagRow({3, 1, 3}), "repeats gram 3");
+  ExpectVocabRejected({3, 1, 3}, "repeats gram 3");
+}
+
+TEST_F(EngineSnapshotCorruptionTest, TopicVocabLargerThanTheModelRejected) {
+  // Every gram of the dictionary, each inside it and none repeated, but
+  // more than the words the model was trained on (the test tweets bring
+  // words no train tweet has): a fold-in would index phi past its end.
+  const size_t size =
+      pre_->Grams(bag::NgramKind::kToken, 1).dictionary().size();
+  std::vector<uint64_t> every_gram(size);
+  std::iota(every_gram.begin(), every_gram.end(), 0);
+  ExpectVocabRejected(every_gram, "holds " + std::to_string(size) +
+                                      " grams for a model of ");
 }
 
 }  // namespace

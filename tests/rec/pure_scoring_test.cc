@@ -2,7 +2,8 @@
 // graph families (TN, CN, TNG, CNG): serving leaves every persisted user row
 // byte-identical, and a candidate's score does not depend on which
 // candidates were scored before it, in what order, or on how many threads
-// (DESIGN.md §9).
+// (DESIGN.md §9). Topic scores, which still depend on call order, are
+// pinned in a fixed order, cold-trained and reopened.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -248,18 +249,21 @@ TEST_F(PureScoringFixture, ScoresIgnoreQueryOrderAndThreadCount) {
   }
 }
 
-// Bag and graph rows hold gram ids of the corpus they were saved over. A
-// snapshot saved over the corpus without a stop list names another
-// dictionary than the corpus with the 100 stop words filtered: opened over
-// the latter, both residencies refuse it, naming both fingerprints. Opened
-// over the corpus it was saved over, it scores as the saving engine did.
+// Bag and graph rows and the topic vocab section hold gram ids of the
+// corpus they were saved over. A snapshot saved over the corpus without a
+// stop list names another dictionary than the corpus with the 100 stop
+// words filtered: opened over the latter, both residencies refuse it,
+// naming both fingerprints. Opened over the corpus it was saved over, it
+// scores as the saving engine did (the LDA engine, which folds candidates
+// in from its generator, in the same call order).
 TEST_F(PureScoringFixture, SnapshotOverAnotherDictionaryIsRejected) {
   const PreprocessedCorpus unfiltered(dataset_->corpus, {}, 0);
   ASSERT_GT(pre_->stop_filter().size(), 0u);
   for (const ModelConfig& config :
        {BagModel(ModelKind::kTN, 1, bag::Weighting::kTF,
                  bag::BagSimilarity::kCosine),
-        GraphModel(ModelKind::kTNG, 1)}) {
+        GraphModel(ModelKind::kTNG, 1),
+        EnumerateConfigs(ModelKind::kLDA).front()}) {
     SCOPED_TRACE(config.ToString());
     EngineContext saving_ctx = runner_->MakeContext(config, Source::kR);
     saving_ctx.pre = &unfiltered;
@@ -456,6 +460,85 @@ TEST_F(PureScoringFixture, EveryBagAndGraphConfigurationScoresAsPinned) {
       }
     }
     EXPECT_EQ(hash, kPinnedScores[i].hash) << config.ToString();
+  }
+}
+
+// The topic configurations the pins below cover: the first two of LDA,
+// LLDA, HDP, HLDA and BTM that are valid for source R, and PLSA at its
+// defaults.
+std::vector<ModelConfig> PinnedTopicConfigs() {
+  std::vector<ModelConfig> configs;
+  for (ModelKind kind : {ModelKind::kLDA, ModelKind::kLLDA, ModelKind::kHDP,
+                         ModelKind::kHLDA, ModelKind::kBTM}) {
+    size_t taken = 0;
+    for (const ModelConfig& config : EnumerateConfigs(kind)) {
+      if (taken == 2) break;
+      if (!config.IsValidForSource(false)) continue;
+      configs.push_back(config);
+      ++taken;
+    }
+  }
+  ModelConfig plsa;
+  plsa.kind = ModelKind::kPLSA;
+  configs.push_back(plsa);
+  return configs;
+}
+
+// One FNV-1a hash of the bits of every (user, candidate) score, users and
+// their test sets in order, for each topic configuration above. The engine
+// scores alike cold-trained and reopened resident or mmap from a snapshot
+// saved before any candidate was scored, so every reopened score folds the
+// candidate in through the persisted vocabulary and generator. Recorded
+// while topic engines still interned token strings; ROADMAP item 4(b),
+// which draws each fold-in from its own stream, re-records them.
+struct PinnedTopicScores {
+  const char* config;
+  uint64_t hash;
+};
+constexpr PinnedTopicScores kPinnedTopicScores[] = {
+    {"LDA NP #T=50 #I=1000 a=1.00 b=0.01 Cen.", 0x0502081f372bc107ULL},
+    {"LDA UP #T=50 #I=1000 a=1.00 b=0.01 Cen.", 0x1217b2d7644d5fdeULL},
+    {"LLDA NP #T=50 #I=1000 a=1.00 b=0.01 Cen.", 0xe09efc4a1f8b39e4ULL},
+    {"LLDA UP #T=50 #I=1000 a=1.00 b=0.01 Cen.", 0x7f6d48fdd8f62c3fULL},
+    {"HDP NP #I=1000 a=1.00 b=0.10 g=1.0 Cen.", 0x92b4d7a873984780ULL},
+    {"HDP UP #I=1000 a=1.00 b=0.10 g=1.0 Cen.", 0xcac28d22cf08e278ULL},
+    {"HLDA UP #I=1000 a=10.0 b=0.10 g=0.5 Cen.", 0x086372ecfd8c09beULL},
+    {"HLDA UP #I=1000 a=10.0 b=0.10 g=1.0 Cen.", 0x74ca5815e030e5c5ULL},
+    {"BTM NP #T=50 #I=1000 a=1.00 b=0.01 Cen.", 0x6fd9970d51548eb6ULL},
+    {"BTM UP #T=50 #I=1000 a=1.00 b=0.01 Cen.", 0x208525336324b6f5ULL},
+    {"PLSA UP #T=50 #I=1000 b=0.01 Cen.", 0x7c190f16e9e065d0ULL},
+};
+
+TEST_F(PureScoringFixture, TopicScoresArePinnedColdAndReopened) {
+  const std::vector<ModelConfig> configs = PinnedTopicConfigs();
+  ASSERT_EQ(configs.size(), std::size(kPinnedTopicScores));  // 5 x 2 + PLSA
+  auto hash_scores = [](Engine* engine, const EngineContext& ctx) {
+    uint64_t hash = load::kFnvOffsetBasis;
+    for (UserId u : Users()) {
+      for (TweetId d : Candidates(u)) {
+        hash = load::FnvMixU64(hash, Bits(engine->Score(u, d, ctx)));
+      }
+    }
+    return hash;
+  };
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const ModelConfig& config = configs[i];
+    ASSERT_EQ(config.ToString(), kPinnedTopicScores[i].config);
+    SCOPED_TRACE(config.ToString());
+    const uint64_t pinned = kPinnedTopicScores[i].hash;
+    const EngineContext ctx = runner_->MakeContext(config, Source::kR);
+    std::unique_ptr<Engine> cold = Trained(config, ctx, Users());
+    const std::string path = dir_ + "/topic.snap";
+    ASSERT_TRUE(cold->SaveSnapshot(path, ctx).ok());
+    EXPECT_EQ(hash_scores(cold.get(), ctx), pinned) << "cold";
+    for (bool mapped : {false, true}) {
+      std::unique_ptr<Engine> reopened = MakeEngine(config);
+      const Status open = mapped ? reopened->OpenMapped(path, ctx)
+                                 : reopened->LoadSnapshot(path, ctx);
+      ASSERT_TRUE(open.ok()) << open.ToString();
+      EXPECT_EQ(hash_scores(reopened.get(), ctx), pinned)
+          << (mapped ? "mmap" : "resident");
+    }
   }
 }
 

@@ -60,12 +60,13 @@ class MappedSnapshotTest : public ::testing::Test {
     return rows;
   }
 
-  /// Writes a snapshot with a vocab section and a "users" row table.
+  /// Writes a snapshot with a vocab section (gram ids, as the topic
+  /// engines write it) and a "users" row table.
   std::string WriteSnapshot(const std::string& name) {
     Writer writer(TestHeader());
-    Encoder vocab;
-    vocab.PutVecString({"cat", "naps", "warm"});
-    writer.AddSection("vocab", vocab.Release());
+    std::string vocab;
+    PutDeltaIds(&vocab, {4, 0, 2});
+    writer.AddSection("vocab", std::move(vocab));
     TableBuilder users;
     for (const auto& [id, row] : TestRows()) {
       EXPECT_TRUE(users.AddRow(id, row).ok());

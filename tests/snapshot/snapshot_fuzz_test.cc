@@ -60,8 +60,8 @@ std::string DumpArtifact(const std::string& format, uint64_t seed,
   return path;
 }
 
-/// A pristine snapshot: identity header plus fixed-width section payloads
-/// (string vectors, doubles, raw ids), each an MCS1 stream on the wire.
+/// A pristine snapshot: identity header plus section payloads (delta-coded
+/// gram ids, doubles, raw ids), each an MCS1 stream on the wire.
 std::string PristineSnapshot() {
   Header header;
   header.model = "TN";
@@ -73,9 +73,9 @@ std::string PristineSnapshot() {
       FingerprintTerms({"cat", "naps", "warm", "windowsill", "yarn"});
   Writer writer(header);
 
-  Encoder vocab;
-  vocab.PutVecString({"cat", "naps", "warm", "windowsill", "yarn"});
-  writer.AddSection("vocab", vocab.Release());
+  std::string vocab;  // gram ids, as the topic engines write it
+  PutDeltaIds(&vocab, {3, 0, 4, 1, 2});
+  writer.AddSection("vocab", std::move(vocab));
 
   Encoder model;
   model.PutU64(5);  // vocab size
@@ -138,9 +138,12 @@ TEST(SnapshotFuzzTest, SectionDecodersSurviveMutants) {
     std::string mutant = Mutate(pristine, seed, index, nullptr);
     Result<File> file = File::Parse(mutant, "<fuzz>");
     if (!file.ok()) continue;
-    if (Result<Decoder> dec = file->OpenSection("vocab"); dec.ok()) {
-      std::vector<std::string> terms;
-      (void)dec->ReadVecString(&terms);
+    if (Result<const Section*> vocab = file->Find("vocab"); vocab.ok()) {
+      const std::string& bytes = (*vocab)->payload;
+      size_t pos = 0;
+      std::vector<uint64_t> grams;
+      (void)GetDeltaIds(bytes, &pos, &grams, bytes.size(),
+                        (*vocab)->payload_offset, "<fuzz>", "vocab grams");
     }
     if (Result<Decoder> dec = file->OpenSection("model"); dec.ok()) {
       uint64_t a = 0, b = 0;
@@ -168,9 +171,9 @@ std::string PristineSnapshotV2() {
       FingerprintTerms({"cat", "naps", "warm", "windowsill", "yarn"});
   Writer writer(header);
 
-  Encoder vocab;
-  vocab.PutVecString({"cat", "naps", "warm", "windowsill", "yarn"});
-  writer.AddSection("vocab", vocab.Release());
+  std::string vocab;  // gram ids, as the topic engines write it
+  PutDeltaIds(&vocab, {3, 0, 4, 1, 2});
+  writer.AddSection("vocab", std::move(vocab));
 
   Encoder model;
   model.PutU64(5);

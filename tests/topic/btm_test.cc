@@ -51,7 +51,7 @@ TEST(BtmTest, TrainCountsBiterms) {
 TEST(BtmTest, TrainRejectsCorpusWithoutBiterms) {
   Btm btm(SmallConfig());
   DocSet docs;
-  docs.AddDocument({"lonely"});
+  docs.AddDocument(Words().Doc({"lonely"}));
   Rng rng(1);
   EXPECT_EQ(btm.Train(docs, &rng).code(), StatusCode::kFailedPrecondition);
 }
@@ -72,7 +72,7 @@ TEST(BtmTest, SingleWordDocumentFallsBackToWordTopic) {
   DocSet docs = MakeTwoTopicCorpus();
   Rng rng(3);
   ASSERT_TRUE(btm.Train(docs, &rng).ok());
-  auto theta = btm.InferDocument(docs.Lookup({"cat"}), &rng);
+  auto theta = btm.InferDocument(docs.Lookup(Words().Doc({"cat"})), &rng);
   EXPECT_NEAR(std::accumulate(theta.begin(), theta.end(), 0.0), 1.0, 1e-9);
   // Must lean the same way as a full animal query.
   auto animal = btm.InferDocument(AnimalQuery(docs), &rng);

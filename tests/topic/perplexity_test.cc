@@ -15,15 +15,17 @@ namespace {
 
 std::vector<std::vector<TermId>> InDomainQueries(const DocSet& docs) {
   return {AnimalQuery(docs), FinanceQuery(docs),
-          docs.Lookup({"cat", "dog", "paw", "fur"}),
-          docs.Lookup({"stock", "bond", "yield", "rate"})};
+          docs.Lookup(Words().Doc({"cat", "dog", "paw", "fur"})),
+          docs.Lookup(Words().Doc({"stock", "bond", "yield", "rate"}))};
 }
 
 // Scrambled queries mix the two themes uniformly — a trained model should
 // find them less predictable than coherent documents.
 std::vector<std::vector<TermId>> MixedQueries(const DocSet& docs) {
-  return {docs.Lookup({"cat", "stock", "dog", "bond", "paw", "yield"}),
-          docs.Lookup({"fund", "fur", "rate", "tail", "stock", "cat"})};
+  return {docs.Lookup(Words().Doc(
+              {"cat", "stock", "dog", "bond", "paw", "yield"})),
+          docs.Lookup(Words().Doc(
+              {"fund", "fur", "rate", "tail", "stock", "cat"}))};
 }
 
 TEST(PerplexityTest, LowerOnCoherentThanMixedDocs) {

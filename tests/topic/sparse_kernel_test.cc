@@ -18,6 +18,7 @@
 #include "topic/doc_set.h"
 #include "topic/lda.h"
 #include "topic/llda.h"
+#include "topic_test_util.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -281,7 +282,7 @@ DocSet MakeKernelDocs(uint64_t seed) {
       tokens.push_back("w");
       tokens.back() += std::to_string(band * 15 + gen.UniformU32(15));
     }
-    docs.AddDocument(tokens);
+    docs.AddDocument(Words().Doc(tokens));
   }
   return docs;
 }
@@ -376,7 +377,7 @@ class DegenerateMassTest : public ::testing::TestWithParam<SamplerKernel> {
 
 TEST_P(DegenerateMassTest, LdaZeroMassRowSurfacesAsInternal) {
   DocSet docs;
-  docs.AddDocument({"lonely"});
+  docs.AddDocument(Words().Doc({"lonely"}));
   LdaConfig config;
   config.num_topics = 4;
   ExpectInternalAtEveryThreadCount<Lda>(docs, config);
@@ -384,7 +385,7 @@ TEST_P(DegenerateMassTest, LdaZeroMassRowSurfacesAsInternal) {
 
 TEST_P(DegenerateMassTest, LldaZeroMassRowSurfacesAsInternal) {
   DocSet docs;
-  docs.SetLabels(docs.AddDocument({"lonely"}), {0});
+  docs.SetLabels(docs.AddDocument(Words().Doc({"lonely"})), {0});
   LldaConfig config;
   config.num_labels = 1;
   config.num_latent_topics = 3;
@@ -393,7 +394,7 @@ TEST_P(DegenerateMassTest, LldaZeroMassRowSurfacesAsInternal) {
 
 TEST_P(DegenerateMassTest, BtmZeroMassRowSurfacesAsInternal) {
   DocSet docs;
-  docs.AddDocument({"left", "right"});  // exactly one biterm
+  docs.AddDocument(Words().Doc({"left", "right"}));  // exactly one biterm
   BtmConfig config;
   config.num_topics = 4;
   ExpectInternalAtEveryThreadCount<Btm>(docs, config);

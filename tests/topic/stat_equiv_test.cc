@@ -20,6 +20,7 @@
 #include "topic/lda.h"
 #include "topic/parallel_gibbs.h"
 #include "topic/sparse_kernel.h"
+#include "topic_test_util.h"
 #include "util/rng.h"
 
 namespace microrec::topic {
@@ -56,12 +57,12 @@ EquivCorpus MakeEquivCorpus(size_t num_docs, size_t len, size_t vocab,
   for (size_t d = 0; d < num_docs; ++d) {
     std::vector<std::string> tokens;
     make_doc(&tokens);
-    out.docs.AddDocument(tokens);
+    out.docs.AddDocument(Words().Doc(tokens));
   }
   for (size_t d = 0; d < num_docs / 8; ++d) {
     std::vector<std::string> tokens;
     make_doc(&tokens);
-    out.heldout.push_back(out.docs.Lookup(tokens));
+    out.heldout.push_back(out.docs.Lookup(Words().Doc(tokens)));
   }
   return out;
 }

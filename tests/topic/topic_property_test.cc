@@ -71,7 +71,7 @@ TEST_P(TopicModelPropertyTest, InferenceYieldsProbabilityVector) {
   EXPECT_GT(model->num_topics(), 0u);
   for (const auto& query :
        {AnimalQuery(docs), FinanceQuery(docs),
-        docs.Lookup({"cat", "stock"})}) {
+        docs.Lookup(Words().Doc({"cat", "stock"}))}) {
     auto theta = model->InferDocument(query, &rng);
     ASSERT_EQ(theta.size(), model->num_topics()) << model->name();
     double sum = std::accumulate(theta.begin(), theta.end(), 0.0);
