@@ -1,6 +1,7 @@
 #include "load/driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -17,6 +18,11 @@ namespace microrec::load {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Consecutive schedule indices a closed-loop client claims per cursor
+/// fetch_add: a client stalled on one request holds back at most
+/// kClaim - 1 others, and one cursor access serves kClaim requests.
+constexpr uint64_t kClaim = 16;
 
 double SecondsBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -162,13 +168,21 @@ Result<LoadReport> RunLoad(const Workload& workload,
     backends.push_back(std::move(backend));
   }
 
-  // Slot i is written only by the thread that owns request i (i % threads),
-  // and reads happen after join — disjoint access, no synchronisation.
+  // Slot i is written only by the client that serves request i: a closed
+  // loop's claimed run of slots belongs to one thread, and reads happen
+  // after join, so no access is synchronised.
   std::vector<uint64_t> ranking_hashes(requests.size(), 0);
   std::vector<ThreadStats> stats(threads);
   // Shared by every client thread: each records into its own stripe.
   std::array<obs::Histogram, kNumOpClasses> op_latency;
-  obs::Histogram latency;
+  // The closed loop's next unclaimed schedule index. It hands out indices
+  // only; the join publishes what the clients wrote.
+  std::atomic<uint64_t> cursor{0};
+  const bool open_loop = options.target_qps > 0.0;
+  const auto stopped = [&options] {
+    return options.stop != nullptr &&
+           options.stop->load(std::memory_order_relaxed);
+  };
 
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> clients;
@@ -177,27 +191,13 @@ Result<LoadReport> RunLoad(const Workload& workload,
     clients.emplace_back([&, t] {
       Backend* backend = backends[t].get();
       ThreadStats& local = stats[t];
-      for (uint64_t i = t; i < requests.size(); i += threads) {
-        if (options.stop != nullptr &&
-            options.stop->load(std::memory_order_relaxed)) {
-          break;
-        }
+      // Issues request i and times it from op_start to one end-of-op read.
+      const auto serve = [&](uint64_t i, Clock::time_point op_start) {
         const Request& request = requests[i];
-        // Open loop: arrivals are scheduled on the global request index,
-        // not per thread, so the offered rate is target_qps regardless of
-        // thread count. The op is timed from its due time: a request
-        // queued behind a stall carries the wait.
-        const bool open_loop = options.target_qps > 0.0;
-        const Clock::time_point op_start =
-            open_loop ? start + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(
-                                        static_cast<double>(i) /
-                                        options.target_qps))
-                      : Clock::now();
-        if (open_loop) std::this_thread::sleep_until(op_start);
         obs::RequestTrace trace(request.rid, OpClassName(request.op));
         const int op = static_cast<int>(request.op);
         ++local.per_op[op];
+        ThreadStats::ShardLocal* shard = nullptr;
         switch (request.op) {
           case OpClass::kRecommend: {
             Result<RecommendOutcome> outcome =
@@ -208,14 +208,11 @@ Result<LoadReport> RunLoad(const Workload& workload,
               }
               ranking_hashes[i] = outcome->ranking_hash;
               if (outcome->shard >= 0) {
-                ThreadStats::ShardLocal& slot =
-                    local.ShardSlot(outcome->shard);
-                ++slot.served;
+                shard = &local.ShardSlot(outcome->shard);
+                ++shard->served;
                 if (outcome->rung >= 0 && outcome->rung < 3) {
-                  ++slot.per_rung[outcome->rung];
+                  ++shard->per_rung[outcome->rung];
                 }
-                slot.latency.Record(
-                    SecondsBetween(op_start, Clock::now()));
               }
             } else {
               ++local.errors;
@@ -239,7 +236,36 @@ Result<LoadReport> RunLoad(const Workload& workload,
         }
         const double seconds = SecondsBetween(op_start, Clock::now());
         op_latency[op].Record(seconds);
-        latency.Record(seconds);
+        if (shard != nullptr) shard->latency.Record(seconds);
+      };
+      if (open_loop) {
+        // Arrivals are scheduled on the global request index, so the
+        // offered rate is target_qps at any thread count, and request i
+        // stays on client i % threads: a recommend dealt behind an ingest
+        // on the same client waits for it. The op is timed from its due
+        // time, so a request queued behind a stall carries the wait.
+        for (uint64_t i = t; i < requests.size() && !stopped(); i += threads) {
+          const Clock::time_point due =
+              start + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(
+                              static_cast<double>(i) / options.target_qps));
+          std::this_thread::sleep_until(due);
+          serve(i, due);
+        }
+        return;
+      }
+      // Closed loop: claim kClaim schedule indices at a time until none
+      // are left, so no client idles while requests remain.
+      const uint64_t n = requests.size();
+      for (;;) {
+        const uint64_t begin =
+            cursor.fetch_add(kClaim, std::memory_order_relaxed);
+        if (begin >= n) return;
+        const uint64_t end = std::min(begin + kClaim, n);
+        for (uint64_t i = begin; i < end; ++i) {
+          if (stopped()) return;
+          serve(i, Clock::now());
+        }
       }
     });
   }
@@ -322,11 +348,14 @@ Result<LoadReport> RunLoad(const Workload& workload,
   report.rankings_hash = rankings;
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  // load.latency.all is the union of the per-op histograms.
+  obs::Histogram latency;
   for (int op = 0; op < kNumOpClasses; ++op) {
     const std::string name =
         "load.latency." + std::string(OpClassName(static_cast<OpClass>(op)));
     registry.GetHistogram(name)->Merge(op_latency[op]);
     report.op_latency[op] = op_latency[op].Snapshot(name);
+    latency.Merge(op_latency[op]);
   }
   registry.GetHistogram("load.latency.all")->Merge(latency);
   report.latency = latency.Snapshot("load.latency.all");

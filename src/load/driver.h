@@ -3,23 +3,28 @@
 // per-op-class latency quantiles, rung mix, and the two fingerprints the
 // determinism gate compares across thread counts and repeat runs.
 //
-// Latency is recorded into obs::Histograms that every client thread shares:
-// each thread writes its own stripe without locks, and the report's
-// quantiles are within 1% of the exact order statistics at any request
-// count.
+// Latency is recorded into one obs::Histogram per op class that every
+// client thread shares: each thread writes its own stripe without locks,
+// and the report's quantiles are within 1% of the exact order statistics
+// at any request count. load.latency.all is their merge after the join.
 //
-// Request rid runs on thread (rid - 1) % threads: the *assignment* of
-// requests to threads changes with the thread count, but the set of
-// requests and each request's outcome do not — every recommend op carries
-// its rid into the per-request tie stream, so its served ranking is a pure
-// function of (seed, rid). `rankings_hash` folds the per-request ranking
-// fingerprints in schedule (rid) order, making "zero non-deterministic
-// rankings under concurrency" a single uint64 comparison.
+// Which client serves a request depends on the pacing mode and the thread
+// count, but the set of requests and each request's outcome do not: every
+// recommend op carries its rid into the per-request tie stream, so its
+// served ranking is a pure function of (seed, rid). `rankings_hash` folds
+// the per-request ranking fingerprints in schedule (rid) order, making
+// "zero non-deterministic rankings under concurrency" a single uint64
+// comparison.
 //
 // Two pacing modes:
 //   closed loop (target_qps == 0)  each client issues its next request the
 //                                  moment the previous one returns — the
-//                                  throughput-measuring mode;
+//                                  throughput-measuring mode. Clients claim
+//                                  runs of 16 consecutive requests from one
+//                                  shared cursor, so no client idles while
+//                                  requests remain, and a client stalled
+//                                  on one request holds back at most the
+//                                  15 others of its run;
 //   open loop   (target_qps > 0)   request rid's arrival time is
 //                                  (rid - 1) / target_qps after the run
 //                                  start, independent of completions — the
@@ -28,7 +33,12 @@
 //                                  time, not from when a client got to it,
 //                                  so a stall shows in every request queued
 //                                  behind it (coordinated omission stays
-//                                  visible).
+//                                  visible). Request rid runs on client
+//                                  (rid - 1) % threads, so a request dealt
+//                                  behind a slow op on its client (an
+//                                  ingest, in a mixed workload) waits for
+//                                  it: that queueing is what such a
+//                                  workload measures.
 #ifndef MICROREC_LOAD_DRIVER_H_
 #define MICROREC_LOAD_DRIVER_H_
 

@@ -61,13 +61,18 @@ Result<Workload> Workload::Build(const WorkloadOptions& options) {
   // schedule is a pure function of the options.
   Rng rng(options.seed, streams::kLoadSchedule);
   ZipfSampler users(options.num_users, options.zipf_skew);
+  uint64_t hash = kFnvOffsetBasis;
   for (uint64_t i = 0; i < options.num_requests; ++i) {
     Request request;
     request.rid = i + 1;  // rid 0 = "anonymous" in rec::QueryOptions
     request.op = static_cast<OpClass>(rng.Categorical(weights));
     request.user_rank = users.Sample(&rng);
     workload.requests_.push_back(request);
+    hash = FnvMixU64(hash, request.rid);
+    hash = FnvMixU64(hash, static_cast<uint64_t>(request.op));
+    hash = FnvMixU64(hash, request.user_rank);
   }
+  workload.schedule_hash_ = hash;
   return workload;
 }
 
@@ -75,16 +80,6 @@ uint64_t Workload::CountOf(OpClass op) const {
   uint64_t count = 0;
   for (const Request& r : requests_) count += r.op == op ? 1 : 0;
   return count;
-}
-
-uint64_t Workload::ScheduleHash() const {
-  uint64_t hash = kFnvOffsetBasis;
-  for (const Request& r : requests_) {
-    hash = FnvMixU64(hash, r.rid);
-    hash = FnvMixU64(hash, static_cast<uint64_t>(r.op));
-    hash = FnvMixU64(hash, r.user_rank);
-  }
-  return hash;
 }
 
 }  // namespace microrec::load

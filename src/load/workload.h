@@ -19,6 +19,11 @@
 
 namespace microrec::load {
 
+/// FNV-1a over a little-endian u64 (the shared hashing primitive of
+/// schedule and ranking fingerprints; exposed for the driver and tests).
+uint64_t FnvMixU64(uint64_t hash, uint64_t value);
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+
 /// The op classes the driver knows how to issue.
 enum class OpClass : int {
   /// Rank a candidate set for the drawn user (the serving hot path).
@@ -79,18 +84,15 @@ class Workload {
   uint64_t CountOf(OpClass op) const;
 
   /// FNV-1a fingerprint over (rid, op, user_rank) of every request, in
-  /// schedule order.
-  uint64_t ScheduleHash() const;
+  /// schedule order. Folded once by Build(), as the schedule never changes
+  /// after it; an empty schedule hashes to kFnvOffsetBasis.
+  uint64_t ScheduleHash() const { return schedule_hash_; }
 
  private:
   WorkloadOptions options_;
   std::vector<Request> requests_;
+  uint64_t schedule_hash_ = kFnvOffsetBasis;
 };
-
-/// FNV-1a over a little-endian u64 (the shared hashing primitive of
-/// schedule and ranking fingerprints; exposed for the driver and tests).
-uint64_t FnvMixU64(uint64_t hash, uint64_t value);
-inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 
 }  // namespace microrec::load
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "load/backend.h"
 #include "load/workload.h"
@@ -87,16 +91,99 @@ BackendFactory FakeFactory(FakeBackend::Script script = {}) {
   return [script] { return std::make_unique<FakeBackend>(script); };
 }
 
-Workload BuildWorkload(uint64_t requests = 300, uint64_t seed = 42) {
+Workload BuildWorkload(uint64_t requests = 300, uint64_t seed = 42,
+                       OpMix mix = OpMix{}) {
   WorkloadOptions options;
   options.seed = seed;
   options.num_requests = requests;
   options.num_users = 8;
   options.zipf_skew = 1.0;
+  options.mix = mix;
   Result<Workload> workload = Workload::Build(options);
   EXPECT_TRUE(workload.ok());
   return *workload;
 }
+
+OpMix RecommendOnly() {
+  OpMix mix;
+  mix.profile_lookup = 0.0;
+  mix.snapshot_warm = 0.0;
+  return mix;
+}
+
+/// Holds the run's first Recommend, whichever backend makes it, until the
+/// other backends have completed `release_after` recommends or 10 s pass.
+struct StallGate {
+  std::atomic<bool> first_taken{false};
+  uint64_t release_after = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  uint64_t completed = 0;   // guarded by mu
+  bool timed_out = false;   // guarded by mu
+  uint64_t completed_at_release = 0;  // guarded by mu
+};
+
+class GatedBackend : public FakeBackend {
+ public:
+  explicit GatedBackend(StallGate* gate) : FakeBackend({}), gate_(gate) {}
+
+  Result<RecommendOutcome> Recommend(uint64_t rid, uint64_t user_rank,
+                                     obs::RequestTrace* trace) override {
+    if (!gate_->first_taken.exchange(true)) {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      gate_->timed_out = !gate_->cv.wait_for(
+          lock, std::chrono::seconds(10),
+          [this] { return gate_->completed >= gate_->release_after; });
+      gate_->completed_at_release = gate_->completed;
+      return FakeBackend::Recommend(rid, user_rank, trace);
+    }
+    Result<RecommendOutcome> outcome =
+        FakeBackend::Recommend(rid, user_rank, trace);
+    {
+      std::lock_guard<std::mutex> lock(gate_->mu);
+      ++gate_->completed;
+    }
+    gate_->cv.notify_all();
+    return outcome;
+  }
+
+ private:
+  StallGate* gate_;
+};
+
+/// Appends every rid it serves to `served` (owned by the test; only this
+/// backend's client thread writes it).
+class RecordingBackend : public FakeBackend {
+ public:
+  explicit RecordingBackend(std::vector<uint64_t>* served)
+      : FakeBackend({}), served_(served) {}
+
+  Result<RecommendOutcome> Recommend(uint64_t rid, uint64_t user_rank,
+                                     obs::RequestTrace* trace) override {
+    served_->push_back(rid);
+    return FakeBackend::Recommend(rid, user_rank, trace);
+  }
+
+ private:
+  std::vector<uint64_t>* served_;
+};
+
+/// Raises the run's stop flag at its own 50th recommend.
+class StoppingBackend : public FakeBackend {
+ public:
+  explicit StoppingBackend(std::atomic<bool>* stop)
+      : FakeBackend({}), stop_(stop) {}
+
+  Result<RecommendOutcome> Recommend(uint64_t rid, uint64_t user_rank,
+                                     obs::RequestTrace* trace) override {
+    if (++recommends_ == 50) stop_->store(true);
+    return FakeBackend::Recommend(rid, user_rank, trace);
+  }
+
+ private:
+  std::atomic<bool>* stop_;
+  uint64_t recommends_ = 0;
+};
 
 TEST(DriverTest, NullFactoryRejected) {
   Workload workload = BuildWorkload(10);
@@ -196,6 +283,88 @@ TEST(DriverTest, OpenLoopLatencyCountsFromTheDueTime) {
   // read microseconds and the median with them.
   EXPECT_GE(report->latency.p50, 0.01);
   EXPECT_GE(report->latency.p90, 0.04);
+}
+
+TEST(DriverTest, StalledClientDoesNotHoldBackTheClosedLoop) {
+  // One client blocks on the run's first recommend until the others have
+  // served 301 of the 400 requests. Dealt a fixed quarter each, the other
+  // three would own exactly 300, and the wait would time out; claiming
+  // runs of the schedule, they serve everything but the stalled run.
+  Workload workload = BuildWorkload(400, 42, RecommendOnly());
+  StallGate gate;
+  gate.release_after = 301;
+  DriverOptions four;
+  four.threads = 4;
+  Result<LoadReport> stalled = RunLoad(workload, four, [&gate] {
+    return std::make_unique<GatedBackend>(&gate);
+  });
+  ASSERT_TRUE(stalled.ok());
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    EXPECT_FALSE(gate.timed_out)
+        << "the other clients had completed " << gate.completed_at_release
+        << " recommends after 10 s";
+  }
+  EXPECT_EQ(stalled->total_requests, 400u);
+  EXPECT_EQ(stalled->per_op[0], 400u);
+  EXPECT_EQ(stalled->per_rung[0] + stalled->per_rung[1] +
+                stalled->per_rung[2],
+            400u);
+  EXPECT_EQ(stalled->latency.count, 400u);
+
+  DriverOptions one;
+  one.threads = 1;
+  Result<LoadReport> serial = RunLoad(workload, one, FakeFactory());
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(stalled->rankings_hash, serial->rankings_hash);
+}
+
+TEST(DriverTest, OpenLoopServesRidOnClientRidMinusOneModThreads) {
+  // ingest_mix relies on this: a recommend dealt behind an ingest on the
+  // same client waits for it. 200 arrivals at 100k qps take ~2 ms.
+  Workload workload = BuildWorkload(200, 42, RecommendOnly());
+  std::array<std::vector<uint64_t>, 2> served;
+  size_t built = 0;
+  DriverOptions options;
+  options.threads = 2;
+  options.target_qps = 100000.0;
+  Result<LoadReport> report =
+      RunLoad(workload, options, [&served, &built] {
+        return std::make_unique<RecordingBackend>(&served[built++]);
+      });
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(built, 2u);
+  EXPECT_EQ(served[0].size() + served[1].size(), 200u);
+  for (uint64_t handle = 0; handle < 2; ++handle) {
+    for (uint64_t rid : served[handle]) {
+      EXPECT_EQ((rid - 1) % 2, handle) << "rid " << rid;
+    }
+  }
+}
+
+TEST(DriverTest, StopFlagReportsExactlyTheIssuedRequests) {
+  Workload workload = BuildWorkload(2000);
+  std::atomic<bool> stop{false};
+  DriverOptions options;
+  options.threads = 4;
+  options.stop = &stop;
+  Result<LoadReport> report = RunLoad(workload, options, [&stop] {
+    return std::make_unique<StoppingBackend>(&stop);
+  });
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(stop.load());
+  EXPECT_LT(report->total_requests, workload.requests().size());
+  uint64_t issued = 0;
+  uint64_t timed = 0;
+  for (int op = 0; op < kNumOpClasses; ++op) {
+    issued += report->per_op[op];
+    timed += report->op_latency[op].count;
+  }
+  EXPECT_EQ(report->total_requests, issued);
+  EXPECT_EQ(report->total_requests, report->latency.count);
+  EXPECT_EQ(report->total_requests, timed);
+  EXPECT_EQ(report->per_rung[0] + report->per_rung[1] + report->per_rung[2],
+            report->per_op[0]);
 }
 
 TEST(DriverTest, PerShardBreakdownAccountsEveryRecommend) {

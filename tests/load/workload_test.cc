@@ -111,6 +111,24 @@ TEST(WorkloadTest, ScheduleHashCoversEveryField) {
   EXPECT_NE(ab, ba);
 }
 
+TEST(WorkloadTest, ScheduleHashFoldsEveryRequestInOrder) {
+  Result<Workload> workload = Workload::Build(SmallOptions());
+  ASSERT_TRUE(workload.ok());
+  uint64_t expected = kFnvOffsetBasis;
+  for (const Request& r : workload->requests()) {
+    expected = FnvMixU64(expected, r.rid);
+    expected = FnvMixU64(expected, static_cast<uint64_t>(r.op));
+    expected = FnvMixU64(expected, r.user_rank);
+  }
+  EXPECT_EQ(workload->ScheduleHash(), expected);
+
+  WorkloadOptions none = SmallOptions();
+  none.num_requests = 0;
+  Result<Workload> empty = Workload::Build(none);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->ScheduleHash(), kFnvOffsetBasis);
+}
+
 TEST(WorkloadTest, OpClassNamesAreStable) {
   EXPECT_EQ(OpClassName(OpClass::kRecommend), "recommend");
   EXPECT_EQ(OpClassName(OpClass::kProfileLookup), "profile_lookup");
