@@ -73,13 +73,18 @@ void BM_SparseGeneralizedJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseGeneralizedJaccard);
 
-graph::NgramGraph RandomGraph(size_t edges, uint32_t vocab, Rng* rng) {
-  graph::NgramGraph out;
+// One key per co-occurrence of `edges` random vertex pairs.
+std::vector<uint64_t> RandomKeys(size_t edges, uint32_t vocab, Rng* rng) {
+  std::vector<uint64_t> keys;
   for (size_t i = 0; i < edges; ++i) {
-    out.AddEdge(rng->UniformU32(vocab), rng->UniformU32(vocab),
-                rng->UniformDouble() + 0.1);
+    keys.push_back(
+        graph::EdgeKey(rng->UniformU32(vocab), rng->UniformU32(vocab)));
   }
-  return out;
+  return keys;
+}
+
+graph::NgramGraph RandomGraph(size_t edges, uint32_t vocab, Rng* rng) {
+  return graph::NgramGraph::FromKeys(RandomKeys(edges, vocab, rng));
 }
 
 void BM_GraphValueSimilarity(benchmark::State& state) {
@@ -92,13 +97,19 @@ void BM_GraphValueSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphValueSimilarity);
 
+// The `update` merge of 50 document graphs: their keys, concatenated and
+// counted by the builder, each count divided by the number of documents.
 void BM_GraphUpdateMerge(benchmark::State& state) {
   Rng rng(4);
-  std::vector<graph::NgramGraph> docs;
-  for (int i = 0; i < 50; ++i) docs.push_back(RandomGraph(40, 5000, &rng));
+  std::vector<std::vector<uint64_t>> docs;
+  for (int i = 0; i < 50; ++i) docs.push_back(RandomKeys(40, 5000, &rng));
   for (auto _ : state) {
-    graph::NgramGraph user;
-    for (size_t d = 0; d < docs.size(); ++d) user.Update(docs[d], d);
+    std::vector<uint64_t> keys;
+    for (const std::vector<uint64_t>& doc : docs) {
+      keys.insert(keys.end(), doc.begin(), doc.end());
+    }
+    graph::NgramGraph user =
+        graph::NgramGraph::FromKeys(std::move(keys), docs.size());
     benchmark::DoNotOptimize(user.size());
   }
 }

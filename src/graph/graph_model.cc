@@ -45,23 +45,17 @@ std::optional<double> GraphModeler::ScoreDocument(const NgramGraph& user,
 
 NgramGraph GraphModeler::BuildUserGraph(
     const std::vector<bag::GramDoc>& docs) {
-  NgramGraph user;
-  size_t merged = 0;
+  std::vector<uint64_t> keys;
+  size_t merged = 0;  // documents with at least one edge
   std::vector<TermId> terms;
   for (bag::GramDoc doc : docs) {
     vocab_.InternAll(doc, &terms);
-    NgramGraph doc_graph = NgramGraph::FromSequence(terms, config_.n);
-    if (doc_graph.empty()) continue;
-    if (config_.merge == GraphMerge::kUpdate) {
-      user.Update(doc_graph, merged);
-    } else {
-      for (const auto& [key, weight] : doc_graph.edges()) {
-        user.AddEdgeByKey(key, weight);
-      }
-    }
-    ++merged;
+    const size_t before = keys.size();
+    NgramGraph::AppendCooccurrences(terms, config_.n, &keys);
+    if (keys.size() > before) ++merged;
   }
-  return user;
+  return NgramGraph::FromKeys(
+      std::move(keys), config_.merge == GraphMerge::kUpdate ? merged : 1);
 }
 
 }  // namespace microrec::graph

@@ -15,9 +15,10 @@ namespace microrec::graph {
 
 using bag::NgramKind;
 
-/// How document graphs are folded into the user graph. The paper uses the
-/// `update` running-average operator (Section 3.2); plain edge-weight
-/// summation is kept as an ablation target (DESIGN.md §11) — it biases the
+/// How document graphs are folded into the user graph: NgramGraph::FromKeys
+/// divides each edge's count by the number of documents with an edge for
+/// `update` (the paper's running average, Section 3.2) and keeps it for
+/// `sum`. Summation is an ablation target (DESIGN.md §11): it biases the
 /// user graph toward high-frequency edges and inflates |G|-normalised
 /// similarities for prolific users.
 enum class GraphMerge { kUpdate, kSum };
@@ -52,8 +53,9 @@ class GraphModeler {
   /// their edges can never match a user-graph edge.
   NgramGraph BuildDocGraph(bag::GramDoc doc) const;
 
-  /// User graph: document graphs folded in chronological order with the
-  /// update operator (running average of edge weights). Interns grams.
+  /// User graph: every document's co-occurrence keys, merged by one
+  /// NgramGraph::FromKeys as config().merge says; documents without an edge
+  /// are skipped. Interns grams.
   NgramGraph BuildUserGraph(const std::vector<bag::GramDoc>& docs);
 
   /// Similarity under the configured measure.

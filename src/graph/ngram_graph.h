@@ -2,14 +2,15 @@
 // representation models of the taxonomy (Section 3.1). A document is an
 // undirected graph with one vertex per n-gram and an edge between every two
 // n-grams co-occurring within a window of size n; edge weights count
-// co-occurrences. User models merge document graphs with the incremental
-// `update` operator (running weighted average), so the user graph's weights
-// estimate the expected co-occurrence strength across her documents.
+// co-occurrences. Every graph (document, user, persisted row) holds its edge
+// keys sorted ascending and unique, next to their weights, and one builder
+// makes them all: collect the co-occurrence keys, sort, count runs. A user
+// graph's `update` weights are each edge's mean over the user's documents.
 #ifndef MICROREC_GRAPH_NGRAM_GRAPH_H_
 #define MICROREC_GRAPH_NGRAM_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -27,41 +28,39 @@ inline uint64_t EdgeKey(TermId a, TermId b) {
 /// Weighted undirected graph over n-gram vertices.
 class NgramGraph {
  public:
+  NgramGraph() = default;
+
+  /// Adopts strictly ascending edge keys and one weight per key.
+  NgramGraph(std::vector<uint64_t> keys, std::vector<double> weights)
+      : keys_(std::move(keys)), weights_(std::move(weights)) {}
+
+  /// The builder: sorts `keys`, one per co-occurrence in any order, and
+  /// gives each distinct key the weight count / `divisor`. A divisor of 1
+  /// sums document graphs; the number of documents averages them.
+  static NgramGraph FromKeys(std::vector<uint64_t> keys, size_t divisor = 1);
+
+  /// Appends the key of every co-occurrence of an n-gram (term id) sequence
+  /// with window `window`: position i links to positions i+1 .. i+window.
+  static void AppendCooccurrences(const std::vector<TermId>& ngrams,
+                                  int window, std::vector<uint64_t>* keys);
+
+  /// The document graph of an n-gram sequence, from its co-occurrences.
+  static NgramGraph FromSequence(const std::vector<TermId>& ngrams,
+                                 int window);
+
   /// Number of edges (|G| in the similarity formulas).
-  size_t size() const { return edges_.size(); }
-  bool empty() const { return edges_.empty(); }
+  size_t size() const { return keys_.size(); }
+  bool empty() const { return keys_.empty(); }
 
-  /// Adds `delta` to the weight of edge (a, b), creating it if needed.
-  void AddEdge(TermId a, TermId b, double delta = 1.0);
-
-  /// Adds `delta` to the edge with a pre-computed canonical key.
-  void AddEdgeByKey(uint64_t key, double delta) { edges_[key] += delta; }
+  const std::vector<uint64_t>& keys() const { return keys_; }
+  const std::vector<double>& weights() const { return weights_; }
 
   /// Weight of edge (a, b); 0 when absent.
   double WeightOf(TermId a, TermId b) const;
 
-  /// Contains an edge between a and b?
-  bool HasEdge(TermId a, TermId b) const {
-    return edges_.find(EdgeKey(a, b)) != edges_.end();
-  }
-
-  const std::unordered_map<uint64_t, double>& edges() const { return edges_; }
-
-  /// The `update` merge operator: folds `doc` into this user graph as its
-  /// (count+1)-th observation, moving every edge weight toward the document
-  /// weight with learning factor 1/(count+1) — i.e. a running average where
-  /// absent edges contribute weight 0. `count` is how many documents have
-  /// already been merged into this graph.
-  void Update(const NgramGraph& doc, size_t count);
-
-  /// Builds the document graph of an n-gram (term id) sequence with
-  /// co-occurrence window `window`: position i links to positions
-  /// i+1 .. i+window.
-  static NgramGraph FromSequence(const std::vector<TermId>& ngrams,
-                                 int window);
-
  private:
-  std::unordered_map<uint64_t, double> edges_;
+  std::vector<uint64_t> keys_;  // ascending, unique
+  std::vector<double> weights_;
 };
 
 /// Graph similarity measures of Section 3.2.

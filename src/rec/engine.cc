@@ -689,23 +689,15 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     return user;
   }
 
-  // A graph user row: vocabulary grams, then the edges as sorted,
-  // delta-coded keys (the two packed term ids of adjacent edges share their
-  // high halves, so each costs a few bytes) plus f64 weights. Sorting by
-  // canonical key makes the same graph always serialize to the same bytes
-  // (unordered_map order is process-dependent).
+  // A graph user row: vocabulary grams, then the graph's arrays as it holds
+  // them: its ascending edge keys, delta-coded (the two packed term ids of
+  // adjacent edges share their high halves, so each costs a few bytes), and
+  // their f64 weights. A decoded row is validated and adopted as is.
   std::string EncodeRow(const GraphUser& user) const override {
-    std::vector<uint64_t> keys;
-    keys.reserve(user.graph.size());
-    for (const auto& [key, weight] : user.graph.edges()) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    std::vector<double> weights;
-    weights.reserve(keys.size());
-    for (uint64_t key : keys) weights.push_back(user.graph.edges().at(key));
     std::string row;
     snapshot::PutDeltaIds(&row, PersistedGrams(user.modeler.vocabulary()));
-    snapshot::PutDeltaIds(&row, keys);
-    PutRowF64s(&row, weights);
+    snapshot::PutDeltaIds(&row, user.graph.keys());
+    PutRowF64s(&row, user.graph.weights());
     return row;
   }
 
@@ -725,8 +717,6 @@ class GraphEngine : public UserTableEngine<GraphUser> {
           origin + " has mismatched edge key/weight counts");
     }
     const size_t vocab_size = vocab.size();
-    GraphUser user{graph::GraphModeler(config_.graph), {}};
-    user.modeler.RestoreVocabulary(std::move(vocab));
     for (size_t e = 0; e < keys.size(); ++e) {
       if ((keys[e] >> 32) >= vocab_size ||
           (keys[e] & 0xFFFFFFFFu) >= vocab_size) {
@@ -734,8 +724,16 @@ class GraphEngine : public UserTableEngine<GraphUser> {
             origin + " edge references term outside vocabulary of " +
             std::to_string(vocab_size));
       }
-      user.graph.AddEdgeByKey(keys[e], weights[e]);
+      // Scoring walks the keys in order, so they must ascend, once each.
+      if (e > 0 && keys[e] <= keys[e - 1]) {
+        return Status::InvalidArgument(
+            origin + " edge keys are not strictly ascending at edge " +
+            std::to_string(e));
+      }
     }
+    GraphUser user{graph::GraphModeler(config_.graph),
+                   graph::NgramGraph(std::move(keys), std::move(weights))};
+    user.modeler.RestoreVocabulary(std::move(vocab));
     return user;
   }
 

@@ -74,7 +74,7 @@ TEST(GraphModelTest, UserGraphMergesChronologically) {
       grams.Docs({{"a", "b"}, {"a", "b"}, {"c", "d"}}));
   // (a,b) in 2/3 docs, (c,d) in 1/3.
   const uint64_t ab =
-      modeler.BuildDocGraph(grams.Doc({"a", "b"})).edges().begin()->first;
+      modeler.BuildDocGraph(grams.Doc({"a", "b"})).keys().front();
   EXPECT_NEAR(user.WeightOf(static_cast<TermId>(ab >> 32),
                             static_cast<TermId>(ab)),
               2.0 / 3.0, 1e-9);

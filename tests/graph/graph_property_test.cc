@@ -1,7 +1,10 @@
 // Property sweep over the 18 TNG + CNG configurations of Table 5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "graph/graph_model.h"
 #include "gram_docs.h"
@@ -83,6 +86,47 @@ TEST_P(GraphConfigPropertyTest, MergeOrderInvariantForSum) {
   EXPECT_NEAR(forward.Score(a, probe_a), backward.Score(b_raw, probe_b),
               1e-9)
       << GetParam().ToString();
+}
+
+// Each edge's weight, keyed by its two dictionary grams: local ids differ
+// between modelers that saw the documents in different orders.
+std::map<std::pair<TermId, TermId>, double> WeightsByGram(
+    const GraphModeler& modeler, const NgramGraph& graph) {
+  const std::vector<TermId>& grams = modeler.vocabulary().grams();
+  std::map<std::pair<TermId, TermId>, double> out;
+  for (size_t e = 0; e < graph.size(); ++e) {
+    const uint64_t key = graph.keys()[e];
+    out[std::minmax(grams[key >> 32], grams[key & 0xFFFFFFFFu])] =
+        graph.weights()[e];
+  }
+  return out;
+}
+
+TEST_P(GraphConfigPropertyTest, MergeOrderInvariantForUpdate) {
+  // `update` is each edge's mean weight over the documents, so reversing
+  // them must leave every weight's bits as they are.
+  GraphConfig config = GetParam();
+  config.merge = GraphMerge::kUpdate;
+  const std::vector<std::vector<std::string>> history = {
+      {"alpha", "beta", "gamma", "delta"},
+      {"alpha", "beta", "gamma", "epsilon"},
+      {"beta", "gamma", "delta", "alpha"},
+      {"gamma", "alpha", "beta", "zeta"},
+      {"alpha", "beta", "alpha", "beta", "gamma"},
+      {"delta", "epsilon", "gamma", "beta"},
+      {"zeta", "alpha", "beta", "gamma", "delta"},
+  };
+  const std::vector<std::vector<std::string>> reversed(history.rbegin(),
+                                                       history.rend());
+  GraphModeler forward(config);
+  GraphModeler backward(config);
+  GramDocs grams(config);
+  const auto a =
+      WeightsByGram(forward, forward.BuildUserGraph(grams.Docs(history)));
+  const auto b =
+      WeightsByGram(backward, backward.BuildUserGraph(grams.Docs(reversed)));
+  ASSERT_FALSE(a.empty()) << GetParam().ToString();
+  EXPECT_EQ(a, b) << GetParam().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

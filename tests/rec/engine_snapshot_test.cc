@@ -314,6 +314,17 @@ std::string BagRow(const std::vector<uint64_t>& grams) {
   return row;
 }
 
+// A TNG user row over grams {0, 1, 2}: `keys` with weight 1 each.
+std::string GraphRow(const std::vector<uint64_t>& keys) {
+  std::string row;
+  snapshot::PutDeltaIds(&row, {0, 1, 2});
+  snapshot::PutDeltaIds(&row, keys);
+  snapshot::PutVarint(&row, keys.size());  // weights
+  snapshot::Encoder weights;
+  for (size_t e = 0; e < keys.size(); ++e) weights.PutF64(1.0);
+  return row + weights.bytes();
+}
+
 // ---- Engine-level corruption matrix (TN keeps it fast; the container
 // layer is shared by every family). ----
 
@@ -342,29 +353,31 @@ class EngineSnapshotCorruptionTest : public EngineSnapshotFixture {
     return engine->LoadSnapshot(path, ctx_);
   }
 
-  /// Writes `row` as ego's only row under the good file's header, and
-  /// expects both residencies to reject it with InvalidArgument naming the
-  /// row and `detail`: a resident open at once, a mapped one when the row
-  /// is first decoded.
-  void ExpectRowRejected(const std::string& row, const std::string& detail) {
-    Result<snapshot::File> good = snapshot::File::Load(good_path_);
+  /// Writes `row` as ego's only row under the header of a snapshot of
+  /// `config`, and expects both residencies to reject it with
+  /// InvalidArgument naming the row (`row_label` and ego's id) and `detail`:
+  /// a resident open at once, a mapped one when the row is first decoded.
+  void ExpectRowRejected(const ModelConfig& config,
+                         const std::string& row_label, const std::string& row,
+                         const std::string& detail) {
+    Result<snapshot::File> good = snapshot::File::Load(SaveBuilt(config));
     ASSERT_TRUE(good.ok());
     snapshot::TableBuilder table;
     ASSERT_TRUE(table.AddRow(ego_, row).ok());
     snapshot::Writer writer(good->header());
     writer.AddSection("users", std::move(table).Finish());
-    const std::string path = Path("bad_grams");
+    const std::string path = Path("bad_row");
     ASSERT_TRUE(writer.Commit(path).ok());
-    const std::string row_name = "bag user " + std::to_string(ego_);
+    const std::string row_name = row_label + " " + std::to_string(ego_);
 
-    auto resident = MakeEngine(config_);
+    auto resident = MakeEngine(config);
     Status st = resident->LoadSnapshot(path, ctx_);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
     EXPECT_NE(st.message().find(row_name), std::string::npos)
         << st.ToString();
     EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
 
-    auto mapped = MakeEngine(config_);
+    auto mapped = MakeEngine(config);
     ASSERT_TRUE(mapped->OpenMapped(path, ctx_).ok());
     st = mapped->BuildUser(ego_, train_, ctx_);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
@@ -373,13 +386,13 @@ class EngineSnapshotCorruptionTest : public EngineSnapshotFixture {
     EXPECT_NE(st.message().find(detail), std::string::npos) << st.ToString();
   }
 
-  /// Trains and saves the small LDA configuration with ego built; returns
-  /// the snapshot's path.
-  std::string SaveLda() {
-    auto engine = MakeEngine(SmallConfig(ModelKind::kLDA));
+  /// Trains and saves `config` with ego built; returns the snapshot's
+  /// path.
+  std::string SaveBuilt(const ModelConfig& config) {
+    auto engine = MakeEngine(config);
     EXPECT_TRUE(engine->Prepare(ctx_).ok());
     EXPECT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
-    const std::string path = Path("lda");
+    const std::string path = Path(std::string(ModelKindName(config.kind)));
     EXPECT_TRUE(engine->SaveSnapshot(path, ctx_).ok());
     return path;
   }
@@ -390,7 +403,8 @@ class EngineSnapshotCorruptionTest : public EngineSnapshotFixture {
   /// which the build of a user absent from the snapshot (rival) runs.
   void ExpectVocabRejected(const std::vector<uint64_t>& grams,
                            const std::string& detail) {
-    Result<snapshot::File> good = snapshot::File::Load(SaveLda());
+    Result<snapshot::File> good =
+        snapshot::File::Load(SaveBuilt(SmallConfig(ModelKind::kLDA)));
     ASSERT_TRUE(good.ok());
     snapshot::Writer writer(good->header());
     for (const snapshot::Section& section : good->sections()) {
@@ -468,7 +482,7 @@ TEST_F(EngineSnapshotCorruptionTest, SeedMismatchIsFailedPrecondition) {
 TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
   // Re-author a TN and an LDA container with a perturbed vocabulary
   // fingerprint but valid CRCs: only the identity check can catch this one.
-  const std::string lda_path = SaveLda();
+  const std::string lda_path = SaveBuilt(SmallConfig(ModelKind::kLDA));
   for (const auto& [config, good_path] :
        {std::pair(config_, good_path_),
         std::pair(SmallConfig(ModelKind::kLDA), lda_path)}) {
@@ -506,13 +520,29 @@ TEST_F(EngineSnapshotCorruptionTest, GramIdOutsideTheDictionaryRejected) {
   const std::string detail = "gram " + std::to_string(size) +
                              " is outside the dictionary of " +
                              std::to_string(size);
-  ExpectRowRejected(BagRow({0, size}), detail);
+  ExpectRowRejected(config_, "bag user", BagRow({0, size}), detail);
   ExpectVocabRejected({0, size}, detail);
 }
 
 TEST_F(EngineSnapshotCorruptionTest, RepeatedGramIdRejected) {
-  ExpectRowRejected(BagRow({3, 1, 3}), "repeats gram 3");
+  ExpectRowRejected(config_, "bag user", BagRow({3, 1, 3}),
+                    "repeats gram 3");
   ExpectVocabRejected({3, 1, 3}, "repeats gram 3");
+}
+
+TEST_F(EngineSnapshotCorruptionTest, GraphEdgeKeysOutOfOrderRejected) {
+  // A graph row is adopted as saved and scored by walking its keys in
+  // order, so a descending pair or a repeated key is refused, not re-sorted
+  // or summed.
+  const ModelConfig tng = SmallConfig(ModelKind::kTNG);
+  const uint64_t a = graph::EdgeKey(0, 1);
+  const uint64_t b = graph::EdgeKey(0, 2);
+  for (const std::vector<uint64_t>& keys :
+       {std::vector<uint64_t>{b, a}, std::vector<uint64_t>{a, a}}) {
+    SCOPED_TRACE(keys[0] == keys[1] ? "repeated" : "descending");
+    ExpectRowRejected(tng, "graph user", GraphRow(keys),
+                      "edge keys are not strictly ascending at edge 1");
+  }
 }
 
 TEST_F(EngineSnapshotCorruptionTest, TopicVocabLargerThanTheModelRejected) {
