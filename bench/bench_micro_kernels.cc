@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot kernels: the
-// tokenizer, n-gram extraction, sparse-vector joins, n-gram-graph
-// similarities and one Gibbs sweep of each sampler family. These back the
-// time-efficiency discussion of Figure 7 at the kernel level.
+// tokenizer, n-gram extraction, sparse-vector joins, a bag user's build,
+// n-gram-graph similarities and one Gibbs sweep of each sampler family.
+// These back the time-efficiency discussion of Figure 7 at the kernel level.
 #include <benchmark/benchmark.h>
 
 #include "bag/bag_model.h"
@@ -114,6 +114,27 @@ void BM_GraphUpdateMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphUpdateMerge);
+
+// One fresh bag user's build: Fit, then the centroid of 300 TF document
+// vectors of 20 grams each over a 20,000-gram dictionary.
+void BM_BagBuildUser(benchmark::State& state) {
+  Rng rng(8);
+  std::vector<std::vector<text::TermId>> grams(300);
+  for (std::vector<text::TermId>& doc : grams) {
+    for (int i = 0; i < 20; ++i) doc.push_back(rng.UniformU32(20000));
+  }
+  const std::vector<bag::GramDoc> docs(grams.begin(), grams.end());
+  const std::vector<bool> positive(docs.size(), true);
+  bag::BagConfig config;
+  config.weighting = bag::Weighting::kTF;
+  config.aggregation = bag::Aggregation::kCentroid;
+  for (auto _ : state) {
+    bag::BagModeler modeler(config);
+    modeler.Fit(docs);
+    benchmark::DoNotOptimize(modeler.BuildUserVector(docs, positive));
+  }
+}
+BENCHMARK(BM_BagBuildUser);
 
 topic::DocSet SyntheticDocs(size_t docs, size_t len, uint32_t vocab) {
   Rng rng(5);

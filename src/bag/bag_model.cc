@@ -55,13 +55,15 @@ void IdVocabulary::Translate(GramDoc doc, std::vector<TermId>* ids) const {
 
 void BagModeler::Fit(const std::vector<GramDoc>& docs) {
   num_train_docs_ = docs.size();
+  std::vector<size_t> counted;  // per term: 1 + the last document counted
   std::vector<TermId> terms;
-  for (GramDoc doc : docs) {
-    vocab_.InternAll(doc, &terms);
-    SparseVector counts = SparseVector::FromCounts(terms);
+  for (size_t d = 0; d < docs.size(); ++d) {
+    vocab_.InternAll(docs[d], &terms);
     df_.resize(vocab_.size(), 0);
-    for (const auto& [term, count] : counts.entries()) {
-      (void)count;
+    counted.resize(vocab_.size(), 0);
+    for (TermId term : terms) {
+      if (counted[term] == d + 1) continue;
+      counted[term] = d + 1;
       ++df_[term];
     }
   }
@@ -78,12 +80,6 @@ std::optional<double> BagModeler::ScoreDocument(const SparseVector& profile,
                                                 GramDoc doc) const {
   if (!vocab_.ContainsAny(doc)) return std::nullopt;
   return Kernel(profile, profile_magnitude, EmbedDocument(doc));
-}
-
-SparseVector BagModeler::InternAndWeigh(GramDoc doc) {
-  std::vector<TermId> terms;
-  vocab_.InternAll(doc, &terms);
-  return Weigh(terms);
 }
 
 SparseVector BagModeler::Weigh(const std::vector<TermId>& terms) const {
@@ -119,54 +115,48 @@ SparseVector BagModeler::Weigh(const std::vector<TermId>& terms) const {
 SparseVector BagModeler::BuildUserVector(const std::vector<GramDoc>& docs,
                                          const std::vector<bool>& positive) {
   assert(docs.size() == positive.size());
-  SparseVector user;
-  switch (config_.aggregation) {
-    case Aggregation::kSum: {
-      for (GramDoc doc : docs) {
-        user.AddScaled(InternAndWeigh(doc), 1.0);
-      }
-      break;
+  const bool rocchio = config_.aggregation == Aggregation::kRocchio;
+  // One sum per local id and side (Rocchio's negatives are side 1), added
+  // to in document order: each term's value is the chain of IEEE sums that
+  // merging one document vector at a time gives, as 0.0 + x == x.
+  std::vector<double> sums[2];
+  size_t used[2] = {0, 0};
+  std::vector<TermId> terms;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    vocab_.InternAll(docs[i], &terms);
+    const SparseVector vec = Weigh(terms);
+    double factor = 1.0;
+    if (config_.aggregation != Aggregation::kSum) {
+      const double mag = vec.Magnitude();
+      if (mag == 0.0) continue;
+      factor = 1.0 / mag;
     }
-    case Aggregation::kCentroid: {
-      size_t used = 0;
-      for (GramDoc doc : docs) {
-        SparseVector vec = InternAndWeigh(doc);
-        double mag = vec.Magnitude();
-        if (mag == 0.0) continue;
-        user.AddScaled(vec, 1.0 / mag);
-        ++used;
-      }
-      if (used > 0) user.Scale(1.0 / static_cast<double>(used));
-      break;
+    const int side = rocchio && !positive[i] ? 1 : 0;
+    sums[side].resize(vocab_.size(), 0.0);
+    for (const auto& [term, weight] : vec.entries()) {
+      sums[side][term] += weight * factor;
     }
-    case Aggregation::kRocchio: {
-      SparseVector pos_sum, neg_sum;
-      size_t num_pos = 0, num_neg = 0;
-      for (size_t i = 0; i < docs.size(); ++i) {
-        SparseVector vec = InternAndWeigh(docs[i]);
-        double mag = vec.Magnitude();
-        if (mag == 0.0) continue;
-        if (positive[i]) {
-          pos_sum.AddScaled(vec, 1.0 / mag);
-          ++num_pos;
-        } else {
-          neg_sum.AddScaled(vec, 1.0 / mag);
-          ++num_neg;
-        }
-      }
-      if (num_pos > 0) {
-        user.AddScaled(pos_sum,
-                       config_.rocchio_alpha / static_cast<double>(num_pos));
-      }
-      if (num_neg > 0) {
-        user.AddScaled(neg_sum,
-                       -config_.rocchio_beta / static_cast<double>(num_neg));
-      }
-      break;
+    ++used[side];
+  }
+  // Each side's final scale, applied only when it has documents: 1/used
+  // for centroid, alpha/|P| and -beta/|N| for Rocchio.
+  const double share[2] = {rocchio ? config_.rocchio_alpha : 1.0,
+                           -config_.rocchio_beta};
+  double scale[2] = {1.0, 0.0};
+  for (int side : {0, 1}) {
+    if (config_.aggregation != Aggregation::kSum && used[side] > 0) {
+      scale[side] = share[side] / static_cast<double>(used[side]);
     }
   }
-  user.PruneZeros();
-  return user;
+  sums[0].resize(vocab_.size(), 0.0);
+  if (rocchio) sums[1].resize(vocab_.size(), 0.0);
+  std::vector<SparseVector::Entry> entries;
+  for (size_t term = 0; term < sums[0].size(); ++term) {
+    double value = sums[0][term] * scale[0];
+    if (rocchio) value += sums[1][term] * scale[1];
+    if (value != 0.0) entries.emplace_back(static_cast<TermId>(term), value);
+  }
+  return SparseVector::FromUnsorted(std::move(entries));
 }
 
 std::optional<double> BagModeler::Kernel(const SparseVector& profile,

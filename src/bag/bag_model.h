@@ -4,7 +4,8 @@
 //   1. Fit()             — learn the vocabulary and document frequencies
 //                          from the user's training documents;
 //   2. BuildUserVector() — aggregate training-document vectors into the
-//                          user model (sum / centroid / Rocchio);
+//                          user model (sum / centroid / Rocchio) in one
+//                          document-order fold over the dense local ids;
 //   3. EmbedDocument() + Score() — embed each test tweet and rank by
 //                          similarity to the user model.
 //
@@ -91,7 +92,8 @@ class BagModeler {
  public:
   explicit BagModeler(const BagConfig& config) : config_(config) {}
 
-  /// Learns vocabulary + document frequencies from the train documents.
+  /// Learns vocabulary + document frequencies from the train documents: a
+  /// term's df counts the documents it occurs in, once per document.
   void Fit(const std::vector<GramDoc>& docs);
 
   /// Embeds one document with the configured weighting scheme. IDF uses the
@@ -102,6 +104,9 @@ class BagModeler {
   /// must parallel `docs` and is consulted only by Rocchio. Interns grams
   /// the vocabulary has not seen (the hashtag and followee recommenders
   /// aggregate documents they never fitted).
+  /// Sums weight x factor per local id in document order (factor 1 for
+  /// sum, 1/|d| for centroid and Rocchio, which skip |d| = 0), then scales
+  /// once: the bits of adding one document at a time with AddScaled.
   SparseVector BuildUserVector(const std::vector<GramDoc>& docs,
                                const std::vector<bool>& positive);
 
@@ -145,8 +150,6 @@ class BagModeler {
  private:
   /// The weighted vector of a document's local term ids.
   SparseVector Weigh(const std::vector<TermId>& terms) const;
-  /// Interns `doc` and weighs it.
-  SparseVector InternAndWeigh(GramDoc doc);
 
   BagConfig config_;
   IdVocabulary vocab_;

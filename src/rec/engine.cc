@@ -643,6 +643,12 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
             std::to_string(term_ids[e]) + " outside vocabulary of " +
             std::to_string(vocab.size()));
       }
+      // A saved profile ascends, each id once: refuse, not re-sort or sum.
+      if (e > 0 && term_ids[e] <= term_ids[e - 1]) {
+        return Status::InvalidArgument(
+            origin + " vector term ids are not strictly ascending at entry " +
+            std::to_string(e));
+      }
       entries.emplace_back(static_cast<text::TermId>(term_ids[e]),
                            weights[e]);
     }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "gram_docs.h"
 #include "util/rng.h"
@@ -259,6 +263,150 @@ TEST(BagModelTest, KernelMatchesTheMergeReferencesBitForBit) {
       EXPECT_EQ(got.has_value(), overlaps) << "trial " << trial;
     }
   }
+}
+
+// The user model as one SparseVector::AddScaled merge per document vector,
+// then each aggregation's final scale and PruneZeros: the fold that
+// BuildUserVector must reproduce bit for bit.
+SparseVector MergeOneDocumentAtATime(const BagConfig& config,
+                                     const std::vector<SparseVector>& vecs,
+                                     const std::vector<bool>& positive) {
+  SparseVector user;
+  switch (config.aggregation) {
+    case Aggregation::kSum:
+      for (const SparseVector& vec : vecs) user.AddScaled(vec, 1.0);
+      break;
+    case Aggregation::kCentroid: {
+      size_t used = 0;
+      for (const SparseVector& vec : vecs) {
+        const double mag = vec.Magnitude();
+        if (mag == 0.0) continue;
+        user.AddScaled(vec, 1.0 / mag);
+        ++used;
+      }
+      if (used > 0) user.Scale(1.0 / static_cast<double>(used));
+      break;
+    }
+    case Aggregation::kRocchio: {
+      SparseVector pos_sum, neg_sum;
+      size_t num_pos = 0, num_neg = 0;
+      for (size_t i = 0; i < vecs.size(); ++i) {
+        const double mag = vecs[i].Magnitude();
+        if (mag == 0.0) continue;
+        (positive[i] ? pos_sum : neg_sum).AddScaled(vecs[i], 1.0 / mag);
+        ++(positive[i] ? num_pos : num_neg);
+      }
+      if (num_pos > 0) {
+        user.AddScaled(pos_sum,
+                       config.rocchio_alpha / static_cast<double>(num_pos));
+      }
+      if (num_neg > 0) {
+        user.AddScaled(neg_sum,
+                       -config.rocchio_beta / static_cast<double>(num_neg));
+      }
+      break;
+    }
+  }
+  user.PruneZeros();
+  return user;
+}
+
+// The document vectors BuildUserVector weighs: each document embedded once
+// every gram is interned in document order, under the fitted statistics.
+std::vector<SparseVector> EmbedAsInterned(const BagModeler& fitted,
+                                          const std::vector<GramDoc>& docs) {
+  IdVocabulary vocab = fitted.vocabulary();
+  for (GramDoc doc : docs) {
+    for (TermId gram : doc) vocab.Intern(gram);
+  }
+  BagModeler reference(fitted.config());
+  reference.RestoreFitted(std::move(vocab), fitted.doc_frequencies(),
+                          fitted.num_train_docs());
+  std::vector<SparseVector> vecs;
+  for (GramDoc doc : docs) vecs.push_back(reference.EmbedDocument(doc));
+  return vecs;
+}
+
+std::vector<std::pair<TermId, uint64_t>> EntryBits(const SparseVector& vec) {
+  std::vector<std::pair<TermId, uint64_t>> bits;
+  for (const auto& [term, weight] : vec.entries()) {
+    bits.emplace_back(term, std::bit_cast<uint64_t>(weight));
+  }
+  return bits;
+}
+
+TEST(BagModelTest, UserVectorIsTheDocumentAtATimeFold) {
+  // Random histories over a small word pool, so words repeat. A third of
+  // the trials start every document with "z z z": TF-IDF weighs terms in
+  // every document 0, and a document of only those is skipped. Elsewhere a
+  // one-token document featurizes to nothing at n >= 2 ("a" and "b" have no
+  // character bigrams either). Labels interleave at random, or are all
+  // positive or all negative. Half the trials fit only a prefix of the
+  // history, as the hashtag and followee recommenders aggregate documents
+  // their modeler never fitted.
+  const std::vector<std::string> pool = {"a",   "b",   "cc",  "dd",
+                                         "eee", "fff", "gggg"};
+  Rng rng(27);
+  size_t empty_docs = 0, zero_weight_docs = 0;
+  for (NgramKind kind : {NgramKind::kToken, NgramKind::kChar}) {
+    for (const BagConfig& config : EnumerateBagConfigs(kind)) {
+      SCOPED_TRACE(config.ToString());
+      for (int trial = 0; trial < 24; ++trial) {
+        const bool ubiquitous = trial % 3 == 0;
+        const int labels = trial % 4;  // 0, 1 random; 2 positive; 3 negative
+        const size_t num_docs = 1 + rng.UniformU32(10);
+        std::vector<TokenDoc> history;
+        std::vector<bool> positive;
+        for (size_t d = 0; d < num_docs; ++d) {
+          TokenDoc doc;
+          if (ubiquitous) doc = {"z", "z", "z"};
+          size_t len = 1 + rng.UniformU32(6);
+          if (rng.UniformU32(4) == 0) len = ubiquitous ? 0 : 1;
+          for (size_t w = 0; w < len; ++w) {
+            doc.push_back(pool[rng.UniformU32(pool.size())]);
+          }
+          history.push_back(std::move(doc));
+          positive.push_back(labels == 2 ||
+                             (labels != 3 && rng.Bernoulli(0.5)));
+        }
+        GramDocs grams(config);
+        const std::vector<GramDoc> docs = grams.Docs(history);
+        const size_t fitted =
+            trial % 2 == 0 ? num_docs : rng.UniformU32(num_docs + 1);
+        const std::vector<GramDoc> fit_docs(docs.begin(),
+                                            docs.begin() + fitted);
+        BagModeler modeler(config);
+        modeler.Fit(fit_docs);
+
+        // Document frequencies: each document's distinct terms, once.
+        std::vector<uint32_t> df;
+        for (GramDoc doc : fit_docs) {
+          std::vector<TermId> terms;
+          for (TermId gram : doc) {
+            terms.push_back(modeler.vocabulary().Find(gram));
+          }
+          std::sort(terms.begin(), terms.end());
+          terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+          df.resize(modeler.vocabulary_size(), 0);
+          for (TermId term : terms) ++df[term];
+        }
+        EXPECT_EQ(modeler.doc_frequencies(), df) << "trial " << trial;
+
+        const std::vector<SparseVector> vecs = EmbedAsInterned(modeler, docs);
+        for (size_t d = 0; d < docs.size(); ++d) {
+          if (!vecs[d].empty()) continue;
+          ++(docs[d].empty() ? empty_docs : zero_weight_docs);
+        }
+        const SparseVector expected =
+            MergeOneDocumentAtATime(config, vecs, positive);
+        const SparseVector user = modeler.BuildUserVector(docs, positive);
+        EXPECT_EQ(EntryBits(user), EntryBits(expected)) << "trial " << trial;
+      }
+    }
+  }
+  // The histories reach both kinds of skipped document.
+  EXPECT_GT(empty_docs, 0u);
+  EXPECT_GT(zero_weight_docs, 0u);
 }
 
 }  // namespace

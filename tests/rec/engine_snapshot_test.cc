@@ -302,16 +302,19 @@ TEST_F(EngineSnapshotFixture, UserlessBagAndGraphSnapshotsOpenAndBuildCold) {
   }
 }
 
-// A TN user row: `grams`, then no document frequencies and an empty
-// profile.
-std::string BagRow(const std::vector<uint64_t>& grams) {
+// A TN user row: `grams`, then no document frequencies and a profile of
+// `terms` with weight 1 each.
+std::string BagRow(const std::vector<uint64_t>& grams,
+                   const std::vector<uint64_t>& terms = {}) {
   std::string row;
   snapshot::PutDeltaIds(&row, grams);
   snapshot::PutVarint(&row, 0);  // document frequencies
   snapshot::PutVarint(&row, 0);  // train doc count
-  snapshot::PutDeltaIds(&row, {});
-  snapshot::PutVarint(&row, 0);  // weights
-  return row;
+  snapshot::PutDeltaIds(&row, terms);
+  snapshot::PutVarint(&row, terms.size());  // weights
+  snapshot::Encoder weights;
+  for (size_t e = 0; e < terms.size(); ++e) weights.PutF64(1.0);
+  return row + weights.bytes();
 }
 
 // A TNG user row over grams {0, 1, 2}: `keys` with weight 1 each.
@@ -542,6 +545,17 @@ TEST_F(EngineSnapshotCorruptionTest, GraphEdgeKeysOutOfOrderRejected) {
     SCOPED_TRACE(keys[0] == keys[1] ? "repeated" : "descending");
     ExpectRowRejected(tng, "graph user", GraphRow(keys),
                       "edge keys are not strictly ascending at edge 1");
+  }
+}
+
+TEST_F(EngineSnapshotCorruptionTest, BagProfileTermsOutOfOrderRejected) {
+  // A bag profile is saved in ascending term order, each term once, so a
+  // descending pair or a repeated term is refused, not re-sorted or summed.
+  for (const std::vector<uint64_t>& terms :
+       {std::vector<uint64_t>{1, 0}, std::vector<uint64_t>{2, 2}}) {
+    SCOPED_TRACE(terms[0] == terms[1] ? "repeated" : "descending");
+    ExpectRowRejected(config_, "bag user", BagRow({0, 1, 2}, terms),
+                      "vector term ids are not strictly ascending at entry 1");
   }
 }
 
