@@ -156,7 +156,7 @@ SparseVector BagModeler::BuildUserVector(const std::vector<GramDoc>& docs,
     if (rocchio) value += sums[1][term] * scale[1];
     if (value != 0.0) entries.emplace_back(static_cast<TermId>(term), value);
   }
-  return SparseVector::FromUnsorted(std::move(entries));
+  return SparseVector::FromAscending(std::move(entries));
 }
 
 std::optional<double> BagModeler::Kernel(const SparseVector& profile,

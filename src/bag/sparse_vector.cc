@@ -1,6 +1,7 @@
 #include "bag/sparse_vector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace microrec::bag {
@@ -17,6 +18,16 @@ SparseVector SparseVector::FromUnsorted(std::vector<Entry> entries) {
       out.entries_.push_back(entry);
     }
   }
+  return out;
+}
+
+SparseVector SparseVector::FromAscending(std::vector<Entry> entries) {
+  assert(std::adjacent_find(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.first >= b.first;
+                            }) == entries.end());
+  SparseVector out;
+  out.entries_ = std::move(entries);
   return out;
 }
 

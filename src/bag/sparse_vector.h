@@ -25,6 +25,10 @@ class SparseVector {
   /// Builds from unsorted (id, weight) pairs; duplicate ids are summed.
   static SparseVector FromUnsorted(std::vector<Entry> entries);
 
+  /// Adopts entries whose ids already ascend strictly (asserted in debug
+  /// builds), without sorting them again.
+  static SparseVector FromAscending(std::vector<Entry> entries);
+
   /// Builds a term-frequency count vector from a term-id sequence.
   static SparseVector FromCounts(const std::vector<TermId>& terms);
 

@@ -552,7 +552,9 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
 
   bag::SparseVector Embed(UserId u, TweetId d,
                           const EngineContext&) override {
-    return users_.Find(u)->modeler.EmbedDocument(grams_->Of(d));
+    const BagUser* user = users_.Find(u);
+    if (user == nullptr) return {};  // absent, or a counted corrupt row
+    return user->modeler.EmbedDocument(grams_->Of(d));
   }
 
   double Kernel(UserId u, const bag::SparseVector& profile,
@@ -655,7 +657,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     BagUser user{bag::BagModeler(config_.bag), {}, 0.0};
     user.modeler.RestoreFitted(std::move(vocab), std::move(df),
                                num_train_docs);
-    user.vector = bag::SparseVector::FromUnsorted(std::move(entries));
+    user.vector = bag::SparseVector::FromAscending(std::move(entries));
     user.magnitude = user.vector.Magnitude();
     return user;
   }

@@ -105,7 +105,8 @@ class SparseProfileScorer {
   /// The user's profile vector; nullptr before BuildUser().
   virtual const bag::SparseVector* Profile(corpus::UserId u) const = 0;
 
-  /// Embeds candidate `d` exactly as Score() does. Interns nothing.
+  /// Embeds candidate `d` exactly as Score() does. Interns nothing; empty
+  /// for a user the engine does not hold.
   virtual bag::SparseVector Embed(corpus::UserId u, corpus::TweetId d,
                                   const EngineContext& ctx) = 0;
 

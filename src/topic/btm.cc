@@ -28,7 +28,7 @@ std::vector<std::pair<TermId, TermId>> Btm::ExtractBiterms(
 
 Status Btm::Train(const DocSet& docs, Rng* rng) {
   MICROREC_SPAN("btm_train");
-  if (trained_) return Status::FailedPrecondition("Train called twice");
+  if (!phi_.empty()) return Status::FailedPrecondition("Train called twice");
   if (config_.num_topics == 0) {
     return Status::InvalidArgument("num_topics must be positive");
   }
@@ -37,9 +37,8 @@ Status Btm::Train(const DocSet& docs, Rng* rng) {
   }
   MICROREC_RETURN_IF_ERROR(ValidateHyperparameters(
       "BTM", config_.ResolvedAlpha(), config_.beta));
-  vocab_size_ = docs.vocab_size();
   const size_t K = config_.num_topics;
-  const size_t V = vocab_size_;
+  const size_t V = docs.vocab_size();
   const double alpha = config_.ResolvedAlpha();
   const double beta = config_.beta;
   const double v_beta = static_cast<double>(V) * beta;
@@ -88,17 +87,13 @@ Status Btm::Train(const DocSet& docs, Rng* rng) {
       }));
 
   theta_.assign(K, 0.0);
-  phi_.assign(K * V, 0.0);
+  phi_.Assign(K, V);
   const double b_denom =
       static_cast<double>(B) + static_cast<double>(K) * alpha;
   for (size_t k = 0; k < K; ++k) {
     theta_[k] = (n_z[k] + alpha) / b_denom;
-    const double denom = 2.0 * n_z[k] + v_beta;
-    for (size_t w = 0; w < V; ++w) {
-      phi_[k * V + w] = (n_kw[k * V + w] + beta) / denom;
-    }
+    phi_.SetRow(k, n_kw.data() + k * V, beta, 2.0 * n_z[k] + v_beta);
   }
-  trained_ = true;
   return Status::OK();
 }
 
@@ -107,7 +102,7 @@ std::vector<double> Btm::InferDocument(const std::vector<TermId>& words,
   (void)rng;  // inference is deterministic
   const size_t K = config_.num_topics;
   std::vector<double> theta(K, 1.0 / static_cast<double>(K));
-  if (!trained_ || words.empty()) return theta;
+  if (phi_.empty() || words.empty()) return theta;
 
   // A tweet's window is the tweet itself (Section 4): unbounded here, since
   // the caller passes individual tweets at inference time.
@@ -120,7 +115,7 @@ std::vector<double> Btm::InferDocument(const std::vector<TermId>& words,
     const TermId w = words[0];
     double total = 0.0;
     for (size_t k = 0; k < K; ++k) {
-      theta[k] = theta_[k] * phi_[k * vocab_size_ + w];
+      theta[k] = theta_[k] * phi_.TopicWordProb(k, w);
       total += theta[k];
     }
     if (total > 0.0) {
@@ -135,8 +130,8 @@ std::vector<double> Btm::InferDocument(const std::vector<TermId>& words,
   for (const auto& [w1, w2] : biterms) {
     double total = 0.0;
     for (size_t k = 0; k < K; ++k) {
-      pz[k] = theta_[k] * phi_[k * vocab_size_ + w1] *
-              phi_[k * vocab_size_ + w2];
+      pz[k] = theta_[k] * phi_.TopicWordProb(k, w1) *
+              phi_.TopicWordProb(k, w2);
       total += pz[k];
     }
     if (total <= 0.0) continue;
@@ -153,37 +148,28 @@ std::vector<double> Btm::InferDocument(const std::vector<TermId>& words,
 }
 
 void Btm::SaveState(snapshot::Encoder* enc) const {
-  SaveFlatPhi(enc, vocab_size_, config_.num_topics, phi_);
+  phi_.Save(enc);
   enc->PutVecF64(theta_);
   enc->PutU64(num_train_biterms_);
 }
 
 Status Btm::LoadState(snapshot::Decoder* dec) {
-  size_t vocab = 0;
-  size_t topics = 0;
-  std::vector<double> phi;
-  MICROREC_RETURN_IF_ERROR(LoadFlatPhi(dec, "BTM", &vocab, &topics, &phi));
-  if (topics != config_.num_topics) {
-    return Status::FailedPrecondition(
-        "BTM snapshot trained with " + std::to_string(topics) +
-        " topics, configuration expects " +
-        std::to_string(config_.num_topics));
-  }
+  FlatPhi phi;
+  MICROREC_RETURN_IF_ERROR(phi.Load(dec, "BTM"));
+  MICROREC_RETURN_IF_ERROR(phi.ExpectTopics("BTM", config_.num_topics));
   std::vector<double> theta;
   MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&theta));
-  if (theta.size() != topics) {
+  if (theta.size() != phi.num_topics()) {
     return Status::InvalidArgument(
         "BTM snapshot theta has " + std::to_string(theta.size()) +
-        " entries for " + std::to_string(topics) + " topics");
+        " entries for " + std::to_string(phi.num_topics()) + " topics");
   }
   uint64_t biterms = 0;
   MICROREC_RETURN_IF_ERROR(dec->ReadU64(&biterms));
   MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-  vocab_size_ = vocab;
   phi_ = std::move(phi);
   theta_ = std::move(theta);
   num_train_biterms_ = biterms;
-  trained_ = true;
   return Status::OK();
 }
 

@@ -44,7 +44,7 @@ class Btm : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.num_topics; }
-  size_t vocab_size() const override { return vocab_size_; }
+  size_t vocab_size() const override { return phi_.vocab_size(); }
   /// Infers P(z|d) by iterating the document's biterms — no Gibbs sampling
   /// at test time, which is why BTM has the lowest ETime (Section 5).
   std::vector<double> InferDocument(const std::vector<TermId>& words,
@@ -55,7 +55,7 @@ class Btm : public TopicModel {
   size_t num_train_biterms() const { return num_train_biterms_; }
 
   double TopicWordProb(size_t topic, TermId word) const override {
-    return trained_ ? phi_[topic * vocab_size_ + word] : 0.0;
+    return phi_.TopicWordProb(topic, word);
   }
 
   /// Extracts the biterms of a word sequence under window `window`
@@ -68,11 +68,9 @@ class Btm : public TopicModel {
 
  private:
   BtmConfig config_;
-  size_t vocab_size_ = 0;
-  std::vector<double> phi_;    // [topic * vocab + word]
+  FlatPhi phi_;
   std::vector<double> theta_;  // corpus-level topic distribution
   size_t num_train_biterms_ = 0;
-  bool trained_ = false;
 };
 
 }  // namespace microrec::topic

@@ -23,14 +23,13 @@ struct TopicState {
 
 Status Hdp::Train(const DocSet& docs, Rng* rng) {
   MICROREC_SPAN("hdp_train");
-  if (trained_) return Status::FailedPrecondition("Train called twice");
+  if (!phi_.empty()) return Status::FailedPrecondition("Train called twice");
   if (docs.vocab_size() == 0) {
     return Status::FailedPrecondition("empty training vocabulary");
   }
   MICROREC_RETURN_IF_ERROR(ValidateHyperparameters(
       "HDP", config_.alpha, config_.beta, config_.gamma));
-  vocab_size_ = docs.vocab_size();
-  const size_t V = vocab_size_;
+  const size_t V = docs.vocab_size();
   const size_t D = docs.num_docs();
   const double alpha = config_.alpha;
   const double gamma = config_.gamma;
@@ -178,67 +177,41 @@ Status Hdp::Train(const DocSet& docs, Rng* rng) {
                          weights.size()));
 
   // Freeze the posterior sample.
-  num_topics_ = topics.size();
-  phi_.assign(num_topics_ * V, 0.0);
-  global_b_.resize(num_topics_);
-  for (size_t k = 0; k < num_topics_; ++k) {
+  phi_.Assign(topics.size(), V);
+  global_b_.resize(topics.size());
+  for (size_t k = 0; k < topics.size(); ++k) {
     global_b_[k] = topics[k].b;
-    const double denom = topics[k].n_total + v_beta;
-    for (size_t w = 0; w < V; ++w) {
-      phi_[k * V + w] = (topics[k].n_w[w] + beta) / denom;
-    }
+    phi_.SetRow(k, topics[k].n_w.data(), beta, topics[k].n_total + v_beta);
   }
-  trained_ = true;
   return Status::OK();
 }
 
 std::vector<double> Hdp::InferDocument(const std::vector<TermId>& words,
                                        Rng* rng) const {
-  const size_t K = num_topics_;
-  std::vector<double> theta(std::max<size_t>(K, 1),
-                            1.0 / static_cast<double>(std::max<size_t>(K, 1)));
-  if (!trained_ || words.empty() || K == 0) return theta;
-
+  const size_t K = phi_.num_topics();
+  if (phi_.empty() || words.empty()) {
+    const size_t n = std::max<size_t>(K, 1);
+    return std::vector<double>(n, 1.0 / static_cast<double>(n));
+  }
   const double alpha = config_.alpha;
-  std::vector<uint32_t> z(words.size());
-  std::vector<uint32_t> n_dk(K, 0);
-  std::vector<double> weights(K);
-
-  for (size_t i = 0; i < words.size(); ++i) {
-    z[i] = rng->UniformU32(static_cast<uint32_t>(K));
-    ++n_dk[z[i]];
-  }
-  for (int iter = 0; iter < config_.infer_iterations; ++iter) {
-    for (size_t i = 0; i < words.size(); ++i) {
-      const TermId w = words[i];
-      --n_dk[z[i]];
-      for (size_t k = 0; k < K; ++k) {
-        weights[k] =
-            (n_dk[k] + alpha * global_b_[k]) * phi_[k * vocab_size_ + w];
-      }
-      z[i] = static_cast<uint32_t>(rng->Categorical(weights.data(), K));
-      ++n_dk[z[i]];
-    }
-  }
+  std::vector<double> prior(K);
   double b_mass = 0.0;
-  for (double b : global_b_) b_mass += b;
-  const double denom = static_cast<double>(words.size()) + alpha * b_mass;
   for (size_t k = 0; k < K; ++k) {
-    theta[k] = (n_dk[k] + alpha * global_b_[k]) / denom;
+    prior[k] = alpha * global_b_[k];
+    b_mass += global_b_[k];
   }
-  return theta;
+  return GibbsFoldIn(prior, alpha * b_mass, phi_.TokenProbs(words), rng);
 }
 
 void Hdp::SaveState(snapshot::Encoder* enc) const {
-  SaveFlatPhi(enc, vocab_size_, num_topics_, phi_);
+  phi_.Save(enc);
   enc->PutVecF64(global_b_);
 }
 
 Status Hdp::LoadState(snapshot::Decoder* dec) {
-  size_t vocab = 0;
-  size_t topics = 0;
-  std::vector<double> phi;
-  MICROREC_RETURN_IF_ERROR(LoadFlatPhi(dec, "HDP", &vocab, &topics, &phi));
+  FlatPhi phi;
+  MICROREC_RETURN_IF_ERROR(phi.Load(dec, "HDP"));
+  const size_t topics = phi.num_topics();
   if (topics > config_.max_topics) {
     return Status::FailedPrecondition(
         "HDP snapshot has " + std::to_string(topics) +
@@ -254,11 +227,8 @@ Status Hdp::LoadState(snapshot::Decoder* dec) {
         std::to_string(topics) + " topics");
   }
   MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-  vocab_size_ = vocab;
-  num_topics_ = topics;
   phi_ = std::move(phi);
   global_b_ = std::move(global_b);
-  trained_ = true;
   return Status::OK();
 }
 

@@ -32,7 +32,6 @@ struct HdpConfig {
   /// Dirichlet prior on topic-word distributions (the base measure H).
   double beta = 0.1;
   int train_iterations = 1000;
-  int infer_iterations = 20;
   /// Initial number of topics; the sampler adds/removes from here.
   size_t initial_topics = 2;
   /// Safety valve for the topic count (far above typical posterior sizes).
@@ -41,15 +40,16 @@ struct HdpConfig {
   const resilience::CancelContext* cancel = nullptr;
 };
 
-/// Direct-assignment HDP sampler.
+/// Direct-assignment HDP sampler. Fold-in is GibbsFoldIn over the trained
+/// topics with prior α·β_k.
 class Hdp : public TopicModel {
  public:
   explicit Hdp(const HdpConfig& config) : config_(config) {}
 
   Status Train(const DocSet& docs, Rng* rng) override;
   /// Topics instantiated by the posterior sample (known only post-training).
-  size_t num_topics() const override { return num_topics_; }
-  size_t vocab_size() const override { return vocab_size_; }
+  size_t num_topics() const override { return phi_.num_topics(); }
+  size_t vocab_size() const override { return phi_.vocab_size(); }
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "HDP"; }
@@ -60,7 +60,7 @@ class Hdp : public TopicModel {
   const std::vector<double>& global_weights() const { return global_b_; }
 
   double TopicWordProb(size_t topic, TermId word) const override {
-    return trained_ ? phi_[topic * vocab_size_ + word] : 0.0;
+    return phi_.TopicWordProb(topic, word);
   }
 
   /// LoadState adopts the persisted (posterior-sampled) topic count.
@@ -69,11 +69,8 @@ class Hdp : public TopicModel {
 
  private:
   HdpConfig config_;
-  size_t vocab_size_ = 0;
-  size_t num_topics_ = 0;
-  std::vector<double> phi_;       // [topic * vocab + word]
+  FlatPhi phi_;
   std::vector<double> global_b_;  // per-topic global weight
-  bool trained_ = false;
 };
 
 }  // namespace microrec::topic

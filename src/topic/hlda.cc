@@ -318,24 +318,11 @@ double Hlda::TopicWordProb(size_t topic, TermId word) const {
 
 std::vector<double> Hlda::InferDocument(const std::vector<TermId>& words,
                                         Rng* rng) const {
-  const size_t num_nodes = node_words_.size();
-  std::vector<double> theta(std::max<size_t>(num_nodes, 1),
-                            1.0 / static_cast<double>(
-                                      std::max<size_t>(num_nodes, 1)));
+  const size_t num_nodes = std::max<size_t>(node_words_.size(), 1);
+  std::vector<double> theta(num_nodes, 1.0 / static_cast<double>(num_nodes));
   if (!trained_ || words.empty() || paths_.empty()) return theta;
   std::fill(theta.begin(), theta.end(), 0.0);
-
-  const int L = config_.levels;
-  const double alpha = config_.alpha;
-  const double beta = config_.beta;
-  const double v_beta = static_cast<double>(vocab_size_) * beta;
-
-  auto node_prob = [&](uint32_t node, TermId w) {
-    const auto& counts = node_words_[node];
-    auto it = counts.find(w);
-    double count = it == counts.end() ? 0.0 : it->second;
-    return (count + beta) / (node_totals_[node] + v_beta);
-  };
+  const size_t L = static_cast<size_t>(config_.levels);
 
   // MAP path: CRP prior (doc usage) + word likelihood with uniform levels.
   size_t total_docs = 0;
@@ -347,8 +334,8 @@ std::vector<double> Hlda::InferDocument(const std::vector<TermId>& words,
                             static_cast<double>(total_docs));
     for (TermId w : words) {
       double mix = 0.0;
-      for (int l = 0; l < L; ++l) {
-        mix += node_prob(paths_[p][l], w) / static_cast<double>(L);
+      for (size_t l = 0; l < L; ++l) {
+        mix += TopicWordProb(paths_[p][l], w) / static_cast<double>(L);
       }
       score += std::log(mix);
     }
@@ -358,31 +345,18 @@ std::vector<double> Hlda::InferDocument(const std::vector<TermId>& words,
     }
   }
 
-  // Fold-in Gibbs over the levels of the chosen path.
-  const auto& chosen = paths_[best_path];
-  std::vector<int> level(words.size());
-  std::vector<uint32_t> n_dl(L, 0);
+  // Fold-in over the levels of the chosen path, added onto its nodes.
+  const std::vector<uint32_t>& chosen = paths_[best_path];
+  std::vector<double> probs(words.size() * L);
   for (size_t i = 0; i < words.size(); ++i) {
-    level[i] = static_cast<int>(rng->UniformU32(static_cast<uint32_t>(L)));
-    ++n_dl[level[i]];
-  }
-  std::vector<double> weights(L);
-  for (int iter = 0; iter < config_.infer_iterations; ++iter) {
-    for (size_t i = 0; i < words.size(); ++i) {
-      --n_dl[level[i]];
-      for (int l = 0; l < L; ++l) {
-        weights[l] = (n_dl[l] + alpha) * node_prob(chosen[l], words[i]);
-      }
-      level[i] = static_cast<int>(
-          rng->Categorical(weights.data(), weights.size()));
-      ++n_dl[level[i]];
+    for (size_t l = 0; l < L; ++l) {
+      probs[i * L + l] = TopicWordProb(chosen[l], words[i]);
     }
   }
-  const double denom = static_cast<double>(words.size()) +
-                       static_cast<double>(L) * alpha;
-  for (int l = 0; l < L; ++l) {
-    theta[chosen[l]] += (n_dl[l] + alpha) / denom;
-  }
+  const std::vector<double> level_theta =
+      GibbsFoldIn(std::vector<double>(L, config_.alpha),
+                  static_cast<double>(L) * config_.alpha, probs, rng);
+  for (size_t l = 0; l < L; ++l) theta[chosen[l]] += level_theta[l];
   return theta;
 }
 

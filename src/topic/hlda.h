@@ -32,7 +32,6 @@ struct HldaConfig {
   /// nCRP concentration: the propensity to open new branches.
   double gamma = 1.0;
   int train_iterations = 200;
-  int infer_iterations = 20;
   /// Optional deadline / cancellation checked between sweeps (not owned).
   const resilience::CancelContext* cancel = nullptr;
 };
@@ -42,7 +41,8 @@ struct HldaConfig {
 /// After training, the tree is frozen; num_topics() equals the number of
 /// surviving nodes, and a document's representation is a distribution over
 /// nodes with mass only on its (MAP) path — which is why HLDA inference is
-/// the most expensive of all models (Section 5, ETime).
+/// the most expensive of all models (Section 5, ETime). Fold-in is
+/// GibbsFoldIn over the L levels of that path with prior α per level.
 class Hlda : public TopicModel {
  public:
   explicit Hlda(const HldaConfig& config) : config_(config) {}

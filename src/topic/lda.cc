@@ -6,23 +6,16 @@
 
 namespace microrec::topic {
 
-Status Lda::Train(const DocSet& docs, Rng* rng) {
-  MICROREC_SPAN("lda_train");
-  if (trained_) return Status::FailedPrecondition("Train called twice");
-  if (config_.num_topics == 0) {
-    return Status::InvalidArgument("num_topics must be positive");
-  }
-  if (docs.vocab_size() == 0) {
-    return Status::FailedPrecondition("empty training vocabulary");
-  }
-  MICROREC_RETURN_IF_ERROR(ValidateHyperparameters(
-      "LDA", config_.ResolvedAlpha(), config_.beta));
-  vocab_size_ = docs.vocab_size();
-  const size_t K = config_.num_topics;
-  const size_t V = vocab_size_;
+Status TrainDocGibbs(const char* model, const DocSet& docs, size_t num_topics,
+                     double alpha, double beta, int iterations,
+                     const TrainOptions& options,
+                     const resilience::CancelContext* cancel,
+                     const std::vector<std::vector<uint32_t>>* menus,
+                     size_t latent_begin, const char* sweep_metric, Rng* rng,
+                     FlatPhi* phi) {
+  const size_t K = num_topics;
+  const size_t V = docs.vocab_size();
   const size_t D = docs.num_docs();
-  const double alpha = config_.ResolvedAlpha();
-  const double beta = config_.beta;
   const double v_beta = static_cast<double>(V) * beta;
 
   // Flatten the corpus for cache-friendly sweeps.
@@ -37,8 +30,13 @@ Status Lda::Train(const DocSet& docs, Rng* rng) {
   std::vector<uint32_t> n_k(K, 0);
 
   for (size_t d = 0; d < D; ++d) {
+    const std::vector<uint32_t>* menu =
+        menus == nullptr ? nullptr : &(*menus)[d];
     for (size_t i = doc_begin[d]; i < doc_begin[d + 1]; ++i) {
-      uint32_t topic = rng->UniformU32(static_cast<uint32_t>(K));
+      const uint32_t topic =
+          menu == nullptr
+              ? rng->UniformU32(static_cast<uint32_t>(K))
+              : (*menu)[rng->UniformU32(static_cast<uint32_t>(menu->size()))];
       z[i] = topic;
       ++n_dk[d * K + topic];
       ++n_kw[static_cast<size_t>(topic) * V + words[i]];
@@ -49,96 +47,74 @@ Status Lda::Train(const DocSet& docs, Rng* rng) {
   // Documents are sharded; n_dk rows and z slots are document-owned and
   // written in place, n_kw and n_k are replicated.
   MICROREC_RETURN_IF_ERROR(WithDocSweeper(
-      config_.train.sampler_kernel, K, V, alpha, beta, /*latent_begin=*/0,
+      options.sampler_kernel, K, V, alpha, beta, latent_begin,
       [&](const auto& make_sweeper) {
         return RunGibbs(
-            "LDA", config_.train, config_.train_iterations, config_.cancel,
-            obs::MetricsRegistry::Global().GetHistogram(
-                "topic.lda.sweep_seconds"),
-            rng, D, {&n_kw, &n_k}, make_sweeper,
+            model, options, iterations, cancel,
+            obs::MetricsRegistry::Global().GetHistogram(sweep_metric), rng, D,
+            {&n_kw, &n_k}, make_sweeper,
             [&](auto& sweeper, uint32_t* kw, uint32_t* k) {
               sweeper.Bind(n_dk.data(), kw, k);
             },
             [&](auto& sweeper, size_t begin, size_t end, Rng* sweep_rng) {
-              SweepDocRange(sweeper, begin, end, doc_begin, words, nullptr,
+              SweepDocRange(sweeper, begin, end, doc_begin, words, menus,
                             z.data(), sweep_rng);
             });
       }));
 
-  phi_.assign(K * V, 0.0);
+  phi->Assign(K, V);
   for (size_t k = 0; k < K; ++k) {
-    const double denom = n_k[k] + v_beta;
-    for (size_t w = 0; w < V; ++w) {
-      phi_[k * V + w] = (n_kw[k * V + w] + beta) / denom;
-    }
+    phi->SetRow(k, n_kw.data() + k * V, beta, n_k[k] + v_beta);
   }
-  trained_ = true;
   return Status::OK();
+}
+
+Status Lda::Train(const DocSet& docs, Rng* rng) {
+  MICROREC_SPAN("lda_train");
+  if (!phi_.empty()) return Status::FailedPrecondition("Train called twice");
+  if (config_.num_topics == 0) {
+    return Status::InvalidArgument("num_topics must be positive");
+  }
+  if (docs.vocab_size() == 0) {
+    return Status::FailedPrecondition("empty training vocabulary");
+  }
+  MICROREC_RETURN_IF_ERROR(ValidateHyperparameters(
+      "LDA", config_.ResolvedAlpha(), config_.beta));
+  return TrainDocGibbs(
+      "LDA", docs, config_.num_topics, config_.ResolvedAlpha(), config_.beta,
+      config_.train_iterations, config_.train, config_.cancel,
+      /*menus=*/nullptr, /*latent_begin=*/0, "topic.lda.sweep_seconds", rng,
+      &phi_);
 }
 
 std::vector<double> Lda::InferDocument(const std::vector<TermId>& words,
                                        Rng* rng) const {
   const size_t K = config_.num_topics;
-  std::vector<double> theta(K, 1.0 / static_cast<double>(K));
-  if (!trained_ || words.empty()) return theta;
-
+  if (phi_.empty() || words.empty()) {
+    return std::vector<double>(K, 1.0 / static_cast<double>(K));
+  }
   const double alpha = config_.ResolvedAlpha();
-  std::vector<uint32_t> z(words.size());
-  std::vector<uint32_t> n_dk(K, 0);
-  std::vector<double> weights(K);
-
-  for (size_t i = 0; i < words.size(); ++i) {
-    uint32_t topic = rng->UniformU32(static_cast<uint32_t>(K));
-    z[i] = topic;
-    ++n_dk[topic];
-  }
-  for (int iter = 0; iter < config_.infer_iterations; ++iter) {
-    for (size_t i = 0; i < words.size(); ++i) {
-      const TermId w = words[i];
-      --n_dk[z[i]];
-      for (size_t k = 0; k < K; ++k) {
-        weights[k] = (n_dk[k] + alpha) * phi_[k * vocab_size_ + w];
-      }
-      z[i] = static_cast<uint32_t>(rng->Categorical(weights.data(), K));
-      ++n_dk[z[i]];
-    }
-  }
-  const double denom = static_cast<double>(words.size()) +
-                       static_cast<double>(K) * alpha;
-  for (size_t k = 0; k < K; ++k) {
-    theta[k] = (n_dk[k] + alpha) / denom;
-  }
-  return theta;
+  return GibbsFoldIn(std::vector<double>(K, alpha),
+                     static_cast<double>(K) * alpha, phi_.TokenProbs(words),
+                     rng);
 }
 
 std::vector<double> Lda::TopicWordDistribution(size_t topic) const {
-  std::vector<double> out(vocab_size_, 0.0);
-  if (!trained_) return out;
-  for (size_t w = 0; w < vocab_size_; ++w) {
-    out[w] = phi_[topic * vocab_size_ + w];
+  std::vector<double> out(phi_.vocab_size());
+  for (size_t w = 0; w < out.size(); ++w) {
+    out[w] = phi_.TopicWordProb(topic, static_cast<TermId>(w));
   }
   return out;
 }
 
-void Lda::SaveState(snapshot::Encoder* enc) const {
-  SaveFlatPhi(enc, vocab_size_, config_.num_topics, phi_);
-}
+void Lda::SaveState(snapshot::Encoder* enc) const { phi_.Save(enc); }
 
 Status Lda::LoadState(snapshot::Decoder* dec) {
-  size_t vocab = 0;
-  size_t topics = 0;
-  std::vector<double> phi;
-  MICROREC_RETURN_IF_ERROR(LoadFlatPhi(dec, "LDA", &vocab, &topics, &phi));
-  if (topics != config_.num_topics) {
-    return Status::FailedPrecondition(
-        "LDA snapshot trained with " + std::to_string(topics) +
-        " topics, configuration expects " +
-        std::to_string(config_.num_topics));
-  }
+  FlatPhi phi;
+  MICROREC_RETURN_IF_ERROR(phi.Load(dec, "LDA"));
+  MICROREC_RETURN_IF_ERROR(phi.ExpectTopics("LDA", config_.num_topics));
   MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-  vocab_size_ = vocab;
   phi_ = std::move(phi);
-  trained_ = true;
   return Status::OK();
 }
 

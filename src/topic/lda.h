@@ -22,8 +22,6 @@ struct LdaConfig {
   /// Dirichlet prior on topic-word distributions.
   double beta = 0.01;
   int train_iterations = 1000;
-  /// Fold-in Gibbs sweeps when inferring an unseen document.
-  int infer_iterations = 20;
   /// Sharded-training parallelism (parallel_gibbs.h). The default is the
   /// sequential sampler, bit-identical to all previous releases.
   TrainOptions train;
@@ -35,14 +33,15 @@ struct LdaConfig {
   }
 };
 
-/// Collapsed-Gibbs LDA.
+/// Collapsed-Gibbs LDA. Fold-in runs kFoldInIterations sweeps of
+/// GibbsFoldIn with prior α on every topic.
 class Lda : public TopicModel {
  public:
   explicit Lda(const LdaConfig& config) : config_(config) {}
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.num_topics; }
-  size_t vocab_size() const override { return vocab_size_; }
+  size_t vocab_size() const override { return phi_.vocab_size(); }
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "LDA"; }
@@ -51,7 +50,7 @@ class Lda : public TopicModel {
   std::vector<double> TopicWordDistribution(size_t z) const;
 
   double TopicWordProb(size_t topic, TermId word) const override {
-    return trained_ ? phi_[topic * vocab_size_ + word] : 0.0;
+    return phi_.TopicWordProb(topic, word);
   }
 
   const LdaConfig& config() const { return config_; }
@@ -61,11 +60,24 @@ class Lda : public TopicModel {
 
  private:
   LdaConfig config_;
-  size_t vocab_size_ = 0;
-  // φ flattened as [topic * vocab + word], estimated from the final sample.
-  std::vector<double> phi_;
-  bool trained_ = false;
+  FlatPhi phi_;  // estimated from the final sample
 };
+
+/// The collapsed-Gibbs training body of LDA and of LLDA, which is LDA with
+/// an allowed-topic menu per document. Flattens `docs`, draws each token's
+/// initial topic uniformly from its document's menu (from [0, num_topics)
+/// when `menus` is null, as for LDA), trains `iterations` sweeps through
+/// RunGibbs with `options.sampler_kernel`'s document sweeper, timing each
+/// into histogram `sweep_metric`, and sets `phi` from the final counts.
+/// `latent_begin` is the first latent topic (0 for LDA, the label count for
+/// LLDA).
+Status TrainDocGibbs(const char* model, const DocSet& docs, size_t num_topics,
+                     double alpha, double beta, int iterations,
+                     const TrainOptions& options,
+                     const resilience::CancelContext* cancel,
+                     const std::vector<std::vector<uint32_t>>* menus,
+                     size_t latent_begin, const char* sweep_metric, Rng* rng,
+                     FlatPhi* phi);
 
 }  // namespace microrec::topic
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "topic/lda.h"
 #include "topic/parallel_gibbs.h"
 #include "topic/topic_model.h"
 
@@ -28,7 +29,6 @@ struct LldaConfig {
   double alpha = -1.0;  // < 0 -> 50 / num_latent_topics
   double beta = 0.01;
   int train_iterations = 1000;
-  int infer_iterations = 20;
   /// Sharded-training parallelism (parallel_gibbs.h); default sequential.
   TrainOptions train;
   /// Optional deadline / cancellation checked between sweeps (not owned).
@@ -41,7 +41,8 @@ struct LldaConfig {
   }
 };
 
-/// Collapsed-Gibbs Labeled LDA. Topic ids [0, num_labels) mirror label ids;
+/// Collapsed-Gibbs Labeled LDA, trained through LDA's TrainDocGibbs with
+/// one topic menu per document. Topic ids [0, num_labels) mirror label ids;
 /// ids [num_labels, num_labels + num_latent_topics) are latent.
 class Llda : public TopicModel {
  public:
@@ -49,8 +50,9 @@ class Llda : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.TotalTopics(); }
-  size_t vocab_size() const override { return vocab_size_; }
-  /// Inference is unconstrained: an unseen document may use any topic.
+  size_t vocab_size() const override { return phi_.vocab_size(); }
+  /// Inference is unconstrained: an unseen document may use any topic. It
+  /// is LDA's fold-in, GibbsFoldIn with prior α on every topic.
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "LLDA"; }
@@ -58,7 +60,7 @@ class Llda : public TopicModel {
   const LldaConfig& config() const { return config_; }
 
   double TopicWordProb(size_t topic, TermId word) const override {
-    return trained_ ? phi_[topic * vocab_size_ + word] : 0.0;
+    return phi_.TopicWordProb(topic, word);
   }
 
   /// LoadState adopts the persisted label count into the configuration
@@ -69,9 +71,7 @@ class Llda : public TopicModel {
 
  private:
   LldaConfig config_;
-  size_t vocab_size_ = 0;
-  std::vector<double> phi_;  // [topic * vocab + word]
-  bool trained_ = false;
+  FlatPhi phi_;
 };
 
 }  // namespace microrec::topic

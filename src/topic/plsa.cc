@@ -22,16 +22,15 @@ size_t Plsa::EstimateMemoryBytes(size_t num_docs, size_t vocab_size,
 
 Status Plsa::Train(const DocSet& docs, Rng* rng) {
   MICROREC_SPAN("plsa_train");
-  if (trained_) return Status::FailedPrecondition("Train called twice");
+  if (!phi_.empty()) return Status::FailedPrecondition("Train called twice");
   if (config_.num_topics == 0) {
     return Status::InvalidArgument("num_topics must be positive");
   }
   if (docs.vocab_size() == 0) {
     return Status::FailedPrecondition("empty training vocabulary");
   }
-  vocab_size_ = docs.vocab_size();
   const size_t K = config_.num_topics;
-  const size_t V = vocab_size_;
+  const size_t V = docs.vocab_size();
   const size_t D = docs.num_docs();
   if (docs.total_tokens() == 0) {
     return Status::FailedPrecondition("empty training corpus");
@@ -39,14 +38,14 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
 
   // Random (normalised) initialisation.
   std::vector<double> theta(D * K);
-  phi_.resize(K * V);
+  std::vector<double> phi(K * V);
   for (size_t d = 0; d < D; ++d) {
     auto draw = rng->DirichletSymmetric(1.0, K);
     std::copy(draw.begin(), draw.end(), theta.begin() + d * K);
   }
   for (size_t k = 0; k < K; ++k) {
     auto draw = rng->DirichletSymmetric(1.0, V);
-    std::copy(draw.begin(), draw.end(), phi_.begin() + k * V);
+    std::copy(draw.begin(), draw.end(), phi.begin() + k * V);
   }
 
   std::vector<double> theta_acc(D * K);
@@ -81,7 +80,7 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
       for (TermId w : docs.docs()[d].words) {
         double total = 0.0;
         for (size_t k = 0; k < K; ++k) {
-          posterior[k] = theta[d * K + k] * phi_[k * V + w];
+          posterior[k] = theta[d * K + k] * phi[k * V + w];
           total += posterior[k];
         }
         if (total <= 0.0) continue;
@@ -127,11 +126,11 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
       for (size_t w = 0; w < V; ++w) total += phi_acc[k * V + w];
       if (total <= 0.0) continue;
       for (size_t w = 0; w < V; ++w) {
-        phi_[k * V + w] = phi_acc[k * V + w] / total;
+        phi[k * V + w] = phi_acc[k * V + w] / total;
       }
     }
   }
-  trained_ = true;
+  phi_.Adopt(K, V, std::move(phi));
   return Status::OK();
 }
 
@@ -140,17 +139,18 @@ std::vector<double> Plsa::InferDocument(const std::vector<TermId>& words,
   (void)rng;
   const size_t K = config_.num_topics;
   std::vector<double> theta(K, 1.0 / static_cast<double>(K));
-  if (!trained_ || words.empty()) return theta;
+  if (phi_.empty() || words.empty()) return theta;
 
   // Folding-in EM: update θ_d only.
+  const std::vector<double> probs = phi_.TokenProbs(words);
   std::vector<double> acc(K);
   std::vector<double> post(K);
-  for (int iter = 0; iter < config_.infer_iterations; ++iter) {
+  for (int iter = 0; iter < kFoldInIterations; ++iter) {
     std::fill(acc.begin(), acc.end(), 0.0);
-    for (TermId w : words) {
+    for (size_t i = 0; i < words.size(); ++i) {
       double total = 0.0;
       for (size_t k = 0; k < K; ++k) {
-        post[k] = theta[k] * phi_[k * vocab_size_ + w];
+        post[k] = theta[k] * probs[i * K + k];
         total += post[k];
       }
       if (total <= 0.0) continue;
@@ -164,25 +164,14 @@ std::vector<double> Plsa::InferDocument(const std::vector<TermId>& words,
   return theta;
 }
 
-void Plsa::SaveState(snapshot::Encoder* enc) const {
-  SaveFlatPhi(enc, vocab_size_, config_.num_topics, phi_);
-}
+void Plsa::SaveState(snapshot::Encoder* enc) const { phi_.Save(enc); }
 
 Status Plsa::LoadState(snapshot::Decoder* dec) {
-  size_t vocab = 0;
-  size_t topics = 0;
-  std::vector<double> phi;
-  MICROREC_RETURN_IF_ERROR(LoadFlatPhi(dec, "PLSA", &vocab, &topics, &phi));
-  if (topics != config_.num_topics) {
-    return Status::FailedPrecondition(
-        "PLSA snapshot trained with " + std::to_string(topics) +
-        " topics, configuration expects " +
-        std::to_string(config_.num_topics));
-  }
+  FlatPhi phi;
+  MICROREC_RETURN_IF_ERROR(phi.Load(dec, "PLSA"));
+  MICROREC_RETURN_IF_ERROR(phi.ExpectTopics("PLSA", config_.num_topics));
   MICROREC_RETURN_IF_ERROR(dec->ExpectEnd());
-  vocab_size_ = vocab;
   phi_ = std::move(phi);
-  trained_ = true;
   return Status::OK();
 }
 

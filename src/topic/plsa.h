@@ -20,7 +20,6 @@ namespace microrec::topic {
 struct PlsaConfig {
   size_t num_topics = 50;
   int train_iterations = 100;  // EM converges far faster than Gibbs
-  int infer_iterations = 20;   // folding-in EM steps
   /// Sharded-training parallelism (parallel_gibbs.h): the E-step is
   /// data-parallel over documents; the M-step stays sequential.
   TrainOptions train;
@@ -35,8 +34,8 @@ class Plsa : public TopicModel {
 
   Status Train(const DocSet& docs, Rng* rng) override;
   size_t num_topics() const override { return config_.num_topics; }
-  size_t vocab_size() const override { return vocab_size_; }
-  /// Folding-in: EM over θ_d with φ held fixed.
+  size_t vocab_size() const override { return phi_.vocab_size(); }
+  /// Folding-in: kFoldInIterations EM steps over θ_d with φ held fixed.
   std::vector<double> InferDocument(const std::vector<TermId>& words,
                                     Rng* rng) const override;
   std::string name() const override { return "PLSA"; }
@@ -44,7 +43,7 @@ class Plsa : public TopicModel {
   const PlsaConfig& config() const { return config_; }
 
   double TopicWordProb(size_t topic, TermId word) const override {
-    return trained_ ? phi_[topic * vocab_size_ + word] : 0.0;
+    return phi_.TopicWordProb(topic, word);
   }
 
   /// Memory (bytes) a straightforward EM implementation of PLSA needs for
@@ -65,9 +64,7 @@ class Plsa : public TopicModel {
 
  private:
   PlsaConfig config_;
-  size_t vocab_size_ = 0;
-  std::vector<double> phi_;  // [topic * vocab + word]
-  bool trained_ = false;
+  FlatPhi phi_;
 };
 
 }  // namespace microrec::topic

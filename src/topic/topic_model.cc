@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "resilience/fault.h"
@@ -143,16 +144,44 @@ std::vector<double> AggregateDistributions(
   return user;
 }
 
-void SaveFlatPhi(snapshot::Encoder* enc, size_t vocab_size, size_t num_topics,
-                 const std::vector<double>& phi) {
-  enc->PutU64(vocab_size);
-  enc->PutU64(num_topics);
-  enc->PutVecF64(phi);
+void FlatPhi::Assign(size_t num_topics, size_t vocab_size) {
+  num_topics_ = num_topics;
+  vocab_size_ = vocab_size;
+  cells_.assign(num_topics * vocab_size, 0.0);
 }
 
-Status LoadFlatPhi(snapshot::Decoder* dec, const char* model,
-                   size_t* vocab_size, size_t* num_topics,
-                   std::vector<double>* phi) {
+void FlatPhi::Adopt(size_t num_topics, size_t vocab_size,
+                    std::vector<double> cells) {
+  assert(cells.size() == num_topics * vocab_size);
+  num_topics_ = num_topics;
+  vocab_size_ = vocab_size;
+  cells_ = std::move(cells);
+}
+
+void FlatPhi::SetRow(size_t topic, const uint32_t* counts, double beta,
+                     double denom) {
+  double* row = cells_.data() + topic * vocab_size_;
+  for (size_t w = 0; w < vocab_size_; ++w) row[w] = (counts[w] + beta) / denom;
+}
+
+std::vector<double> FlatPhi::TokenProbs(
+    const std::vector<TermId>& words) const {
+  std::vector<double> probs(words.size() * num_topics_);
+  for (size_t i = 0; i < words.size(); ++i) {
+    for (size_t k = 0; k < num_topics_; ++k) {
+      probs[i * num_topics_ + k] = cells_[k * vocab_size_ + words[i]];
+    }
+  }
+  return probs;
+}
+
+void FlatPhi::Save(snapshot::Encoder* enc) const {
+  enc->PutU64(vocab_size_);
+  enc->PutU64(num_topics_);
+  enc->PutVecF64(cells_);
+}
+
+Status FlatPhi::Load(snapshot::Decoder* dec, const char* model) {
   uint64_t vocab = 0;
   uint64_t topics = 0;
   MICROREC_RETURN_IF_ERROR(dec->ReadU64(&vocab));
@@ -164,17 +193,56 @@ Status LoadFlatPhi(snapshot::Decoder* dec, const char* model,
         std::string(model) + " snapshot dimensions overflow at offset " +
         std::to_string(dec->offset()));
   }
-  MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(phi));
-  if (phi->size() != vocab * topics) {
+  std::vector<double> cells;
+  MICROREC_RETURN_IF_ERROR(dec->ReadVecF64(&cells));
+  if (cells.size() != vocab * topics) {
     return Status::InvalidArgument(
         std::string(model) + " snapshot phi has " +
-        std::to_string(phi->size()) + " cells, dimensions say " +
+        std::to_string(cells.size()) + " cells, dimensions say " +
         std::to_string(vocab) + " x " + std::to_string(topics) +
         " (at offset " + std::to_string(dec->offset()) + ")");
   }
-  *vocab_size = vocab;
-  *num_topics = topics;
+  Adopt(topics, vocab, std::move(cells));
   return Status::OK();
+}
+
+Status FlatPhi::ExpectTopics(const char* model, size_t num_topics) const {
+  if (num_topics_ == num_topics) return Status::OK();
+  return Status::FailedPrecondition(
+      std::string(model) + " snapshot trained with " +
+      std::to_string(num_topics_) + " topics, configuration expects " +
+      std::to_string(num_topics));
+}
+
+std::vector<double> GibbsFoldIn(const std::vector<double>& prior,
+                                double prior_mass,
+                                const std::vector<double>& token_probs,
+                                Rng* rng) {
+  const size_t K = prior.size();
+  assert(K > 0 && token_probs.size() % K == 0);
+  const size_t N = token_probs.size() / K;
+  std::vector<uint32_t> z(N);
+  std::vector<uint32_t> n_k(K, 0);
+  std::vector<double> weights(K);
+  for (size_t i = 0; i < N; ++i) {
+    z[i] = rng->UniformU32(static_cast<uint32_t>(K));
+    ++n_k[z[i]];
+  }
+  for (int iter = 0; iter < kFoldInIterations; ++iter) {
+    for (size_t i = 0; i < N; ++i) {
+      const double* probs = token_probs.data() + i * K;
+      --n_k[z[i]];
+      for (size_t k = 0; k < K; ++k) {
+        weights[k] = (n_k[k] + prior[k]) * probs[k];
+      }
+      z[i] = static_cast<uint32_t>(rng->Categorical(weights.data(), K));
+      ++n_k[z[i]];
+    }
+  }
+  const double denom = static_cast<double>(N) + prior_mass;
+  std::vector<double> theta(K);
+  for (size_t k = 0; k < K; ++k) theta[k] = (n_k[k] + prior[k]) / denom;
+  return theta;
 }
 
 }  // namespace microrec::topic

@@ -69,16 +69,62 @@ class TopicModel {
   virtual Status LoadState(snapshot::Decoder* dec) = 0;
 };
 
-/// Serialization of the flat [topic * vocab + word] φ matrix shared by the
-/// parametric samplers (LDA, LLDA, PLSA, BTM) and HDP: dimensions first,
-/// then the row-major cells. LoadFlatPhi rejects a cell count that does not
-/// match the dimensions (a spliced or bit-flipped length field) before the
-/// caller adopts anything.
-void SaveFlatPhi(snapshot::Encoder* enc, size_t vocab_size, size_t num_topics,
-                 const std::vector<double>& phi);
-Status LoadFlatPhi(snapshot::Decoder* dec, const char* model,
-                   size_t* vocab_size, size_t* num_topics,
-                   std::vector<double>* phi);
+/// The frozen φ of the parametric samplers (LDA, LLDA, PLSA, BTM) and HDP:
+/// a row-major [topic * vocab + word] matrix. Empty until the model's
+/// Train() or LoadState() fills it, and a model is trained exactly when its
+/// FlatPhi is non-empty.
+class FlatPhi {
+ public:
+  /// Sizes the matrix to `num_topics` rows of `vocab_size` zero cells.
+  void Assign(size_t num_topics, size_t vocab_size);
+  /// Adopts `cells`, `num_topics` rows of `vocab_size` (PLSA's estimate).
+  void Adopt(size_t num_topics, size_t vocab_size, std::vector<double> cells);
+  /// Sets row `topic` to the smoothed estimate (counts[w] + beta) / denom.
+  void SetRow(size_t topic, const uint32_t* counts, double beta,
+              double denom);
+
+  bool empty() const { return cells_.empty(); }
+  size_t num_topics() const { return num_topics_; }
+  size_t vocab_size() const { return vocab_size_; }
+  /// φ_topic,word; 0 while empty.
+  double TopicWordProb(size_t topic, TermId word) const {
+    return cells_.empty() ? 0.0 : cells_[topic * vocab_size_ + word];
+  }
+  /// The fold-in table of `words`: φ_k,w_i at [i * num_topics() + k].
+  std::vector<double> TokenProbs(const std::vector<TermId>& words) const;
+
+  /// Snapshot layout: vocabulary size, topic count, then the cells. Load
+  /// rejects a cell count that does not match the dimensions (a spliced or
+  /// bit-flipped length field) and changes nothing when it fails; models
+  /// load into a fresh FlatPhi and adopt it after their own checks pass.
+  void Save(snapshot::Encoder* enc) const;
+  Status Load(snapshot::Decoder* dec, const char* model);
+  /// FailedPrecondition unless φ has `num_topics` topics: a loaded snapshot
+  /// trained under another configuration.
+  Status ExpectTopics(const char* model, size_t num_topics) const;
+
+ private:
+  size_t num_topics_ = 0;
+  size_t vocab_size_ = 0;
+  std::vector<double> cells_;
+};
+
+/// Fold-in length: the Gibbs sweeps of GibbsFoldIn, and PLSA's folding-in
+/// EM steps.
+inline constexpr int kFoldInIterations = 20;
+
+/// The collapsed-Gibbs fold-in of LDA, LLDA, HDP and HLDA: infers θ of one
+/// unseen document of N tokens against frozen word probabilities
+/// `token_probs` (φ_k,w_i at [i * K + k], with K = prior.size() > 0).
+/// Draws every token's initial topic uniformly from [0, K), runs
+/// kFoldInIterations sweeps that redraw token i from
+/// (n_k + prior_k) · φ_k,w_i, and returns θ_k = (n_k + prior_k) /
+/// (N + prior_mass). `prior_mass` is the caller's Σ prior_k, passed rather
+/// than re-summed: K·α and a K-term sum differ in their last bits.
+std::vector<double> GibbsFoldIn(const std::vector<double>& prior,
+                                double prior_mass,
+                                const std::vector<double>& token_probs,
+                                Rng* rng);
 
 /// True when the summed mass of `weights` is finite — the cheap one-pass
 /// health check the samplers run once per sweep on their posterior scratch

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 namespace microrec::rec {
 namespace {
 
@@ -123,6 +126,45 @@ TEST_F(EngineFixture, CharBagEnginePrefersUserTopic) {
   config.bag.similarity = bag::BagSimilarity::kGeneralizedJaccard;
   auto engine = MakeEngine(config);
   ExpectPrefersCats(engine.get());
+}
+
+// Embed and Kernel are the two halves of a bag Score: for a built user
+// Kernel(u, Profile(u), Embed(u, d)) reproduces Score(u, d) bit for bit,
+// and a user the engine does not hold embeds nothing.
+TEST_F(EngineFixture, BagEmbedThenKernelIsScore) {
+  for (ModelKind kind : {ModelKind::kTN, ModelKind::kCN}) {
+    for (bag::BagSimilarity similarity :
+         {bag::BagSimilarity::kCosine, bag::BagSimilarity::kJaccard,
+          bag::BagSimilarity::kGeneralizedJaccard}) {
+      ModelConfig config;
+      config.kind = kind;
+      config.bag.kind = kind == ModelKind::kTN ? bag::NgramKind::kToken
+                                               : bag::NgramKind::kChar;
+      config.bag.n = kind == ModelKind::kTN ? 1 : 3;
+      config.bag.weighting = bag::Weighting::kTF;
+      config.bag.aggregation = bag::Aggregation::kCentroid;
+      config.bag.similarity = similarity;
+      SCOPED_TRACE(config.bag.ToString());
+      auto engine = MakeEngine(config);
+      ASSERT_TRUE(engine->Prepare(ctx_).ok());
+      ASSERT_TRUE(engine->BuildUser(ego_, train_, ctx_).ok());
+      SparseProfileScorer* scorer = engine->sparse_scorer();
+      ASSERT_NE(scorer, nullptr);
+      EXPECT_TRUE(scorer->Embed(rival_, test_cat_, ctx_).empty());
+      const bag::SparseVector* profile = scorer->Profile(ego_);
+      ASSERT_NE(profile, nullptr);
+      for (TweetId d : {test_cat_, test_stock_}) {
+        const double split =
+            scorer->Kernel(ego_, *profile, scorer->Embed(ego_, d, ctx_));
+        const double score = engine->Score(ego_, d, ctx_);
+        uint64_t split_bits = 0;
+        uint64_t score_bits = 0;
+        std::memcpy(&split_bits, &split, sizeof(split));
+        std::memcpy(&score_bits, &score, sizeof(score));
+        EXPECT_EQ(split_bits, score_bits) << split << " vs " << score;
+      }
+    }
+  }
 }
 
 TEST_F(EngineFixture, GraphEnginePrefersUserTopic) {

@@ -12,7 +12,6 @@ namespace {
 HdpConfig SmallConfig() {
   HdpConfig config;
   config.train_iterations = 120;
-  config.infer_iterations = 30;
   return config;
 }
 

@@ -13,7 +13,6 @@ HldaConfig SmallConfig() {
   HldaConfig config;
   config.levels = 3;
   config.train_iterations = 40;
-  config.infer_iterations = 20;
   config.alpha = 2.0;
   return config;
 }

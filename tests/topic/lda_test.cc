@@ -13,7 +13,6 @@ LdaConfig SmallConfig() {
   LdaConfig config;
   config.num_topics = 4;
   config.train_iterations = 150;
-  config.infer_iterations = 30;
   return config;
 }
 

@@ -23,7 +23,6 @@ LldaConfig SmallConfig() {
   config.num_labels = 2;
   config.num_latent_topics = 2;
   config.train_iterations = 150;
-  config.infer_iterations = 30;
   return config;
 }
 

@@ -10,7 +10,8 @@
 //   - an exception in one shard propagates, discards the in-flight merge
 //     block, and leaves the driver usable;
 //   - every trainer's posterior and caller-RNG end state is pinned, per
-//     kernel, thread count and merge cadence.
+//     kernel, thread count and merge cadence;
+//   - every model's fold-in θ and caller-RNG end state is pinned.
 #include "topic/parallel_gibbs.h"
 
 #include <gtest/gtest.h>
@@ -18,9 +19,12 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "topic/btm.h"
+#include "topic/hdp.h"
+#include "topic/hlda.h"
 #include "topic/lda.h"
 #include "topic/llda.h"
 #include "topic/plsa.h"
@@ -356,23 +360,47 @@ TEST(SequentialBitIdentityTest, LdaMatchesReferenceReimplementation) {
 // merge cadence. Each case pins one hash, so a change to any draw, merge,
 // bind or guard of any training path shows up here.
 
-/// FNV-1a (64-bit) over the bit pattern of every φ cell, then of the
-/// caller Rng's next draw (which pins how many draws training consumed).
-uint64_t PosteriorHash(const TopicModel& model, size_t vocab, Rng* rng) {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](uint64_t bits) {
+/// FNV-1a (64-bit) over 64-bit words, byte by byte.
+class PinHash {
+ public:
+  void Mix(uint64_t bits) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffu;
-      hash *= 1099511628211ull;
+      hash_ ^= (bits >> (8 * byte)) & 0xffu;
+      hash_ *= 1099511628211ull;
     }
-  };
-  for (double cell : PhiCells(model, vocab)) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &cell, sizeof(bits));
-    mix(bits);
   }
-  mix(rng->NextU64());
-  return hash;
+  void Mix(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Mix(bits);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+/// Hashes the bit pattern of every φ cell, then the caller Rng's next draw
+/// (which pins how many draws training consumed).
+uint64_t PosteriorHash(const TopicModel& model, size_t vocab, Rng* rng) {
+  PinHash hash;
+  for (double cell : PhiCells(model, vocab)) hash.Mix(cell);
+  hash.Mix(rng->NextU64());
+  return hash.value();
+}
+
+/// The two-topic corpus with label menus for LLDA: most documents carry
+/// their theme's label, every fourth also a shared third label, every
+/// third none (latent-only menu). The other models ignore labels.
+DocSet MakeLabeledTwoTopicCorpus() {
+  DocSet docs = MakeTwoTopicCorpus();
+  for (size_t d = 0; d < docs.num_docs(); ++d) {
+    std::vector<uint32_t> labels;
+    if (d % 3 != 2) labels.push_back(static_cast<uint32_t>(d % 2));
+    if (d % 4 == 0) labels.push_back(2);
+    docs.SetLabels(d, labels);
+  }
+  return docs;
 }
 
 struct PinCase {
@@ -396,16 +424,7 @@ uint64_t TrainAndHash(const DocSet& docs, Config config, const PinCase& c) {
 }
 
 TEST(PosteriorPinTest, EveryTrainerKernelAndThreadCountAsPinned) {
-  // Label menus for LLDA: most documents carry their theme's label, every
-  // fourth also a shared third label, every third none (latent-only menu).
-  // The other models ignore labels.
-  DocSet docs = MakeTwoTopicCorpus();
-  for (size_t d = 0; d < docs.num_docs(); ++d) {
-    std::vector<uint32_t> labels;
-    if (d % 3 != 2) labels.push_back(static_cast<uint32_t>(d % 2));
-    if (d % 4 == 0) labels.push_back(2);
-    docs.SetLabels(d, labels);
-  }
+  DocSet docs = MakeLabeledTwoTopicCorpus();
   LdaConfig lda;
   lda.num_topics = 4;
   lda.train_iterations = 20;
@@ -474,6 +493,79 @@ TEST(PosteriorPinTest, EveryTrainerKernelAndThreadCountAsPinned) {
         << " at train_threads=" << c.threads
         << " merge_every=" << c.merge_every << " hashed 0x" << std::hex
         << hash;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned fold-in: every model's InferDocument at its default settings.
+
+/// Hashes an untrained `model`'s θ (uniform), then trains it sequentially
+/// at seed 7 and hashes the θ of every query followed by the caller Rng's
+/// next draw (which pins how many draws fold-in consumed).
+uint64_t FoldInHash(TopicModel* model, const DocSet& docs) {
+  const std::vector<TermId> cat = docs.Lookup(Words().Doc({"cat"}));
+  const std::vector<std::vector<TermId>> queries = {
+      {},
+      cat,
+      docs.Lookup(Words().Doc({"cat", "cat", "cat", "cat", "cat"})),
+      AnimalQuery(docs),
+      FinanceQuery(docs),
+  };
+  PinHash hash;
+  Rng rng(7);
+  const auto mix_theta = [&](const std::vector<TermId>& words) {
+    const std::vector<double> theta = model->InferDocument(words, &rng);
+    hash.Mix(static_cast<uint64_t>(theta.size()));
+    for (double p : theta) hash.Mix(p);
+  };
+  mix_theta(cat);
+  const Status status = model->Train(docs, &rng);
+  EXPECT_TRUE(status.ok()) << model->name() << ": " << status.ToString();
+  for (const std::vector<TermId>& words : queries) mix_theta(words);
+  hash.Mix(rng.NextU64());
+  return hash.value();
+}
+
+TEST(FoldInPinTest, EveryModelInfersAsPinned) {
+  DocSet docs = MakeLabeledTwoTopicCorpus();
+  LdaConfig lda;
+  lda.num_topics = 4;
+  lda.train_iterations = 20;
+  LldaConfig llda;
+  llda.num_labels = 3;
+  llda.num_latent_topics = 3;
+  llda.train_iterations = 20;
+  HdpConfig hdp;
+  hdp.train_iterations = 20;
+  HldaConfig hlda;
+  hlda.train_iterations = 20;
+  BtmConfig btm;
+  btm.num_topics = 4;
+  btm.train_iterations = 10;
+  btm.window = 5;
+  PlsaConfig plsa;
+  plsa.num_topics = 4;
+  plsa.train_iterations = 10;
+
+  Lda lda_model(lda);
+  Llda llda_model(llda);
+  Hdp hdp_model(hdp);
+  Hlda hlda_model(hlda);
+  Btm btm_model(btm);
+  Plsa plsa_model(plsa);
+  // A mismatch means a fold-in changed its draws or its arithmetic.
+  const std::vector<std::pair<TopicModel*, uint64_t>> cases = {
+      {&lda_model, 0xef9bf0258ece4235ull},
+      {&llda_model, 0xab8a16d7bfa6caa2ull},
+      {&hdp_model, 0x3a18123b34c6ca6eull},
+      {&hlda_model, 0x821fd333736e20f5ull},
+      {&btm_model, 0x58a0cb2064f03bf2ull},
+      {&plsa_model, 0x75b7e72be9f53e44ull},
+  };
+  for (const auto& [model, pinned] : cases) {
+    const uint64_t hash = FoldInHash(model, docs);
+    EXPECT_EQ(hash, pinned)
+        << model->name() << " fold-in hashed 0x" << std::hex << hash;
   }
 }
 

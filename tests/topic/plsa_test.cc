@@ -13,7 +13,6 @@ PlsaConfig SmallConfig() {
   PlsaConfig config;
   config.num_topics = 4;
   config.train_iterations = 60;
-  config.infer_iterations = 30;
   return config;
 }
 
