@@ -1,31 +1,32 @@
 #include "corpus/stop_tokens.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 namespace microrec::corpus {
 
 StopTokenFilter StopTokenFilter::FromTopFrequent(
     const TokenizedCorpus& tokenized, const std::vector<TweetId>& tweets,
     size_t top_k) {
-  std::unordered_map<std::string, size_t> counts;
+  // Keyed by views into `tokenized`: no token string is copied to count it.
+  std::unordered_map<std::string_view, size_t> counts;
   for (TweetId id : tweets) {
     for (const auto& token : tokenized.TokensOf(id)) {
       ++counts[token.text];
     }
   }
-  std::vector<std::pair<std::string, size_t>> ranked(counts.begin(),
-                                                     counts.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (ranked.size() > top_k) ranked.resize(top_k);
+  std::vector<std::pair<std::string_view, size_t>> ranked(counts.begin(),
+                                                          counts.end());
+  const size_t keep = std::min(top_k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
   std::unordered_set<std::string> stop;
-  for (auto& [token, count] : ranked) {
-    (void)count;
-    stop.insert(std::move(token));
-  }
+  for (size_t i = 0; i < keep; ++i) stop.emplace(ranked[i].first);
   return StopTokenFilter(std::move(stop));
 }
 

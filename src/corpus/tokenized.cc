@@ -21,11 +21,7 @@ TokenizedCorpus::TokenizedCorpus(const Corpus& corpus,
     }
     tokens_[i] = tokenizer.Tokenize(corpus.tweet(i).text);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(corpus.num_tweets(), tokenize_one);
-  } else {
-    for (size_t i = 0; i < corpus.num_tweets(); ++i) tokenize_one(i);
-  }
+  PoolForCall(pool)->ParallelFor(corpus.num_tweets(), tokenize_one);
 
   size_t total_tokens = 0;
   for (const auto& tweet_tokens : tokens_) total_tokens += tweet_tokens.size();
@@ -39,14 +35,6 @@ TokenizedCorpus::TokenizedCorpus(const Corpus& corpus,
     registry.GetGauge("text.tokenizer.tokens_per_sec")
         ->Set(static_cast<double>(total_tokens) / elapsed);
   }
-}
-
-std::vector<std::string> TokenizedCorpus::StringsOf(TweetId id) const {
-  const auto& toks = tokens_[id];
-  std::vector<std::string> out;
-  out.reserve(toks.size());
-  for (const auto& token : toks) out.push_back(token.text);
-  return out;
 }
 
 }  // namespace microrec::corpus

@@ -15,17 +15,15 @@ namespace microrec::corpus {
 /// Token stream for every tweet in a corpus, indexed by TweetId.
 class TokenizedCorpus {
  public:
-  /// Tokenizes the whole corpus. When `pool` is non-null the work is
-  /// sharded across its threads.
+  /// Tokenizes the whole corpus, one tweet per task, on `pool`, or on a
+  /// pool of ThreadPool::HardwareThreads() workers made for the call when
+  /// it is null. Every tweet's tokens are the same at any pool size.
   TokenizedCorpus(const Corpus& corpus, const text::Tokenizer& tokenizer,
                   ThreadPool* pool = nullptr);
 
   const std::vector<text::Token>& TokensOf(TweetId id) const {
     return tokens_[id];
   }
-
-  /// Token strings only (no types) for a tweet.
-  std::vector<std::string> StringsOf(TweetId id) const;
 
   size_t size() const { return tokens_.size(); }
 

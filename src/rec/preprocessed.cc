@@ -12,15 +12,24 @@ PreprocessedCorpus::PreprocessedCorpus(
     const corpus::Corpus& corpus,
     const std::vector<corpus::TweetId>& stop_basis, size_t stop_top_k,
     ThreadPool* pool, text::TokenizerOptions tokenizer_options)
+    // A pool made for a null `pool` lives until the delegated constructor
+    // returns.
+    : PreprocessedCorpus(corpus, stop_basis, stop_top_k, tokenizer_options,
+                         *PoolForCall(pool)) {}
+
+PreprocessedCorpus::PreprocessedCorpus(
+    const corpus::Corpus& corpus,
+    const std::vector<corpus::TweetId>& stop_basis, size_t stop_top_k,
+    text::TokenizerOptions tokenizer_options, ThreadPool& pool)
     : corpus_(corpus),
-      tokenized_(corpus, text::Tokenizer(tokenizer_options), pool),
+      tokenized_(corpus, text::Tokenizer(tokenizer_options), &pool),
       stop_filter_(stop_basis.empty()
                        ? corpus::StopTokenFilter()
                        : corpus::StopTokenFilter::FromTopFrequent(
                              tokenized_, stop_basis, stop_top_k)) {
   MICROREC_SPAN("stop_filter");
   filtered_.resize(corpus.num_tweets());
-  auto filter_one = [this](size_t i) {
+  pool.ParallelFor(corpus.num_tweets(), [this](size_t i) {
     if (resilience::FaultsArmed()) {
       resilience::MaybeThrowFault(resilience::kSitePoolTask);
     }
@@ -29,12 +38,7 @@ PreprocessedCorpus::PreprocessedCorpus(
       if (!stop_filter_.IsStop(token.text)) kept.push_back(token.text);
     }
     filtered_[i] = std::move(kept);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(corpus.num_tweets(), filter_one);
-  } else {
-    for (size_t i = 0; i < corpus.num_tweets(); ++i) filter_one(i);
-  }
+  });
 
   size_t kept_tokens = 0;
   for (const auto& tokens : filtered_) kept_tokens += tokens.size();

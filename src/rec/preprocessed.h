@@ -61,7 +61,11 @@ class PreprocessedCorpus {
   /// `stop_basis` (typically: all tweets in every user's training phase).
   /// When `stop_basis` is empty the stop filter is empty (ablation mode).
   /// `tokenizer_options` default to the paper's pipeline; the prep ablation
-  /// bench toggles letter squeezing through them.
+  /// bench toggles letter squeezing through them. Tokenizing and stop
+  /// filtering run one tweet per task on `pool`, or, when it is null, on a
+  /// pool of ThreadPool::HardwareThreads() workers made for the call; the
+  /// stop tokens are counted on the calling thread. Every token and the
+  /// stop set are the same at any pool size.
   PreprocessedCorpus(const corpus::Corpus& corpus,
                      const std::vector<corpus::TweetId>& stop_basis,
                      size_t stop_top_k = 100, ThreadPool* pool = nullptr,
@@ -84,6 +88,9 @@ class PreprocessedCorpus {
 
   /// The (kind, n) gram table, built on the first request and shared by
   /// every later one. Thread-safe: concurrent first requests build it once.
+  /// The build interns tweet after tweet on the calling thread, so ids
+  /// follow tweet order and are the same whatever pool the constructor ran
+  /// on.
   const GramTable& Grams(bag::NgramKind kind, int n) const;
 
  private:
@@ -91,6 +98,12 @@ class PreprocessedCorpus {
     std::once_flag built;
     GramTable table;
   };
+
+  PreprocessedCorpus(const corpus::Corpus& corpus,
+                     const std::vector<corpus::TweetId>& stop_basis,
+                     size_t stop_top_k,
+                     text::TokenizerOptions tokenizer_options,
+                     ThreadPool& pool);
 
   void BuildGrams(bag::NgramKind kind, int n, GramTable* table) const;
 

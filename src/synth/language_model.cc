@@ -1,5 +1,6 @@
 #include "synth/language_model.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -55,11 +56,31 @@ std::vector<std::string> SplitAlternatives(const char* spec) {
   return out;
 }
 
+// One language's syllable inventories, split into their alternatives.
+struct Syllables {
+  std::vector<std::string> onsets;
+  std::vector<std::string> nuclei;
+  std::vector<std::string> codas;
+};
+
+// Split once per process, for every Language enumerator, not once per word.
+const Syllables& SyllablesOf(Language lang) {
+  static const std::array<Syllables, text::kNumKnownLanguages + 1> tables =
+      [] {
+        std::array<Syllables, text::kNumKnownLanguages + 1> out;
+        for (size_t l = 0; l < out.size(); ++l) {
+          LatinFlavour flavour = FlavourOf(static_cast<Language>(l));
+          out[l] = {SplitAlternatives(flavour.onsets),
+                    SplitAlternatives(flavour.nuclei),
+                    SplitAlternatives(flavour.codas)};
+        }
+        return out;
+      }();
+  return tables[static_cast<size_t>(lang)];
+}
+
 std::string GenerateLatinWord(Language lang, Rng* rng) {
-  LatinFlavour flavour = FlavourOf(lang);
-  std::vector<std::string> onsets = SplitAlternatives(flavour.onsets);
-  std::vector<std::string> nuclei = SplitAlternatives(flavour.nuclei);
-  std::vector<std::string> codas = SplitAlternatives(flavour.codas);
+  const auto& [onsets, nuclei, codas] = SyllablesOf(lang);
   int syllables = 2 + static_cast<int>(rng->UniformU32(3));  // 2-4
   std::string word;
   for (int s = 0; s < syllables; ++s) {

@@ -436,6 +436,13 @@ Status Hlda::LoadState(snapshot::Decoder* dec) {
   std::vector<std::vector<uint32_t>> paths(num_paths);
   for (uint64_t p = 0; p < num_paths; ++p) {
     MICROREC_RETURN_IF_ERROR(dec->ReadVecU32(&paths[p]));
+    // InferDocument reads one node per level of every path.
+    if (paths[p].size() != static_cast<size_t>(config_.levels)) {
+      return Status::InvalidArgument(
+          "HLDA snapshot path " + std::to_string(p) + " has length " +
+          std::to_string(paths[p].size()) + ", not the model's " +
+          std::to_string(config_.levels) + " levels");
+    }
     for (uint32_t node : paths[p]) {
       if (node >= num_nodes) {
         return Status::InvalidArgument(

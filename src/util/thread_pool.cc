@@ -10,8 +10,10 @@ namespace microrec {
 
 namespace {
 
-// Process-wide pool gauges (all pools aggregate into the same metrics;
-// the repo only ever runs one pool at a time).
+// Process-wide pool gauges. All pools aggregate into the same metrics, and
+// more than one pool can run at a time (a pool made for one set-up call may
+// run next to a caller's own), so busy_workers sums over the running pools
+// and queue_depth is the depth of whichever pool last changed its queue.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge =
       obs::MetricsRegistry::Global().GetGauge("util.thread_pool.queue_depth");
@@ -117,6 +119,10 @@ void ThreadPool::ParallelFor(size_t count,
   Wait();
 }
 
+size_t ThreadPool::HardwareThreads() {
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
 size_t ThreadPool::NumShards(size_t count, size_t shard_size) {
   assert(shard_size > 0);
   return (count + shard_size - 1) / shard_size;
@@ -181,5 +187,11 @@ void ThreadPool::WorkerLoop() {
     }
   }
 }
+
+PoolForCall::PoolForCall(ThreadPool* pool)
+    : owned_(pool == nullptr
+                 ? std::make_unique<ThreadPool>(ThreadPool::HardwareThreads())
+                 : nullptr),
+      pool_(pool == nullptr ? owned_.get() : pool) {}
 
 }  // namespace microrec

@@ -1,8 +1,16 @@
 // Fixed-size thread pool used to parallelise embarrassingly parallel work:
-// per-user model construction and per-configuration sweeps. The paper's
-// measurements are single-threaded per model (Section 4 excludes
-// parallelised representation models), so timing-sensitive code paths take a
-// `parallelism = 1` switch.
+// per-user model construction, per-configuration sweeps, and the set-up of a
+// corpus. Set-up runs on every core by default: corpus::TokenizedCorpus and
+// rec::PreprocessedCorpus tokenize and stop-filter one tweet per task on a
+// caller's pool or, when it passes none, on a PoolForCall of
+// HardwareThreads() workers. Each task writes its tweet's result to that
+// tweet's slot, so every token is the same at any pool size. Stop counting,
+// the gram tables (ids in tweet order) and the synthetic generator (one draw
+// stream) stay serial. The paper's measurements are single-threaded per
+// model (Section 4 excludes parallelised representation models), so model
+// timing stays on one thread: timing-sensitive code paths take a
+// `parallelism = 1` switch, and ExperimentRunner::Run builds a model's gram
+// table before its training clock starts.
 #ifndef MICROREC_UTIL_THREAD_POOL_H_
 #define MICROREC_UTIL_THREAD_POOL_H_
 
@@ -10,6 +18,7 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -71,6 +80,10 @@ class ThreadPool {
   /// Tasks discarded unrun because an earlier task threw (test hook).
   size_t cancelled_tasks() const;
 
+  /// std::thread::hardware_concurrency(), at least 1: the size of a pool
+  /// made for one call.
+  static size_t HardwareThreads();
+
  private:
   void WorkerLoop();
 
@@ -85,6 +98,21 @@ class ThreadPool {
   // queued tasks are drained without running.
   std::exception_ptr first_error_;
   size_t cancelled_tasks_ = 0;
+};
+
+/// `pool` when it is non-null, else a pool of ThreadPool::HardwareThreads()
+/// workers that lives as long as this object: how a call that takes an
+/// optional pool runs on every core when it is given none.
+class PoolForCall {
+ public:
+  explicit PoolForCall(ThreadPool* pool);
+
+  ThreadPool& operator*() const { return *pool_; }
+  ThreadPool* operator->() const { return pool_; }
+
+ private:
+  std::unique_ptr<ThreadPool> owned_;
+  ThreadPool* pool_;
 };
 
 }  // namespace microrec

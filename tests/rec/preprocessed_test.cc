@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "synth/generator.h"
 #include "text/ngram.h"
 #include "util/string_util.h"
 
@@ -63,14 +65,20 @@ TEST_F(PreprocessedFixture, TokenizerOptionsAreHonoured) {
 }
 
 TEST_F(PreprocessedFixture, ParallelAndSerialAgree) {
+  ThreadPool one(1);
   ThreadPool pool(4);
-  PreprocessedCorpus serial(corpus_, ids_, 2);
+  PreprocessedCorpus serial(corpus_, ids_, 2, &one);
   PreprocessedCorpus parallel(corpus_, ids_, 2, &pool);
   for (corpus::TweetId id : ids_) {
     EXPECT_EQ(serial.Filtered(id), parallel.Filtered(id));
   }
   EXPECT_EQ(serial.stop_filter().size(), parallel.stop_filter().size());
 }
+
+constexpr std::pair<bag::NgramKind, int> kGramTables[] = {
+    {bag::NgramKind::kToken, 1}, {bag::NgramKind::kToken, 2},
+    {bag::NgramKind::kToken, 3}, {bag::NgramKind::kChar, 2},
+    {bag::NgramKind::kChar, 3},  {bag::NgramKind::kChar, 4}};
 
 // The gram table loses nothing: every tweet's ids map back to exactly the
 // strings today's extraction gives, in order, for every (kind, n) the grid
@@ -97,11 +105,7 @@ TEST(GramTableTest, IdsMapBackToTheExtractedGramsInOrder) {
   ASSERT_TRUE(pre.Filtered(0).empty());
   ASSERT_EQ(pre.Filtered(1).size(), 1u);
 
-  const std::pair<bag::NgramKind, int> tables[] = {
-      {bag::NgramKind::kToken, 1}, {bag::NgramKind::kToken, 2},
-      {bag::NgramKind::kToken, 3}, {bag::NgramKind::kChar, 2},
-      {bag::NgramKind::kChar, 3},  {bag::NgramKind::kChar, 4}};
-  for (const auto& [kind, n] : tables) {
+  for (const auto& [kind, n] : kGramTables) {
     SCOPED_TRACE((kind == bag::NgramKind::kToken ? "token n=" : "char n=") +
                  std::to_string(n));
     const GramTable& table = pre.Grams(kind, n);
@@ -117,6 +121,67 @@ TEST(GramTableTest, IdsMapBackToTheExtractedGramsInOrder) {
       EXPECT_EQ(got, expected) << "tweet " << id;
     }
     EXPECT_EQ(&pre.Grams(kind, n), &table);  // built once, then shared
+  }
+}
+
+// Set-up at pool sizes 1, 2, 3 and the default (one worker per hardware
+// thread) over a generated corpus: the same stop set, filtered tokens and,
+// in all six gram tables, the same dictionary order, ids and fingerprint.
+TEST(PreprocessedPoolSizeTest, EveryPoolSizeBuildsTheSameCorpus) {
+  synth::DatasetSpec spec = synth::DatasetSpec::Small();
+  spec.seed = 77;
+  spec.background_users = 40;
+  spec.seekers.count = 3;
+  spec.balanced.count = 3;
+  spec.producers.count = 2;
+  spec.extras.count = 0;
+  auto dataset = synth::GenerateDataset(spec);
+  ASSERT_TRUE(dataset.ok());
+  const corpus::Corpus& corpus = dataset->corpus;
+  ASSERT_GT(corpus.num_tweets(), 2000u);
+  ASSERT_LT(corpus.num_tweets(), 10000u);
+  std::vector<corpus::TweetId> stop_basis;
+  for (corpus::TweetId id = 0; id < corpus.num_tweets(); id += 2) {
+    stop_basis.push_back(id);
+  }
+
+  ThreadPool one(1);
+  const PreprocessedCorpus reference(corpus, stop_basis, 100, &one);
+  ASSERT_EQ(reference.stop_filter().size(), 100u);
+  ThreadPool two(2);
+  ThreadPool three(3);
+  for (ThreadPool* pool : {&two, &three, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(pool == nullptr ? "default pool"
+                                 : std::to_string(pool->num_threads()) +
+                                       "-thread pool");
+    const PreprocessedCorpus pre(corpus, stop_basis, 100, pool);
+    // Every stop token is a corpus token, so equal sizes and equal
+    // membership over the corpus's tokens mean equal sets.
+    EXPECT_EQ(pre.stop_filter().size(), reference.stop_filter().size());
+    for (corpus::TweetId id = 0; id < corpus.num_tweets(); ++id) {
+      for (const text::Token& token : pre.Tokens(id)) {
+        ASSERT_EQ(pre.stop_filter().IsStop(token.text),
+                  reference.stop_filter().IsStop(token.text))
+            << token.text;
+      }
+      ASSERT_EQ(pre.Filtered(id), reference.Filtered(id)) << "tweet " << id;
+    }
+    for (const auto& [kind, n] : kGramTables) {
+      SCOPED_TRACE((kind == bag::NgramKind::kToken ? "token n=" : "char n=") +
+                   std::to_string(n));
+      const GramTable& want = reference.Grams(kind, n);
+      const GramTable& got = pre.Grams(kind, n);
+      ASSERT_EQ(got.dictionary().size(), want.dictionary().size());
+      for (text::TermId id = 0; id < want.dictionary().size(); ++id) {
+        ASSERT_EQ(got.dictionary().TermOf(id), want.dictionary().TermOf(id))
+            << "gram " << id;
+      }
+      for (corpus::TweetId id = 0; id < corpus.num_tweets(); ++id) {
+        ASSERT_TRUE(std::ranges::equal(got.Of(id), want.Of(id)))
+            << "tweet " << id;
+      }
+      EXPECT_EQ(got.fingerprint(), want.fingerprint());
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "corpus/sources.h"
 
@@ -205,6 +207,44 @@ TEST(GeneratorTest, DeterministicForSeed) {
     EXPECT_EQ(a->corpus.tweet(i).text, b->corpus.tweet(i).text);
     EXPECT_EQ(a->corpus.tweet(i).time, b->corpus.tweet(i).time);
   }
+}
+
+// FNV-1a over the little-endian bytes of `value`.
+void MixU64(uint64_t value, uint64_t* hash) {
+  for (int b = 0; b < 8; ++b) {
+    *hash ^= (value >> (8 * b)) & 0xffu;
+    *hash *= 0x100000001b3ULL;
+  }
+}
+
+// The corpus itself, not only the scores downstream of it: one FNV-1a hash
+// over every tweet's author, time, retweet_of and text bytes (after its
+// length) in id order, then every user's follow edges in id order.
+// Recorded before the syllable tables were split once per process.
+TEST(GeneratorTest, SmallCorpusIsPinned) {
+  DatasetSpec spec = DatasetSpec::Small();
+  spec.seed = 42;
+  auto dataset = GenerateDataset(spec);
+  ASSERT_TRUE(dataset.ok());
+  const corpus::Corpus& corpus = dataset->corpus;
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const corpus::Tweet& tweet : corpus.tweets()) {
+    MixU64(tweet.author, &hash);
+    MixU64(static_cast<uint64_t>(tweet.time), &hash);
+    MixU64(tweet.retweet_of, &hash);
+    MixU64(tweet.text.size(), &hash);
+    for (unsigned char byte : tweet.text) {
+      hash ^= byte;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  for (corpus::UserId u = 0; u < corpus.num_users(); ++u) {
+    const std::vector<corpus::UserId>& followees = corpus.graph().Followees(u);
+    MixU64(followees.size(), &hash);
+    for (corpus::UserId v : followees) MixU64(v, &hash);
+  }
+  EXPECT_EQ(corpus.num_tweets(), 28151u);
+  EXPECT_EQ(hash, 0x4609e542cd23d9a7ULL);
 }
 
 TEST(GeneratorTest, DifferentSeedsDiffer) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "snapshot/format.h"
 #include "topic_test_util.h"
 
 namespace microrec::topic {
@@ -99,6 +102,35 @@ TEST(HldaTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.num_paths(), b.num_paths());
   EXPECT_EQ(a.InferDocument(FinanceQuery(docs), &rng1),
             b.InferDocument(FinanceQuery(docs), &rng2));
+}
+
+// A hand-encoded frozen tree of one node and one path through it.
+std::string EncodeOneNodeState(const std::vector<uint32_t>& path) {
+  snapshot::Encoder enc;
+  enc.PutU64(1);       // vocabulary size
+  enc.PutU64(1);       // nodes
+  enc.PutVecU32({0});  // node 0's terms
+  enc.PutVecU32({1});  // node 0's counts
+  enc.PutVecU32({1});  // node totals
+  enc.PutU64(1);       // paths
+  enc.PutVecU32(path);
+  enc.PutVecU32({1});  // path document counts
+  return enc.bytes();
+}
+
+TEST(HldaTest, LoadStateRefusesPathShorterThanLevels) {
+  const std::string full = EncodeOneNodeState({0, 0, 0});
+  Hlda loaded(SmallConfig());
+  snapshot::Decoder full_dec(full);
+  ASSERT_TRUE(loaded.LoadState(&full_dec).ok());
+
+  const std::string short_path = EncodeOneNodeState({0});
+  Hlda refused(SmallConfig());
+  snapshot::Decoder dec(short_path);
+  const Status status = refused.LoadState(&dec);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("path 0 has length 1"), std::string::npos)
+      << status.message();
 }
 
 }  // namespace
