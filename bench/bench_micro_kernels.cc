@@ -29,7 +29,8 @@ BENCHMARK(BM_Tokenize);
 
 void BM_TokenNgrams(benchmark::State& state) {
   text::Tokenizer tokenizer;
-  std::vector<std::string> tokens = tokenizer.TokenizeToStrings(kTweet);
+  std::vector<std::string> strings = tokenizer.TokenizeToStrings(kTweet);
+  const std::vector<std::string_view> tokens(strings.begin(), strings.end());
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(text::TokenNgrams(tokens, n));

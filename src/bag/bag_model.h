@@ -27,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bag/bag_config.h"
@@ -37,10 +38,10 @@
 namespace microrec::bag {
 
 /// A training or test document, already pre-processed: lower-cased,
-/// squeezed, stop-filtered token strings. Character n-grams are extracted
-/// from the tokens joined with single spaces, so both TN and CN see exactly
-/// the same pre-processing (Section 4).
-using TokenDoc = std::vector<std::string>;
+/// squeezed, stop-filtered tokens, as views of strings the caller keeps.
+/// Character n-grams are extracted from the tokens joined with single
+/// spaces, so both TN and CN see exactly the same pre-processing (Section 4).
+using TokenDoc = std::vector<std::string_view>;
 
 /// A document as its n-gram ids in a dictionary, in document order.
 using GramDoc = std::span<const TermId>;

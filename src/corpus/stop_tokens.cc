@@ -25,27 +25,17 @@ StopTokenFilter StopTokenFilter::FromTopFrequent(
                       if (a.second != b.second) return a.second > b.second;
                       return a.first < b.first;
                     });
-  std::unordered_set<std::string> stop;
-  for (size_t i = 0; i < keep; ++i) stop.emplace(ranked[i].first);
-  return StopTokenFilter(std::move(stop));
-}
-
-std::vector<text::Token> StopTokenFilter::Filter(
-    const std::vector<text::Token>& tokens) const {
-  std::vector<text::Token> out;
-  out.reserve(tokens.size());
-  for (const auto& token : tokens) {
-    if (!IsStop(token.text)) out.push_back(token);
-  }
+  StopTokenFilter out;
+  for (size_t i = 0; i < keep; ++i) out.stop_tokens_.emplace(ranked[i].first);
   return out;
 }
 
-std::vector<std::string> StopTokenFilter::FilterStrings(
-    const std::vector<std::string>& tokens) const {
-  std::vector<std::string> out;
+std::vector<std::string_view> StopTokenFilter::Filter(
+    const std::vector<text::Token>& tokens) const {
+  std::vector<std::string_view> out;
   out.reserve(tokens.size());
   for (const auto& token : tokens) {
-    if (!IsStop(token)) out.push_back(token);
+    if (!IsStop(token.text)) out.push_back(token.text);
   }
   return out;
 }

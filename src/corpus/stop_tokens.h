@@ -5,6 +5,7 @@
 #define MICROREC_CORPUS_STOP_TOKENS_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -15,10 +16,6 @@ namespace microrec::corpus {
 /// Set of tokens to drop before any model sees a document.
 class StopTokenFilter {
  public:
-  StopTokenFilter() = default;
-  explicit StopTokenFilter(std::unordered_set<std::string> stop_tokens)
-      : stop_tokens_(std::move(stop_tokens)) {}
-
   /// Computes the `top_k` most frequent token strings over the given tweets
   /// (typically: every user's training-phase tweets). Ties are broken
   /// lexicographically for determinism.
@@ -30,13 +27,10 @@ class StopTokenFilter {
     return stop_tokens_.count(token) > 0;
   }
 
-  /// Returns `tokens` with stop tokens removed.
-  std::vector<text::Token> Filter(
+  /// The texts of `tokens` that are not stop tokens, in order: views into
+  /// `tokens`, valid as long as they are.
+  std::vector<std::string_view> Filter(
       const std::vector<text::Token>& tokens) const;
-
-  /// String-only variant.
-  std::vector<std::string> FilterStrings(
-      const std::vector<std::string>& tokens) const;
 
   size_t size() const { return stop_tokens_.size(); }
 

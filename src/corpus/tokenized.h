@@ -25,8 +25,6 @@ class TokenizedCorpus {
     return tokens_[id];
   }
 
-  size_t size() const { return tokens_.size(); }
-
  private:
   std::vector<std::vector<text::Token>> tokens_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -266,17 +267,16 @@ class RowReader {
 
 // Reads persisted gram ids (a bag or graph row's leading grams, or the
 // topic vocab section) into `*vocab` in local-id order, so the local ids
-// come back as saved: each must index `dictionary`, once.
-Status DecodeGrams(RowReader* reader, const text::Vocabulary& dictionary,
+// come back as saved: each must be an id of `table`, once.
+Status DecodeGrams(RowReader* reader, const GramTable& table,
                    const std::string& origin, bag::IdVocabulary* vocab) {
   std::vector<uint64_t> grams;
   MICROREC_RETURN_IF_ERROR(reader->DeltaIds(&grams, "grams"));
   for (uint64_t gram : grams) {
-    if (gram >= dictionary.size()) {
+    if (gram >= table.size()) {
       return Status::InvalidArgument(
           origin + " gram " + std::to_string(gram) +
-          " is outside the dictionary of " +
-          std::to_string(dictionary.size()));
+          " is outside the dictionary of " + std::to_string(table.size()));
     }
     const size_t local = vocab->size();
     if (vocab->Intern(static_cast<text::TermId>(gram)) != local) {
@@ -318,6 +318,14 @@ class RowStore {
     Result<snapshot::MappedTable> rows =
         snapshot::MappedTable::Open(*file, table);
     if (!rows.ok()) return rows.status();
+    // A wider id would alias a smaller key, and each residency would serve
+    // a different row for it. Ids ascend, so the last one decides.
+    const uint64_t last = rows->row_count() == 0 ? 0 : rows->ids().back();
+    if (last > std::numeric_limits<Key>::max()) {
+      return Status::InvalidArgument(file->origin() + ": table \"" + table +
+                                     "\" row id " + std::to_string(last) +
+                                     " is outside the key range");
+    }
     if (mapped) {
       file_ = file;
       table_ = std::make_unique<snapshot::MappedTable>(std::move(*rows));
@@ -619,8 +627,7 @@ class BagEngine : public UserTableEngine<BagUser>, public SparseProfileScorer {
     uint64_t num_train_docs = 0;
     std::vector<uint64_t> term_ids;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(
-        DecodeGrams(&row, grams_->dictionary(), origin, &vocab));
+    MICROREC_RETURN_IF_ERROR(DecodeGrams(&row, *grams_, origin, &vocab));
     MICROREC_RETURN_IF_ERROR(row.U32s(&df, "document frequencies"));
     MICROREC_RETURN_IF_ERROR(row.Varint(&num_train_docs, "train doc count"));
     MICROREC_RETURN_IF_ERROR(row.DeltaIds(&term_ids, "vector term ids"));
@@ -715,8 +722,7 @@ class GraphEngine : public UserTableEngine<GraphUser> {
     bag::IdVocabulary vocab;
     std::vector<uint64_t> keys;
     std::vector<double> weights;
-    MICROREC_RETURN_IF_ERROR(
-        DecodeGrams(&row, grams_->dictionary(), origin, &vocab));
+    MICROREC_RETURN_IF_ERROR(DecodeGrams(&row, *grams_, origin, &vocab));
     MICROREC_RETURN_IF_ERROR(row.DeltaIds(&keys, "edge keys"));
     MICROREC_RETURN_IF_ERROR(row.F64s(&weights, "edge weights"));
     MICROREC_RETURN_IF_ERROR(row.End());
@@ -816,8 +822,9 @@ class TopicEngine : public Engine {
         const bag::GramDoc tweet = grams_->Of(id);
         words.insert(words.end(), tweet.begin(), tweet.end());
         if (labels != nullptr) {
-          for (uint32_t label : labels->LabelsFor(
-                   id, pre.Tokens(id), pre.corpus().tweet(id).text)) {
+          for (uint32_t label :
+               labels->LabelsFor(id, pre.tokenized().TokensOf(id),
+                                 pre.corpus().tweet(id).text)) {
             if (label_set.insert(label).second) doc_labels.push_back(label);
           }
         }
@@ -1066,7 +1073,7 @@ class TopicEngine : public Engine {
     RowReader vocab_reader(bytes, origin);
     bag::IdVocabulary vocab;
     MICROREC_RETURN_IF_ERROR(
-        DecodeGrams(&vocab_reader, grams_->dictionary(), origin, &vocab));
+        DecodeGrams(&vocab_reader, *grams_, origin, &vocab));
     MICROREC_RETURN_IF_ERROR(vocab_reader.End());
     std::unique_ptr<topic::TopicModel> model;
     MICROREC_RETURN_IF_ERROR(MakeModel(ctx, /*llda_num_labels=*/0, &model));

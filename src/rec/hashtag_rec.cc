@@ -6,10 +6,9 @@
 
 namespace microrec::rec {
 
-std::vector<std::string> HashtagRecommender::ContentTokens(
-    corpus::TweetId id) const {
-  std::vector<std::string> out;
-  for (const auto& token : pre_->Tokens(id)) {
+bag::TokenDoc HashtagRecommender::ContentTokens(corpus::TweetId id) const {
+  bag::TokenDoc out;
+  for (const auto& token : pre_->tokenized().TokensOf(id)) {
     if (token.type == text::TokenType::kHashtag) continue;
     if (pre_->stop_filter().IsStop(token.text)) continue;
     out.push_back(token.text);
@@ -33,7 +32,7 @@ Status HashtagRecommender::BuildProfiles(
   std::map<std::string, std::vector<corpus::TweetId>> pools;
   for (corpus::TweetId id : tweets) {
     std::unordered_set<std::string> seen;
-    for (const auto& token : pre_->Tokens(id)) {
+    for (const auto& token : pre_->tokenized().TokensOf(id)) {
       if (token.type == text::TokenType::kHashtag &&
           seen.insert(token.text).second) {
         pools[token.text].push_back(id);
@@ -49,7 +48,7 @@ Status HashtagRecommender::BuildProfiles(
     if (members.size() < min_support) continue;
     bag::TokenDoc doc;
     for (corpus::TweetId id : members) {
-      std::vector<std::string> tokens = ContentTokens(id);
+      const bag::TokenDoc tokens = ContentTokens(id);
       doc.insert(doc.end(), tokens.begin(), tokens.end());
     }
     pooled.push_back(Featurize(doc));
@@ -86,7 +85,7 @@ Result<std::vector<HashtagSuggestion>> HashtagRecommender::Recommend(
   featurized.reserve(user_train.docs.size());
   for (corpus::TweetId id : user_train.docs) {
     featurized.push_back(Featurize(ContentTokens(id)));
-    for (const auto& token : pre_->Tokens(id)) {
+    for (const auto& token : pre_->tokenized().TokensOf(id)) {
       if (token.type == text::TokenType::kHashtag) {
         already_used.insert(token.text);
       }

@@ -53,8 +53,9 @@ class HashtagRecommender {
   size_t num_profiles() const { return profiles_.size(); }
 
  private:
-  /// Stop-filtered tokens of a tweet minus its hashtag tokens.
-  std::vector<std::string> ContentTokens(corpus::TweetId id) const;
+  /// Stop-filtered tokens of a tweet minus its hashtag tokens, as views
+  /// into the pre-processed corpus.
+  bag::TokenDoc ContentTokens(corpus::TweetId id) const;
 
   /// The gram ids of a pooled or hashtag-stripped document: these are not
   /// corpus tweets, so they are featurized into dictionary_.

@@ -33,11 +33,7 @@ PreprocessedCorpus::PreprocessedCorpus(
     if (resilience::FaultsArmed()) {
       resilience::MaybeThrowFault(resilience::kSitePoolTask);
     }
-    std::vector<std::string> kept;
-    for (const auto& token : tokenized_.TokensOf(i)) {
-      if (!stop_filter_.IsStop(token.text)) kept.push_back(token.text);
-    }
-    filtered_[i] = std::move(kept);
+    filtered_[i] = stop_filter_.Filter(tokenized_.TokensOf(i));
   });
 
   size_t kept_tokens = 0;
@@ -68,20 +64,22 @@ void PreprocessedCorpus::BuildGrams(bag::NgramKind kind, int n,
           "rec.preprocessed.featurize_seconds");
   obs::ScopedHistogramTimer timer(histogram);
   // Sequential, so dictionary ids follow tweet order at any thread count.
+  // The table keeps only the dictionary's size and fingerprint.
+  text::Vocabulary dictionary;
   table->offsets_.reserve(filtered_.size() + 1);
   table->offsets_.push_back(0);
-  for (const std::vector<std::string>& tokens : filtered_) {
-    std::vector<text::TermId> ids =
-        bag::GramIds(tokens, kind, n, &table->dictionary_);
+  for (const std::vector<std::string_view>& tokens : filtered_) {
+    std::vector<text::TermId> ids = bag::GramIds(tokens, kind, n, &dictionary);
     table->ids_.insert(table->ids_.end(), ids.begin(), ids.end());
     table->offsets_.push_back(table->ids_.size());
   }
   table->ids_.shrink_to_fit();
   std::vector<std::string_view> terms;
-  terms.reserve(table->dictionary_.size());
-  for (text::TermId id = 0; id < table->dictionary_.size(); ++id) {
-    terms.push_back(table->dictionary_.TermOf(id));
+  terms.reserve(dictionary.size());
+  for (text::TermId id = 0; id < dictionary.size(); ++id) {
+    terms.push_back(dictionary.TermOf(id));
   }
+  table->size_ = dictionary.size();
   table->fingerprint_ = snapshot::FingerprintTerms(terms);
 }
 

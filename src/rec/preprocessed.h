@@ -1,11 +1,11 @@
 // One-time pre-processing shared by every model and configuration:
 // tokenization, stop-token computation (the 100 most frequent tokens across
-// all training tweets, Section 4), the stop-filtered token strings, and,
-// per (gram kind, n) in use, the featurized tweets every model fits and
-// scores on (the topic models on the token unigrams). Building this once
-// keeps the 223-configuration sweep from re-tokenizing 13 sources x 60
-// users worth of tweets per configuration, and every user from
-// re-extracting the n-grams of every candidate.
+// all training tweets, Section 4), the stop-filtered tokens (views into the
+// tokenized ones), and, per (gram kind, n) in use, the featurized tweets
+// every model fits and scores on (the topic models on the token unigrams).
+// Building this once keeps the 223-configuration sweep from re-tokenizing
+// 13 sources x 60 users worth of tweets per configuration, and every user
+// from re-extracting the n-grams of every candidate.
 #ifndef MICROREC_REC_PREPROCESSED_H_
 #define MICROREC_REC_PREPROCESSED_H_
 
@@ -14,7 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,17 +27,16 @@
 
 namespace microrec::rec {
 
-/// One (gram kind, n)'s featurization of a corpus: a dictionary of every
-/// gram in every tweet's Filtered() tokens, built with bag::GramIds, and
-/// each tweet's gram ids in document order, in one flat array.
+/// One (gram kind, n)'s featurization of a corpus: each tweet's gram ids, in
+/// document order, in one flat array. Ids number the grams of every tweet's
+/// Filtered() tokens by first appearance (bag::GramIds); no string is kept.
 class GramTable {
  public:
-  /// Every gram of the corpus; ids in order of first appearance.
-  const text::Vocabulary& dictionary() const { return dictionary_; }
+  /// The number of distinct grams: every id lies in [0, size()).
+  size_t size() const { return size_; }
 
-  /// snapshot::FingerprintTerms over the dictionary in id order: the
-  /// binding a snapshot, whose rows or vocab section hold these ids,
-  /// records.
+  /// snapshot::FingerprintTerms over the grams in id order: the binding a
+  /// snapshot, whose rows or vocab section hold these ids, records.
   uint64_t fingerprint() const { return fingerprint_; }
 
   /// Tweet `id`'s gram ids, in document order.
@@ -48,7 +47,7 @@ class GramTable {
  private:
   friend class PreprocessedCorpus;
 
-  text::Vocabulary dictionary_;
+  size_t size_ = 0;
   uint64_t fingerprint_ = 0;
   std::vector<text::TermId> ids_;
   std::vector<size_t> offsets_;  // tweet t's ids: [offsets_[t], offsets_[t+1])
@@ -75,15 +74,10 @@ class PreprocessedCorpus {
   const corpus::TokenizedCorpus& tokenized() const { return tokenized_; }
   const corpus::StopTokenFilter& stop_filter() const { return stop_filter_; }
 
-  /// Stop-filtered token strings of a tweet: what the gram tables
-  /// featurize, as the followee recommender does for its own documents.
-  const std::vector<std::string>& Filtered(corpus::TweetId id) const {
+  /// Stop-filtered tokens of a tweet, as views into tokenized(): what the
+  /// gram tables and the followee recommender featurize.
+  const std::vector<std::string_view>& Filtered(corpus::TweetId id) const {
     return filtered_[id];
-  }
-
-  /// Typed tokens (unfiltered) — used by pooling and the LLDA labels.
-  const std::vector<text::Token>& Tokens(corpus::TweetId id) const {
-    return tokenized_.TokensOf(id);
   }
 
   /// The (kind, n) gram table, built on the first request and shared by
@@ -110,7 +104,7 @@ class PreprocessedCorpus {
   const corpus::Corpus& corpus_;
   corpus::TokenizedCorpus tokenized_;
   corpus::StopTokenFilter stop_filter_;
-  std::vector<std::vector<std::string>> filtered_;
+  std::vector<std::vector<std::string_view>> filtered_;  // into tokenized_
   mutable std::mutex grams_mu_;  // guards the map, not the tables
   mutable std::map<std::pair<bag::NgramKind, int>, std::unique_ptr<GramSlot>>
       grams_;

@@ -6,14 +6,14 @@
 
 namespace microrec::text {
 
-std::vector<std::string> TokenNgrams(const std::vector<std::string>& tokens,
-                                     int n) {
+std::vector<std::string> TokenNgrams(
+    const std::vector<std::string_view>& tokens, int n) {
   assert(n >= 1);
   std::vector<std::string> out;
   if (tokens.size() < static_cast<size_t>(n)) return out;
   out.reserve(tokens.size() - static_cast<size_t>(n) + 1);
   for (size_t i = 0; i + static_cast<size_t>(n) <= tokens.size(); ++i) {
-    std::string gram = tokens[i];
+    std::string gram(tokens[i]);
     for (size_t k = 1; k < static_cast<size_t>(n); ++k) {
       gram += kNgramJoiner;
       gram += tokens[i + k];

@@ -21,8 +21,8 @@ inline constexpr char kNgramJoiner = '\x1f';
 
 /// Extracts all token n-grams of size `n` (n >= 1) from a token sequence.
 /// A document with fewer than `n` tokens yields no n-grams.
-std::vector<std::string> TokenNgrams(const std::vector<std::string>& tokens,
-                                     int n);
+std::vector<std::string> TokenNgrams(
+    const std::vector<std::string_view>& tokens, int n);
 
 /// Extracts all character n-grams of size `n` (n >= 1) from UTF-8 text.
 /// Consecutive whitespace is collapsed to a single space first, so the

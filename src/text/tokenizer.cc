@@ -203,9 +203,9 @@ std::string StripTwitterEntities(std::string_view raw) {
   static const Tokenizer tokenizer{TokenizerOptions{
       .lowercase = false, .squeeze_repeats = false, .max_repeat_run = 2}};
   std::vector<Token> tokens = tokenizer.Tokenize(raw);
-  std::vector<std::string> kept;
-  for (auto& token : tokens) {
-    if (token.type == TokenType::kWord) kept.push_back(std::move(token.text));
+  std::vector<std::string_view> kept;
+  for (const auto& token : tokens) {
+    if (token.type == TokenType::kWord) kept.push_back(token.text);
   }
   return Join(kept, " ");
 }

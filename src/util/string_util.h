@@ -15,7 +15,8 @@ std::vector<std::string> SplitAny(std::string_view input,
                                   std::string_view delims);
 
 /// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+std::string Join(const std::vector<std::string_view>& parts,
+                 std::string_view sep);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

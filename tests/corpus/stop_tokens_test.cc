@@ -51,16 +51,20 @@ TEST_F(StopTokensFixture, KLargerThanVocabulary) {
 
 TEST_F(StopTokensFixture, FilterRemovesStopTokens) {
   auto filter = StopTokenFilter::FromTopFrequent(*tokenized_, ids_, 1);
-  auto filtered = filter.Filter(tokenized_->TokensOf(ids_[0]));
+  const std::vector<text::Token>& tokens = tokenized_->TokensOf(ids_[0]);
+  auto filtered = filter.Filter(tokens);
   ASSERT_EQ(filtered.size(), 2u);
-  EXPECT_EQ(filtered[0].text, "cat");
-  EXPECT_EQ(filtered[1].text, "sat");
+  EXPECT_EQ(filtered[0], "cat");
+  EXPECT_EQ(filtered[1], "sat");
+  // Views into the tokens, not copies.
+  EXPECT_EQ(filtered[0].data(), tokens[1].text.data());
 }
 
 TEST_F(StopTokensFixture, FilterStringsVariant) {
   auto filter = StopTokenFilter::FromTopFrequent(*tokenized_, ids_, 1);
-  auto filtered = filter.FilterStrings({"the", "cat", "the"});
-  EXPECT_EQ(filtered, (std::vector<std::string>{"cat"}));
+  const std::vector<text::Token> tokens = {{"the"}, {"cat"}, {"the"}};
+  auto filtered = filter.Filter(tokens);
+  EXPECT_EQ(filtered, (std::vector<std::string_view>{"cat"}));
 }
 
 TEST(StopTokensTest, EmptyFilterKeepsEverything) {

@@ -23,7 +23,7 @@ std::vector<GraphConfig> AllConfigs() {
 
 class GraphConfigPropertyTest : public ::testing::TestWithParam<GraphConfig> {
  protected:
-  std::vector<std::vector<std::string>> docs_ = {
+  std::vector<bag::TokenDoc> docs_ = {
       {"alpha", "beta", "gamma", "delta"},
       {"alpha", "beta", "gamma", "epsilon"},
       {"beta", "gamma", "delta", "alpha"},
@@ -47,8 +47,8 @@ TEST_P(GraphConfigPropertyTest, ScoresWithinUnitInterval) {
   GramDocs grams(modeler.config());
   NgramGraph user = modeler.BuildUserGraph(grams.Docs(docs_));
   for (const auto& doc_tokens :
-       {std::vector<std::string>{"alpha", "beta", "gamma"},
-        std::vector<std::string>{"zzz", "qqq", "www", "eee"}}) {
+       {bag::TokenDoc{"alpha", "beta", "gamma"},
+        bag::TokenDoc{"zzz", "qqq", "www", "eee"}}) {
     NgramGraph doc = modeler.BuildDocGraph(grams.Doc(doc_tokens));
     double score = modeler.Score(user, doc);
     EXPECT_GE(score, 0.0) << GetParam().ToString();
@@ -76,8 +76,7 @@ TEST_P(GraphConfigPropertyTest, MergeOrderInvariantForSum) {
   GraphModeler backward(config);
   GramDocs grams(config);
   NgramGraph a = forward.BuildUserGraph(grams.Docs(docs_));
-  std::vector<std::vector<std::string>> reversed(docs_.rbegin(),
-                                                 docs_.rend());
+  std::vector<bag::TokenDoc> reversed(docs_.rbegin(), docs_.rend());
   NgramGraph b_raw = backward.BuildUserGraph(grams.Docs(reversed));
   // Vocabulary ids may differ between modelers; compare via a probe score
   // against the same document built by each modeler.
@@ -107,7 +106,7 @@ TEST_P(GraphConfigPropertyTest, MergeOrderInvariantForUpdate) {
   // them must leave every weight's bits as they are.
   GraphConfig config = GetParam();
   config.merge = GraphMerge::kUpdate;
-  const std::vector<std::vector<std::string>> history = {
+  const std::vector<bag::TokenDoc> history = {
       {"alpha", "beta", "gamma", "delta"},
       {"alpha", "beta", "gamma", "epsilon"},
       {"beta", "gamma", "delta", "alpha"},
@@ -116,8 +115,7 @@ TEST_P(GraphConfigPropertyTest, MergeOrderInvariantForUpdate) {
       {"delta", "epsilon", "gamma", "beta"},
       {"zeta", "alpha", "beta", "gamma", "delta"},
   };
-  const std::vector<std::vector<std::string>> reversed(history.rbegin(),
-                                                       history.rend());
+  const std::vector<bag::TokenDoc> reversed(history.rbegin(), history.rend());
   GraphModeler forward(config);
   GraphModeler backward(config);
   GramDocs grams(config);

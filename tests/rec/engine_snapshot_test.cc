@@ -519,7 +519,7 @@ TEST_F(EngineSnapshotCorruptionTest, VocabFingerprintMismatchRejected) {
 TEST_F(EngineSnapshotCorruptionTest, GramIdOutsideTheDictionaryRejected) {
   // TN rows and the LDA vocab section index the same (token, 1) table.
   const uint64_t size =
-      pre_->Grams(bag::NgramKind::kToken, 1).dictionary().size();
+      pre_->Grams(bag::NgramKind::kToken, 1).size();
   const std::string detail = "gram " + std::to_string(size) +
                              " is outside the dictionary of " +
                              std::to_string(size);
@@ -559,12 +559,42 @@ TEST_F(EngineSnapshotCorruptionTest, BagProfileTermsOutOfOrderRejected) {
   }
 }
 
+TEST_F(EngineSnapshotCorruptionTest, RowIdBeyondTheKeyRangeRejected) {
+  // A users table's row ids are 64-bit, a user key 32-bit: rows ego and
+  // 2^32 + ego, both valid and in ascending order, would be one user, the
+  // second row to a resident open and the first to a mapped one. Both
+  // residencies refuse the table at open instead, naming it and the id.
+  Result<snapshot::File> good = snapshot::File::Load(good_path_);
+  ASSERT_TRUE(good.ok());
+  const uint64_t beyond = (uint64_t{1} << 32) + ego_;
+  snapshot::TableBuilder table;
+  ASSERT_TRUE(table.AddRow(ego_, BagRow({0})).ok());
+  ASSERT_TRUE(table.AddRow(beyond, BagRow({0, 1}, {0, 1})).ok());
+  snapshot::Writer writer(good->header());
+  writer.AddSection("users", std::move(table).Finish());
+  const std::string path = Path("beyond_key");
+  ASSERT_TRUE(writer.Commit(path).ok());
+
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mmap" : "resident");
+    auto engine = MakeEngine(config_);
+    Status st = mapped ? engine->OpenMapped(path, ctx_)
+                       : engine->LoadSnapshot(path, ctx_);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("table \"users\""), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find("row id " + std::to_string(beyond)),
+              std::string::npos)
+        << st.ToString();
+  }
+}
+
 TEST_F(EngineSnapshotCorruptionTest, TopicVocabLargerThanTheModelRejected) {
   // Every gram of the dictionary, each inside it and none repeated, but
   // more than the words the model was trained on (the test tweets bring
   // words no train tweet has): a fold-in would index phi past its end.
   const size_t size =
-      pre_->Grams(bag::NgramKind::kToken, 1).dictionary().size();
+      pre_->Grams(bag::NgramKind::kToken, 1).size();
   std::vector<uint64_t> every_gram(size);
   std::iota(every_gram.begin(), every_gram.end(), 0);
   ExpectVocabRejected(every_gram, "holds " + std::to_string(size) +

@@ -282,7 +282,8 @@ DocSet MakeKernelDocs(uint64_t seed) {
       tokens.push_back("w");
       tokens.back() += std::to_string(band * 15 + gen.UniformU32(15));
     }
-    docs.AddDocument(Words().Doc(tokens));
+    docs.AddDocument(
+        Words().Doc(bag::TokenDoc(tokens.begin(), tokens.end())));
   }
   return docs;
 }

@@ -57,12 +57,14 @@ EquivCorpus MakeEquivCorpus(size_t num_docs, size_t len, size_t vocab,
   for (size_t d = 0; d < num_docs; ++d) {
     std::vector<std::string> tokens;
     make_doc(&tokens);
-    out.docs.AddDocument(Words().Doc(tokens));
+    out.docs.AddDocument(
+        Words().Doc(bag::TokenDoc(tokens.begin(), tokens.end())));
   }
   for (size_t d = 0; d < num_docs / 8; ++d) {
     std::vector<std::string> tokens;
     make_doc(&tokens);
-    out.heldout.push_back(out.docs.Lookup(Words().Doc(tokens)));
+    out.heldout.push_back(out.docs.Lookup(
+        Words().Doc(bag::TokenDoc(tokens.begin(), tokens.end()))));
   }
   return out;
 }

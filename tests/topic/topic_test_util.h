@@ -42,7 +42,7 @@ inline const std::vector<std::string>& FinanceWords() {
 inline DocSet MakeTwoTopicCorpus(int docs_per_topic = 20, int len = 12) {
   DocSet docs;
   for (int d = 0; d < docs_per_topic; ++d) {
-    std::vector<std::string> animal, finance;
+    bag::TokenDoc animal, finance;  // views into the static word lists
     for (int i = 0; i < len; ++i) {
       animal.push_back(AnimalWords()[(d + i) % AnimalWords().size()]);
       finance.push_back(FinanceWords()[(d + i) % FinanceWords().size()]);
