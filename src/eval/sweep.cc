@@ -40,26 +40,6 @@ SweepResult::MapStats SweepResult::StatsOfGroup(
 
 namespace {
 
-SweepResult::TimeStats TimeStatsOf(const std::vector<ConfigOutcome>& outcomes,
-                                   bool train) {
-  SweepResult::TimeStats stats;
-  stats.min = 1e300;
-  stats.max = -1e300;
-  size_t counted = 0;
-  for (const ConfigOutcome& outcome : outcomes) {
-    if (!outcome.ok()) continue;
-    double t = train ? outcome.result.ttime_seconds
-                     : outcome.result.etime_seconds;
-    stats.mean += t;
-    stats.min = std::min(stats.min, t);
-    stats.max = std::max(stats.max, t);
-    ++counted;
-  }
-  if (counted == 0) return SweepResult::TimeStats();
-  stats.mean /= static_cast<double>(counted);
-  return stats;
-}
-
 resilience::CheckpointRecord RecordOf(const rec::ModelConfig& config,
                                       const ConfigOutcome& outcome) {
   resilience::CheckpointRecord record;
@@ -91,14 +71,6 @@ ConfigOutcome OutcomeOf(const rec::ModelConfig& config,
 }
 
 }  // namespace
-
-SweepResult::TimeStats SweepResult::TrainTime() const {
-  return TimeStatsOf(outcomes, /*train=*/true);
-}
-
-SweepResult::TimeStats SweepResult::TestTime() const {
-  return TimeStatsOf(outcomes, /*train=*/false);
-}
 
 const ConfigOutcome* SweepResult::Best(
     const std::vector<corpus::UserId>& group) const {

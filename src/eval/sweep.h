@@ -55,14 +55,6 @@ struct SweepResult {
   /// group.
   MapStats StatsOfGroup(const std::vector<corpus::UserId>& group) const;
 
-  struct TimeStats {
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  TimeStats TrainTime() const;
-  TimeStats TestTime() const;
-
   /// The successful configuration with the highest MAP for `group`
   /// (Table 7); nullptr when no configuration succeeded.
   const ConfigOutcome* Best(const std::vector<corpus::UserId>& group) const;

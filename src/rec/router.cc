@@ -153,11 +153,6 @@ void ShardRouter::RecordOutcome(size_t s, bool success, bool deadline_miss,
   health.breaker_transitions = breakers_[s].transitions();
 }
 
-BreakerState ShardRouter::StateOf(size_t s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return breakers_[s].state();
-}
-
 std::vector<ShardHealth> ShardRouter::Health() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ShardHealth> out = health_;

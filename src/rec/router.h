@@ -112,7 +112,6 @@ class ShardRouter {
   /// `hedged` counts a hedged re-issue against the shard's health record.
   void RecordOutcome(size_t s, bool success, bool deadline_miss, bool hedged);
 
-  BreakerState StateOf(size_t s) const;
   std::vector<ShardHealth> Health() const;
 
  private:

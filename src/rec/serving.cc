@@ -90,6 +90,18 @@ void RecordServed(ServingRung rung, double seconds,
 /// for hundreds of candidates.
 constexpr size_t kScoreShardSize = 16;
 
+// The rung-1 model: TN over token unigrams, TF weighting, centroid, cosine.
+ModelConfig FallbackConfig() {
+  ModelConfig config;
+  config.kind = ModelKind::kTN;
+  config.bag.kind = bag::NgramKind::kToken;
+  config.bag.n = 1;
+  config.bag.weighting = bag::Weighting::kTF;
+  config.bag.aggregation = bag::Aggregation::kCentroid;
+  config.bag.similarity = bag::BagSimilarity::kCosine;
+  return config;
+}
+
 }  // namespace
 
 std::string_view ServingRungName(ServingRung rung) {
@@ -102,17 +114,6 @@ std::string_view ServingRungName(ServingRung rung) {
       return "popularity";
   }
   return "unknown";
-}
-
-ModelConfig ServingOptions::DefaultFallback() {
-  ModelConfig config;
-  config.kind = ModelKind::kTN;
-  config.bag.kind = bag::NgramKind::kToken;
-  config.bag.n = 1;
-  config.bag.weighting = bag::Weighting::kTF;
-  config.bag.aggregation = bag::Aggregation::kCentroid;
-  config.bag.similarity = bag::BagSimilarity::kCosine;
-  return config;
 }
 
 DegradingRecommender::DegradingRecommender(const EngineContext& ctx,
@@ -159,12 +160,7 @@ Status DegradingRecommender::EnsurePrimary() {
 
 Status DegradingRecommender::EnsureFallbackUser(corpus::UserId u) {
   if (fallback_ == nullptr) {
-    fallback_ = MakeEngine(options_.fallback);
-    if (fallback_ == nullptr) {
-      return Status::InvalidArgument(
-          "serving: no engine for fallback configuration " +
-          options_.fallback.ToString());
-    }
+    fallback_ = MakeEngine(FallbackConfig());
     // Bag engines have no global phase, so Prepare is instant; a cold
     // context without the warm-start path keeps it that way.
     EngineContext cold = ctx_;

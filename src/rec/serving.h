@@ -50,9 +50,9 @@ enum class ServingRung : int {
 std::string_view ServingRungName(ServingRung rung);
 
 /// Serving configuration. `primary` + `snapshot_path` name the trained
-/// state produced by Engine::SaveSnapshot; the fallback configuration
-/// defaults to plain TN (token unigrams, TF weighting) because it is the
-/// cheapest model of Table 5 that still personalizes.
+/// state produced by Engine::SaveSnapshot. The rung-1 fallback is always
+/// plain TN (token unigrams, TF weighting, centroid, cosine): the cheapest
+/// model of Table 5 that still personalizes.
 struct ServingOptions {
   ModelConfig primary;
   std::string snapshot_path;
@@ -60,7 +60,6 @@ struct ServingOptions {
   /// rung whenever the remaining budget expires mid-phase; scoring re-checks
   /// the budget every shard of candidates, not just once per query.
   double query_deadline_seconds = 0.0;
-  ModelConfig fallback = DefaultFallback();
   /// Return only the best `top_k` recommendations (0 = rank everything).
   /// The ranker selects them in one pass: the result is exactly the head
   /// of the full canonical ranking.
@@ -72,9 +71,6 @@ struct ServingOptions {
   /// across queries skip embedding and the similarity kernel. Cached
   /// scores are exact, so caching never changes a ranking.
   size_t score_cache_capacity = 0;
-
-  /// TN, token unigrams, TF weighting, cosine — the rung-1 model.
-  static ModelConfig DefaultFallback();
 };
 
 /// A served item is a ranked one: the ranker's output moves into the

@@ -65,8 +65,6 @@ struct LanguageModelSpec {
   /// subtopic (polysemy): isolated tokens become ambiguous, while ordered
   /// phrases stay unambiguous — as real phrases disambiguate real words.
   double polysemy = 0.12;
-
-  int TotalSubtopics() const { return num_topics * subtopics_per_topic; }
 };
 
 /// Generated vocabulary and word samplers for one language.

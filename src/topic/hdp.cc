@@ -9,6 +9,9 @@ namespace microrec::topic {
 
 namespace {
 
+// Topics the sampler starts from; it adds and removes from here.
+constexpr size_t kInitialTopics = 2;
+
 // Mutable sampler state for one active topic.
 struct TopicState {
   std::vector<uint32_t> n_w;  // word counts
@@ -44,11 +47,10 @@ Status Hdp::Train(const DocSet& docs, Rng* rng) {
   // Initial topics with equal global weights; b_new holds the remaining
   // stick mass for future topics.
   std::vector<TopicState> topics;
-  size_t init = std::max<size_t>(1, config_.initial_topics);
-  double b_new = 1.0 / static_cast<double>(init + 1);
-  for (size_t k = 0; k < init; ++k) {
+  double b_new = 1.0 / static_cast<double>(kInitialTopics + 1);
+  for (size_t k = 0; k < kInitialTopics; ++k) {
     topics.emplace_back(V);
-    topics.back().b = (1.0 - b_new) / static_cast<double>(init);
+    topics.back().b = (1.0 - b_new) / static_cast<double>(kInitialTopics);
   }
 
   // Assignments and per-doc topic counts (dense rows resized with K).
@@ -68,13 +70,7 @@ Status Hdp::Train(const DocSet& docs, Rng* rng) {
   }
 
   std::vector<double> weights;
-  obs::Histogram* sweep_hist =
-      obs::MetricsRegistry::Global().GetHistogram("topic.hdp.sweep_seconds");
-  for (int iter = 0; iter < config_.train_iterations; ++iter) {
-    MICROREC_RETURN_IF_ERROR(GuardSweep(
-        "HDP", iter, config_.cancel,
-        weights.empty() ? nullptr : weights.data(), weights.size()));
-    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
+  const auto sweep = [&](int /*iter*/, uint64_t* degenerate_draws) {
     const uint64_t degenerate_before = rng->degenerate_draws();
     // --- Sweep: resample every word's topic (direct assignment). ---
     for (size_t d = 0; d < D; ++d) {
@@ -167,14 +163,13 @@ Status Hdp::Train(const DocSet& docs, Rng* rng) {
       b_new = draw[K];
     }
 
-    MICROREC_RETURN_IF_ERROR(GuardDegenerateDraws(
-        "HDP", iter, rng->degenerate_draws() - degenerate_before));
-  }
-
-  MICROREC_RETURN_IF_ERROR(
-      CheckPosteriorMass("HDP", config_.train_iterations,
-                         weights.empty() ? nullptr : weights.data(),
-                         weights.size()));
+    *degenerate_draws = rng->degenerate_draws() - degenerate_before;
+    return Status::OK();
+  };
+  MICROREC_RETURN_IF_ERROR(RunGuardedSweeps(
+      "HDP", config_.train_iterations, config_.cancel,
+      obs::MetricsRegistry::Global().GetHistogram("topic.hdp.sweep_seconds"),
+      weights, sweep));
 
   // Freeze the posterior sample.
   phi_.Assign(topics.size(), V);

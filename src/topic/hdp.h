@@ -32,8 +32,6 @@ struct HdpConfig {
   /// Dirichlet prior on topic-word distributions (the base measure H).
   double beta = 0.1;
   int train_iterations = 1000;
-  /// Initial number of topics; the sampler adds/removes from here.
-  size_t initial_topics = 2;
   /// Safety valve for the topic count (far above typical posterior sizes).
   size_t max_topics = 512;
   /// Optional deadline / cancellation checked between sweeps (not owned).

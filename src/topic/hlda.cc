@@ -119,13 +119,7 @@ Status Hlda::Train(const DocSet& docs, Rng* rng) {
   // the previous sweep's last sample for numeric blow-ups.
   std::vector<double> level_weights(L);
 
-  obs::Histogram* sweep_hist =
-      obs::MetricsRegistry::Global().GetHistogram("topic.hlda.sweep_seconds");
-  for (int iter = 0; iter < config_.train_iterations; ++iter) {
-    MICROREC_RETURN_IF_ERROR(GuardSweep(
-        "HLDA", iter, config_.cancel,
-        iter == 0 ? nullptr : level_weights.data(), level_weights.size()));
-    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
+  const auto sweep = [&](int /*iter*/, uint64_t* degenerate_draws) {
     const uint64_t degenerate_before = rng->degenerate_draws();
     for (size_t d = 0; d < D; ++d) {
       const auto& words = docs.docs()[d].words;
@@ -269,16 +263,13 @@ Status Hlda::Train(const DocSet& docs, Rng* rng) {
         ++node.n_total;
       }
     }
-    MICROREC_RETURN_IF_ERROR(GuardDegenerateDraws(
-        "HLDA", iter, rng->degenerate_draws() - degenerate_before));
-  }
-
-  // The sweep guard only ever sees the *previous* iteration's sample; check
-  // the final sweep's mass once more before freezing the tree.
-  MICROREC_RETURN_IF_ERROR(CheckPosteriorMass(
-      "HLDA", config_.train_iterations,
-      config_.train_iterations == 0 ? nullptr : level_weights.data(),
-      level_weights.size()));
+    *degenerate_draws = rng->degenerate_draws() - degenerate_before;
+    return Status::OK();
+  };
+  MICROREC_RETURN_IF_ERROR(RunGuardedSweeps(
+      "HLDA", config_.train_iterations, config_.cancel,
+      obs::MetricsRegistry::Global().GetHistogram("topic.hlda.sweep_seconds"),
+      level_weights, sweep));
 
   // ---- Freeze: compact live nodes and record root-to-leaf paths. ----
   std::vector<int> remap(nodes.size(), -1);

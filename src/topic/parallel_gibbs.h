@@ -19,8 +19,9 @@
 //     within ±0.01) is enforced by tests/topic/stat_equiv_test.cc and
 //     documented in DESIGN.md §10.
 //
-// LDA, LLDA and BTM train through one loop, RunGibbs (topic/sparse_kernel.h),
-// and PLSA through one EM loop; each constructs this driver only when
+// LDA, LLDA and BTM train through RunGibbs (topic/sparse_kernel.h), and PLSA
+// through one EM loop, both inside the guarded sweep loop RunGuardedSweeps
+// (topic/topic_model.h); each constructs this driver only when
 // train_threads > 1. At train_threads = 1 they run sequentially on the
 // caller's Rng with the exact historical draw sequence, so snapshots / warm
 // starts / the CI determinism job are unaffected by default.

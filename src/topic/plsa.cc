@@ -93,13 +93,9 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
     }
   };
 
-  obs::Histogram* sweep_hist =
-      obs::MetricsRegistry::Global().GetHistogram("topic.plsa.step_seconds");
-  for (int iter = 0; iter < config_.train_iterations; ++iter) {
-    MICROREC_RETURN_IF_ERROR(GuardSweep(
-        "PLSA", iter, config_.cancel,
-        iter == 0 ? nullptr : post[0].data(), K));
-    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
+  // EM draws nothing after initialisation, so a step reports no degenerate
+  // draws.
+  const auto step = [&](int iter, uint64_t* /*degenerate_draws*/) {
     std::fill(theta_acc.begin(), theta_acc.end(), 0.0);
     if (!driver) {
       std::fill(phi_acc.begin(), phi_acc.end(), 0.0);
@@ -129,7 +125,12 @@ Status Plsa::Train(const DocSet& docs, Rng* rng) {
         phi[k * V + w] = phi_acc[k * V + w] / total;
       }
     }
-  }
+    return Status::OK();
+  };
+  MICROREC_RETURN_IF_ERROR(RunGuardedSweeps(
+      "PLSA", config_.train_iterations, config_.cancel,
+      obs::MetricsRegistry::Global().GetHistogram("topic.plsa.step_seconds"),
+      post[0], step));
   phi_.Adopt(K, V, std::move(phi));
   return Status::OK();
 }

@@ -97,11 +97,7 @@ bool TopicCountList::Decrement(uint32_t topic) {
 
 GibbsSparseSweeper::GibbsSparseSweeper(size_t num_topics, size_t vocab,
                                        double alpha, double beta)
-    : num_topics_(num_topics),
-      vocab_(vocab),
-      alpha_(alpha),
-      beta_(beta),
-      v_beta_(static_cast<double>(vocab) * beta),
+    : SweeperBase(num_topics, vocab, alpha, beta),
       word_lists_(vocab),
       c_(num_topics, 0.0),
       q_coeff_(num_topics, 0.0),
@@ -136,26 +132,25 @@ void GibbsSparseSweeper::BeginDoc(size_t doc,
       in_menu_[k] = 0;
     }
   }
-  cur_doc_ = doc;
+  dk_ = n_dk_ + doc * num_topics_;
   cur_menu_ = menu;
 
-  const uint32_t* dk_row = n_dk_ + doc * num_topics_;
   s_ck_sum_ = 0.0;
   if (menu == nullptr) {
     for (uint32_t k = 0; k < num_topics_; ++k) {
-      q_coeff_[k] = (static_cast<double>(dk_row[k]) + alpha_) * c_[k];
+      q_coeff_[k] = (static_cast<double>(dk_[k]) + alpha_) * c_[k];
       s_ck_sum_ += c_[k];
     }
   } else {
     for (uint32_t k : *menu) {
       if (in_menu_[k]) continue;  // tolerate duplicate menu entries
       in_menu_[k] = 1;
-      q_coeff_[k] = (static_cast<double>(dk_row[k]) + alpha_) * c_[k];
+      q_coeff_[k] = (static_cast<double>(dk_[k]) + alpha_) * c_[k];
       s_ck_sum_ += c_[k];
     }
   }
 
-  doc_list_.Assign(dk_row, num_topics_, 1);
+  doc_list_.Assign(dk_, num_topics_, 1);
   r_nc_sum_ = 0.0;
   for (const auto& e : doc_list_) {
     r_nc_sum_ += static_cast<double>(e.count) * c_[e.topic];
@@ -165,31 +160,27 @@ void GibbsSparseSweeper::BeginDoc(size_t doc,
 void GibbsSparseSweeper::RemoveToken(TermId w, uint32_t topic) {
   // Retire the topic's bucket contributions before mutating, re-add after:
   // both n_dk and c_k change.
-  const double old_dk = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + topic]);
+  const double old_dk = static_cast<double>(dk_[topic]);
   s_ck_sum_ -= c_[topic];
   r_nc_sum_ -= old_dk * c_[topic];
 
-  counts_ok_ &= GuardedDecrement(&n_dk_[cur_doc_ * num_topics_ + topic]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w]);
-  counts_ok_ &= GuardedDecrement(&n_k_[topic]);
+  RemoveTokenCounts(dk_, w, topic);
   counts_ok_ &= doc_list_.Decrement(topic);
   counts_ok_ &= word_lists_[w].Decrement(topic);
 
   c_[topic] = 1.0 / (static_cast<double>(n_k_[topic]) + v_beta_);
-  const double new_dk = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + topic]);
+  const double new_dk = static_cast<double>(dk_[topic]);
   s_ck_sum_ += c_[topic];
   r_nc_sum_ += new_dk * c_[topic];
   q_coeff_[topic] = (new_dk + alpha_) * c_[topic];
 }
 
 void GibbsSparseSweeper::AddToken(TermId w, uint32_t topic) {
-  const double old_dk = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + topic]);
+  const double old_dk = static_cast<double>(dk_[topic]);
   s_ck_sum_ -= c_[topic];
   r_nc_sum_ -= old_dk * c_[topic];
 
-  ++n_dk_[cur_doc_ * num_topics_ + topic];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w];
-  ++n_k_[topic];
+  AddTokenCounts(dk_, w, topic);
   doc_list_.Increment(topic);
   word_lists_[w].Increment(topic);
 
@@ -225,57 +216,34 @@ uint32_t GibbsSparseSweeper::DrawTopic(TermId w, uint32_t /*old*/, Rng* rng) {
   }
 
   double u = rng->UniformDouble() * total;
-  // Largest bucket first: q usually dominates after burn-in, then r, s.
+  // Largest bucket first: q usually dominates after burn-in, then r, s. A
+  // bucket whose weights are all dust passes the draw on to the next.
   if (u < q_mass) {
-    double cum = 0.0;
-    size_t last_positive = SIZE_MAX;
-    for (size_t i = 0; i < wl.size(); ++i) {
-      if (!(q_scratch_[i] > 0.0)) continue;
-      cum += q_scratch_[i];
-      last_positive = i;
-      if (u < cum) return wl.entry(i).topic;
-    }
-    if (last_positive != SIZE_MAX) return wl.entry(last_positive).topic;
+    const size_t i = ScanCumulative(
+        wl.size(), u, [&](size_t j) { return q_scratch_[j]; });
+    if (i != kNoPick) return wl.entry(i).topic;
   }
   u -= q_mass;
   if (u < r_mass) {
-    double cum = 0.0;
-    uint32_t last_positive = UINT32_MAX;
-    for (const auto& e : doc_list_) {
-      const double rk = beta_ * static_cast<double>(e.count) * c_[e.topic];
-      if (!(rk > 0.0)) continue;
-      cum += rk;
-      last_positive = e.topic;
-      if (u < cum) return e.topic;
-    }
-    if (last_positive != UINT32_MAX) return last_positive;
+    const size_t i = ScanCumulative(doc_list_.size(), u, [&](size_t j) {
+      const TopicCountList::Entry& e = doc_list_.entry(j);
+      return beta_ * static_cast<double>(e.count) * c_[e.topic];
+    });
+    if (i != kNoPick) return doc_list_.entry(i).topic;
   }
   u -= r_mass;
-  {
-    double cum = 0.0;
-    uint32_t last_positive = FallbackTopic();
-    const double ab = alpha_ * beta_;
-    if (cur_menu_ == nullptr) {
-      for (uint32_t k = 0; k < num_topics_; ++k) {
-        const double sk = ab * c_[k];
-        if (!(sk > 0.0)) continue;
-        cum += sk;
-        last_positive = k;
-        if (u < cum) return k;
-      }
-    } else {
-      for (uint32_t k : *cur_menu_) {
-        const double sk = ab * c_[k];
-        if (!(sk > 0.0)) continue;
-        cum += sk;
-        last_positive = k;
-        if (u < cum) return k;
-      }
-    }
-    // Floating-point slack at the very top of the mass: clamp to the last
-    // scanned candidate.
-    return last_positive;
+  const double ab = alpha_ * beta_;
+  if (cur_menu_ == nullptr) {
+    const size_t k =
+        ScanCumulative(num_topics_, u, [&](size_t j) { return ab * c_[j]; });
+    if (k != kNoPick) return static_cast<uint32_t>(k);
+  } else {
+    const std::vector<uint32_t>& menu = *cur_menu_;
+    const size_t m = ScanCumulative(
+        menu.size(), u, [&](size_t j) { return ab * c_[menu[j]]; });
+    if (m != kNoPick) return menu[m];
   }
+  return FallbackTopic();
 }
 
 void GibbsSparseSweeper::BucketMasses(TermId w, double* s, double* r,
@@ -296,11 +264,7 @@ void GibbsSparseSweeper::BucketMasses(TermId w, double* s, double* r,
 GibbsAliasSweeper::GibbsAliasSweeper(size_t num_topics, size_t vocab,
                                      double alpha, double beta,
                                      size_t latent_begin)
-    : num_topics_(num_topics),
-      vocab_(vocab),
-      alpha_(alpha),
-      beta_(beta),
-      v_beta_(static_cast<double>(vocab) * beta),
+    : SweeperBase(num_topics, vocab, alpha, beta),
       latent_begin_(latent_begin),
       c_(num_topics, 0.0),
       tables_(vocab) {}
@@ -321,8 +285,8 @@ void GibbsAliasSweeper::Bind(uint32_t* n_dk, uint32_t* n_kw, uint32_t* n_k) {
 
 void GibbsAliasSweeper::BeginDoc(size_t doc,
                                  const std::vector<uint32_t>* menu) {
-  cur_doc_ = doc;
-  doc_list_.Assign(n_dk_ + doc * num_topics_, num_topics_, 1);
+  dk_ = n_dk_ + doc * num_topics_;
+  doc_list_.Assign(dk_, num_topics_, 1);
   label_menu_.clear();
   if (menu != nullptr) {
     for (uint32_t k : *menu) {
@@ -337,17 +301,13 @@ void GibbsAliasSweeper::BeginDoc(size_t doc,
 }
 
 void GibbsAliasSweeper::RemoveToken(TermId w, uint32_t topic) {
-  counts_ok_ &= GuardedDecrement(&n_dk_[cur_doc_ * num_topics_ + topic]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w]);
-  counts_ok_ &= GuardedDecrement(&n_k_[topic]);
+  RemoveTokenCounts(dk_, w, topic);
   counts_ok_ &= doc_list_.Decrement(topic);
   c_[topic] = 1.0 / (static_cast<double>(n_k_[topic]) + v_beta_);
 }
 
 void GibbsAliasSweeper::AddToken(TermId w, uint32_t topic) {
-  ++n_dk_[cur_doc_ * num_topics_ + topic];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w];
-  ++n_k_[topic];
+  AddTokenCounts(dk_, w, topic);
   doc_list_.Increment(topic);
   c_[topic] = 1.0 / (static_cast<double>(n_k_[topic]) + v_beta_);
 }
@@ -360,18 +320,16 @@ double GibbsAliasSweeper::TrueDensity(TermId w, uint32_t k) const {
           label_menu_.end()) {
     return 0.0;
   }
-  const double n_dk = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + k]);
-  const double n_kw =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w]);
+  const double n_dk = static_cast<double>(dk_[k]);
+  const double n_kw = static_cast<double>(kw(k, w));
   return (n_dk + alpha_) * (n_kw + beta_) * c_[k];
 }
 
 double GibbsAliasSweeper::ProposalDensity(TermId w, uint32_t k,
                                           const AliasTable& table) const {
-  const double n_kw =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w]);
+  const double n_kw = static_cast<double>(kw(k, w));
   const double word_part = (n_kw + beta_) * c_[k];
-  double g = static_cast<double>(n_dk_[cur_doc_ * num_topics_ + k]) * word_part;
+  double g = static_cast<double>(dk_[k]) * word_part;
   if (k < latent_begin_) {
     if (std::find(label_menu_.begin(), label_menu_.end(), k) !=
         label_menu_.end()) {
@@ -388,15 +346,9 @@ uint32_t GibbsAliasSweeper::Propose(double exact_mass,
   const double total = exact_mass + table.total();
   double u = rng->UniformDouble() * total;
   if (u < exact_mass || table.empty()) {
-    double cum = 0.0;
-    size_t last_positive = SIZE_MAX;
-    for (size_t i = 0; i < exact_.size(); ++i) {
-      if (!(exact_[i].second > 0.0)) continue;
-      cum += exact_[i].second;
-      last_positive = i;
-      if (u < cum) return exact_[i].first;
-    }
-    if (last_positive != SIZE_MAX) return exact_[last_positive].first;
+    const size_t i = ScanCumulative(
+        exact_.size(), u, [&](size_t j) { return exact_[j].second; });
+    if (i != kNoPick) return exact_[i].first;
     // exact_mass was all floating-point dust; fall through to the table.
   }
   return static_cast<uint32_t>(table.Sample(rng) + latent_begin_);
@@ -410,16 +362,14 @@ uint32_t GibbsAliasSweeper::DrawTopic(TermId w, uint32_t old, Rng* rng) {
   exact_.clear();
   double exact_mass = 0.0;
   for (const auto& e : doc_list_) {
-    const double n_kw = static_cast<double>(
-        n_kw_[static_cast<size_t>(e.topic) * vocab_ + w]);
+    const double n_kw = static_cast<double>(kw(e.topic, w));
     const double weight =
         static_cast<double>(e.count) * (n_kw + beta_) * c_[e.topic];
     exact_.emplace_back(e.topic, weight);
     exact_mass += weight;
   }
   for (uint32_t k : label_menu_) {
-    const double n_kw =
-        static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w]);
+    const double n_kw = static_cast<double>(kw(k, w));
     const double weight = alpha_ * (n_kw + beta_) * c_[k];
     exact_.emplace_back(k, weight);
     exact_mass += weight;
@@ -442,26 +392,10 @@ uint32_t GibbsAliasSweeper::DrawTopic(TermId w, uint32_t old, Rng* rng) {
                                : label_menu_[0];
   }
 
-  // Two independence-sampler MH steps from the just-removed assignment.
-  uint32_t cur = old;
-  for (int step = 0; step < 2; ++step) {
-    const uint32_t cand = Propose(exact_mass, table, rng);
-    if (cand == cur) continue;
-    const double p_cur = TrueDensity(w, cur);
-    const double g_cur = ProposalDensity(w, cur, table);
-    if (!(p_cur > 0.0) || !(g_cur > 0.0)) {
-      // The chain sits on a zero-mass state (e.g. the removed token was its
-      // topic's last): any proposed state is an improvement.
-      cur = cand;
-      continue;
-    }
-    const double p_cand = TrueDensity(w, cand);
-    const double g_cand = ProposalDensity(w, cand, table);
-    if (!(p_cand > 0.0) || !(g_cand > 0.0)) continue;
-    const double ratio = (p_cand * g_cur) / (p_cur * g_cand);
-    if (ratio >= 1.0 || rng->UniformDouble() < ratio) cur = cand;
-  }
-  return cur;
+  return MetropolisHastings(
+      old, rng, [&] { return Propose(exact_mass, table, rng); },
+      [&](uint32_t k) { return TrueDensity(w, k); },
+      [&](uint32_t k) { return ProposalDensity(w, k, table); });
 }
 
 // ---------------------------------------------------------------------------
@@ -469,27 +403,12 @@ uint32_t GibbsAliasSweeper::DrawTopic(TermId w, uint32_t old, Rng* rng) {
 
 BtmSparseSweeper::BtmSparseSweeper(size_t num_topics, size_t vocab,
                                    double alpha, double beta)
-    : num_topics_(num_topics),
-      vocab_(vocab),
-      alpha_(alpha),
-      beta_(beta),
-      v_beta_(static_cast<double>(vocab) * beta),
-      word_lists_(vocab),
-      coef_(num_topics, 0.0) {}
-
-void BtmSparseSweeper::RefreshCoef(uint32_t k) {
-  const double denom = 2.0 * static_cast<double>(n_z_[k]) + v_beta_;
-  coef_[k] = (static_cast<double>(n_z_[k]) + alpha_) / (denom * (denom + 1.0));
-}
+    : BitermCoefSweeper(num_topics, vocab, alpha, beta), word_lists_(vocab) {}
 
 void BtmSparseSweeper::Bind(uint32_t* n_z, uint32_t* n_kw) {
-  n_z_ = n_z;
-  n_kw_ = n_kw;
+  BindCoef(n_z, n_kw);
   coef_sum_ = 0.0;
-  for (size_t k = 0; k < num_topics_; ++k) {
-    RefreshCoef(static_cast<uint32_t>(k));
-    coef_sum_ += coef_[k];
-  }
+  for (double coef : coef_) coef_sum_ += coef;
   for (size_t w = 0; w < vocab_; ++w) {
     word_lists_[w].Assign(n_kw_ + w, num_topics_, vocab_);
   }
@@ -497,9 +416,7 @@ void BtmSparseSweeper::Bind(uint32_t* n_z, uint32_t* n_kw) {
 
 void BtmSparseSweeper::RemoveBiterm(TermId w1, TermId w2, uint32_t topic) {
   coef_sum_ -= coef_[topic];
-  counts_ok_ &= GuardedDecrement(&n_z_[topic]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w1]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w2]);
+  RemoveBitermCounts(w1, w2, topic);
   counts_ok_ &= word_lists_[w1].Decrement(topic);
   counts_ok_ &= word_lists_[w2].Decrement(topic);
   RefreshCoef(topic);
@@ -508,9 +425,7 @@ void BtmSparseSweeper::RemoveBiterm(TermId w1, TermId w2, uint32_t topic) {
 
 void BtmSparseSweeper::AddBiterm(TermId w1, TermId w2, uint32_t topic) {
   coef_sum_ -= coef_[topic];
-  ++n_z_[topic];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w1];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w2];
+  AddBitermCounts(w1, w2, topic);
   word_lists_[w1].Increment(topic);
   word_lists_[w2].Increment(topic);
   RefreshCoef(topic);
@@ -529,8 +444,7 @@ uint32_t BtmSparseSweeper::DrawTopic(TermId w1, TermId w2, uint32_t /*old*/,
   double q1_mass = 0.0;
   for (size_t i = 0; i < wl1.size(); ++i) {
     const uint32_t k = wl1.entry(i).topic;
-    const double n2 = static_cast<double>(
-        n_kw_[static_cast<size_t>(k) * vocab_ + w2]);
+    const double n2 = static_cast<double>(kw(k, w2));
     const double qk =
         static_cast<double>(wl1.entry(i).count) * (n2 + beta_) * coef_[k];
     q_scratch1_[i] = qk;
@@ -554,42 +468,21 @@ uint32_t BtmSparseSweeper::DrawTopic(TermId w1, TermId w2, uint32_t /*old*/,
 
   double u = rng->UniformDouble() * total;
   if (u < q1_mass) {
-    double cum = 0.0;
-    size_t last_positive = SIZE_MAX;
-    for (size_t i = 0; i < wl1.size(); ++i) {
-      if (!(q_scratch1_[i] > 0.0)) continue;
-      cum += q_scratch1_[i];
-      last_positive = i;
-      if (u < cum) return wl1.entry(i).topic;
-    }
-    if (last_positive != SIZE_MAX) return wl1.entry(last_positive).topic;
+    const size_t i = ScanCumulative(
+        wl1.size(), u, [&](size_t j) { return q_scratch1_[j]; });
+    if (i != kNoPick) return wl1.entry(i).topic;
   }
   u -= q1_mass;
   if (u < q2_mass) {
-    double cum = 0.0;
-    size_t last_positive = SIZE_MAX;
-    for (size_t i = 0; i < wl2.size(); ++i) {
-      if (!(q_scratch2_[i] > 0.0)) continue;
-      cum += q_scratch2_[i];
-      last_positive = i;
-      if (u < cum) return wl2.entry(i).topic;
-    }
-    if (last_positive != SIZE_MAX) return wl2.entry(last_positive).topic;
+    const size_t i = ScanCumulative(
+        wl2.size(), u, [&](size_t j) { return q_scratch2_[j]; });
+    if (i != kNoPick) return wl2.entry(i).topic;
   }
   u -= q2_mass;
-  {
-    const double bb = beta_ * beta_;
-    double cum = 0.0;
-    uint32_t last_positive = 0;
-    for (uint32_t k = 0; k < num_topics_; ++k) {
-      const double sk = bb * coef_[k];
-      if (!(sk > 0.0)) continue;
-      cum += sk;
-      last_positive = k;
-      if (u < cum) return k;
-    }
-    return last_positive;
-  }
+  const double bb = beta_ * beta_;
+  const size_t k =
+      ScanCumulative(num_topics_, u, [&](size_t j) { return bb * coef_[j]; });
+  return k == kNoPick ? 0 : static_cast<uint32_t>(k);
 }
 
 void BtmSparseSweeper::BucketMasses(TermId w1, TermId w2, double* s,
@@ -597,8 +490,7 @@ void BtmSparseSweeper::BucketMasses(TermId w1, TermId w2, double* s,
   *s = beta_ * beta_ * coef_sum_;
   double mass1 = 0.0;
   for (const auto& e : word_lists_[w1]) {
-    const double n2 = static_cast<double>(
-        n_kw_[static_cast<size_t>(e.topic) * vocab_ + w2]);
+    const double n2 = static_cast<double>(kw(e.topic, w2));
     mass1 += static_cast<double>(e.count) * (n2 + beta_) * coef_[e.topic];
   }
   *q1 = mass1;
@@ -614,46 +506,25 @@ void BtmSparseSweeper::BucketMasses(TermId w1, TermId w2, double* s,
 
 BtmAliasSweeper::BtmAliasSweeper(size_t num_topics, size_t vocab,
                                  double alpha, double beta)
-    : num_topics_(num_topics),
-      vocab_(vocab),
-      alpha_(alpha),
-      beta_(beta),
-      v_beta_(static_cast<double>(vocab) * beta),
-      coef_(num_topics, 0.0),
-      tables_(vocab) {}
-
-void BtmAliasSweeper::RefreshCoef(uint32_t k) {
-  const double denom = 2.0 * static_cast<double>(n_z_[k]) + v_beta_;
-  coef_[k] = (static_cast<double>(n_z_[k]) + alpha_) / (denom * (denom + 1.0));
-}
+    : BitermCoefSweeper(num_topics, vocab, alpha, beta), tables_(vocab) {}
 
 void BtmAliasSweeper::Bind(uint32_t* n_z, uint32_t* n_kw) {
-  n_z_ = n_z;
-  n_kw_ = n_kw;
-  for (size_t k = 0; k < num_topics_; ++k) {
-    RefreshCoef(static_cast<uint32_t>(k));
-  }
+  BindCoef(n_z, n_kw);
 }
 
 void BtmAliasSweeper::RemoveBiterm(TermId w1, TermId w2, uint32_t topic) {
-  counts_ok_ &= GuardedDecrement(&n_z_[topic]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w1]);
-  counts_ok_ &= GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w2]);
+  RemoveBitermCounts(w1, w2, topic);
   RefreshCoef(topic);
 }
 
 void BtmAliasSweeper::AddBiterm(TermId w1, TermId w2, uint32_t topic) {
-  ++n_z_[topic];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w1];
-  ++n_kw_[static_cast<size_t>(topic) * vocab_ + w2];
+  AddBitermCounts(w1, w2, topic);
   RefreshCoef(topic);
 }
 
 double BtmAliasSweeper::TrueDensity(TermId w1, TermId w2, uint32_t k) const {
-  const double n1 =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w1]);
-  const double n2 =
-      static_cast<double>(n_kw_[static_cast<size_t>(k) * vocab_ + w2]);
+  const double n1 = static_cast<double>(kw(k, w1));
+  const double n2 = static_cast<double>(kw(k, w2));
   return coef_[k] * (n1 + beta_) * (n2 + beta_);
 }
 
@@ -666,10 +537,10 @@ uint32_t BtmAliasSweeper::DrawTopic(TermId w1, TermId w2, uint32_t old,
     return [this, w](std::vector<double>* weights) {
       weights->reserve(num_topics_);
       for (size_t k = 0; k < num_topics_; ++k) {
-        const double denom = 2.0 * static_cast<double>(n_z_[k]) + v_beta_;
+        const double n_z = static_cast<double>(n_k_[k]);
         const double n_kw = static_cast<double>(n_kw_[k * vocab_ + w]);
-        weights->push_back((static_cast<double>(n_z_[k]) + alpha_) *
-                           (n_kw + beta_) / denom);
+        weights->push_back((n_z + alpha_) * (n_kw + beta_) /
+                           (2.0 * n_z + v_beta_));
       }
     };
   };
@@ -693,24 +564,9 @@ uint32_t BtmAliasSweeper::DrawTopic(TermId w1, TermId w2, uint32_t old,
     const AliasTable& t = (u < t1.total() && !t1.empty()) ? t1 : t2;
     return static_cast<uint32_t>(t.Sample(rng));
   };
-
-  uint32_t cur = old;
-  for (int step = 0; step < 2; ++step) {
-    const uint32_t cand = propose();
-    if (cand == cur) continue;
-    const double p_cur = TrueDensity(w1, w2, cur);
-    const double g_cur = g_density(cur);
-    if (!(p_cur > 0.0) || !(g_cur > 0.0)) {
-      cur = cand;
-      continue;
-    }
-    const double p_cand = TrueDensity(w1, w2, cand);
-    const double g_cand = g_density(cand);
-    if (!(p_cand > 0.0) || !(g_cand > 0.0)) continue;
-    const double ratio = (p_cand * g_cur) / (p_cur * g_cand);
-    if (ratio >= 1.0 || rng->UniformDouble() < ratio) cur = cand;
-  }
-  return cur;
+  return MetropolisHastings(
+      old, rng, propose,
+      [&](uint32_t k) { return TrueDensity(w1, w2, k); }, g_density);
 }
 
 }  // namespace microrec::topic

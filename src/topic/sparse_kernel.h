@@ -1,5 +1,5 @@
 // Per-token draw kernels ("sweepers") for the collapsed Gibbs samplers of
-// LDA, LLDA and BTM, and the one training loop that runs them (RunGibbs).
+// LDA, LLDA and BTM, and the runner that sweeps them (RunGibbs).
 //
 // Three families, selected by TrainOptions::sampler_kernel (DESIGN.md §15):
 //
@@ -31,7 +31,9 @@
 //    despite O(1) proposals.
 //
 // Every sweeper implements one protocol (Bind, BeginDoc, RemoveToken /
-// RemoveBiterm, DrawTopic, AddToken / AddBiterm, counts_ok, last_mass), and
+// RemoveBiterm, DrawTopic, AddToken / AddBiterm, counts_ok, last_mass) on
+// one base (SweeperBase: the shape, the flags and the count updates) and
+// draws through the same primitives (ScanCumulative, MetropolisHastings).
 // RunGibbs trains through it at any thread count: sequentially on the
 // caller's Rng, or with one sweeper per topic::ParallelGibbs shard bound to
 // that shard's count replicas (rebound at merge-block boundaries), so
@@ -143,6 +145,149 @@ class WordAliasTables {
   std::vector<double> scratch_;
 };
 
+/// ScanCumulative's result when no weight is positive.
+inline constexpr size_t kNoPick = SIZE_MAX;
+
+/// The cumulative scan of every bucket draw: adds weight(0), ...,
+/// weight(n - 1) in order, skipping each one that is not positive (zero,
+/// negative or NaN), and returns the first index whose running sum exceeds
+/// `u`. When `u` is at or above the whole sum (floating-point slack at the
+/// top of the mass) it clamps to the last positive index, and it returns
+/// kNoPick when no weight is positive.
+template <typename WeightFn>
+size_t ScanCumulative(size_t n, double u, const WeightFn& weight) {
+  double cum = 0.0;
+  size_t last_positive = kNoPick;
+  for (size_t i = 0; i < n; ++i) {
+    const double w = weight(i);
+    if (!(w > 0.0)) continue;
+    cum += w;
+    last_positive = i;
+    if (u < cum) return i;
+  }
+  return last_positive;
+}
+
+/// The two-step Metropolis-Hastings correction of the alias kernels
+/// (AliasLDA, Li et al. 2014): from `old`, the just-removed assignment,
+/// takes two independence-sampler steps. Each draws a candidate from
+/// `propose()` and accepts it with probability min(1, p(cand) g(cur) /
+/// (p(cur) g(cand))), where `p` is the live density and `g` the stale
+/// proposal density.
+template <typename ProposeFn, typename DensityFn, typename ProposalFn>
+uint32_t MetropolisHastings(uint32_t old, Rng* rng, const ProposeFn& propose,
+                            const DensityFn& p, const ProposalFn& g) {
+  uint32_t cur = old;
+  for (int step = 0; step < 2; ++step) {
+    const uint32_t cand = propose();
+    if (cand == cur) continue;
+    const double p_cur = p(cur);
+    const double g_cur = g(cur);
+    if (!(p_cur > 0.0) || !(g_cur > 0.0)) {
+      // The chain sits on a zero-mass state (e.g. the removed token was its
+      // topic's last): any proposed state is an improvement.
+      cur = cand;
+      continue;
+    }
+    const double p_cand = p(cand);
+    const double g_cand = g(cand);
+    if (!(p_cand > 0.0) || !(g_cand > 0.0)) continue;
+    const double ratio = (p_cand * g_cur) / (p_cur * g_cand);
+    if (ratio >= 1.0 || rng->UniformDouble() < ratio) cur = cand;
+  }
+  return cur;
+}
+
+/// What the six sweepers share: the shape (K topics over V words) and the
+/// hyperparameters, the bound topic-word and per-topic counts, the
+/// underflow flag, the last draw's mass, and the count updates of a token
+/// and of a biterm.
+class SweeperBase {
+ public:
+  /// False once any count decrement would have underflowed, or a sorted
+  /// topic list disagreed with its backing counts; surfaces as kDataLoss.
+  bool counts_ok() const { return counts_ok_; }
+  /// Total mass of the most recent draw, for the per-sweep finiteness
+  /// guard.
+  double last_mass() const { return last_mass_; }
+
+ protected:
+  SweeperBase(size_t num_topics, size_t vocab, double alpha, double beta)
+      : num_topics_(num_topics),
+        vocab_(vocab),
+        alpha_(alpha),
+        beta_(beta),
+        v_beta_(static_cast<double>(vocab) * beta) {}
+
+  /// n_kw of `topic` and word `w`.
+  uint32_t& kw(uint32_t topic, TermId w) const {
+    return n_kw_[static_cast<size_t>(topic) * vocab_ + w];
+  }
+
+  /// Moves one token of word `w` out of `topic`: its document's count in
+  /// the n_dk row `dk`, then n_kw, then n_k. Every decrement runs, also
+  /// after an earlier one underflowed.
+  void RemoveTokenCounts(uint32_t* dk, TermId w, uint32_t topic) {
+    counts_ok_ &= GuardedDecrement(&dk[topic]);
+    counts_ok_ &= GuardedDecrement(&kw(topic, w));
+    counts_ok_ &= GuardedDecrement(&n_k_[topic]);
+  }
+  void AddTokenCounts(uint32_t* dk, TermId w, uint32_t topic) {
+    ++dk[topic];
+    ++kw(topic, w);
+    ++n_k_[topic];
+  }
+  /// Moves one biterm out of `topic`: n_z (held in n_k_), then both words'
+  /// n_kw. Every decrement runs, also after an earlier one underflowed.
+  void RemoveBitermCounts(TermId w1, TermId w2, uint32_t topic) {
+    counts_ok_ &= GuardedDecrement(&n_k_[topic]);
+    counts_ok_ &= GuardedDecrement(&kw(topic, w1));
+    counts_ok_ &= GuardedDecrement(&kw(topic, w2));
+  }
+  void AddBitermCounts(TermId w1, TermId w2, uint32_t topic) {
+    ++n_k_[topic];
+    ++kw(topic, w1);
+    ++kw(topic, w2);
+  }
+
+  const size_t num_topics_;
+  const size_t vocab_;
+  const double alpha_;
+  const double beta_;
+  const double v_beta_;
+
+  uint32_t* n_kw_ = nullptr;  // [topic * vocab + word]
+  uint32_t* n_k_ = nullptr;   // per topic: n_k, or BTM's n_z
+  bool counts_ok_ = true;
+  double last_mass_ = 0.0;
+};
+
+/// The live per-topic factor of the BTM sparse and alias kernels,
+///   coef_k = (n_z+α) / ((2n_z+Vβ)(2n_z+Vβ+1)).
+class BitermCoefSweeper : public SweeperBase {
+ protected:
+  BitermCoefSweeper(size_t num_topics, size_t vocab, double alpha,
+                    double beta)
+      : SweeperBase(num_topics, vocab, alpha, beta),
+        coef_(num_topics, 0.0) {}
+
+  /// Binds n_z and n_kw and refreshes every coef_k from them.
+  void BindCoef(uint32_t* n_z, uint32_t* n_kw) {
+    n_k_ = n_z;
+    n_kw_ = n_kw;
+    for (size_t k = 0; k < num_topics_; ++k) {
+      RefreshCoef(static_cast<uint32_t>(k));
+    }
+  }
+  void RefreshCoef(uint32_t k) {
+    const double denom = 2.0 * static_cast<double>(n_k_[k]) + v_beta_;
+    coef_[k] =
+        (static_cast<double>(n_k_[k]) + alpha_) / (denom * (denom + 1.0));
+  }
+
+  std::vector<double> coef_;
+};
+
 /// The dense O(K) kernel for LDA and LLDA: the historical collapsed-Gibbs
 /// arithmetic, operation for operation, behind the sweeper protocol. LDA
 /// passes a null menu to BeginDoc and the draw scans all K topics; LLDA
@@ -154,15 +299,11 @@ class WordAliasTables {
 /// Bind must follow any external mutation of the count arrays, e.g. a
 /// ParallelGibbs merge barrier: the sparse and alias sweepers derive state
 /// from them.
-class GibbsDenseSweeper {
+class GibbsDenseSweeper : public SweeperBase {
  public:
   GibbsDenseSweeper(size_t num_topics, size_t vocab, double alpha,
                     double beta)
-      : num_topics_(num_topics),
-        vocab_(vocab),
-        alpha_(alpha),
-        beta_(beta),
-        v_beta_(static_cast<double>(vocab) * beta) {}
+      : SweeperBase(num_topics, vocab, alpha, beta) {}
 
   void Bind(uint32_t* n_dk, uint32_t* n_kw, uint32_t* n_k) {
     n_dk_ = n_dk;
@@ -176,10 +317,7 @@ class GibbsDenseSweeper {
   }
 
   void RemoveToken(TermId w, uint32_t topic) {
-    counts_ok_ &= GuardedDecrement(&dk_[topic]);
-    counts_ok_ &=
-        GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w]);
-    counts_ok_ &= GuardedDecrement(&n_k_[topic]);
+    RemoveTokenCounts(dk_, w, topic);
   }
 
   uint32_t DrawTopic(TermId w, uint32_t /*old*/, Rng* rng) {
@@ -187,31 +325,17 @@ class GibbsDenseSweeper {
       weights_.resize(num_topics_);
       for (size_t k = 0; k < num_topics_; ++k) weights_[k] = Weight(w, k);
       return static_cast<uint32_t>(
-          rng->Categorical(weights_.data(), num_topics_));
+          rng->Categorical(weights_.data(), num_topics_, &last_mass_));
     }
     const std::vector<uint32_t>& menu = *menu_;
     weights_.resize(menu.size());
     for (size_t m = 0; m < menu.size(); ++m) {
       weights_[m] = Weight(w, menu[m]);
     }
-    return menu[rng->Categorical(weights_.data(), menu.size())];
+    return menu[rng->Categorical(weights_.data(), menu.size(), &last_mass_)];
   }
 
-  void AddToken(TermId w, uint32_t topic) {
-    ++dk_[topic];
-    ++n_kw_[static_cast<size_t>(topic) * vocab_ + w];
-    ++n_k_[topic];
-  }
-
-  /// False once any count decrement would have underflowed; surfaces as
-  /// kDataLoss.
-  bool counts_ok() const { return counts_ok_; }
-  /// Sum of the last draw's weights, for the per-sweep finiteness guard.
-  double last_mass() const {
-    double total = 0.0;
-    for (double weight : weights_) total += weight;
-    return total;
-  }
+  void AddToken(TermId w, uint32_t topic) { AddTokenCounts(dk_, w, topic); }
 
  private:
   double Weight(TermId w, size_t k) const {
@@ -219,20 +343,10 @@ class GibbsDenseSweeper {
            (n_k_[k] + v_beta_);
   }
 
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-
   uint32_t* n_dk_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-  uint32_t* n_k_ = nullptr;
   uint32_t* dk_ = nullptr;  // the current document's n_dk row
   const std::vector<uint32_t>* menu_ = nullptr;  // null → all topics
-  std::vector<double> weights_;  // the last draw's weights
-
-  bool counts_ok_ = true;
+  std::vector<double> weights_;
 };
 
 /// SparseLDA kernel for LDA and LLDA. LDA passes a null menu to BeginDoc
@@ -241,7 +355,7 @@ class GibbsDenseSweeper {
 /// dense scan over the same counts.
 ///
 /// Same protocol as GibbsDenseSweeper.
-class GibbsSparseSweeper {
+class GibbsSparseSweeper : public SweeperBase {
  public:
   GibbsSparseSweeper(size_t num_topics, size_t vocab, double alpha,
                      double beta);
@@ -258,13 +372,6 @@ class GibbsSparseSweeper {
   uint32_t DrawTopic(TermId w, uint32_t old, Rng* rng);
   void AddToken(TermId w, uint32_t topic);
 
-  /// False once any count decrement would have underflowed or a topic list
-  /// disagreed with its backing counts; surfaces as kDataLoss.
-  bool counts_ok() const { return counts_ok_; }
-  /// Total mass of the most recent draw, for the per-sweep finiteness
-  /// guard.
-  double last_mass() const { return last_mass_; }
-
   /// Test hook: the three bucket masses for word `w` in the current
   /// document. s + r + q must equal the dense mass over the same counts.
   void BucketMasses(TermId w, double* s, double* r, double* q) const;
@@ -272,15 +379,8 @@ class GibbsSparseSweeper {
  private:
   uint32_t FallbackTopic() const;
 
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-
   uint32_t* n_dk_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-  uint32_t* n_k_ = nullptr;
+  uint32_t* dk_ = nullptr;  // the current document's n_dk row
 
   std::vector<TopicCountList> word_lists_;  // one per word, over n_kw
   std::vector<double> c_;                   // c_k = 1 / (n_k + Vβ), live
@@ -288,21 +388,17 @@ class GibbsSparseSweeper {
   TopicCountList doc_list_;      // current document's topics, over n_dk
   std::vector<double> q_scratch_;
 
-  size_t cur_doc_ = 0;
   const std::vector<uint32_t>* cur_menu_ = nullptr;  // null → all topics
   std::vector<uint8_t> in_menu_;
   double s_ck_sum_ = 0.0;  // Σ_{k ∈ menu} c_k        (s = αβ · this)
   double r_nc_sum_ = 0.0;  // Σ_{k ∈ doc} n_dk c_k    (r = β  · this)
-
-  bool counts_ok_ = true;
-  double last_mass_ = 0.0;
 };
 
 /// Alias-table kernel for LDA (latent_begin = 0) and LLDA (latent_begin =
 /// num_labels; the stale table covers only the shared latent block, label
 /// topics are handled exactly since menus are small). See the file comment
 /// for the proposal / MH-correction scheme.
-class GibbsAliasSweeper {
+class GibbsAliasSweeper : public SweeperBase {
  public:
   GibbsAliasSweeper(size_t num_topics, size_t vocab, double alpha,
                     double beta, size_t latent_begin);
@@ -315,37 +411,24 @@ class GibbsAliasSweeper {
   uint32_t DrawTopic(TermId w, uint32_t old, Rng* rng);
   void AddToken(TermId w, uint32_t topic);
 
-  bool counts_ok() const { return counts_ok_; }
-  double last_mass() const { return last_mass_; }
-
  private:
   double TrueDensity(TermId w, uint32_t k) const;
   double ProposalDensity(TermId w, uint32_t k, const AliasTable& table) const;
   uint32_t Propose(double exact_mass, const AliasTable& table,
                    Rng* rng) const;
 
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
   const size_t latent_begin_;
 
   uint32_t* n_dk_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-  uint32_t* n_k_ = nullptr;
+  uint32_t* dk_ = nullptr;  // the current document's n_dk row
 
   std::vector<double> c_;  // live 1 / (n_k + Vβ)
   TopicCountList doc_list_;
   WordAliasTables tables_;
 
-  size_t cur_doc_ = 0;
   std::vector<uint32_t> label_menu_;  // current doc's label topics
   // Exact proposal components of the current token (doc topics + labels).
-  mutable std::vector<std::pair<uint32_t, double>> exact_;
-
-  bool counts_ok_ = true;
-  double last_mass_ = 0.0;
+  std::vector<std::pair<uint32_t, double>> exact_;
 };
 
 /// The dense O(K) kernel for BTM: the historical biterm arithmetic,
@@ -353,65 +436,38 @@ class GibbsAliasSweeper {
 /// operation for operation, behind the sweeper protocol. Per biterm i:
 ///   RemoveBiterm(w1, w2, z_i) → z_i' = DrawTopic(w1, w2, z_i, rng)
 ///   → AddBiterm(w1, w2, z_i')
-class BtmDenseSweeper {
+class BtmDenseSweeper : public SweeperBase {
  public:
   BtmDenseSweeper(size_t num_topics, size_t vocab, double alpha, double beta)
-      : num_topics_(num_topics),
-        vocab_(vocab),
-        alpha_(alpha),
-        beta_(beta),
-        v_beta_(static_cast<double>(vocab) * beta),
+      : SweeperBase(num_topics, vocab, alpha, beta),
         weights_(num_topics, 0.0) {}
 
   void Bind(uint32_t* n_z, uint32_t* n_kw) {
-    n_z_ = n_z;
+    n_k_ = n_z;
     n_kw_ = n_kw;
   }
 
   void RemoveBiterm(TermId w1, TermId w2, uint32_t topic) {
-    counts_ok_ &= GuardedDecrement(&n_z_[topic]);
-    counts_ok_ &=
-        GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w1]);
-    counts_ok_ &=
-        GuardedDecrement(&n_kw_[static_cast<size_t>(topic) * vocab_ + w2]);
+    RemoveBitermCounts(w1, w2, topic);
   }
 
   uint32_t DrawTopic(TermId w1, TermId w2, uint32_t /*old*/, Rng* rng) {
+    const uint32_t* n_z = n_k_;
     for (size_t k = 0; k < num_topics_; ++k) {
-      const double denom = 2.0 * n_z_[k] + v_beta_;
-      weights_[k] = (n_z_[k] + alpha_) * (n_kw_[k * vocab_ + w1] + beta_) /
+      const double denom = 2.0 * n_z[k] + v_beta_;
+      weights_[k] = (n_z[k] + alpha_) * (n_kw_[k * vocab_ + w1] + beta_) /
                     denom * (n_kw_[k * vocab_ + w2] + beta_) / (denom + 1.0);
     }
     return static_cast<uint32_t>(
-        rng->Categorical(weights_.data(), num_topics_));
+        rng->Categorical(weights_.data(), num_topics_, &last_mass_));
   }
 
   void AddBiterm(TermId w1, TermId w2, uint32_t topic) {
-    ++n_z_[topic];
-    ++n_kw_[static_cast<size_t>(topic) * vocab_ + w1];
-    ++n_kw_[static_cast<size_t>(topic) * vocab_ + w2];
-  }
-
-  bool counts_ok() const { return counts_ok_; }
-  /// Sum of the last draw's weights, for the per-sweep finiteness guard.
-  double last_mass() const {
-    double total = 0.0;
-    for (double weight : weights_) total += weight;
-    return total;
+    AddBitermCounts(w1, w2, topic);
   }
 
  private:
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-
-  uint32_t* n_z_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-  std::vector<double> weights_;  // the last draw's weights
-
-  bool counts_ok_ = true;
+  std::vector<double> weights_;
 };
 
 /// SparseLDA-style kernel for BTM. The biterm mass
@@ -422,7 +478,7 @@ class BtmDenseSweeper {
 ///   s  = β² Σ coef_k                (smoothing; incremental)
 /// — the biterm's two words play the role LDA's document bucket plays.
 /// The decomposition is exact, including the w1 == w2 case.
-class BtmSparseSweeper {
+class BtmSparseSweeper : public BitermCoefSweeper {
  public:
   BtmSparseSweeper(size_t num_topics, size_t vocab, double alpha,
                    double beta);
@@ -432,34 +488,16 @@ class BtmSparseSweeper {
   uint32_t DrawTopic(TermId w1, TermId w2, uint32_t old, Rng* rng);
   void AddBiterm(TermId w1, TermId w2, uint32_t topic);
 
-  bool counts_ok() const { return counts_ok_; }
-  double last_mass() const { return last_mass_; }
-
   /// Test hook: the bucket masses for a biterm; s + q1 + q2 must equal the
   /// dense mass.
   void BucketMasses(TermId w1, TermId w2, double* s, double* q1,
                     double* q2) const;
 
  private:
-  void RefreshCoef(uint32_t k);
-
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-
-  uint32_t* n_z_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-
   std::vector<TopicCountList> word_lists_;
-  std::vector<double> coef_;  // live (n_z+α)/((2n_z+Vβ)(2n_z+Vβ+1))
-  double coef_sum_ = 0.0;     // Σ coef_k (s = β² · this)
+  double coef_sum_ = 0.0;  // Σ coef_k (s = β² · this)
   std::vector<double> q_scratch1_;
   std::vector<double> q_scratch2_;
-
-  bool counts_ok_ = true;
-  double last_mass_ = 0.0;
 };
 
 /// Alias-table kernel for BTM: the proposal is the even mixture of the two
@@ -467,7 +505,7 @@ class BtmSparseSweeper {
 ///   q̃_w(k) = (n_z+α)(n_kw+β) / (2n_z+Vβ)
 /// over all K topics, with the same two-step MH correction against the
 /// live biterm density as the LDA alias sweeper.
-class BtmAliasSweeper {
+class BtmAliasSweeper : public BitermCoefSweeper {
  public:
   BtmAliasSweeper(size_t num_topics, size_t vocab, double alpha,
                   double beta);
@@ -477,27 +515,10 @@ class BtmAliasSweeper {
   uint32_t DrawTopic(TermId w1, TermId w2, uint32_t old, Rng* rng);
   void AddBiterm(TermId w1, TermId w2, uint32_t topic);
 
-  bool counts_ok() const { return counts_ok_; }
-  double last_mass() const { return last_mass_; }
-
  private:
   double TrueDensity(TermId w1, TermId w2, uint32_t k) const;
-  void RefreshCoef(uint32_t k);
 
-  const size_t num_topics_;
-  const size_t vocab_;
-  const double alpha_;
-  const double beta_;
-  const double v_beta_;
-
-  uint32_t* n_z_ = nullptr;
-  uint32_t* n_kw_ = nullptr;
-
-  std::vector<double> coef_;  // live, same factor as BtmSparseSweeper
   WordAliasTables tables_;
-
-  bool counts_ok_ = true;
-  double last_mass_ = 0.0;
 };
 
 /// Flattens `docs` doc-major into `words` and returns each document's token
@@ -582,7 +603,7 @@ Status WithBitermSweeper(SamplerKernel kernel, size_t num_topics,
   return run([&] { return BtmDenseSweeper(num_topics, vocab, alpha, beta); });
 }
 
-/// The one collapsed-Gibbs training loop of LDA, LLDA and BTM: `iterations`
+/// The collapsed-Gibbs runner of LDA, LLDA and BTM: `iterations`
 /// sweeps over `num_items` items (documents, or biterms) through sweepers
 /// made by `make_sweeper`. `sweep(sweeper, begin, end, rng)` sweeps items
 /// [begin, end); `bind(sweeper, a, b)` binds a sweeper to the two count
@@ -595,11 +616,9 @@ Status WithBitermSweeper(SamplerKernel kernel, size_t num_topics,
 ///    items and replicates `replicated`; each shard runs its own sweeper,
 ///    rebound to the shard's replicas at every merge-block boundary.
 ///
-/// Both branches run the same guards in the same order: each sweep starts
-/// with GuardSweep on every sweeper's last draw mass from the previous
-/// sweep, and ends with count underflow → kDataLoss, then degenerate draws
-/// → kInternal; after the last sweep CheckPosteriorMass checks the final
-/// masses before the caller freezes φ.
+/// Both branches run inside RunGuardedSweeps (topic_model.h), whose mass
+/// vector holds every sweeper's last draw mass: a sweep reports count
+/// underflow as kDataLoss, and the shards' degenerate draws as its own.
 template <typename MakeSweeper, typename BindFn, typename SweepFn>
 Status RunGibbs(const char* model, const TrainOptions& options,
                 int iterations, const resilience::CancelContext* cancel,
@@ -640,36 +659,33 @@ Status RunGibbs(const char* model, const TrainOptions& options,
     const uint64_t before = shard_rng->degenerate_draws();
     sweep(sweeper, begin, end, shard_rng);
     mass[s] = sweeper.last_mass();
-    degenerate[s] += shard_rng->degenerate_draws() - before;
+    degenerate[s] = shard_rng->degenerate_draws() - before;
   };
   const int merge_every = std::max(1, options.merge_every);
-  for (int iter = 0; iter < iterations; ++iter) {
-    MICROREC_RETURN_IF_ERROR(GuardSweep(
-        model, iter, cancel, iter == 0 ? nullptr : mass.data(), num_shards));
-    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
-    if (!driver) {
-      sweep_shard(0, 0, num_items, rng);
-    } else {
-      driver->RunIteration(iter, [&](const ParallelGibbs::Shard& shard) {
-        if (iter % merge_every == 0) {
-          bind(sweepers[shard.index].sweeper, shard.Counts(h_a),
-               shard.Counts(h_b));
+  MICROREC_RETURN_IF_ERROR(RunGuardedSweeps(
+      model, iterations, cancel, sweep_hist, mass,
+      [&](int iter, uint64_t* degenerate_draws) {
+        if (!driver) {
+          sweep_shard(0, 0, num_items, rng);
+        } else {
+          driver->RunIteration(iter, [&](const ParallelGibbs::Shard& shard) {
+            if (iter % merge_every == 0) {
+              bind(sweepers[shard.index].sweeper, shard.Counts(h_a),
+                   shard.Counts(h_b));
+            }
+            sweep_shard(shard.index, shard.begin, shard.end, shard.rng);
+          });
         }
-        sweep_shard(shard.index, shard.begin, shard.end, shard.rng);
-      });
-    }
-    for (const ShardSweeper& shard : sweepers) {
-      if (!shard.sweeper.counts_ok()) return CountUnderflowError(model, iter);
-    }
-    uint64_t draws = 0;
-    for (uint64_t& d : degenerate) {
-      draws += d;
-      d = 0;
-    }
-    MICROREC_RETURN_IF_ERROR(GuardDegenerateDraws(model, iter, draws));
-  }
+        for (const ShardSweeper& shard : sweepers) {
+          if (!shard.sweeper.counts_ok()) {
+            return CountUnderflowError(model, iter);
+          }
+        }
+        for (uint64_t d : degenerate) *degenerate_draws += d;
+        return Status::OK();
+      }));
   if (driver) driver->FlushMerge();
-  return CheckPosteriorMass(model, iterations, mass.data(), num_shards);
+  return Status::OK();
 }
 
 }  // namespace microrec::topic

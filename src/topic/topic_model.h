@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "resilience/deadline.h"
 #include "snapshot/format.h"
 #include "topic/doc_set.h"
@@ -138,19 +139,20 @@ bool FinitePosteriorMass(const double* weights, size_t n);
 Status ValidateHyperparameters(const char* model, double alpha, double beta,
                                double gamma = 1.0);
 
-/// Per-sweep resilience hook shared by all samplers: fires the
-/// `topic.gibbs.sweep` fault site, honors an optional cancel context
-/// (deadline / cancellation between sweeps), and — when `weights` is
-/// non-null — flags a non-finite posterior from the previous sweep as an
+/// Per-sweep resilience hook, run by RunGuardedSweeps before each sweep:
+/// fires the `topic.gibbs.sweep` fault site, honors an optional cancel
+/// context (deadline / cancellation between sweeps), and — when `weights`
+/// is non-null — flags a non-finite posterior from the previous sweep as an
 /// Internal error.
 Status GuardSweep(const char* model, int sweep,
                   const resilience::CancelContext* cancel,
                   const double* weights, size_t n);
 
 /// The mass-validation half of GuardSweep, without the fault point or the
-/// cancel check. The samplers call this once after their final sweep,
-/// before freezing φ — GuardSweep only ever sees the *previous* iteration's
-/// weights, so without this the last sweep's output went unchecked.
+/// cancel check. RunGuardedSweeps calls this once after the final sweep,
+/// before the trainer freezes φ — GuardSweep only ever sees the *previous*
+/// iteration's weights, so without this the last sweep's output would go
+/// unchecked.
 /// Deliberately not a fault site: adding one would shift the
 /// `topic.gibbs.sweep` trigger cadence the chaos tests pin down.
 Status CheckPosteriorMass(const char* model, int sweep, const double* weights,
@@ -176,6 +178,37 @@ inline bool GuardedDecrement(uint32_t* count) {
 
 /// The kDataLoss status for a sweep whose GuardedDecrement flag went false.
 Status CountUnderflowError(const char* model, int sweep);
+
+/// The one guarded sweep loop of every topic trainer (LDA, LLDA and BTM
+/// through RunGibbs, HDP, HLDA, PLSA). Runs `iterations` sweeps, each timed
+/// into `sweep_hist`: `sweep(iter, &degenerate_draws)` does the work and
+/// reports how many degenerate-mass draws it absorbed. Per sweep, in order:
+/// GuardSweep (fault point, `cancel`, then `mass` as the previous sweep
+/// left it — none before the first), the sweep, its own error (RunGibbs's
+/// count underflow), then GuardDegenerateDraws. After the last sweep,
+/// CheckPosteriorMass checks `mass` once more, so the final sweep's draws
+/// are checked too before the caller freezes φ. `mass` is the trainer's
+/// last-draw weight vector, refilled by each sweep and only read here.
+template <typename SweepFn>
+Status RunGuardedSweeps(const char* model, int iterations,
+                        const resilience::CancelContext* cancel,
+                        obs::Histogram* sweep_hist,
+                        const std::vector<double>& mass,
+                        const SweepFn& sweep) {
+  for (int iter = 0; iter < iterations; ++iter) {
+    MICROREC_RETURN_IF_ERROR(GuardSweep(model, iter, cancel,
+                                        iter == 0 ? nullptr : mass.data(),
+                                        mass.size()));
+    obs::ScopedHistogramTimer sweep_timer(sweep_hist);
+    uint64_t degenerate_draws = 0;
+    MICROREC_RETURN_IF_ERROR(sweep(iter, &degenerate_draws));
+    MICROREC_RETURN_IF_ERROR(
+        GuardDegenerateDraws(model, iter, degenerate_draws));
+  }
+  return CheckPosteriorMass(model, iterations,
+                            iterations == 0 ? nullptr : mass.data(),
+                            mass.size());
+}
 
 /// Held-out perplexity of a document set under a trained model:
 /// exp(-Σ_d Σ_w log Σ_z θ_d,z φ_z,w / N). Lower is better. Standard topic-

@@ -145,10 +145,11 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return Categorical(weights.data(), weights.size());
 }
 
-size_t Rng::Categorical(const double* weights, size_t n) {
+size_t Rng::Categorical(const double* weights, size_t n, double* total_out) {
   assert(n > 0);
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) total += weights[i];
+  if (total_out != nullptr) *total_out = total;
   // !(total > 0) also catches NaN; isfinite catches an overflowed sum. In
   // release builds this used to fall through to a biased draw — degrade to
   // the documented deterministic fallback instead.

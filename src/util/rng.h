@@ -160,8 +160,11 @@ class Rng {
   /// degenerate_draws() and surface the corruption; see GuardDegenerateDraws
   /// in topic/topic_model.h.
   size_t Categorical(const std::vector<double>& weights);
-  /// Same, from a raw pointer range (hot path for Gibbs samplers).
-  size_t Categorical(const double* weights, size_t n);
+  /// Same, from a raw pointer range (hot path for Gibbs samplers). A
+  /// non-null `total` receives the weights' sum, added in index order: the
+  /// dense sweepers' last draw mass, at no second pass.
+  size_t Categorical(const double* weights, size_t n,
+                     double* total = nullptr);
 
   /// The documented degenerate-mass fallback: consumes exactly one
   /// UniformDouble (so healthy and degenerate draws advance the stream

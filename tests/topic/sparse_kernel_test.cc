@@ -8,6 +8,7 @@
 #include "topic/sparse_kernel.h"
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,6 +36,38 @@ TEST(SamplerKernelNameTest, RoundTripsAllKernels) {
   SamplerKernel out = SamplerKernel::kSparse;
   EXPECT_FALSE(ParseSamplerKernel("turbo", &out));
   EXPECT_EQ(out, SamplerKernel::kSparse) << "failed parse must not write";
+}
+
+// ---------------------------------------------------------------------------
+// The cumulative scan every bucket draw shares.
+
+size_t Scan(const std::vector<double>& weights, double u) {
+  return ScanCumulative(weights.size(), u,
+                        [&](size_t i) { return weights[i]; });
+}
+
+TEST(ScanCumulativeTest, SkipsNonPositiveWeightsAndClampsToLastPositive) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  // Positive weights at 1, 3 and 5 (running sums 1, 3, 7). Adding the -2 or
+  // the NaN would shift or poison every later sum.
+  const std::vector<double> weights = {0.0, 1.0, -2.0, 2.0, kNan, 4.0, 0.0};
+  EXPECT_EQ(Scan(weights, 0.0), 1u);
+  EXPECT_EQ(Scan(weights, 0.999), 1u);
+  EXPECT_EQ(Scan(weights, 1.0), 3u) << "a sum equal to the target is not "
+                                       "past it";
+  EXPECT_EQ(Scan(weights, 2.5), 3u);
+  EXPECT_EQ(Scan(weights, 3.0), 5u);
+  EXPECT_EQ(Scan(weights, 6.999), 5u);
+  // At or above the whole sum, as rounding can leave a scaled uniform:
+  // the last positive index, never the trailing zero.
+  EXPECT_EQ(Scan(weights, 7.0), 5u);
+  EXPECT_EQ(Scan(weights, 1e300), 5u);
+}
+
+TEST(ScanCumulativeTest, NoPositiveWeightPicksNone) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Scan({0.0, -1.0, kNan, -0.0}, 0.0), kNoPick);
+  EXPECT_EQ(Scan({}, 0.0), kNoPick);
 }
 
 // ---------------------------------------------------------------------------

@@ -161,6 +161,9 @@ TEST(RngTest, CategoricalSkipsZeroWeights) {
   Rng rng(43);
   std::vector<double> weights = {0.0, 1.0, 0.0};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.Categorical(weights), 1u);
+  double total = 0.0;
+  EXPECT_EQ(rng.Categorical(weights.data(), weights.size(), &total), 1u);
+  EXPECT_EQ(total, 1.0);
 }
 
 // Degenerate mass (zero / negative / NaN / infinite total) must not abort or
@@ -185,7 +188,9 @@ TEST(RngTest, CategoricalDegenerateMassReturnsZeroAndCounts) {
   std::vector<double> negative = {1.0, -5.0};
   EXPECT_EQ(rng.Categorical(negative), 0u);
   std::vector<double> nan_total = {1.0, std::nan("")};
-  EXPECT_EQ(rng.Categorical(nan_total), 0u);
+  double total = 0.0;
+  EXPECT_EQ(rng.Categorical(nan_total.data(), nan_total.size(), &total), 0u);
+  EXPECT_TRUE(std::isnan(total)) << "a dense sweeper's mass guard reads it";
   std::vector<double> inf_total = {1.0,
                                    std::numeric_limits<double>::infinity()};
   EXPECT_EQ(rng.Categorical(inf_total), 0u);
