@@ -16,15 +16,8 @@ int main(int argc, char** argv) {
   spec.seed = static_cast<uint64_t>(bench::EnvDouble("MICROREC_SEED", 42));
   auto dataset = synth::GenerateDataset(spec);
   if (!dataset.ok()) return 1;
-  corpus::UserCohort cohort =
-      corpus::SelectCohort(dataset->corpus, spec.cohort);
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : dataset->corpus.PostsOf(u)) {
-      stop_basis.push_back(id);
-    }
-  }
-  rec::PreprocessedCorpus pre(dataset->corpus, stop_basis, 100);
+  const eval::CorpusStack stack =
+      eval::CorpusStack::Build(std::move(dataset->corpus), spec.cohort);
 
   rec::ModelConfig config;
   config.kind = rec::ModelKind::kTN;
@@ -41,7 +34,7 @@ int main(int argc, char** argv) {
   for (int ratio : {1, 2, 4, 8}) {
     eval::RunOptions options;
     options.split.negatives_per_positive = ratio;
-    eval::ExperimentRunner runner(&pre, &cohort, options);
+    eval::ExperimentRunner runner(stack, options);
     if (!runner.Init().ok()) return 1;
     Result<eval::RunResult> run = runner.Run(config, corpus::Source::kR);
     if (!run.ok()) return 1;

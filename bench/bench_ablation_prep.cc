@@ -35,12 +35,8 @@ int main(int argc, char** argv) {
   if (!dataset.ok()) return 1;
   corpus::UserCohort cohort =
       corpus::SelectCohort(dataset->corpus, spec.cohort);
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : dataset->corpus.PostsOf(u)) {
-      stop_basis.push_back(id);
-    }
-  }
+  const std::vector<corpus::TweetId> stop_basis =
+      eval::StopBasis(dataset->corpus, cohort);
 
   TableWriter table(
       "Pre-processing ablation — MAP on source R (All Users)");
@@ -53,7 +49,7 @@ int main(int argc, char** argv) {
       rec::PreprocessedCorpus pre(dataset->corpus,
                                   stops ? stop_basis
                                         : std::vector<corpus::TweetId>{},
-                                  /*stop_top_k=*/100, nullptr, tokopts);
+                                  eval::kStopTopK, nullptr, tokopts);
       eval::RunOptions options;
       options.topic_iteration_scale =
           bench::EnvDouble("MICROREC_ITER_SCALE", 0.03);

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   bench::BenchIo io = bench::ParseBenchArgs(argc, argv);
   bench::Workbench bench = bench::MakeWorkbench();
   const corpus::Corpus& corpus = bench.corpus();
-  const synth::GroundTruth& truth = bench.dataset->truth;
+  const synth::GroundTruth& truth = bench.truth;
 
   std::vector<corpus::TweetId> all_posts;
   for (corpus::UserId u = 0; u < corpus.num_users(); ++u) {
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
 
   for (const Probe& probe : probes) {
     // ---- Hashtags. ----
-    rec::HashtagRecommender hashtags(bench.pre.get(), probe.config);
+    rec::HashtagRecommender hashtags(&bench.stack.pre(), probe.config);
     double hashtag_lift = 0.0;
     if (hashtags.BuildProfiles(all_posts, 10).ok()) {
       double top_mass = 0.0, all_mass = 0.0;
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     }
 
     // ---- Followees. ----
-    rec::FolloweeRecommender followees(bench.pre.get(), probe.config);
+    rec::FolloweeRecommender followees(&bench.stack.pre(), probe.config);
     double followee_lift = 0.0;
     if (followees.BuildProfiles(10).ok()) {
       double top_sim = 0.0, population_sim = 0.0;

@@ -1,6 +1,9 @@
 // Sampler-kernel bench (DESIGN.md §15): trains LDA at K ∈ {50, 200} with
 // each draw kernel (dense / sparse / alias) and reports
-//   - TTime and raw sampler throughput (trained tokens per second),
+//   - TTime and raw sampler throughput (trained tokens per second), from
+//     the median of kTimedRuns trainings at the same seed, the kernels
+//     trained in rounds (a single training's time varies by up to ±20% on
+//     a shared 4-vCPU VM, and load there comes in stretches of seconds),
 //   - speedup over the dense O(K) scan at the same K,
 //   - held-out perplexity and its relative gap to dense (the cheap proxy of
 //     the statistical-equivalence contract; the full gate lives in
@@ -86,32 +89,56 @@ struct RunStats {
   bool ok = false;
 };
 
+/// Trainings per row. Each starts from the same seed, so they train the
+/// same model; the row reports their median time.
+constexpr int kTimedRuns = 5;
+
+/// Trains every kernel kTimedRuns times, one round of all kernels after
+/// another, so a stretch of machine load slows each kernel alike and the
+/// speedups compare like with like. Returns one row per kernel, perplexity
+/// taken from its last training.
 template <typename Model, typename Config>
-RunStats TrainOnce(const SynthCorpus& corpus, Config config,
-                   topic::SamplerKernel kernel, uint64_t seed,
-                   size_t tokens_swept) {
-  config.train.sampler_kernel = kernel;
-  Model model(config);
-  Rng rng(seed);
-  RunStats stats;
-  auto start = std::chrono::steady_clock::now();
-  Status st = model.Train(corpus.docs, &rng);
-  stats.ttime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  if (!st.ok()) {
-    std::fprintf(stderr, "train(%s) failed: %s\n",
-                 topic::SamplerKernelName(kernel), st.ToString().c_str());
-    return stats;
+std::vector<RunStats> TrainKernels(
+    const SynthCorpus& corpus, Config config,
+    const std::vector<topic::SamplerKernel>& kernels, uint64_t seed,
+    size_t tokens_swept) {
+  std::vector<RunStats> rows(kernels.size());
+  std::vector<std::vector<double>> seconds(kernels.size());
+  for (int run = 0; run < kTimedRuns; ++run) {
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      if (run > 0 && !rows[k].ok) continue;  // failed in an earlier round
+      config.train.sampler_kernel = kernels[k];
+      Model model(config);
+      Rng rng(seed);
+      auto start = std::chrono::steady_clock::now();
+      Status st = model.Train(corpus.docs, &rng);
+      seconds[k].push_back(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+      rows[k].ok = st.ok();
+      if (!st.ok()) {
+        std::fprintf(stderr, "train(%s) failed: %s\n",
+                     topic::SamplerKernelName(kernels[k]),
+                     st.ToString().c_str());
+      } else if (run == kTimedRuns - 1) {
+        Rng infer_rng(seed + 1);
+        rows[k].perplexity =
+            topic::Perplexity(model, corpus.heldout, &infer_rng);
+      }
+    }
   }
-  stats.tokens_per_second =
-      stats.ttime_seconds > 0.0
-          ? static_cast<double>(tokens_swept) / stats.ttime_seconds
-          : 0.0;
-  Rng infer_rng(seed + 1);
-  stats.perplexity = topic::Perplexity(model, corpus.heldout, &infer_rng);
-  stats.ok = true;
-  return stats;
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    if (!rows[k].ok) continue;
+    std::vector<double>& times = seconds[k];
+    std::nth_element(times.begin(), times.begin() + kTimedRuns / 2,
+                     times.end());
+    rows[k].ttime_seconds = times[kTimedRuns / 2];
+    rows[k].tokens_per_second =
+        rows[k].ttime_seconds > 0.0
+            ? static_cast<double>(tokens_swept) / rows[k].ttime_seconds
+            : 0.0;
+  }
+  return rows;
 }
 
 std::string Rate(double tokens_per_second) {
@@ -154,9 +181,11 @@ int main(int argc, char** argv) {
     config.train_iterations = iters;
     double dense_tps = 0.0;
     double dense_ppx = 0.0;
-    for (topic::SamplerKernel kernel : kernels) {
-      RunStats stats = TrainOnce<topic::Lda>(corpus, config, kernel, seed,
-                                             lda_tokens_swept);
+    const std::vector<RunStats> rows = TrainKernels<topic::Lda>(
+        corpus, config, kernels, seed, lda_tokens_swept);
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      const topic::SamplerKernel kernel = kernels[k];
+      const RunStats& stats = rows[k];
       if (!stats.ok) {
         all_ok = false;
         continue;
@@ -213,9 +242,11 @@ int main(int argc, char** argv) {
         num_biterms * static_cast<size_t>(config.train_iterations);
     double dense_tps = 0.0;
     double dense_ppx = 0.0;
-    for (topic::SamplerKernel kernel : kernels) {
-      RunStats stats = TrainOnce<topic::Btm>(corpus, config, kernel, seed,
-                                             btm_tokens_swept);
+    const std::vector<RunStats> rows = TrainKernels<topic::Btm>(
+        corpus, config, kernels, seed, btm_tokens_swept);
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      const topic::SamplerKernel kernel = kernels[k];
+      const RunStats& stats = rows[k];
       if (!stats.ok) {
         all_ok = false;
         continue;

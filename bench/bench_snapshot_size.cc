@@ -42,16 +42,12 @@
 #include "bench_util.h"
 #include "rec/engine.h"
 #include "rec/model_config.h"
+#include "util/fnv.h"
 #include "util/string_util.h"
 
 using namespace microrec;
 
 namespace {
-
-uint64_t HashMix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
 
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
@@ -68,15 +64,15 @@ Status BuildAndFingerprint(rec::Engine* engine,
                            const eval::ExperimentRunner& runner,
                            const std::vector<corpus::UserId>& users,
                            rec::EngineContext* ctx, uint64_t* fingerprint) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  uint64_t h = kFnvBasis;
   for (corpus::UserId u : users) {
     MICROREC_RETURN_IF_ERROR(engine->BuildUser(u, ctx->train_set(u), *ctx));
   }
   for (corpus::UserId u : users) {
     for (corpus::TweetId d : runner.SplitOf(u).TestSet()) {
-      h = HashMix(h, u);
-      h = HashMix(h, d);
-      h = HashMix(h, DoubleBits(engine->Score(u, d, *ctx)));
+      h = FnvMixU64(h, u);
+      h = FnvMixU64(h, d);
+      h = FnvMixU64(h, DoubleBits(engine->Score(u, d, *ctx)));
     }
   }
   *fingerprint = h;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   bench::BenchIo io = bench::ParseBenchArgs(argc, argv);
   bench::Workbench bench = bench::MakeWorkbench();
   const corpus::Corpus& corpus = bench.corpus();
-  const corpus::UserCohort& cohort = *bench.cohort;
+  const corpus::UserCohort& cohort = bench.stack.cohort();
 
   struct Row {
     const char* label;

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     text::Language lang = detector.Detect(pooled);
     tweet_counts[lang] += corpus.PostsOf(u).size();
     total += corpus.PostsOf(u).size();
-    if (lang == bench.dataset->truth.user_language[u]) ++correct_users;
+    if (lang == bench.truth.user_language[u]) ++correct_users;
   }
 
   // Paper reference shares (Table 3).

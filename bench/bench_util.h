@@ -77,12 +77,11 @@ inline bool EnvFlag(const char* name) {
 
 /// Everything a reproduction bench needs, built once.
 struct Workbench {
-  std::unique_ptr<synth::SyntheticDataset> dataset;
-  std::unique_ptr<corpus::UserCohort> cohort;
-  std::unique_ptr<rec::PreprocessedCorpus> pre;
+  eval::CorpusStack stack;
+  synth::GroundTruth truth;
   std::unique_ptr<eval::ExperimentRunner> runner;
 
-  const corpus::Corpus& corpus() const { return dataset->corpus; }
+  const corpus::Corpus& corpus() const { return stack.corpus(); }
 
   /// Per-sweep configuration cap: the bench default, overridable via
   /// MICROREC_MAX_CONFIGS; MICROREC_FULL_GRID=1 disables capping entirely.
@@ -105,19 +104,9 @@ inline Workbench MakeWorkbench() {
                  dataset.status().ToString().c_str());
     std::exit(1);
   }
-  bench.dataset =
-      std::make_unique<synth::SyntheticDataset>(std::move(*dataset));
-  bench.cohort = std::make_unique<corpus::UserCohort>(
-      corpus::SelectCohort(bench.dataset->corpus, spec.cohort));
-
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : bench.cohort->all) {
-    for (corpus::TweetId id : bench.dataset->corpus.PostsOf(u)) {
-      stop_basis.push_back(id);
-    }
-  }
-  bench.pre = std::make_unique<rec::PreprocessedCorpus>(
-      bench.dataset->corpus, stop_basis, /*stop_top_k=*/100);
+  bench.stack =
+      eval::CorpusStack::Build(std::move(dataset->corpus), spec.cohort);
+  bench.truth = std::move(dataset->truth);
 
   eval::RunOptions options;
   options.topic_iteration_scale = EnvDouble("MICROREC_ITER_SCALE", 0.03);
@@ -146,21 +135,20 @@ inline Workbench MakeWorkbench() {
     options.snapshot_save = true;
     options.snapshot_load = EnvFlag("MICROREC_WARM_START");
   }
-  bench.runner = std::make_unique<eval::ExperimentRunner>(
-      bench.pre.get(), bench.cohort.get(), options);
+  bench.runner = std::make_unique<eval::ExperimentRunner>(bench.stack, options);
   if (Status st = bench.runner->Init(); !st.ok()) {
     std::fprintf(stderr, "runner init failed: %s\n", st.ToString().c_str());
     std::exit(1);
   }
+  const corpus::UserCohort& cohort = bench.stack.cohort();
   std::printf(
       "# corpus: %zu users, %s tweets | cohort: %zu IS / %zu BU / %zu IP / "
       "%zu all | iter_scale=%.3f\n",
-      bench.dataset->corpus.num_users(),
-      FormatWithCommas(
-          static_cast<int64_t>(bench.dataset->corpus.num_tweets()))
+      bench.corpus().num_users(),
+      FormatWithCommas(static_cast<int64_t>(bench.corpus().num_tweets()))
           .c_str(),
-      bench.cohort->seekers.size(), bench.cohort->balanced.size(),
-      bench.cohort->producers.size(), bench.cohort->all.size(),
+      cohort.seekers.size(), cohort.balanced.size(), cohort.producers.size(),
+      cohort.all.size(),
       EnvDouble("MICROREC_ITER_SCALE", 0.03));
   return bench;
 }

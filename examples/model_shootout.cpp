@@ -32,18 +32,11 @@ int main(int argc, char** argv) {
   synth::DatasetSpec spec = synth::DatasetSpec::Small();
   Result<synth::SyntheticDataset> dataset = synth::GenerateDataset(spec);
   if (!dataset.ok()) return 1;
-  corpus::UserCohort cohort =
-      corpus::SelectCohort(dataset->corpus, spec.cohort);
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : dataset->corpus.PostsOf(u)) {
-      stop_basis.push_back(id);
-    }
-  }
-  rec::PreprocessedCorpus pre(dataset->corpus, stop_basis, 100);
+  const eval::CorpusStack stack =
+      eval::CorpusStack::Build(std::move(dataset->corpus), spec.cohort);
   eval::RunOptions options;
   options.topic_iteration_scale = 0.03;  // keep topic grids interactive
-  eval::ExperimentRunner runner(&pre, &cohort, options);
+  eval::ExperimentRunner runner(stack, options);
   if (!runner.Init().ok()) return 1;
 
   std::vector<rec::ModelConfig> configs = rec::EnumerateConfigs(*kind);

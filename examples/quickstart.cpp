@@ -35,13 +35,11 @@ int main() {
             << cohort.balanced.size() << " BU, " << cohort.producers.size()
             << " IP, " << cohort.all.size() << " total\n";
 
-  // 3. Pre-process: tokenize once, derive the stop-token set from every
-  //    cohort user's posts.
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : corpus.PostsOf(u)) stop_basis.push_back(id);
-  }
-  rec::PreprocessedCorpus pre(corpus, stop_basis, /*stop_top_k=*/100);
+  // 3. Pre-process: tokenize once, and drop the 100 most frequent tokens of
+  //    every cohort user's posts as stop tokens. (eval::CorpusStack::Build
+  //    does steps 2 and 3 in one call.)
+  rec::PreprocessedCorpus pre(corpus, eval::StopBasis(corpus, cohort),
+                              eval::kStopTopK);
 
   // 4. Evaluate one configuration of each model family on the retweet
   //    source R — the paper's best individual source.

@@ -25,16 +25,9 @@ int main() {
     std::cerr << dataset.status().ToString() << "\n";
     return 1;
   }
-  corpus::UserCohort cohort =
-      corpus::SelectCohort(dataset->corpus, spec.cohort);
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : dataset->corpus.PostsOf(u)) {
-      stop_basis.push_back(id);
-    }
-  }
-  rec::PreprocessedCorpus pre(dataset->corpus, stop_basis, 100);
-  eval::ExperimentRunner runner(&pre, &cohort, eval::RunOptions{});
+  const eval::CorpusStack stack =
+      eval::CorpusStack::Build(std::move(dataset->corpus), spec.cohort);
+  eval::ExperimentRunner runner(stack, eval::RunOptions{});
   if (!runner.Init().ok()) return 1;
 
   // Probe model: TN unigrams, TF, centroid, cosine.

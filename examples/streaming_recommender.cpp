@@ -14,6 +14,7 @@
 #include <unordered_set>
 
 #include "corpus/split.h"
+#include "eval/experiment.h"
 #include "rec/engine.h"
 #include "synth/generator.h"
 
@@ -26,8 +27,10 @@ int main() {
   spec.seed = 21;
   Result<synth::SyntheticDataset> dataset = synth::GenerateDataset(spec);
   if (!dataset.ok()) return 1;
-  const corpus::Corpus& corpus = dataset->corpus;
-  corpus::UserCohort cohort = corpus::SelectCohort(corpus, spec.cohort);
+  const eval::CorpusStack stack =
+      eval::CorpusStack::Build(std::move(dataset->corpus), spec.cohort);
+  const corpus::Corpus& corpus = stack.corpus();
+  const corpus::UserCohort& cohort = stack.cohort();
   if (cohort.seekers.empty()) return 1;
 
   // Pick an information seeker — the user type that needs filtering most.
@@ -47,13 +50,7 @@ int main() {
     return 1;
   }
 
-  // Pre-process and build the user's model from her training retweets.
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : corpus.PostsOf(u)) stop_basis.push_back(id);
-  }
-  rec::PreprocessedCorpus pre(corpus, stop_basis, 100);
-
+  // Build the user's model from the training retweets.
   rec::ModelConfig config;
   config.kind = rec::ModelKind::kTN;
   config.bag.n = 1;
@@ -69,7 +66,7 @@ int main() {
 
   std::vector<corpus::UserId> users = {user};
   rec::EngineContext ctx;
-  ctx.pre = &pre;
+  ctx.pre = &stack.pre();
   ctx.source = corpus::Source::kR;
   ctx.users = &users;
   ctx.train_set = [&train](corpus::UserId) -> const corpus::LabeledTrainSet& {

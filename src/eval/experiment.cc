@@ -29,6 +29,26 @@ double RunResult::MapOfGroup(const std::vector<corpus::UserId>& group) const {
   return MeanAveragePrecision(selected);
 }
 
+std::vector<corpus::TweetId> StopBasis(const corpus::Corpus& corpus,
+                                       const corpus::UserCohort& cohort) {
+  std::vector<corpus::TweetId> basis;
+  for (corpus::UserId u : cohort.all) {
+    for (corpus::TweetId id : corpus.PostsOf(u)) basis.push_back(id);
+  }
+  return basis;
+}
+
+CorpusStack CorpusStack::Build(corpus::Corpus corpus,
+                               const corpus::CohortOptions& options) {
+  CorpusStack stack;
+  stack.corpus_ = std::make_unique<corpus::Corpus>(std::move(corpus));
+  stack.cohort_ = std::make_unique<corpus::UserCohort>(
+      corpus::SelectCohort(*stack.corpus_, options));
+  stack.pre_ = std::make_unique<rec::PreprocessedCorpus>(
+      *stack.corpus_, StopBasis(*stack.corpus_, *stack.cohort_), kStopTopK);
+  return stack;
+}
+
 ExperimentRunner::ExperimentRunner(const rec::PreprocessedCorpus* pre,
                                    const corpus::UserCohort* cohort,
                                    RunOptions options)

@@ -7,6 +7,7 @@
 #define MICROREC_EVAL_EXPERIMENT_H_
 
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +21,39 @@
 #include "util/status.h"
 
 namespace microrec::eval {
+
+/// How many of the stop basis's most frequent tokens are stop tokens: the
+/// paper drops the 100 most frequent tokens (Section 4).
+inline constexpr size_t kStopTopK = 100;
+
+/// The tweets the stop tokens are counted over: every post of every cohort
+/// user, test phase included, user after user in cohort order. The paper
+/// counts its training tweets; every run here has counted this wider basis,
+/// and every score pin rests on the stop set it yields.
+std::vector<corpus::TweetId> StopBasis(const corpus::Corpus& corpus,
+                                       const corpus::UserCohort& cohort);
+
+/// What every run stands on: a corpus, its cohort, and the corpus
+/// pre-processed with the kStopTopK most frequent tokens of StopBasis() as
+/// stop tokens. All three live on the heap, so a moved stack leaves the
+/// pointers a runner or an engine context holds into it valid.
+class CorpusStack {
+ public:
+  /// Takes `corpus`, selects its cohort under `options`, then tokenizes and
+  /// stop-filters every tweet (PreprocessedCorpus, on a pool of hardware
+  /// threads).
+  static CorpusStack Build(corpus::Corpus corpus,
+                           const corpus::CohortOptions& options);
+
+  const corpus::Corpus& corpus() const { return *corpus_; }
+  const corpus::UserCohort& cohort() const { return *cohort_; }
+  const rec::PreprocessedCorpus& pre() const { return *pre_; }
+
+ private:
+  std::unique_ptr<corpus::Corpus> corpus_;
+  std::unique_ptr<corpus::UserCohort> cohort_;
+  std::unique_ptr<rec::PreprocessedCorpus> pre_;
+};
 
 /// Global options for a sweep.
 struct RunOptions {
@@ -83,6 +117,10 @@ class ExperimentRunner {
  public:
   ExperimentRunner(const rec::PreprocessedCorpus* pre,
                    const corpus::UserCohort* cohort, RunOptions options);
+  /// Runs over `stack`'s pre-processed corpus and cohort; `stack` must
+  /// outlive the runner.
+  ExperimentRunner(const CorpusStack& stack, RunOptions options)
+      : ExperimentRunner(&stack.pre(), &stack.cohort(), std::move(options)) {}
 
   /// Builds the train/test split of every cohort user. Users without a
   /// valid split (no retweets / no negatives) are dropped from evaluation;

@@ -21,15 +21,6 @@ std::string_view OpClassName(OpClass op) {
   return "unknown";
 }
 
-uint64_t FnvMixU64(uint64_t hash, uint64_t value) {
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffu;
-    hash *= kPrime;
-  }
-  return hash;
-}
-
 Result<Workload> Workload::Build(const WorkloadOptions& options) {
   if (options.num_users == 0) {
     return Status::InvalidArgument("workload: num_users must be >= 1");

@@ -15,13 +15,16 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fnv.h"
 #include "util/status.h"
 
 namespace microrec::load {
 
-/// FNV-1a over a little-endian u64 (the shared hashing primitive of
-/// schedule and ranking fingerprints; exposed for the driver and tests).
-uint64_t FnvMixU64(uint64_t hash, uint64_t value);
+/// FNV-1a over a little-endian u64 (util/fnv.h), the mixing step of the
+/// schedule and ranking fingerprints; exposed for the driver and tests.
+using ::microrec::FnvMixU64;
+/// The basis both fingerprints start from: FNV-1a's offset basis with its
+/// last digit dropped. Recorded hashes carry it, so it stays.
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 
 /// The op classes the driver knows how to issue.

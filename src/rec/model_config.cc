@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "util/fnv.h"
+
 namespace microrec::rec {
 
 std::string_view ModelKindName(ModelKind kind) {
@@ -120,11 +122,9 @@ std::string ModelConfig::Fingerprint() const {
   std::string text(ModelKindName(kind));
   text += '|';
   text += ToString();
-  uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64-bit offset basis
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
+  // FNV-1a from its offset basis with the last digit dropped, the basis
+  // every snapshot name has been keyed by.
+  const uint64_t hash = FnvMix(1469598103934665603ULL, text);
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(hash));

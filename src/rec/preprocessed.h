@@ -1,7 +1,7 @@
 // One-time pre-processing shared by every model and configuration:
-// tokenization, stop-token computation (the 100 most frequent tokens across
-// all training tweets, Section 4), the stop-filtered tokens (views into the
-// tokenized ones), and, per (gram kind, n) in use, the featurized tweets
+// tokenization, stop-token computation (the most frequent tokens of a stop
+// basis; Section 4 drops the top 100), the stop-filtered tokens (views into
+// the tokenized ones), and, per (gram kind, n) in use, the featurized tweets
 // every model fits and scores on (the topic models on the token unigrams).
 // Building this once keeps the 223-configuration sweep from re-tokenizing
 // 13 sources x 60 users worth of tweets per configuration, and every user
@@ -56,8 +56,10 @@ class GramTable {
 /// Immutable pre-processed view over a corpus.
 class PreprocessedCorpus {
  public:
-  /// Tokenizes every tweet and derives the stop-token set from
-  /// `stop_basis` (typically: all tweets in every user's training phase).
+  /// Tokenizes every tweet and derives the stop-token set: the `stop_top_k`
+  /// most frequent tokens of the `stop_basis` tweets. Every run passes
+  /// eval::StopBasis, every post of every cohort user (test phase
+  /// included), through eval::CorpusStack, which defines that rule.
   /// When `stop_basis` is empty the stop filter is empty (ablation mode).
   /// `tokenizer_options` default to the paper's pipeline; the prep ablation
   /// bench toggles letter squeezing through them. Tokenizing and stop

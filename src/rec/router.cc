@@ -3,6 +3,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "util/fnv.h"
 
 namespace microrec::rec {
 
@@ -11,13 +12,7 @@ size_t ShardOf(corpus::UserId u, size_t num_shards) {
   // FNV-1a over the id's 8 little-endian bytes — the same mixing family the
   // load layer fingerprints with, so shard assignment is a documented pure
   // function, not an accident of std::hash.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  uint64_t value = static_cast<uint64_t>(u);
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFFu;
-    hash *= 0x100000001b3ULL;
-  }
-  return static_cast<size_t>(hash % num_shards);
+  return static_cast<size_t>(FnvMixU64(kFnvBasis, u) % num_shards);
 }
 
 std::string_view BreakerStateName(BreakerState state) {

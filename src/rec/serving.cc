@@ -8,6 +8,7 @@
 #include "corpus/corpus.h"
 #include "obs/metrics.h"
 #include "rec/ranker.h"
+#include "resilience/deadline.h"
 #include "util/thread_pool.h"
 
 namespace microrec::rec {
@@ -142,12 +143,6 @@ Status DegradingRecommender::EnsurePrimary() {
   if (primary_state_ == PrimaryState::kFailed) return primary_status_;
   primary_state_ = PrimaryState::kFailed;  // until proven otherwise
   primary_ = MakeEngine(options_.primary);
-  if (primary_ == nullptr) {
-    primary_status_ = Status::InvalidArgument(
-        "serving: no engine for primary configuration " +
-        options_.primary.ToString());
-    return primary_status_;
-  }
   primary_status_ = primary_->WarmStart(options_.snapshot_path, ctx_);
   if (!primary_status_.ok()) {
     primary_.reset();
@@ -188,18 +183,6 @@ std::unique_ptr<BatchRanker> DegradingRecommender::MakeRanker(
   return std::make_unique<BatchRanker>(engine, &ctx_, ranker_options);
 }
 
-Status DegradingRecommender::RankWith(
-    BatchRanker* ranker, corpus::UserId u,
-    const std::vector<corpus::TweetId>& candidates,
-    const resilience::Deadline& deadline, Rng* tie_rng,
-    obs::RequestTrace* trace, std::vector<Recommendation>* out) {
-  Result<std::vector<RankedItem>> ranked =
-      ranker->Rank(u, candidates, tie_rng, &deadline, trace);
-  if (!ranked.ok()) return ranked.status();
-  *out = std::move(*ranked);
-  return Status::OK();
-}
-
 std::vector<Recommendation> DegradingRecommender::PopularityRanking(
     const std::vector<corpus::TweetId>& candidates) const {
   std::vector<Recommendation> ranking;
@@ -236,11 +219,6 @@ std::vector<Recommendation> DegradingRecommender::PopularityRanking(
         return a.tweet < b.tweet;
       });
   return ranking;
-}
-
-RecommendResult DegradingRecommender::Recommend(
-    corpus::UserId u, const std::vector<corpus::TweetId>& candidates) {
-  return Recommend(u, candidates, QueryOptions{});
 }
 
 RecommendResult DegradingRecommender::Recommend(
@@ -301,8 +279,13 @@ RecommendResult DegradingRecommender::Recommend(
         if (primary.ok()) primary_users_.insert(u);
       }
       if (primary.ok()) {
-        primary = RankWith(primary_ranker_.get(), u, candidates, deadline,
-                           tie_rng, attempt_trace, &result.ranking);
+        Result<std::vector<RankedItem>> ranked = primary_ranker_->Rank(
+            u, candidates, tie_rng, &deadline, attempt_trace);
+        if (ranked.ok()) {
+          result.ranking = std::move(*ranked);
+        } else {
+          primary = ranked.status();
+        }
       }
       if (primary.ok()) {
         result.rung = ServingRung::kPrimary;
@@ -331,8 +314,13 @@ RecommendResult DegradingRecommender::Recommend(
     obs::RequestTrace* attempt_trace = trace != nullptr ? &attempt : nullptr;
     Status fallback = EnsureFallbackUser(u);
     if (fallback.ok()) {
-      fallback = RankWith(fallback_ranker_.get(), u, candidates, deadline,
-                          tie_rng, attempt_trace, &result.ranking);
+      Result<std::vector<RankedItem>> ranked = fallback_ranker_->Rank(
+          u, candidates, tie_rng, &deadline, attempt_trace);
+      if (ranked.ok()) {
+        result.ranking = std::move(*ranked);
+      } else {
+        fallback = ranked.status();
+      }
     }
     if (fallback.ok()) {
       result.rung = ServingRung::kBagFallback;

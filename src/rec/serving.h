@@ -29,7 +29,6 @@
 #include "rec/engine.h"
 #include "rec/model_config.h"
 #include "rec/ranker.h"
-#include "resilience/deadline.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -136,15 +135,12 @@ class DegradingRecommender {
 
   /// Ranks `candidates` for user `u`. Never returns an error for runtime
   /// degradation causes (bad snapshot, expired deadline, fallback build
-  /// failure); the popularity rung always produces a ranking.
-  RecommendResult Recommend(corpus::UserId u,
-                            const std::vector<corpus::TweetId>& candidates);
-
-  /// Same, with request telemetry: a per-request tie-break stream when
+  /// failure); the popularity rung always produces a ranking. `query` adds
+  /// request telemetry: a per-request tie-break stream when
   /// `query.request_id` != 0 and stage attribution into `query.trace`.
   RecommendResult Recommend(corpus::UserId u,
                             const std::vector<corpus::TweetId>& candidates,
-                            const QueryOptions& query);
+                            const QueryOptions& query = {});
 
   /// Eagerly loads the primary snapshot (the load driver's snapshot-warm op
   /// class). Returns the primary status; failure means later queries serve
@@ -173,14 +169,6 @@ class DegradingRecommender {
   /// (top-K, shard size, pool, score cache).
   std::unique_ptr<BatchRanker> MakeRanker(Engine* engine) const;
 
-  /// Ranks through `ranker` under the canonical tie-break protocol into
-  /// `*out`. `tie_rng` is either the lifetime stream (&tie_rng_) or a
-  /// per-request stream.
-  Status RankWith(BatchRanker* ranker, corpus::UserId u,
-                  const std::vector<corpus::TweetId>& candidates,
-                  const resilience::Deadline& deadline, Rng* tie_rng,
-                  obs::RequestTrace* trace,
-                  std::vector<Recommendation>* out);
   std::vector<Recommendation> PopularityRanking(
       const std::vector<corpus::TweetId>& candidates) const;
 

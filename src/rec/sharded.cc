@@ -75,10 +75,6 @@ Status BuildShardSnapshots(const ModelConfig& config, const EngineContext& ctx,
   if (paths != nullptr) paths->clear();
   for (size_t s = 0; s < num_shards; ++s) {
     std::unique_ptr<Engine> engine = MakeEngine(config);
-    if (engine == nullptr) {
-      return Status::InvalidArgument("shard snapshots: no engine for " +
-                                     config.ToString());
-    }
     // A cold context: the shard snapshot must stand alone, not inherit a
     // warm start that may vanish. The global phase still pools ALL users'
     // train sets — identical to the unsharded engine — because partitioning
@@ -180,29 +176,14 @@ Status ShardedRecommender::Warm() {
   return first_failure;
 }
 
-ShardedRecommendResult ShardedRecommender::Recommend(
-    corpus::UserId u, const std::vector<corpus::TweetId>& candidates) {
-  return Recommend(u, candidates, QueryOptions{});
-}
-
-ShardedRecommendResult ShardedRecommender::Recommend(
-    corpus::UserId u, const std::vector<corpus::TweetId>& candidates,
-    const QueryOptions& query) {
-  ShardedRecommendResult out;
+template <typename Attempt>
+bool ShardedRecommender::WalkRing(size_t owner, uint64_t* failovers,
+                                  Attempt attempt) {
   const size_t num_shards = router_.num_shards();
-  out.owner = router_.OwnerOf(u);
-
-  const double budget_seconds = query.deadline_seconds > 0.0
-                                    ? query.deadline_seconds
-                                    : options_.serving.query_deadline_seconds;
-  const resilience::Deadline budget =
-      budget_seconds > 0.0 ? resilience::Deadline::After(budget_seconds)
-                           : resilience::Deadline::Infinite();
-
   for (size_t k = 0; k < num_shards; ++k) {
-    const size_t s = (out.owner + k) % num_shards;
+    const size_t s = (owner + k) % num_shards;
     if (!router_.AdmitAttempt(s)) {
-      ++out.failovers;
+      if (failovers != nullptr) ++*failovers;
       continue;
     }
     Shard& shard = *shards_[s];
@@ -216,10 +197,30 @@ ShardedRecommendResult ShardedRecommender::Recommend(
       router_.RecordOutcome(s, /*success=*/false, /*deadline_miss=*/false,
                             /*hedged=*/false);
       FailoverCounter()->Increment();
-      ++out.failovers;
+      if (failovers != nullptr) ++*failovers;
       continue;
     }
+    if (attempt(s, shard)) return true;
+  }
+  return false;
+}
 
+ShardedRecommendResult ShardedRecommender::Recommend(
+    corpus::UserId u, const std::vector<corpus::TweetId>& candidates,
+    const QueryOptions& query) {
+  ShardedRecommendResult out;
+  out.owner = router_.OwnerOf(u);
+
+  const double budget_seconds = query.deadline_seconds > 0.0
+                                    ? query.deadline_seconds
+                                    : options_.serving.query_deadline_seconds;
+  const resilience::Deadline budget =
+      budget_seconds > 0.0 ? resilience::Deadline::After(budget_seconds)
+                           : resilience::Deadline::Infinite();
+
+  // One attempt on a shard WalkRing admitted, locked and warmed. It always
+  // answers: a degraded rung is still an answer.
+  auto serve_on = [&](size_t s, Shard& shard) {
     QueryOptions attempt = query;
     if (shard.snapshot_failed && attempt.min_rung < 1) attempt.min_rung = 1;
     const double remaining =
@@ -265,8 +266,9 @@ ShardedRecommendResult ShardedRecommender::Recommend(
     shard.rung[static_cast<int>(served.rung)]->Increment();
     out.result = std::move(served);
     out.shard = s;
-    return out;
-  }
+    return true;
+  };
+  if (WalkRing(out.owner, &out.failovers, serve_on)) return out;
 
   // Every shard's breaker refused or every attempt faulted: fail OPEN on
   // the owner's popularity floor. Worse rankings, never an error — the
@@ -285,26 +287,15 @@ ShardedRecommendResult ShardedRecommender::Recommend(
 }
 
 Result<size_t> ShardedRecommender::ProfileLookup(corpus::UserId u) {
-  const size_t num_shards = router_.num_shards();
   const size_t owner = router_.OwnerOf(u);
-  for (size_t k = 0; k < num_shards; ++k) {
-    const size_t s = (owner + k) % num_shards;
-    if (!router_.AdmitAttempt(s)) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    (void)WarmShardLocked(s, &shard);
-    if (Status fault = ShardFault(resilience::kSiteShardQuery, s);
-        !fault.ok()) {
-      router_.RecordOutcome(s, /*success=*/false, /*deadline_miss=*/false,
-                            /*hedged=*/false);
-      FailoverCounter()->Increment();
-      continue;
-    }
-    Result<size_t> looked = shard.rec->ProfileLookup(u);
+  Result<size_t> looked = size_t{0};
+  auto look_up_on = [&](size_t s, Shard& shard) {
+    looked = shard.rec->ProfileLookup(u);
     router_.RecordOutcome(s, looked.ok(), /*deadline_miss=*/false,
                           /*hedged=*/false);
-    if (looked.ok()) return looked;
-  }
+    return looked.ok();
+  };
+  if (WalkRing(owner, /*failovers=*/nullptr, look_up_on)) return looked;
   // Fail open: the owner answers without a fault check — same floor
   // semantics as ranking queries.
   FailOpenCounter()->Increment();

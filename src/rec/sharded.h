@@ -104,10 +104,8 @@ class ShardedRecommender {
   /// Never errors: failover plus the fail-open popularity floor guarantee a
   /// ranking for every query, whatever the fault script does.
   ShardedRecommendResult Recommend(
-      corpus::UserId u, const std::vector<corpus::TweetId>& candidates);
-  ShardedRecommendResult Recommend(
       corpus::UserId u, const std::vector<corpus::TweetId>& candidates,
-      const QueryOptions& query);
+      const QueryOptions& query = {});
 
   /// Profile term count from the best healthy shard on `u`'s ring.
   Result<size_t> ProfileLookup(corpus::UserId u);
@@ -119,6 +117,16 @@ class ShardedRecommender {
 
   /// One-time shard warm-up; callers hold the shard's mutex.
   Status WarmShardLocked(size_t s, Shard* shard);
+
+  /// Walks the shard ring from `owner` (owner, owner+1, ... mod S). Each
+  /// shard the breaker admits is locked and warmed; an injected
+  /// `shard.query` fault there is recorded as a failed attempt and a
+  /// failover, and otherwise `attempt(s, shard)` runs under the lock and
+  /// returns true once it has answered, which ends the walk. Returns
+  /// whether an attempt answered; `failovers` (optional) counts the shards
+  /// refused or faulted on the way.
+  template <typename Attempt>
+  bool WalkRing(size_t owner, uint64_t* failovers, Attempt attempt);
 
   EngineContext ctx_;
   ShardedServingOptions options_;

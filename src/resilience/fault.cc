@@ -9,6 +9,7 @@
 #include <mutex>
 
 #include "obs/metrics.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -48,11 +49,7 @@ obs::Counter* InjectedCounter() {
 // FNV-1a over the site name, mixed with the seed, so each site draws from
 // an independent deterministic stream.
 uint64_t SiteStream(std::string_view site) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : site) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
+  const uint64_t hash = FnvMix(kFnvBasis, site);
   // Hashed ids are not in the reserved-stream registry (util/rng.h): the
   // caller also perturbs the seed, so a collision with a reserved id could
   // not correlate sequences anyway.

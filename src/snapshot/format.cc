@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "util/fnv.h"
+
 namespace microrec::snapshot {
 
 namespace {
@@ -37,20 +39,9 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
 }
 
 uint64_t FingerprintTerms(const std::vector<std::string_view>& terms) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  auto mix = [&h](const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 0x100000001b3ULL;  // FNV prime
-    }
-  };
-  uint64_t count = terms.size();
-  mix(&count, sizeof(count));
+  uint64_t h = FnvMixU64(kFnvBasis, terms.size());
   for (std::string_view term : terms) {
-    uint64_t len = term.size();
-    mix(&len, sizeof(len));
-    mix(term.data(), term.size());
+    h = FnvMix(FnvMixU64(h, term.size()), term);
   }
   return h;
 }

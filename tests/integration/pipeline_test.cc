@@ -29,13 +29,9 @@ class PipelineFixture : public ::testing::Test {
     dataset_ = new synth::SyntheticDataset(std::move(*GenerateDataset(spec)));
     cohort_ = new corpus::UserCohort(
         corpus::SelectCohort(dataset_->corpus, spec.cohort));
-    std::vector<corpus::TweetId> stop_basis;
-    for (corpus::UserId u : cohort_->all) {
-      for (corpus::TweetId id : dataset_->corpus.PostsOf(u)) {
-        stop_basis.push_back(id);
-      }
-    }
-    pre_ = new rec::PreprocessedCorpus(dataset_->corpus, stop_basis, 100);
+    pre_ = new rec::PreprocessedCorpus(
+        dataset_->corpus, eval::StopBasis(dataset_->corpus, *cohort_),
+        eval::kStopTopK);
     eval::RunOptions options;
     options.topic_iteration_scale = 0.02;
     runner_ = new eval::ExperimentRunner(pre_, cohort_, options);

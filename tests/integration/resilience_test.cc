@@ -38,12 +38,9 @@ class ResilienceFixture : public ::testing::Test {
     dataset_ = new synth::SyntheticDataset(std::move(*GenerateDataset(spec)));
     cohort_ = new corpus::UserCohort(
         corpus::SelectCohort(dataset_->corpus, spec.cohort));
-    for (corpus::UserId u : cohort_->all) {
-      for (corpus::TweetId id : dataset_->corpus.PostsOf(u)) {
-        stop_basis_.push_back(id);
-      }
-    }
-    pre_ = new rec::PreprocessedCorpus(dataset_->corpus, stop_basis_, 100);
+    stop_basis_ = eval::StopBasis(dataset_->corpus, *cohort_);
+    pre_ = new rec::PreprocessedCorpus(dataset_->corpus, stop_basis_,
+                                       eval::kStopTopK);
     eval::RunOptions options;
     options.topic_iteration_scale = 0.01;
     runner_ = new eval::ExperimentRunner(pre_, cohort_, options);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "corpus/user_types.h"
+#include "eval/experiment.h"
 #include "snapshot/format.h"
 #include "synth/generator.h"
 #include "text/ngram.h"
@@ -233,11 +234,8 @@ TEST(GramTablePinTest, BenchmarkCorpusTablesArePinned) {
   ASSERT_TRUE(dataset.ok());
   const corpus::Corpus& corpus = dataset->corpus;
   const corpus::UserCohort cohort = corpus::SelectCohort(corpus, spec.cohort);
-  std::vector<corpus::TweetId> stop_basis;
-  for (corpus::UserId u : cohort.all) {
-    for (corpus::TweetId id : corpus.PostsOf(u)) stop_basis.push_back(id);
-  }
-  const PreprocessedCorpus pre(corpus, stop_basis, 100);
+  const PreprocessedCorpus pre(corpus, eval::StopBasis(corpus, cohort),
+                               eval::kStopTopK);
   ASSERT_EQ(pre.stop_filter().size(), 100u);
 
   struct Pin {

@@ -103,11 +103,9 @@ class PureScoringFixture : public ::testing::Test {
     dataset_ = new synth::SyntheticDataset(std::move(*GenerateDataset(spec)));
     cohort_ = new corpus::UserCohort(
         corpus::SelectCohort(dataset_->corpus, spec.cohort));
-    std::vector<TweetId> stop_basis;
-    for (UserId u : cohort_->all) {
-      for (TweetId id : dataset_->corpus.PostsOf(u)) stop_basis.push_back(id);
-    }
-    pre_ = new PreprocessedCorpus(dataset_->corpus, stop_basis, 100);
+    pre_ = new PreprocessedCorpus(dataset_->corpus,
+                                  eval::StopBasis(dataset_->corpus, *cohort_),
+                                  eval::kStopTopK);
     runner_ = new eval::ExperimentRunner(pre_, cohort_, eval::RunOptions{});
     ASSERT_TRUE(runner_->Init().ok());
   }

@@ -223,13 +223,9 @@ class StatEquivMapTest : public ::testing::Test {
         std::move(*synth::GenerateDataset(spec)));
     cohort_ = new corpus::UserCohort(
         corpus::SelectCohort(dataset_->corpus, spec.cohort));
-    std::vector<corpus::TweetId> stop_basis;
-    for (corpus::UserId u : cohort_->all) {
-      for (corpus::TweetId id : dataset_->corpus.PostsOf(u)) {
-        stop_basis.push_back(id);
-      }
-    }
-    pre_ = new rec::PreprocessedCorpus(dataset_->corpus, stop_basis, 100);
+    pre_ = new rec::PreprocessedCorpus(
+        dataset_->corpus, eval::StopBasis(dataset_->corpus, *cohort_),
+        eval::kStopTopK);
   }
   static void TearDownTestSuite() {
     delete pre_;

@@ -96,9 +96,11 @@
 // Sharding flags (recommend / load):
 //   --shards=<n>          serve through n hash-partitioned engine shards
 //                         behind the health-gated router (default 1 =
-//                         unsharded). Per-shard snapshots are built from
-//                         the trained base snapshot's configuration on
-//                         first use.
+//                         unsharded). Every run with n > 1 cold-trains the
+//                         configuration once per shard and rewrites the n
+//                         per-shard snapshots before it serves (a load run
+//                         with an ingest weight builds none: n is then its
+//                         epoch-slot count).
 //   --hedge-after-ms=<t>  hedged requests: give a rung-0 attempt t ms
 //                         before re-issuing to the shard's fallback rung
 //                         (0 = off)
@@ -137,6 +139,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "corpus/io.h"
@@ -273,34 +277,58 @@ bool WriteMetricsFile(const std::string& path, obs::MetricsFormat format) {
   return true;
 }
 
-// Builds the standard evaluation stack over a loaded corpus. The corpus
-// lives on the heap so PreprocessedCorpus's reference into it stays valid
-// when the Stack itself is moved.
-struct Stack {
-  std::unique_ptr<corpus::Corpus> owned;
-  corpus::UserCohort cohort;
-  std::unique_ptr<rec::PreprocessedCorpus> pre;
+/// Every flag a command reads, as main() parses them.
+struct Flags {
+  // Serving (train / recommend / load); `threads` also scores evaluate and
+  // sets load's client threads, and `train_threads` and `sampler_kernel`
+  // apply to every run command.
+  std::string snapshot_dir = "snapshots";
+  double deadline_seconds = 0.0;
+  std::string user_handle;
+  size_t top_k = 5;
+  size_t threads = 1;
+  size_t train_threads = 1;
+  std::string sampler_kernel = "dense";
+  size_t shards = 1;
+  double hedge_after_ms = 0.0;
+  std::string serve_mode = "resident";
+  // Load.
+  size_t requests = 1000;
+  size_t load_seed = 42;
+  double zipf_skew = 1.0;
+  std::string mix;  // "r,p,w[,i]" weights; empty keeps the default mix
+  double target_qps = 0.0;
+  std::string load_report_path;
+  // Streaming (ingest, and load with an ingest mix weight).
+  std::string stream_dir = "stream_state";
+  double cut_fraction = 0.5;
+  size_t batch_size = 8;
+  size_t checkpoint_every = 4;
+  // Resilience (sweep).
+  std::string checkpoint_path;
+  bool fail_fast = false;
+  size_t max_configs = 0;
+  double timeout_seconds = 0.0;
 
-  const corpus::Corpus& corpus() const { return *owned; }
-
-  static Result<Stack> Load(const std::string& dir) {
-    Result<corpus::Corpus> loaded = corpus::LoadCorpus(dir);
-    if (!loaded.ok()) return loaded.status();
-    Stack stack;
-    stack.owned = std::make_unique<corpus::Corpus>(std::move(*loaded));
-    stack.cohort = corpus::SelectCohort(*stack.owned,
-                                        synth::DatasetSpec::Small().cohort);
-    std::vector<corpus::TweetId> stop_basis;
-    for (corpus::UserId u : stack.cohort.all) {
-      for (corpus::TweetId id : stack.owned->PostsOf(u)) {
-        stop_basis.push_back(id);
-      }
-    }
-    stack.pre = std::make_unique<rec::PreprocessedCorpus>(*stack.owned,
-                                                          stop_basis, 100);
-    return stack;
+  stream::StreamSessionOptions SessionOptions(
+      const rec::ModelConfig& config) const {
+    stream::StreamSessionOptions options;
+    options.config = config;
+    options.dir = stream_dir;
+    options.batch_size = batch_size;
+    options.checkpoint_every = checkpoint_every;
+    return options;
   }
 };
+
+/// Loads the corpus in `dir` and builds its stack over the cohort filters
+/// of synth::DatasetSpec::Small().
+Result<eval::CorpusStack> OpenStack(const std::string& dir) {
+  Result<corpus::Corpus> loaded = corpus::LoadCorpus(dir);
+  if (!loaded.ok()) return loaded.status();
+  return eval::CorpusStack::Build(std::move(*loaded),
+                                  synth::DatasetSpec::Small().cohort);
+}
 
 int Generate(const std::string& dir, uint64_t seed) {
   synth::DatasetSpec spec = synth::DatasetSpec::FromEnv();
@@ -317,9 +345,10 @@ int Generate(const std::string& dir, uint64_t seed) {
 }
 
 int Stats(const std::string& dir) {
-  Result<Stack> stack = Stack::Load(dir);
+  Result<eval::CorpusStack> stack = OpenStack(dir);
   if (!stack.ok()) return Fail(stack.status());
   const corpus::Corpus& corpus = stack->corpus();
+  const corpus::UserCohort& cohort = stack->cohort();
 
   size_t retweets = 0, edges = 0;
   for (const corpus::Tweet& tweet : corpus.tweets()) {
@@ -333,15 +362,15 @@ int Stats(const std::string& dir) {
   std::printf("tweets:   %zu (%zu retweets)\n", corpus.num_tweets(),
               retweets);
   std::printf("cohort:   %zu IS / %zu BU / %zu IP / %zu all\n",
-              stack->cohort.seekers.size(), stack->cohort.balanced.size(),
-              stack->cohort.producers.size(), stack->cohort.all.size());
+              cohort.seekers.size(), cohort.balanced.size(),
+              cohort.producers.size(), cohort.all.size());
 
   TableWriter ratios("posting ratios per selected group");
   ratios.SetHeader({"group", "users", "mean ratio"});
   for (corpus::UserType type :
        {corpus::UserType::kInformationSeeker, corpus::UserType::kBalancedUser,
         corpus::UserType::kInformationProducer}) {
-    const auto& users = stack->cohort.Group(type);
+    const auto& users = cohort.Group(type);
     double sum = 0;
     for (corpus::UserId u : users) sum += corpus.PostingRatio(u);
     ratios.AddRow({std::string(corpus::UserTypeName(type)),
@@ -357,8 +386,8 @@ int Stats(const std::string& dir) {
 
 // Default configuration of the requested model: the first entry of its
 // grid that is valid for this source (PLSA gets a hand-rolled config).
-// Shared by evaluate, train and recommend so a snapshot written by `train`
-// carries exactly the configuration fingerprint `recommend` expects.
+// Every run command picks it, so a snapshot written by `train` carries
+// exactly the configuration fingerprint `recommend` expects.
 Result<rec::ModelConfig> DefaultConfig(rec::ModelKind kind,
                                        corpus::Source source) {
   rec::ModelConfig config;
@@ -374,85 +403,87 @@ Result<rec::ModelConfig> DefaultConfig(rec::ModelKind kind,
       " for source " + std::string(corpus::SourceName(source)));
 }
 
-/// Serving flags shared by the train and recommend commands (`threads`
-/// also applies to evaluate; `train_threads` and `sampler_kernel` to
-/// evaluate and sweep too).
-struct ServingFlags {
-  std::string snapshot_dir = "snapshots";
-  double deadline_seconds = 0.0;
-  std::string user_handle;
-  size_t top_k = 5;
-  size_t threads = 1;
-  size_t train_threads = 1;
-  std::string sampler_kernel = "dense";
-  size_t shards = 1;
-  double hedge_after_ms = 0.0;
-  std::string serve_mode = "resident";
+/// The positionals of a run command: <dir> <model> <source> [iter_scale].
+struct RunArgs {
+  std::string dir;
+  std::string model;
+  std::string source;
+  double iter_scale = 0.03;
 };
 
-/// Resolves --sampler-kernel into run options.
-Status ApplyKernelFlags(const ServingFlags& flags,
-                        eval::RunOptions* options) {
+/// What a run command stands on: the stack, the runner over it, and the
+/// model's default configuration on the source.
+struct Run {
+  eval::CorpusStack stack;
+  std::unique_ptr<eval::ExperimentRunner> runner;
+  corpus::Source source;
+  rec::ModelConfig config;
+};
+
+/// The prologue of evaluate, train, recommend, load, ingest and sweep: it
+/// parses <model> and <source>, opens the stack, completes the command's
+/// `options` from iter_scale, --train-threads, --sampler-kernel and, when
+/// `serve_mode` is set (recommend, load), --serve-mode, Inits the runner,
+/// and picks DefaultConfig. Keep that order: a bad invocation reports the
+/// error of the first step that fails.
+Result<Run> OpenRun(const RunArgs& args, const Flags& flags,
+                    eval::RunOptions options, bool serve_mode) {
+  Result<rec::ModelKind> kind = rec::ParseModelKind(args.model);
+  if (!kind.ok()) return kind.status();
+  Result<corpus::Source> source = corpus::ParseSource(args.source);
+  if (!source.ok()) return source.status();
+  Result<eval::CorpusStack> stack = OpenStack(args.dir);
+  if (!stack.ok()) return stack.status();
+
+  options.topic_iteration_scale = args.iter_scale;
+  options.train_threads = flags.train_threads;
   if (!topic::ParseSamplerKernel(flags.sampler_kernel,
-                                 &options->sampler_kernel)) {
+                                 &options.sampler_kernel)) {
     return Status::InvalidArgument("bad --sampler-kernel '" +
                                    flags.sampler_kernel +
                                    "' (dense|sparse|alias)");
   }
+  if (serve_mode) {
+    MICROREC_RETURN_IF_ERROR(
+        rec::ParseServeMode(flags.serve_mode, &options.serve_mode));
+  }
+  Run run{std::move(*stack), nullptr, *source, {}};
+  run.runner = std::make_unique<eval::ExperimentRunner>(run.stack, options);
+  MICROREC_RETURN_IF_ERROR(run.runner->Init());
+
+  Result<rec::ModelConfig> config = DefaultConfig(*kind, *source);
+  if (!config.ok()) return config.status();
+  run.config = *config;
+  return run;
+}
+
+/// Runs the configuration over the cohort and prints what evaluate and
+/// train both start with: the configuration, its MAP and its times.
+Status RunConfig(Run& run) {
+  Result<eval::RunResult> result = run.runner->Run(run.config, run.source);
+  if (!result.ok()) return result.status();
+  std::printf("configuration: %s\n", run.config.ToString().c_str());
+  std::printf("MAP (All Users): %.3f over %zu users\n", result->Map(),
+              result->users.size());
+  std::printf("TTime %.2fs  ETime %.2fs\n", result->ttime_seconds,
+              result->etime_seconds);
   return Status::OK();
 }
 
-int Evaluate(const std::string& dir, const std::string& model_name,
-             const std::string& source_name, double iter_scale,
-             const ServingFlags& flags) {
-  Result<rec::ModelKind> kind = rec::ParseModelKind(model_name);
-  if (!kind.ok()) return Fail(kind.status());
-  Result<corpus::Source> source = corpus::ParseSource(source_name);
-  if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
-
+int Evaluate(const RunArgs& args, const Flags& flags) {
   eval::RunOptions options;
-  options.topic_iteration_scale = iter_scale;
   options.score_threads = flags.threads;
-  options.train_threads = flags.train_threads;
-  if (Status st = ApplyKernelFlags(flags, &options); !st.ok()) {
-    return Fail(st);
-  }
-  eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
-  if (Status st = runner.Init(); !st.ok()) return Fail(st);
-
-  Result<rec::ModelConfig> config = DefaultConfig(*kind, *source);
-  if (!config.ok()) return Fail(config.status());
-  Result<eval::RunResult> run = runner.Run(*config, *source);
+  Result<Run> run = OpenRun(args, flags, options, /*serve_mode=*/false);
   if (!run.ok()) return Fail(run.status());
-  std::printf("configuration: %s\n", config->ToString().c_str());
-  std::printf("MAP (All Users): %.3f over %zu users\n", run->Map(),
-              run->users.size());
-  std::printf("TTime %.2fs  ETime %.2fs\n", run->ttime_seconds,
-              run->etime_seconds);
+  if (Status st = RunConfig(*run); !st.ok()) return Fail(st);
   std::printf("baselines: RAN %.3f  CHR %.3f\n",
-              runner.RandomMap(corpus::UserType::kAllUsers, 500),
-              runner.ChronologicalMap(corpus::UserType::kAllUsers));
+              run->runner->RandomMap(corpus::UserType::kAllUsers, 500),
+              run->runner->ChronologicalMap(corpus::UserType::kAllUsers));
   return 0;
 }
 
-int Train(const std::string& dir, const std::string& model_name,
-          const std::string& source_name, double iter_scale,
-          const ServingFlags& flags) {
-  Result<rec::ModelKind> kind = rec::ParseModelKind(model_name);
-  if (!kind.ok()) return Fail(kind.status());
-  Result<corpus::Source> source = corpus::ParseSource(source_name);
-  if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
-
+int Train(const RunArgs& args, const Flags& flags) {
   eval::RunOptions options;
-  options.topic_iteration_scale = iter_scale;
-  options.train_threads = flags.train_threads;
-  if (Status st = ApplyKernelFlags(flags, &options); !st.ok()) {
-    return Fail(st);
-  }
   options.snapshot_dir = flags.snapshot_dir;
   options.snapshot_save = true;
   // Loading too: re-running train refreshes the snapshot without retraining
@@ -460,149 +491,122 @@ int Train(const std::string& dir, const std::string& model_name,
   options.snapshot_load = true;
   // Training must re-save, and mapped engines are read-only, so train warm
   // starts resident (the default) whatever --serve-mode says.
-  eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
-  if (Status st = runner.Init(); !st.ok()) return Fail(st);
-
-  Result<rec::ModelConfig> config = DefaultConfig(*kind, *source);
-  if (!config.ok()) return Fail(config.status());
-  Result<eval::RunResult> run = runner.Run(*config, *source);
+  Result<Run> run = OpenRun(args, flags, options, /*serve_mode=*/false);
   if (!run.ok()) return Fail(run.status());
-  std::printf("configuration: %s\n", config->ToString().c_str());
-  std::printf("MAP (All Users): %.3f over %zu users\n", run->Map(),
-              run->users.size());
-  std::printf("TTime %.2fs  ETime %.2fs\n", run->ttime_seconds,
-              run->etime_seconds);
+  if (Status st = RunConfig(*run); !st.ok()) return Fail(st);
   std::printf("snapshot: %s\n",
-              runner.SnapshotPath(*config, *source).c_str());
+              run->runner->SnapshotPath(run->config, run->source).c_str());
   return 0;
 }
 
-int Recommend(const std::string& dir, const std::string& model_name,
-              const std::string& source_name, double iter_scale,
-              const ServingFlags& flags) {
-  Result<rec::ModelKind> kind = rec::ParseModelKind(model_name);
-  if (!kind.ok()) return Fail(kind.status());
-  Result<corpus::Source> source = corpus::ParseSource(source_name);
-  if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
+/// What recommend and load serve through: the ladder's options over the
+/// run's snapshot, the engine context, and the shard router's options.
+struct Serving {
+  rec::ServingOptions options;
+  rec::EngineContext ctx;
+  rec::ShardedServingOptions sharded;
+};
 
+/// Builds the serving set-up of recommend and load. With --shards > 1 and
+/// `build_shards`, it cold-trains the configuration once per shard and
+/// rewrites every shard's snapshot (rec::BuildShardSnapshots), on every
+/// call.
+Result<Serving> OpenServing(const Run& run, const Flags& flags,
+                            size_t score_threads, bool build_shards) {
+  Serving serving;
+  serving.options.primary = run.config;
+  serving.options.snapshot_path =
+      run.runner->SnapshotPath(run.config, run.source);
+  serving.options.query_deadline_seconds = flags.deadline_seconds;
+  serving.options.top_k = flags.top_k;  // 0 = full ranking
+  serving.options.score_threads = score_threads;
+  // Cohort users are queried with overlapping candidate sets across rungs;
+  // a modest per-user cache keeps repeat scores free without bounding memory
+  // by corpus size.
+  serving.options.score_cache_capacity = 4096;
+  serving.ctx = run.runner->MakeContext(run.config, run.source);
+  serving.sharded.serving = serving.options;
+  serving.sharded.num_shards = flags.shards;
+  serving.sharded.hedge_after_seconds = flags.hedge_after_ms / 1000.0;
+  if (build_shards && flags.shards > 1) {
+    MICROREC_RETURN_IF_ERROR(rec::BuildShardSnapshots(
+        run.config, serving.ctx, flags.shards,
+        serving.options.snapshot_path));
+  }
+  return serving;
+}
+
+int Recommend(const RunArgs& args, const Flags& flags) {
   eval::RunOptions options;
-  options.topic_iteration_scale = iter_scale;
-  options.train_threads = flags.train_threads;
-  if (Status st = ApplyKernelFlags(flags, &options); !st.ok()) {
-    return Fail(st);
-  }
   options.snapshot_dir = flags.snapshot_dir;
-  if (Status st = rec::ParseServeMode(flags.serve_mode, &options.serve_mode);
-      !st.ok()) {
-    return Fail(st);
-  }
-  eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
-  if (Status st = runner.Init(); !st.ok()) return Fail(st);
+  Result<Run> run = OpenRun(args, flags, options, /*serve_mode=*/true);
+  if (!run.ok()) return Fail(run.status());
+  const eval::ExperimentRunner& runner = *run->runner;
+  const corpus::Corpus& corpus = run->stack.corpus();
 
-  Result<rec::ModelConfig> config = DefaultConfig(*kind, *source);
-  if (!config.ok()) return Fail(config.status());
-
-  std::vector<corpus::UserId> users;
-  if (flags.user_handle.empty()) {
-    users = runner.GroupUsers(corpus::UserType::kAllUsers);
-  } else {
-    const corpus::Corpus& corpus = stack->corpus();
-    for (corpus::UserId u : runner.GroupUsers(corpus::UserType::kAllUsers)) {
-      if (corpus.user(u).handle == flags.user_handle) users.push_back(u);
-    }
+  std::vector<corpus::UserId> users =
+      runner.GroupUsers(corpus::UserType::kAllUsers);
+  if (!flags.user_handle.empty()) {
+    std::erase_if(users, [&](corpus::UserId u) {
+      return corpus.user(u).handle != flags.user_handle;
+    });
     if (users.empty()) {
       return Fail(Status::NotFound("no evaluable user with handle " +
                                    flags.user_handle));
     }
   }
 
-  rec::ServingOptions serving;
-  serving.primary = *config;
-  serving.snapshot_path = runner.SnapshotPath(*config, *source);
-  serving.query_deadline_seconds = flags.deadline_seconds;
-  serving.top_k = flags.top_k;  // 0 = full ranking
-  serving.score_threads = flags.threads;
-  // Cohort users are queried with overlapping candidate sets across rungs;
-  // a modest per-user cache keeps repeat scores free without bounding memory
-  // by corpus size.
-  serving.score_cache_capacity = 4096;
-  rec::EngineContext ctx = runner.MakeContext(*config, *source);
-
+  Result<Serving> serving =
+      OpenServing(*run, flags, flags.threads, /*build_shards=*/true);
+  if (!serving.ok()) return Fail(serving.status());
+  std::unique_ptr<rec::ShardedRecommender> sharded;
+  std::unique_ptr<rec::DegradingRecommender> single;
   if (flags.shards > 1) {
-    rec::ShardedServingOptions sharded;
-    sharded.serving = serving;
-    sharded.num_shards = flags.shards;
-    sharded.hedge_after_seconds = flags.hedge_after_ms / 1000.0;
-    if (Status st = rec::BuildShardSnapshots(*config, ctx, sharded.num_shards,
-                                             serving.snapshot_path);
-        !st.ok()) {
-      return Fail(st);
+    sharded = std::make_unique<rec::ShardedRecommender>(serving->ctx,
+                                                        serving->sharded);
+  } else {
+    single = std::make_unique<rec::DegradingRecommender>(serving->ctx,
+                                                         serving->options);
+  }
+
+  size_t rung_counts[3] = {0, 0, 0};
+  for (corpus::UserId u : users) {
+    const std::vector<corpus::TweetId> candidates = runner.SplitOf(u).TestSet();
+    rec::RecommendResult result;
+    std::string shard;  // ", shard <s>", marked when a failover served
+    if (sharded != nullptr) {
+      rec::ShardedRecommendResult served = sharded->Recommend(u, candidates);
+      result = std::move(served.result);
+      shard = ", shard " + std::to_string(served.shard) +
+              (served.shard == served.owner ? "" : " [failover]");
+    } else {
+      result = single->Recommend(u, candidates);
     }
-    rec::ShardedRecommender server(ctx, sharded);
-    size_t rung_counts[3] = {0, 0, 0};
-    for (corpus::UserId u : users) {
-      const corpus::UserSplit& split = runner.SplitOf(u);
-      rec::ShardedRecommendResult served = server.Recommend(u, split.TestSet());
-      rung_counts[static_cast<int>(served.result.rung)]++;
-      std::printf("%s (%s, shard %zu%s):\n",
-                  stack->corpus().user(u).handle.c_str(),
-                  std::string(rec::ServingRungName(served.result.rung)).c_str(),
-                  served.shard, served.shard == served.owner ? "" : " [failover]");
-      for (const rec::Recommendation& r : served.result.ranking) {
-        const corpus::Tweet& tweet = stack->corpus().tweet(r.tweet);
-        std::printf("  %6.3f  t%llu  %s\n", r.score,
-                    static_cast<unsigned long long>(r.tweet),
-                    tweet.text.c_str());
-      }
+    rung_counts[static_cast<int>(result.rung)]++;
+    std::printf("%s (%s%s):\n", corpus.user(u).handle.c_str(),
+                std::string(rec::ServingRungName(result.rung)).c_str(),
+                shard.c_str());
+    for (const rec::Recommendation& r : result.ranking) {
+      std::printf("  %6.3f  t%llu  %s\n", r.score,
+                  static_cast<unsigned long long>(r.tweet),
+                  corpus.tweet(r.tweet).text.c_str());
     }
-    std::printf("served: %zu primary / %zu bag-fallback / %zu popularity\n",
-                rung_counts[0], rung_counts[1], rung_counts[2]);
-    for (const rec::ShardHealth& h : server.Health()) {
+  }
+  std::printf("served: %zu primary / %zu bag-fallback / %zu popularity\n",
+              rung_counts[0], rung_counts[1], rung_counts[2]);
+  if (sharded != nullptr) {
+    for (const rec::ShardHealth& h : sharded->Health()) {
       std::printf("shard %d: %s  served %llu  failures %llu\n", h.shard,
                   std::string(rec::BreakerStateName(h.state)).c_str(),
                   static_cast<unsigned long long>(h.served),
                   static_cast<unsigned long long>(h.failures));
     }
-    return 0;
-  }
-
-  rec::DegradingRecommender server(ctx, serving);
-
-  size_t rung_counts[3] = {0, 0, 0};
-  for (corpus::UserId u : users) {
-    const corpus::UserSplit& split = runner.SplitOf(u);
-    rec::RecommendResult result = server.Recommend(u, split.TestSet());
-    rung_counts[static_cast<int>(result.rung)]++;
-    std::printf("%s (%s):\n", stack->corpus().user(u).handle.c_str(),
-                std::string(rec::ServingRungName(result.rung)).c_str());
-    for (const rec::Recommendation& r : result.ranking) {
-      const corpus::Tweet& tweet = stack->corpus().tweet(r.tweet);
-      std::printf("  %6.3f  t%llu  %s\n", r.score,
-                  static_cast<unsigned long long>(r.tweet),
-                  tweet.text.c_str());
-    }
-  }
-  std::printf("served: %zu primary / %zu bag-fallback / %zu popularity\n",
-              rung_counts[0], rung_counts[1], rung_counts[2]);
-  if (!server.primary_status().ok()) {
+  } else if (!single->primary_status().ok()) {
     std::fprintf(stderr, "degraded: %s\n",
-                 server.primary_status().ToString().c_str());
+                 single->primary_status().ToString().c_str());
   }
   return 0;
 }
-
-/// Workload flags for the load command (client threads come from
-/// ServingFlags::threads).
-struct LoadFlags {
-  size_t requests = 1000;
-  uint64_t seed = 42;
-  double zipf_skew = 1.0;
-  std::string mix;  // "r,p,w" weights; empty keeps the default mix
-  double target_qps = 0.0;
-  std::string report_path;
-};
 
 /// Parses "--mix=r,p,w" or "--mix=r,p,w,i" into an OpMix; empty keeps
 /// defaults, a missing fourth weight keeps ingest at 0.
@@ -628,108 +632,59 @@ bool ParseOpMix(const std::string& text, load::OpMix* mix) {
   return true;
 }
 
-/// Streaming-ingest flags, shared by the ingest command and a load run
-/// with an ingest mix weight.
-struct StreamFlags {
-  std::string stream_dir = "stream_state";
-  double cut_fraction = 0.5;
-  size_t batch_size = 8;
-  size_t checkpoint_every = 4;
-
-  stream::StreamSessionOptions SessionOptions(
-      const rec::ModelConfig& config) const {
-    stream::StreamSessionOptions options;
-    options.config = config;
-    options.dir = stream_dir;
-    options.batch_size = batch_size;
-    options.checkpoint_every = checkpoint_every;
-    return options;
-  }
-};
-
-int Load(const std::string& dir, const std::string& model_name,
-         const std::string& source_name, double iter_scale,
-         const ServingFlags& serving_flags, const LoadFlags& load_flags,
-         const StreamFlags& stream_flags) {
-  Result<rec::ModelKind> kind = rec::ParseModelKind(model_name);
-  if (!kind.ok()) return Fail(kind.status());
-  Result<corpus::Source> source = corpus::ParseSource(source_name);
-  if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
-
+int Load(const RunArgs& args, const Flags& flags) {
   eval::RunOptions options;
-  options.topic_iteration_scale = iter_scale;
-  options.train_threads = serving_flags.train_threads;
-  if (Status st = ApplyKernelFlags(serving_flags, &options); !st.ok()) {
-    return Fail(st);
-  }
-  options.snapshot_dir = serving_flags.snapshot_dir;
-  if (Status st =
-          rec::ParseServeMode(serving_flags.serve_mode, &options.serve_mode);
-      !st.ok()) {
-    return Fail(st);
-  }
-  eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
-  if (Status st = runner.Init(); !st.ok()) return Fail(st);
-
-  Result<rec::ModelConfig> config = DefaultConfig(*kind, *source);
-  if (!config.ok()) return Fail(config.status());
-
-  rec::ServingOptions serving;
-  serving.primary = *config;
-  serving.snapshot_path = runner.SnapshotPath(*config, *source);
-  serving.query_deadline_seconds = serving_flags.deadline_seconds;
-  serving.top_k = serving_flags.top_k;
-  // Client threads are the load axis: scoring stays on the query thread so
-  // concurrency comes only from parallel clients (one recommender each).
-  serving.score_threads = 1;
-  serving.score_cache_capacity = 4096;
-  rec::EngineContext ctx = runner.MakeContext(*config, *source);
-
-  load::ServingBackend::Options backend;
-  backend.ctx = &ctx;
-  backend.serving = serving;
-  backend.users = runner.GroupUsers(corpus::UserType::kAllUsers);
-  if (backend.users.empty()) {
-    return Fail(Status::FailedPrecondition("no evaluable users to load"));
-  }
-  backend.candidates = [&runner](corpus::UserId u) {
+  options.snapshot_dir = flags.snapshot_dir;
+  Result<Run> run = OpenRun(args, flags, options, /*serve_mode=*/true);
+  if (!run.ok()) return Fail(run.status());
+  const eval::ExperimentRunner& runner = *run->runner;
+  const std::vector<corpus::UserId>& users =
+      runner.GroupUsers(corpus::UserType::kAllUsers);
+  auto candidates = [&runner](corpus::UserId u) {
     return runner.SplitOf(u).TestSet();
   };
 
   load::WorkloadOptions spec;
-  spec.seed = load_flags.seed;
-  spec.num_requests = load_flags.requests;
-  spec.num_users = backend.users.size();
-  spec.zipf_skew = load_flags.zipf_skew;
-  if (!ParseOpMix(load_flags.mix, &spec.mix)) {
-    return Fail(Status::InvalidArgument("bad --mix '" + load_flags.mix +
+  spec.seed = flags.load_seed;
+  spec.num_requests = flags.requests;
+  spec.num_users = users.size();
+  spec.zipf_skew = flags.zipf_skew;
+  if (!ParseOpMix(flags.mix, &spec.mix)) {
+    return Fail(Status::InvalidArgument("bad --mix '" + flags.mix +
                                         "' (want r,p,w weights)"));
   }
   Result<load::Workload> workload = load::Workload::Build(spec);
   if (!workload.ok()) return Fail(workload.status());
 
   load::DriverOptions driver;
-  driver.threads = serving_flags.threads == 0 ? 1 : serving_flags.threads;
-  driver.target_qps = load_flags.target_qps;
+  driver.threads = flags.threads == 0 ? 1 : flags.threads;
+  driver.target_qps = flags.target_qps;
   InstallStopHandlers();
   driver.stop = &g_stop;
+
+  // Client threads are the load axis: scoring stays on the query thread so
+  // concurrency comes only from parallel clients (one recommender each).
+  // With an ingest weight, --shards is the epoch-slot count instead, and no
+  // shard snapshot is built.
+  const bool ingest = spec.mix.ingest > 0.0;
+  Result<Serving> serving =
+      OpenServing(*run, flags, /*score_threads=*/1, /*build_shards=*/!ingest);
+  if (!serving.ok()) return Fail(serving.status());
+  const rec::EngineContext& ctx = serving->ctx;
+
   load::BackendFactory factory;
   // Live-ingest state; must outlive RunLoad when the mix has ingest ops.
   std::unique_ptr<stream::StreamSession> session;
   std::shared_ptr<stream::LiveRecommender> live;
-  if (spec.mix.ingest > 0.0) {
+  if (ingest) {
     // Mixed ingest+recommend traffic: serve off rotating epochs while the
     // ingest op class drives WAL-backed apply + checkpoint + publish.
-    // --shards becomes the epoch-slot count (the sharded router below is
-    // the no-ingest serving path).
     stream::StreamCutOptions cut_options;
-    cut_options.cut_fraction = stream_flags.cut_fraction;
+    cut_options.cut_fraction = flags.cut_fraction;
     Result<stream::StreamCut> cut = stream::MakeStreamCut(ctx, cut_options);
     if (!cut.ok()) return Fail(cut.status());
     stream::StreamSessionOptions session_options =
-        stream_flags.SessionOptions(*config);
+        flags.SessionOptions(run->config);
     // The ingest hook checkpoints every applied batch (a publish needs a
     // durable snapshot), so the auto-checkpoint cadence is redundant here.
     session_options.checkpoint_every = 0;
@@ -739,8 +694,8 @@ int Load(const std::string& dir, const std::string& model_name,
     session = std::move(*opened);
 
     stream::LiveRecommender::Options live_options;
-    live_options.serving = serving;
-    live_options.num_shards = serving_flags.shards;
+    live_options.serving = serving->options;
+    live_options.num_shards = flags.shards;
     live = std::make_shared<stream::LiveRecommender>(ctx, live_options);
     if (Status st =
             live->Publish(session->checkpoint_snapshot_path(),
@@ -751,8 +706,8 @@ int Load(const std::string& dir, const std::string& model_name,
 
     stream::LiveBackend::Options live_backend;
     live_backend.live = live;
-    live_backend.users = backend.users;
-    live_backend.candidates = backend.candidates;
+    live_backend.users = users;
+    live_backend.candidates = candidates;
     stream::StreamSession* raw_session = session.get();
     std::shared_ptr<stream::LiveRecommender> shared_live = live;
     live_backend.ingest =
@@ -767,24 +722,20 @@ int Load(const std::string& dir, const std::string& model_name,
       return applied;
     };
     factory = stream::LiveBackend::Factory(std::move(live_backend));
-  } else if (serving_flags.shards > 1) {
-    rec::ShardedServingOptions sharded;
-    sharded.serving = serving;
-    sharded.num_shards = serving_flags.shards;
-    sharded.hedge_after_seconds = serving_flags.hedge_after_ms / 1000.0;
-    if (Status st = rec::BuildShardSnapshots(*config, ctx, sharded.num_shards,
-                                             serving.snapshot_path);
-        !st.ok()) {
-      return Fail(st);
-    }
+  } else if (flags.shards > 1) {
     load::ShardedServingBackend::Options sharded_backend;
     sharded_backend.ctx = &ctx;
-    sharded_backend.sharded = sharded;
-    sharded_backend.users = backend.users;
-    sharded_backend.candidates = backend.candidates;
+    sharded_backend.sharded = serving->sharded;
+    sharded_backend.users = users;
+    sharded_backend.candidates = candidates;
     factory = load::ShardedServingBackend::Factory(std::move(sharded_backend));
   } else {
-    factory = load::ServingBackend::Factory(backend);
+    load::ServingBackend::Options backend;
+    backend.ctx = &ctx;
+    backend.serving = serving->options;
+    backend.users = users;
+    backend.candidates = candidates;
+    factory = load::ServingBackend::Factory(std::move(backend));
   }
   Result<load::LoadReport> report = load::RunLoad(*workload, driver, factory);
   if (!report.ok()) return Fail(report.status());
@@ -839,11 +790,11 @@ int Load(const std::string& dir, const std::string& model_name,
   if (g_stop.load(std::memory_order_relaxed)) {
     std::printf("interrupted: the report covers the requests that ran\n");
   }
-  if (!load_flags.report_path.empty()) {
-    std::FILE* file = std::fopen(load_flags.report_path.c_str(), "w");
+  if (!flags.load_report_path.empty()) {
+    std::FILE* file = std::fopen(flags.load_report_path.c_str(), "w");
     if (file == nullptr) {
       return Fail(Status::InvalidArgument("cannot write load report to " +
-                                          load_flags.report_path));
+                                          flags.load_report_path));
     }
     std::string json = report->ToJson();
     std::fwrite(json.data(), 1, json.size(), file);
@@ -859,38 +810,18 @@ int Load(const std::string& dir, const std::string& model_name,
 /// command is restartable: kill it anywhere (or SIGINT for a graceful
 /// stop) and the rerun resumes from the last durable state, applying only
 /// what is still pending.
-int Ingest(const std::string& dir, const std::string& model_name,
-           const std::string& source_name, double iter_scale,
-           const ServingFlags& serving_flags,
-           const StreamFlags& stream_flags) {
-  Result<rec::ModelKind> kind = rec::ParseModelKind(model_name);
-  if (!kind.ok()) return Fail(kind.status());
-  Result<corpus::Source> source = corpus::ParseSource(source_name);
-  if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
-
-  eval::RunOptions options;
-  options.topic_iteration_scale = iter_scale;
-  options.train_threads = serving_flags.train_threads;
-  if (Status st = ApplyKernelFlags(serving_flags, &options); !st.ok()) {
-    return Fail(st);
-  }
-  eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort, options);
-  if (Status st = runner.Init(); !st.ok()) return Fail(st);
-
-  Result<rec::ModelConfig> config = DefaultConfig(*kind, *source);
-  if (!config.ok()) return Fail(config.status());
-  rec::EngineContext ctx = runner.MakeContext(*config, *source);
+int Ingest(const RunArgs& args, const Flags& flags) {
+  Result<Run> run = OpenRun(args, flags, {}, /*serve_mode=*/false);
+  if (!run.ok()) return Fail(run.status());
+  rec::EngineContext ctx = run->runner->MakeContext(run->config, run->source);
 
   stream::StreamCutOptions cut_options;
-  cut_options.cut_fraction = stream_flags.cut_fraction;
+  cut_options.cut_fraction = flags.cut_fraction;
   Result<stream::StreamCut> cut = stream::MakeStreamCut(ctx, cut_options);
   if (!cut.ok()) return Fail(cut.status());
 
   Result<std::unique_ptr<stream::StreamSession>> opened =
-      stream::StreamSession::Open(ctx, *cut,
-                                  stream_flags.SessionOptions(*config));
+      stream::StreamSession::Open(ctx, *cut, flags.SessionOptions(run->config));
   if (!opened.ok()) return Fail(opened.status());
   stream::StreamSession& session = **opened;
   std::printf("cut at t=%lld: %llu batches, %llu already applied "
@@ -923,33 +854,10 @@ int Ingest(const std::string& dir, const std::string& model_name,
   return 0;
 }
 
-/// Resilience flags shared by main() and the sweep command.
-struct SweepFlags {
-  std::string checkpoint_path;
-  bool fail_fast = false;
-  size_t max_configs = 0;
-  double timeout_seconds = 0.0;
-};
-
-int Sweep(const std::string& dir, const std::string& model_name,
-          const std::string& source_name, double iter_scale,
-          const SweepFlags& flags, const ServingFlags& serving_flags) {
-  Result<rec::ModelKind> kind = rec::ParseModelKind(model_name);
-  if (!kind.ok()) return Fail(kind.status());
-  Result<corpus::Source> source = corpus::ParseSource(source_name);
-  if (!source.ok()) return Fail(source.status());
-  Result<Stack> stack = Stack::Load(dir);
-  if (!stack.ok()) return Fail(stack.status());
-
-  eval::RunOptions run_options;
-  run_options.topic_iteration_scale = iter_scale;
-  run_options.train_threads = serving_flags.train_threads;
-  if (Status st = ApplyKernelFlags(serving_flags, &run_options); !st.ok()) {
-    return Fail(st);
-  }
-  eval::ExperimentRunner runner(stack->pre.get(), &stack->cohort,
-                                run_options);
-  if (Status st = runner.Init(); !st.ok()) return Fail(st);
+int Sweep(const RunArgs& args, const Flags& flags) {
+  Result<Run> run = OpenRun(args, flags, {}, /*serve_mode=*/false);
+  if (!run.ok()) return Fail(run.status());
+  const rec::ModelKind kind = run->config.kind;
 
   eval::SweepOptions options;
   options.max_configs = flags.max_configs;
@@ -957,11 +865,11 @@ int Sweep(const std::string& dir, const std::string& model_name,
   options.checkpoint_path = flags.checkpoint_path;
   options.config_timeout_seconds = flags.timeout_seconds;
   Result<eval::SweepResult> sweep = eval::SweepConfigs(
-      runner, rec::EnumerateConfigs(*kind), *source, options);
+      *run->runner, rec::EnumerateConfigs(kind), run->source, options);
   if (!sweep.ok()) return Fail(sweep.status());
 
-  TableWriter table(std::string(rec::ModelKindName(*kind)) + " sweep on " +
-                    std::string(corpus::SourceName(*source)));
+  TableWriter table(std::string(rec::ModelKindName(kind)) + " sweep on " +
+                    std::string(corpus::SourceName(run->source)));
   table.SetHeader({"configuration", "MAP", "TTime s", "ETime s", "status"});
   for (const eval::ConfigOutcome& outcome : sweep->outcomes) {
     if (outcome.ok()) {
@@ -978,7 +886,7 @@ int Sweep(const std::string& dir, const std::string& model_name,
   std::printf("%zu succeeded / %zu failed / %zu resumed from checkpoint\n",
               sweep->succeeded(), sweep->failed(), sweep->resumed);
   const std::vector<corpus::UserId>& all =
-      stack->cohort.Group(corpus::UserType::kAllUsers);
+      run->stack.cohort().Group(corpus::UserType::kAllUsers);
   if (const eval::ConfigOutcome* best = sweep->Best(all)) {
     std::printf("best: %s (MAP %.3f)\n", best->config.ToString().c_str(),
                 best->result.MapOfGroup(all));
@@ -987,7 +895,7 @@ int Sweep(const std::string& dir, const std::string& model_name,
 }
 
 int Suggest(const std::string& dir, const std::string& handle, size_t top_k) {
-  Result<Stack> stack = Stack::Load(dir);
+  Result<eval::CorpusStack> stack = OpenStack(dir);
   if (!stack.ok()) return Fail(stack.status());
   const corpus::Corpus& corpus = stack->corpus();
 
@@ -1009,7 +917,7 @@ int Suggest(const std::string& dir, const std::string& handle, size_t top_k) {
   rec::ModelConfig config;
   config.kind = rec::ModelKind::kTN;
   config.bag.weighting = bag::Weighting::kTFIDF;
-  rec::HashtagRecommender recommender(stack->pre.get(), config);
+  rec::HashtagRecommender recommender(&stack->pre(), config);
   if (Status st = recommender.BuildProfiles(all_posts, 5); !st.ok()) {
     return Fail(st);
   }
@@ -1074,50 +982,33 @@ bool IterScaleArg(const std::vector<std::string>& args, size_t index,
   return true;
 }
 
-int Dispatch(const std::vector<std::string>& args, const SweepFlags& flags,
-             const ServingFlags& serving, const LoadFlags& load_flags,
-             const StreamFlags& stream_flags) {
+using RunCommand = int (*)(const RunArgs&, const Flags&);
+constexpr std::pair<std::string_view, RunCommand> kRunCommands[] = {
+    {"evaluate", Evaluate}, {"sweep", Sweep},   {"train", Train},
+    {"recommend", Recommend}, {"load", Load}, {"ingest", Ingest}};
+
+int Dispatch(const std::vector<std::string>& args, const Flags& flags) {
   // `faults` takes no corpus directory; handle it before the <dir> guard.
   if (!args.empty() && args[0] == "faults") return Faults();
   if (args.size() < 2) return Usage();
   const std::string& command = args[0];
   const std::string& dir = args[1];
-  double iter_scale = 0.03;
   if (command == "generate") {
     uint64_t seed =
         args.size() > 2 ? std::strtoull(args[2].c_str(), nullptr, 10) : 42;
     return Generate(dir, seed);
   }
   if (command == "stats") return Stats(dir);
-  if (command == "evaluate" && args.size() >= 4) {
-    if (!IterScaleArg(args, 4, &iter_scale)) return Usage();
-    return Evaluate(dir, args[2], args[3], iter_scale, serving);
-  }
-  if (command == "sweep" && args.size() >= 4) {
-    if (!IterScaleArg(args, 4, &iter_scale)) return Usage();
-    return Sweep(dir, args[2], args[3], iter_scale, flags, serving);
-  }
   if (command == "suggest" && args.size() >= 3) {
     size_t top_k =
         args.size() > 3 ? static_cast<size_t>(std::atoi(args[3].c_str())) : 10;
     return Suggest(dir, args[2], top_k);
   }
-  if (command == "train" && args.size() >= 4) {
-    if (!IterScaleArg(args, 4, &iter_scale)) return Usage();
-    return Train(dir, args[2], args[3], iter_scale, serving);
-  }
-  if (command == "recommend" && args.size() >= 4) {
-    if (!IterScaleArg(args, 4, &iter_scale)) return Usage();
-    return Recommend(dir, args[2], args[3], iter_scale, serving);
-  }
-  if (command == "load" && args.size() >= 4) {
-    if (!IterScaleArg(args, 4, &iter_scale)) return Usage();
-    return Load(dir, args[2], args[3], iter_scale, serving, load_flags,
-                stream_flags);
-  }
-  if (command == "ingest" && args.size() >= 4) {
-    if (!IterScaleArg(args, 4, &iter_scale)) return Usage();
-    return Ingest(dir, args[2], args[3], iter_scale, serving, stream_flags);
+  for (const auto& [name, run_command] : kRunCommands) {
+    if (command != name || args.size() < 4) continue;
+    RunArgs run{dir, args[2], args[3]};
+    if (!IterScaleArg(args, 4, &run.iter_scale)) return Usage();
+    return run_command(run, flags);
   }
   return Usage();
 }
@@ -1126,11 +1017,7 @@ int Dispatch(const std::vector<std::string>& args, const SweepFlags& flags,
 
 int main(int argc, char** argv) {
   std::string metrics_path, trace_path, metrics_format_text, flight_path;
-  SweepFlags flags;
-  ServingFlags serving;
-  LoadFlags load_flags;
-  StreamFlags stream_flags;
-  size_t load_seed = 42;
+  Flags flags;
 
   FlagParser parser(kUsageLine);
   parser.AddString("metrics", &metrics_path, "write metrics JSON at exit");
@@ -1147,59 +1034,59 @@ int main(int argc, char** argv) {
                  "sweep: cap the configuration grid");
   parser.AddDouble("timeout", &flags.timeout_seconds,
                    "sweep: per-configuration deadline in seconds");
-  parser.AddString("snapshot-dir", &serving.snapshot_dir,
+  parser.AddString("snapshot-dir", &flags.snapshot_dir,
                    "train/recommend: snapshot store directory");
-  parser.AddDouble("deadline", &serving.deadline_seconds,
+  parser.AddDouble("deadline", &flags.deadline_seconds,
                    "recommend: per-query budget in seconds");
-  parser.AddString("user", &serving.user_handle,
+  parser.AddString("user", &flags.user_handle,
                    "recommend: serve one handle instead of the cohort");
-  parser.AddSize("top-k", &serving.top_k,
+  parser.AddSize("top-k", &flags.top_k,
                  "recommend: recommendations printed per user (0 = all)");
-  parser.AddSize("threads", &serving.threads,
+  parser.AddSize("threads", &flags.threads,
                  "evaluate/recommend: scoring threads (default 1)");
-  parser.AddSize("train-threads", &serving.train_threads,
+  parser.AddSize("train-threads", &flags.train_threads,
                  "evaluate/sweep/train/recommend: topic-model training "
                  "threads (default 1 = sequential, bit-identical to the "
                  "paper)");
-  parser.AddString("sampler-kernel", &serving.sampler_kernel,
+  parser.AddString("sampler-kernel", &flags.sampler_kernel,
                    "evaluate/sweep/train/recommend: Gibbs draw kernel for "
                    "LDA/LLDA/BTM: dense (default, bit-identical to the "
                    "paper), sparse (SparseLDA buckets), or alias (stale "
                    "alias tables with MH correction)");
-  parser.AddString("serve-mode", &serving.serve_mode,
+  parser.AddString("serve-mode", &flags.serve_mode,
                    "recommend/load: how a warm start holds the snapshot — "
                    "resident (default, decoded into memory) or mmap (served "
                    "from the mapped v2 file, materializing rows on demand; "
                    "identical rankings, model-independent memory)");
-  parser.AddSize("requests", &load_flags.requests,
+  parser.AddSize("requests", &flags.requests,
                  "load: schedule length (default 1000)");
-  parser.AddSize("load-seed", &load_seed,
+  parser.AddSize("load-seed", &flags.load_seed,
                  "load: workload schedule seed (default 42)");
-  parser.AddDouble("zipf", &load_flags.zipf_skew,
+  parser.AddDouble("zipf", &flags.zipf_skew,
                    "load: user-arrival Zipf skew, 0 = uniform (default 1)");
-  parser.AddString("mix", &load_flags.mix,
+  parser.AddString("mix", &flags.mix,
                    "load: op-mix weights recommend,profile_lookup,"
                    "snapshot_warm[,ingest]; an ingest weight serves the "
                    "run off live rotating epochs");
-  parser.AddDouble("target-qps", &load_flags.target_qps,
+  parser.AddDouble("target-qps", &flags.target_qps,
                    "load: open-loop offered rate (0 = closed loop)");
-  parser.AddString("load-report", &load_flags.report_path,
+  parser.AddString("load-report", &flags.load_report_path,
                    "load: write the load report JSON to this path");
-  parser.AddSize("shards", &serving.shards,
+  parser.AddSize("shards", &flags.shards,
                  "recommend/load: hash-partitioned engine shards behind the "
                  "health-gated router (default 1 = unsharded)");
-  parser.AddDouble("hedge-after-ms", &serving.hedge_after_ms,
+  parser.AddDouble("hedge-after-ms", &flags.hedge_after_ms,
                    "recommend/load: hedge window in ms before a slow rung-0 "
                    "attempt is re-issued to the fallback rung (0 = off)");
-  parser.AddString("stream-dir", &stream_flags.stream_dir,
+  parser.AddString("stream-dir", &flags.stream_dir,
                    "ingest/load: WAL + snapshot state directory (default "
                    "stream_state)");
-  parser.AddDouble("cut", &stream_flags.cut_fraction,
+  parser.AddDouble("cut", &flags.cut_fraction,
                    "ingest/load: fraction of pooled train docs in the base "
                    "model; the rest streams (default 0.5)");
-  parser.AddSize("batch-size", &stream_flags.batch_size,
+  parser.AddSize("batch-size", &flags.batch_size,
                  "ingest/load: stream tweets per WAL batch (default 8)");
-  parser.AddSize("checkpoint-every", &stream_flags.checkpoint_every,
+  parser.AddSize("checkpoint-every", &flags.checkpoint_every,
                  "ingest: auto-checkpoint after this many applied batches "
                  "(default 4, 0 = only the final checkpoint)");
   bool list_faults = false;
@@ -1212,7 +1099,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", args.status().ToString().c_str());
     return Usage();
   }
-  load_flags.seed = load_seed;
   obs::MetricsFormat metrics_format = obs::MetricsFormat::kJson;
   if (!obs::ParseMetricsFormat(metrics_format_text, &metrics_format)) {
     std::fprintf(stderr, "error: bad --metrics-format '%s' (json|prom)\n",
@@ -1233,7 +1119,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  int code = Dispatch(*args, flags, serving, load_flags, stream_flags);
+  int code = Dispatch(*args, flags);
   if (flight != nullptr) flight->Stop();
   if (observed) PrintPhaseSummary();
   if (!metrics_path.empty() &&
