@@ -9,7 +9,8 @@
 
 namespace microrec::bag {
 
-std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
+std::vector<TermId> GramIds(std::span<const std::string_view> doc,
+                            NgramKind kind, int n,
                             text::Vocabulary* dictionary) {
   if (kind == NgramKind::kToken) {
     return dictionary->InternAll(text::TokenNgrams(doc, n));

@@ -37,10 +37,11 @@
 
 namespace microrec::bag {
 
-/// A training or test document, already pre-processed: lower-cased,
-/// squeezed, stop-filtered tokens, as views of strings the caller keeps.
-/// Character n-grams are extracted from the tokens joined with single
-/// spaces, so both TN and CN see exactly the same pre-processing (Section 4).
+/// A training or test document a caller assembles, already pre-processed:
+/// lower-cased, squeezed, stop-filtered tokens, as views of strings the
+/// caller keeps. Character n-grams are extracted from the tokens joined with
+/// single spaces, so both TN and CN see exactly the same pre-processing
+/// (Section 4).
 using TokenDoc = std::vector<std::string_view>;
 
 /// A document as its n-gram ids in a dictionary, in document order.
@@ -48,7 +49,8 @@ using GramDoc = std::span<const TermId>;
 
 /// The n-gram ids of `doc` in `*dictionary`, interning grams it has not
 /// seen: the one place the bag and graph models turn strings into ids.
-std::vector<TermId> GramIds(const TokenDoc& doc, NgramKind kind, int n,
+std::vector<TermId> GramIds(std::span<const std::string_view> doc,
+                            NgramKind kind, int n,
                             text::Vocabulary* dictionary);
 
 /// The vocabulary of one modeler over dictionary gram ids: each gram it

@@ -1,6 +1,5 @@
 #include "corpus/pooling.h"
 
-#include <string>
 #include <unordered_map>
 
 namespace microrec::corpus {
@@ -39,20 +38,21 @@ std::vector<PooledDoc> PoolTweets(const Corpus& corpus,
       break;
     }
     case Pooling::kHashtag: {
-      std::unordered_map<std::string, size_t> pool_of_tag;
+      // Keyed by views into `tokenized`.
+      std::unordered_map<std::string_view, size_t> pool_of_tag;
       for (TweetId id : tweet_ids) {
-        const std::string* tag = nullptr;
-        for (const auto& token : tokenized.TokensOf(id)) {
+        std::string_view tag;  // stays empty, as no hashtag token is
+        for (const text::TokenView token : tokenized.TokensOf(id)) {
           if (token.type == text::TokenType::kHashtag) {
-            tag = &token.text;
+            tag = token.text;
             break;
           }
         }
-        if (tag == nullptr) {
+        if (tag.empty()) {
           docs.push_back(PooledDoc{{id}});
           continue;
         }
-        auto [it, inserted] = pool_of_tag.emplace(*tag, docs.size());
+        auto [it, inserted] = pool_of_tag.emplace(tag, docs.size());
         if (inserted) docs.emplace_back();
         docs[it->second].members.push_back(id);
       }
@@ -62,11 +62,11 @@ std::vector<PooledDoc> PoolTweets(const Corpus& corpus,
   return docs;
 }
 
-std::vector<std::string> PooledTokens(const TokenizedCorpus& tokenized,
-                                      const PooledDoc& doc) {
-  std::vector<std::string> out;
+std::vector<std::string_view> PooledTokens(const TokenizedCorpus& tokenized,
+                                           const PooledDoc& doc) {
+  std::vector<std::string_view> out;
   for (TweetId id : doc.members) {
-    for (const auto& token : tokenized.TokensOf(id)) {
+    for (const text::TokenView token : tokenized.TokensOf(id)) {
       out.push_back(token.text);
     }
   }

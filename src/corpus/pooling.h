@@ -42,9 +42,10 @@ std::vector<PooledDoc> PoolTweets(const Corpus& corpus,
                                   const std::vector<TweetId>& tweet_ids,
                                   Pooling pooling);
 
-/// Concatenated token strings of a pooled document.
-std::vector<std::string> PooledTokens(const TokenizedCorpus& tokenized,
-                                      const PooledDoc& doc);
+/// The token texts of a pooled document's members, concatenated: views
+/// into `tokenized`, valid as long as it is.
+std::vector<std::string_view> PooledTokens(const TokenizedCorpus& tokenized,
+                                           const PooledDoc& doc);
 
 }  // namespace microrec::corpus
 

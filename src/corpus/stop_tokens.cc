@@ -13,7 +13,7 @@ StopTokenFilter StopTokenFilter::FromTopFrequent(
   // Keyed by views into `tokenized`: no token string is copied to count it.
   std::unordered_map<std::string_view, size_t> counts;
   for (TweetId id : tweets) {
-    for (const auto& token : tokenized.TokensOf(id)) {
+    for (const text::TokenView token : tokenized.TokensOf(id)) {
       ++counts[token.text];
     }
   }
@@ -27,16 +27,6 @@ StopTokenFilter StopTokenFilter::FromTopFrequent(
                     });
   StopTokenFilter out;
   for (size_t i = 0; i < keep; ++i) out.stop_tokens_.emplace(ranked[i].first);
-  return out;
-}
-
-std::vector<std::string_view> StopTokenFilter::Filter(
-    const std::vector<text::Token>& tokens) const {
-  std::vector<std::string_view> out;
-  out.reserve(tokens.size());
-  for (const auto& token : tokens) {
-    if (!IsStop(token.text)) out.push_back(token.text);
-  }
   return out;
 }
 

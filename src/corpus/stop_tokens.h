@@ -4,12 +4,14 @@
 #ifndef MICROREC_CORPUS_STOP_TOKENS_H_
 #define MICROREC_CORPUS_STOP_TOKENS_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "corpus/tokenized.h"
+#include "util/string_util.h"
 
 namespace microrec::corpus {
 
@@ -23,19 +25,27 @@ class StopTokenFilter {
                                          const std::vector<TweetId>& tweets,
                                          size_t top_k = 100);
 
-  bool IsStop(const std::string& token) const {
-    return stop_tokens_.count(token) > 0;
+  /// Looks `token` up as it is: no std::string per probe.
+  bool IsStop(std::string_view token) const {
+    return stop_tokens_.find(token) != stop_tokens_.end();
   }
 
-  /// The texts of `tokens` that are not stop tokens, in order: views into
-  /// `tokens`, valid as long as they are.
-  std::vector<std::string_view> Filter(
-      const std::vector<text::Token>& tokens) const;
+  /// The texts of `tokens` (a TokenRange, or Token or TokenView values)
+  /// that are not stop tokens, in order: views of the tokens' text, valid
+  /// as long as it is.
+  template <typename Tokens>
+  std::vector<std::string_view> Filter(const Tokens& tokens) const {
+    std::vector<std::string_view> out;
+    for (const auto& token : tokens) {
+      if (!IsStop(token.text)) out.push_back(token.text);
+    }
+    return out;
+  }
 
   size_t size() const { return stop_tokens_.size(); }
 
  private:
-  std::unordered_set<std::string> stop_tokens_;
+  std::unordered_set<std::string, StringHash, std::equal_to<>> stop_tokens_;
 };
 
 }  // namespace microrec::corpus

@@ -6,7 +6,7 @@
 namespace microrec::rec {
 
 std::vector<text::TermId> FolloweeRecommender::Featurize(
-    const bag::TokenDoc& doc) {
+    std::span<const std::string_view> doc) {
   return bag::GramIds(doc, config_.bag.kind, config_.bag.n, &dictionary_);
 }
 
@@ -24,7 +24,7 @@ Status FolloweeRecommender::BuildProfiles(size_t min_posts) {
     if (posts.size() < min_posts) continue;
     bag::TokenDoc doc;
     for (corpus::TweetId id : posts) {
-      const auto& tokens = pre_->Filtered(id);
+      const std::span<const std::string_view> tokens = pre_->Filtered(id);
       doc.insert(doc.end(), tokens.begin(), tokens.end());
     }
     featurized.push_back(Featurize(doc));

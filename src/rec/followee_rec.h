@@ -6,6 +6,8 @@
 #ifndef MICROREC_REC_FOLLOWEE_REC_H_
 #define MICROREC_REC_FOLLOWEE_REC_H_
 
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "bag/bag_model.h"
@@ -48,7 +50,7 @@ class FolloweeRecommender {
  private:
   /// The gram ids of a document in dictionary_. Concatenated posts are not
   /// corpus tweets, and the ego's posts must share their id space.
-  std::vector<text::TermId> Featurize(const bag::TokenDoc& doc);
+  std::vector<text::TermId> Featurize(std::span<const std::string_view> doc);
 
   const PreprocessedCorpus* pre_;
   ModelConfig config_;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <unordered_set>
 
 namespace microrec::rec {
 
 bag::TokenDoc HashtagRecommender::ContentTokens(corpus::TweetId id) const {
   bag::TokenDoc out;
-  for (const auto& token : pre_->tokenized().TokensOf(id)) {
+  for (const text::TokenView token : pre_->tokenized().TokensOf(id)) {
     if (token.type == text::TokenType::kHashtag) continue;
     if (pre_->stop_filter().IsStop(token.text)) continue;
     out.push_back(token.text);
@@ -17,7 +18,7 @@ bag::TokenDoc HashtagRecommender::ContentTokens(corpus::TweetId id) const {
 }
 
 std::vector<text::TermId> HashtagRecommender::Featurize(
-    const bag::TokenDoc& doc) {
+    std::span<const std::string_view> doc) {
   return bag::GramIds(doc, config_.bag.kind, config_.bag.n, &dictionary_);
 }
 
@@ -28,11 +29,12 @@ Status HashtagRecommender::BuildProfiles(
         "hashtag recommendation uses bag-model configurations (TN/CN)");
   }
   // Hashtag -> member tweets (a tweet with several tags joins each pool —
-  // unlike HP pooling, a *profile* should see all its evidence).
-  std::map<std::string, std::vector<corpus::TweetId>> pools;
+  // unlike HP pooling, a *profile* should see all its evidence). Keyed by
+  // views into the pre-processed corpus.
+  std::map<std::string_view, std::vector<corpus::TweetId>> pools;
   for (corpus::TweetId id : tweets) {
-    std::unordered_set<std::string> seen;
-    for (const auto& token : pre_->tokenized().TokensOf(id)) {
+    std::unordered_set<std::string_view> seen;
+    for (const text::TokenView token : pre_->tokenized().TokensOf(id)) {
       if (token.type == text::TokenType::kHashtag &&
           seen.insert(token.text).second) {
         pools[token.text].push_back(id);
@@ -43,7 +45,7 @@ Status HashtagRecommender::BuildProfiles(
   // Fit the modeler on the pooled documents, then embed each pool.
   dictionary_ = text::Vocabulary();
   std::vector<std::vector<text::TermId>> pooled;
-  std::vector<const std::string*> tags;
+  std::vector<std::string_view> tags;
   for (const auto& [tag, members] : pools) {
     if (members.size() < min_support) continue;
     bag::TokenDoc doc;
@@ -52,7 +54,7 @@ Status HashtagRecommender::BuildProfiles(
       doc.insert(doc.end(), tokens.begin(), tokens.end());
     }
     pooled.push_back(Featurize(doc));
-    tags.push_back(&tag);
+    tags.push_back(tag);
   }
   if (pooled.empty()) {
     return Status::FailedPrecondition(
@@ -66,9 +68,9 @@ Status HashtagRecommender::BuildProfiles(
   profiles_.reserve(docs.size());
   for (size_t i = 0; i < docs.size(); ++i) {
     Profile profile;
-    profile.hashtag = *tags[i];
+    profile.hashtag = tags[i];
     profile.vector = modeler_->EmbedDocument(docs[i]);
-    profile.support = pools.at(*tags[i]).size();
+    profile.support = pools.at(tags[i]).size();
     profiles_.push_back(std::move(profile));
   }
   return Status::OK();
@@ -81,11 +83,11 @@ Result<std::vector<HashtagSuggestion>> HashtagRecommender::Recommend(
   }
   // The user model: her training documents, hashtags stripped.
   std::vector<std::vector<text::TermId>> featurized;
-  std::unordered_set<std::string> already_used;
+  std::unordered_set<std::string_view> already_used;
   featurized.reserve(user_train.docs.size());
   for (corpus::TweetId id : user_train.docs) {
     featurized.push_back(Featurize(ContentTokens(id)));
-    for (const auto& token : pre_->tokenized().TokensOf(id)) {
+    for (const text::TokenView token : pre_->tokenized().TokensOf(id)) {
       if (token.type == text::TokenType::kHashtag) {
         already_used.insert(token.text);
       }

@@ -10,7 +10,9 @@
 #ifndef MICROREC_REC_HASHTAG_REC_H_
 #define MICROREC_REC_HASHTAG_REC_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bag/bag_model.h"
@@ -59,7 +61,7 @@ class HashtagRecommender {
 
   /// The gram ids of a pooled or hashtag-stripped document: these are not
   /// corpus tweets, so they are featurized into dictionary_.
-  std::vector<text::TermId> Featurize(const bag::TokenDoc& doc);
+  std::vector<text::TermId> Featurize(std::span<const std::string_view> doc);
 
   const PreprocessedCorpus* pre_;
   ModelConfig config_;

@@ -43,10 +43,12 @@ LldaLabelScheme LldaLabelScheme::Build(
     const std::vector<corpus::TweetId>& train, size_t min_hashtag_count) {
   LldaLabelScheme scheme;
 
-  // Hashtag labels: one per hashtag above the frequency threshold.
-  std::unordered_map<std::string, size_t> hashtag_counts;
+  // Hashtag labels: one per hashtag above the frequency threshold, counted
+  // by views into `tokenized`. Label ids follow this map's iteration order,
+  // which std::hash keeps the same for view and std::string keys.
+  std::unordered_map<std::string_view, size_t> hashtag_counts;
   for (corpus::TweetId id : train) {
-    for (const auto& token : tokenized.TokensOf(id)) {
+    for (const text::TokenView token : tokenized.TokensOf(id)) {
       if (token.type == text::TokenType::kHashtag) {
         ++hashtag_counts[token.text];
       }
@@ -54,7 +56,8 @@ LldaLabelScheme LldaLabelScheme::Build(
   }
   for (const auto& [tag, count] : hashtag_counts) {
     if (count > min_hashtag_count) {
-      scheme.hashtag_labels_.emplace(tag, scheme.AddLabel(tag));
+      const std::string name(tag);
+      scheme.hashtag_labels_.emplace(name, scheme.AddLabel(name));
     }
   }
 
@@ -79,14 +82,14 @@ LldaLabelScheme LldaLabelScheme::Build(
 }
 
 std::vector<uint32_t> LldaLabelScheme::LabelsFor(
-    corpus::TweetId id, const std::vector<text::Token>& tokens,
+    corpus::TweetId id, text::TokenRange tokens,
     const std::string& raw_text) const {
   std::vector<uint32_t> labels;
   auto variation = [id](int count) {
     return static_cast<uint32_t>(id % static_cast<corpus::TweetId>(count));
   };
   for (size_t i = 0; i < tokens.size(); ++i) {
-    const auto& token = tokens[i];
+    const text::TokenView token = tokens[i];
     switch (token.type) {
       case text::TokenType::kHashtag: {
         auto it = hashtag_labels_.find(token.text);

@@ -12,12 +12,14 @@
 #ifndef MICROREC_REC_LLDA_LABELS_H_
 #define MICROREC_REC_LLDA_LABELS_H_
 
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "corpus/tokenized.h"
 #include "text/tokenizer.h"
+#include "util/string_util.h"
 
 namespace microrec::rec {
 
@@ -35,7 +37,7 @@ class LldaLabelScheme {
   /// The observed labels of one tweet (empty when none apply). `raw_text`
   /// is consulted for the question-mark label, which tokenization strips.
   std::vector<uint32_t> LabelsFor(corpus::TweetId id,
-                                  const std::vector<text::Token>& tokens,
+                                  text::TokenRange tokens,
                                   const std::string& raw_text) const;
 
   /// Human-readable name of a label id (for diagnostics).
@@ -50,7 +52,8 @@ class LldaLabelScheme {
   /// Registers `count` variation labels under `base`; returns the first id.
   uint32_t AddVariations(const std::string& base, int count);
 
-  std::unordered_map<std::string, uint32_t> hashtag_labels_;
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+      hashtag_labels_;
   // First variation id per emoticon family, or UINT32_MAX when absent.
   std::vector<uint32_t> emoticon_first_;
   std::vector<int> emoticon_variations_;

@@ -1,5 +1,7 @@
 #include "rec/preprocessed.h"
 
+#include <algorithm>
+
 #include "bag/bag_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,16 +30,34 @@ PreprocessedCorpus::PreprocessedCorpus(
                        : corpus::StopTokenFilter::FromTopFrequent(
                              tokenized_, stop_basis, stop_top_k)) {
   MICROREC_SPAN("stop_filter");
-  filtered_.resize(corpus.num_tweets());
-  pool.ParallelFor(corpus.num_tweets(), [this](size_t i) {
-    if (resilience::FaultsArmed()) {
-      resilience::MaybeThrowFault(resilience::kSitePoolTask);
+  // The stop test runs on the pool, one flag per token; the views are then
+  // written on the calling thread, in tweet order.
+  const size_t num_tweets = corpus.num_tweets();
+  const text::TokenList& tokens = tokenized_.tokens();
+  std::vector<uint8_t> keep(tokens.size());
+  pool.ParallelForShards(
+      num_tweets, corpus::TokenizedCorpus::kChunkTweets,
+      [&](size_t begin, size_t end) {
+        if (resilience::FaultsArmed()) {
+          resilience::MaybeThrowFault(resilience::kSitePoolTask);
+        }
+        for (size_t i = tokenized_.FirstToken(begin);
+             i < tokenized_.FirstToken(end); ++i) {
+          keep[i] = !stop_filter_.IsStop(tokens[i].text);
+        }
+      });
+  const size_t kept_tokens = std::count(keep.begin(), keep.end(), 1);
+  filtered_.reserve(kept_tokens);
+  filtered_first_.reserve(num_tweets + 1);
+  filtered_first_.push_back(0);
+  for (corpus::TweetId t = 0; t < num_tweets; ++t) {
+    for (size_t i = tokenized_.FirstToken(t); i < tokenized_.FirstToken(t + 1);
+         ++i) {
+      if (keep[i]) filtered_.push_back(tokens[i].text);
     }
-    filtered_[i] = stop_filter_.Filter(tokenized_.TokensOf(i));
-  });
+    filtered_first_.push_back(static_cast<uint32_t>(filtered_.size()));
+  }
 
-  size_t kept_tokens = 0;
-  for (const auto& tokens : filtered_) kept_tokens += tokens.size();
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("rec.preprocessed.tweets")
       ->Set(static_cast<double>(corpus.num_tweets()));
@@ -66,10 +86,12 @@ void PreprocessedCorpus::BuildGrams(bag::NgramKind kind, int n,
   // Sequential, so dictionary ids follow tweet order at any thread count.
   // The table keeps only the dictionary's size and fingerprint.
   text::Vocabulary dictionary;
-  table->offsets_.reserve(filtered_.size() + 1);
+  const size_t num_tweets = corpus_.num_tweets();
+  table->offsets_.reserve(num_tweets + 1);
   table->offsets_.push_back(0);
-  for (const std::vector<std::string_view>& tokens : filtered_) {
-    std::vector<text::TermId> ids = bag::GramIds(tokens, kind, n, &dictionary);
+  for (corpus::TweetId t = 0; t < num_tweets; ++t) {
+    std::vector<text::TermId> ids =
+        bag::GramIds(Filtered(t), kind, n, &dictionary);
     table->ids_.insert(table->ids_.end(), ids.begin(), ids.end());
     table->offsets_.push_back(table->ids_.size());
   }

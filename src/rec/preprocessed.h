@@ -1,8 +1,9 @@
 // One-time pre-processing shared by every model and configuration:
 // tokenization, stop-token computation (the most frequent tokens of a stop
 // basis; Section 4 drops the top 100), the stop-filtered tokens (views into
-// the tokenized ones), and, per (gram kind, n) in use, the featurized tweets
-// every model fits and scores on (the topic models on the token unigrams).
+// the tokenized ones, in one flat array), and, per (gram kind, n) in use,
+// the featurized tweets every model fits and scores on (the topic models on
+// the token unigrams).
 // Building this once keeps the 223-configuration sweep from re-tokenizing
 // 13 sources x 60 users worth of tweets per configuration, and every user
 // from re-extracting the n-grams of every candidate.
@@ -62,11 +63,12 @@ class PreprocessedCorpus {
   /// included), through eval::CorpusStack, which defines that rule.
   /// When `stop_basis` is empty the stop filter is empty (ablation mode).
   /// `tokenizer_options` default to the paper's pipeline; the prep ablation
-  /// bench toggles letter squeezing through them. Tokenizing and stop
-  /// filtering run one tweet per task on `pool`, or, when it is null, on a
-  /// pool of ThreadPool::HardwareThreads() workers made for the call; the
-  /// stop tokens are counted on the calling thread. Every token and the
-  /// stop set are the same at any pool size.
+  /// bench toggles letter squeezing through them. Tokenizing and the stop
+  /// test run corpus::TokenizedCorpus::kChunkTweets tweets per task on
+  /// `pool`, or, when it is null, on a pool of ThreadPool::HardwareThreads()
+  /// workers made for the call; the stop tokens are counted, and the
+  /// results assembled, on the calling thread. Every token and the stop set
+  /// are the same at any pool size.
   PreprocessedCorpus(const corpus::Corpus& corpus,
                      const std::vector<corpus::TweetId>& stop_basis,
                      size_t stop_top_k = 100, ThreadPool* pool = nullptr,
@@ -78,8 +80,9 @@ class PreprocessedCorpus {
 
   /// Stop-filtered tokens of a tweet, as views into tokenized(): what the
   /// gram tables and the followee recommender featurize.
-  const std::vector<std::string_view>& Filtered(corpus::TweetId id) const {
-    return filtered_[id];
+  std::span<const std::string_view> Filtered(corpus::TweetId id) const {
+    return {filtered_.data() + filtered_first_[id],
+            filtered_.data() + filtered_first_[id + 1]};
   }
 
   /// The (kind, n) gram table, built on the first request and shared by
@@ -106,7 +109,9 @@ class PreprocessedCorpus {
   const corpus::Corpus& corpus_;
   corpus::TokenizedCorpus tokenized_;
   corpus::StopTokenFilter stop_filter_;
-  std::vector<std::vector<std::string_view>> filtered_;  // into tokenized_
+  std::vector<std::string_view> filtered_;  // into tokenized_, tweet by tweet
+  // Tweet t's filtered tokens: [filtered_first_[t], filtered_first_[t + 1]).
+  std::vector<uint32_t> filtered_first_;
   mutable std::mutex grams_mu_;  // guards the map, not the tables
   mutable std::map<std::pair<bag::NgramKind, int>, std::unique_ptr<GramSlot>>
       grams_;

@@ -6,8 +6,8 @@
 
 namespace microrec::text {
 
-std::vector<std::string> TokenNgrams(
-    const std::vector<std::string_view>& tokens, int n) {
+std::vector<std::string> TokenNgrams(std::span<const std::string_view> tokens,
+                                     int n) {
   assert(n >= 1);
   std::vector<std::string> out;
   if (tokens.size() < static_cast<size_t>(n)) return out;

@@ -8,6 +8,8 @@
 #ifndef MICROREC_TEXT_NGRAM_H_
 #define MICROREC_TEXT_NGRAM_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,8 +23,8 @@ inline constexpr char kNgramJoiner = '\x1f';
 
 /// Extracts all token n-grams of size `n` (n >= 1) from a token sequence.
 /// A document with fewer than `n` tokens yields no n-grams.
-std::vector<std::string> TokenNgrams(
-    const std::vector<std::string_view>& tokens, int n);
+std::vector<std::string> TokenNgrams(std::span<const std::string_view> tokens,
+                                     int n);
 
 /// Extracts all character n-grams of size `n` (n >= 1) from UTF-8 text.
 /// Consecutive whitespace is collapsed to a single space first, so the

@@ -109,18 +109,18 @@ EmoticonClass ClassifyEmoticon(std::string_view token) {
   return EmoticonClass::kNone;
 }
 
-std::vector<Token> Tokenizer::Tokenize(std::string_view raw) const {
+void Tokenizer::Tokenize(std::string_view raw, TokenList* out) const {
   std::string lower =
       options_.lowercase ? ToLowerUtf8(raw) : std::string(raw);
   std::string_view input = lower;
 
-  std::vector<Token> tokens;
-  std::vector<Codepoint> word;  // pending word codepoints
-  int run_length = 0;           // current repeated-letter run in `word`
+  std::string word;    // pending word, UTF-8
+  Codepoint last = 0;  // the last codepoint of `word`
+  int run_length = 0;  // current repeated-letter run in `word`
 
   auto flush_word = [&] {
     if (!word.empty()) {
-      tokens.push_back({Encode(word), TokenType::kWord});
+      out->Append(word, TokenType::kWord);
       word.clear();
     }
     run_length = 0;
@@ -134,8 +134,7 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view raw) const {
       size_t emo_len = 0;
       if (MatchEmoticon(input, pos, &emo_len)) {
         flush_word();
-        tokens.push_back(
-            {std::string(input.substr(pos, emo_len)), TokenType::kEmoticon});
+        out->Append(input.substr(pos, emo_len), TokenType::kEmoticon);
         pos += emo_len;
         at_boundary = false;
         continue;
@@ -143,8 +142,7 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view raw) const {
       if (MatchUrlPrefix(input, pos)) {
         flush_word();
         size_t end = ConsumeUrl(input, pos);
-        tokens.push_back(
-            {std::string(input.substr(pos, end - pos)), TokenType::kUrl});
+        out->Append(input.substr(pos, end - pos), TokenType::kUrl);
         pos = end;
         at_boundary = false;
         continue;
@@ -155,8 +153,7 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view raw) const {
           flush_word();
           TokenType type =
               input[pos] == '#' ? TokenType::kHashtag : TokenType::kMention;
-          tokens.push_back(
-              {std::string(input.substr(pos, body_end - pos)), type});
+          out->Append(input.substr(pos, body_end - pos), type);
           pos = body_end;
           at_boundary = false;
           continue;
@@ -178,15 +175,26 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view raw) const {
       continue;
     }
     // Letter squeezing: cap identical-letter runs (challenge C4).
-    if (options_.squeeze_repeats && !word.empty() && word.back() == cp) {
+    if (options_.squeeze_repeats && !word.empty() && last == cp) {
       ++run_length;
       if (run_length > options_.max_repeat_run) continue;
     } else {
       run_length = 1;
     }
-    word.push_back(cp);
+    Encode(cp, &word);
+    last = cp;
   }
   flush_word();
+}
+
+std::vector<Token> Tokenizer::Tokenize(std::string_view raw) const {
+  TokenList list;
+  Tokenize(raw, &list);
+  std::vector<Token> tokens;
+  tokens.reserve(list.size());
+  for (const TokenView token : list.Range(0, list.size())) {
+    tokens.push_back({std::string(token.text), token.type});
+  }
   return tokens;
 }
 

@@ -15,19 +15,9 @@
 #include <string_view>
 #include <vector>
 
-namespace microrec::text {
+#include "text/token_list.h"
 
-/// Classification of a produced token. Word covers everything that is not a
-/// recognised Twitter entity; note that for space-free scripts (Chinese,
-/// Japanese, ...) a whole phrase may surface as one Word token — exactly the
-/// failure mode (challenge C3) that motivates character-based models.
-enum class TokenType {
-  kWord,
-  kHashtag,   // "#edbt"
-  kMention,   // "@alice"
-  kUrl,       // "http://...", "https://...", "www...."
-  kEmoticon,  // ":)", ":D", "<3", ...
-};
+namespace microrec::text {
 
 /// A single token: its (lower-cased, squeezed) surface form plus its type.
 struct Token {
@@ -69,6 +59,9 @@ struct TokenizerOptions {
 class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions options = {}) : options_(options) {}
+
+  /// Appends the tokens of one microblog post to `*out`, in order.
+  void Tokenize(std::string_view raw, TokenList* out) const;
 
   /// Tokenizes one microblog post.
   std::vector<Token> Tokenize(std::string_view raw) const;

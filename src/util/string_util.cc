@@ -18,7 +18,7 @@ std::vector<std::string> SplitAny(std::string_view input,
   return out;
 }
 
-std::string Join(const std::vector<std::string_view>& parts,
+std::string Join(std::span<const std::string_view> parts,
                  std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

@@ -3,11 +3,24 @@
 #ifndef MICROREC_UTIL_STRING_UTIL_H_
 #define MICROREC_UTIL_STRING_UTIL_H_
 
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace microrec {
+
+/// Hash of a string-keyed unordered container that also hashes a
+/// std::string_view, so that find() and count() (with std::equal_to<>)
+/// look a view up without building a std::string. Same values as
+/// std::hash<std::string>.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 /// Splits `input` on any character contained in `delims`; empty pieces are
 /// dropped.
@@ -15,7 +28,7 @@ std::vector<std::string> SplitAny(std::string_view input,
                                   std::string_view delims);
 
 /// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string_view>& parts,
+std::string Join(std::span<const std::string_view> parts,
                  std::string_view sep);
 
 /// True if `text` begins with `prefix`.

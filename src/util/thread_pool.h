@@ -1,16 +1,16 @@
 // Fixed-size thread pool used to parallelise embarrassingly parallel work:
 // per-user model construction, per-configuration sweeps, and the set-up of a
 // corpus. Set-up runs on every core by default: corpus::TokenizedCorpus and
-// rec::PreprocessedCorpus tokenize and stop-filter one tweet per task on a
-// caller's pool or, when it passes none, on a PoolForCall of
-// HardwareThreads() workers. Each task writes its tweet's result to that
-// tweet's slot, so every token is the same at any pool size. Stop counting,
-// the gram tables (ids in tweet order) and the synthetic generator (one draw
-// stream) stay serial. The paper's measurements are single-threaded per
-// model (Section 4 excludes parallelised representation models), so model
-// timing stays on one thread: timing-sensitive code paths take a
-// `parallelism = 1` switch, and ExperimentRunner::Run builds a model's gram
-// table before its training clock starts.
+// rec::PreprocessedCorpus tokenize and stop-test a chunk of consecutive
+// tweets per task on a caller's pool or, when it passes none, on a
+// PoolForCall of HardwareThreads() workers. The calling thread assembles the
+// chunks in tweet order, so every token is the same at any pool size. Stop
+// counting, the gram tables (ids in tweet order) and the synthetic generator
+// (one draw stream) stay serial. The paper's measurements are
+// single-threaded per model (Section 4 excludes parallelised representation
+// models), so model timing stays on one thread: timing-sensitive code paths
+// take a `parallelism = 1` switch, and ExperimentRunner::Run builds a model's
+// gram table before its training clock starts.
 #ifndef MICROREC_UTIL_THREAD_POOL_H_
 #define MICROREC_UTIL_THREAD_POOL_H_
 

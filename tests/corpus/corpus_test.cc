@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
+
+#include "corpus/tokenized.h"
+#include "synth/generator.h"
+#include "text/tokenizer.h"
+#include "util/thread_pool.h"
 
 namespace microrec::corpus {
 namespace {
@@ -116,6 +123,69 @@ TEST(CorpusTest, IncomingMergesMultipleFolloweesByTime) {
   TweetId t2 = *corpus.AddTweet(a, 200, "a2");
   corpus.Finalize();
   EXPECT_EQ(corpus.IncomingOf(ego), (std::vector<TweetId>{t1, t2, t3}));
+}
+
+// The store holds, for every tweet, exactly the tokens (bytes and type, in
+// order) the tokenizer gives its text, at pool sizes 1, 2, 3 and the
+// default. The generated corpus adds its retweets with empty texts (each
+// carries its original's), and its URLs are tokens longer than 15 bytes; a
+// tail of tweets without tokens runs across a chunk boundary, and the tweet
+// count is not a multiple of the chunk size.
+TEST(TokenizedCorpusTest, StoreMatchesTheTokenizer) {
+  synth::DatasetSpec spec = synth::DatasetSpec::Small();
+  spec.seed = 91;
+  spec.background_users = 30;
+  spec.seekers.count = 3;
+  spec.balanced.count = 3;
+  spec.producers.count = 2;
+  spec.extras.count = 0;
+  auto dataset = synth::GenerateDataset(spec);
+  ASSERT_TRUE(dataset.ok());
+  Corpus& corpus = dataset->corpus;
+  constexpr size_t kChunk = TokenizedCorpus::kChunkTweets;
+  const size_t tail = kChunk - corpus.num_tweets() % kChunk + 1;
+  for (size_t i = 0; i < tail; ++i) {
+    ASSERT_TRUE(corpus.AddTweet(0, 1'000'000'000, i % 2 ? "... !!" : "").ok());
+  }
+  ASSERT_TRUE(
+      corpus.AddTweet(0, 1'000'000'001, "see https://example.com/x/y").ok());
+  corpus.Finalize();
+  ASSERT_GT(corpus.num_tweets(), 4 * kChunk);
+  ASSERT_NE(corpus.num_tweets() % kChunk, 0u);
+
+  const text::Tokenizer tokenizer;
+  std::vector<std::vector<text::Token>> want;
+  size_t retweets = 0, long_tokens = 0;
+  for (TweetId id = 0; id < corpus.num_tweets(); ++id) {
+    retweets += corpus.tweet(id).IsRetweet() ? 1 : 0;
+    want.push_back(tokenizer.Tokenize(corpus.tweet(id).text));
+    for (const text::Token& token : want.back()) {
+      long_tokens += token.text.size() > 15 ? 1 : 0;
+    }
+  }
+  ASSERT_GT(retweets, 0u);
+  ASSERT_GT(long_tokens, 0u);
+
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool three(3);
+  for (ThreadPool* pool :
+       {&one, &two, &three, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(pool == nullptr ? "default pool"
+                                 : std::to_string(pool->num_threads()) +
+                                       "-thread pool");
+    const TokenizedCorpus tokenized(corpus, tokenizer, pool);
+    for (TweetId id = 0; id < corpus.num_tweets(); ++id) {
+      const text::TokenRange got = tokenized.TokensOf(id);
+      ASSERT_EQ(got.size(), want[id].size()) << "tweet " << id;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].text, want[id][i].text) << "tweet " << id;
+        ASSERT_EQ(got[i].type, want[id][i].type) << "tweet " << id;
+      }
+    }
+    EXPECT_EQ(tokenized.FirstToken(corpus.num_tweets()),
+              tokenized.tokens().size());
+  }
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST_F(StopTokensFixture, KLargerThanVocabulary) {
 
 TEST_F(StopTokensFixture, FilterRemovesStopTokens) {
   auto filter = StopTokenFilter::FromTopFrequent(*tokenized_, ids_, 1);
-  const std::vector<text::Token>& tokens = tokenized_->TokensOf(ids_[0]);
+  const text::TokenRange tokens = tokenized_->TokensOf(ids_[0]);
   auto filtered = filter.Filter(tokens);
   ASSERT_EQ(filtered.size(), 2u);
   EXPECT_EQ(filtered[0], "cat");

@@ -5,35 +5,37 @@
 namespace microrec::text {
 namespace {
 
+using Tokens = std::vector<std::string_view>;
+
 TEST(TokenNgramsTest, Unigrams) {
-  EXPECT_EQ(TokenNgrams({"a", "b", "c"}, 1),
+  EXPECT_EQ(TokenNgrams(Tokens{"a", "b", "c"}, 1),
             (std::vector<std::string>{"a", "b", "c"}));
 }
 
 TEST(TokenNgramsTest, Bigrams) {
-  auto grams = TokenNgrams({"a", "b", "c"}, 2);
+  auto grams = TokenNgrams(Tokens{"a", "b", "c"}, 2);
   ASSERT_EQ(grams.size(), 2u);
   EXPECT_EQ(grams[0], std::string("a") + kNgramJoiner + "b");
   EXPECT_EQ(grams[1], std::string("b") + kNgramJoiner + "c");
 }
 
 TEST(TokenNgramsTest, OrderMatters) {
-  auto ab = TokenNgrams({"bob", "sues"}, 2);
-  auto ba = TokenNgrams({"sues", "bob"}, 2);
+  auto ab = TokenNgrams(Tokens{"bob", "sues"}, 2);
+  auto ba = TokenNgrams(Tokens{"sues", "bob"}, 2);
   ASSERT_EQ(ab.size(), 1u);
   ASSERT_EQ(ba.size(), 1u);
   EXPECT_NE(ab[0], ba[0]);
 }
 
 TEST(TokenNgramsTest, TooShortDocumentYieldsNothing) {
-  EXPECT_TRUE(TokenNgrams({"a", "b"}, 3).empty());
+  EXPECT_TRUE(TokenNgrams(Tokens{"a", "b"}, 3).empty());
   EXPECT_TRUE(TokenNgrams({}, 1).empty());
 }
 
 TEST(TokenNgramsTest, JoinerPreventsCollisions) {
   // ("ab", "c") must differ from ("a", "bc").
-  auto first = TokenNgrams({"ab", "c"}, 2);
-  auto second = TokenNgrams({"a", "bc"}, 2);
+  auto first = TokenNgrams(Tokens{"ab", "c"}, 2);
+  auto second = TokenNgrams(Tokens{"a", "bc"}, 2);
   EXPECT_NE(first[0], second[0]);
 }
 

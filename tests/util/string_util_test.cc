@@ -21,8 +21,9 @@ TEST(SplitAnyTest, NoDelimiterYieldsWholeString) {
 }
 
 TEST(JoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
+  using Parts = std::vector<std::string_view>;
+  EXPECT_EQ(Join(Parts{"a", "b", "c"}, ", "), "a, b, c");
+  EXPECT_EQ(Join(Parts{"solo"}, ","), "solo");
   EXPECT_EQ(Join({}, ","), "");
 }
 

@@ -345,10 +345,13 @@ int Generate(const std::string& dir, uint64_t seed) {
 }
 
 int Stats(const std::string& dir) {
-  Result<eval::CorpusStack> stack = OpenStack(dir);
-  if (!stack.ok()) return Fail(stack.status());
-  const corpus::Corpus& corpus = stack->corpus();
-  const corpus::UserCohort& cohort = stack->cohort();
+  // Counts only: the cohort is selected on the loaded corpus, and nothing
+  // is tokenized.
+  Result<corpus::Corpus> loaded = corpus::LoadCorpus(dir);
+  if (!loaded.ok()) return Fail(loaded.status());
+  const corpus::Corpus& corpus = *loaded;
+  const corpus::UserCohort cohort =
+      corpus::SelectCohort(corpus, synth::DatasetSpec::Small().cohort);
 
   size_t retweets = 0, edges = 0;
   for (const corpus::Tweet& tweet : corpus.tweets()) {
